@@ -5,8 +5,7 @@
 //! batched call (a broadcast/stride-0 operand, a matrix referenced by
 //! several group items) and **across** calls (the weight matrix of a
 //! serving loop). Identity combines the operand's data pointer, length,
-//! shape and pipeline configuration `(N, mode, backend, precision)`,
-//! guarded by a
+//! shape and pipeline configuration `(N, mode, precision)`, guarded by a
 //! **full-content** fingerprint: a buffer that is freed and
 //! coincidentally reallocated at the same address, or mutated in place —
 //! even at a single element — changes the key, so stale panels can never
@@ -16,7 +15,7 @@
 //! item).
 
 use gemm_dense::MatView;
-use ozaki2::{BackendKind, Mode, OperandSide, PreparedOperand};
+use ozaki2::{Mode, OperandSide, PreparedOperand};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,11 +123,6 @@ pub struct OperandKey {
     side: OperandSide,
     n_moduli: usize,
     mode: Mode,
-    /// Residue backend the preparation's moduli pool belongs to. Panels
-    /// prepared under one backend are meaningless under another's pool,
-    /// so the key must split on it — a prepared operand is never served
-    /// across backends.
-    backend: BackendKind,
     b64: bool,
     fingerprint: u64,
 }
@@ -142,7 +136,6 @@ impl OperandKey {
         side: OperandSide,
         n_moduli: usize,
         mode: Mode,
-        backend: BackendKind,
     ) -> Self {
         Self {
             ptr: data.as_ptr() as usize,
@@ -154,20 +147,17 @@ impl OperandKey {
             side,
             n_moduli,
             mode,
-            backend,
             b64: true,
             fingerprint: fingerprint_f64(data),
         }
     }
 
     /// Shared body of the view-key constructors.
-    #[allow(clippy::too_many_arguments)]
     fn from_view<T: Copy>(
         v: &MatView<'_, T>,
         side: OperandSide,
         n_moduli: usize,
         mode: Mode,
-        backend: BackendKind,
         b64: bool,
         fingerprint: u64,
     ) -> Self {
@@ -182,52 +172,22 @@ impl OperandKey {
             side,
             n_moduli,
             mode,
-            backend,
             b64,
             fingerprint,
         }
     }
 
     /// Key for a (possibly `ld`-strided, either-layout) f64 operand view.
-    pub fn f64_view(
-        v: &MatView<'_, f64>,
-        side: OperandSide,
-        n_moduli: usize,
-        mode: Mode,
-        backend: BackendKind,
-    ) -> Self {
-        Self::from_view(
-            v,
-            side,
-            n_moduli,
-            mode,
-            backend,
-            true,
-            fingerprint_view_f64(v),
-        )
+    pub fn f64_view(v: &MatView<'_, f64>, side: OperandSide, n_moduli: usize, mode: Mode) -> Self {
+        Self::from_view(v, side, n_moduli, mode, true, fingerprint_view_f64(v))
     }
 
     /// Key for a (possibly `ld`-strided, either-layout) f32 operand view.
-    pub fn f32_view(
-        v: &MatView<'_, f32>,
-        side: OperandSide,
-        n_moduli: usize,
-        mode: Mode,
-        backend: BackendKind,
-    ) -> Self {
-        Self::from_view(
-            v,
-            side,
-            n_moduli,
-            mode,
-            backend,
-            false,
-            fingerprint_view_f32(v),
-        )
+    pub fn f32_view(v: &MatView<'_, f32>, side: OperandSide, n_moduli: usize, mode: Mode) -> Self {
+        Self::from_view(v, side, n_moduli, mode, false, fingerprint_view_f32(v))
     }
 
     /// Key for an f32 operand slice (SGEMM precision).
-    #[allow(clippy::too_many_arguments)]
     pub fn f32(
         data: &[f32],
         rows: usize,
@@ -235,7 +195,6 @@ impl OperandKey {
         side: OperandSide,
         n_moduli: usize,
         mode: Mode,
-        backend: BackendKind,
     ) -> Self {
         Self {
             ptr: data.as_ptr() as usize,
@@ -247,7 +206,6 @@ impl OperandKey {
             side,
             n_moduli,
             mode,
-            backend,
             b64: false,
             fingerprint: fingerprint_f32(data),
         }
@@ -503,8 +461,7 @@ mod tests {
         let (d1, p1) = prep(1);
         let (d2, p2) = prep(2);
         let (d3, p3) = prep(3);
-        let key =
-            |d: &[f64]| OperandKey::f64(d, 8, 6, OperandSide::B, 8, Mode::Fast, BackendKind::Int8);
+        let key = |d: &[f64]| OperandKey::f64(d, 8, 6, OperandSide::B, 8, Mode::Fast);
         cache.insert(key(&d1), p1);
         cache.insert(key(&d2), p2);
         assert!(cache.get(&key(&d1)).is_some()); // refresh 1 → MRU
@@ -527,10 +484,10 @@ mod tests {
         let (d0, p) = prep(4);
         for idx in 0..d0.len() {
             let mut d = d0.clone();
-            let k1 = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast, BackendKind::Int8);
+            let k1 = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast);
             cache.insert(k1.clone(), p.clone());
             d[idx] += 1.0;
-            let k2 = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast, BackendKind::Int8);
+            let k2 = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast);
             assert_ne!(k1, k2, "mutation at {idx} must change the key");
         }
     }
@@ -539,7 +496,7 @@ mod tests {
     fn repeat_miss_promotes_on_second_sighting() {
         let cache = OperandCache::new(4);
         let (d, _) = prep(6);
-        let k = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast, BackendKind::Int8);
+        let k = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast);
         assert!(!cache.repeat_miss(&k), "first sighting stays raw");
         assert!(cache.repeat_miss(&k), "second sighting promotes");
         // Leaving probation: a third miss starts over.
@@ -553,66 +510,18 @@ mod tests {
     #[test]
     fn key_separates_sides_and_configs() {
         let d = vec![1.0f64; 48];
-        let base = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast, BackendKind::Int8);
+        let base = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast);
         assert_ne!(
             base,
-            OperandKey::f64(&d, 8, 6, OperandSide::A, 8, Mode::Fast, BackendKind::Int8)
+            OperandKey::f64(&d, 8, 6, OperandSide::A, 8, Mode::Fast)
         );
         assert_ne!(
             base,
-            OperandKey::f64(&d, 8, 6, OperandSide::B, 9, Mode::Fast, BackendKind::Int8)
+            OperandKey::f64(&d, 8, 6, OperandSide::B, 9, Mode::Fast)
         );
         assert_ne!(
             base,
-            OperandKey::f64(&d, 6, 8, OperandSide::B, 8, Mode::Fast, BackendKind::Int8)
-        );
-        // Backend is part of the identity: panels reduced against one
-        // pool must never be served to an emulator on the other.
-        assert_ne!(
-            base,
-            OperandKey::f64(
-                &d,
-                8,
-                6,
-                OperandSide::B,
-                8,
-                Mode::Fast,
-                BackendKind::FmaBf16
-            )
-        );
-    }
-
-    #[test]
-    fn cache_never_serves_across_backends() {
-        // End to end: a preparation cached under the INT8 emulator's key
-        // is invisible to an fma-bf16 emulator over the same bytes, and
-        // the fma-backed preparation round-trips under its own key.
-        let cache = OperandCache::new(4);
-        let b = phi_matrix_f64(8, 6, 0.5, 3, 1);
-        let int8 = Ozaki2::new(8, Mode::Fast);
-        let fma = Ozaki2::new(8, Mode::Fast).with_backend(BackendKind::FmaBf16);
-        let key_for = |emu: &Ozaki2| {
-            OperandKey::f64(
-                b.as_slice(),
-                8,
-                6,
-                OperandSide::B,
-                emu.n_moduli(),
-                emu.mode(),
-                emu.backend(),
-            )
-        };
-        cache.insert(key_for(&int8), Arc::new(int8.prepare_b(&b)));
-        assert!(cache.get(&key_for(&fma)).is_none(), "cross-backend hit");
-        cache.insert(key_for(&fma), Arc::new(fma.try_prepare_b(&b).unwrap()));
-        let served = cache.get(&key_for(&fma)).expect("own-backend hit");
-        assert_eq!(served.backend(), BackendKind::FmaBf16);
-        assert_eq!(
-            cache
-                .get(&key_for(&int8))
-                .expect("int8 entry intact")
-                .backend(),
-            BackendKind::Int8
+            OperandKey::f64(&d, 6, 8, OperandSide::B, 8, Mode::Fast)
         );
     }
 
@@ -620,7 +529,7 @@ mod tests {
     fn zero_capacity_caches_nothing() {
         let cache = OperandCache::new(0);
         let (d, p) = prep(5);
-        let k = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast, BackendKind::Int8);
+        let k = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast);
         cache.insert(k.clone(), p);
         assert!(cache.get(&k).is_none());
         assert!(cache.is_empty());

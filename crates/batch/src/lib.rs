@@ -168,18 +168,6 @@ impl BatchedOzaki2 {
         self
     }
 
-    /// Switch the underlying emulator's residue backend (see
-    /// [`Ozaki2::with_backend`]). The prepared-operand cache keys on the
-    /// backend, so preparations made before the switch are simply never
-    /// served afterwards — no flush is needed for correctness.
-    ///
-    /// # Panics
-    /// If the configured `n_moduli` exceeds the new backend's pool.
-    pub fn with_backend(mut self, backend: ozaki2::BackendKind) -> Self {
-        self.emu = self.emu.with_backend(backend);
-        self
-    }
-
     /// The workspace pool (inspect for steady-state no-realloc checks).
     pub fn pool(&self) -> &WorkspacePool {
         &self.pool
@@ -497,13 +485,7 @@ impl BatchedOzaki2 {
             return Ok(None);
         }
         let view = batch.view(0);
-        let key = OperandKey::f64_view(
-            &view,
-            side,
-            self.emu.n_moduli(),
-            self.emu.mode(),
-            self.emu.backend(),
-        );
+        let key = OperandKey::f64_view(&view, side, self.emu.n_moduli(), self.emu.mode());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(Some(hit));
         }
@@ -531,13 +513,7 @@ impl BatchedOzaki2 {
             return Ok(None);
         }
         let view = batch.view(0);
-        let key = OperandKey::f32_view(
-            &view,
-            side,
-            self.emu.n_moduli(),
-            self.emu.mode(),
-            self.emu.backend(),
-        );
+        let key = OperandKey::f32_view(&view, side, self.emu.n_moduli(), self.emu.mode());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(Some(hit));
         }
@@ -576,7 +552,6 @@ impl BatchedOzaki2 {
             side,
             self.emu.n_moduli(),
             self.emu.mode(),
-            self.emu.backend(),
         );
         if let Some(hit) = self.cache.get(&key) {
             local.insert(id, hit.clone());

@@ -12,7 +12,7 @@
 use gemm_batch::{BatchedOzaki2, OperandCache, OperandKey, StridedBatchF64, WorkspacePool};
 use gemm_dense::workload::phi_matrix_f64;
 use gemm_dense::MatF64;
-use ozaki2::{BackendKind, Mode, OperandSide, Ozaki2, PreparedOperand};
+use ozaki2::{Mode, OperandSide, Ozaki2, PreparedOperand};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -36,15 +36,7 @@ fn tenants(count: usize, nmod: usize) -> Vec<(Vec<f64>, Arc<PreparedOperand>)> {
 }
 
 fn key_of(data: &[f64], nmod: usize) -> OperandKey {
-    OperandKey::f64(
-        data,
-        8,
-        6,
-        OperandSide::B,
-        nmod,
-        Mode::Fast,
-        BackendKind::Int8,
-    )
+    OperandKey::f64(data, 8, 6, OperandSide::B, nmod, Mode::Fast)
 }
 
 /// N threads hammering get/insert/repeat_miss over an overlapping key set
@@ -105,12 +97,15 @@ fn operand_cache_contention_keeps_contents_exact() {
 }
 
 /// Concurrent batched calls against ONE shared runtime: results stay
-/// bit-identical per caller and, once warmed, further rounds allocate no
-/// new workspaces and no new cache bytes.
+/// bit-identical per caller, the workspace pool never holds more
+/// workspaces than there are threads that can hold one at once, and once
+/// warmed, further rounds add no cache bytes.
 #[test]
 fn shared_runtime_concurrent_calls_stay_exact_and_flat() {
+    const CALLERS: usize = 6;
+    const WORKERS: usize = 4;
     let _guard = pool_lock();
-    rayon::set_num_threads(4);
+    rayon::set_num_threads(WORKERS);
     let (m, n, k, nmod, count) = (20usize, 16usize, 12usize, 7usize, 6usize);
     let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
     let emu = Ozaki2::new(nmod, Mode::Fast);
@@ -135,7 +130,7 @@ fn shared_runtime_concurrent_calls_stay_exact_and_flat() {
 
     let hammer = || {
         std::thread::scope(|scope| {
-            for t in 0..6usize {
+            for t in 0..CALLERS {
                 scope.spawn(move || {
                     for _ in 0..4 {
                         run_round(t);
@@ -145,19 +140,21 @@ fn shared_runtime_concurrent_calls_stay_exact_and_flat() {
         });
     };
 
-    hammer(); // warmup: grows the pool to its concurrent high-water mark
-    let created = runtime.pool().created();
+    // The pool only allocates when no parked workspace is found, and a
+    // thread holds at most one workspace at a time (an item's nested
+    // engine stripes check none out), so workspaces created never exceed
+    // the peak number of concurrent holders: each caller thread (helping
+    // run its own batch) plus each pool worker. A warm-up high-water mark
+    // is only a sample of that peak, so it is not a bound.
+    let peak_holders = CALLERS + WORKERS;
+    hammer(); // warmup
     let pool_bytes = runtime.pool().bytes();
     let cache_bytes = runtime.cache().bytes();
     hammer(); // steady state
-              // Identical concurrent workload: the pool must serve from parked
-              // workspaces. A tiny slack absorbs a phase-2 interleaving that
-              // momentarily overlaps more checkouts than phase 1 ever did.
     assert!(
-        runtime.pool().created() <= created + 2,
-        "steady-state workspace allocations: {} grew past {} (+2)",
-        runtime.pool().created(),
-        created
+        runtime.pool().created() <= peak_holders,
+        "workspaces created: {} exceeds the {peak_holders} possible concurrent holders",
+        runtime.pool().created()
     );
     assert!(
         runtime.pool().bytes() >= pool_bytes,

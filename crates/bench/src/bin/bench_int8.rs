@@ -52,8 +52,7 @@ use ozaki2::accumulate::{fold_kernel_name, fold_planes, FoldPrecision};
 use ozaki2::convert::{convert_kernel_name, convert_pack_panels, rmod_to_i8, steps_for};
 use ozaki2::scale::{fast_scale_rows, scale_by_pow2, scale_trunc_a_rowmajor, trunc_kernel_name};
 use ozaki2::{
-    choose_n_for, constants, Accuracy, BackendKind, FaultPolicy, GemmArgs, GemmOp, Mode, Ozaki2,
-    Workspace,
+    choose_n, constants, Accuracy, FaultPolicy, GemmArgs, GemmOp, Mode, Ozaki2, Workspace,
 };
 use std::io::Write;
 use std::time::Instant;
@@ -372,30 +371,21 @@ fn main() {
     assert_eq!(c_view, c_mat, "view path must stay bit-identical");
     let blas_view_speedup = t_blas_mat / t_blas_view;
 
-    // Residue backends head-to-head at pn³: each engine runs the emulated
-    // DGEMM on its *own* pool resolved for the same 2^-20 target (N is not
-    // transferable between pools — the bf16-FMA planes carry fewer bits),
-    // so the numbers compare what a user actually gets at equal accuracy.
+    // The INT8 engine at pn³ on the N resolved for a 2^-20 target.
     // Effective GOPS counts the emulated product's 2·pn³ flops, not the
     // engine-plane ops.
-    let backend_target = 2f64.powi(-20);
+    let int8_target = 2f64.powi(-20);
     let pgops = |secs: f64| 2.0 * (pn * pn * pn) as f64 / secs / 1e9;
-    let mut backend_rows: Vec<(&'static str, usize, f64)> = Vec::new();
-    for kind in [BackendKind::Int8, BackendKind::FmaBf16] {
-        let n_b =
-            choose_n_for(kind, backend_target, pn, false).expect("both pools reach 2^-20 at pn");
-        let emu_b = Ozaki2::new(n_b, Mode::Fast).with_backend(kind);
-        let mut ws_b = Workspace::new();
-        let mut c_b = MatF64::zeros(pn, pn);
-        let t_b = time_best(reps, || {
-            emu_b
-                .try_dgemm_into_ws(&pa, &pb, &mut c_b, &mut ws_b)
-                .expect("backend run");
-        });
-        backend_rows.push((kind.as_str(), n_b, t_b));
-    }
-    // Fast-inference mode: the low-moduli builder preset on the default
-    // INT8 pool. Throughput is reported next to the *predicted* normwise
+    let n_i8 = choose_n(int8_target, pn, false).expect("the pool reaches 2^-20 at pn");
+    let emu_i8 = Ozaki2::new(n_i8, Mode::Fast);
+    let mut ws_i8 = Workspace::new();
+    let mut c_i8 = MatF64::zeros(pn, pn);
+    let t_i8 = time_best(reps, || {
+        emu_i8
+            .try_dgemm_into_ws(&pa, &pb, &mut c_i8, &mut ws_i8)
+            .expect("int8 run");
+    });
+    // Fast-inference mode: the low-moduli builder preset. Throughput is reported next to the *predicted* normwise
     // error bound the report carries, so the accuracy price of the speed
     // is on the same page as the speed.
     let emu_fi = Ozaki2::builder()
@@ -458,22 +448,15 @@ fn main() {
         t_blas_mat * 1e3,
         t_blas_view * 1e3
     ));
-    {
-        let (_, n_i8, t_i8) = backend_rows[0];
-        let (_, n_fma, t_fma) = backend_rows[1];
-        json.push_str(&format!(
-            "  \"backends\": {{\n    \"shape\": [{pn}, {pn}, {pn}],\n    \"target\": {backend_target:e},\n    \"int8\": {{\n      \"n_moduli\": {n_i8},\n      \"backend_int8_e2e_ms\": {:.3},\n      \"backend_int8_gops\": {:.3}\n    }},\n    \"fma_bf16\": {{\n      \"n_moduli\": {n_fma},\n      \"backend_fma_bf16_e2e_ms\": {:.3},\n      \"backend_fma_bf16_gops\": {:.3}\n    }},\n    \"fast_inference\": {{\n      \"backend\": \"{}\",\n      \"n_moduli\": {},\n      \"fast_inference_e2e_ms\": {:.3},\n      \"fast_inference_gops\": {:.3},\n      \"fast_inference_predicted_error\": {:e}\n    }}\n  }},\n",
-            t_i8 * 1e3,
-            pgops(t_i8),
-            t_fma * 1e3,
-            pgops(t_fma),
-            fi_report.backend.as_str(),
-            fi_report.n_moduli,
-            t_fi * 1e3,
-            pgops(t_fi),
-            fi_report.predicted_error
-        ));
-    }
+    json.push_str(&format!(
+        "  \"backends\": {{\n    \"shape\": [{pn}, {pn}, {pn}],\n    \"target\": {int8_target:e},\n    \"int8\": {{\n      \"n_moduli\": {n_i8},\n      \"backend_int8_e2e_ms\": {:.3},\n      \"backend_int8_gops\": {:.3}\n    }},\n    \"fast_inference\": {{\n      \"n_moduli\": {},\n      \"fast_inference_e2e_ms\": {:.3},\n      \"fast_inference_gops\": {:.3},\n      \"fast_inference_predicted_error\": {:e}\n    }}\n  }},\n",
+        t_i8 * 1e3,
+        pgops(t_i8),
+        fi_report.n_moduli,
+        t_fi * 1e3,
+        pgops(t_fi),
+        fi_report.predicted_error
+    ));
     json.push_str(&format!(
         "  \"obs_overhead\": {{\n    \"shape\": [{pn}, {pn}, {pn}],\n    \"n_moduli\": 15,\n    \"obs_off_ms\": {:.3},\n    \"obs_on_ms\": {:.3},\n    \"obs_overhead_pct\": {obs_overhead_pct:.2}\n  }},\n",
         t_obs_off * 1e3,
@@ -606,14 +589,12 @@ fn main() {
         t_blas_mat * 1e3,
         t_blas_view * 1e3
     );
-    println!("residue backends @ {pn}^3, equal-accuracy target 2^-20 (each on its own pool)");
-    for &(name, n_b, t_b) in &backend_rows {
-        println!(
-            "  {name:11} : {:8.1} ms  ({:6.2} effective GOPS, N={n_b})",
-            t_b * 1e3,
-            pgops(t_b)
-        );
-    }
+    println!("int8 engine @ {pn}^3, accuracy target 2^-20");
+    println!(
+        "  int8        : {:8.1} ms  ({:6.2} effective GOPS, N={n_i8})",
+        t_i8 * 1e3,
+        pgops(t_i8)
+    );
     println!(
         "  fast-infer  : {:8.1} ms  ({:6.2} effective GOPS, N={}, predicted err {:.2e})",
         t_fi * 1e3,
@@ -714,22 +695,15 @@ fn main() {
                 higher_is_better: true,
             },
         ];
-        // Per-backend throughput at the equal-accuracy target, plus the
-        // fast-inference preset. Guarded so a baseline predating the
-        // backends section skips these three loudly instead of panicking
-        // the whole gate.
+        // INT8 throughput at the 2^-20 target, plus the fast-inference
+        // preset. Guarded so a baseline predating the backends section
+        // skips these two loudly instead of panicking the whole gate.
         let mut all_metrics = all_metrics;
         if json_number(&baseline, "backend_int8_gops").is_some() {
             all_metrics.push(GateMetric {
                 name: "backend_int8_gops",
-                current: pgops(backend_rows[0].2),
+                current: pgops(t_i8),
                 baseline: pull("backend_int8_gops"),
-                higher_is_better: true,
-            });
-            all_metrics.push(GateMetric {
-                name: "backend_fma_bf16_gops",
-                current: pgops(backend_rows[1].2),
-                baseline: pull("backend_fma_bf16_gops"),
                 higher_is_better: true,
             });
             all_metrics.push(GateMetric {
@@ -741,7 +715,7 @@ fn main() {
         } else {
             println!(
                 "gate NOTE: baseline {baseline_path} predates the backends section; \
-                 backend_int8_gops / backend_fma_bf16_gops / fast_inference_gops \
+                 backend_int8_gops / fast_inference_gops \
                  not gated. Refresh the baseline to arm them."
             );
         }

@@ -45,9 +45,12 @@
 use crate::consts::Constants;
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
 use crate::modred::finalize_block_residues;
-use crate::pipeline::PhaseTimes;
+use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, ResidueBackend, NR};
+use gemm_engine::{
+    int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
+    ReduceEpilogue, NR,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -489,14 +492,11 @@ fn verify_plane(
 // ---------------------------------------------------------------------------
 
 /// One residue-plane GEMM (or column-stripe thereof) with fused mod-`p`
-/// reduction on `engine`, k-blocking transparently applied at the
-/// pool-derived `k_block` depth. `a_panels` / `b_panels` start at the
-/// operand's (sub)panel origin; `u_out` is the `m * n` destination.
-/// Returns the number of engine calls issued.
+/// reduction, k-blocking transparently applied. `a_panels` /
+/// `b_panels` start at the operand's (sub)panel origin; `u_out` is the
+/// `m * n` destination. Returns the number of engine calls issued.
 #[allow(clippy::too_many_arguments)]
 fn plane_gemm(
-    engine: &dyn ResidueBackend,
-    k_block: usize,
     m: usize,
     n: usize,
     k: usize,
@@ -512,9 +512,10 @@ fn plane_gemm(
     mod_nanos: Option<&AtomicU64>,
 ) -> usize {
     let c32 = &mut c32[..m * n];
-    if k <= k_block {
-        engine.gemm_reduce(
-            m, n, k, a_panels, b_panels, kp, 0, c32, u_out, p, pinv, mod_nanos, parallel,
+    if k <= K_BLOCK_MAX {
+        let epi = ReduceEpilogue::new(p, pinv, mod_nanos);
+        int8_gemm_prepacked_fused(
+            m, n, k, a_panels, b_panels, kp, 0, c32, u_out, &epi, parallel,
         );
         1
     } else {
@@ -523,9 +524,10 @@ fn plane_gemm(
         let mut calls = 0usize;
         let mut h0 = 0usize;
         while h0 < k {
-            let kb = k_block.min(k - h0);
-            engine.gemm_accumulate(
-                m, n, kb, a_panels, b_panels, kp, h0, c32, racc, p, pinv, mod_nanos, parallel,
+            let kb = K_BLOCK_MAX.min(k - h0);
+            let epi = AccumulateEpilogue::new(p, pinv, mod_nanos);
+            int8_gemm_prepacked_fused(
+                m, n, kb, a_panels, b_panels, kp, h0, c32, racc, &epi, parallel,
             );
             calls += 1;
             h0 += kb;
@@ -567,7 +569,6 @@ pub(crate) fn execute_panels_ft(
     k: usize,
     consts: &Constants,
     b64: bool,
-    engine: &dyn ResidueBackend,
     mut a: PanelsRef<'_>,
     mut b: PanelsRef<'_>,
     exps_a: &[i32],
@@ -583,7 +584,6 @@ pub(crate) fn execute_panels_ft(
     let kp = padded_depth(k);
     let m_pad = padded_a_rows(m);
     let n_pad = padded_b_cols(n);
-    let k_block = engine.k_block_max(consts.p[0]);
     let mut gemm_calls = 0usize;
     let mut report = FaultReport::default();
 
@@ -646,8 +646,6 @@ pub(crate) fn execute_panels_ft(
         // Main plane GEMM (timed as the regular int8/mod phases).
         let t0 = Instant::now();
         gemm_calls += plane_gemm(
-            engine,
-            k_block,
             m,
             n,
             k,
@@ -717,8 +715,6 @@ pub(crate) fn execute_panels_ft(
                     if scalar_next {
                         let _scalar = faultinject::scalar_scope();
                         full_repair(
-                            engine,
-                            k_block,
                             s,
                             m,
                             n,
@@ -754,8 +750,6 @@ pub(crate) fn execute_panels_ft(
                         let c0 = (jlo / NR) * NR;
                         let c1 = n.min((jhi / NR + 1) * NR);
                         plane_gemm(
-                            engine,
-                            k_block,
                             m,
                             c1 - c0,
                             k,
@@ -779,8 +773,6 @@ pub(crate) fn execute_panels_ft(
                         attempt += 1;
                     } else {
                         full_repair(
-                            engine,
-                            k_block,
                             s,
                             m,
                             n,
@@ -866,8 +858,6 @@ fn checksum_refs(
 /// scalar-scope) guard.
 #[allow(clippy::too_many_arguments)]
 fn full_repair(
-    engine: &dyn ResidueBackend,
-    k_block: usize,
     s: usize,
     m: usize,
     n: usize,
@@ -906,8 +896,6 @@ fn full_repair(
         &mut uchk[s * (m + n)..(s + 1) * (m + n)],
     );
     plane_gemm(
-        engine,
-        k_block,
         m,
         n,
         k,

@@ -13,8 +13,7 @@
 //! * fast-division reciprocals `p_inv` in f64, f32 and the `⌊2^32/p⌋ - 1`
 //!   integer form used by the `__mulhi` modulo kernel.
 
-use crate::moduli::{fma_moduli, moduli, N_MAX, N_MAX_FMA};
-use gemm_engine::BackendKind;
+use crate::moduli::{moduli, N_MAX};
 use gemm_exact::{CrtBasis, Dd, I256, U256};
 use std::sync::OnceLock;
 
@@ -68,16 +67,7 @@ pub struct Constants {
 
 impl Constants {
     fn build(n: usize) -> Constants {
-        Self::build_from_pool(moduli(n).to_vec())
-    }
-
-    /// Derive every table from an explicit moduli prefix. The derivation
-    /// is pool-generic: nothing below assumes the INT8 pool beyond the
-    /// universal engine contract `p ≤ 256` (the `-8` residue-bit
-    /// reservation in `β` — conservative for smaller pools, where `β`
-    /// only grows safer).
-    fn build_from_pool(p: Vec<u64>) -> Constants {
-        let n = p.len();
+        let p = moduli(n).to_vec();
         let basis = CrtBasis::new(&p);
         let p_big = basis.p_big();
         let weights: Vec<U256> = (0..n).map(|i| basis.weight(i)).collect();
@@ -166,30 +156,6 @@ pub fn constants(n: usize) -> &'static Constants {
     let tables = TABLES.get_or_init(|| (2..=N_MAX).map(Constants::build).collect());
     assert!((2..=N_MAX).contains(&n), "N must be in 2..=20, got {n}");
     &tables[n - 2]
-}
-
-/// Cached constants for the bf16-FMA pool, `n ∈ 2..=16`.
-pub fn fma_constants(n: usize) -> &'static Constants {
-    static TABLES: OnceLock<Vec<Constants>> = OnceLock::new();
-    let tables = TABLES.get_or_init(|| {
-        (2..=N_MAX_FMA)
-            .map(|n| Constants::build_from_pool(fma_moduli(n).to_vec()))
-            .collect()
-    });
-    assert!(
-        (2..=N_MAX_FMA).contains(&n),
-        "N must be in 2..=16 for the fma-bf16 pool, got {n}"
-    );
-    &tables[n - 2]
-}
-
-/// Cached constants for the first `n` moduli of `kind`'s pool — the
-/// pool-resolution seam every pipeline entry point goes through.
-pub fn constants_for(kind: BackendKind, n: usize) -> &'static Constants {
-    match kind {
-        BackendKind::Int8 => constants(n),
-        BackendKind::FmaBf16 => fma_constants(n),
-    }
 }
 
 #[cfg(test)]

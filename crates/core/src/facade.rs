@@ -20,10 +20,10 @@
 
 use crate::abft::{execute_panels_ft, FaultPolicy, FaultReport, FtScratch, PanelsRef};
 use crate::blas::GemmOp;
-use crate::consts::{constants_for, Constants};
+use crate::consts::{constants, Constants};
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
 use crate::element::Element;
-use crate::moduli::backend_n_max;
+use crate::moduli::N_MAX;
 use crate::nselect;
 use crate::pipeline::{
     execute_panels, EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
@@ -31,7 +31,7 @@ use crate::pipeline::{
 use crate::prepared::OperandSide;
 use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind};
+use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
 use gemm_obs::TimeShare;
 use std::time::Instant;
 
@@ -68,7 +68,6 @@ pub struct GemmArgs<'a, T: Element> {
     pub(crate) workspace: Option<&'a mut Workspace>,
     pub(crate) report: Option<&'a mut Option<EmulationReport>>,
     pub(crate) fault_policy: Option<FaultPolicy>,
-    pub(crate) backend: Option<BackendKind>,
     pub(crate) assume_finite: bool,
 }
 
@@ -86,7 +85,6 @@ impl<'a, T: Element> GemmArgs<'a, T> {
             workspace: None,
             report: None,
             fault_policy: None,
-            backend: None,
             assume_finite: false,
         }
     }
@@ -139,17 +137,6 @@ impl<'a, T: Element> GemmArgs<'a, T> {
     /// outcome lands in [`EmulationReport::fault`].
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault_policy = Some(policy);
-        self
-    }
-
-    /// Override the emulator's residue backend for this call only
-    /// (default: [`Ozaki2::backend`]). Switching the backend switches the
-    /// moduli pool too, so the emulator's `N` must fit the override's
-    /// pool — an out-of-range combination is rejected with
-    /// [`EmulationError::UnsupportedN`]. Which backend actually executed
-    /// is recorded in [`EmulationReport::backend`].
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -237,7 +224,6 @@ impl Ozaki2 {
             workspace,
             report,
             fault_policy,
-            backend,
             assume_finite,
             ..
         } = args;
@@ -254,7 +240,6 @@ impl Ozaki2 {
             b,
             self.n_moduli(),
             self.mode(),
-            backend.unwrap_or(self.backend()),
             ws,
             true,
             alpha,
@@ -355,7 +340,6 @@ pub(crate) fn emulate_view_into<T: Element>(
     b: MatView<'_, T>,
     n_moduli: usize,
     mode: Mode,
-    backend: BackendKind,
     ws: &mut Workspace,
     parallel: bool,
     alpha: T,
@@ -365,11 +349,10 @@ pub(crate) fn emulate_view_into<T: Element>(
     validate: bool,
     policy: FaultPolicy,
 ) -> Result<EmulationReport, EmulationError> {
-    let n_max = backend_n_max(backend, !T::IS_F64);
-    if checked && n_moduli > n_max {
+    if checked && n_moduli > T::N_MAX {
         return Err(EmulationError::UnsupportedN {
             n: n_moduli,
-            max: n_max,
+            max: T::N_MAX,
         });
     }
     let (m, k) = a.shape();
@@ -381,13 +364,8 @@ pub(crate) fn emulate_view_into<T: Element>(
         validate_view(&a, OperandSide::A)?;
         validate_view(&b, OperandSide::B)?;
     }
-    // The pool-resolution seam: `backend` picks the moduli pool (accuracy
-    // semantics); `OZAKI_FORCE_BACKEND` may swap only the executing
-    // engine, which computes the same exact integers over either pool.
-    let consts: &Constants = constants_for(backend, n_moduli);
-    let engine_kind = backend.engine();
-    let engine = engine_kind.backend();
-    let predicted_error = nselect::predicted_error_for(backend, n_moduli, k);
+    let consts: &Constants = constants(n_moduli);
+    let predicted_error = nselect::predicted_error(n_moduli, k);
     let nmod = consts.n;
     let plain = alpha == T::ONE && beta == T::ZERO;
     let mut phases = PhaseTimes::default();
@@ -407,7 +385,6 @@ pub(crate) fn emulate_view_into<T: Element>(
             shape: (m, n, k),
             n_moduli: nmod,
             mode,
-            backend: engine_kind,
             predicted_error,
             phases,
             int8_gemm_calls: 0,
@@ -506,7 +483,6 @@ pub(crate) fn emulate_view_into<T: Element>(
             k,
             consts,
             T::IS_F64,
-            engine,
             PanelsRef::Repackable {
                 panels: a16,
                 src: vectors_source(&a, true, &exps_a),
@@ -545,7 +521,6 @@ pub(crate) fn emulate_view_into<T: Element>(
             k,
             consts,
             T::IS_F64,
-            engine,
             a16,
             b16,
             &exps_a,
@@ -583,7 +558,6 @@ pub(crate) fn emulate_view_into<T: Element>(
         shape: (m, n, k),
         n_moduli: nmod,
         mode,
-        backend: engine_kind,
         predicted_error,
         phases,
         int8_gemm_calls: gemm_calls,
@@ -615,9 +589,9 @@ pub enum Accuracy {
     Fp32Equivalent,
     /// Low-moduli "fast inference" mode: a loose `2^-10` normwise target
     /// — roughly bf16-level — that resolves to very few residue planes
-    /// (`N ≈ 5` on the INT8 pool at `k = 1024`), trading accuracy for
-    /// throughput in inference-style workloads. The realized bound is
-    /// reported per call in [`EmulationReport::predicted_error`].
+    /// (`N ≈ 5` at `k = 1024`), trading accuracy for throughput in
+    /// inference-style workloads. The realized bound is reported per call
+    /// in [`EmulationReport::predicted_error`].
     FastInference,
 }
 
@@ -644,7 +618,6 @@ pub struct Ozaki2Builder {
     k: Option<usize>,
     fault: Option<FaultPolicy>,
     workers: Option<usize>,
-    backend: BackendKind,
 }
 
 impl Default for Ozaki2Builder {
@@ -655,7 +628,6 @@ impl Default for Ozaki2Builder {
             k: None,
             fault: None,
             workers: None,
-            backend: BackendKind::Int8,
         }
     }
 }
@@ -708,17 +680,6 @@ impl Ozaki2Builder {
         self
     }
 
-    /// Set the residue backend the emulator runs on (default
-    /// [`BackendKind::Int8`]). The backend picks the moduli pool, so
-    /// accuracy targets resolve against it: the bf16-FMA pool carries
-    /// fewer bits per plane, needs more planes for the same target, and
-    /// cannot reach DGEMM-level accuracy at all
-    /// ([`EmulationError::AccuracyUnreachable`]).
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Resolve the accuracy request to a moduli count and build.
     ///
     /// # Errors
@@ -731,9 +692,8 @@ impl Ozaki2Builder {
     pub fn build(self) -> Result<Ozaki2, EmulationError> {
         let n = match self.accuracy {
             Accuracy::FixedN(n) => {
-                let max = backend_n_max(self.backend, false);
-                if !(2..=max).contains(&n) {
-                    return Err(EmulationError::UnsupportedN { n, max });
+                if !(2..=N_MAX).contains(&n) {
+                    return Err(EmulationError::UnsupportedN { n, max: N_MAX });
                 }
                 n
             }
@@ -745,7 +705,7 @@ impl Ozaki2Builder {
         if let Some(workers) = self.workers {
             rayon::set_num_threads(workers);
         }
-        let emu = Ozaki2::new(n, self.mode).with_backend(self.backend);
+        let emu = Ozaki2::new(n, self.mode);
         Ok(match self.fault {
             Some(policy) => emu.with_fault_policy(policy),
             None => emu,
@@ -761,14 +721,13 @@ impl Ozaki2Builder {
 
     fn resolve(&self, target: f64, for_sgemm: bool) -> Result<usize, EmulationError> {
         let k = self.k.ok_or(EmulationError::AccuracyNeedsK)?;
-        nselect::choose_n_checked_for(self.backend, target, k, for_sgemm)
+        nselect::choose_n_checked(target, k, for_sgemm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::moduli::N_MAX;
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
     use gemm_dense::{MatF64, MatView};

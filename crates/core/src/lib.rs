@@ -49,23 +49,19 @@ pub mod scale;
 pub use abft::{FaultEvent, FaultPolicy, FaultReport, RecoveryAction};
 pub use accumulate::{fold_kernel_name, fold_planes, fold_span, fold_span_scalar, FoldPrecision};
 pub use blas::{dgemm_emulated, GemmOp};
-pub use consts::{constants, constants_for, fma_constants, Constants};
+pub use consts::{constants, Constants};
 pub use convert::{
     convert_kernel_name, convert_pack_panels, residue_planes, trunc_convert_pack_panels, ElemSlice,
     TruncSource,
 };
 pub use element::Element;
 pub use facade::{Accuracy, GemmArgs, GemmOut, Ozaki2Builder};
-pub use gemm_engine::BackendKind;
 pub use gemm_obs::TimeShare;
 pub use mixed::{dgemm_dd, gemm_f32xf64, gemm_f64xf32};
-pub use moduli::{
-    backend_log2_p, backend_moduli, backend_n_max, backend_pool, fma_moduli, moduli, FMA_MODULI,
-    MODULI, N_MAX, N_MAX_FMA, N_MAX_SGEMM,
-};
+pub use moduli::{moduli, MODULI, N_MAX, N_MAX_SGEMM};
 pub use nselect::{
-    auto_emulator, choose_n, choose_n_checked, choose_n_checked_for, choose_n_for,
-    n_for_dgemm_level, n_for_sgemm_level, predicted_error, predicted_error_for,
+    auto_emulator, choose_n, choose_n_checked, n_for_dgemm_level, n_for_sgemm_level,
+    predicted_error,
 };
 pub use pipeline::{
     EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, K_BLOCK_MAX,

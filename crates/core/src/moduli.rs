@@ -1,33 +1,17 @@
-//! The fixed moduli tables (§4.1) — one pool per residue backend.
+//! The fixed moduli table (§4.1).
 //!
-//! The INT8 pool: pairwise-coprime integers `p_i ≤ 256`, descending,
-//! chosen greedily so every prefix product `P(N) = Π_{i<N} p_i` is maximal
-//! — larger `P` means less truncation in Step 2 and therefore better
-//! accuracy per modulus. Each `rmod(·, p_i)` lands in
-//! `[-p_i/2, p_i/2] ⊆ [-128, 128]`; the single boundary value `+128` (only
-//! possible for `p_1 = 256`) wraps to `-128` on the INT8 cast, which is
-//! harmless because `128 ≡ -128 (mod 256)`.
-//!
-//! The bf16-FMA pool ([`FMA_MODULI`]) applies the same greedy maximal
-//! construction under that backend's *native* exactness envelope
-//! `p ≤ 64` (see `gemm_engine::backend`): a hardware bf16-FMA unit
-//! accumulating a whole k-block in one f32 chain keeps `k·(p/2)² ≤ 2^24`
-//! exact up to `k = 2^14` only for these small moduli. Fewer bits per
-//! modulus (~5.2 vs ~7.8) means more planes for the same accuracy — the
-//! throughput/accuracy trade the backend advisor weighs.
-
-use gemm_engine::BackendKind;
+//! Pairwise-coprime integers `p_i ≤ 256`, descending, chosen greedily so
+//! every prefix product `P(N) = Π_{i<N} p_i` is maximal — larger `P` means
+//! less truncation in Step 2 and therefore better accuracy per modulus.
+//! Each `rmod(·, p_i)` lands in `[-p_i/2, p_i/2] ⊆ [-128, 128]`; the single
+//! boundary value `+128` (only possible for `p_1 = 256`) wraps to `-128` on
+//! the INT8 cast, which is harmless because `128 ≡ -128 (mod 256)`.
 
 /// Maximum number of moduli supported (the paper caps its tables at 20).
 pub const N_MAX: usize = 20;
 
 /// Maximum moduli for the SGEMM (`b = 32`) conversion kernel (§4.2).
 pub const N_MAX_SGEMM: usize = 18;
-
-/// Maximum number of moduli in the bf16-FMA pool (the pool is exhausted
-/// at 16: the next coprime candidate below 64 would add too few bits to
-/// justify another plane).
-pub const N_MAX_FMA: usize = 16;
 
 /// The moduli pool: `256 = 2^8`, then the greedy maximal pairwise-coprime
 /// descent. Factorisations are disjoint by construction:
@@ -50,68 +34,10 @@ pub fn moduli(n: usize) -> &'static [u64] {
     &MODULI[..n]
 }
 
-/// The bf16-FMA pool: `64 = 2^6`, then the greedy maximal pairwise-coprime
-/// descent below it. Factorisations are disjoint by construction:
-/// 2^6 | 3²·7 | 61 | 59 | 5·11 | 53 | 47 | 43 | 41 | 37 | 31 | 29 | 23 |
-/// 19 | 17 | 13.
-pub const FMA_MODULI: [u64; N_MAX_FMA] = [
-    64, 63, 61, 59, 55, 53, 47, 43, 41, 37, 31, 29, 23, 19, 17, 13,
-];
-
-/// The first `n` moduli of the bf16-FMA pool.
-pub fn fma_moduli(n: usize) -> &'static [u64] {
-    assert!(
-        (2..=N_MAX_FMA).contains(&n),
-        "N must be in 2..=16 for the fma-bf16 pool, got {n}"
-    );
-    &FMA_MODULI[..n]
-}
-
-/// The full moduli pool a backend's moduli selection draws from.
-pub fn backend_pool(kind: BackendKind) -> &'static [u64] {
-    match kind {
-        BackendKind::Int8 => &MODULI,
-        BackendKind::FmaBf16 => &FMA_MODULI,
-    }
-}
-
-/// The first `n` moduli of `kind`'s pool.
-pub fn backend_moduli(kind: BackendKind, n: usize) -> &'static [u64] {
-    match kind {
-        BackendKind::Int8 => moduli(n),
-        BackendKind::FmaBf16 => fma_moduli(n),
-    }
-}
-
-/// Largest supported `N` for `kind`'s pool and the given output
-/// precision. The INT8 pool caps SGEMM at [`N_MAX_SGEMM`] (the `b = 32`
-/// conversion budget, §4.2); the FMA pool carries fewer bits per modulus,
-/// so the same step thresholds hold and only the pool length caps it.
-pub fn backend_n_max(kind: BackendKind, for_sgemm: bool) -> usize {
-    match kind {
-        BackendKind::Int8 => {
-            if for_sgemm {
-                N_MAX_SGEMM
-            } else {
-                N_MAX
-            }
-        }
-        BackendKind::FmaBf16 => N_MAX_FMA,
-    }
-}
-
 /// `log2 Π p_i` for the first `n` moduli (used in docs/reports; the exact
 /// product lives in the constant tables).
 pub fn log2_p(n: usize) -> f64 {
     moduli(n).iter().map(|&p| (p as f64).log2()).sum()
-}
-
-/// `log2 Π p_i` for the first `n` moduli of `kind`'s pool.
-pub fn backend_log2_p(kind: BackendKind, n: usize) -> f64 {
-    backend_moduli(kind, n)
-        .iter()
-        .map(|&p| (p as f64).log2())
-        .sum()
 }
 
 #[cfg(test)]
@@ -163,50 +89,5 @@ mod tests {
     #[should_panic(expected = "N must be in 2..=20")]
     fn rejects_out_of_range_n() {
         moduli(21);
-    }
-
-    #[test]
-    fn fma_pool_pairwise_coprime_and_in_envelope() {
-        for (i, &pi) in FMA_MODULI.iter().enumerate() {
-            for &pj in &FMA_MODULI[i + 1..] {
-                assert_eq!(gcd_u64(pi, pj), 1, "{pi} and {pj} share a factor");
-            }
-        }
-        for w in FMA_MODULI.windows(2) {
-            assert!(w[0] > w[1]);
-        }
-        // Native exactness envelope of the bf16-FMA backend.
-        use gemm_engine::ResidueBackend as _;
-        let caps = gemm_engine::FmaBf16Backend.caps();
-        assert!(FMA_MODULI
-            .iter()
-            .all(|&p| (2..=caps.native_max_modulus).contains(&p)));
-    }
-
-    #[test]
-    fn fma_pool_accuracy_band() {
-        // The full FMA pool carries ~83 bits of P: comfortably past
-        // SGEMM-level (needs ~59) but short of DGEMM-level (~117) — the
-        // pool's intended accuracy band.
-        let bits = backend_log2_p(BackendKind::FmaBf16, N_MAX_FMA);
-        assert!((78.0..90.0).contains(&bits), "log2 P_fma(16) = {bits}");
-    }
-
-    #[test]
-    fn backend_pool_accessors_agree() {
-        assert_eq!(backend_pool(BackendKind::Int8), &MODULI);
-        assert_eq!(backend_pool(BackendKind::FmaBf16), &FMA_MODULI);
-        assert_eq!(backend_moduli(BackendKind::Int8, 5), moduli(5));
-        assert_eq!(backend_moduli(BackendKind::FmaBf16, 4), &[64, 63, 61, 59]);
-        assert_eq!(backend_n_max(BackendKind::Int8, false), N_MAX);
-        assert_eq!(backend_n_max(BackendKind::Int8, true), N_MAX_SGEMM);
-        assert_eq!(backend_n_max(BackendKind::FmaBf16, false), N_MAX_FMA);
-        assert_eq!(backend_n_max(BackendKind::FmaBf16, true), N_MAX_FMA);
-    }
-
-    #[test]
-    #[should_panic(expected = "N must be in 2..=16")]
-    fn fma_pool_rejects_out_of_range_n() {
-        fma_moduli(17);
     }
 }

@@ -8,10 +8,9 @@
 //! `(N, k)` and pick the smallest `N` meeting a target — e.g. "DGEMM-level
 //! at k = 1024" resolves to `N = 15`, exactly the paper's §5.1 sweet spot.
 
-use crate::consts::constants_for;
-use crate::moduli::backend_n_max;
+use crate::consts::constants;
+use crate::moduli::{N_MAX, N_MAX_SGEMM};
 use crate::pipeline::{EmulationError, Mode};
-use gemm_engine::BackendKind;
 
 /// Empirical offset calibrated against the Fig. 3 measurements (see the
 /// `prediction_tracks_measurement` test): the constant-factor gap between
@@ -22,14 +21,7 @@ const CALIBRATION_BITS: f64 = 0.8;
 /// `k` (phi-independent; componentwise errors on cancelling entries can be
 /// arbitrarily larger, as with any floating-point GEMM).
 pub fn predicted_error(n_moduli: usize, k: usize) -> f64 {
-    predicted_error_for(BackendKind::Int8, n_moduli, k)
-}
-
-/// [`predicted_error`] over the moduli pool of an explicit backend. The
-/// model is pool-generic — `p_fast` already encodes `log2 P` of whichever
-/// pool built the constants — so only the constants lookup differs.
-pub fn predicted_error_for(kind: BackendKind, n_moduli: usize, k: usize) -> f64 {
-    let c = constants_for(kind, n_moduli);
+    let c = constants(n_moduli);
     let bits = c.p_fast - 0.5 * (k.max(2) as f64).log2() - CALIBRATION_BITS;
     2f64.powf(-bits)
 }
@@ -40,17 +32,9 @@ pub fn predicted_error_for(kind: BackendKind, n_moduli: usize, k: usize) -> f64 
 /// Returns `None` when even the largest supported `N` cannot reach the
 /// target (e.g. asking for 1e-30 from the f64 pipeline).
 pub fn choose_n(target: f64, k: usize, for_sgemm: bool) -> Option<usize> {
-    choose_n_for(BackendKind::Int8, target, k, for_sgemm)
-}
-
-/// [`choose_n`] over the moduli pool of an explicit backend. Each pool has
-/// its own `N` ceiling ([`backend_n_max`]): the bf16-FMA pool tops out at
-/// ~83 bits of `P`, so DGEMM-level targets are unreachable there and this
-/// correctly returns `None`.
-pub fn choose_n_for(kind: BackendKind, target: f64, k: usize, for_sgemm: bool) -> Option<usize> {
     assert!(target > 0.0, "target must be positive");
-    let max = backend_n_max(kind, for_sgemm);
-    (2..=max).find(|&n| predicted_error_for(kind, n, k) <= target)
+    let max = if for_sgemm { N_MAX_SGEMM } else { N_MAX };
+    (2..=max).find(|&n| predicted_error(n, k) <= target)
 }
 
 /// [`choose_n`] with a **typed** failure: when even the largest supported
@@ -59,21 +43,11 @@ pub fn choose_n_for(kind: BackendKind, target: f64, k: usize, for_sgemm: bool) -
 /// point (`best_n` and its predicted error) instead of a silent `None` —
 /// what [`crate::facade::Ozaki2Builder`] surfaces.
 pub fn choose_n_checked(target: f64, k: usize, for_sgemm: bool) -> Result<usize, EmulationError> {
-    choose_n_checked_for(BackendKind::Int8, target, k, for_sgemm)
-}
-
-/// [`choose_n_checked`] over the moduli pool of an explicit backend.
-pub fn choose_n_checked_for(
-    kind: BackendKind,
-    target: f64,
-    k: usize,
-    for_sgemm: bool,
-) -> Result<usize, EmulationError> {
-    let best_n = backend_n_max(kind, for_sgemm);
-    choose_n_for(kind, target, k, for_sgemm).ok_or(EmulationError::AccuracyUnreachable {
+    let best_n = if for_sgemm { N_MAX_SGEMM } else { N_MAX };
+    choose_n(target, k, for_sgemm).ok_or(EmulationError::AccuracyUnreachable {
         target,
         best_n,
-        predicted: predicted_error_for(kind, best_n, k),
+        predicted: predicted_error(best_n, k),
     })
 }
 
@@ -95,7 +69,6 @@ pub fn auto_emulator(target: f64, k: usize, mode: Mode) -> Option<crate::Ozaki2>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::moduli::{N_MAX, N_MAX_SGEMM};
     use crate::Ozaki2;
     use gemm_dense::norms::normwise_relative_error;
     use gemm_dense::workload::phi_matrix_f64;
@@ -189,38 +162,6 @@ mod tests {
             err <= target * 10.0,
             "requested {target:e}, measured {err:e} with N={}",
             emu.n_moduli()
-        );
-    }
-
-    #[test]
-    fn fma_pool_selection_band() {
-        use crate::moduli::N_MAX_FMA;
-        // SGEMM-level accuracy is reachable on the FMA pool (more planes
-        // than the INT8 pool needs, since each carries fewer bits)...
-        let n_fma = choose_n_for(BackendKind::FmaBf16, 2f64.powi(-23), 1024, true).unwrap();
-        let n_int8 = n_for_sgemm_level(1024);
-        assert!(
-            n_fma > n_int8,
-            "FMA pool should need more planes: {n_fma} vs {n_int8}"
-        );
-        // ...but DGEMM-level is not: the full pool carries only ~83 bits
-        // of P, and the checked form reports the best achievable point.
-        match choose_n_checked_for(BackendKind::FmaBf16, 2f64.powi(-52), 1024, false).unwrap_err() {
-            EmulationError::AccuracyUnreachable {
-                best_n, predicted, ..
-            } => {
-                assert_eq!(best_n, N_MAX_FMA);
-                assert_eq!(
-                    predicted,
-                    predicted_error_for(BackendKind::FmaBf16, N_MAX_FMA, 1024)
-                );
-            }
-            e => panic!("expected AccuracyUnreachable, got {e:?}"),
-        }
-        // Int8 delegation is exact.
-        assert_eq!(
-            choose_n_for(BackendKind::Int8, 1e-8, 512, false),
-            choose_n(1e-8, 512, false)
         );
     }
 

@@ -9,21 +9,18 @@ use crate::abft::{FaultPolicy, FaultReport};
 use crate::accumulate::{fold_planes, FoldPrecision};
 use crate::consts::Constants;
 use crate::modred::finalize_block_residues;
-use crate::moduli::{backend_n_max, N_MAX};
+use crate::moduli::{N_MAX, N_MAX_SGEMM};
 use crate::prepared::OperandSide;
 use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64, Matrix};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind, ResidueBackend};
+use gemm_engine::{
+    int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
+    ReduceEpilogue,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Largest `k` per INT8 GEMM before block splitting (§4.3: products of
 /// `±128` entries stay within the wrapping-INT32 guarantee up to `2^17`).
-///
-/// This is the INT8 pool's value of the pool-derived limit
-/// [`gemm_engine::ResidueBackend::k_block_max`]; pools with smaller
-/// moduli (the bf16-FMA pool) split later. Workspace sizing keeps using
-/// this constant — the smallest limit any pool has — so reservations are
-/// always sufficient.
 pub const K_BLOCK_MAX: usize = 1 << 17;
 
 /// Scaling mode (§4.2).
@@ -232,7 +229,6 @@ pub(crate) fn obs_record_report(call_start_ns: u64, report: &EmulationReport) {
     obs_record_phases(call_start_ns, &report.phases);
     cat::EMULATED_GEMMS.inc();
     cat::INT8_GEMM_CALLS.add(report.int8_gemm_calls as u64);
-    cat::BACKEND_SELECTED.inc_value(report.backend.as_str());
     if let Some(f) = &report.fault {
         cat::ABFT_DETECTIONS.add(f.detected as u64);
         cat::ABFT_RETRIES.add(f.retries as u64);
@@ -250,14 +246,9 @@ pub struct EmulationReport {
     pub n_moduli: usize,
     /// Scaling mode.
     pub mode: Mode,
-    /// The residue backend that executed the plane GEMMs — the emulator's
-    /// configured backend unless `OZAKI_FORCE_BACKEND` swapped the engine
-    /// (the moduli pool always stays the configured backend's, which is
-    /// why forced runs remain bit-identical).
-    pub backend: BackendKind,
-    /// A-priori normwise relative error bound for this `(backend pool, N,
-    /// k)` point ([`crate::nselect::predicted_error_for`]) — what the
-    /// low-moduli fast-inference mode reports alongside its throughput.
+    /// A-priori normwise relative error bound for this `(N, k)` point
+    /// ([`crate::nselect::predicted_error`]) — what the low-moduli
+    /// fast-inference mode reports alongside its throughput.
     pub predicted_error: f64,
     /// Phase breakdown.
     pub phases: PhaseTimes,
@@ -474,15 +465,13 @@ pub struct Ozaki2 {
     n_moduli: usize,
     mode: Mode,
     fault: FaultPolicy,
-    backend: BackendKind,
 }
 
 impl Ozaki2 {
-    /// Create an emulator with `n ∈ 2..=`[`N_MAX`] moduli on the default
-    /// INT8 backend. The fault policy defaults to `OZAKI_FAULT_POLICY`
-    /// from the environment ([`FaultPolicy::Off`] when unset); see
-    /// [`Ozaki2::with_fault_policy`]. To run on another residue backend
-    /// (and its moduli pool), see [`Ozaki2::with_backend`].
+    /// Create an emulator with `n ∈ 2..=`[`N_MAX`] moduli. The fault
+    /// policy defaults to `OZAKI_FAULT_POLICY` from the environment
+    /// ([`FaultPolicy::Off`] when unset); see
+    /// [`Ozaki2::with_fault_policy`].
     pub fn new(n_moduli: usize, mode: Mode) -> Self {
         assert!(
             (2..=N_MAX).contains(&n_moduli),
@@ -492,7 +481,6 @@ impl Ozaki2 {
             n_moduli,
             mode,
             fault: FaultPolicy::default_from_env(),
-            backend: BackendKind::Int8,
         }
     }
 
@@ -504,36 +492,6 @@ impl Ozaki2 {
     /// Scaling mode.
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// The configured residue backend. It selects both the moduli pool
-    /// the accuracy semantics come from and the preferred execution
-    /// engine; `OZAKI_FORCE_BACKEND` can swap the engine at dispatch time
-    /// without touching the pool (see [`gemm_engine::forced_backend`]).
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// Switch the emulator to another residue backend (builder style).
-    /// The moduli count must fit the new backend's pool — the bf16-FMA
-    /// pool supports `N ∈ 2..=16`.
-    ///
-    /// # Examples
-    /// ```
-    /// use gemm_engine::BackendKind;
-    /// use ozaki2::{Mode, Ozaki2};
-    /// let emu = Ozaki2::new(12, Mode::Fast).with_backend(BackendKind::FmaBf16);
-    /// assert_eq!(emu.backend(), BackendKind::FmaBf16);
-    /// ```
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        let max = backend_n_max(backend, false);
-        assert!(
-            self.n_moduli <= max,
-            "N must be in 2..={max} for the {backend} pool, got {}",
-            self.n_moduli
-        );
-        self.backend = backend;
-        self
     }
 
     /// The ABFT fault policy every GEMM entry of this emulator runs under
@@ -625,15 +583,7 @@ impl Ozaki2 {
         if a.cols() != b.rows() {
             return Err(EmulationError::ShapeMismatch);
         }
-        Ok(emulate(
-            a,
-            b,
-            self.n_moduli,
-            self.mode,
-            self.backend,
-            self.fault,
-            ws,
-        ))
+        Ok(emulate(a, b, self.n_moduli, self.mode, self.fault, ws))
     }
 
     /// Emulated DGEMM writing into a caller-owned output matrix, reusing a
@@ -669,7 +619,6 @@ impl Ozaki2 {
             b,
             self.n_moduli,
             self.mode,
-            self.backend,
             self.fault,
             ws,
             true,
@@ -725,11 +674,10 @@ impl Ozaki2 {
         b: &MatF32,
         ws: &mut Workspace,
     ) -> Result<(MatF32, EmulationReport), EmulationError> {
-        let max = backend_n_max(self.backend, true);
-        if self.n_moduli > max {
+        if self.n_moduli > N_MAX_SGEMM {
             return Err(EmulationError::UnsupportedN {
                 n: self.n_moduli,
-                max,
+                max: N_MAX_SGEMM,
             });
         }
         validate_f32(a, OperandSide::A)?;
@@ -747,7 +695,6 @@ impl Ozaki2 {
             b.view(),
             self.n_moduli,
             self.mode,
-            self.backend,
             ws,
             true,
             1.0f32,
@@ -797,28 +744,16 @@ fn validate_f32(a: &MatF32, side: OperandSide) -> Result<(), EmulationError> {
 /// view-based body ([`crate::facade::emulate_view_into`]) over contiguous
 /// column-major views. All scratch comes from `ws` (grow-only, reused
 /// across calls). Inputs must be pre-validated (finite, shapes agree).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn emulate(
     a: &MatF64,
     b: &MatF64,
     n_moduli: usize,
     mode: Mode,
-    backend: BackendKind,
     fault: FaultPolicy,
     ws: &mut Workspace,
 ) -> (MatF64, EmulationReport) {
     let mut out = Matrix::<f64>::zeros(a.rows(), b.cols());
-    let report = emulate_into(
-        a,
-        b,
-        n_moduli,
-        mode,
-        backend,
-        fault,
-        ws,
-        true,
-        out.as_mut_slice(),
-    );
+    let report = emulate_into(a, b, n_moduli, mode, fault, ws, true, out.as_mut_slice());
     (out, report)
 }
 
@@ -834,7 +769,6 @@ pub(crate) fn emulate_into(
     b: &MatF64,
     n_moduli: usize,
     mode: Mode,
-    backend: BackendKind,
     fault: FaultPolicy,
     ws: &mut Workspace,
     parallel: bool,
@@ -849,7 +783,6 @@ pub(crate) fn emulate_into(
         b.view(),
         n_moduli,
         mode,
-        backend,
         ws,
         parallel,
         1.0f64,
@@ -862,20 +795,16 @@ pub(crate) fn emulate_into(
     .expect("inputs validated by the caller")
 }
 
-/// Algorithm 1 lines 6–12 over already-packed residue panels: the `N`
-/// residue-plane GEMMs with fused modular reduction on `engine`, the
-/// block-residue finalization for `k` past the pool's block limit, and the
-/// CRT fold with inverse scaling. This is the shared back half of
-/// [`emulate_into`] and the prepared-operand execution path
+/// Algorithm 1 lines 6–12 over already-packed residue panels: the `N` INT8
+/// GEMMs with fused modular reduction, the block-residue finalization for
+/// `k > 2^17`, and the CRT fold with inverse scaling. This is the shared
+/// back half of [`emulate_into`] and the prepared-operand execution path
 /// ([`crate::prepared`]) — both run the very same code, which is what makes
 /// batched results bit-identical to per-call [`Ozaki2::dgemm`].
 ///
 /// `a16` / `b16` hold `N` panel sets of `m_pad * kp` / `n_pad * kp` i16
 /// each; `u`, `c32`, `racc` are the workspace planes (`racc` only consumed
-/// past the block limit). Returns the number of engine GEMMs issued.
-/// Every backend computes the same exact integers over the same stripe
-/// decomposition and the same pool-derived k-blocking, so the result is
-/// bit-identical for every `engine`.
+/// when `k > K_BLOCK_MAX`). Returns the number of INT8 GEMMs issued.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_panels(
     m: usize,
@@ -883,7 +812,6 @@ pub(crate) fn execute_panels(
     k: usize,
     consts: &Constants,
     b64: bool,
-    engine: &dyn ResidueBackend,
     a16: &[i16],
     b16: &[i16],
     exps_a: &[i32],
@@ -900,22 +828,20 @@ pub(crate) fn execute_panels(
     let kp = padded_depth(k);
     let m_pad = padded_a_rows(m);
     let n_pad = padded_b_cols(n);
-    // Pool-derived (`p_max`, the largest modulus): every backend splits
-    // at the same depth, which the bit-identity across engines rests on.
-    let k_block = engine.k_block_max(consts.p[0]);
     let mut gemm_calls = 0usize;
 
-    // ---- Lines 6–7: residue GEMMs with fused modular reduction ----------
+    // ---- Lines 6–7: INT8 GEMMs with fused modular reduction -------------
     // The mod-p reduction runs inside the GEMM call, on cache-resident `C`
     // stripes (see `gemm_engine::Epilogue`); the slowest worker's epilogue
     // time lands in `mod_nanos` so the phase split survives the fusion.
     let u = &mut u[..nmod * plane];
     let c32 = &mut c32[..plane];
     let mod_nanos = AtomicU64::new(0);
-    if k <= k_block {
+    if k <= K_BLOCK_MAX {
         for s in 0..nmod {
             let t0 = Instant::now();
-            engine.gemm_reduce(
+            let epi = ReduceEpilogue::new(consts.p[s], consts.p_inv_u32[s], Some(&mod_nanos));
+            int8_gemm_prepacked_fused(
                 m,
                 n,
                 k,
@@ -925,9 +851,7 @@ pub(crate) fn execute_panels(
                 0,
                 c32,
                 &mut u[s * plane..(s + 1) * plane],
-                consts.p[s],
-                consts.p_inv_u32[s],
-                Some(&mod_nanos),
+                &epi,
                 parallel,
             );
             gemm_calls += 1;
@@ -948,22 +872,12 @@ pub(crate) fn execute_panels(
             let b_panels = &b16[s * n_pad * kp..(s + 1) * n_pad * kp];
             let mut h0 = 0usize;
             while h0 < k {
-                let kb = k_block.min(k - h0);
+                let kb = K_BLOCK_MAX.min(k - h0);
                 let t0 = Instant::now();
-                engine.gemm_accumulate(
-                    m,
-                    n,
-                    kb,
-                    a_panels,
-                    b_panels,
-                    kp,
-                    h0,
-                    c32,
-                    racc,
-                    consts.p[s],
-                    consts.p_inv_u32[s],
-                    Some(&mod_nanos),
-                    parallel,
+                let epi =
+                    AccumulateEpilogue::new(consts.p[s], consts.p_inv_u32[s], Some(&mod_nanos));
+                int8_gemm_prepacked_fused(
+                    m, n, kb, a_panels, b_panels, kp, h0, c32, racc, &epi, parallel,
                 );
                 gemm_calls += 1;
                 let total = t0.elapsed();

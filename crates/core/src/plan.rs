@@ -104,7 +104,6 @@ impl GemmPlan {
             b,
             self.emu.n_moduli(),
             self.emu.mode(),
-            self.emu.backend(),
             self.emu.fault_policy(),
             &mut self.ws,
             true,
@@ -132,7 +131,6 @@ impl GemmPlan {
             b,
             self.emu.n_moduli(),
             self.emu.mode(),
-            self.emu.backend(),
             &mut self.ws,
             true,
             1.0,

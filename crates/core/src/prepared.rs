@@ -25,18 +25,17 @@
 //! and accurate-mode batches fall back to the monolithic per-item path.
 
 use crate::abft::{execute_panels_ft, FtScratch, PanelsRef};
-use crate::consts::{constants_for, Constants};
+use crate::consts::{constants, Constants};
 use crate::convert::trunc_convert_pack_panels;
 use crate::element::Element;
 use crate::facade::{validate_view, vectors_source};
-use crate::moduli::backend_n_max;
 use crate::nselect;
 use crate::pipeline::{
     execute_panels, EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
 };
 use crate::scale::{fast_scale_a_view, fast_scale_b_view};
 use gemm_dense::{MatF32, MatF64, MatView, Matrix};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind};
+use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
 use gemm_obs::TimeShare;
 use std::time::Instant;
 
@@ -85,7 +84,6 @@ pub struct PreparedOperand {
     k: usize,
     n_moduli: usize,
     mode: Mode,
-    backend: BackendKind,
     b64: bool,
     exps: Vec<i32>,
     panels: Vec<i16>,
@@ -99,7 +97,6 @@ impl std::fmt::Debug for PreparedOperand {
             .field("shape", &self.shape())
             .field("n_moduli", &self.n_moduli)
             .field("mode", &self.mode)
-            .field("backend", &self.backend)
             .field("b64", &self.b64)
             .field("bytes", &self.bytes())
             .finish()
@@ -128,14 +125,6 @@ impl PreparedOperand {
     /// Scaling mode (always [`Mode::Fast`]; accurate mode cannot prepare).
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// Residue backend whose moduli pool reduced the panels. A
-    /// preparation is only valid on an emulator configured for the same
-    /// backend: the pools share no layout, so the panels are
-    /// meaningless — not merely slower — under another backend's moduli.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// `true` when prepared with the DGEMM (`b = 64`) conversion
@@ -192,11 +181,10 @@ fn prepare_view<T: Element>(
     if emu.mode() != Mode::Fast {
         return Err(EmulationError::PreparationUnsupported { mode: emu.mode() });
     }
-    let n_max = backend_n_max(emu.backend(), !T::IS_F64);
-    if emu.n_moduli() > n_max {
+    if emu.n_moduli() > T::N_MAX {
         return Err(EmulationError::UnsupportedN {
             n: emu.n_moduli(),
-            max: n_max,
+            max: T::N_MAX,
         });
     }
     validate_view(view, side)?;
@@ -204,7 +192,7 @@ fn prepare_view<T: Element>(
         OperandSide::A => (view.rows(), view.cols()),
         OperandSide::B => (view.cols(), view.rows()),
     };
-    let consts: &Constants = constants_for(emu.backend(), emu.n_moduli());
+    let consts: &Constants = constants(emu.n_moduli());
     let nmod = consts.n;
     let mut phases = PhaseTimes::default();
 
@@ -253,7 +241,6 @@ fn prepare_view<T: Element>(
         k,
         n_moduli: nmod,
         mode: emu.mode(),
-        backend: emu.backend(),
         b64: T::IS_F64,
         exps,
         panels,
@@ -496,11 +483,6 @@ impl Ozaki2 {
                     reason: "scaling mode differs from the executing emulator",
                 });
             }
-            if p.backend != self.backend() {
-                return Err(EmulationError::PreparedMismatch {
-                    reason: "residue backend differs from the executing emulator",
-                });
-            }
             if p.b64 != b64 {
                 return Err(EmulationError::PreparedMismatch {
                     reason: "precision (one operand prepared for DGEMM, the other for SGEMM)",
@@ -530,10 +512,8 @@ impl Ozaki2 {
         }
         assert_eq!(out.len(), m * n, "output buffer mismatch");
 
-        let consts: &Constants = constants_for(self.backend(), self.n_moduli());
-        let engine_kind = self.backend().engine();
-        let engine = engine_kind.backend();
-        let predicted_error = nselect::predicted_error_for(self.backend(), self.n_moduli(), k);
+        let consts: &Constants = constants(self.n_moduli());
+        let predicted_error = nselect::predicted_error(self.n_moduli(), k);
         let nmod = consts.n;
         let policy = self.fault_policy();
         let mut phases = PhaseTimes::default();
@@ -543,7 +523,6 @@ impl Ozaki2 {
                 shape: (m, n, k),
                 n_moduli: nmod,
                 mode: self.mode(),
-                backend: engine_kind,
                 predicted_error,
                 phases,
                 int8_gemm_calls: 0,
@@ -667,7 +646,6 @@ impl Ozaki2 {
                 k,
                 consts,
                 b64,
-                engine,
                 a_ref,
                 b_ref,
                 exps_a,
@@ -695,7 +673,6 @@ impl Ozaki2 {
                 k,
                 consts,
                 b64,
-                engine,
                 a_ref.panels(),
                 b_ref.panels(),
                 exps_a,
@@ -713,7 +690,6 @@ impl Ozaki2 {
             shape: (m, n, k),
             n_moduli: nmod,
             mode: self.mode(),
-            backend: engine_kind,
             predicted_error,
             phases,
             int8_gemm_calls: gemm_calls,

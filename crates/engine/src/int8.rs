@@ -562,23 +562,18 @@ enum TileKernel {
     Scalar,
 }
 
-/// Whether SIMD dispatch is globally forced to the scalar kernels, via
-/// either `OZAKI_FORCE_SCALAR` (any non-empty value other than `0` — the
-/// legacy alias) or `OZAKI_FORCE_BACKEND=scalar`. Read once and cached;
-/// the CI forced-backend matrix uses it to exercise every scalar oracle
-/// kernel on AVX-capable runners. Applies to *every* engine's dispatch
-/// (INT8 tile/mod kernels, the FMA dot kernel, trunc/convert/fold sweeps),
-/// not just this module's.
+/// Whether SIMD dispatch is globally forced to the scalar kernels via the
+/// `OZAKI_FORCE_SCALAR` environment variable (any non-empty value other
+/// than `0`). Read once and cached; the CI `scalar-fallback` job uses it to
+/// exercise every scalar oracle kernel on AVX-capable runners. Applies to
+/// every dispatched sweep (INT8 tile/mod kernels and the `ozaki2`
+/// trunc/convert/fold kernels), not just this module's.
 pub fn force_scalar() -> bool {
     static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FORCED.get_or_init(|| {
-        let legacy = std::env::var("OZAKI_FORCE_SCALAR")
+        std::env::var("OZAKI_FORCE_SCALAR")
             .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        let via_backend = std::env::var("OZAKI_FORCE_BACKEND")
-            .map(|v| v.trim().eq_ignore_ascii_case("scalar"))
-            .unwrap_or(false);
-        legacy || via_backend
+            .unwrap_or(false)
     })
 }
 
@@ -936,9 +931,7 @@ fn stripe_worker<E: Epilogue>(
 /// two stripes per pool worker (capped at the panel count) so the
 /// work-stealing pool has slack to rebalance, one stripe when the pool is
 /// a single worker (no parallelism to feed, so no reason to split).
-/// Shared with the other residue backends (`crate::backend`) so every
-/// engine decomposes a plane identically.
-pub(crate) fn stripe_count(n_panels: usize) -> usize {
+fn stripe_count(n_panels: usize) -> usize {
     let workers = rayon::current_num_threads();
     if workers <= 1 {
         1

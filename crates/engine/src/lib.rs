@@ -6,10 +6,6 @@
 //!   accumulation) that Ozaki Scheme I/II run on;
 //! * [`tensor`] — FP16/BF16/TF32 tensor-core engines with FP32 accumulation
 //!   that the SGEMM baselines run on;
-//! * [`backend`] — the pluggable [`backend::ResidueBackend`] seam the
-//!   `ozaki2` pipeline executes residue planes through: the INT8 engine
-//!   and an f32-accumulating bf16-FMA engine behind one trait, selectable
-//!   per emulator and forceable process-wide via `OZAKI_FORCE_BACKEND`;
 //! * [`stats`] — global invocation counters consumed by tests and the
 //!   device model;
 //! * [`faultinject`] — deterministic bit-flip injection at named pipeline
@@ -18,16 +14,11 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod faultinject;
 pub mod int8;
 pub mod stats;
 pub mod tensor;
 
-pub use backend::{
-    fma_gemm_prepacked_fused, fma_kernel_name, forced_backend, BackendCaps, BackendKind,
-    FmaBf16Backend, Int8Backend, PanelLayout, ResidueBackend, FMA_CHUNK,
-};
 pub use int8::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
     barrett_mod_u8, force_scalar, int8_gemm, int8_gemm_blocked, int8_gemm_blocked_seq,

@@ -206,26 +206,25 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ResidueBackend trait conformance: every backend vs the scalar exact oracle
+// Prepacked residue engine vs the scalar exact oracle
 // ---------------------------------------------------------------------------
 
 mod backend_oracle {
     use super::*;
     use gemm_engine::{
-        pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth, BackendKind, FmaBf16Backend,
-        Int8Backend, ResidueBackend,
+        int8_gemm_prepacked_fused, pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth,
     };
 
-    /// `⌊2^32 / p⌋ - 1`, the Barrett reciprocal every engine consumes.
+    /// `⌊2^32 / p⌋ - 1`, the Barrett reciprocal the fused epilogue consumes.
     fn pinv(p: u64) -> u32 {
         ((1u64 << 32) / p - 1) as u32
     }
 
     /// Scalar exact oracle: plain i64 dot products of the logical
     /// residues, reduced with `rem_euclid` — no blocking, no SIMD, no
-    /// Barrett. Emitted in the engines' column-major plane layout. What
-    /// every backend must reproduce bit-for-bit within its exactness
-    /// envelope.
+    /// Barrett. Emitted in the engine's column-major plane layout. What
+    /// the residue engine must reproduce bit-for-bit for every modulus
+    /// `p ≤ 256`.
     fn oracle_u8(a: &Matrix<i8>, b: &Matrix<i8>, p: u64) -> Vec<u8> {
         let (m, k) = a.shape();
         let (_, n) = b.shape();
@@ -242,15 +241,9 @@ mod backend_oracle {
         out
     }
 
-    /// Pack a residue matrix pair into the shared panel layout and run
-    /// one backend's `gemm_reduce`, returning the row-major u8 plane.
-    fn run_backend(
-        engine: &dyn ResidueBackend,
-        a: &Matrix<i8>,
-        b: &Matrix<i8>,
-        p: u64,
-        parallel: bool,
-    ) -> Vec<u8> {
+    /// Pack a residue matrix pair into the panel layout and run the
+    /// prepacked INT8 engine with the fused mod-`p` reduce epilogue.
+    fn run_engine(a: &Matrix<i8>, b: &Matrix<i8>, p: u64, parallel: bool) -> Vec<u8> {
         let (m, k) = a.shape();
         let (_, n) = b.shape();
         let (m_pad, n_pad, kp) = (padded_a_rows(m), padded_b_cols(n), padded_depth(k));
@@ -268,27 +261,13 @@ mod backend_oracle {
         pack_panels_i16(&mut bpack, &b_cm, k, n, n_pad, k, kp);
         let mut c32 = vec![0i32; m * n];
         let mut u = vec![0u8; m * n];
-        engine.gemm_reduce(
-            m,
-            n,
-            k,
-            &apack,
-            &bpack,
-            kp,
-            0,
-            &mut c32,
-            &mut u,
-            p,
-            pinv(p),
-            None,
-            parallel,
+        let epi = ReduceEpilogue::new(p, pinv(p), None);
+        int8_gemm_prepacked_fused(
+            m, n, k, &apack, &bpack, kp, 0, &mut c32, &mut u, &epi, parallel,
         );
         u
     }
 
-    /// Residues bounded for one backend's envelope: the INT8 engine takes
-    /// the full i8 range (pool moduli ≤ 256), the FMA engine's own pool
-    /// keeps |r| ≤ 32 (moduli ≤ 64 stored symmetrically).
     fn arb_residues(rows: usize, cols: usize, bound: i8) -> impl Strategy<Value = Matrix<i8>> {
         proptest::collection::vec(-bound..=bound, rows * cols)
             .prop_map(move |v| Matrix::from_vec(rows, cols, v))
@@ -297,68 +276,20 @@ mod backend_oracle {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Both backends reproduce the scalar oracle bit-for-bit on the
-        /// moduli their pools share with the test's residue envelope —
-        /// and therefore agree with each other.
-        #[test]
-        fn every_backend_matches_the_scalar_oracle(
-            a in arb_residues(5, 23, 31),
-            b in arb_residues(23, 7, 31),
-            pidx in 0usize..4,
-            parallel in any::<bool>(),
-        ) {
-            // Moduli from both pools, all ≥ 2·31²·23 headroom-safe.
-            let p = [64u64, 63, 61, 59][pidx];
-            let want = oracle_u8(&a, &b, p);
-            let int8 = run_backend(&Int8Backend, &a, &b, p, parallel);
-            let fma = run_backend(&FmaBf16Backend, &a, &b, p, parallel);
-            prop_assert_eq!(&int8, &want, "int8 vs oracle, p={}", p);
-            prop_assert_eq!(&fma, &want, "fma-bf16 vs oracle, p={}", p);
-        }
-
-        /// The INT8 engine's full envelope (residues to ±127, moduli to
-        /// 256) also pins to the oracle — beyond the FMA pool's range.
+        /// The INT8 engine's full envelope (residues to ±127, moduli from
+        /// the small end of the pool up to 256), sequential and striped,
+        /// pins to the oracle.
         #[test]
         fn int8_backend_full_envelope_matches_oracle(
             a in arb_residues(4, 40, 127),
             b in arb_residues(40, 6, 127),
-            pidx in 0usize..3,
+            pidx in 0usize..7,
+            parallel in any::<bool>(),
         ) {
-            let p = [256u64, 255, 253][pidx];
+            let p = [256u64, 255, 253, 64, 63, 61, 59][pidx];
             let want = oracle_u8(&a, &b, p);
-            let got = run_backend(&Int8Backend, &a, &b, p, true);
+            let got = run_engine(&a, &b, p, parallel);
             prop_assert_eq!(&got, &want, "p={}", p);
         }
-
-        /// The FMA engine stays exact across its chunk boundary
-        /// (FMA_CHUNK = 1024): a depth straddling it must still match.
-        #[test]
-        fn fma_backend_exact_across_chunk_boundary(
-            seed in any::<u64>(),
-            k_extra in 0usize..80,
-        ) {
-            let k = gemm_engine::FMA_CHUNK - 40 + k_extra;
-            let mut s = seed | 1;
-            let mut next = move |bound: i64| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 40) as i64).rem_euclid(2 * bound + 1) - bound
-            };
-            let a = Matrix::from_fn(3, k, |_, _| next(31) as i8);
-            let b = Matrix::from_fn(k, 3, |_, _| next(31) as i8);
-            let p = 61u64;
-            let want = oracle_u8(&a, &b, p);
-            let got = run_backend(&FmaBf16Backend, &a, &b, p, false);
-            prop_assert_eq!(&got, &want, "k={}", k);
-        }
-    }
-
-    /// Capability metadata is consistent with what the conformance tests
-    /// exercised.
-    #[test]
-    fn caps_reflect_the_envelopes() {
-        assert_eq!(Int8Backend.kind(), BackendKind::Int8);
-        assert_eq!(FmaBf16Backend.kind(), BackendKind::FmaBf16);
-        assert!(Int8Backend.caps().max_modulus >= 256);
-        assert!(FmaBf16Backend.caps().max_modulus >= 64);
     }
 }

@@ -6,7 +6,7 @@
 //! See `docs/OBSERVABILITY.md` for the operator-facing catalog with
 //! label semantics and the span hierarchy.
 
-use crate::registry::{Counter, Gauge, Histogram, LabelledCounter, PerWorkerGauge};
+use crate::registry::{Counter, Gauge, Histogram, PerWorkerGauge};
 
 // ---------------------------------------------------------------------------
 // Pipeline (Algorithm 1) — crates/core
@@ -84,23 +84,6 @@ pub static ENGINE_INT8_CALLS: Counter = Counter::new(
 pub static ENGINE_INT8_MACS: Counter = Counter::new(
     "ozaki_engine_int8_macs_total",
     "INT8 multiply-accumulate operations issued to the engine",
-);
-/// Panel-level bf16-FMA engine invocations.
-pub static ENGINE_FMA_CALLS: Counter = Counter::new(
-    "ozaki_engine_fma_calls_total",
-    "Panel-level bf16-FMA engine GEMM invocations",
-);
-/// bf16-FMA multiply-accumulate operations (m*n*k per invocation).
-pub static ENGINE_FMA_MACS: Counter = Counter::new(
-    "ozaki_engine_fma_macs_total",
-    "bf16-FMA multiply-accumulate operations issued to the engine",
-);
-/// Emulations executed per selected backend (the advisor/builder choice).
-pub static BACKEND_SELECTED: LabelledCounter = LabelledCounter::new(
-    "ozaki_backend_selected_total",
-    "Completed emulations by the residue backend that executed them",
-    "backend",
-    &["int8", "fma-bf16"],
 );
 
 // ---------------------------------------------------------------------------
@@ -248,14 +231,12 @@ pub static SERVE_COALESCE_WINDOW: Histogram = Histogram::new(
 // Listings
 // ---------------------------------------------------------------------------
 
-static ALL_COUNTERS: [&Counter; 25] = [
+static ALL_COUNTERS: [&Counter; 23] = [
     &EMULATED_GEMMS,
     &INT8_GEMM_CALLS,
     &PREPARED_OPERANDS,
     &ENGINE_INT8_CALLS,
     &ENGINE_INT8_MACS,
-    &ENGINE_FMA_CALLS,
-    &ENGINE_FMA_MACS,
     &ABFT_DETECTIONS,
     &ABFT_RETRIES,
     &ABFT_SCALAR_FALLBACKS,
@@ -277,8 +258,6 @@ static ALL_COUNTERS: [&Counter; 25] = [
 ];
 
 static ALL_GAUGES: [&Gauge; 1] = [&SERVE_SEEN_SATURATED];
-
-static ALL_LABELLED_COUNTERS: [&LabelledCounter; 1] = [&BACKEND_SELECTED];
 
 static ALL_WORKER_GAUGES: [&PerWorkerGauge; 1] = [&POOL_QUEUE_DEPTH];
 
@@ -303,11 +282,6 @@ pub fn counters() -> &'static [&'static Counter] {
 /// Every registered plain gauge.
 pub fn gauges() -> &'static [&'static Gauge] {
     &ALL_GAUGES
-}
-
-/// Every registered labelled counter family.
-pub fn labelled_counters() -> &'static [&'static LabelledCounter] {
-    &ALL_LABELLED_COUNTERS
 }
 
 /// Every registered per-worker gauge.
@@ -338,13 +312,6 @@ pub fn render_prometheus() -> String {
         let _ = writeln!(out, "# HELP {} {}", c.name(), c.help());
         let _ = writeln!(out, "# TYPE {} counter", c.name());
         let _ = writeln!(out, "{} {}", c.name(), c.value());
-    }
-    for c in labelled_counters() {
-        let _ = writeln!(out, "# HELP {} {}", c.name(), c.help());
-        let _ = writeln!(out, "# TYPE {} counter", c.name());
-        for (value, total) in c.snapshot() {
-            let _ = writeln!(out, "{}{{{}=\"{value}\"}} {total}", c.name(), c.label_key());
-        }
     }
     for g in gauges() {
         let _ = writeln!(out, "# HELP {} {}", g.name(), g.help());

@@ -42,7 +42,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 pub use catalog::render_prometheus;
-pub use registry::{Counter, Gauge, Histogram, LabelledCounter, PerWorkerGauge, TimeShare};
+pub use registry::{Counter, Gauge, Histogram, PerWorkerGauge, TimeShare};
 pub use span::{
     dropped, observe_span, record_span, render_chrome_trace, span, span_timed, ObsSession,
     Reconciliation, SpanEvent, SpanGuard,

@@ -112,111 +112,6 @@ impl Counter {
 }
 
 // ---------------------------------------------------------------------------
-// LabelledCounter
-// ---------------------------------------------------------------------------
-
-/// How many label values one [`LabelledCounter`] can carry. Small on
-/// purpose: labelled series are for low-cardinality enumerations fixed at
-/// compile time (backend names), never for unbounded identifiers.
-pub const LABEL_SLOTS: usize = 8;
-
-/// A monotonic counter family with one fixed, compile-time label
-/// dimension (Prometheus `counter` with one label), rendered as one
-/// series per label value (`name{key="value"} v`). Each series is a
-/// full sharded [`Counter`]-style slot set, so the write path has the
-/// same cost and contention profile as an unlabelled counter.
-pub struct LabelledCounter {
-    name: &'static str,
-    help: &'static str,
-    label_key: &'static str,
-    label_values: &'static [&'static str],
-    slots: [[Pad<AtomicU64>; SHARDS]; LABEL_SLOTS],
-}
-
-impl LabelledCounter {
-    /// A zeroed counter family. `label_values` fixes the full series set
-    /// (at most [`LABEL_SLOTS`] values; excess values are ignored —
-    /// keep the list short and exhaustive).
-    pub const fn new(
-        name: &'static str,
-        help: &'static str,
-        label_key: &'static str,
-        label_values: &'static [&'static str],
-    ) -> Self {
-        Self {
-            name,
-            help,
-            label_key,
-            label_values,
-            slots: [const { [const { Pad(AtomicU64::new(0)) }; SHARDS] }; LABEL_SLOTS],
-        }
-    }
-
-    /// Add `v` to the series at `index` (the position of its label value
-    /// in the constructor list); no-op while the gate is off or when the
-    /// index is out of range.
-    #[inline]
-    pub fn add(&self, index: usize, v: u64) {
-        if !enabled() || index >= self.label_values.len().min(LABEL_SLOTS) {
-            return;
-        }
-        self.slots[index][shard()].0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Increment the series at `index` by one.
-    #[inline]
-    pub fn inc(&self, index: usize) {
-        self.add(index, 1);
-    }
-
-    /// Increment the series whose label value equals `value` (no-op for
-    /// unknown values — callers with a stable index should prefer
-    /// [`LabelledCounter::inc`]).
-    #[inline]
-    pub fn inc_value(&self, value: &str) {
-        if let Some(i) = self.label_values.iter().position(|&v| v == value) {
-            self.inc(i);
-        }
-    }
-
-    /// Aggregate total of the series at `index` (0 when out of range).
-    pub fn value(&self, index: usize) -> u64 {
-        if index >= self.label_values.len().min(LABEL_SLOTS) {
-            return 0;
-        }
-        self.slots[index]
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// `(label_value, total)` for every series, in constructor order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.label_values
-            .iter()
-            .take(LABEL_SLOTS)
-            .enumerate()
-            .map(|(i, &v)| (v, self.value(i)))
-            .collect()
-    }
-
-    /// Exposition name (`ozaki_*_total`).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Help line for `# HELP`.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    /// The label key every series carries.
-    pub fn label_key(&self) -> &'static str {
-        self.label_key
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Gauge
 // ---------------------------------------------------------------------------
 

@@ -11,7 +11,7 @@
 
 use crate::device::DeviceSpec;
 use crate::model::PerfModel;
-use crate::ops::{self, Os2Backend, Os2Input, Os2Mode};
+use crate::ops::{self, Os2Input, Os2Mode};
 
 /// The advisor's verdict.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,72 +91,6 @@ pub fn recommend_sgemm(
     }
 }
 
-/// The advisor's verdict when choosing among residue engines too.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BackendRecommendation {
-    /// Run the native GEMM: every emulated candidate is slower.
-    Native,
-    /// Emulate on `backend` with `n_moduli` planes; `speedup` is the
-    /// modelled native/emulated time ratio (> 1).
-    Emulate {
-        /// Residue engine to run the planes on.
-        backend: Os2Backend,
-        /// Moduli count to use on that engine's pool.
-        n_moduli: usize,
-        /// Modelled speedup over the native product.
-        speedup: f64,
-    },
-}
-
-/// Recommend a residue engine **and** moduli count for an
-/// `m x k · k x n` product against the native GEMM.
-///
-/// `candidates` pairs each engine with the moduli count *its own pool*
-/// needs for the caller's accuracy target — the pools carry different
-/// bits per plane, so `N` is not transferable between engines and must be
-/// resolved per backend (e.g. via `ozaki2::choose_n_for`). An engine
-/// whose pool cannot reach the target is simply omitted from the list.
-/// With no candidates, the verdict is [`BackendRecommendation::Native`].
-pub fn recommend_backend(
-    device: DeviceSpec,
-    m: usize,
-    n: usize,
-    k: usize,
-    input: Os2Input,
-    candidates: &[(Os2Backend, usize)],
-) -> BackendRecommendation {
-    let model = PerfModel::new(device);
-    let native_ops = match input {
-        Os2Input::F64 => ops::native_dgemm(m, n, k),
-        Os2Input::F32 => ops::native_sgemm(m, n, k),
-    };
-    let native = model.run(&native_ops).time_s;
-    let mut best = BackendRecommendation::Native;
-    let mut best_time = native;
-    for &(backend, n_moduli) in candidates {
-        let emulated = model
-            .run(&ops::ozaki2_backend(
-                m,
-                n,
-                k,
-                n_moduli,
-                Os2Mode::Fast,
-                input,
-                backend,
-            ))
-            .time_s;
-        if emulated < best_time {
-            best_time = emulated;
-            best = BackendRecommendation::Emulate {
-                backend,
-                n_moduli,
-                speedup: native / emulated,
-            };
-        }
-    }
-    best
-}
-
 /// True if the shape is in the regime the paper excludes (tall-and-skinny
 /// or small): any dimension below `min_dim` or an aspect ratio beyond
 /// `max_aspect`.
@@ -218,68 +152,6 @@ mod tests {
         assert!(is_excluded_shape(65536, 1024, 1024)); // 64:1 aspect
         assert!(!is_excluded_shape(4096, 4096, 4096));
         assert!(!is_excluded_shape(2048, 1024, 4096));
-    }
-
-    #[test]
-    fn backend_recommendation_picks_int8_for_dgemm_on_gh200() {
-        // DGEMM-level accuracy is unreachable on the fma-bf16 pool, so a
-        // realistic candidate list holds only the INT8 entry — and the
-        // verdict must agree with the single-backend advisor.
-        let rec = recommend_backend(
-            gh200(),
-            16384,
-            16384,
-            16384,
-            Os2Input::F64,
-            &[(Os2Backend::Int8, 14)],
-        );
-        match (rec, recommend_dgemm(gh200(), 16384, 16384, 16384, 14)) {
-            (
-                BackendRecommendation::Emulate {
-                    backend,
-                    n_moduli,
-                    speedup,
-                },
-                Recommendation::Emulate { speedup: s0, .. },
-            ) => {
-                assert_eq!(backend, Os2Backend::Int8);
-                assert_eq!(n_moduli, 14);
-                assert!((speedup - s0).abs() < 1e-12);
-            }
-            other => panic!("expected matching Emulate verdicts, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn backend_recommendation_weighs_plane_count_against_rate() {
-        // SGEMM-level: the fma-bf16 pool needs more planes (say 14 vs 8)
-        // but each runs at the FP32 rate instead of INT8. On GH200 the
-        // INT8 engine's rate advantage dominates; the advisor must not
-        // pick fma-bf16 merely because it is listed.
-        let cands = [(Os2Backend::Int8, 8), (Os2Backend::FmaBf16, 14)];
-        match recommend_backend(gh200(), 16384, 16384, 16384, Os2Input::F32, &cands) {
-            BackendRecommendation::Emulate { backend, .. } => {
-                assert_eq!(backend, Os2Backend::Int8)
-            }
-            r => panic!("expected emulation, got {r:?}"),
-        }
-        // With only the fma-bf16 candidate (e.g. a device with no INT8
-        // dot-product path exposed), the advisor still answers: either
-        // fma emulation or native, never the absent engine.
-        match recommend_backend(gh200(), 16384, 16384, 16384, Os2Input::F32, &cands[1..]) {
-            BackendRecommendation::Emulate { backend, .. } => {
-                assert_eq!(backend, Os2Backend::FmaBf16)
-            }
-            BackendRecommendation::Native => {}
-        }
-    }
-
-    #[test]
-    fn backend_recommendation_empty_candidates_is_native() {
-        assert_eq!(
-            recommend_backend(gh200(), 16384, 16384, 16384, Os2Input::F64, &[]),
-            BackendRecommendation::Native
-        );
     }
 
     #[test]

@@ -19,14 +19,11 @@ pub mod figures;
 pub mod model;
 pub mod ops;
 
-pub use advisor::{
-    is_excluded_shape, recommend_backend, recommend_dgemm, recommend_sgemm, BackendRecommendation,
-    Recommendation,
-};
+pub use advisor::{is_excluded_shape, recommend_dgemm, recommend_sgemm, Recommendation};
 pub use device::{a100, evaluation_devices, gh200, rtx5080, DeviceSpec, FIG1_DATASHEET};
 pub use figures::{
     breakdown, fig4_dgemm_throughput, fig5_sgemm_throughput, fig8_dgemm_power, fig9_sgemm_power,
     headline, BreakdownBar, Headline, Metric, Series, SWEEP_NS,
 };
 pub use model::{PerfModel, RunEstimate};
-pub use ops::{Op, Os2Backend, Os2Input, Os2Mode, Phase};
+pub use ops::{Op, Os2Input, Os2Mode, Phase};

@@ -273,40 +273,7 @@ pub enum Os2Input {
     F32,
 }
 
-/// Residue engine the plane products run on. This crate is a dependency
-/// leaf (the runtime's `BackendKind` lives in `gemm_engine`), so the
-/// advisor speaks its own two-valued copy; `as_str` values match the
-/// runtime's for painless correlation with `ozaki_backend_selected`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Os2Backend {
-    /// INT8 dot-product engine with INT32 accumulation (VNNI / IMMA).
-    Int8,
-    /// bf16-encoded residues on the f32 FMA pipes. Each plane carries
-    /// fewer bits (moduli ≤ 64), so the same accuracy needs more planes —
-    /// the candidate list the advisor receives encodes that.
-    FmaBf16,
-}
-
-impl Os2Backend {
-    /// Stable label, equal to the runtime `BackendKind::as_str` value.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Os2Backend::Int8 => "int8",
-            Os2Backend::FmaBf16 => "fma-bf16",
-        }
-    }
-
-    /// Plane-GEMM precision the device model charges for this engine.
-    pub fn plane_precision(self) -> GemmPrecision {
-        match self {
-            Os2Backend::Int8 => GemmPrecision::Int8,
-            Os2Backend::FmaBf16 => GemmPrecision::F32,
-        }
-    }
-}
-
-/// Schedule for Ozaki Scheme II (Algorithm 1) with `nmod` moduli on the
-/// INT8 engine (the paper's configuration).
+/// Schedule for Ozaki Scheme II (Algorithm 1) with `nmod` moduli.
 pub fn ozaki2(
     m: usize,
     n: usize,
@@ -314,22 +281,6 @@ pub fn ozaki2(
     nmod: usize,
     mode: Os2Mode,
     input: Os2Input,
-) -> Vec<Op> {
-    ozaki2_backend(m, n, k, nmod, mode, input, Os2Backend::Int8)
-}
-
-/// [`ozaki2`] with an explicit residue engine: identical phase structure,
-/// but the `nmod` plane products are charged at the engine's rate — INT8
-/// dot-product throughput for [`Os2Backend::Int8`], the f32 FMA rate for
-/// [`Os2Backend::FmaBf16`] (whose residues ride the regular FP32 pipes).
-pub fn ozaki2_backend(
-    m: usize,
-    n: usize,
-    k: usize,
-    nmod: usize,
-    mode: Os2Mode,
-    input: Os2Input,
-    backend: Os2Backend,
 ) -> Vec<Op> {
     let (el, fp) = match input {
         Os2Input::F64 => (8.0, ElemFp::F64),
@@ -397,7 +348,7 @@ pub fn ozaki2_backend(
     for _ in 0..nmod {
         ops.push(Op::Gemm {
             phase: Phase::Int8Gemm,
-            precision: backend.plane_precision(),
+            precision: GemmPrecision::Int8,
             m,
             n,
             k,

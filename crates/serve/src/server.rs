@@ -13,7 +13,7 @@ use crate::request::{GemmRequest, JobCell, JobError, JobHandle, SubmitError};
 use crate::stats::{ServerStats, TenantStats};
 use gemm_batch::{BatchedOzaki2, DEFAULT_CACHE_CAPACITY, INTENSITY_CROSSOVER};
 use gemm_dense::MatF64;
-use ozaki2::{arithmetic_intensity, BackendKind, EmulationError, FaultPolicy, Mode, OperandSide};
+use ozaki2::{arithmetic_intensity, EmulationError, FaultPolicy, Mode, OperandSide};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -109,7 +109,6 @@ impl Shared {
 pub struct ServerBuilder {
     n_moduli: usize,
     mode: Mode,
-    backend: BackendKind,
     queue_depth: usize,
     coalesce_window: Duration,
     max_batch: usize,
@@ -172,20 +171,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Residue backend every served product runs on (default
-    /// [`BackendKind::Int8`]). Pick with the perf-model advisor
-    /// ([`Server::advised_builder`]) or force one for A/B runs. The
-    /// served-on backend is visible per process in the
-    /// `ozaki_backend_selected_total` metric series.
-    ///
-    /// # Panics
-    /// In [`ServerBuilder::build`] if `n_moduli` exceeds the backend's
-    /// moduli pool.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Arithmetic-intensity threshold (INT8 ops per byte) separating
     /// coalesced small jobs from solo striped large jobs. Default
     /// [`gemm_batch::INTENSITY_CROSSOVER`]; raise it to coalesce more
@@ -199,8 +184,7 @@ impl ServerBuilder {
     /// submission surface.
     pub fn build(self) -> Server {
         let mut runtime =
-            BatchedOzaki2::with_cache_capacity(self.n_moduli, self.mode, self.cache_capacity)
-                .with_backend(self.backend);
+            BatchedOzaki2::with_cache_capacity(self.n_moduli, self.mode, self.cache_capacity);
         if let Some(policy) = self.fault_policy {
             runtime = runtime.with_fault_policy(policy);
         }
@@ -293,7 +277,6 @@ impl Server {
         ServerBuilder {
             n_moduli,
             mode,
-            backend: BackendKind::Int8,
             queue_depth: 256,
             coalesce_window: Duration::from_micros(500),
             max_batch: 64,
@@ -304,83 +287,9 @@ impl Server {
         }
     }
 
-    /// Advisor-driven construction: pick the residue backend **and**
-    /// moduli count from the device's perf model for a representative
-    /// shape and normwise accuracy target, then return a builder
-    /// preconfigured with the winning pair.
-    ///
-    /// Candidates are assembled per backend from its own moduli pool
-    /// (`ozaki2::choose_n_for` — `N` is not transferable between pools);
-    /// a pool that cannot reach `target` is simply not a candidate. The
-    /// perf model compares the candidates against each other (a serving
-    /// runtime emulates by construction, so a "native faster" verdict
-    /// falls back to the fastest candidate rather than refusing).
-    ///
-    /// # Errors
-    /// [`EmulationError::AccuracyUnreachable`] when no pool reaches the
-    /// target, carrying the INT8 pool's best achievable point.
-    pub fn advised_builder(
-        device: gemm_perfmodel::DeviceSpec,
-        m: usize,
-        n: usize,
-        k: usize,
-        target: f64,
-        mode: Mode,
-    ) -> Result<ServerBuilder, EmulationError> {
-        use gemm_perfmodel::{BackendRecommendation, Os2Backend, Os2Input};
-        let pairs = [
-            (BackendKind::Int8, Os2Backend::Int8),
-            (BackendKind::FmaBf16, Os2Backend::FmaBf16),
-        ];
-        let mut candidates = Vec::new();
-        for (kind, model_kind) in pairs {
-            if let Some(nmod) = ozaki2::choose_n_for(kind, target, k, false) {
-                candidates.push((kind, model_kind, nmod));
-            }
-        }
-        let model_candidates: Vec<(Os2Backend, usize)> =
-            candidates.iter().map(|&(_, mk, nmod)| (mk, nmod)).collect();
-        let (backend, n_moduli) = match gemm_perfmodel::recommend_backend(
-            device,
-            m,
-            n,
-            k,
-            Os2Input::F64,
-            &model_candidates,
-        ) {
-            BackendRecommendation::Emulate {
-                backend, n_moduli, ..
-            } => (
-                candidates
-                    .iter()
-                    .find(|&&(_, mk, _)| mk == backend)
-                    .expect("recommended backend came from the candidate list")
-                    .0,
-                n_moduli,
-            ),
-            // The server always emulates; take the first (fastest-pool)
-            // candidate when even it is modelled slower than native.
-            BackendRecommendation::Native => match candidates.first() {
-                Some(&(kind, _, nmod)) => (kind, nmod),
-                None => {
-                    return Err(
-                        ozaki2::choose_n_checked_for(BackendKind::Int8, target, k, false)
-                            .expect_err("no candidate means the target is unreachable"),
-                    )
-                }
-            },
-        };
-        Ok(Self::builder(n_moduli, mode).backend(backend))
-    }
-
     /// The configured moduli count `N`.
     pub fn n_moduli(&self) -> usize {
         self.shared.n_moduli
-    }
-
-    /// The residue backend every served product runs on.
-    pub fn backend(&self) -> BackendKind {
-        self.runtime.emulator().backend()
     }
 
     /// Submit a request, **blocking** while the queue is at its

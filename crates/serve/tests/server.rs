@@ -344,55 +344,3 @@ fn handle_polling_works() {
         Ozaki2::new(6, Mode::Fast).dgemm(&a, &b)
     );
 }
-
-/// A server switched to the fma-bf16 backend serves results bit-identical
-/// to a per-call emulator on the same backend — including through the
-/// prepared-operand cache (two tenants sharing one weight matrix), which
-/// must key on the backend and never serve the INT8 panels.
-#[test]
-fn fma_backend_server_is_bit_identical_to_its_emulator() {
-    use ozaki2::BackendKind;
-    let server = Server::builder(8, Mode::Fast)
-        .backend(BackendKind::FmaBf16)
-        .build();
-    assert_eq!(server.backend(), BackendKind::FmaBf16);
-    let w = mat(32, 24, 7);
-    let handles: Vec<_> = (0..3u64)
-        .map(|t| {
-            let a = mat(16, 32, t);
-            server
-                .submit(GemmRequest::new(format!("t{t}"), a, w.clone()))
-                .expect("admitted")
-        })
-        .collect();
-    let emu = Ozaki2::new(8, Mode::Fast).with_backend(BackendKind::FmaBf16);
-    for (t, h) in handles.into_iter().enumerate() {
-        let a = phi_matrix_f64(16, 32, 0.5, t as u64, 0);
-        assert_eq!(h.wait().expect("served"), emu.dgemm(&a, &w));
-    }
-}
-
-/// The advisor-driven constructor resolves backend × N per pool: a
-/// DGEMM-level target is only reachable on the INT8 pool, so the advised
-/// server must land there with the paper's sweet-spot N; an impossible
-/// target surfaces `AccuracyUnreachable`.
-#[test]
-fn advised_builder_resolves_backend_and_n() {
-    use ozaki2::BackendKind;
-    let server = Server::advised_builder(
-        gemm_perfmodel::gh200(),
-        4096,
-        4096,
-        1024,
-        2f64.powi(-52),
-        Mode::Fast,
-    )
-    .expect("DGEMM level reachable")
-    .build();
-    assert_eq!(server.backend(), BackendKind::Int8);
-    assert_eq!(server.n_moduli(), 15, "§5.1 sweet spot at k=1024");
-    assert!(matches!(
-        Server::advised_builder(gemm_perfmodel::gh200(), 4096, 4096, 1024, 1e-40, Mode::Fast),
-        Err(EmulationError::AccuracyUnreachable { .. })
-    ));
-}

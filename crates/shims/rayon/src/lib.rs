@@ -695,18 +695,31 @@ mod tests {
     #[test]
     fn worker_indices_are_in_range_and_external_thread_has_none() {
         assert_eq!(super::current_worker_index(), None);
+        use std::sync::Condvar;
+        use std::time::Duration;
         with_workers(4, || {
             let seen = Mutex::new(Vec::new());
+            let worker_ran = (Mutex::new(false), Condvar::new());
             let jobs: Vec<usize> = (0..64).collect();
-            jobs.into_par_iter().for_each(|_| {
-                if let Some(idx) = super::current_worker_index() {
-                    assert!(idx < 4);
-                    seen.lock().unwrap().push(idx);
-                }
-                std::thread::yield_now();
-            });
-            // The submitting thread helps, so not every item reports an
-            // index, but pool workers must have executed some of the 64.
+            jobs.into_par_iter()
+                .for_each(|_| match super::current_worker_index() {
+                    Some(idx) => {
+                        assert!(idx < 4);
+                        seen.lock().unwrap().push(idx);
+                        *worker_ran.0.lock().unwrap() = true;
+                        worker_ran.1.notify_all();
+                    }
+                    // The submitting thread helps. So that it cannot drain all
+                    // 64 items before any worker wakes, an item it runs waits
+                    // (bounded) until a worker has run one of the others.
+                    None => {
+                        let ran = worker_ran.0.lock().unwrap();
+                        let _ran = worker_ran
+                            .1
+                            .wait_timeout_while(ran, Duration::from_secs(10), |ran| !*ran)
+                            .unwrap();
+                    }
+                });
             assert!(!seen.lock().unwrap().is_empty());
         });
         assert_eq!(super::current_worker_index(), None);

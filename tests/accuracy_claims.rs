@@ -193,43 +193,6 @@ fn claim_k_growth_costs_half_bit_per_doubling() {
     assert!(e2 < e1 * 1e4, "but only a few bits");
 }
 
-/// Cross-backend equivalence at matching accuracy targets: resolving the
-/// same normwise target on each backend's own pool (more planes on the
-/// fma-bf16 pool, which carries fewer bits each) must land both within
-/// the target against a double-double oracle — backend choice trades
-/// throughput, not the accuracy contract.
-#[test]
-fn claim_backends_equivalent_at_matching_accuracy_targets() {
-    use ozaki2::choose_n_for;
-    let (m, n, k) = (96, 96, 256);
-    let a = phi_matrix_f64(m, k, 0.5, 77, 0);
-    let b = phi_matrix_f64(k, n, 0.5, 77, 1);
-    let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
-    for target_bits in [12i32, 20] {
-        let target = 2f64.powi(-target_bits);
-        let n_int8 = choose_n_for(BackendKind::Int8, target, k, false).expect("int8 reaches");
-        let n_fma = choose_n_for(BackendKind::FmaBf16, target, k, false).expect("fma reaches");
-        assert!(
-            n_fma > n_int8,
-            "fma pool needs more planes: {n_fma} vs {n_int8} at 2^-{target_bits}"
-        );
-        let err_int8 =
-            normwise_relative_error(&Ozaki2::new(n_int8, Mode::Fast).dgemm(&a, &b), &exact);
-        let err_fma = normwise_relative_error(
-            &Ozaki2::new(n_fma, Mode::Fast)
-                .with_backend(BackendKind::FmaBf16)
-                .dgemm(&a, &b),
-            &exact,
-        );
-        for (name, err) in [("int8", err_int8), ("fma-bf16", err_fma)] {
-            assert!(
-                err <= target * 16.0,
-                "{name} at 2^-{target_bits}: measured {err:e} vs target {target:e}"
-            );
-        }
-    }
-}
-
 /// The fast-inference accuracy point: very few planes, loose bound, and
 /// the report carries the predicted error the builder promised.
 #[test]

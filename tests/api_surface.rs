@@ -28,9 +28,6 @@ const OZAKI2_PUB_FNS: &[&str] = &[
     "mode",
     "fault_policy",
     "with_fault_policy",
-    // residue-backend selection (PR 10: multi-backend engine)
-    "backend",
-    "with_backend",
     // the canonical facade
     "gemm",
     "gemm_into",
@@ -162,16 +159,4 @@ fn canonical_items_exist_and_compose() {
 
     // Builder type is nameable (for APIs that store one).
     let _builder: Ozaki2Builder = Ozaki2::builder().accuracy(Accuracy::FixedN(8));
-
-    // Backend selection rides the same pillars: the builder resolves
-    // accuracy per pool, and the per-call override lives on GemmArgs.
-    let fma = Ozaki2::builder()
-        .accuracy(Accuracy::Fp32Equivalent)
-        .backend(ozaki2::BackendKind::FmaBf16)
-        .k(1024)
-        .build()
-        .expect("SGEMM-level is reachable on the fma-bf16 pool");
-    assert_eq!(fma.backend(), ozaki2::BackendKind::FmaBf16);
-    let out2 = fma.gemm(GemmArgs::new(&a, &b)).unwrap();
-    assert_eq!(out2.c.shape(), (8, 6));
 }

@@ -248,77 +248,3 @@ fn report_phases_cover_total() {
     let rows = rep.phases.as_rows();
     assert_eq!(rows.len(), 7);
 }
-
-/// The fma-bf16 backend is bit-exact on integer inputs inside its own
-/// pool's exact window, like the INT8 backend: both emulators reproduce
-/// the integer product bitwise, so they are also bitwise equal to each
-/// other — the strongest cross-backend agreement the pools allow.
-#[test]
-fn fma_backend_integer_products_are_bit_exact() {
-    let mut rng = Philox4x32::new(515151);
-    for &(m, n, k) in &[(11usize, 9usize, 21usize), (24, 16, 48)] {
-        let a = Matrix::from_fn(m, k, |_, _| ((rng.next_u32() % 41) as f64) - 20.0);
-        let b = Matrix::from_fn(k, n, |_, _| ((rng.next_u32() % 41) as f64) - 20.0);
-        let mut want = Matrix::<f64>::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i64;
-                for h in 0..k {
-                    acc += (a[(i, h)] as i64) * (b[(h, j)] as i64);
-                }
-                want[(i, j)] = acc as f64;
-            }
-        }
-        for nmod in [6usize, 8, 10] {
-            let fma = Ozaki2::new(nmod, Mode::Fast)
-                .with_backend(BackendKind::FmaBf16)
-                .dgemm(&a, &b);
-            assert_eq!(fma, want, "fma-bf16 N={nmod} {m}x{n}x{k}");
-        }
-        // Cross-backend bitwise agreement needs *both* pools to keep the
-        // scaled product inside 2^53: at N = 10 the INT8 pool's fast
-        // scaling lifts these tiny integers past it (a ulp of rounding in
-        // the fold — pre-existing INT8 behavior), while the small-moduli
-        // FMA pool stays exact. Compare where both are exact.
-        for nmod in [6usize, 8] {
-            let fma = Ozaki2::new(nmod, Mode::Fast)
-                .with_backend(BackendKind::FmaBf16)
-                .dgemm(&a, &b);
-            let int8 = Ozaki2::new(nmod, Mode::Fast).dgemm(&a, &b);
-            assert_eq!(fma, int8, "cross-backend N={nmod}");
-        }
-    }
-}
-
-/// A preparation from an INT8 emulator must be refused — with the typed
-/// mismatch reason — by an fma-bf16 emulator of the same `N`, and vice
-/// versa: prepared panels are pool-specific.
-#[test]
-fn prepared_operands_never_cross_backends() {
-    let a = phi_matrix_f64(12, 20, 0.5, 5, 0);
-    let b = phi_matrix_f64(20, 8, 0.5, 5, 1);
-    let int8 = Ozaki2::new(8, Mode::Fast);
-    let fma = Ozaki2::new(8, Mode::Fast).with_backend(BackendKind::FmaBf16);
-    let pa_int8 = int8.prepare_a(&a);
-    let pb_fma = fma.try_prepare_b(&b).expect("fma prepare");
-    // Mixed pair on either executor: refused for the foreign side.
-    for emu in [&int8, &fma] {
-        match emu.try_execute_prepared(&pa_int8, &pb_fma) {
-            Err(EmulationError::PreparedMismatch { reason }) => {
-                assert!(
-                    reason.contains("backend"),
-                    "reason should name the backend: {reason}"
-                );
-            }
-            other => panic!("expected PreparedMismatch, got {other:?}"),
-        }
-    }
-    // Matched pairs still execute bit-identically to the monolithic path.
-    let pb_int8 = int8.prepare_b(&b);
-    assert_eq!(
-        int8.execute_prepared(&pa_int8, &pb_int8),
-        int8.dgemm(&a, &b)
-    );
-    let pa_fma = fma.try_prepare_a(&a).expect("fma prepare");
-    assert_eq!(fma.execute_prepared(&pa_fma, &pb_fma), fma.dgemm(&a, &b));
-}
