@@ -193,7 +193,9 @@ proptest! {
     }
 
     /// Batched SGEMM (shared and unshared B) matches per-item sgemm
-    /// bitwise.
+    /// bitwise. The unshared A items are windows with a padded leading
+    /// dimension (`lda = m + a_pad`, NaN in the gap rows), so the strided
+    /// f32 view path runs too.
     #[test]
     fn sgemm_batch_matches_sequential(
         count in 1usize..=9,
@@ -203,21 +205,24 @@ proptest! {
         nmod in 4usize..=10,
         seed in 0u64..1000,
         share_b in any::<bool>(),
+        a_pad in 0usize..4,
     ) {
         let a_mats: Vec<_> =
             (0..count).map(|i| phi_matrix_f32(m, k, 0.5, seed + i as u64, 0)).collect::<Vec<_>>();
-        let mut a_data = Vec::new();
-        for a in &a_mats {
-            a_data.extend_from_slice(a.as_slice());
+        let lda = m + a_pad;
+        let mut a_data = vec![f32::NAN; count * lda * k];
+        for (t, a) in a_mats.iter().enumerate() {
+            for j in 0..k {
+                let col = t * lda * k + j * lda;
+                a_data[col..col + m].copy_from_slice(&a.as_slice()[j * m..(j + 1) * m]);
+            }
         }
+        let a_batch = StridedBatchF32::with_ld(&a_data, m, k, lda, lda * k, count);
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
         let emu = Ozaki2::new(nmod, Mode::Fast);
         if share_b {
             let b = phi_matrix_f32(k, n, 0.5, seed + 777, 1);
-            let got = runtime.sgemm_batched(
-                &StridedBatchF32::packed(&a_data, m, k, count),
-                &StridedBatchF32::broadcast(&b, count),
-            );
+            let got = runtime.sgemm_batched(&a_batch, &StridedBatchF32::broadcast(&b, count));
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.sgemm(&a_mats[i], &b), "sgemm shared item {}", i);
             }
@@ -228,10 +233,8 @@ proptest! {
             for b in &b_mats {
                 b_data.extend_from_slice(b.as_slice());
             }
-            let got = runtime.sgemm_batched(
-                &StridedBatchF32::packed(&a_data, m, k, count),
-                &StridedBatchF32::packed(&b_data, k, n, count),
-            );
+            let got = runtime
+                .sgemm_batched(&a_batch, &StridedBatchF32::packed(&b_data, k, n, count));
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.sgemm(&a_mats[i], &b_mats[i]), "sgemm item {}", i);
             }
