@@ -15,7 +15,7 @@
 //! item).
 
 use gemm_dense::MatView;
-use ozaki2::{Mode, OperandSide, PreparedOperand};
+use ozaki2::{ElemSlice, Element, Mode, OperandSide, PreparedOperand};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -152,39 +152,33 @@ impl OperandKey {
         }
     }
 
-    /// Shared body of the view-key constructors.
-    fn from_view<T: Copy>(
+    /// Key for a (possibly `ld`-strided, either-layout) operand view of
+    /// either precision.
+    pub fn view<T: Element>(
         v: &MatView<'_, T>,
         side: OperandSide,
         n_moduli: usize,
         mode: Mode,
-        b64: bool,
-        fingerprint: u64,
     ) -> Self {
         let (rows, cols) = v.shape();
+        let (ld, layout) = (v.ld(), v.layout());
+        let fingerprint = match T::elem_slice(v.data()) {
+            ElemSlice::F64(d) => fingerprint_view_f64(&MatView::new(d, rows, cols, ld, layout)),
+            ElemSlice::F32(d) => fingerprint_view_f32(&MatView::new(d, rows, cols, ld, layout)),
+        };
         Self {
             ptr: v.data().as_ptr() as usize,
             len: v.min_len(),
             rows,
             cols,
-            ld: v.ld(),
-            row_major: v.layout() == gemm_dense::Layout::RowMajor,
+            ld,
+            row_major: layout == gemm_dense::Layout::RowMajor,
             side,
             n_moduli,
             mode,
-            b64,
+            b64: T::IS_F64,
             fingerprint,
         }
-    }
-
-    /// Key for a (possibly `ld`-strided, either-layout) f64 operand view.
-    pub fn f64_view(v: &MatView<'_, f64>, side: OperandSide, n_moduli: usize, mode: Mode) -> Self {
-        Self::from_view(v, side, n_moduli, mode, true, fingerprint_view_f64(v))
-    }
-
-    /// Key for a (possibly `ld`-strided, either-layout) f32 operand view.
-    pub fn f32_view(v: &MatView<'_, f32>, side: OperandSide, n_moduli: usize, mode: Mode) -> Self {
-        Self::from_view(v, side, n_moduli, mode, false, fingerprint_view_f32(v))
     }
 
     /// Key for an f32 operand slice (SGEMM precision).
@@ -400,7 +394,7 @@ impl OperandCache {
     /// and report whether the same key missed recently before — i.e. the
     /// operand is repeating across calls, so preparing and retaining it
     /// will pay off. First sightings return `false` (the caller should
-    /// run the cheaper raw/pooled-workspace path instead of allocating
+    /// run the cheaper view/pooled-workspace path instead of allocating
     /// panels that may never be reused); a repeat sighting returns `true`
     /// and leaves probation.
     pub fn repeat_miss(&self, key: &OperandKey) -> bool {
@@ -451,7 +445,9 @@ mod tests {
 
     fn prep(seed: u64) -> (Vec<f64>, Arc<PreparedOperand>) {
         let b = phi_matrix_f64(8, 6, 0.5, seed, 1);
-        let p = Ozaki2::new(8, Mode::Fast).prepare_b(&b);
+        let p = Ozaki2::new(8, Mode::Fast)
+            .prepare(OperandSide::B, &b)
+            .unwrap();
         (b.into_vec(), Arc::new(p))
     }
 
@@ -497,7 +493,7 @@ mod tests {
         let cache = OperandCache::new(4);
         let (d, _) = prep(6);
         let k = OperandKey::f64(&d, 8, 6, OperandSide::B, 8, Mode::Fast);
-        assert!(!cache.repeat_miss(&k), "first sighting stays raw");
+        assert!(!cache.repeat_miss(&k), "first sighting stays a view");
         assert!(cache.repeat_miss(&k), "second sighting promotes");
         // Leaving probation: a third miss starts over.
         assert!(!cache.repeat_miss(&k));

@@ -65,7 +65,9 @@ pub use schedule::{Schedule, INTENSITY_CROSSOVER};
 pub use strided::{StridedBatch, StridedBatchF32, StridedBatchF64};
 
 use gemm_dense::{MatF32, MatF64, MatView, Matrix};
-use ozaki2::{EmulationError, GemmArgs, Mode, OperandInput, OperandSide, Ozaki2, PreparedOperand};
+use ozaki2::{
+    Element, EmulationError, GemmArgs, Mode, OperandInput, OperandSide, Ozaki2, PreparedOperand,
+};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -73,37 +75,29 @@ use std::sync::Arc;
 /// Default capacity of the cross-call prepared-operand LRU.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 
-/// One side of a batch item: a raw borrowed view converted in the
-/// worker's pooled workspace (zero-copy, even for `ld`-strided items), or
-/// a shared preparation.
-enum Side<'s> {
-    Raw(MatView<'s, f64>),
+/// One side of a batch item: a borrowed view converted in the worker's
+/// pooled workspace (zero-copy, even for `ld`-strided items), or a shared
+/// preparation.
+enum Side<'s, T: Element> {
+    View(MatView<'s, T>),
     Prep(Arc<PreparedOperand>),
 }
 
-/// One schedulable unit of work.
-struct Job<'s> {
-    m: usize,
-    k: usize,
-    n: usize,
-    a: Side<'s>,
-    b: Side<'s>,
-    parallel: bool,
-    out: &'s mut MatF64,
-    err: &'s mut Option<EmulationError>,
+impl<T: Element> Side<'_, T> {
+    fn input(&self) -> OperandInput<'_, T> {
+        match self {
+            Side::View(v) => OperandInput::View(*v),
+            Side::Prep(p) => OperandInput::Prepared(p),
+        }
+    }
 }
 
-/// One schedulable SGEMM unit (f32 in/out, widened in the worker).
-struct SgemmJob<'s> {
-    m: usize,
-    k: usize,
-    n: usize,
-    a: Option<Arc<PreparedOperand>>,
-    a_raw: MatView<'s, f32>,
-    b: Option<Arc<PreparedOperand>>,
-    b_raw: MatView<'s, f32>,
+/// One schedulable unit of work.
+struct Job<'s, T: Element> {
+    a: Side<'s, T>,
+    b: Side<'s, T>,
     parallel: bool,
-    out: &'s mut MatF32,
+    out: &'s mut Matrix<T>,
     err: &'s mut Option<EmulationError>,
 }
 
@@ -224,71 +218,14 @@ impl BatchedOzaki2 {
         b: &StridedBatchF64<'_>,
         outs: &mut [MatF64],
     ) -> Result<(), EmulationError> {
-        let (m, k) = (a.rows(), a.cols());
-        let (kb, n) = (b.rows(), b.cols());
-        if k != kb || a.count() != b.count() || outs.len() != a.count() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        if outs.iter().any(|c| c.shape() != (m, n)) {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        let count = a.count();
-        if count == 0 {
-            return Ok(());
-        }
-
-        if self.emu.mode() != Mode::Fast {
-            // Accurate mode scales A and B jointly: no one-sided
-            // preparation exists. Run the monolithic per-item pipeline
-            // over pooled workspaces (items striped internally) — still
-            // zero-copy: the facade takes the item views directly.
-            let mut ws = self.pool.checkout();
-            for (i, out) in outs.iter_mut().enumerate() {
-                self.emu.gemm_into(
-                    GemmArgs::new(a.view(i), b.view(i)).workspace(&mut ws),
-                    out.view_mut(),
-                )?;
-            }
-            return Ok(());
-        }
-
-        // Fast mode: shared sides go through the prepared-operand cache,
-        // per-item sides convert in the worker's pooled workspace.
-        let pa_shared = self.shared_f64(a, OperandSide::A)?;
-        let pb_shared = self.shared_f64(b, OperandSide::B)?;
-        let schedule = Schedule::choose(m, n, k, self.emu.n_moduli(), count);
-        let parallel = schedule.intra_parallel();
-        let mut errs: Vec<Option<EmulationError>> = (0..count).map(|_| None).collect();
-        let jobs: Vec<Job<'_>> = outs
-            .iter_mut()
-            .zip(errs.iter_mut())
-            .enumerate()
-            .map(|(i, (out, err))| Job {
-                m,
-                k,
-                n,
-                a: match &pa_shared {
-                    Some(p) => Side::Prep(p.clone()),
-                    None => Side::Raw(a.view(i)),
-                },
-                b: match &pb_shared {
-                    Some(p) => Side::Prep(p.clone()),
-                    None => Side::Raw(b.view(i)),
-                },
-                parallel,
-                out,
-                err,
-            })
-            .collect();
-        self.run_jobs(jobs, schedule);
-        collect_errors(errs)
+        self.batched_into(a, b, outs)
     }
 
     /// Batched emulated SGEMM over uniform-shape strided f32 batches.
     /// Broadcast operands (either side) are prepared once and cached;
-    /// per-item operands are widened and prepared in the workers (the
-    /// f32 path widens, so it is not allocation-free — the zero-alloc
-    /// contract is the f64 path's).
+    /// per-item operands convert straight from their f32 views in the
+    /// workers' pooled workspaces — no widened copy, and nothing is
+    /// allocated beyond the returned outputs once the pool has grown.
     ///
     /// # Panics
     /// On shape/count mismatch, non-finite input, or `N > 18`.
@@ -303,65 +240,10 @@ impl BatchedOzaki2 {
         a: &StridedBatchF32<'_>,
         b: &StridedBatchF32<'_>,
     ) -> Result<Vec<MatF32>, EmulationError> {
-        let (m, k) = (a.rows(), a.cols());
-        let (kb, n) = (b.rows(), b.cols());
-        if k != kb || a.count() != b.count() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        let count = a.count();
-        let mut outs: Vec<MatF32> = (0..count).map(|_| Matrix::zeros(m, n)).collect();
-        if count == 0 {
-            return Ok(outs);
-        }
-
-        if self.emu.mode() != Mode::Fast {
-            let mut ws = self.pool.checkout();
-            for (i, out) in outs.iter_mut().enumerate() {
-                self.emu.gemm_into(
-                    GemmArgs::new(a.view(i), b.view(i)).workspace(&mut ws),
-                    out.view_mut(),
-                )?;
-            }
-            return Ok(outs);
-        }
-
-        let pa_shared = self.shared_f32(a, OperandSide::A)?;
-        let pb_shared = self.shared_f32(b, OperandSide::B)?;
-        let schedule = Schedule::choose(m, n, k, self.emu.n_moduli(), count);
-        let parallel = schedule.intra_parallel();
-        let mut errs: Vec<Option<EmulationError>> = (0..count).map(|_| None).collect();
-        let jobs: Vec<SgemmJob<'_>> = outs
-            .iter_mut()
-            .zip(errs.iter_mut())
-            .enumerate()
-            .map(|(i, (out, err))| SgemmJob {
-                m,
-                k,
-                n,
-                a: pa_shared.clone(),
-                a_raw: a.view(i),
-                b: pb_shared.clone(),
-                b_raw: b.view(i),
-                parallel,
-                out,
-                err,
-            })
+        let mut outs: Vec<MatF32> = (0..a.count())
+            .map(|_| Matrix::zeros(a.rows(), b.cols()))
             .collect();
-        let run = |job: SgemmJob<'_>| self.run_sgemm_job(job);
-        {
-            let _span = gemm_obs::span("batch_round", "batch");
-            match schedule {
-                Schedule::InterItem => {
-                    gemm_obs::catalog::BATCH_ITEMS_INTER.add(jobs.len() as u64);
-                    jobs.into_par_iter().for_each(run)
-                }
-                Schedule::IntraItem => {
-                    gemm_obs::catalog::BATCH_ITEMS_INTRA.add(jobs.len() as u64);
-                    jobs.into_iter().for_each(run)
-                }
-            }
-        }
-        collect_errors(errs)?;
+        self.batched_into(a, b, &mut outs)?;
         Ok(outs)
     }
 
@@ -419,14 +301,15 @@ impl BatchedOzaki2 {
         if self.emu.mode() != Mode::Fast {
             let mut ws = self.pool.checkout();
             for ((a, b), out) in items.iter().zip(outs.iter_mut()) {
-                self.emu.try_dgemm_into_ws(a, b, out, &mut ws)?;
+                self.emu
+                    .gemm_into(GemmArgs::new(*a, *b).workspace(&mut ws), out.view_mut())?;
             }
             return Ok(());
         }
 
         // Identity-based sharing: operands referenced by >= 2 items are
         // prepared once (and cached across calls); unique operands stay
-        // raw and convert in the worker's pooled workspace — unless a
+        // plain views and convert in the worker's pooled workspace — unless a
         // previous call already cached them.
         let mult_a = multiplicities(items.iter().map(|(a, _)| ident(a)));
         let mult_b = multiplicities(items.iter().map(|(_, b)| ident(b)));
@@ -445,9 +328,6 @@ impl BatchedOzaki2 {
             let b_side = self.group_side(b, OperandSide::B, mult_b[&ident(b)], &mut prepared_b)?;
             let schedule = Schedule::choose_with(m, n, k, nmod, items.len(), workers);
             let job = Job {
-                m,
-                k,
-                n,
                 a: a_side,
                 b: b_side,
                 parallel: schedule.intra_parallel(),
@@ -469,15 +349,77 @@ impl BatchedOzaki2 {
 
     // -- internals -------------------------------------------------------
 
+    /// Shared body of the uniform strided entries (both precisions).
+    fn batched_into<T: Element>(
+        &self,
+        a: &StridedBatch<'_, T>,
+        b: &StridedBatch<'_, T>,
+        outs: &mut [Matrix<T>],
+    ) -> Result<(), EmulationError> {
+        let (m, k) = (a.rows(), a.cols());
+        let (kb, n) = (b.rows(), b.cols());
+        if k != kb || a.count() != b.count() || outs.len() != a.count() {
+            return Err(EmulationError::ShapeMismatch);
+        }
+        if outs.iter().any(|c| c.shape() != (m, n)) {
+            return Err(EmulationError::ShapeMismatch);
+        }
+        let count = a.count();
+        if count == 0 {
+            return Ok(());
+        }
+
+        if self.emu.mode() != Mode::Fast {
+            // Accurate mode scales A and B jointly: no one-sided
+            // preparation exists. Run the plain per-item facade over a
+            // pooled workspace (items striped internally) — still
+            // zero-copy: the facade takes the item views directly.
+            let mut ws = self.pool.checkout();
+            for (i, out) in outs.iter_mut().enumerate() {
+                self.emu.gemm_into(
+                    GemmArgs::new(a.view(i), b.view(i)).workspace(&mut ws),
+                    out.view_mut(),
+                )?;
+            }
+            return Ok(());
+        }
+
+        // Fast mode: shared sides go through the prepared-operand cache,
+        // per-item sides convert in the worker's pooled workspace.
+        let pa_shared = self.shared(a, OperandSide::A)?;
+        let pb_shared = self.shared(b, OperandSide::B)?;
+        let schedule = Schedule::choose(m, n, k, self.emu.n_moduli(), count);
+        let parallel = schedule.intra_parallel();
+        let mut errs: Vec<Option<EmulationError>> = (0..count).map(|_| None).collect();
+        let side = |shared: &Option<Arc<PreparedOperand>>, view| match shared {
+            Some(p) => Side::Prep(p.clone()),
+            None => Side::View(view),
+        };
+        let jobs: Vec<Job<'_, T>> = outs
+            .iter_mut()
+            .zip(errs.iter_mut())
+            .enumerate()
+            .map(|(i, (out, err))| Job {
+                a: side(&pa_shared, a.view(i)),
+                b: side(&pb_shared, b.view(i)),
+                parallel,
+                out,
+                err,
+            })
+            .collect();
+        self.run_jobs(jobs, schedule);
+        collect_errors(errs)
+    }
+
     /// Resolve a strided side to a shared preparation. Broadcast
     /// multi-item batches always prepare (the within-call reuse pays
     /// immediately). A single-item batch consults the cache and, on a
     /// miss, goes through probation ([`OperandCache::repeat_miss`]): only
     /// an operand seen on an earlier call gets prepared and retained —
-    /// a one-off operand stays on the cheaper zero-alloc raw path.
-    fn shared_f64(
+    /// a one-off operand stays on the cheaper zero-alloc view path.
+    fn shared<T: Element>(
         &self,
-        batch: &StridedBatchF64<'_>,
+        batch: &StridedBatch<'_, T>,
         side: OperandSide,
     ) -> Result<Option<Arc<PreparedOperand>>, EmulationError> {
         let within_call = batch.is_broadcast() && batch.count() > 1;
@@ -485,51 +427,20 @@ impl BatchedOzaki2 {
             return Ok(None);
         }
         let view = batch.view(0);
-        let key = OperandKey::f64_view(&view, side, self.emu.n_moduli(), self.emu.mode());
+        let key = OperandKey::view(&view, side, self.emu.n_moduli(), self.emu.mode());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(Some(hit));
         }
         if !within_call && !self.cache.repeat_miss(&key) {
             return Ok(None);
         }
-        // For side A the batch shape is (m, k); for side B it is (k, n) —
-        // both match the prepare entry's logical orientation directly.
-        let prepared = Arc::new(match side {
-            OperandSide::A => self.emu.try_prepare_a_view(&view)?,
-            OperandSide::B => self.emu.try_prepare_b_view(&view)?,
-        });
-        self.cache.insert(key, prepared.clone());
-        Ok(Some(prepared))
-    }
-
-    /// As [`BatchedOzaki2::shared_f64`] for SGEMM operands (either side).
-    fn shared_f32(
-        &self,
-        batch: &StridedBatchF32<'_>,
-        side: OperandSide,
-    ) -> Result<Option<Arc<PreparedOperand>>, EmulationError> {
-        let within_call = batch.is_broadcast() && batch.count() > 1;
-        if !within_call && batch.count() != 1 {
-            return Ok(None);
-        }
-        let view = batch.view(0);
-        let key = OperandKey::f32_view(&view, side, self.emu.n_moduli(), self.emu.mode());
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(Some(hit));
-        }
-        if !within_call && !self.cache.repeat_miss(&key) {
-            return Ok(None);
-        }
-        let prepared = Arc::new(match side {
-            OperandSide::A => self.emu.try_prepare_a_view(&view)?,
-            OperandSide::B => self.emu.try_prepare_b_view(&view)?,
-        });
+        let prepared = Arc::new(self.emu.prepare(side, view)?);
         self.cache.insert(key, prepared.clone());
         Ok(Some(prepared))
     }
 
     /// Resolve one group-item side: operands shared by ≥ 2 items are
-    /// prepared and cached immediately; unique operands stay raw
+    /// prepared and cached immediately; unique operands stay plain views
     /// (converting in the worker's pooled workspace beats allocating
     /// panels) unless a cache hit or a probation repeat sighting shows
     /// they recur across calls.
@@ -539,7 +450,7 @@ impl BatchedOzaki2 {
         side: OperandSide,
         multiplicity: usize,
         local: &mut HashMap<(usize, usize, usize), Arc<PreparedOperand>>,
-    ) -> Result<Side<'s>, EmulationError> {
+    ) -> Result<Side<'s, f64>, EmulationError> {
         let id = ident(mat);
         if let Some(p) = local.get(&id) {
             return Ok(Side::Prep(p.clone()));
@@ -558,21 +469,18 @@ impl BatchedOzaki2 {
             return Ok(Side::Prep(hit));
         }
         if multiplicity < 2 && !self.cache.repeat_miss(&key) {
-            return Ok(Side::Raw(mat.view()));
+            return Ok(Side::View(mat.view()));
         }
-        let prepared = Arc::new(match side {
-            OperandSide::A => self.emu.try_prepare_a(mat)?,
-            OperandSide::B => self.emu.try_prepare_b(mat)?,
-        });
+        let prepared = Arc::new(self.emu.prepare(side, mat)?);
         self.cache.insert(key, prepared.clone());
         local.insert(id, prepared.clone());
         Ok(Side::Prep(prepared))
     }
 
     /// Execute jobs under the chosen schedule.
-    fn run_jobs(&self, jobs: Vec<Job<'_>>, schedule: Schedule) {
+    fn run_jobs<T: Element>(&self, jobs: Vec<Job<'_, T>>, schedule: Schedule) {
         let _span = gemm_obs::span("batch_round", "batch");
-        let run = |job: Job<'_>| self.run_job(job);
+        let run = |job: Job<'_, T>| self.run_job(job);
         match schedule {
             Schedule::InterItem => {
                 gemm_obs::catalog::BATCH_ITEMS_INTER.add(jobs.len() as u64);
@@ -586,94 +494,14 @@ impl BatchedOzaki2 {
     }
 
     /// Execute one item with a pooled workspace.
-    fn run_job(&self, job: Job<'_>) {
+    fn run_job<T: Element>(&self, job: Job<'_, T>) {
         let mut ws = self.pool.checkout();
-        let a_in = match &job.a {
-            Side::Raw(v) => OperandInput::RawView(*v),
-            Side::Prep(p) => OperandInput::Prepared(p),
-        };
-        let b_in = match &job.b {
-            Side::Raw(v) => OperandInput::RawView(*v),
-            Side::Prep(p) => OperandInput::Prepared(p),
-        };
-        if let Err(e) = self.emu.try_execute_into_ws(
-            a_in,
-            b_in,
-            job.m,
-            job.k,
-            job.n,
-            &mut ws,
-            job.parallel,
-            job.out.as_mut_slice(),
-        ) {
+        let out = job.out.view_mut();
+        if let Err(e) = self
+            .emu
+            .execute(job.a.input(), job.b.input(), &mut ws, job.parallel, out)
+        {
             *job.err = Some(e);
-        }
-    }
-
-    /// Execute one SGEMM item: shared sides use their cached
-    /// preparation, an unshared `B` is prepared in the worker, an
-    /// unshared `A` is widened and converted raw; execute in f64, narrow
-    /// into the f32 output.
-    fn run_sgemm_job(&self, job: SgemmJob<'_>) {
-        let SgemmJob {
-            m,
-            k,
-            n,
-            a,
-            a_raw,
-            b,
-            b_raw,
-            parallel,
-            out,
-            err,
-        } = job;
-        let mut body = || -> Result<(), EmulationError> {
-            let pb = match &b {
-                Some(p) => p.clone(),
-                None => Arc::new(self.emu.try_prepare_b_view(&b_raw)?),
-            };
-            let a64: Vec<f64>;
-            let a_in = match &a {
-                Some(p) => OperandInput::Prepared(p),
-                None => {
-                    // Widen exactly into a dense column-major buffer (the
-                    // one remaining copy of the f32 batched path; the f64
-                    // path is copy-free end to end).
-                    a64 = match a_raw.as_col_major_slice() {
-                        Some(s) => s.iter().map(|&x| x as f64).collect(),
-                        None => {
-                            let (m, k) = a_raw.shape();
-                            let mut out = Vec::with_capacity(m * k);
-                            for j in 0..k {
-                                for i in 0..m {
-                                    out.push(a_raw.get(i, j) as f64);
-                                }
-                            }
-                            out
-                        }
-                    };
-                    OperandInput::Raw(&a64)
-                }
-            };
-            let mut c64 = vec![0f64; m * n];
-            let mut ws = self.pool.checkout();
-            self.emu.try_execute_into_ws(
-                a_in,
-                OperandInput::Prepared(&pb),
-                m,
-                k,
-                n,
-                &mut ws,
-                parallel,
-                &mut c64,
-            )?;
-            for (o, &x) in out.as_mut_slice().iter_mut().zip(&c64) {
-                *o = x as f32;
-            }
-            Ok(())
-        };
-        if let Err(e) = body() {
-            *err = Some(e);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! A checkout pool of pipeline [`Workspace`]s.
 //!
 //! Each concurrently executing batch item needs its own scratch (packed
-//! panels for raw operands, residue planes, the INT32 product plane).
+//! panels for view operands, residue planes, the INT32 product plane).
 //! Allocating a fresh [`Workspace`] per item would put multi-megabyte
 //! allocations on the hot path; the pool instead keeps returned
 //! workspaces alive — each already grown to its high-water mark — and
@@ -198,21 +198,21 @@ mod tests {
     #[test]
     fn pooled_workspace_keeps_its_growth() {
         use gemm_dense::workload::phi_matrix_f64;
-        use ozaki2::{Mode, Ozaki2};
+        use ozaki2::{GemmArgs, Mode, Ozaki2};
         let pool = WorkspacePool::new();
         let emu = Ozaki2::new(10, Mode::Fast);
         let a = phi_matrix_f64(16, 24, 0.5, 1, 0);
         let b = phi_matrix_f64(24, 12, 0.5, 1, 1);
         {
             let mut ws = pool.checkout();
-            let _ = emu.dgemm_ws(&a, &b, &mut ws);
+            let _ = emu.gemm(GemmArgs::new(&a, &b).workspace(&mut ws));
         }
         let grown = pool.bytes();
         assert!(grown > 0, "workspace growth must survive the return");
         // Steady state: same shape, no further growth, no new workspaces.
         for _ in 0..3 {
             let mut ws = pool.checkout();
-            let _ = emu.dgemm_ws(&a, &b, &mut ws);
+            let _ = emu.gemm(GemmArgs::new(&a, &b).workspace(&mut ws));
             drop(ws);
             assert_eq!(pool.bytes(), grown, "no realloc in steady state");
             assert_eq!(pool.created(), 1);

@@ -8,7 +8,7 @@
 use gemm_batch::{BatchedOzaki2, StridedBatchF32, StridedBatchF64};
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::{MatF64, Matrix};
-use ozaki2::{Mode, Ozaki2};
+use ozaki2::{GemmArgs, Mode, Ozaki2, Workspace};
 use proptest::prelude::*;
 
 /// Flatten `count` matrices into one strided buffer with `pad` unused
@@ -490,10 +490,11 @@ proptest! {
         let a = phi_matrix_f64(m, k, 0.6, seed, 0);
         let b = phi_matrix_f64(k, n, 0.6, seed + 1, 1);
         let want = emu.dgemm(&a, &b);
+        let product = |ws: &mut Workspace| emu.gemm(GemmArgs::new(&a, &b).workspace(ws)).unwrap().c;
         // Grow one workspace through a clean run.
         {
             let mut ws = pool.checkout();
-            prop_assert_eq!(&emu.dgemm_ws(&a, &b, &mut ws), &want);
+            prop_assert_eq!(&product(&mut ws), &want);
         }
         let grown = pool.bytes();
         // Panic while holding the checked-out workspace: the guard's
@@ -501,7 +502,7 @@ proptest! {
         // its free-list MutexGuard release poisons the pool lock.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut ws = pool.checkout();
-            let _ = emu.dgemm_ws(&a, &b, &mut ws);
+            let _ = product(&mut ws);
             panic!("simulated batch-item failure");
         }));
         prop_assert!(result.is_err());
@@ -512,7 +513,7 @@ proptest! {
         for _ in 0..3 {
             let mut ws = pool.checkout();
             prop_assert_eq!(pool.created(), 1, "reuse, not re-create");
-            prop_assert_eq!(&emu.dgemm_ws(&a, &b, &mut ws), &want);
+            prop_assert_eq!(&product(&mut ws), &want);
             drop(ws);
             prop_assert_eq!(pool.bytes(), grown);
         }

@@ -29,7 +29,7 @@ fn tenants(count: usize, nmod: usize) -> Vec<(Vec<f64>, Arc<PreparedOperand>)> {
     (0..count)
         .map(|i| {
             let b = phi_matrix_f64(8, 6, 0.5, 1000 + i as u64, 1);
-            let p = Arc::new(emu.prepare_b(&b));
+            let p = Arc::new(emu.prepare(OperandSide::B, &b).unwrap());
             (b.into_vec(), p)
         })
         .collect()

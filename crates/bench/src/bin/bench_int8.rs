@@ -274,8 +274,8 @@ fn main() {
     let mut pws = Workspace::new();
     let mut report = None;
     let t_pipeline = time_best(reps, || {
-        let (_, rep) = emu.try_dgemm_with_report_ws(&pa, &pb, &mut pws).unwrap();
-        report = Some(rep);
+        let out = emu.gemm(GemmArgs::new(&pa, &pb).workspace(&mut pws));
+        report = Some(out.unwrap().report);
     });
     let report = report.expect("pipeline ran");
     let end_to_end_ms = t_pipeline * 1e3;
@@ -294,11 +294,15 @@ fn main() {
     for _ in 0..=reps {
         gemm_obs::set_enabled(false);
         let t0 = Instant::now();
-        let _ = emu.try_dgemm_with_report_ws(&pa, &pb, &mut pws).unwrap();
+        let _ = emu
+            .gemm(GemmArgs::new(&pa, &pb).workspace(&mut pws))
+            .unwrap();
         t_obs_off = t_obs_off.min(t0.elapsed().as_secs_f64());
         gemm_obs::set_enabled(true);
         let t0 = Instant::now();
-        let _ = emu.try_dgemm_with_report_ws(&pa, &pb, &mut pws).unwrap();
+        let _ = emu
+            .gemm(GemmArgs::new(&pa, &pb).workspace(&mut pws))
+            .unwrap();
         t_obs_on = t_obs_on.min(t0.elapsed().as_secs_f64());
     }
     gemm_obs::set_enabled(obs_was_enabled);
@@ -355,8 +359,11 @@ fn main() {
     for _ in 0..=reps {
         let t0 = Instant::now();
         let b_eff = bt.transpose();
-        emu.try_dgemm_into_ws(&pa, &b_eff, &mut c_mat, &mut pws)
-            .expect("materialize path");
+        emu.gemm_into(
+            GemmArgs::new(&pa, &b_eff).workspace(&mut pws),
+            c_mat.view_mut(),
+        )
+        .expect("materialize path");
         t_blas_mat = t_blas_mat.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         emu.gemm_into(
@@ -382,7 +389,10 @@ fn main() {
     let mut c_i8 = MatF64::zeros(pn, pn);
     let t_i8 = time_best(reps, || {
         emu_i8
-            .try_dgemm_into_ws(&pa, &pb, &mut c_i8, &mut ws_i8)
+            .gemm_into(
+                GemmArgs::new(&pa, &pb).workspace(&mut ws_i8),
+                c_i8.view_mut(),
+            )
             .expect("int8 run");
     });
     // Fast-inference mode: the low-moduli builder preset. Throughput is reported next to the *predicted* normwise
@@ -396,10 +406,10 @@ fn main() {
     let mut ws_fi = Workspace::new();
     let mut fi_report = None;
     let t_fi = time_best(reps, || {
-        let (_, rep) = emu_fi
-            .try_dgemm_with_report_ws(&pa, &pb, &mut ws_fi)
+        let out = emu_fi
+            .gemm(GemmArgs::new(&pa, &pb).workspace(&mut ws_fi))
             .expect("fast-inference run");
-        fi_report = Some(rep);
+        fi_report = Some(out.report);
     });
     let fi_report = fi_report.expect("fast-inference ran");
 

@@ -10,7 +10,7 @@
 use gemm_bench::report::{print_table, Args};
 use gemm_dense::workload::phi_matrix_f64;
 use gemm_perfmodel::{breakdown, gh200, rtx5080, Os2Input, Os2Mode};
-use ozaki2::{Mode, Ozaki2};
+use ozaki2::{GemmArgs, Mode, Ozaki2};
 
 fn main() {
     let args = Args::from_env();
@@ -46,7 +46,11 @@ fn main() {
         let a = phi_matrix_f64(size, size, 0.5, 99, 0);
         let b = phi_matrix_f64(size, size, 0.5, 99, 1);
         for mode in [Mode::Fast, Mode::Accurate] {
-            let (_, rep) = Ozaki2::new(nmod, mode).dgemm_with_report(&a, &b);
+            let emu = Ozaki2::new(nmod, mode);
+            let rep = emu
+                .gemm(GemmArgs::new(&a, &b))
+                .expect("finite operands")
+                .report;
             let total = rep.phases.total().as_secs_f64();
             println!("mode = {:?}, total = {:.3} ms", mode, total * 1e3);
             for (label, secs) in rep.phases.as_rows() {

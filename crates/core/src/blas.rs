@@ -1,15 +1,12 @@
-//! BLAS-compatible surface: `C ← α·op(A)·op(B) + β·C` with transpose
-//! options, mirroring the `cublasGemmEx` signature GEMMul8 slots into.
+//! BLAS semantics of the facade: `C ← α·op(A)·op(B) + β·C`, the
+//! `cublasGemmEx` contract GEMMul8 slots into.
 //!
-//! A thin delegate of the unified view facade ([`crate::facade`]): the
-//! transpose options become **zero-copy** view flips, so no operand is
-//! ever cloned or materialised — transposed or not — and the `α`/`β`
-//! epilogue runs inside the facade's fold tail.
-
-use crate::element::Element;
-use crate::facade::GemmArgs;
-use crate::pipeline::Ozaki2;
-use gemm_dense::{MatF32, MatF64, Matrix};
+//! [`GemmOp`] is the `trans` option of [`crate::GemmArgs::trans_a`] /
+//! [`crate::GemmArgs::trans_b`]; `alpha`/`beta` are
+//! [`crate::GemmArgs::alpha`] / [`crate::GemmArgs::beta`], and
+//! [`crate::Ozaki2::gemm_into`] is the BLAS call. Transposes are
+//! **zero-copy** view flips, so no operand is ever cloned or
+//! materialised, and the `α`/`β` epilogue runs in the fold tail.
 
 /// Operand transpose option (BLAS `trans` parameter).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,143 +17,54 @@ pub enum GemmOp {
     T,
 }
 
-impl GemmOp {
-    /// `(rows, cols)` of `op(X)` for an `r x c` operand.
-    fn shape(self, r: usize, c: usize) -> (usize, usize) {
-        match self {
-            GemmOp::N => (r, c),
-            GemmOp::T => (c, r),
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GemmArgs, Mode, Ozaki2};
+    use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
+    use gemm_dense::{MatF64, Matrix};
 
-/// Shared element-generic BLAS body (both precisions delegate here).
-#[allow(clippy::too_many_arguments)]
-fn gemm_blas_generic<T: Element>(
-    emu: &Ozaki2,
-    trans_a: GemmOp,
-    trans_b: GemmOp,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let (ma, _) = trans_a.shape(a.rows(), a.cols());
-    let (_, nb) = trans_b.shape(b.rows(), b.cols());
-    assert_eq!((ma, nb), c.shape(), "output shape mismatch");
-    if alpha == T::ZERO {
-        // BLAS semantics: skip the product entirely (the operands may
-        // even be degenerate).
-        for x in c.as_mut_slice() {
-            *x = beta * *x;
-        }
-        return;
-    }
-    emu.gemm_into(
-        GemmArgs::new(a, b)
-            .trans_a(trans_a)
-            .trans_b(trans_b)
-            .alpha(alpha)
-            .beta(beta),
-        c.view_mut(),
-    )
-    .unwrap_or_else(|e| panic!("gemm_blas: {e}"));
-}
-
-impl Ozaki2 {
-    /// Full BLAS semantics for DGEMM:
-    /// `C ← alpha · op(A) · op(B) + beta · C`.
-    ///
-    /// # Panics
-    /// If shapes are inconsistent after applying the transpose options,
-    /// or on non-finite input.
+    /// BLAS `?gemm` through the facade: `c ← alpha·op(a)·op(b) + beta·c`.
     #[allow(clippy::too_many_arguments)]
-    pub fn dgemm_blas(
-        &self,
-        trans_a: GemmOp,
-        trans_b: GemmOp,
+    fn blas(
+        emu: &Ozaki2,
+        ta: GemmOp,
+        tb: GemmOp,
         alpha: f64,
         a: &MatF64,
         b: &MatF64,
         beta: f64,
         c: &mut MatF64,
     ) {
-        gemm_blas_generic(self, trans_a, trans_b, alpha, a, b, beta, c);
+        let args = GemmArgs::new(a, b)
+            .trans_a(ta)
+            .trans_b(tb)
+            .alpha(alpha)
+            .beta(beta);
+        emu.gemm_into(args, c.view_mut()).unwrap();
     }
-
-    /// Full BLAS semantics for SGEMM:
-    /// `C ← alpha · op(A) · op(B) + beta · C`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sgemm_blas(
-        &self,
-        trans_a: GemmOp,
-        trans_b: GemmOp,
-        alpha: f32,
-        a: &MatF32,
-        b: &MatF32,
-        beta: f32,
-        c: &mut MatF32,
-    ) {
-        gemm_blas_generic(self, trans_a, trans_b, alpha, a, b, beta, c);
-    }
-}
-
-/// Convenience free function mirroring `cblas_dgemm`'s argument order.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_emulated(
-    n_moduli: usize,
-    mode: crate::Mode,
-    trans_a: GemmOp,
-    trans_b: GemmOp,
-    alpha: f64,
-    a: &MatF64,
-    b: &MatF64,
-    beta: f64,
-    c: &mut MatF64,
-) {
-    Ozaki2::new(n_moduli, mode).dgemm_blas(trans_a, trans_b, alpha, a, b, beta, c);
-}
-
-/// Identity matrix helper used in tests and examples.
-pub fn identity(n: usize) -> MatF64 {
-    Matrix::from_fn(n, n, |i, j| (i == j) as u8 as f64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Mode;
-    use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 
     #[test]
     fn transpose_options_consistent() {
         let a = phi_matrix_f64(8, 12, 0.5, 1, 0);
         let b = phi_matrix_f64(12, 6, 0.5, 1, 1);
         let emu = Ozaki2::new(15, Mode::Fast);
-        // (A B) computed four ways must agree bitwise: the pipeline sees
+        // (A B) computed two ways must agree bitwise: the pipeline sees
         // identical effective operands.
         let mut c_nn = MatF64::zeros(8, 6);
-        emu.dgemm_blas(GemmOp::N, GemmOp::N, 1.0, &a, &b, 0.0, &mut c_nn);
+        blas(&emu, GemmOp::N, GemmOp::N, 1.0, &a, &b, 0.0, &mut c_nn);
         let mut c_tt = MatF64::zeros(8, 6);
-        emu.dgemm_blas(
-            GemmOp::T,
-            GemmOp::T,
-            1.0,
-            &a.transpose(),
-            &b.transpose(),
-            0.0,
-            &mut c_tt,
-        );
+        let (at, bt) = (a.transpose(), b.transpose());
+        blas(&emu, GemmOp::T, GemmOp::T, 1.0, &at, &bt, 0.0, &mut c_tt);
         assert_eq!(c_nn, c_tt);
     }
 
     #[test]
     fn blas_equals_facade_on_all_transpose_options() {
-        // The BLAS surface is a thin delegate of the facade: every
-        // (trans_a, trans_b) combination must equal the plain pipeline on
-        // the effective operands, bitwise — with no materialization on
-        // any path (the facade flips views instead of copying).
+        // Every (trans_a, trans_b) combination must equal the plain
+        // product on the effective operands, bitwise — with no
+        // materialization on any path (the facade flips views instead of
+        // copying).
         let a = phi_matrix_f64(7, 9, 0.5, 4, 0);
         let b = phi_matrix_f64(9, 5, 0.5, 4, 1);
         let emu = Ozaki2::new(13, Mode::Fast);
@@ -168,7 +76,7 @@ mod tests {
             (GemmOp::T, GemmOp::T, &a.transpose(), &b.transpose()),
         ] {
             let mut c = MatF64::zeros(7, 5);
-            emu.dgemm_blas(ta, tb, 1.0, al, bl, 0.0, &mut c);
+            blas(&emu, ta, tb, 1.0, al, bl, 0.0, &mut c);
             assert_eq!(c, want, "{ta:?} {tb:?}");
         }
     }
@@ -178,9 +86,9 @@ mod tests {
         let a = phi_matrix_f64(6, 6, 0.5, 2, 0);
         let b = phi_matrix_f64(6, 6, 0.5, 2, 1);
         let emu = Ozaki2::new(12, Mode::Fast);
-        let mut c = identity(6);
+        let mut c = MatF64::from_fn(6, 6, |i, j| (i == j) as u8 as f64);
         let c0 = c.clone();
-        emu.dgemm_blas(GemmOp::N, GemmOp::N, 2.0, &a, &b, 3.0, &mut c);
+        blas(&emu, GemmOp::N, GemmOp::N, 2.0, &a, &b, 3.0, &mut c);
         let prod = emu.dgemm(&a, &b);
         for i in 0..6 {
             for j in 0..6 {
@@ -191,31 +99,31 @@ mod tests {
     }
 
     #[test]
-    fn alpha_zero_skips_product() {
-        let a = MatF64::zeros(4, 4); // would even be degenerate input
-        let b = MatF64::zeros(4, 4);
-        let mut c = identity(4);
-        Ozaki2::new(8, Mode::Fast).dgemm_blas(GemmOp::N, GemmOp::N, 0.0, &a, &b, 0.5, &mut c);
-        assert_eq!(c[(0, 0)], 0.5);
-        assert_eq!(c[(1, 0)], 0.0);
-    }
-
-    #[test]
-    fn sgemm_blas_round_trip() {
+    fn f32_blas_round_trip() {
         let a = phi_matrix_f32(5, 7, 0.5, 3, 0);
         let b = phi_matrix_f32(7, 4, 0.5, 3, 1);
         let emu = Ozaki2::new(8, Mode::Fast);
         let mut c = Matrix::<f32>::zeros(5, 4);
-        emu.sgemm_blas(GemmOp::N, GemmOp::N, 1.0, &a, &b, 0.0, &mut c);
+        let args = GemmArgs::new(&a, &b).alpha(1.0).beta(0.0);
+        emu.gemm_into(args, c.view_mut()).unwrap();
         assert_eq!(c, emu.sgemm(&a, &b));
     }
 
     #[test]
-    #[should_panic(expected = "output shape mismatch")]
+    #[should_panic(expected = "ShapeMismatch")]
     fn shape_check() {
         let a = MatF64::zeros(3, 4);
         let b = MatF64::zeros(4, 5);
         let mut c = MatF64::zeros(3, 4);
-        Ozaki2::new(8, Mode::Fast).dgemm_blas(GemmOp::N, GemmOp::N, 1.0, &a, &b, 0.0, &mut c);
+        blas(
+            &Ozaki2::new(8, Mode::Fast),
+            GemmOp::N,
+            GemmOp::N,
+            1.0,
+            &a,
+            &b,
+            0.0,
+            &mut c,
+        );
     }
 }

@@ -1,14 +1,13 @@
-//! The unified view-based GEMM facade: one element-generic entry point
-//! over borrowed strided operands, plus accuracy-driven construction.
+//! The GEMM facade: one element-generic Algorithm-1 body and the entries
+//! built on it, plus accuracy-driven construction.
 //!
-//! This module is the public face of the redesigned API:
-//!
-//! * [`Ozaki2::gemm`] / [`Ozaki2::gemm_into`] — **one** canonical entry
-//!   per output policy, generic over the sealed [`Element`] precisions
+//! * [`Ozaki2::gemm`] / [`Ozaki2::gemm_into`] — the plain product per
+//!   output policy, generic over the sealed [`Element`] precisions
 //!   (`f64`, `f32`). Operands are [`MatView`]s: any layout, leading
 //!   dimension, or transpose feeds the fused trunc+convert sweep with
-//!   **zero copies** — the historical `dgemm`/`sgemm`/`*_blas` entries
-//!   are thin wrappers over this body and stay bit-identical.
+//!   **zero copies**. `dgemm`/`sgemm` are panicking delegates.
+//! * [`Ozaki2::prepare`] / [`Ozaki2::execute`] — the same body with a
+//!   cached one-sided front end ([`crate::PreparedOperand`]) on either side.
 //! * [`GemmArgs`] — the argument bundle (`trans`/`alpha`/`beta`, optional
 //!   reusable [`Workspace`], optional [`EmulationReport`] sink), built
 //!   fluently.
@@ -28,11 +27,12 @@ use crate::nselect;
 use crate::pipeline::{
     execute_panels, EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
 };
-use crate::prepared::OperandSide;
+use crate::prepared::{OperandInput, OperandSide};
 use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
+use gemm_engine::padded_depth;
 use gemm_obs::TimeShare;
+use std::borrow::Cow;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ use std::time::Instant;
 /// let b = phi_matrix_f64(24, 12, 0.5, 1, 1);
 /// let emu = Ozaki2::new(15, Mode::Fast);
 /// let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
-/// // The named wrapper is a thin delegate of the same body:
+/// // The named wrapper is a panicking delegate of the same body:
 /// assert_eq!(out.c, emu.dgemm(&a, &b));
 /// ```
 pub struct GemmArgs<'a, T: Element> {
@@ -235,17 +235,15 @@ impl Ozaki2 {
                 &mut local
             }
         };
-        let rep = emulate_view_into(
-            a,
-            b,
-            self.n_moduli(),
-            self.mode(),
+        let rep = algorithm1(
+            self,
+            OperandInput::View(a),
+            OperandInput::View(b),
             ws,
             true,
             alpha,
             beta,
             out,
-            true,
             !assume_finite,
             fault_policy.unwrap_or(self.fault_policy()),
         )?;
@@ -257,7 +255,7 @@ impl Ozaki2 {
 }
 
 // ---------------------------------------------------------------------------
-// The shared view-based Algorithm-1 body
+// The one Algorithm-1 body
 // ---------------------------------------------------------------------------
 
 /// Map an effective operand view to its fused-sweep source: rows of `A`
@@ -320,49 +318,136 @@ pub(crate) fn validate_view<T: Element>(
     Ok(())
 }
 
-/// The canonical Algorithm-1 body over borrowed strided views — **every**
-/// public GEMM entry (named wrappers, BLAS surface, plans, the batched
-/// runtime's raw sides) funnels here or into the same
-/// [`execute_panels`] back half, which is what keeps the whole surface
-/// bit-identical.
-///
-/// `checked` gates the moduli-range check and `validate` the finiteness
-/// validation; wrappers that validated already pass `false`. Shape
-/// consistency is always enforced. The fold writes straight into `out`
-/// on the plain contiguous f64 path; otherwise it lands in the workspace
-/// staging buffer and the `alpha`/`beta` epilogue (or the exact f32
-/// narrowing) runs per column. An active `policy` routes the back half
-/// through the ABFT executor ([`execute_panels_ft`]);
-/// [`FaultPolicy::Off`] runs the historical path byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emulate_view_into<T: Element>(
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    n_moduli: usize,
-    mode: Mode,
-    ws: &mut Workspace,
-    parallel: bool,
-    alpha: T,
-    beta: T,
-    mut out: MatViewMut<'_, T>,
-    checked: bool,
-    validate: bool,
-    policy: FaultPolicy,
-) -> Result<EmulationReport, EmulationError> {
-    if checked && n_moduli > T::N_MAX {
+/// The range check every entry runs: `N` must fit the precision's
+/// conversion kernel (`b = 32` validates fewer moduli than `b = 64`).
+pub(crate) fn check_n<T: Element>(n_moduli: usize) -> Result<(), EmulationError> {
+    if n_moduli > T::N_MAX {
         return Err(EmulationError::UnsupportedN {
             n: n_moduli,
             max: T::N_MAX,
         });
     }
+    Ok(())
+}
+
+/// Algorithm 1 lines 1–5 for one operand view — the shared front end of
+/// the body below and of [`Ozaki2::prepare`]. Line 1 computes the
+/// one-sided fast-mode scale exponents unless `joint` carries the
+/// accurate-mode ones; lines 2–5 run the fused trunc+convert sweep into
+/// `panels` (`N` packed panel sets in the engine layout). The time lands
+/// in `phases` (the sweep split into trunc/convert by CPU-time share);
+/// returns the exponents.
+pub(crate) fn front_end<T: Element>(
+    view: &MatView<'_, T>,
+    side: OperandSide,
+    joint: Option<Vec<i32>>,
+    consts: &Constants,
+    parallel: bool,
+    panels: &mut [i16],
+    phases: &mut PhaseTimes,
+) -> Vec<i32> {
+    let t0 = Instant::now();
+    let exps = joint.unwrap_or_else(|| match side {
+        OperandSide::A => fast_scale_a_view(view, consts.p_fast),
+        OperandSide::B => fast_scale_b_view(view, consts.p_fast),
+    });
+    phases.scale += t0.elapsed();
+
+    let t0 = Instant::now();
+    let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
+    let kp = padded_depth(k);
+    let timing = TimeShare::new();
+    trunc_convert_pack_panels(
+        vectors_source(view, side == OperandSide::A, &exps),
+        vecs,
+        vecs_pad,
+        k,
+        kp,
+        consts,
+        T::IS_F64,
+        parallel,
+        &mut panels[..consts.n * vecs_pad * kp],
+        Some(&timing),
+    );
+    let sweep = t0.elapsed();
+    let trunc = sweep.mul_f64(timing.fraction());
+    phases.trunc += trunc;
+    phases.convert += sweep.saturating_sub(trunc);
+    exps
+}
+
+/// The panels lines 6–12 run over for one side: a preparation's cached
+/// panels, or the workspace panels [`front_end`] just filled from a view
+/// (with the recipe the ABFT executor repacks them from).
+fn side_panels<'p, T: Element>(
+    input: &OperandInput<'p, T>,
+    side: OperandSide,
+    exps: &'p [i32],
+    ws_panels: &'p mut [i16],
+    nmod: usize,
+) -> PanelsRef<'p> {
+    match input {
+        OperandInput::Prepared(p) => PanelsRef::Fixed(p.panels()),
+        OperandInput::View(v) => {
+            let (vecs, vecs_pad, k) = side.panel_dims(v.shape());
+            PanelsRef::Repackable {
+                panels: &mut ws_panels[..nmod * vecs_pad * padded_depth(k)],
+                src: vectors_source(v, side == OperandSide::A, exps),
+                vecs,
+                vecs_pad,
+            }
+        }
+    }
+}
+
+/// Algorithm 1, the one body behind every entry ([`Ozaki2::gemm_into`],
+/// [`Ozaki2::execute`], and through them every wrapper and the batched
+/// runtime): `out ← alpha · A · B + beta · out`.
+///
+/// Each operand is a [`MatView`] — its front end (lines 1–5) runs into
+/// the workspace panels — or a [`crate::PreparedOperand`] whose cached panels
+/// are borrowed. Shapes come from the operands and `out`. `validate`
+/// gates the finiteness scan of the view operands. The fold writes
+/// straight into `out` on the plain contiguous f64 path; otherwise it
+/// lands in the workspace staging buffer and the `alpha`/`beta` epilogue
+/// (or the exact f32 narrowing) runs per column. An active `policy`
+/// routes lines 6–12 through the ABFT executor ([`execute_panels_ft`]);
+/// [`FaultPolicy::Off`] runs [`execute_panels`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn algorithm1<T: Element>(
+    emu: &Ozaki2,
+    a: OperandInput<'_, T>,
+    b: OperandInput<'_, T>,
+    ws: &mut Workspace,
+    parallel: bool,
+    alpha: T,
+    beta: T,
+    mut out: MatViewMut<'_, T>,
+    validate: bool,
+    policy: FaultPolicy,
+) -> Result<EmulationReport, EmulationError> {
+    let (n_moduli, mode) = (emu.n_moduli(), emu.mode());
+    check_n::<T>(n_moduli)?;
+    let prepared = |x: &OperandInput<'_, T>| matches!(x, OperandInput::Prepared(_));
+    if mode != Mode::Fast && (prepared(&a) || prepared(&b)) {
+        return Err(EmulationError::PreparationUnsupported { mode });
+    }
+    for (input, side) in [(&a, OperandSide::A), (&b, OperandSide::B)] {
+        if let OperandInput::Prepared(p) = input {
+            p.check(side, n_moduli, T::IS_F64)?;
+        }
+    }
     let (m, k) = a.shape();
-    let n = b.cols();
-    if b.rows() != k || out.shape() != (m, n) {
+    let (kb, n) = b.shape();
+    if kb != k || out.shape() != (m, n) {
         return Err(EmulationError::ShapeMismatch);
     }
     if validate {
-        validate_view(&a, OperandSide::A)?;
-        validate_view(&b, OperandSide::B)?;
+        for (input, side) in [(&a, OperandSide::A), (&b, OperandSide::B)] {
+            if let OperandInput::View(v) = input {
+                validate_view(v, side)?;
+            }
+        }
     }
     let consts: &Constants = constants(n_moduli);
     let predicted_error = nselect::predicted_error(n_moduli, k);
@@ -392,24 +477,27 @@ pub(crate) fn emulate_view_into<T: Element>(
         });
     }
 
-    // ---- Line 1: scale vectors ------------------------------------------
+    // ---- Line 1 in accurate mode: one joint estimate over both views ----
     let obs_start = gemm_obs::now_ns();
-    let t0 = Instant::now();
-    let (exps_a, exps_b) = match mode {
-        Mode::Fast => (
-            fast_scale_a_view(&a, consts.p_fast),
-            fast_scale_b_view(&b, consts.p_fast),
-        ),
-        Mode::Accurate => {
+    let (joint_a, joint_b) = match (&a, &b) {
+        (OperandInput::View(va), OperandInput::View(vb)) if mode == Mode::Accurate => {
+            let t0 = Instant::now();
             gemm_calls += 1; // the Ā·B̄ estimation GEMM
-            accurate_scale_view(&a, &b, consts.p_accu)
+            let (ea, eb) = accurate_scale_view(va, vb, consts.p_accu);
+            phases.scale = t0.elapsed();
+            (Some(ea), Some(eb))
         }
+        _ => (None, None),
     };
-    phases.scale = t0.elapsed();
 
-    // ---- Lines 2–5: fused trunc+convert straight from the views ---------
-    let t0 = Instant::now();
-    ws.reserve(m, n, k, nmod);
+    // ---- Lines 1–5 for the view sides; prepared sides bring panels ------
+    if !prepared(&a) {
+        ws.reserve_a(m, k, nmod);
+    }
+    if !prepared(&b) {
+        ws.reserve_b(n, k, nmod);
+    }
+    ws.reserve_exec(m, n, k, nmod);
     let direct_fold = plain && out.is_contiguous_col_major() && T::IS_F64;
     if !direct_fold {
         ws.reserve_stage(m * n);
@@ -430,39 +518,32 @@ pub(crate) fn emulate_view_into<T: Element>(
         chk_sum,
         vsum,
     } = ws.buffers();
-    let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    let n_pad = padded_b_cols(n);
-    let timing = TimeShare::new();
-    let a16 = &mut a16[..nmod * m_pad * kp];
-    trunc_convert_pack_panels(
-        vectors_source(&a, true, &exps_a),
-        m,
-        m_pad,
-        k,
-        kp,
-        consts,
-        T::IS_F64,
-        parallel,
-        a16,
-        Some(&timing),
-    );
-    let b16 = &mut b16[..nmod * n_pad * kp];
-    trunc_convert_pack_panels(
-        vectors_source(&b, false, &exps_b),
-        n,
-        n_pad,
-        k,
-        kp,
-        consts,
-        T::IS_F64,
-        parallel,
-        b16,
-        Some(&timing),
-    );
-    let sweep = t0.elapsed();
-    phases.trunc = sweep.mul_f64(timing.fraction());
-    phases.convert = sweep.saturating_sub(phases.trunc);
+    let exps_a: Cow<'_, [i32]> = match &a {
+        OperandInput::View(v) => Cow::Owned(front_end(
+            v,
+            OperandSide::A,
+            joint_a,
+            consts,
+            parallel,
+            a16,
+            &mut phases,
+        )),
+        OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
+    };
+    let exps_b: Cow<'_, [i32]> = match &b {
+        OperandInput::View(v) => Cow::Owned(front_end(
+            v,
+            OperandSide::B,
+            joint_b,
+            consts,
+            parallel,
+            b16,
+            &mut phases,
+        )),
+        OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
+    };
+    let a_ref = side_panels(&a, OperandSide::A, &exps_a, a16, nmod);
+    let b_ref = side_panels(&b, OperandSide::B, &exps_b, b16, nmod);
 
     // ---- Lines 6–12 over the packed panels -------------------------------
     let dst_direct = if direct_fold {
@@ -483,18 +564,8 @@ pub(crate) fn emulate_view_into<T: Element>(
             k,
             consts,
             T::IS_F64,
-            PanelsRef::Repackable {
-                panels: a16,
-                src: vectors_source(&a, true, &exps_a),
-                vecs: m,
-                vecs_pad: m_pad,
-            },
-            PanelsRef::Repackable {
-                panels: b16,
-                src: vectors_source(&b, false, &exps_b),
-                vecs: n,
-                vecs_pad: n_pad,
-            },
+            a_ref,
+            b_ref,
             &exps_a,
             &exps_b,
             FtScratch {
@@ -521,8 +592,8 @@ pub(crate) fn emulate_view_into<T: Element>(
             k,
             consts,
             T::IS_F64,
-            a16,
-            b16,
+            a_ref.panels(),
+            b_ref.panels(),
             &exps_a,
             &exps_b,
             u,
@@ -713,8 +784,7 @@ impl Ozaki2Builder {
     }
 
     /// [`Ozaki2Builder::build`] with the inner dimension supplied at call
-    /// time — the plan/call-time resolution for callers that learn `k`
-    /// late (e.g. right before a [`crate::plan::GemmPlan`] is laid out).
+    /// time, for callers that learn `k` late.
     pub fn build_for_k(self, k: usize) -> Result<Ozaki2, EmulationError> {
         self.k(k).build()
     }

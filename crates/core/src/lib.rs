@@ -15,8 +15,9 @@
 //!    with a weight split engineered so the hot sum is exact in f64, then
 //!    applies the exact inverse scaling.
 //!
-//! Entry point: [`Ozaki2`] (see the crate examples and `examples/` at the
-//! workspace root).
+//! Entry point: [`Ozaki2`] — `gemm`/`gemm_into` for plain products,
+//! `prepare`/`execute` to reuse one operand's front end (see the crate
+//! examples and `examples/` at the workspace root).
 //!
 //! ```
 //! use ozaki2::{Mode, Ozaki2};
@@ -48,7 +49,7 @@ pub mod scale;
 
 pub use abft::{FaultEvent, FaultPolicy, FaultReport, RecoveryAction};
 pub use accumulate::{fold_kernel_name, fold_planes, fold_span, fold_span_scalar, FoldPrecision};
-pub use blas::{dgemm_emulated, GemmOp};
+pub use blas::GemmOp;
 pub use consts::{constants, Constants};
 pub use convert::{
     convert_kernel_name, convert_pack_panels, residue_planes, trunc_convert_pack_panels, ElemSlice,
@@ -66,7 +67,7 @@ pub use nselect::{
 pub use pipeline::{
     EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, K_BLOCK_MAX,
 };
-pub use plan::{arithmetic_intensity, GemmPlan};
+pub use plan::arithmetic_intensity;
 pub use prepared::{OperandInput, OperandSide, PreparedOperand};
 pub use scale::{
     fast_scale_a_view, fast_scale_b_view, fast_scale_cols_slice, fast_scale_rows_slice, pow2_split,

@@ -1,17 +1,22 @@
-//! Algorithm 1, end to end: the public emulation API.
+//! The emulator, its workspace and per-call report, and Algorithm 1's
+//! lines 6–12 over packed panels.
 //!
 //! [`Ozaki2`] bundles the two user-visible knobs — the number of moduli `N`
-//! (accuracy) and the computing [`Mode`] (fast vs accurate scaling) — and
-//! exposes `dgemm` / `sgemm` plus `*_with_report` variants that return the
-//! per-phase wall-clock breakdown used to regenerate Figs. 6–7.
+//! (accuracy) and the computing [`Mode`] (fast vs accurate scaling) — plus
+//! the ABFT [`FaultPolicy`]. This module holds the emulator, its
+//! [`Workspace`] and [`EmulationReport`] (the per-phase wall-clock
+//! breakdown used to regenerate Figs. 6–7), the `dgemm`/`sgemm`
+//! delegates, and lines 6–12 over packed panels (`execute_panels`).
+//! The entries and the one Algorithm-1 body live in [`crate::facade`].
 
 use crate::abft::{FaultPolicy, FaultReport};
 use crate::accumulate::{fold_planes, FoldPrecision};
 use crate::consts::Constants;
+use crate::facade::GemmArgs;
 use crate::modred::finalize_block_residues;
-use crate::moduli::{N_MAX, N_MAX_SGEMM};
+use crate::moduli::N_MAX;
 use crate::prepared::OperandSide;
-use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64, Matrix};
+use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64};
 use gemm_engine::{
     int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
     ReduceEpilogue,
@@ -237,7 +242,8 @@ pub(crate) fn obs_record_report(call_start_ns: u64, report: &EmulationReport) {
     }
 }
 
-/// Metadata returned by the `*_with_report` entry points.
+/// Per-call metadata returned by [`Ozaki2::gemm_into`] / [`Ozaki2::execute`]
+/// (and carried in [`crate::facade::GemmOut`]).
 #[derive(Clone, Debug)]
 pub struct EmulationReport {
     /// Problem shape `(m, n, k)`.
@@ -289,7 +295,7 @@ pub struct Workspace {
     racc: Vec<i32>,
     /// f64 fold staging for outputs the fold cannot write directly: f32
     /// results (narrowed afterwards) and strided or `alpha`/`beta`
-    /// epilogue outputs of the view facade.
+    /// epilogue outputs.
     cstage: Vec<f64>,
     /// ABFT checksum vectors for `A` (`N` planes of `kp` i16 each; empty
     /// unless a fault policy is active).
@@ -307,8 +313,8 @@ pub struct Workspace {
 }
 
 /// Mutable borrows of every [`Workspace`] buffer at once, for the
-/// execution paths that juggle several of them simultaneously (the view
-/// facade, the mixed raw/prepared path, and the ABFT executor). The
+/// Algorithm-1 body and the ABFT executor, which juggle several of them
+/// simultaneously. The
 /// `chk_*` / `uchk` / `vsum` fields are empty unless
 /// [`Workspace::reserve_abft`] ran.
 pub(crate) struct WsBuffers<'w> {
@@ -374,14 +380,6 @@ impl Workspace {
         }
     }
 
-    /// Grow-only resize of every pipeline buffer for an `m x k · k x n`
-    /// product with `nmod` residue-panel sets.
-    pub(crate) fn reserve(&mut self, m: usize, n: usize, k: usize, nmod: usize) {
-        self.reserve_a(m, k, nmod);
-        self.reserve_b(n, k, nmod);
-        self.reserve_exec(m, n, k, nmod);
-    }
-
     /// Grow-only resize of the A-side packed panel buffer.
     pub(crate) fn reserve_a(&mut self, m: usize, k: usize, nmod: usize) {
         let want = nmod * padded_a_rows(m) * padded_depth(k);
@@ -438,9 +436,8 @@ impl Workspace {
         }
     }
 
-    /// Every buffer at once, for the execution paths that need several
-    /// simultaneously (view facade, mixed raw/prepared path, ABFT
-    /// executor). Call the `reserve_*` methods for the buffers in use
+    /// Every buffer at once, for the Algorithm-1 body and the ABFT
+    /// executor. Call the `reserve_*` methods for the buffers in use
     /// first.
     pub(crate) fn buffers(&mut self) -> WsBuffers<'_> {
         WsBuffers {
@@ -514,11 +511,12 @@ impl Ozaki2 {
         self
     }
 
-    /// Emulated DGEMM: `C ≈ A·B` for f64 operands.
+    /// Emulated DGEMM: `C ≈ A·B` for f64 operands — a panicking
+    /// delegate of [`Ozaki2::gemm`].
     ///
     /// # Panics
-    /// On shape mismatch or non-finite input (use [`Ozaki2::try_dgemm`]
-    /// for a checked version).
+    /// On shape mismatch or non-finite input (use [`Ozaki2::gemm`] for a
+    /// checked version).
     ///
     /// # Examples
     /// ```
@@ -535,176 +533,21 @@ impl Ozaki2 {
     /// assert!(max_relative_error(&c, &exact) < 1e-10);
     /// ```
     pub fn dgemm(&self, a: &MatF64, b: &MatF64) -> MatF64 {
-        self.try_dgemm(a, b)
+        self.gemm(GemmArgs::new(a, b))
             .unwrap_or_else(|e| panic!("dgemm: {e}"))
+            .c
     }
 
-    /// Checked emulated DGEMM.
-    pub fn try_dgemm(&self, a: &MatF64, b: &MatF64) -> Result<MatF64, EmulationError> {
-        self.try_dgemm_with_report(a, b).map(|(c, _)| c)
-    }
-
-    /// Emulated DGEMM returning the phase breakdown.
-    pub fn dgemm_with_report(&self, a: &MatF64, b: &MatF64) -> (MatF64, EmulationReport) {
-        self.try_dgemm_with_report(a, b)
-            .unwrap_or_else(|e| panic!("dgemm: {e}"))
-    }
-
-    /// Checked emulated DGEMM with report.
-    pub fn try_dgemm_with_report(
-        &self,
-        a: &MatF64,
-        b: &MatF64,
-    ) -> Result<(MatF64, EmulationReport), EmulationError> {
-        self.try_dgemm_with_report_ws(a, b, &mut Workspace::new())
-    }
-
-    /// Emulated DGEMM reusing a caller-owned [`Workspace`]: steady-state
-    /// repeated calls allocate nothing but the output matrix.
-    ///
-    /// # Panics
-    /// On shape mismatch or non-finite input.
-    pub fn dgemm_ws(&self, a: &MatF64, b: &MatF64, ws: &mut Workspace) -> MatF64 {
-        self.try_dgemm_with_report_ws(a, b, ws)
-            .map(|(c, _)| c)
-            .unwrap_or_else(|e| panic!("dgemm: {e}"))
-    }
-
-    /// Checked emulated DGEMM with report, reusing a caller-owned
-    /// [`Workspace`].
-    pub fn try_dgemm_with_report_ws(
-        &self,
-        a: &MatF64,
-        b: &MatF64,
-        ws: &mut Workspace,
-    ) -> Result<(MatF64, EmulationReport), EmulationError> {
-        validate_f64(a, OperandSide::A)?;
-        validate_f64(b, OperandSide::B)?;
-        if a.cols() != b.rows() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        Ok(emulate(a, b, self.n_moduli, self.mode, self.fault, ws))
-    }
-
-    /// Emulated DGEMM writing into a caller-owned output matrix, reusing a
-    /// caller-owned [`Workspace`]: the fully allocation-free steady state.
-    /// `c` must already have shape `(a.rows(), b.cols())`; it is fully
-    /// overwritten. Bit-identical to [`Ozaki2::dgemm`].
-    ///
-    /// # Panics
-    /// On shape mismatch (including `c`) or non-finite input.
-    pub fn dgemm_into_ws(&self, a: &MatF64, b: &MatF64, c: &mut MatF64, ws: &mut Workspace) {
-        self.try_dgemm_into_ws(a, b, c, ws)
-            .unwrap_or_else(|e| panic!("dgemm: {e}"));
-    }
-
-    /// Checked form of [`Ozaki2::dgemm_into_ws`], returning the phase
-    /// report. The per-call output allocation of `dgemm` disappears: over
-    /// repeated same-shape calls neither the workspace nor the output
-    /// allocate.
-    pub fn try_dgemm_into_ws(
-        &self,
-        a: &MatF64,
-        b: &MatF64,
-        c: &mut MatF64,
-        ws: &mut Workspace,
-    ) -> Result<EmulationReport, EmulationError> {
-        validate_f64(a, OperandSide::A)?;
-        validate_f64(b, OperandSide::B)?;
-        if a.cols() != b.rows() || c.shape() != (a.rows(), b.cols()) {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        Ok(emulate_into(
-            a,
-            b,
-            self.n_moduli,
-            self.mode,
-            self.fault,
-            ws,
-            true,
-            c.as_mut_slice(),
-        ))
-    }
-
-    /// Emulated SGEMM: `C ≈ A·B` for f32 operands.
+    /// Emulated SGEMM: `C ≈ A·B` for f32 operands — a panicking
+    /// delegate of [`Ozaki2::gemm`].
     ///
     /// # Panics
     /// On shape mismatch, non-finite input, or `N > 18` (the `b = 32`
     /// conversion kernel's validated range).
     pub fn sgemm(&self, a: &MatF32, b: &MatF32) -> MatF32 {
-        self.try_sgemm(a, b)
+        self.gemm(GemmArgs::new(a, b))
             .unwrap_or_else(|e| panic!("sgemm: {e}"))
-    }
-
-    /// Checked emulated SGEMM.
-    pub fn try_sgemm(&self, a: &MatF32, b: &MatF32) -> Result<MatF32, EmulationError> {
-        self.try_sgemm_with_report(a, b).map(|(c, _)| c)
-    }
-
-    /// Emulated SGEMM returning the phase breakdown.
-    pub fn sgemm_with_report(&self, a: &MatF32, b: &MatF32) -> (MatF32, EmulationReport) {
-        self.try_sgemm_with_report(a, b)
-            .unwrap_or_else(|e| panic!("sgemm: {e}"))
-    }
-
-    /// Checked emulated SGEMM with report.
-    pub fn try_sgemm_with_report(
-        &self,
-        a: &MatF32,
-        b: &MatF32,
-    ) -> Result<(MatF32, EmulationReport), EmulationError> {
-        self.try_sgemm_with_report_ws(a, b, &mut Workspace::new())
-    }
-
-    /// Emulated SGEMM reusing a caller-owned [`Workspace`].
-    ///
-    /// # Panics
-    /// On shape mismatch, non-finite input, or `N > 18`.
-    pub fn sgemm_ws(&self, a: &MatF32, b: &MatF32, ws: &mut Workspace) -> MatF32 {
-        self.try_sgemm_with_report_ws(a, b, ws)
-            .map(|(c, _)| c)
-            .unwrap_or_else(|e| panic!("sgemm: {e}"))
-    }
-
-    /// Checked emulated SGEMM with report, reusing a caller-owned
-    /// [`Workspace`].
-    pub fn try_sgemm_with_report_ws(
-        &self,
-        a: &MatF32,
-        b: &MatF32,
-        ws: &mut Workspace,
-    ) -> Result<(MatF32, EmulationReport), EmulationError> {
-        if self.n_moduli > N_MAX_SGEMM {
-            return Err(EmulationError::UnsupportedN {
-                n: self.n_moduli,
-                max: N_MAX_SGEMM,
-            });
-        }
-        validate_f32(a, OperandSide::A)?;
-        validate_f32(b, OperandSide::B)?;
-        if a.cols() != b.rows() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        // The generic view body widens f32 lanes exactly inside the fused
-        // sweep's staging tiles (the power-of-two scales and truncation
-        // commute with exact widening), so no widened operand copy exists
-        // and the result matches the historical widen-first path bitwise.
-        let mut out = Matrix::<f32>::zeros(a.rows(), b.cols());
-        let report = crate::facade::emulate_view_into(
-            a.view(),
-            b.view(),
-            self.n_moduli,
-            self.mode,
-            ws,
-            true,
-            1.0f32,
-            0.0f32,
-            out.view_mut(),
-            false,
-            false,
-            self.fault,
-        )?;
-        Ok((out, report))
+            .c
     }
 }
 
@@ -726,81 +569,11 @@ impl MatMulF32 for Ozaki2 {
     }
 }
 
-fn validate_f64(a: &MatF64, side: OperandSide) -> Result<(), EmulationError> {
-    match a.iter().position(|x| !x.is_finite()) {
-        None => Ok(()),
-        Some(index) => Err(EmulationError::NonFiniteInput { side, index }),
-    }
-}
-
-fn validate_f32(a: &MatF32, side: OperandSide) -> Result<(), EmulationError> {
-    match a.iter().position(|x| !x.is_finite()) {
-        None => Ok(()),
-        Some(index) => Err(EmulationError::NonFiniteInput { side, index }),
-    }
-}
-
-/// The shared f64 Algorithm-1 body: a thin delegate of the canonical
-/// view-based body ([`crate::facade::emulate_view_into`]) over contiguous
-/// column-major views. All scratch comes from `ws` (grow-only, reused
-/// across calls). Inputs must be pre-validated (finite, shapes agree).
-pub(crate) fn emulate(
-    a: &MatF64,
-    b: &MatF64,
-    n_moduli: usize,
-    mode: Mode,
-    fault: FaultPolicy,
-    ws: &mut Workspace,
-) -> (MatF64, EmulationReport) {
-    let mut out = Matrix::<f64>::zeros(a.rows(), b.cols());
-    let report = emulate_into(a, b, n_moduli, mode, fault, ws, true, out.as_mut_slice());
-    (out, report)
-}
-
-/// [`emulate`] writing into a caller-owned column-major `m x n` output
-/// slice (fully overwritten) — the allocation-free form the batched
-/// runtime and [`crate::plan::GemmPlan::execute_into`] run. `parallel`
-/// gates every internal rayon region (convert sweep, engine stripes): the
-/// inter-GEMM scheduler sets it to `false` so concurrent items do not
-/// nest parallel regions. The result is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emulate_into(
-    a: &MatF64,
-    b: &MatF64,
-    n_moduli: usize,
-    mode: Mode,
-    fault: FaultPolicy,
-    ws: &mut Workspace,
-    parallel: bool,
-    out: &mut [f64],
-) -> EmulationReport {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(out.len(), m * n, "output buffer mismatch");
-    debug_assert_eq!(k, b.rows());
-    crate::facade::emulate_view_into(
-        a.view(),
-        b.view(),
-        n_moduli,
-        mode,
-        ws,
-        parallel,
-        1.0f64,
-        0.0f64,
-        gemm_dense::MatViewMut::col_major(out, m, n),
-        false,
-        false,
-        fault,
-    )
-    .expect("inputs validated by the caller")
-}
-
 /// Algorithm 1 lines 6–12 over already-packed residue panels: the `N` INT8
 /// GEMMs with fused modular reduction, the block-residue finalization for
-/// `k > 2^17`, and the CRT fold with inverse scaling. This is the shared
-/// back half of [`emulate_into`] and the prepared-operand execution path
-/// ([`crate::prepared`]) — both run the very same code, which is what makes
-/// batched results bit-identical to per-call [`Ozaki2::dgemm`].
+/// `k > 2^17`, and the CRT fold with inverse scaling: the back half of
+/// the one Algorithm-1 body (`facade::algorithm1`) when no fault policy
+/// is active.
 ///
 /// `a16` / `b16` hold `N` panel sets of `m_pad * kp` / `n_pad * kp` i16
 /// each; `u`, `c32`, `racc` are the workspace planes (`racc` only consumed
@@ -918,6 +691,7 @@ mod tests {
     use gemm_dense::gemm::gemm_f64_naive;
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f64, uniform_matrix_f64};
+    use gemm_dense::Matrix;
 
     #[test]
     fn dgemm_small_uniform_high_accuracy() {
@@ -989,11 +763,13 @@ mod tests {
         a[(1, 2)] = f64::NAN;
         let b = uniform_matrix_f64(4, 4, 1, 1);
         assert_eq!(
-            Ozaki2::new(8, Mode::Fast).try_dgemm(&a, &b),
-            Err(EmulationError::NonFiniteInput {
+            Ozaki2::new(8, Mode::Fast)
+                .gemm(GemmArgs::new(&a, &b))
+                .unwrap_err(),
+            EmulationError::NonFiniteInput {
                 side: OperandSide::A,
                 index: 9, // col-major storage offset of (1, 2) with m = 4
-            })
+            }
         );
     }
 
@@ -1002,8 +778,10 @@ mod tests {
         let a = uniform_matrix_f64(4, 5, 1, 0);
         let b = uniform_matrix_f64(4, 4, 1, 1);
         assert_eq!(
-            Ozaki2::new(8, Mode::Fast).try_dgemm(&a, &b),
-            Err(EmulationError::ShapeMismatch)
+            Ozaki2::new(8, Mode::Fast)
+                .gemm(GemmArgs::new(&a, &b))
+                .unwrap_err(),
+            EmulationError::ShapeMismatch
         );
     }
 
@@ -1011,7 +789,7 @@ mod tests {
     fn sgemm_caps_n_at_18() {
         let a = gemm_dense::workload::phi_matrix_f32(4, 4, 0.5, 1, 0);
         let b = gemm_dense::workload::phi_matrix_f32(4, 4, 0.5, 1, 1);
-        let r = Ozaki2::new(20, Mode::Fast).try_sgemm(&a, &b);
+        let r = Ozaki2::new(20, Mode::Fast).gemm(GemmArgs::new(&a, &b));
         assert_eq!(
             r.unwrap_err(),
             EmulationError::UnsupportedN { n: 20, max: 18 }
@@ -1022,9 +800,13 @@ mod tests {
     fn report_counts_int8_gemms() {
         let a = uniform_matrix_f64(8, 8, 2, 0);
         let b = uniform_matrix_f64(8, 8, 2, 1);
-        let (_, rep) = Ozaki2::new(9, Mode::Fast).dgemm_with_report(&a, &b);
+        let report = |mode| {
+            let emu = Ozaki2::new(9, mode);
+            emu.gemm(GemmArgs::new(&a, &b)).unwrap().report
+        };
+        let rep = report(Mode::Fast);
         assert_eq!(rep.int8_gemm_calls, 9);
-        let (_, rep) = Ozaki2::new(9, Mode::Accurate).dgemm_with_report(&a, &b);
+        let rep = report(Mode::Accurate);
         assert_eq!(rep.int8_gemm_calls, 10); // +1 estimation GEMM
         assert_eq!(rep.shape, (8, 8, 8));
     }
@@ -1067,17 +849,20 @@ mod tests {
         let emu = Ozaki2::new(11, Mode::Fast);
         let baseline = emu.dgemm(&a, &b);
         let mut ws = Workspace::new();
-        assert_eq!(emu.dgemm_ws(&a, &b, &mut ws), baseline);
+        let with_ws = |a: &MatF64, b: &MatF64, ws: &mut Workspace| {
+            emu.gemm(GemmArgs::new(a, b).workspace(ws)).unwrap().c
+        };
+        assert_eq!(with_ws(&a, &b, &mut ws), baseline);
         let steady = ws.bytes();
         assert!(steady > 0);
         for _ in 0..3 {
-            assert_eq!(emu.dgemm_ws(&a, &b, &mut ws), baseline);
+            assert_eq!(with_ws(&a, &b, &mut ws), baseline);
             assert_eq!(ws.bytes(), steady, "steady state must not allocate");
         }
         // A smaller problem reuses the same buffers.
         let a2 = phi_matrix_f64(8, 16, 0.8, 6, 0);
         let b2 = phi_matrix_f64(16, 8, 0.8, 6, 1);
-        assert_eq!(emu.dgemm_ws(&a2, &b2, &mut ws), emu.dgemm(&a2, &b2));
+        assert_eq!(with_ws(&a2, &b2, &mut ws), emu.dgemm(&a2, &b2));
         assert_eq!(ws.bytes(), steady);
     }
 

@@ -494,7 +494,7 @@ proptest! {
 
 use gemm_dense::view::Layout;
 use gemm_dense::MatView;
-use ozaki2::{GemmArgs, GemmOp};
+use ozaki2::{GemmArgs, GemmOp, OperandSide};
 
 /// Scatter `mat` into a fresh NaN-poisoned column-major buffer with
 /// leading dimension `rows + pad`; only the logical elements are written,
@@ -633,8 +633,10 @@ proptest! {
         prop_assert_eq!(&got.c, &want, "N={}", nmod);
     }
 
-    /// Every historical named entry is a thin wrapper of the facade:
-    /// equal results, bit for bit.
+    /// Every entry runs the one Algorithm-1 body: the named delegates,
+    /// `gemm_into` with a reused workspace and its transpose/alpha/beta
+    /// cases, and `execute` over views and preparations all equal the
+    /// facade, bit for bit.
     #[test]
     fn named_wrappers_equal_facade(
         m in 1usize..=10,
@@ -651,21 +653,39 @@ proptest! {
         let facade = emu.gemm(GemmArgs::new(&a, &b)).unwrap().c;
 
         prop_assert_eq!(&emu.dgemm(&a, &b), &facade);
-        prop_assert_eq!(&emu.try_dgemm(&a, &b).unwrap(), &facade);
-        prop_assert_eq!(&emu.dgemm_with_report(&a, &b).0, &facade);
         let mut ws = ozaki2::Workspace::new();
-        prop_assert_eq!(&emu.dgemm_ws(&a, &b, &mut ws), &facade);
         let mut c = Matrix::<f64>::zeros(m, n);
-        emu.dgemm_into_ws(&a, &b, &mut c, &mut ws);
+        for _ in 0..2 {
+            emu.gemm_into(GemmArgs::new(&a, &b).workspace(&mut ws), c.view_mut()).unwrap();
+            prop_assert_eq!(&c, &facade);
+        }
+        // BLAS transpose options over stored transposes.
+        let (at, bt) = (a.transpose(), b.transpose());
+        let args = GemmArgs::new(&at, &bt).trans_a(GemmOp::T).trans_b(GemmOp::T);
+        emu.gemm_into(args.workspace(&mut ws), c.view_mut()).unwrap();
         prop_assert_eq!(&c, &facade);
-        let mut c_blas = Matrix::<f64>::zeros(m, n);
-        emu.dgemm_blas(GemmOp::N, GemmOp::N, 1.0, &a, &b, 0.0, &mut c_blas);
-        prop_assert_eq!(&c_blas, &facade);
-        let mut plan = ozaki2::GemmPlan::new(emu, m, n, k);
-        prop_assert_eq!(&plan.execute(&a, &b), &facade);
-        let mut c_plan = Matrix::<f64>::zeros(m, n);
-        plan.execute_views_into(a.view(), b.view(), c_plan.view_mut()).unwrap();
-        prop_assert_eq!(&c_plan, &facade);
+        // alpha/beta epilogue: C ← 2·AB + 0.5·C.
+        let c0 = Matrix::<f64>::from_fn(m, n, |i, j| (i + 2 * j) as f64);
+        let mut cab = c0.clone();
+        emu.gemm_into(GemmArgs::new(&a, &b).alpha(2.0).beta(0.5), cab.view_mut()).unwrap();
+        for j in 0..n {
+            for i in 0..m {
+                prop_assert_eq!(cab[(i, j)], 2.0 * facade[(i, j)] + 0.5 * c0[(i, j)]);
+            }
+        }
+        // execute over two views (either mode), and over preparations.
+        emu.execute(&a, &b, &mut ws, false, c.view_mut()).unwrap();
+        prop_assert_eq!(&c, &facade);
+        if !accurate {
+            let pa = emu.prepare(OperandSide::A, &a).unwrap();
+            let pb = emu.prepare(OperandSide::B, &b).unwrap();
+            emu.execute(&pa, &pb, &mut ws, true, c.view_mut()).unwrap();
+            prop_assert_eq!(&c, &facade);
+            emu.execute(&a, &pb, &mut ws, true, c.view_mut()).unwrap();
+            prop_assert_eq!(&c, &facade);
+            emu.execute(&pa, &b, &mut ws, true, c.view_mut()).unwrap();
+            prop_assert_eq!(&c, &facade);
+        }
 
         // f32 family.
         let af = gemm_dense::workload::phi_matrix_f32(m, k, 0.5, seed, 0);
@@ -674,7 +694,14 @@ proptest! {
         let facade32 = emu8.gemm(GemmArgs::new(&af, &bf)).unwrap().c;
         prop_assert_eq!(&emu8.sgemm(&af, &bf), &facade32);
         let mut cf = Matrix::<f32>::zeros(m, n);
-        emu8.sgemm_blas(GemmOp::N, GemmOp::N, 1.0f32, &af, &bf, 0.0f32, &mut cf);
+        emu8.gemm_into(GemmArgs::new(&af, &bf).workspace(&mut ws), cf.view_mut()).unwrap();
         prop_assert_eq!(&cf, &facade32);
+        emu8.execute(&af, &bf, &mut ws, true, cf.view_mut()).unwrap();
+        prop_assert_eq!(&cf, &facade32);
+        if !accurate {
+            let pbf = emu8.prepare(OperandSide::B, &bf).unwrap();
+            emu8.execute(&af, &pbf, &mut ws, true, cf.view_mut()).unwrap();
+            prop_assert_eq!(&cf, &facade32);
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! Production workflow: pick the moduli count from an accuracy target,
-//! check the shape is in the emulation's sweet spot, and reuse a plan
-//! across repeated products.
+//! check the shape is in the emulation's sweet spot, and reuse one
+//! workspace across repeated products.
 //!
 //! Run: `cargo run --release --example auto_precision`
 
 use gemm_perfmodel::{gh200, recommend_dgemm, Recommendation};
 use gemmul8::prelude::*;
-use ozaki2::{n_for_dgemm_level, predicted_error, GemmPlan};
+use ozaki2::{n_for_dgemm_level, predicted_error};
 
 fn main() {
     println!("== Automatic precision + deployment workflow ==\n");
@@ -38,24 +38,25 @@ fn main() {
         println!("{:<26} {:>12}", format!("{m} x {k} x {n}"), verdict);
     }
 
-    // 3. Plan reuse: iterative consumers allocate scratch once.
-    println!("\n-- Plan reuse across an iteration (m = n = k = 256) --");
+    // 3. Workspace reuse: iterative consumers allocate scratch once.
+    println!("\n-- Workspace reuse across an iteration (m = n = k = 256) --");
     let (m, n, k) = (256usize, 256, 256);
     let nmod = n_for_dgemm_level(k);
     let emu = Ozaki2::new(nmod, Mode::Fast);
-    let mut plan = GemmPlan::new(emu, m, n, k);
-    println!(
-        "workspace: {:.1} MiB held across calls",
-        plan.workspace_bytes() as f64 / (1024.0 * 1024.0)
-    );
+    let mut ws = Workspace::new();
     let mut a = phi_matrix_f64(m, k, 0.5, 1, 0);
     let b = phi_matrix_f64(k, n, 0.5, 1, 1);
+    let mut c = MatF64::zeros(m, n);
     for iter in 0..3 {
-        let c = plan.execute(&a, &b);
+        emu.gemm_into(GemmArgs::new(&a, &b).workspace(&mut ws), c.view_mut())
+            .expect("finite, shape-consistent operands");
         // Feed the result back in (power-iteration style).
         let scale = 1.0 / gemm_dense::norms::max_abs_f64(&c).max(1e-300);
         a = c.map(|x| x * scale);
-        println!("iter {iter}: ||C||_max scaled by {scale:.3e}");
+        println!(
+            "iter {iter}: ||C||_max scaled by {scale:.3e}, workspace {:.1} MiB",
+            ws.bytes() as f64 / (1024.0 * 1024.0)
+        );
     }
     println!("\nDone — same results as one-shot Ozaki2::dgemm, zero steady-state allocation.");
 }

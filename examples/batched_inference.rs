@@ -46,7 +46,9 @@ fn main() {
 
     // The convert front end (scale + trunc + convert) B pays per call:
     // measure one preparation and scale it by the call count.
-    let pb = emu.prepare_b(&weights);
+    let pb = emu
+        .prepare(OperandSide::B, &weights)
+        .expect("fast mode, finite weights");
     let prep = pb.prepare_seconds();
     let naive_front = prep * (rounds * items) as f64;
     println!(

@@ -61,6 +61,6 @@ pub mod prelude {
     pub use gemm_exact::{dd_gemm, max_rel_error_vs_dd, Dd};
     pub use gemm_serve::{GemmRequest, JobHandle, Server, TenantStats};
     pub use ozaki2::{
-        Accuracy, GemmArgs, GemmOp, GemmOut, GemmPlan, Mode, Ozaki2, PreparedOperand, Workspace,
+        Accuracy, GemmArgs, GemmOp, GemmOut, Mode, OperandSide, Ozaki2, PreparedOperand, Workspace,
     };
 }

@@ -1,10 +1,11 @@
 //! Public-API surface snapshot: the consolidation guard.
 //!
-//! PR 5 collapsed the combinatorial `dgemm`/`sgemm` × `try_` ×
-//! `_with_report` × `_ws` × `_into` growth into one element-generic
-//! view facade (`Ozaki2::gemm` / `gemm_into` + `GemmArgs` + the
-//! accuracy builder), keeping the named entries as thin wrappers. This
-//! test pins that state two ways:
+//! Every GEMM entry runs one element-generic Algorithm-1 body. The
+//! `Ozaki2` surface is the constructors, `gemm`/`gemm_into` for plain
+//! products (with `GemmArgs` carrying trans/alpha/beta, workspace,
+//! report sink and fault policy), the `dgemm`/`sgemm` panicking
+//! delegates, and `prepare`/`execute` for cached one-sided front ends.
+//! This test pins that state two ways:
 //!
 //! 1. the canonical items must exist and work (checked by using them);
 //! 2. the set of `pub fn`s on `impl Ozaki2` (scanned from source) must
@@ -12,8 +13,11 @@
 //!    this test, forcing the addition through the facade (or an explicit
 //!    whitelist change with review).
 
-use gemm_dense::{MatView, MatViewMut};
-use ozaki2::{Accuracy, GemmArgs, GemmOut, Mode, Ozaki2, Ozaki2Builder};
+use gemm_dense::{MatView, MatViewMut, Matrix};
+use ozaki2::{
+    Accuracy, GemmArgs, GemmOut, Mode, OperandInput, OperandSide, Ozaki2, Ozaki2Builder,
+    PreparedOperand, Workspace,
+};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -28,45 +32,15 @@ const OZAKI2_PUB_FNS: &[&str] = &[
     "mode",
     "fault_policy",
     "with_fault_policy",
-    // the canonical facade
+    // plain products
     "gemm",
     "gemm_into",
-    // named f64 wrappers (thin delegates, kept for ergonomics)
+    // panicking delegates of `gemm`
     "dgemm",
-    "try_dgemm",
-    "dgemm_with_report",
-    "try_dgemm_with_report",
-    "dgemm_ws",
-    "try_dgemm_with_report_ws",
-    "dgemm_into_ws",
-    "try_dgemm_into_ws",
-    // named f32 wrappers
     "sgemm",
-    "try_sgemm",
-    "sgemm_with_report",
-    "try_sgemm_with_report",
-    "sgemm_ws",
-    "try_sgemm_with_report_ws",
-    // BLAS-signature surface
-    "dgemm_blas",
-    "sgemm_blas",
-    // prepare/execute split (canonical view entries + delegating forms)
-    "prepare_a",
-    "try_prepare_a",
-    "try_prepare_a_view",
-    "try_prepare_a_slice",
-    "prepare_b",
-    "try_prepare_b",
-    "try_prepare_b_view",
-    "try_prepare_b_slice",
-    "try_prepare_a_f32",
-    "try_prepare_a_slice_f32",
-    "try_prepare_b_f32",
-    "try_prepare_b_slice_f32",
-    "execute_prepared",
-    "try_execute_prepared",
-    "try_execute_prepared_into_ws",
-    "try_execute_into_ws",
+    // cached one-sided front ends
+    "prepare",
+    "execute",
 ];
 
 /// Collect the `pub fn` names declared directly inside `impl Ozaki2 {`
@@ -156,6 +130,14 @@ fn canonical_items_exist_and_compose() {
     let cview: MatViewMut<'_, f64> = MatViewMut::col_major(&mut cbuf, 8, 6);
     emu.gemm_into(GemmArgs::new(&a, &b), cview).unwrap();
     assert_eq!(&cbuf, out.c.as_slice());
+
+    // prepare → execute: one side cached, the other a view.
+    let pb: PreparedOperand = emu.prepare(OperandSide::B, &b).unwrap();
+    let mut ws = Workspace::new();
+    let mut c = Matrix::<f64>::zeros(8, 6);
+    let a_in: OperandInput<'_, f64> = OperandInput::View(va);
+    emu.execute(a_in, &pb, &mut ws, true, c.view_mut()).unwrap();
+    assert_eq!(c, out.c);
 
     // Builder type is nameable (for APIs that store one).
     let _builder: Ozaki2Builder = Ozaki2::builder().accuracy(Accuracy::FixedN(8));

@@ -82,7 +82,7 @@ fn rejects_nan_and_inf_everywhere() {
         let mut bad = good.clone();
         bad[(3, 4)] = bad_val;
         let e = Ozaki2::new(8, Mode::Fast)
-            .try_dgemm(&bad, &good)
+            .gemm(GemmArgs::new(&bad, &good))
             .unwrap_err();
         assert_eq!(
             e,
@@ -92,7 +92,7 @@ fn rejects_nan_and_inf_everywhere() {
             }
         );
         let e = Ozaki2::new(8, Mode::Fast)
-            .try_dgemm(&good, &bad)
+            .gemm(GemmArgs::new(&good, &bad))
             .unwrap_err();
         assert_eq!(
             e,
@@ -240,7 +240,10 @@ fn facade_results_are_bit_identical_across_worker_counts() {
 fn report_phases_cover_total() {
     let a = phi_matrix_f64(48, 48, 0.5, 8, 0);
     let b = phi_matrix_f64(48, 48, 0.5, 8, 1);
-    let (_, rep) = Ozaki2::new(10, Mode::Fast).dgemm_with_report(&a, &b);
+    let rep = Ozaki2::new(10, Mode::Fast)
+        .gemm(GemmArgs::new(&a, &b))
+        .unwrap()
+        .report;
     let total = rep.phases.total();
     assert!(total.as_nanos() > 0);
     assert_eq!(rep.n_moduli, 10);

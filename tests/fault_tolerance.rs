@@ -22,8 +22,9 @@
 //! region and therefore sees no environment-rate faults.
 
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
+use gemm_dense::MatF64;
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{FaultPolicy, GemmArgs, Mode, Ozaki2};
+use ozaki2::{FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, Workspace};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -167,13 +168,19 @@ fn prepared_operands_have_no_panel_seam_and_recover() {
         .gemm(GemmArgs::new(&a, &b))
         .unwrap()
         .c;
-    let pa = emu.prepare_a(&a);
-    let pb = emu.prepare_b(&b);
+    let pa = emu.prepare(OperandSide::A, &a).unwrap();
+    let pb = emu.prepare(OperandSide::B, &b).unwrap();
+    let execute = |pa: &PreparedOperand, pb: &PreparedOperand| {
+        let mut c = MatF64::zeros(m, n);
+        emu.execute(pa, pb, &mut Workspace::new(), true, c.view_mut())
+            .unwrap();
+        c
+    };
 
     // No Repackable side in the execution: the armed panel fault has no
     // seam to fire at and must still be pending afterwards.
     faultinject::arm_once(FaultSite::PanelA);
-    let got = emu.execute_prepared(&pa, &pb);
+    let got = execute(&pa, &pb);
     assert!(
         faultinject::armed_pending(),
         "prepared panels must not be an injection seam"
@@ -184,7 +191,7 @@ fn prepared_operands_have_no_panel_seam_and_recover() {
     // Downstream faults are still caught and repaired.
     for site in [FaultSite::Acc, FaultSite::Residue] {
         faultinject::arm_once(site);
-        let got = emu.execute_prepared(&pa, &pb);
+        let got = execute(&pa, &pb);
         faultinject::disarm();
         assert_eq!(got, reference, "{site:?} must recover bit-identically");
     }

@@ -134,7 +134,10 @@ fn modelled_gh200_matches_measured_phase_structure() {
     // wall-clock ratios (CI machines are noisy and shared).
     let a = gemm_dense::workload::phi_matrix_f64(160, 160, 0.5, 3, 0);
     let b = gemm_dense::workload::phi_matrix_f64(160, 160, 0.5, 3, 1);
-    let (_, rep) = ozaki2::Ozaki2::new(15, ozaki2::Mode::Fast).dgemm_with_report(&a, &b);
+    let rep = ozaki2::Ozaki2::new(15, ozaki2::Mode::Fast)
+        .gemm(ozaki2::GemmArgs::new(&a, &b))
+        .unwrap()
+        .report;
     let rows = rep.phases.as_rows();
     assert_eq!(
         rows.len(),
