@@ -11,7 +11,9 @@
 //!   convert, pack; lines 1–5) depends on one operand only, so a shared
 //!   matrix is prepared **once** and its packed residue panels reused by
 //!   every item, and across calls via a small LRU keyed on operand
-//!   identity ([`OperandCache`]).
+//!   identity ([`OperandCache`]). The cache sits behind one lock: it is
+//!   consulted only on the calling thread while a call resolves its
+//!   operands, never from the workers that run the items.
 //! * **Workspace pooling** — per-item scratch comes from a
 //!   [`WorkspacePool`] of grow-once workspaces, so steady-state batched
 //!   iterations allocate nothing beyond the output buffers.
@@ -56,10 +58,7 @@ pub mod pool;
 pub mod schedule;
 pub mod strided;
 
-pub use cache::{
-    fingerprint_f32, fingerprint_f64, fingerprint_view_f32, fingerprint_view_f64, OperandCache,
-    OperandKey,
-};
+pub use cache::{OperandCache, OperandKey};
 pub use pool::{PooledWorkspace, WorkspacePool};
 pub use schedule::{Schedule, INTENSITY_CROSSOVER};
 pub use strided::{StridedBatch, StridedBatchF32, StridedBatchF64};
@@ -106,7 +105,7 @@ struct Job<'s, T: Element> {
 /// design and the bit-identicality contract.
 ///
 /// The runtime is `Sync`: one instance can serve concurrent callers (the
-/// cache and pool are internally locked).
+/// cache is behind one lock, the pool is sharded per worker).
 ///
 /// # Examples
 /// ```
@@ -455,15 +454,7 @@ impl BatchedOzaki2 {
         if let Some(p) = local.get(&id) {
             return Ok(Side::Prep(p.clone()));
         }
-        let (rows, cols) = mat.shape();
-        let key = OperandKey::f64(
-            mat.as_slice(),
-            rows,
-            cols,
-            side,
-            self.emu.n_moduli(),
-            self.emu.mode(),
-        );
+        let key = OperandKey::view(&mat.view(), side, self.emu.n_moduli(), self.emu.mode());
         if let Some(hit) = self.cache.get(&key) {
             local.insert(id, hit.clone());
             return Ok(Side::Prep(hit));

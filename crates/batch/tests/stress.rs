@@ -1,9 +1,9 @@
 //! Concurrency stress tests for the batched runtime's shared state.
 //!
-//! The `OperandCache` (sharded by key hash) and `WorkspacePool` (sharded
-//! by worker index) are hit by every worker of every concurrent batched
-//! call. These tests hammer both from many OS threads at once and pin
-//! the three properties a lock-sharded design can silently lose: no
+//! The `OperandCache` (one lock) is hit by every concurrent batched
+//! call, the `WorkspacePool` (sharded by worker index) by every worker
+//! of every call. These tests hammer both from many OS threads at once
+//! and pin the three properties shared state can silently lose: no
 //! deadlock (the tests terminate), correct contents under churn (hits
 //! return the exact `Arc` that was inserted; batched results stay
 //! bit-identical), and flat steady-state allocation with panic-poison
@@ -11,7 +11,7 @@
 
 use gemm_batch::{BatchedOzaki2, OperandCache, OperandKey, StridedBatchF64, WorkspacePool};
 use gemm_dense::workload::phi_matrix_f64;
-use gemm_dense::MatF64;
+use gemm_dense::{Layout, MatF64, MatView};
 use ozaki2::{Mode, OperandSide, Ozaki2, PreparedOperand};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -36,14 +36,15 @@ fn tenants(count: usize, nmod: usize) -> Vec<(Vec<f64>, Arc<PreparedOperand>)> {
 }
 
 fn key_of(data: &[f64], nmod: usize) -> OperandKey {
-    OperandKey::f64(data, 8, 6, OperandSide::B, nmod, Mode::Fast)
+    let view = MatView::new(data, 8, 6, 8, Layout::ColMajor);
+    OperandKey::view(&view, OperandSide::B, nmod, Mode::Fast)
 }
 
 /// N threads hammering get/insert/repeat_miss over an overlapping key set
 /// with eviction churn (capacity < tenant count): every hit must return
 /// the exact preparation inserted for that key, the cache must stay
 /// within capacity, and the run must terminate (no deadlock, no lost
-/// updates wedging a shard lock).
+/// updates wedging the lock).
 #[test]
 fn operand_cache_contention_keeps_contents_exact() {
     let nmod = 8;

@@ -5,13 +5,26 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gemm_engine::{
-    int8_gemm_blocked, int8_gemm_blocked_seq, int8_gemm_rm_cm_scalar, Int8Workspace,
+    int8_gemm_blocked, int8_gemm_fused, int8_gemm_rm_cm_scalar, Int8Workspace, NoEpilogue,
 };
 
 fn pattern_vec(len: usize, salt: usize) -> Vec<i8> {
     (0..len)
         .map(|i| (((i * 31 + salt) % 255) as i16 - 127) as i8)
         .collect()
+}
+
+/// The blocked kernel on one thread: no epilogue, `parallel = false`.
+fn blocked_1t(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[i8],
+    b: &[i8],
+    c: &mut [i32],
+    ws: &mut Int8Workspace,
+) {
+    int8_gemm_fused(m, n, k, a, k, b, k, c, &mut [], &NoEpilogue, ws, false);
 }
 
 fn bench_square(c: &mut Criterion) {
@@ -24,7 +37,7 @@ fn bench_square(c: &mut Criterion) {
         let mut ws = Int8Workspace::new();
         group.throughput(Throughput::Elements(2 * (n * n * n) as u64));
         group.bench_with_input(BenchmarkId::new("blocked-1T", n), &n, |bench, _| {
-            bench.iter(|| int8_gemm_blocked_seq(n, n, n, &a, &b, &mut cbuf, &mut ws));
+            bench.iter(|| blocked_1t(n, n, n, &a, &b, &mut cbuf, &mut ws));
         });
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
             bench.iter(|| int8_gemm_blocked(n, n, n, &a, &b, &mut cbuf, &mut ws));
@@ -48,7 +61,7 @@ fn bench_tall_k(c: &mut Criterion) {
         let mut ws = Int8Workspace::new();
         group.throughput(Throughput::Elements(2 * (m * m * k) as u64));
         group.bench_with_input(BenchmarkId::new("blocked-1T", k), &k, |bench, _| {
-            bench.iter(|| int8_gemm_blocked_seq(m, m, k, &a, &b, &mut cbuf, &mut ws));
+            bench.iter(|| blocked_1t(m, m, k, &a, &b, &mut cbuf, &mut ws));
         });
         group.bench_with_input(BenchmarkId::new("scalar-seed", k), &k, |bench, _| {
             bench.iter(|| int8_gemm_rm_cm_scalar(m, m, k, &a, &b, &mut cbuf));

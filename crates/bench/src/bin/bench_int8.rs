@@ -45,8 +45,8 @@ use gemm_bench::report::Args;
 use gemm_dense::workload::phi_matrix_f64;
 use gemm_dense::{MatF64, Matrix};
 use gemm_engine::{
-    int8_gemm_blocked, int8_gemm_blocked_seq, int8_gemm_rm_cm_scalar, microkernel_name,
-    mod_kernel_name, padded_a_rows, padded_depth, Int8Workspace,
+    int8_gemm_blocked, int8_gemm_fused, int8_gemm_rm_cm_scalar, microkernel_name, mod_kernel_name,
+    padded_a_rows, padded_depth, Int8Workspace, NoEpilogue,
 };
 use ozaki2::accumulate::{fold_kernel_name, fold_planes, FoldPrecision};
 use ozaki2::convert::{convert_kernel_name, convert_pack_panels, rmod_to_i8, steps_for};
@@ -92,7 +92,20 @@ fn main() {
     let mut ws = Int8Workspace::new();
 
     let t_seq = time_best(reps, || {
-        int8_gemm_blocked_seq(n, n, n, &a, &b, &mut c_blocked, &mut ws)
+        int8_gemm_fused(
+            n,
+            n,
+            n,
+            &a,
+            n,
+            &b,
+            n,
+            &mut c_blocked,
+            &mut [],
+            &NoEpilogue,
+            &mut ws,
+            false,
+        )
     });
     let t_par = time_best(reps, || {
         int8_gemm_blocked(n, n, n, &a, &b, &mut c_blocked, &mut ws)

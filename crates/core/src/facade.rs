@@ -68,7 +68,6 @@ pub struct GemmArgs<'a, T: Element> {
     pub(crate) workspace: Option<&'a mut Workspace>,
     pub(crate) report: Option<&'a mut Option<EmulationReport>>,
     pub(crate) fault_policy: Option<FaultPolicy>,
-    pub(crate) assume_finite: bool,
 }
 
 impl<'a, T: Element> GemmArgs<'a, T> {
@@ -85,7 +84,6 @@ impl<'a, T: Element> GemmArgs<'a, T> {
             workspace: None,
             report: None,
             fault_policy: None,
-            assume_finite: false,
         }
     }
 
@@ -140,16 +138,6 @@ impl<'a, T: Element> GemmArgs<'a, T> {
         self
     }
 
-    /// Skip the finiteness validation of both operands. Non-finite
-    /// entries silently produce garbage residues — only opt out when the
-    /// caller has already validated (e.g. a batch runtime that checked
-    /// the operands once and replays them many times). Shape checks
-    /// still run; see [`EmulationError::NonFiniteInput`].
-    pub fn assume_finite(mut self) -> Self {
-        self.assume_finite = true;
-        self
-    }
-
     /// Effective operand views after the transpose options (zero-copy).
     fn effective(&self) -> (MatView<'a, T>, MatView<'a, T>) {
         let a = match self.trans_a {
@@ -193,8 +181,7 @@ impl Ozaki2 {
     /// [`EmulationError::NonFiniteInput`] naming the offending side and
     /// storage index — the residue arithmetic has no representation for
     /// non-finite values, so letting them through would silently produce
-    /// garbage. Callers that pre-validate can skip the scan with
-    /// [`GemmArgs::assume_finite`].
+    /// garbage.
     ///
     /// # Fault tolerance
     /// The executing emulator's [`FaultPolicy`] (or a per-call override
@@ -224,7 +211,6 @@ impl Ozaki2 {
             workspace,
             report,
             fault_policy,
-            assume_finite,
             ..
         } = args;
         let mut local;
@@ -244,7 +230,6 @@ impl Ozaki2 {
             alpha,
             beta,
             out,
-            !assume_finite,
             fault_policy.unwrap_or(self.fault_policy()),
         )?;
         if let Some(sink) = report {
@@ -406,8 +391,8 @@ fn side_panels<'p, T: Element>(
 ///
 /// Each operand is a [`MatView`] — its front end (lines 1–5) runs into
 /// the workspace panels — or a [`crate::PreparedOperand`] whose cached panels
-/// are borrowed. Shapes come from the operands and `out`. `validate`
-/// gates the finiteness scan of the view operands. The fold writes
+/// are borrowed. Shapes come from the operands and `out`; view operands
+/// are scanned for non-finite entries. The fold writes
 /// straight into `out` on the plain contiguous f64 path; otherwise it
 /// lands in the workspace staging buffer and the `alpha`/`beta` epilogue
 /// (or the exact f32 narrowing) runs per column. An active `policy`
@@ -423,7 +408,6 @@ pub(crate) fn algorithm1<T: Element>(
     alpha: T,
     beta: T,
     mut out: MatViewMut<'_, T>,
-    validate: bool,
     policy: FaultPolicy,
 ) -> Result<EmulationReport, EmulationError> {
     let (n_moduli, mode) = (emu.n_moduli(), emu.mode());
@@ -442,11 +426,9 @@ pub(crate) fn algorithm1<T: Element>(
     if kb != k || out.shape() != (m, n) {
         return Err(EmulationError::ShapeMismatch);
     }
-    if validate {
-        for (input, side) in [(&a, OperandSide::A), (&b, OperandSide::B)] {
-            if let OperandInput::View(v) = input {
-                validate_view(v, side)?;
-            }
+    for (input, side) in [(&a, OperandSide::A), (&b, OperandSide::B)] {
+        if let OperandInput::View(v) = input {
+            validate_view(v, side)?;
         }
     }
     let consts: &Constants = constants(n_moduli);

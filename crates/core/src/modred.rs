@@ -7,7 +7,6 @@
 //! used instead of `rmod` because integer arithmetic truncates; the CRT
 //! weights absorb the representative choice.
 
-use crate::consts::Constants;
 use rayon::prelude::*;
 
 /// `x mod p ∈ [0, p)` for any `i32 x`, via high-multiply estimate plus two
@@ -53,21 +52,6 @@ pub fn accumulate_block_residues(c32: &[i32], p: u64, pinv: u32, acc: &mut [i32]
 /// Final reduction of accumulated block residues into UINT8.
 pub fn finalize_block_residues(acc: &[i32], p: u64, pinv: u32, out: &mut [u8]) {
     reduce_plane(acc, p, pinv, out);
-}
-
-/// Reduce all `N` planes `C'_i -> U_i` (the single-block fast path).
-pub fn reduce_all_planes(c32: &[i32], consts: &Constants, plane_len: usize, out: &mut [u8]) {
-    let n = consts.n;
-    assert_eq!(c32.len(), n * plane_len);
-    assert_eq!(out.len(), n * plane_len);
-    for s in 0..n {
-        reduce_plane(
-            &c32[s * plane_len..(s + 1) * plane_len],
-            consts.p[s],
-            consts.p_inv_u32[s],
-            &mut out[s * plane_len..(s + 1) * plane_len],
-        );
-    }
 }
 
 #[cfg(test)]

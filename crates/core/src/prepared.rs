@@ -301,7 +301,6 @@ impl Ozaki2 {
             T::ONE,
             T::ZERO,
             out,
-            true,
             self.fault_policy(),
         )
     }

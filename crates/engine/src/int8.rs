@@ -42,10 +42,12 @@
 //!    one A-panel + one B-panel L1-resident) over the `jt`/`it` tile grid,
 //!    accumulating partial tiles into `C` (wrapping adds commute, so the
 //!    split over `pc` is exact).
-//! 4. **Column stripes.** The `N` dimension is split into per-worker
-//!    stripes of whole B-panels; rayon runs one task per stripe. Each
-//!    stripe packs its own B columns into a workspace buffer; the A pack is
-//!    shared read-only by every stripe.
+//! 4. **Column stripes.** One driver, [`int8_gemm_prepacked_fused`],
+//!    splits the `N` dimension into stripes of whole B-panels (two per
+//!    pool worker) and runs one rayon task per stripe over shared
+//!    read-only panels. The i8-input entries ([`int8_gemm_fused`] and its
+//!    wrappers) only pack: A serially, B in the same stripes in parallel,
+//!    then call that driver.
 //!
 //! # Fused epilogue
 //!
@@ -469,7 +471,7 @@ impl Epilogue for AccumulateEpilogue<'_> {
 #[derive(Default)]
 pub struct Int8Workspace {
     apack: Vec<i16>,
-    bpacks: Vec<Vec<i16>>,
+    bpack: Vec<i16>,
 }
 
 impl Int8Workspace {
@@ -480,7 +482,7 @@ impl Int8Workspace {
 
     /// Current footprint in bytes.
     pub fn bytes(&self) -> usize {
-        2 * (self.apack.capacity() + self.bpacks.iter().map(|b| b.capacity()).sum::<usize>())
+        2 * (self.apack.capacity() + self.bpack.capacity())
     }
 }
 
@@ -532,6 +534,19 @@ pub fn pack_panels_i16(
     if pack.len() < needed {
         pack.resize(needed, 0);
     }
+    pack_into(&mut pack[..needed], src, ld, vecs, vecs_pad, k, kp);
+}
+
+/// [`pack_panels_i16`] into a slice already sized for `vecs_pad` vectors.
+fn pack_into(
+    pack: &mut [i16],
+    src: &[i8],
+    ld: usize,
+    vecs: usize,
+    vecs_pad: usize,
+    k: usize,
+    kp: usize,
+) {
     for v in 0..vecs_pad {
         let dst = &mut pack[v * kp..(v + 1) * kp];
         if v < vecs {
@@ -814,19 +829,6 @@ fn run_tile(
 // Driver
 // ---------------------------------------------------------------------------
 
-struct StripeJob<'a, E: Epilogue> {
-    /// First column of the stripe.
-    j0: usize,
-    /// Columns in the stripe.
-    nc: usize,
-    /// This stripe's columns of `C` (`m * nc`, column-major).
-    c: &'a mut [i32],
-    /// This stripe's columns of the epilogue output (empty when inactive).
-    out: &'a mut [E::Out],
-    /// This stripe's private B packing buffer.
-    bpack: &'a mut Vec<i16>,
-}
-
 /// The cache-blocked tile sweep over one column stripe of already-packed
 /// panels, followed by the fused epilogue on the still-resident stripe.
 ///
@@ -902,31 +904,6 @@ fn stripe_compute<E: Epilogue>(
     }
 }
 
-/// One worker of the i8-input path: pack the stripe's B columns, then run
-/// the tile sweep.
-#[allow(clippy::too_many_arguments)]
-fn stripe_worker<E: Epilogue>(
-    job: StripeJob<'_, E>,
-    m: usize,
-    k: usize,
-    kp: usize,
-    b: &[i8],
-    ldb: usize,
-    apack: &[i16],
-    epi: &E,
-) {
-    let StripeJob {
-        j0,
-        nc,
-        c,
-        out,
-        bpack,
-    } = job;
-    let nc_pad = nc.div_ceil(NR) * NR;
-    pack_panels_i16(bpack, &b[j0 * ldb..], ldb, nc, nc_pad, k, kp);
-    stripe_compute(m, kp, kp, kp, apack, bpack, nc, c, out, epi);
-}
-
 /// Column-stripe count for a parallel sweep over `n_panels` B-panels:
 /// two stripes per pool worker (capped at the panel count) so the
 /// work-stealing pool has slack to rebalance, one stripe when the pool is
@@ -948,6 +925,8 @@ fn stripe_count(n_panels: usize) -> usize {
 /// `out` must be an `m x n` plane (same layout as `C`) and receives `epi`
 /// applied to every element; otherwise pass an empty slice.
 ///
+/// Packs both operands into `ws` (B split across the column stripes when
+/// `parallel`) and runs [`int8_gemm_prepacked_fused`] over the panels.
 /// Set `parallel = false` to force a single-threaded sweep (microkernel
 /// benchmarking, nested-parallel contexts).
 ///
@@ -975,73 +954,28 @@ pub fn int8_gemm_fused<E: Epilogue>(
     if n > 0 {
         assert!(b.len() >= (n - 1) * ldb + k, "B buffer mismatch");
     }
-    assert_eq!(c.len(), m * n, "C buffer mismatch");
-    if E::ACTIVE {
-        assert_eq!(out.len(), m * n, "epilogue plane mismatch");
-    }
-    INT8_STATS.record_gemm(m, n, k);
-    gemm_obs::catalog::ENGINE_INT8_CALLS.inc();
-    gemm_obs::catalog::ENGINE_INT8_MACS.add((m as u64) * (n as u64) * (k as u64));
-    if m == 0 || n == 0 {
-        return;
-    }
-
     let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    pack_panels_i16(&mut ws.apack, a, lda, m, m_pad, k, kp);
-    let apack: &[i16] = &ws.apack;
+    pack_panels_i16(&mut ws.apack, a, lda, m, padded_a_rows(m), k, kp);
 
-    // Stripes of whole B-panels, oversubscribed 2x against the worker count
-    // so the work-stealing pool can rebalance when stripes finish unevenly
-    // (fewer when n is small). Stripe boundaries never change per-element
-    // accumulation order, so the stripe count cannot affect results.
-    let n_panels = n.div_ceil(NR);
+    // B packs in as many column chunks as the sweep has stripes, one task
+    // each, so packing scales with the workers like the sweep does.
+    let n_pad = padded_b_cols(n);
+    if ws.bpack.len() < n_pad * kp {
+        ws.bpack.resize(n_pad * kp, 0);
+    }
+    let n_panels = n_pad / NR;
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
-    if ws.bpacks.len() < stripes {
-        ws.bpacks.resize_with(stripes, Vec::new);
-    }
-
-    let mut jobs: Vec<StripeJob<'_, E>> = Vec::with_capacity(stripes);
-    let mut c_rest = c;
-    let mut out_rest = out;
-    for (s, bpack) in ws.bpacks[..stripes].iter_mut().enumerate() {
-        let p0 = s * n_panels / stripes;
-        let p1 = (s + 1) * n_panels / stripes;
-        let j0 = p0 * NR;
-        let nc = n.min(p1 * NR) - j0;
-        let (c_stripe, rest) = c_rest.split_at_mut(m * nc);
-        c_rest = rest;
-        let out_stripe = if E::ACTIVE {
-            let (o, rest) = out_rest.split_at_mut(m * nc);
-            out_rest = rest;
-            o
-        } else {
-            &mut []
-        };
-        jobs.push(StripeJob {
-            j0,
-            nc,
-            c: c_stripe,
-            out: out_stripe,
-            bpack,
+    let stripe_cols = n_panels.div_ceil(stripes) * NR;
+    ws.bpack[..n_pad * kp]
+        .par_chunks_mut((stripe_cols * kp).max(1))
+        .enumerate()
+        .for_each(|(s, dst)| {
+            let j0 = s * stripe_cols;
+            let nc = stripe_cols.min(n_pad - j0);
+            pack_into(dst, &b[j0 * ldb..], ldb, nc.min(n - j0), nc, k, kp);
         });
-    }
 
-    if jobs.len() == 1 {
-        stripe_worker(
-            jobs.pop().expect("one stripe"),
-            m,
-            k,
-            kp,
-            b,
-            ldb,
-            apack,
-            epi,
-        );
-    } else {
-        jobs.into_par_iter()
-            .for_each(|job| stripe_worker(job, m, k, kp, b, ldb, apack, epi));
-    }
+    int8_gemm_prepacked_fused(m, n, k, &ws.apack, &ws.bpack, kp, 0, c, out, epi, parallel);
 }
 
 /// The blocked INT8 GEMM over **pre-packed i16 panels** — the zero-repack
@@ -1119,6 +1053,8 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     }
     let a_base = &apack[depth_off..];
 
+    // Stripe boundaries never change per-element accumulation order, so
+    // the stripe count cannot affect results.
     let n_panels = n.div_ceil(NR);
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
 
@@ -1205,35 +1141,6 @@ pub fn int8_gemm_blocked(
         &NoEpilogue,
         ws,
         true,
-    );
-}
-
-/// Single-threaded variant of [`int8_gemm_blocked`] (microkernel
-/// benchmarking, nested-parallel contexts).
-pub fn int8_gemm_blocked_seq(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_rm: &[i8],
-    b_cm: &[i8],
-    c_cm: &mut [i32],
-    ws: &mut Int8Workspace,
-) {
-    assert_eq!(a_rm.len(), m * k, "A buffer mismatch");
-    assert_eq!(b_cm.len(), k * n, "B buffer mismatch");
-    int8_gemm_fused(
-        m,
-        n,
-        k,
-        a_rm,
-        k,
-        b_cm,
-        k,
-        c_cm,
-        &mut [],
-        &NoEpilogue,
-        ws,
-        false,
     );
 }
 

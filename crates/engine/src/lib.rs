@@ -21,11 +21,10 @@ pub mod tensor;
 
 pub use int8::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
-    barrett_mod_u8, force_scalar, int8_gemm, int8_gemm_blocked, int8_gemm_blocked_seq,
-    int8_gemm_fused, int8_gemm_naive, int8_gemm_prepacked_fused, int8_gemm_rm_cm,
-    int8_gemm_rm_cm_scalar, microkernel_name, mod_kernel_name, pack_panels_i16, padded_a_rows,
-    padded_b_cols, padded_depth, AccumulateEpilogue, Epilogue, Int8Workspace, NoEpilogue,
-    ReduceEpilogue, MR, NR, PK,
+    barrett_mod_u8, force_scalar, int8_gemm, int8_gemm_blocked, int8_gemm_fused, int8_gemm_naive,
+    int8_gemm_prepacked_fused, int8_gemm_rm_cm, int8_gemm_rm_cm_scalar, microkernel_name,
+    mod_kernel_name, pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth,
+    AccumulateEpilogue, Epilogue, Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK,
 };
 pub use stats::{EngineStats, INT8_STATS, LOWFP_STATS};
 pub use tensor::{dequantize, lowfp_gemm, quantize};

@@ -150,6 +150,44 @@ proptest! {
     }
 
     #[test]
+    fn fused_strided_epilogue_matches_naive(
+        m in 1usize..24,
+        k in 1usize..70,
+        n in 1usize..40,
+        pad_a in 1usize..9,
+        pad_b in 1usize..9,
+        p in 3u64..=256,
+        seed in any::<u64>(),
+    ) {
+        // lda, ldb > k with garbage in the gaps, an active epilogue, and
+        // both sweep modes: every i8-input call packs into the workspace
+        // and runs the one prepacked stripe driver.
+        let (lda, ldb) = (k + pad_a, k + pad_b);
+        let pinv = ((1u64 << 32) / p - 1) as u32;
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(13);
+            (s >> 33) as i64 as i8
+        };
+        let a_buf: Vec<i8> = (0..m * lda).map(|_| next()).collect();
+        let b_buf: Vec<i8> = (0..n * ldb).map(|_| next()).collect();
+        let a = Matrix::from_fn(m, k, |i, h| a_buf[i * lda + h]);
+        let b = Matrix::from_fn(k, n, |h, j| b_buf[j * ldb + h]);
+        let want = int8_gemm_naive(&a, &b);
+        let mut ws = Int8Workspace::new();
+        for parallel in [false, true] {
+            let mut c = vec![0i32; m * n];
+            let mut u = vec![0u8; m * n];
+            let epi = ReduceEpilogue::new(p, pinv, None);
+            int8_gemm_fused(m, n, k, &a_buf, lda, &b_buf, ldb, &mut c, &mut u, &epi, &mut ws, parallel);
+            prop_assert_eq!(&c[..], want.as_slice(), "parallel={}", parallel);
+            for (&r, &x) in u.iter().zip(&c) {
+                prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64));
+            }
+        }
+    }
+
+    #[test]
     fn linearity_in_scalar(a in arb_i8_matrix(4, 6), b in arb_i8_matrix(6, 3)) {
         // C(A, B) + C(A, B) == C(A, 2B) as long as 2B stays in range —
         // verify via i32 doubling instead to avoid range issues.

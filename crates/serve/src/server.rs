@@ -72,9 +72,10 @@ struct Shared {
     not_full: Condvar,
     tenants: Mutex<HashMap<Arc<str>, TenantStats>>,
     totals: Mutex<ServerStats>,
-    /// Operand identities (pointer + shape) admitted so far — the basis
-    /// of the per-tenant `cache_hits` counter and of the skip-rescan
-    /// fast path for finiteness validation.
+    /// Operand identities (pointer + shape) admitted so far — only
+    /// counted, as the per-tenant `cache_hits`; admission scans every
+    /// operand for finiteness regardless (an identity says nothing about
+    /// content mutated in place or reallocated at a freed address).
     seen: Mutex<HashSet<(usize, usize, usize)>>,
 }
 
@@ -433,24 +434,15 @@ impl Server {
         Ok(JobHandle { cell, tenant })
     }
 
-    /// Shape and finiteness validation. Operand identities already
-    /// admitted skip the finiteness scan (an `Arc`'d weight matrix is
-    /// scanned once, not once per request).
+    /// Shape and finiteness validation of every request, including
+    /// operands admitted before: an `Arc`'d matrix may have been mutated
+    /// through `Arc::get_mut` since, or a new one allocated at a freed
+    /// address with the same shape.
     fn validate(&self, req: &GemmRequest) -> Result<(), EmulationError> {
         if req.a.cols() != req.b.rows() {
             return Err(EmulationError::ShapeMismatch);
         }
-        let seen = lock(&self.shared.seen);
-        let scan_a = !seen.contains(&ident(&req.a));
-        let scan_b = !seen.contains(&ident(&req.b));
-        drop(seen);
-        for (side, mat, scan) in [
-            (OperandSide::A, &req.a, scan_a),
-            (OperandSide::B, &req.b, scan_b),
-        ] {
-            if !scan {
-                continue;
-            }
+        for (side, mat) in [(OperandSide::A, &req.a), (OperandSide::B, &req.b)] {
             if let Some(index) = mat.as_slice().iter().position(|x| !x.is_finite()) {
                 return Err(EmulationError::NonFiniteInput { side, index });
             }
@@ -472,8 +464,8 @@ impl Server {
         {
             let mut seen = lock(&self.shared.seen);
             // Bound the identity set on long-lived servers: past the cap
-            // it resets, costing at most a finiteness rescan and an
-            // undercounted hit per recurring operand — never correctness.
+            // it resets, costing at most an undercounted hit per
+            // recurring operand — never correctness.
             // The reset is announced through the (always-on) registry so
             // operators know `cache_hits` undercounts from here on,
             // instead of silently reading a too-low hit rate.

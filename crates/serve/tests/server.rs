@@ -186,6 +186,44 @@ fn admission_rejects_invalid_requests() {
     assert_eq!(stats.submitted, 0);
 }
 
+/// An operand identity admitted before is rescanned: a matrix mutated in
+/// place after its job completed is rejected at the door, not admitted to
+/// fail later as a round's `NonFiniteInput`.
+#[test]
+fn admission_rescans_operands_mutated_after_completion() {
+    let server = Server::builder(6, Mode::Fast).build();
+    let mut a = mat(8, 8, 11);
+    let b = mat(8, 8, 12);
+    server
+        .submit(GemmRequest::new("mut", a.clone(), b.clone()))
+        .expect("finite pair admits")
+        .wait()
+        .expect("finite pair completes");
+    // The server drops its clone of `a` shortly after completing the job.
+    let spin_until = std::time::Instant::now() + Duration::from_secs(10);
+    let a_mut = loop {
+        if let Some(m) = Arc::get_mut(&mut a) {
+            break m;
+        }
+        assert!(
+            std::time::Instant::now() < spin_until,
+            "server kept its operand"
+        );
+        std::thread::yield_now();
+    };
+    a_mut.as_mut_slice()[5] = f64::NAN;
+    let err = server
+        .submit(GemmRequest::new("mut", a.clone(), b))
+        .expect_err("mutated operand must not admit");
+    assert!(matches!(
+        err,
+        SubmitError::Invalid(EmulationError::NonFiniteInput { index: 5, .. })
+    ));
+    let stats = server.tenant_stats("mut").expect("tenant exists");
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.submitted, 1);
+}
+
 /// A high-intensity job takes the solo striped path and still matches
 /// the per-call emulator bitwise.
 #[test]
