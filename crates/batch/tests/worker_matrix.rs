@@ -22,7 +22,10 @@ use std::sync::{Mutex, MutexGuard};
 /// Worker counts the matrix sweeps (satellite requirement: 1, 2, 4, 8).
 const WORKER_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
-/// The pool is process-global; tests that reconfigure it serialise here.
+/// The pool and the fault injector are process-global, so every test
+/// holds this lock for its whole body, oracle included: an armed one-shot
+/// fault fires at the first engine hook anywhere in the process, and an
+/// oracle computed concurrently under `FaultPolicy::Off` would absorb it.
 static POOL_CONFIG: Mutex<()> = Mutex::new(());
 
 fn pool_lock() -> MutexGuard<'static, ()> {
@@ -30,9 +33,9 @@ fn pool_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Run `f` at each worker count in the matrix, restoring the machine
-/// default (and a free-running steal order) afterwards.
+/// default (and a free-running steal order) afterwards. Callers hold
+/// [`pool_lock`].
 fn for_each_worker_count(f: impl Fn(usize)) {
-    let _guard = pool_lock();
     for w in WORKER_MATRIX {
         rayon::set_num_threads(w);
         assert_eq!(rayon::current_num_threads(), w);
@@ -55,6 +58,7 @@ fn packed_stream(mats: &[MatF64]) -> Vec<f64> {
 /// whole items with its own checked-out workspace.
 #[test]
 fn interitem_dgemm_batch_is_bit_identical_at_every_worker_count() {
+    let _guard = pool_lock();
     let (m, n, k, nmod, count) = (24usize, 20usize, 12usize, 8usize, 13usize);
     let a_mats: Vec<MatF64> = (0..count)
         .map(|i| phi_matrix_f64(m, k, 0.6, 40 + i as u64, 0))
@@ -85,6 +89,7 @@ fn interitem_dgemm_batch_is_bit_identical_at_every_worker_count() {
 /// the pool) with a broadcast B, so the shared-operand path runs too.
 #[test]
 fn intraitem_stripes_are_bit_identical_at_every_worker_count() {
+    let _guard = pool_lock();
     // Cube 192 at N = 8: intensity 2Ns/(9N+8) ≈ 38 > 32 ⇒ IntraItem.
     let (m, n, k, nmod, count) = (192usize, 192usize, 192usize, 8usize, 2usize);
     let a_mats: Vec<MatF64> = (0..count)
@@ -111,6 +116,7 @@ fn intraitem_stripes_are_bit_identical_at_every_worker_count() {
 /// operands (the dedup/sharing path), at every worker count.
 #[test]
 fn ragged_group_is_bit_identical_at_every_worker_count() {
+    let _guard = pool_lock();
     let nmod = 9;
     let big_a = phi_matrix_f64(72, 80, 0.5, 1, 0);
     let big_b = phi_matrix_f64(80, 64, 0.5, 2, 1);
@@ -150,6 +156,7 @@ fn ragged_group_is_bit_identical_at_every_worker_count() {
 /// SGEMM batches at every worker count.
 #[test]
 fn sgemm_batch_is_bit_identical_at_every_worker_count() {
+    let _guard = pool_lock();
     let (m, n, k, nmod, count) = (18usize, 15usize, 20usize, 7usize, 11usize);
     let a_mats: Vec<MatF32> = (0..count)
         .map(|i| phi_matrix_f32(m, k, 0.5, 5 + i as u64, 0))
@@ -179,6 +186,7 @@ fn sgemm_batch_is_bit_identical_at_every_worker_count() {
 /// must produce identical outputs with no lost items.
 #[test]
 fn seeded_steal_orders_leave_results_bit_identical() {
+    let _guard = pool_lock();
     let nmod = 8;
     // Ragged group: one striped item plus a tail of small InterItem fodder
     // — the mix keeps deques non-empty so steals actually happen.
@@ -199,7 +207,6 @@ fn seeded_steal_orders_leave_results_bit_identical() {
     let emu = Ozaki2::new(nmod, Mode::Fast);
     let oracle: Vec<MatF64> = items.iter().map(|(a, b)| emu.dgemm(a, b)).collect();
 
-    let _guard = pool_lock();
     rayon::set_num_threads(4);
     for seed in [1u64, 2, 3, 0x00ff_00ff, 0xdead_beef_cafe_f00d, u64::MAX] {
         rayon::set_steal_seed(seed);
@@ -221,6 +228,7 @@ fn seeded_steal_orders_leave_results_bit_identical() {
 /// count and site.
 #[test]
 fn armed_fault_recovery_is_bit_identical_at_every_worker_count() {
+    let _guard = pool_lock();
     let (m, n, k, nmod, count) = (16usize, 16usize, 32usize, 8usize, 8usize);
     let a_mats: Vec<MatF64> = (0..count)
         .map(|i| phi_matrix_f64(m, k, 0.5, 60 + i as u64, 0))

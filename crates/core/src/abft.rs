@@ -1,5 +1,8 @@
-//! ABFT fault tolerance for the residue pipeline: checksum construction,
-//! per-plane verification, and the recovery state machine.
+//! Algorithm 1 lines 6–12 over packed panels (`execute_panels`, the one
+//! executor every entry runs) and its ABFT fault tolerance: checksum
+//! construction, per-plane verification, and the recovery state machine.
+//! Under [`FaultPolicy::Off`] the executor runs only the plane GEMMs and
+//! the fold — none of the machinery below.
 //!
 //! The scheme's inner loop is **exact integer arithmetic mod `p`**, so
 //! Huang–Abraham checksums hold *bitwise*: for every residue plane
@@ -48,8 +51,8 @@ use crate::modred::finalize_block_residues;
 use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
-    ReduceEpilogue, NR,
+    int8_gemm_prepacked_fused, isa, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
+    Isa, ReduceEpilogue, NR,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -243,35 +246,10 @@ impl PanelsRef<'_> {
 // are plain integer reduction loops; compiled for the baseline x86-64
 // target they autovectorize at SSE2 width only, which is wide enough to
 // show the side channel in the wall clock. Multiversioning the loop
-// bodies behind the same runtime dispatch the engine kernels use lets
+// bodies behind the same probe the engine kernels use (`isa()`) lets
 // LLVM re-autovectorize them at AVX2 / AVX-512 width — no hand-written
 // intrinsics, and bit-identical results at every width (integer
 // arithmetic only).
-
-#[derive(Clone, Copy)]
-enum Simd {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-fn simd() -> Simd {
-    static LEVEL: OnceLock<Simd> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-                return Simd::Avx512;
-            }
-            if is_x86_feature_detected!("avx2") {
-                return Simd::Avx2;
-            }
-        }
-        Simd::Scalar
-    })
-}
 
 /// Stamp out AVX-512 / AVX2 / scalar versions of an `#[inline(always)]`
 /// loop body plus the dispatching front-end. The `unsafe` is only the
@@ -292,12 +270,12 @@ macro_rules! simd_dispatch {
         }
 
         fn $dispatch($($arg: $ty),*) -> $ret {
-            match simd() {
+            match isa() {
                 #[cfg(target_arch = "x86_64")]
-                Simd::Avx512 => unsafe { $avx512($($arg),*) },
+                Isa::Avx512 | Isa::Avx512Vnni => unsafe { $avx512($($arg),*) },
                 #[cfg(target_arch = "x86_64")]
-                Simd::Avx2 => unsafe { $avx2($($arg),*) },
-                Simd::Scalar => $body($($arg),*),
+                Isa::Avx2 => unsafe { $avx2($($arg),*) },
+                _ => $body($($arg),*),
             }
         }
     };
@@ -491,10 +469,16 @@ fn verify_plane(
 // GEMM helpers
 // ---------------------------------------------------------------------------
 
-/// One residue-plane GEMM (or column-stripe thereof) with fused mod-`p`
-/// reduction, k-blocking transparently applied. `a_panels` /
-/// `b_panels` start at the operand's (sub)panel origin; `u_out` is the
-/// `m * n` destination. Returns the number of engine calls issued.
+/// Algorithm 1 lines 6–7 for one residue plane (or column stripe
+/// thereof): the INT8 GEMM with fused mod-`p` reduction, k-blocked past
+/// [`K_BLOCK_MAX`] (§4.3: each block's residues accumulate in i32 and are
+/// reduced once more at the end; every block is a PK-aligned depth window
+/// of the same panels). The only engine call site of this crate.
+/// `a_panels` / `b_panels` start at the operand's (sub)panel origin;
+/// `u_out` is the `m * n` destination. With `phases`, each engine call's
+/// time is split into `int8_gemm` and `mod_reduce` (the slowest stripe's
+/// fused epilogue), and the block-residue finalization counts as
+/// `mod_reduce`. Returns the number of engine calls issued.
 #[allow(clippy::too_many_arguments)]
 fn plane_gemm(
     m: usize,
@@ -509,41 +493,58 @@ fn plane_gemm(
     racc: &mut [i32],
     u_out: &mut [u8],
     parallel: bool,
-    mod_nanos: Option<&AtomicU64>,
+    mut phases: Option<&mut PhaseTimes>,
 ) -> usize {
     let c32 = &mut c32[..m * n];
+    let mod_nanos = AtomicU64::new(0);
+    let nanos = phases.is_some().then_some(&mod_nanos);
+    let mut charge = |t0: Instant| {
+        if let Some(ph) = phases.as_deref_mut() {
+            let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
+            ph.mod_reduce += modd;
+            ph.int8_gemm += t0.elapsed().saturating_sub(modd);
+        }
+    };
     if k <= K_BLOCK_MAX {
-        let epi = ReduceEpilogue::new(p, pinv, mod_nanos);
+        let t0 = Instant::now();
+        let epi = ReduceEpilogue::new(p, pinv, nanos);
         int8_gemm_prepacked_fused(
             m, n, k, a_panels, b_panels, kp, 0, c32, u_out, &epi, parallel,
         );
-        1
-    } else {
-        let racc = &mut racc[..m * n];
-        racc.fill(0);
-        let mut calls = 0usize;
-        let mut h0 = 0usize;
-        while h0 < k {
-            let kb = K_BLOCK_MAX.min(k - h0);
-            let epi = AccumulateEpilogue::new(p, pinv, mod_nanos);
-            int8_gemm_prepacked_fused(
-                m, n, kb, a_panels, b_panels, kp, h0, c32, racc, &epi, parallel,
-            );
-            calls += 1;
-            h0 += kb;
-        }
-        finalize_block_residues(racc, p, pinv, u_out);
-        calls
+        charge(t0);
+        return 1;
     }
+    let racc = &mut racc[..m * n];
+    racc.fill(0);
+    let mut calls = 0usize;
+    let mut h0 = 0usize;
+    while h0 < k {
+        let kb = K_BLOCK_MAX.min(k - h0);
+        let t0 = Instant::now();
+        let epi = AccumulateEpilogue::new(p, pinv, nanos);
+        int8_gemm_prepacked_fused(
+            m, n, kb, a_panels, b_panels, kp, h0, c32, racc, &epi, parallel,
+        );
+        charge(t0);
+        calls += 1;
+        h0 += kb;
+    }
+    let t0 = Instant::now();
+    finalize_block_residues(racc, p, pinv, u_out);
+    if let Some(ph) = phases {
+        ph.mod_reduce += t0.elapsed();
+    }
+    calls
 }
 
 // ---------------------------------------------------------------------------
-// The fault-tolerant executor
+// The lines-6–12 executor
 // ---------------------------------------------------------------------------
 
-/// Scratch bundle for [`execute_panels_ft`] (the non-panel slices of
-/// [`crate::pipeline::WsBuffers`]).
-pub(crate) struct FtScratch<'w> {
+/// Scratch bundle for [`execute_panels`] (the non-panel slices of
+/// [`crate::pipeline::WsBuffers`]; the `chk_*` / `uchk` / `vsum` slices
+/// are only touched under an active policy).
+pub(crate) struct ExecScratch<'w> {
     pub u: &'w mut [u8],
     pub c32: &'w mut [i32],
     pub racc: &'w mut [i32],
@@ -554,16 +555,21 @@ pub(crate) struct FtScratch<'w> {
     pub vsum: &'w mut [u32],
 }
 
-/// Algorithm 1 lines 6–12 under an active [`FaultPolicy`]: the
-/// fault-tolerant sibling of [`crate::pipeline::execute_panels`]. Per
-/// plane: captures the checksum vectors and both reference products
-/// (`A'_s · chk_b` for the row axis, `chk_a · B'_s` for the column
-/// axis) from the pristine panels, runs the plane's GEMM, verifies, and
-/// recovers per the policy; then folds. Returns
-/// `(int8_gemm_calls, FaultReport)` — recovery re-runs and checksum
-/// products are counted in the report, not in the main call count.
+/// Algorithm 1 lines 6–12 over already-packed residue panels, the back
+/// half of the one Algorithm-1 body (`facade::algorithm1`): the `N`
+/// plane GEMMs with fused modular reduction ([`plane_gemm`]), then the
+/// CRT fold with inverse scaling.
+///
+/// Under [`FaultPolicy::Off`] that is all it does. An active policy adds,
+/// per plane: the checksum vectors and both reference products
+/// (`A'_s · chk_b` for the row axis, `chk_a · B'_s` for the column axis)
+/// captured from the pristine panels before the GEMM, the fault-injection
+/// seams, and verification plus recovery per the policy after it.
+/// Returns `(int8_gemm_calls, FaultReport)` — recovery re-runs and
+/// checksum products are counted in the report, not in the main call
+/// count; the report stays empty under `Off`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_panels_ft(
+pub(crate) fn execute_panels(
     m: usize,
     n: usize,
     k: usize,
@@ -573,7 +579,7 @@ pub(crate) fn execute_panels_ft(
     mut b: PanelsRef<'_>,
     exps_a: &[i32],
     exps_b: &[i32],
-    scratch: FtScratch<'_>,
+    scratch: ExecScratch<'_>,
     parallel: bool,
     policy: FaultPolicy,
     out: &mut [f64],
@@ -586,14 +592,15 @@ pub(crate) fn execute_panels_ft(
     let n_pad = padded_b_cols(n);
     let mut gemm_calls = 0usize;
     let mut report = FaultReport::default();
+    let active = policy.is_active();
 
     // Env-rate fault injection only fires inside this protected region:
-    // raw engine calls elsewhere (kernel parity tests, benches) have no
-    // ABFT to catch a flip, so they stay clean even when CI runs the
-    // whole suite with OZAKI_FAULT_INJECT set.
-    let _region = faultinject::region();
+    // raw engine calls elsewhere (kernel parity tests, benches) and runs
+    // with the policy off have no ABFT to catch a flip, so they stay
+    // clean even when CI runs the whole suite with OZAKI_FAULT_INJECT set.
+    let _region = active.then(faultinject::region);
 
-    let FtScratch {
+    let ExecScratch {
         u,
         c32,
         racc,
@@ -605,46 +612,47 @@ pub(crate) fn execute_panels_ft(
     } = scratch;
     let u = &mut u[..nmod * plane];
 
-    // ---- Per-plane: capture, seams, GEMM, verify, recover ----------------
-    let mod_nanos = AtomicU64::new(0);
+    // ---- Per plane: [capture, seams,] GEMM, [verify, recover] -----------
     for s in 0..nmod {
         let p = consts.p[s];
         let pinv = consts.p_inv_u32[s];
         let a_lo = s * m_pad * kp;
         let b_lo = s * n_pad * kp;
 
-        // Checksum capture + references, from the pristine panels, right
-        // before this plane's GEMM: the reference sweeps stream the
-        // plane's panels into cache, which the GEMM then reads warm — so
-        // the side channel largely pays for its own memory traffic.
-        let tv = Instant::now();
-        report.checksum_gemms += checksum_refs(
-            &a.panels()[a_lo..a_lo + m_pad * kp],
-            &b.panels()[b_lo..b_lo + n_pad * kp],
-            m,
-            n,
-            kp,
-            p,
-            &mut chk_a16[s * kp..(s + 1) * kp],
-            &mut chk_b16[s * kp..(s + 1) * kp],
-            chk_sum,
-            &mut uchk[s * (m + n)..(s + 1) * (m + n)],
-        );
-        phases.verify += tv.elapsed();
+        if active {
+            // Checksum capture + references, from the pristine panels,
+            // right before this plane's GEMM: the reference sweeps stream
+            // the plane's panels into cache, which the GEMM then reads
+            // warm — so the side channel largely pays for its own memory
+            // traffic.
+            let tv = Instant::now();
+            report.checksum_gemms += checksum_refs(
+                &a.panels()[a_lo..a_lo + m_pad * kp],
+                &b.panels()[b_lo..b_lo + n_pad * kp],
+                m,
+                n,
+                kp,
+                p,
+                &mut chk_a16[s * kp..(s + 1) * kp],
+                &mut chk_b16[s * kp..(s + 1) * kp],
+                chk_sum,
+                &mut uchk[s * (m + n)..(s + 1) * (m + n)],
+            );
+            phases.verify += tv.elapsed();
 
-        // Panel fault seams: after this plane's checksum capture, so a
-        // flipped panel byte shows up as a checksum mismatch downstream.
-        // Prepared (Fixed) panels are deliberately not a seam — they are
-        // the trusted source recovery recomputes from.
-        if let PanelsRef::Repackable { panels, .. } = &mut a {
-            faultinject::corrupt_panel(FaultSite::PanelA, &mut panels[a_lo..a_lo + m_pad * kp]);
-        }
-        if let PanelsRef::Repackable { panels, .. } = &mut b {
-            faultinject::corrupt_panel(FaultSite::PanelB, &mut panels[b_lo..b_lo + n_pad * kp]);
+            // Panel fault seams: after this plane's checksum capture, so
+            // a flipped panel byte shows up as a checksum mismatch
+            // downstream. Prepared (Fixed) panels are deliberately not a
+            // seam — they are the trusted source recovery recomputes from.
+            if let PanelsRef::Repackable { panels, .. } = &mut a {
+                faultinject::corrupt_panel(FaultSite::PanelA, &mut panels[a_lo..a_lo + m_pad * kp]);
+            }
+            if let PanelsRef::Repackable { panels, .. } = &mut b {
+                faultinject::corrupt_panel(FaultSite::PanelB, &mut panels[b_lo..b_lo + n_pad * kp]);
+            }
         }
 
-        // Main plane GEMM (timed as the regular int8/mod phases).
-        let t0 = Instant::now();
+        // Lines 6–7: the plane's GEMM, timed as the int8/mod phases.
         gemm_calls += plane_gemm(
             m,
             n,
@@ -658,12 +666,11 @@ pub(crate) fn execute_panels_ft(
             racc,
             &mut u[s * plane..(s + 1) * plane],
             parallel,
-            Some(&mod_nanos),
+            Some(&mut *phases),
         );
-        let total = t0.elapsed();
-        let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-        phases.mod_reduce += modd;
-        phases.int8_gemm += total.saturating_sub(modd);
+        if !active {
+            continue;
+        }
 
         // Residue-plane fault seam (post-GEMM, pre-verification).
         faultinject::corrupt_residue(&mut u[s * plane..(s + 1) * plane]);
@@ -687,7 +694,7 @@ pub(crate) fn execute_panels_ft(
             }
             report.detected += 1;
             match policy {
-                FaultPolicy::Off => unreachable!("ft executor only runs under an active policy"),
+                FaultPolicy::Off => unreachable!("verification only runs under an active policy"),
                 FaultPolicy::Detect => {
                     report.events.push(FaultEvent {
                         plane: s,
@@ -807,7 +814,10 @@ pub(crate) fn execute_panels_ft(
         phases.verify += tv.elapsed();
     }
 
-    // ---- Lines 8–12: fold (identical to the Off path) --------------------
+    // ---- Lines 8–12: fold -------------------------------------------------
+    // fold_planes' internal column parallelism nests safely inside an
+    // inter-GEMM worker (nested regions run sequentially on the worker),
+    // and its output is bit-identical for every split.
     let t0 = Instant::now();
     let precision = if b64 {
         crate::accumulate::FoldPrecision::Double

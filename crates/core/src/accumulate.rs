@@ -38,6 +38,7 @@
 
 use crate::consts::Constants;
 use crate::scale::{ilog2_abs, pow2_split, scale_by_pow2};
+use gemm_engine::{isa, Isa};
 use rayon::prelude::*;
 
 /// Which weight split drives the accumulation.
@@ -53,45 +54,12 @@ pub enum FoldPrecision {
 // Vectorized fold span kernels (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Which fold span kernel the running CPU supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FoldKernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-fn detect_fold_kernel() -> FoldKernel {
-    if gemm_engine::force_scalar() {
-        return FoldKernel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
-            return FoldKernel::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return FoldKernel::Avx2;
-        }
-    }
-    FoldKernel::Scalar
-}
-
-fn fold_kernel() -> FoldKernel {
-    static KERNEL: std::sync::OnceLock<FoldKernel> = std::sync::OnceLock::new();
-    *KERNEL.get_or_init(detect_fold_kernel)
-}
-
 /// Human-readable name of the fold kernel the running CPU dispatches to.
 pub fn fold_kernel_name() -> &'static str {
-    match fold_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        FoldKernel::Avx512 => "avx512",
-        #[cfg(target_arch = "x86_64")]
-        FoldKernel::Avx2 => "avx2-fma",
-        FoldKernel::Scalar => "scalar",
+    match isa() {
+        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx2 => "avx2-fma",
+        Isa::Scalar => "scalar",
     }
 }
 
@@ -283,19 +251,17 @@ pub fn fold_span(
     if let Some(s2v) = s2 {
         assert_eq!(s2v.len(), s1.len(), "weight split length mismatch");
     }
-    match fold_kernel() {
+    match isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // the buffer contract is asserted above.
-        FoldKernel::Avx512 => unsafe {
+        Isa::Avx512 | Isa::Avx512Vnni => unsafe {
             x86::fold_span_avx512(u, plane, idx0, s1, s2, p1, p2, p_inv, out)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        FoldKernel::Avx2 => unsafe {
-            x86::fold_span_avx2(u, plane, idx0, s1, s2, p1, p2, p_inv, out)
-        },
-        FoldKernel::Scalar => fold_span_scalar(u, plane, idx0, s1, s2, p1, p2, p_inv, out),
+        Isa::Avx2 => unsafe { x86::fold_span_avx2(u, plane, idx0, s1, s2, p1, p2, p_inv, out) },
+        _ => fold_span_scalar(u, plane, idx0, s1, s2, p1, p2, p_inv, out),
     }
 }
 

@@ -35,15 +35,16 @@
 //! own packing sweep — disappear entirely. [`convert_pack_panels`] is the
 //! lines-4–5-only form for pretruncated input.
 //!
-//! The inner scale+trunc and `rmod` row kernels are independently
-//! runtime-dispatched (AVX-512 → AVX2+FMA → scalar; forced to scalar by
-//! `OZAKI_FORCE_SCALAR=1`). The scalar kernels ([`rmod_row_scalar`],
+//! The inner scale+trunc and `rmod` row kernels are runtime-dispatched on
+//! the one probe, [`gemm_engine::isa()`] (AVX-512 → AVX2+FMA → scalar;
+//! forced to scalar by `OZAKI_FORCE_SCALAR=1`). The scalar kernels ([`rmod_row_scalar`],
 //! [`crate::scale::strunc_row_scalar`]) are the property-test oracles:
 //! every SIMD path must produce bit-identical residues for every lane,
 //! every step count, and every thread count.
 
 use crate::consts::Constants;
 use crate::scale::{pow2_split, strunc_row, strunc_row_inplace};
+use gemm_engine::{isa, Isa};
 use gemm_obs::TimeShare;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -106,48 +107,12 @@ pub fn rmod_to_i8(x: f64, p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8)
 // Vectorized rmod row kernels (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Which `rmod` row kernel the running CPU supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ConvKernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-fn detect_conv_kernel() -> ConvKernel {
-    if gemm_engine::force_scalar() {
-        return ConvKernel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return ConvKernel::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return ConvKernel::Avx2;
-        }
-    }
-    ConvKernel::Scalar
-}
-
-fn conv_kernel() -> ConvKernel {
-    static KERNEL: std::sync::OnceLock<ConvKernel> = std::sync::OnceLock::new();
-    *KERNEL.get_or_init(detect_conv_kernel)
-}
-
 /// Human-readable name of the `rmod` kernel the running CPU dispatches to.
 pub fn convert_kernel_name() -> &'static str {
-    match conv_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        ConvKernel::Avx512 => "avx512",
-        #[cfg(target_arch = "x86_64")]
-        ConvKernel::Avx2 => "avx2-fma",
-        ConvKernel::Scalar => "scalar",
+    match isa() {
+        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx2 => "avx2-fma",
+        Isa::Scalar => "scalar",
     }
 }
 
@@ -299,17 +264,17 @@ pub fn rmod_row(
     steps: u8,
 ) {
     assert!(dst.len() >= xs.len(), "destination row too short");
-    match conv_kernel() {
+    match isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // the length contract is asserted above.
-        ConvKernel::Avx512 => unsafe {
+        Isa::Avx512 | Isa::Avx512Vnni => unsafe {
             x86::rmod_row_avx512(xs, dst, p, p32, pinv64, pinv32, steps)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        ConvKernel::Avx2 => unsafe { x86::rmod_row_avx2(xs, dst, p, p32, pinv64, pinv32, steps) },
-        ConvKernel::Scalar => rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, steps),
+        Isa::Avx2 => unsafe { x86::rmod_row_avx2(xs, dst, p, p32, pinv64, pinv32, steps) },
+        _ => rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, steps),
     }
 }
 

@@ -17,7 +17,7 @@
 //!   [`EmulationError::AccuracyUnreachable`] when no supported `N`
 //!   reaches the target).
 
-use crate::abft::{execute_panels_ft, FaultPolicy, FaultReport, FtScratch, PanelsRef};
+use crate::abft::{execute_panels, ExecScratch, FaultPolicy, FaultReport, PanelsRef};
 use crate::blas::GemmOp;
 use crate::consts::{constants, Constants};
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
@@ -25,7 +25,7 @@ use crate::element::Element;
 use crate::moduli::N_MAX;
 use crate::nselect;
 use crate::pipeline::{
-    execute_panels, EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
+    EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
 };
 use crate::prepared::{OperandInput, OperandSide};
 use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
@@ -363,7 +363,7 @@ pub(crate) fn front_end<T: Element>(
 
 /// The panels lines 6–12 run over for one side: a preparation's cached
 /// panels, or the workspace panels [`front_end`] just filled from a view
-/// (with the recipe the ABFT executor repacks them from).
+/// (with the recipe ABFT recovery repacks them from).
 fn side_panels<'p, T: Element>(
     input: &OperandInput<'p, T>,
     side: OperandSide,
@@ -395,9 +395,9 @@ fn side_panels<'p, T: Element>(
 /// are scanned for non-finite entries. The fold writes
 /// straight into `out` on the plain contiguous f64 path; otherwise it
 /// lands in the workspace staging buffer and the `alpha`/`beta` epilogue
-/// (or the exact f32 narrowing) runs per column. An active `policy`
-/// routes lines 6–12 through the ABFT executor ([`execute_panels_ft`]);
-/// [`FaultPolicy::Off`] runs [`execute_panels`].
+/// (or the exact f32 narrowing) runs per column. Lines 6–12 run in
+/// [`execute_panels`], with checksums, verification and recovery only
+/// under an active `policy`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn algorithm1<T: Element>(
     emu: &Ozaki2,
@@ -538,54 +538,33 @@ pub(crate) fn algorithm1<T: Element>(
         Some(slice) => &mut slice[..m * n],
         None => &mut cstage[..m * n],
     };
-    let mut fault: Option<FaultReport> = None;
-    if policy.is_active() {
-        let (calls, frep) = execute_panels_ft(
-            m,
-            n,
-            k,
-            consts,
-            T::IS_F64,
-            a_ref,
-            b_ref,
-            &exps_a,
-            &exps_b,
-            FtScratch {
-                u,
-                c32,
-                racc,
-                chk_a16,
-                chk_b16,
-                uchk,
-                chk_sum,
-                vsum,
-            },
-            parallel,
-            policy,
-            dst,
-            &mut phases,
-        );
-        gemm_calls += calls;
-        fault = Some(frep);
-    } else {
-        gemm_calls += execute_panels(
-            m,
-            n,
-            k,
-            consts,
-            T::IS_F64,
-            a_ref.panels(),
-            b_ref.panels(),
-            &exps_a,
-            &exps_b,
+    let (calls, report) = execute_panels(
+        m,
+        n,
+        k,
+        consts,
+        T::IS_F64,
+        a_ref,
+        b_ref,
+        &exps_a,
+        &exps_b,
+        ExecScratch {
             u,
             c32,
             racc,
-            parallel,
-            dst,
-            &mut phases,
-        );
-    }
+            chk_a16,
+            chk_b16,
+            uchk,
+            chk_sum,
+            vsum,
+        },
+        parallel,
+        policy,
+        dst,
+        &mut phases,
+    );
+    gemm_calls += calls;
+    let fault = policy.is_active().then_some(report);
     if staged {
         // Narrow / scale / scatter into the output view. Counted as fold:
         // it is the tail of lines 8–12 for these output shapes.
@@ -763,12 +742,6 @@ impl Ozaki2Builder {
             Some(policy) => emu.with_fault_policy(policy),
             None => emu,
         })
-    }
-
-    /// [`Ozaki2Builder::build`] with the inner dimension supplied at call
-    /// time, for callers that learn `k` late.
-    pub fn build_for_k(self, k: usize) -> Result<Ozaki2, EmulationError> {
-        self.k(k).build()
     }
 
     fn resolve(&self, target: f64, for_sgemm: bool) -> Result<usize, EmulationError> {
@@ -1000,12 +973,14 @@ mod tests {
         // The named equivalents agree with the explicit target.
         let e64 = Ozaki2::builder()
             .accuracy(Accuracy::Fp64Equivalent)
-            .build_for_k(1024)
+            .k(1024)
+            .build()
             .unwrap();
         assert_eq!(e64.n_moduli(), 15);
         let e32 = Ozaki2::builder()
             .accuracy(Accuracy::Fp32Equivalent)
-            .build_for_k(1024)
+            .k(1024)
+            .build()
             .unwrap();
         assert!((7..=9).contains(&e32.n_moduli()), "{}", e32.n_moduli());
     }

@@ -70,6 +70,6 @@ pub use pipeline::{
 pub use plan::arithmetic_intensity;
 pub use prepared::{OperandInput, OperandSide, PreparedOperand};
 pub use scale::{
-    fast_scale_a_view, fast_scale_b_view, fast_scale_cols_slice, fast_scale_rows_slice, pow2_split,
-    strunc_row, strunc_row_scalar, trunc_kernel_name,
+    fast_scale_a_view, fast_scale_b_view, pow2_split, strunc_row, strunc_row_scalar,
+    trunc_kernel_name,
 };

@@ -1,28 +1,21 @@
-//! The emulator, its workspace and per-call report, and Algorithm 1's
-//! lines 6–12 over packed panels.
+//! The emulator, its workspace and per-call report.
 //!
 //! [`Ozaki2`] bundles the two user-visible knobs — the number of moduli `N`
 //! (accuracy) and the computing [`Mode`] (fast vs accurate scaling) — plus
 //! the ABFT [`FaultPolicy`]. This module holds the emulator, its
 //! [`Workspace`] and [`EmulationReport`] (the per-phase wall-clock
-//! breakdown used to regenerate Figs. 6–7), the `dgemm`/`sgemm`
-//! delegates, and lines 6–12 over packed panels (`execute_panels`).
-//! The entries and the one Algorithm-1 body live in [`crate::facade`].
+//! breakdown used to regenerate Figs. 6–7), and the `dgemm`/`sgemm`
+//! delegates. The entries and the one Algorithm-1 body live in
+//! [`crate::facade`]; lines 6–12 over packed panels run in the one
+//! executor in [`crate::abft`], for every fault policy.
 
 use crate::abft::{FaultPolicy, FaultReport};
-use crate::accumulate::{fold_planes, FoldPrecision};
-use crate::consts::Constants;
 use crate::facade::GemmArgs;
-use crate::modred::finalize_block_residues;
 use crate::moduli::N_MAX;
 use crate::prepared::OperandSide;
 use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64};
-use gemm_engine::{
-    int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
-    ReduceEpilogue,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
+use std::time::Duration;
 
 /// Largest `k` per INT8 GEMM before block splitting (§4.3: products of
 /// `±128` entries stay within the wrapping-INT32 guarantee up to `2^17`).
@@ -82,8 +75,7 @@ pub enum EmulationError {
     },
     /// A `k`-dependent accuracy target was used without an inner
     /// dimension to resolve it against (call
-    /// [`crate::facade::Ozaki2Builder::k`] or
-    /// [`crate::facade::Ozaki2Builder::build_for_k`]).
+    /// [`crate::facade::Ozaki2Builder::k`] before building).
     AccuracyNeedsK,
     /// Operand preparation requested for a mode that cannot prepare
     /// operands independently ([`Mode::Accurate`] scales `A` and `B`
@@ -124,7 +116,7 @@ impl std::fmt::Display for EmulationError {
             EmulationError::AccuracyNeedsK => write!(
                 f,
                 "a k-dependent accuracy target needs the inner dimension: \
-                 set Ozaki2Builder::k or use build_for_k"
+                 set Ozaki2Builder::k before build"
             ),
             EmulationError::PreparationUnsupported { mode } => write!(
                 f,
@@ -313,10 +305,9 @@ pub struct Workspace {
 }
 
 /// Mutable borrows of every [`Workspace`] buffer at once, for the
-/// Algorithm-1 body and the ABFT executor, which juggle several of them
-/// simultaneously. The
-/// `chk_*` / `uchk` / `vsum` fields are empty unless
-/// [`Workspace::reserve_abft`] ran.
+/// Algorithm-1 body and the lines-6–12 executor, which juggle several of
+/// them simultaneously. The `chk_*` / `uchk` / `vsum` fields are empty
+/// unless [`Workspace::reserve_abft`] ran.
 pub(crate) struct WsBuffers<'w> {
     pub a16: &'w mut [i16],
     pub b16: &'w mut [i16],
@@ -436,7 +427,7 @@ impl Workspace {
         }
     }
 
-    /// Every buffer at once, for the Algorithm-1 body and the ABFT
+    /// Every buffer at once, for the Algorithm-1 body and the lines-6–12
     /// executor. Call the `reserve_*` methods for the buffers in use
     /// first.
     pub(crate) fn buffers(&mut self) -> WsBuffers<'_> {
@@ -567,122 +558,6 @@ impl MatMulF32 for Ozaki2 {
     fn name(&self) -> String {
         format!("OS II-{}-{}", self.mode.label(), self.n_moduli)
     }
-}
-
-/// Algorithm 1 lines 6–12 over already-packed residue panels: the `N` INT8
-/// GEMMs with fused modular reduction, the block-residue finalization for
-/// `k > 2^17`, and the CRT fold with inverse scaling: the back half of
-/// the one Algorithm-1 body (`facade::algorithm1`) when no fault policy
-/// is active.
-///
-/// `a16` / `b16` hold `N` panel sets of `m_pad * kp` / `n_pad * kp` i16
-/// each; `u`, `c32`, `racc` are the workspace planes (`racc` only consumed
-/// when `k > K_BLOCK_MAX`). Returns the number of INT8 GEMMs issued.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_panels(
-    m: usize,
-    n: usize,
-    k: usize,
-    consts: &Constants,
-    b64: bool,
-    a16: &[i16],
-    b16: &[i16],
-    exps_a: &[i32],
-    exps_b: &[i32],
-    u: &mut [u8],
-    c32: &mut [i32],
-    racc: &mut [i32],
-    parallel: bool,
-    out: &mut [f64],
-    phases: &mut PhaseTimes,
-) -> usize {
-    let nmod = consts.n;
-    let plane = m * n;
-    let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    let n_pad = padded_b_cols(n);
-    let mut gemm_calls = 0usize;
-
-    // ---- Lines 6–7: INT8 GEMMs with fused modular reduction -------------
-    // The mod-p reduction runs inside the GEMM call, on cache-resident `C`
-    // stripes (see `gemm_engine::Epilogue`); the slowest worker's epilogue
-    // time lands in `mod_nanos` so the phase split survives the fusion.
-    let u = &mut u[..nmod * plane];
-    let c32 = &mut c32[..plane];
-    let mod_nanos = AtomicU64::new(0);
-    if k <= K_BLOCK_MAX {
-        for s in 0..nmod {
-            let t0 = Instant::now();
-            let epi = ReduceEpilogue::new(consts.p[s], consts.p_inv_u32[s], Some(&mod_nanos));
-            int8_gemm_prepacked_fused(
-                m,
-                n,
-                k,
-                &a16[s * m_pad * kp..(s + 1) * m_pad * kp],
-                &b16[s * n_pad * kp..(s + 1) * n_pad * kp],
-                kp,
-                0,
-                c32,
-                &mut u[s * plane..(s + 1) * plane],
-                &epi,
-                parallel,
-            );
-            gemm_calls += 1;
-            let total = t0.elapsed();
-            let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-            phases.mod_reduce += modd;
-            phases.int8_gemm += total.saturating_sub(modd);
-        }
-    } else {
-        // k-blocking: reduce each block's products mod p, accumulate the
-        // residues in i32, reduce once more at the end. Every block is a
-        // PK-aligned depth window of the same packed panels — no repacking,
-        // no copies.
-        let racc = &mut racc[..plane];
-        for s in 0..nmod {
-            racc.fill(0);
-            let a_panels = &a16[s * m_pad * kp..(s + 1) * m_pad * kp];
-            let b_panels = &b16[s * n_pad * kp..(s + 1) * n_pad * kp];
-            let mut h0 = 0usize;
-            while h0 < k {
-                let kb = K_BLOCK_MAX.min(k - h0);
-                let t0 = Instant::now();
-                let epi =
-                    AccumulateEpilogue::new(consts.p[s], consts.p_inv_u32[s], Some(&mod_nanos));
-                int8_gemm_prepacked_fused(
-                    m, n, kb, a_panels, b_panels, kp, h0, c32, racc, &epi, parallel,
-                );
-                gemm_calls += 1;
-                let total = t0.elapsed();
-                let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-                phases.mod_reduce += modd;
-                phases.int8_gemm += total.saturating_sub(modd);
-                h0 += kb;
-            }
-            let t0 = Instant::now();
-            finalize_block_residues(
-                racc,
-                consts.p[s],
-                consts.p_inv_u32[s],
-                &mut u[s * plane..(s + 1) * plane],
-            );
-            phases.mod_reduce += t0.elapsed();
-        }
-    }
-
-    // ---- Lines 8–12: fold ------------------------------------------------
-    // fold_planes' internal column parallelism nests safely inside an
-    // inter-GEMM worker (nested regions run sequentially on the worker),
-    // and its output is bit-identical for every split.
-    let t0 = Instant::now();
-    let precision = if b64 {
-        FoldPrecision::Double
-    } else {
-        FoldPrecision::Single
-    };
-    fold_planes(u, m, n, consts, precision, exps_a, exps_b, out);
-    phases.fold = t0.elapsed();
-    gemm_calls
 }
 
 #[cfg(test)]

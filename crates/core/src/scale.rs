@@ -16,7 +16,7 @@
 use crate::consts::Constants;
 use crate::element::Element;
 use gemm_dense::{MatF64, MatView, Matrix};
-use gemm_engine::int8_gemm;
+use gemm_engine::{int8_gemm, isa, Isa};
 use gemm_exact::roundup;
 
 /// `⌊log2 |x|⌋` for finite nonzero `x`, exact (bit manipulation, handles
@@ -63,14 +63,7 @@ pub fn scale_by_pow2(x: f64, e: i32) -> f64 {
 /// overflow, exactly as the paper's formula is structured).
 pub fn fast_scale_rows(a: &MatF64, budget: f64) -> Vec<i32> {
     let (m, k) = a.shape();
-    fast_scale_rows_slice(a.as_slice(), m, k, budget)
-}
-
-/// [`fast_scale_rows`] over a raw column-major `m x k` slice (vector `h` of
-/// the matrix at `data[h*m..(h+1)*m]`) — the borrowed-view entry the batched
-/// runtime's strided batches use. Bit-identical to the matrix form.
-pub fn fast_scale_rows_slice(data: &[f64], m: usize, k: usize, budget: f64) -> Vec<i32> {
-    assert!(data.len() >= m * k, "operand slice too short");
+    let data = a.as_slice();
     let mut row_max = vec![0.0f64; m];
     for h in 0..k {
         for (rm, &x) in row_max.iter_mut().zip(&data[h * m..(h + 1) * m]) {
@@ -114,14 +107,7 @@ pub fn fast_scale_rows_slice(data: &[f64], m: usize, k: usize, budget: f64) -> V
 /// Per-column fast-mode scale exponents for `B` (`ν_j = 2^{e_j}`).
 pub fn fast_scale_cols(b: &MatF64, budget: f64) -> Vec<i32> {
     let (k, n) = b.shape();
-    fast_scale_cols_slice(b.as_slice(), k, n, budget)
-}
-
-/// [`fast_scale_cols`] over a raw column-major `k x n` slice (column `j` at
-/// `data[j*k..(j+1)*k]`) — the borrowed-view entry the batched runtime's
-/// strided batches use. Bit-identical to the matrix form.
-pub fn fast_scale_cols_slice(data: &[f64], k: usize, n: usize, budget: f64) -> Vec<i32> {
-    assert!(data.len() >= k * n, "operand slice too short");
+    let data = b.as_slice();
     (0..n)
         .map(|j| {
             let col = &data[j * k..(j + 1) * k];
@@ -141,7 +127,7 @@ pub fn fast_scale_cols_slice(data: &[f64], k: usize, n: usize, budget: f64) -> V
 /// [`fast_scale_rows`] over a borrowed strided operand view (any layout,
 /// leading dimension, or transpose; f64 or exactly widened f32): per-row
 /// scale exponents for the view's **logical** elements, with zero
-/// materialization. Bit-identical to [`fast_scale_rows_slice`] on a
+/// materialization. Bit-identical to [`fast_scale_rows`] on a
 /// column-major copy — every row's maxima and norm accumulation run in
 /// the same ascending-`h` order, and f32 widening is exact.
 // Kept out of line (also `fast_scale_b_view`): inlined into the large
@@ -189,7 +175,7 @@ pub fn fast_scale_a_view<T: Element>(a: &MatView<'_, T>, budget: f64) -> Vec<i32
 
 /// [`fast_scale_cols`] over a borrowed strided operand view — the
 /// column-side counterpart of [`fast_scale_a_view`], bit-identical to
-/// [`fast_scale_cols_slice`] on a column-major copy.
+/// [`fast_scale_cols`] on a column-major copy.
 // Out of line: see `fast_scale_a_view`.
 #[inline(never)]
 pub fn fast_scale_b_view<T: Element>(b: &MatView<'_, T>, budget: f64) -> Vec<i32> {
@@ -332,45 +318,12 @@ pub fn pow2_split(e: i32) -> (f64, f64) {
 // Vectorized scale+trunc row kernels (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Which scale+trunc row kernel the running CPU supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TruncKernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-fn detect_trunc_kernel() -> TruncKernel {
-    if gemm_engine::force_scalar() {
-        return TruncKernel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return TruncKernel::Avx512;
-        }
-        if is_x86_feature_detected!("avx") {
-            return TruncKernel::Avx2;
-        }
-    }
-    TruncKernel::Scalar
-}
-
-fn trunc_kernel() -> TruncKernel {
-    static KERNEL: std::sync::OnceLock<TruncKernel> = std::sync::OnceLock::new();
-    *KERNEL.get_or_init(detect_trunc_kernel)
-}
-
 /// Human-readable name of the scale+trunc kernel the CPU dispatches to.
 pub fn trunc_kernel_name() -> &'static str {
-    match trunc_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        TruncKernel::Avx512 => "avx512",
-        #[cfg(target_arch = "x86_64")]
-        TruncKernel::Avx2 => "avx",
-        TruncKernel::Scalar => "scalar",
+    match isa() {
+        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx2 => "avx",
+        Isa::Scalar => "scalar",
     }
 }
 
@@ -450,12 +403,12 @@ mod x86 {
 /// `src`/`dst` valid for `len` elements; identical if overlapping.
 #[inline]
 unsafe fn strunc_ptr(src: *const f64, dst: *mut f64, len: usize, s1: f64, s2: f64) {
-    match trunc_kernel() {
+    match isa() {
         #[cfg(target_arch = "x86_64")]
-        TruncKernel::Avx512 => x86::strunc_ptr_avx512(src, dst, len, s1, s2),
+        Isa::Avx512 | Isa::Avx512Vnni => x86::strunc_ptr_avx512(src, dst, len, s1, s2),
         #[cfg(target_arch = "x86_64")]
-        TruncKernel::Avx2 => x86::strunc_ptr_avx(src, dst, len, s1, s2),
-        TruncKernel::Scalar => strunc_ptr_scalar(src, dst, len, s1, s2),
+        Isa::Avx2 => x86::strunc_ptr_avx(src, dst, len, s1, s2),
+        _ => strunc_ptr_scalar(src, dst, len, s1, s2),
     }
 }
 

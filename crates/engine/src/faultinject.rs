@@ -10,7 +10,8 @@
 //! Two triggering mechanisms, both off by default:
 //!
 //! * **Environment rate** (the CI mechanism, mirroring
-//!   [`crate::force_scalar`]): `OZAKI_FAULT_INJECT=rate,seed,site` arms a
+//!   `OZAKI_FORCE_SCALAR` in [`crate::isa()`]):
+//!   `OZAKI_FAULT_INJECT=rate,seed,site` arms a
 //!   deterministic per-hook-call Bernoulli draw (an LCG seeded by `seed`;
 //!   `rate ∈ [0, 1]`; `site ∈ panel-a|panel-b|acc|residue|all`). Rate draws
 //!   fire only inside a **protected region** (see [`region`]) — the

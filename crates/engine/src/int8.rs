@@ -34,8 +34,8 @@
 //!    to hide the multiply-add latency that limits a single autovectorized
 //!    dot product). Products of i8 values fit in 15 bits, so the pairwise
 //!    i16 multiply-add (`vpmaddwd` / `vpdpwssd`) is exact, and all i32
-//!    accumulation wraps. The kernel is selected once per process by
-//!    runtime feature detection: AVX-512 VNNI, AVX-512 BW, AVX2, or a
+//!    accumulation wraps. The kernel is selected by the one process-wide
+//!    probe, [`crate::isa()`]: AVX-512 VNNI, AVX-512 BW, AVX2, or a
 //!    portable scalar fallback (also the reference for parity tests).
 //! 3. **Cache blocking.** Per stripe the tile sweep runs `ic` ([`MC`] rows,
 //!    keeps the active A block L2-resident) over `pc` ([`KC`] depth, keeps
@@ -66,6 +66,7 @@
 //! residue planes of a single emulated product, LU panel updates, …)
 //! allocate nothing in steady state.
 
+use crate::isa::{isa, Isa};
 use crate::stats::INT8_STATS;
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
@@ -124,46 +125,13 @@ pub fn barrett_mod_row_acc_scalar(c: &[i32], out: &mut [i32], p: i32, pinv: u32)
     }
 }
 
-/// Which mod-reduce row kernel the running CPU supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ModKernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-fn detect_mod_kernel() -> ModKernel {
-    if force_scalar() {
-        return ModKernel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-            return ModKernel::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") {
-            return ModKernel::Avx2;
-        }
-    }
-    ModKernel::Scalar
-}
-
-fn mod_kernel() -> ModKernel {
-    static KERNEL: std::sync::OnceLock<ModKernel> = std::sync::OnceLock::new();
-    *KERNEL.get_or_init(detect_mod_kernel)
-}
-
 /// Human-readable name of the mod-reduce row kernel the running CPU
 /// dispatches to.
 pub fn mod_kernel_name() -> &'static str {
-    match mod_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        ModKernel::Avx512 => "avx512",
-        #[cfg(target_arch = "x86_64")]
-        ModKernel::Avx2 => "avx2",
-        ModKernel::Scalar => "scalar",
+    match isa() {
+        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx2 => "avx2",
+        Isa::Scalar => "scalar",
     }
 }
 
@@ -320,18 +288,15 @@ mod modx86 {
 /// bit-identical to [`barrett_mod_row_u8_scalar`] on every path.
 pub fn barrett_mod_row_u8(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     assert!(out.len() >= c.len(), "output row too short");
-    if crate::faultinject::in_scalar_scope() {
-        return barrett_mod_row_u8_scalar(c, out, p, pinv);
-    }
-    match mod_kernel() {
+    match engine_isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected by runtime feature detection; length
         // contract asserted above.
-        ModKernel::Avx512 => unsafe { modx86::mod_row_u8_avx512(c, out, p, pinv) },
+        Isa::Avx512 | Isa::Avx512Vnni => unsafe { modx86::mod_row_u8_avx512(c, out, p, pinv) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        ModKernel::Avx2 => unsafe { modx86::mod_row_u8_avx2(c, out, p, pinv) },
-        ModKernel::Scalar => barrett_mod_row_u8_scalar(c, out, p, pinv),
+        Isa::Avx2 => unsafe { modx86::mod_row_u8_avx2(c, out, p, pinv) },
+        _ => barrett_mod_row_u8_scalar(c, out, p, pinv),
     }
 }
 
@@ -340,18 +305,15 @@ pub fn barrett_mod_row_u8(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
 /// Bit-identical to [`barrett_mod_row_acc_scalar`] on every path.
 pub fn barrett_mod_row_acc(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
     assert!(out.len() >= c.len(), "output row too short");
-    if crate::faultinject::in_scalar_scope() {
-        return barrett_mod_row_acc_scalar(c, out, p, pinv);
-    }
-    match mod_kernel() {
+    match engine_isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected by runtime feature detection; length
         // contract asserted above.
-        ModKernel::Avx512 => unsafe { modx86::mod_row_acc_avx512(c, out, p, pinv) },
+        Isa::Avx512 | Isa::Avx512Vnni => unsafe { modx86::mod_row_acc_avx512(c, out, p, pinv) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        ModKernel::Avx2 => unsafe { modx86::mod_row_acc_avx2(c, out, p, pinv) },
-        ModKernel::Scalar => barrett_mod_row_acc_scalar(c, out, p, pinv),
+        Isa::Avx2 => unsafe { modx86::mod_row_acc_avx2(c, out, p, pinv) },
+        _ => barrett_mod_row_acc_scalar(c, out, p, pinv),
     }
 }
 
@@ -565,67 +527,24 @@ fn pack_into(
 // Microkernel (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Which tile kernel the running CPU supports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TileKernel {
-    #[cfg(target_arch = "x86_64")]
-    Avx512Vnni,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
-}
-
-/// Whether SIMD dispatch is globally forced to the scalar kernels via the
-/// `OZAKI_FORCE_SCALAR` environment variable (any non-empty value other
-/// than `0`). Read once and cached; the CI `scalar-fallback` job uses it to
-/// exercise every scalar oracle kernel on AVX-capable runners. Applies to
-/// every dispatched sweep (INT8 tile/mod kernels and the `ozaki2`
-/// trunc/convert/fold kernels), not just this module's.
-pub fn force_scalar() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("OZAKI_FORCE_SCALAR")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-fn detect_tile_kernel() -> TileKernel {
-    if force_scalar() {
-        return TileKernel::Scalar;
+/// The SIMD level the engine's tile and mod-reduce kernels run at:
+/// [`isa()`], or [`Isa::Scalar`] inside a
+/// [`crate::faultinject::scalar_scope`] (the ABFT scalar fallback).
+fn engine_isa() -> Isa {
+    if crate::faultinject::in_scalar_scope() {
+        Isa::Scalar
+    } else {
+        isa()
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512vnni") {
-            return TileKernel::Avx512Vnni;
-        }
-        if is_x86_feature_detected!("avx512bw") {
-            return TileKernel::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") {
-            return TileKernel::Avx2;
-        }
-    }
-    TileKernel::Scalar
-}
-
-fn tile_kernel() -> TileKernel {
-    static KERNEL: std::sync::OnceLock<TileKernel> = std::sync::OnceLock::new();
-    *KERNEL.get_or_init(detect_tile_kernel)
 }
 
 /// Human-readable name of the microkernel the running CPU dispatches to.
 pub fn microkernel_name() -> &'static str {
-    match tile_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        TileKernel::Avx512Vnni => "avx512-vnni",
-        #[cfg(target_arch = "x86_64")]
-        TileKernel::Avx512 => "avx512-bw",
-        #[cfg(target_arch = "x86_64")]
-        TileKernel::Avx2 => "avx2",
-        TileKernel::Scalar => "scalar",
+    match isa() {
+        Isa::Avx512Vnni => "avx512-vnni",
+        Isa::Avx512 => "avx512-bw",
+        Isa::Avx2 => "avx2",
+        Isa::Scalar => "scalar",
     }
 }
 
@@ -802,7 +721,7 @@ mod x86 {
 /// SIMD paths; packing guarantees this).
 #[inline]
 fn run_tile(
-    kernel: TileKernel,
+    isa: Isa,
     kc: usize,
     lda: usize,
     ldb: usize,
@@ -810,18 +729,18 @@ fn run_tile(
     b: &[i16],
     out: &mut [[i32; MR]; NR],
 ) {
-    match kernel {
+    match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // slice lengths are established by the packed-panel layout.
-        TileKernel::Avx512Vnni => unsafe { x86::tile_vnni(kc, lda, ldb, a, b, out) },
+        Isa::Avx512Vnni => unsafe { x86::tile_vnni(kc, lda, ldb, a, b, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        TileKernel::Avx512 => unsafe { x86::tile_avx512(kc, lda, ldb, a, b, out) },
+        Isa::Avx512 => unsafe { x86::tile_avx512(kc, lda, ldb, a, b, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        TileKernel::Avx2 => unsafe { x86::tile_avx2(kc, lda, ldb, a, b, out) },
-        TileKernel::Scalar => tile_scalar(kc, lda, ldb, a, b, out),
+        Isa::Avx2 => unsafe { x86::tile_avx2(kc, lda, ldb, a, b, out) },
+        _ => tile_scalar(kc, lda, ldb, a, b, out),
     }
 }
 
@@ -848,11 +767,7 @@ fn stripe_compute<E: Epilogue>(
     out: &mut [E::Out],
     epi: &E,
 ) {
-    let kernel = if crate::faultinject::in_scalar_scope() {
-        TileKernel::Scalar
-    } else {
-        tile_kernel()
-    };
+    let isa = engine_isa();
     if kp_eff == 0 {
         // No depth to consume: the product is all zeros (only reachable
         // through entry points that do not early-out on k == 0).
@@ -873,7 +788,7 @@ fn stripe_compute<E: Epilogue>(
                 for it in (ic..ilim).step_by(MR) {
                     let rows = MR.min(m - it);
                     run_tile(
-                        kernel,
+                        isa,
                         kc,
                         lda,
                         ldb,
@@ -1255,7 +1170,7 @@ mod tests {
         let mut want = [[0i32; NR]; MR];
         tile_scalar(kc, lda, lda, &a16, &b16, &mut want);
         let mut got = [[0i32; NR]; MR];
-        run_tile(tile_kernel(), kc, lda, lda, &a16, &b16, &mut got);
+        run_tile(isa(), kc, lda, lda, &a16, &b16, &mut got);
         assert_eq!(got, want, "kernel={}", microkernel_name());
     }
 
@@ -1533,16 +1448,6 @@ mod tests {
             int8_gemm_blocked(16, 12, 48, &a, b.as_slice(), &mut c, &mut ws);
             assert_eq!(ws.bytes(), after_first, "steady state must not allocate");
         }
-    }
-
-    #[test]
-    fn records_stats() {
-        INT8_STATS.reset();
-        let a = pattern_mat(4, 8, 3);
-        let b = pattern_mat(8, 2, 4);
-        let _ = int8_gemm(&a, &b);
-        assert_eq!(INT8_STATS.calls(), 1);
-        assert_eq!(INT8_STATS.macs(), 4 * 8 * 2);
     }
 
     #[test]

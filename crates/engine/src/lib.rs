@@ -2,6 +2,9 @@
 //!
 //! Simulated matrix engines — the "hardware" substrate of the reproduction:
 //!
+//! * [`isa`](mod@isa) — the one CPU-feature probe ([`Isa`], [`isa()`]) every
+//!   runtime-dispatched kernel in the workspace matches on, with the
+//!   `OZAKI_FORCE_SCALAR` override folded in;
 //! * [`int8`] — the INT8 matrix engine (`i8 × i8 → i32`, wrapping INT32
 //!   accumulation) that Ozaki Scheme I/II run on;
 //! * [`tensor`] — FP16/BF16/TF32 tensor-core engines with FP32 accumulation
@@ -16,15 +19,17 @@
 
 pub mod faultinject;
 pub mod int8;
+pub mod isa;
 pub mod stats;
 pub mod tensor;
 
 pub use int8::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
-    barrett_mod_u8, force_scalar, int8_gemm, int8_gemm_blocked, int8_gemm_fused, int8_gemm_naive,
+    barrett_mod_u8, int8_gemm, int8_gemm_blocked, int8_gemm_fused, int8_gemm_naive,
     int8_gemm_prepacked_fused, int8_gemm_rm_cm, int8_gemm_rm_cm_scalar, microkernel_name,
     mod_kernel_name, pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth,
     AccumulateEpilogue, Epilogue, Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK,
 };
+pub use isa::{isa, Isa};
 pub use stats::{EngineStats, INT8_STATS, LOWFP_STATS};
 pub use tensor::{dequantize, lowfp_gemm, quantize};

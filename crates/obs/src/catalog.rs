@@ -87,7 +87,7 @@ pub static ENGINE_INT8_MACS: Counter = Counter::new(
 );
 
 // ---------------------------------------------------------------------------
-// ABFT — crates/core (fault-tolerant executor)
+// ABFT — crates/core (the lines-6–12 executor under an active policy)
 // ---------------------------------------------------------------------------
 
 /// Checksum mismatches detected.

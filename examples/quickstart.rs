@@ -24,7 +24,8 @@ fn main() {
     let emu = Ozaki2::builder()
         .accuracy(Accuracy::Fp64Equivalent)
         .mode(Mode::Fast)
-        .build_for_k(k)
+        .k(k)
+        .build()
         .expect("fp64-level accuracy is reachable");
     let bt = b.transpose(); // pretend the caller stores B transposed
     let out = emu

@@ -24,7 +24,9 @@
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::MatF64;
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, Workspace};
+use ozaki2::{
+    FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, Workspace, K_BLOCK_MAX,
+};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -115,38 +117,50 @@ fn policy_off_is_silently_corrupted() {
 /// A clean (fault-free) run under an active policy is bit-identical to
 /// the `Off` path, costs the same number of *main* INT8 GEMMs (checksum
 /// products are accounted separately), and reports a clean
-/// `FaultReport` with the expected checksum-GEMM count.
+/// `FaultReport` with the expected checksum-GEMM count — also on the
+/// k-blocked branch (`k > K_BLOCK_MAX`), where each plane takes one
+/// engine call per block.
 #[test]
 fn clean_runs_report_clean_and_match_off_bitwise() {
     let _g = injector_lock();
-    let (m, n, k) = (24usize, 18, 40);
-    let a = phi_matrix_f64(m, k, 0.6, 5, 0);
-    let b = phi_matrix_f64(k, n, 0.6, 5, 1);
-    for nmod in [4usize, 10] {
-        for mode in [Mode::Fast, Mode::Accurate] {
-            let off = Ozaki2::new(nmod, mode)
-                .with_fault_policy(FaultPolicy::Off)
-                .gemm(GemmArgs::new(&a, &b))
-                .unwrap();
-            let det = Ozaki2::new(nmod, mode)
-                .with_fault_policy(FaultPolicy::Detect)
-                .gemm(GemmArgs::new(&a, &b))
-                .unwrap();
-            assert_eq!(
-                det.report.int8_gemm_calls, off.report.int8_gemm_calls,
-                "checksum GEMMs must not inflate the main call count"
-            );
-            let rep = det.report.fault.expect("active policy must report");
-            // Two checksum products per residue plane (k fits one block).
-            assert_eq!(rep.checksum_gemms, 2 * nmod);
-            if !faultinject::enabled() {
-                assert_eq!(det.c, off.c, "N={nmod} {mode:?}");
-                assert!(rep.clean(), "no faults were armed: {rep:?}");
-            } else if det.c != off.c {
-                // An env-rate fault fired inside the protected region;
-                // Detect records rather than repairs, so the output may
-                // differ — but then the detection contract must hold.
-                assert!(rep.detected > 0, "corrupt output went undetected: {rep:?}");
+    let shapes: [(usize, usize, usize, &[usize]); 2] =
+        [(24, 18, 40, &[4, 10]), (4, 4, K_BLOCK_MAX + 129, &[4])];
+    for (m, n, k, nmods) in shapes {
+        let a = phi_matrix_f64(m, k, 0.6, 5, 0);
+        let b = phi_matrix_f64(k, n, 0.6, 5, 1);
+        let blocks = k.div_ceil(K_BLOCK_MAX);
+        for &nmod in nmods {
+            for mode in [Mode::Fast, Mode::Accurate] {
+                let off = Ozaki2::new(nmod, mode)
+                    .with_fault_policy(FaultPolicy::Off)
+                    .gemm(GemmArgs::new(&a, &b))
+                    .unwrap();
+                let det = Ozaki2::new(nmod, mode)
+                    .with_fault_policy(FaultPolicy::Detect)
+                    .gemm(GemmArgs::new(&a, &b))
+                    .unwrap();
+                // One engine call per plane and k-block, plus the
+                // accurate mode's one estimation GEMM.
+                let estimate = usize::from(mode == Mode::Accurate);
+                assert_eq!(off.report.int8_gemm_calls, blocks * nmod + estimate);
+                assert_eq!(
+                    det.report.int8_gemm_calls, off.report.int8_gemm_calls,
+                    "checksum GEMMs must not inflate the main call count"
+                );
+                let rep = det.report.fault.expect("active policy must report");
+                // Two checksum products per residue plane, however many
+                // k-blocks its GEMM takes.
+                assert_eq!(rep.checksum_gemms, 2 * nmod);
+                if !faultinject::enabled() {
+                    assert_eq!(det.c, off.c, "N={nmod} {mode:?} k={k}");
+                    assert!(rep.clean(), "no faults were armed: {rep:?}");
+                } else if det.c != off.c {
+                    // An env-rate fault fired inside the protected region;
+                    // Detect records rather than repairs, so the output
+                    // may differ — but then the detection contract must
+                    // hold.
+                    assert!(rep.detected > 0, "corrupt output went undetected: {rep:?}");
+                }
             }
         }
     }
