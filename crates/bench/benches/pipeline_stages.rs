@@ -58,7 +58,7 @@ fn bench_phases(c: &mut Criterion) {
     // The hot-pipeline convert: vectorized rmod fused with panel packing.
     let n_pad = padded_a_rows(N);
     let kp = padded_depth(N);
-    let mut a16 = vec![0i16; NMOD * n_pad * kp];
+    let mut a16 = vec![0i8; NMOD * n_pad * kp];
     group.bench_function("convert_fused (lines 4-5)", |bench| {
         bench.iter(|| convert_pack_panels(&aprime, N, n_pad, N, kp, consts, true, true, &mut a16));
     });

@@ -169,7 +169,7 @@ fn main() {
     });
     let n_pad = padded_a_rows(n);
     let kp = padded_depth(n);
-    let mut panels = vec![0i16; nmod * n_pad * kp];
+    let mut panels = vec![0i8; nmod * n_pad * kp];
     let t_conv_fused = time_best(reps, || {
         convert_pack_panels(&src, n, n_pad, n, kp, consts, true, false, &mut panels)
     });

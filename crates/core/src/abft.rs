@@ -16,14 +16,15 @@
 //! with **zero tolerance** — a mismatch is a genuine fault (flipped panel
 //! byte, corrupted accumulator, bad residue write), never rounding. The
 //! checksum vectors are reduced to the same symmetric residue
-//! representatives (`|x| ≤ 128`) the regular panels use, so every term
+//! representatives in `[-128, 127]` the regular panels use, so they are
+//! i8 panels themselves, every term
 //! of the reference products is bounded by `2^14` and the host-side
 //! widening dot products that compute them are exact at any depth.
 //!
 //! Fault axes localize the failure class:
 //!
 //! * accumulator / residue corruption at `(i, j)` → row `i` **and**
-//!   column `j` mismatch → re-run only the NR-aligned column stripe;
+//!   column `j` mismatch → re-run only the panel-aligned column stripe;
 //! * a corrupted `A` panel shifts `U` and the row references computed
 //!   *from the same corrupt panel* consistently → only the **column**
 //!   axis (whose reference predates the corruption) trips → the stripe
@@ -40,10 +41,10 @@
 //!
 //! Recovery runs with injection suppressed and on the calling thread
 //! (`parallel = false`), escalating stripe re-run → full repack + plane
-//! re-run → scalar-kernel re-run ([`FaultPolicy::RetryThenScalar`]); the
-//! scalar kernels are the bit-exact oracle the SIMD paths are tested
-//! against, so a successful recovery reproduces the fault-free result
-//! bit-identically.
+//! re-run → scalar-kernel re-run ([`FaultPolicy::RetryThenScalar`], under
+//! `gemm_engine::cap_scope(Isa::Scalar)`); the scalar kernels are the
+//! bit-exact oracle the AMX and SIMD paths are tested against, so a
+//! successful recovery reproduces the fault-free result bit-identically.
 
 use crate::consts::Constants;
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
@@ -51,8 +52,8 @@ use crate::modred::finalize_block_residues;
 use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    int8_gemm_prepacked_fused, isa, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
-    Isa, ReduceEpilogue, NR,
+    cap_scope, int8_gemm_prepacked_fused, isa, padded_a_rows, padded_b_cols, padded_depth,
+    AccumulateEpilogue, Isa, ReduceEpilogue, PV,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -78,7 +79,7 @@ pub enum FaultPolicy {
     /// Verify every residue plane and record mismatches in the
     /// [`FaultReport`], but leave the (corrupt) result as computed.
     Detect,
-    /// Verify and re-execute on mismatch: first the affected NR-aligned
+    /// Verify and re-execute on mismatch: first the affected panel-aligned
     /// column stripe, then (for persistent or panel-level faults) a full
     /// repack + plane re-run, up to `max_retries` times per plane.
     Retry {
@@ -136,7 +137,7 @@ impl FaultPolicy {
 pub enum RecoveryAction {
     /// Recorded only ([`FaultPolicy::Detect`]).
     Detected,
-    /// Re-ran the affected NR-aligned column stripe.
+    /// Re-ran the affected panel-aligned column stripe.
     StripeRetry,
     /// Repacked the repackable operand panels from the source views,
     /// rebuilt the plane's checksums, and re-ran the whole plane.
@@ -200,12 +201,12 @@ pub(crate) enum PanelsRef<'a> {
     /// Immutable panels (a cached [`crate::prepared::PreparedOperand`]):
     /// never injected into and never repacked — prepared panels are the
     /// trusted source recovery recomputes *from*.
-    Fixed(&'a [i16]),
+    Fixed(&'a [i8]),
     /// Per-call panels packed into the workspace, with the deterministic
     /// recipe (source view + scale exponents) to repack them from
     /// scratch when a panel-level fault is suspected.
     Repackable {
-        panels: &'a mut [i16],
+        panels: &'a mut [i8],
         src: TruncSource<'a>,
         vecs: usize,
         vecs_pad: usize,
@@ -213,7 +214,7 @@ pub(crate) enum PanelsRef<'a> {
 }
 
 impl PanelsRef<'_> {
-    pub(crate) fn panels(&self) -> &[i16] {
+    pub(crate) fn panels(&self) -> &[i8] {
         match self {
             PanelsRef::Fixed(p) => p,
             PanelsRef::Repackable { panels, .. } => panels,
@@ -272,7 +273,7 @@ macro_rules! simd_dispatch {
         fn $dispatch($($arg: $ty),*) -> $ret {
             match isa() {
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 | Isa::Avx512Vnni => unsafe { $avx512($($arg),*) },
+                Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe { $avx512($($arg),*) },
                 #[cfg(target_arch = "x86_64")]
                 Isa::Avx2 => unsafe { $avx2($($arg),*) },
                 _ => $body($($arg),*),
@@ -284,7 +285,7 @@ macro_rules! simd_dispatch {
 /// Depth-wise accumulation of packed vectors `v0..v1` into `scratch`
 /// (the checksum-capture inner loop).
 #[inline(always)]
-fn accum_vecs_body(plane: &[i16], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) {
+fn accum_vecs_body(plane: &[i8], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) {
     for v in v0..v1 {
         for (acc, &x) in scratch.iter_mut().zip(&plane[v * kp..(v + 1) * kp]) {
             *acc += x as i32;
@@ -296,12 +297,12 @@ simd_dispatch!(
     accum_vecs_body,
     accum_vecs_avx512,
     accum_vecs_avx2,
-    fn(plane: &[i16], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) -> ()
+    fn(plane: &[i8], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) -> ()
 );
 
-/// Widening i16 dot product of one (≤ `2^16`-element) chunk.
+/// Widening i8 dot product of one (≤ `2^16`-element) chunk.
 #[inline(always)]
-fn dot_chunk_body(x: &[i16], y: &[i16]) -> i32 {
+fn dot_chunk_body(x: &[i8], y: &[i8]) -> i32 {
     let mut acc = 0i32;
     for (&a, &b) in x.iter().zip(y) {
         acc += a as i32 * b as i32;
@@ -313,7 +314,7 @@ simd_dispatch!(
     dot_chunk_body,
     dot_chunk_avx512,
     dot_chunk_avx2,
-    fn(x: &[i16], y: &[i16]) -> i32
+    fn(x: &[i8], y: &[i8]) -> i32
 );
 
 /// One verification column: column sum, row-sum accumulation, and the
@@ -343,17 +344,17 @@ simd_dispatch!(
 
 /// Build one plane's checksum vector: sum the plane's `vecs` packed
 /// vectors depth-wise, reduce mod `p`, and store the symmetric
-/// representative (`|x| ≤ 128`, matching the regular panels' bound) in
+/// representative (in `[-128, 127]`, the regular panels' i8 range) in
 /// the `kp`-element `out`. Accumulation is i32 — `|x| ≤ 128` keeps
 /// `2^16` vectors overflow-free, and the running sums are re-reduced
 /// mod `p` between chunks for larger `vecs` — so the inner loop
 /// vectorizes at twice the width an i64 accumulator would allow.
 fn build_checksum_plane(
-    plane: &[i16],
+    plane: &[i8],
     vecs: usize,
     kp: usize,
     p: u64,
-    out: &mut [i16],
+    out: &mut [i8],
     scratch: &mut [i32],
 ) {
     const CHUNK: usize = 1 << 16;
@@ -374,7 +375,7 @@ fn build_checksum_plane(
     let half = (p - 1) / 2;
     for (o, &s) in out[..kp].iter_mut().zip(scratch.iter()) {
         let r = s.rem_euclid(p);
-        *o = (if r <= half { r } else { r - p }) as i16;
+        *o = (if r <= half { r } else { r - p }) as i8;
     }
 }
 
@@ -384,7 +385,7 @@ fn build_checksum_plane(
 /// by `2^14` (`|x| ≤ 128` on both sides), so `2^16`-element chunks
 /// accumulate i32-safely (vectorizing at full width) and spill to an
 /// i64 total, exact at any depth.
-fn dot_mod(x: &[i16], y: &[i16], p: u64) -> u8 {
+fn dot_mod(x: &[i8], y: &[i8], p: u64) -> u8 {
     const CHUNK: usize = 1 << 16;
     let mut total = 0i64;
     for (cx, cy) in x.chunks(CHUNK).zip(y.chunks(CHUNK)) {
@@ -487,8 +488,8 @@ fn plane_gemm(
     kp: usize,
     p: u64,
     pinv: u32,
-    a_panels: &[i16],
-    b_panels: &[i16],
+    a_panels: &[i8],
+    b_panels: &[i8],
     c32: &mut [i32],
     racc: &mut [i32],
     u_out: &mut [u8],
@@ -548,8 +549,8 @@ pub(crate) struct ExecScratch<'w> {
     pub u: &'w mut [u8],
     pub c32: &'w mut [i32],
     pub racc: &'w mut [i32],
-    pub chk_a16: &'w mut [i16],
-    pub chk_b16: &'w mut [i16],
+    pub chk_a8: &'w mut [i8],
+    pub chk_b8: &'w mut [i8],
     pub uchk: &'w mut [u8],
     pub chk_sum: &'w mut [i32],
     pub vsum: &'w mut [u32],
@@ -604,8 +605,8 @@ pub(crate) fn execute_panels(
         u,
         c32,
         racc,
-        chk_a16,
-        chk_b16,
+        chk_a8,
+        chk_b8,
         uchk,
         chk_sum,
         vsum,
@@ -633,8 +634,8 @@ pub(crate) fn execute_panels(
                 n,
                 kp,
                 p,
-                &mut chk_a16[s * kp..(s + 1) * kp],
-                &mut chk_b16[s * kp..(s + 1) * kp],
+                &mut chk_a8[s * kp..(s + 1) * kp],
+                &mut chk_b8[s * kp..(s + 1) * kp],
                 chk_sum,
                 &mut uchk[s * (m + n)..(s + 1) * (m + n)],
             );
@@ -720,7 +721,7 @@ pub(crate) fn execute_panels(
                     // the calling thread, so the thread-local guards hold.
                     let _quiet = faultinject::suppress();
                     if scalar_next {
-                        let _scalar = faultinject::scalar_scope();
+                        let _scalar = cap_scope(Isa::Scalar);
                         full_repair(
                             s,
                             m,
@@ -731,8 +732,8 @@ pub(crate) fn execute_panels(
                             b64,
                             &mut a,
                             &mut b,
-                            chk_a16,
-                            chk_b16,
+                            chk_a8,
+                            chk_b8,
                             m_pad,
                             n_pad,
                             u,
@@ -751,11 +752,13 @@ pub(crate) fn execute_panels(
                         scalar_done = true;
                     } else if attempt == 0 && ver.localized() {
                         // Fault is in the residue plane itself: re-run
-                        // just the NR-aligned stripe covering the
-                        // mismatching columns, from the (good) panels.
+                        // just the stripe of whole PV-column panels
+                        // covering the mismatching columns, from the
+                        // (good) panels: a window that starts mid-panel
+                        // would pad past the panel set's end.
                         let (jlo, jhi) = ver.cols.expect("localized implies cols");
-                        let c0 = (jlo / NR) * NR;
-                        let c1 = n.min((jhi / NR + 1) * NR);
+                        let c0 = (jlo / PV) * PV;
+                        let c1 = n.min((jhi / PV + 1) * PV);
                         plane_gemm(
                             m,
                             c1 - c0,
@@ -789,8 +792,8 @@ pub(crate) fn execute_panels(
                             b64,
                             &mut a,
                             &mut b,
-                            chk_a16,
-                            chk_b16,
+                            chk_a8,
+                            chk_b8,
                             m_pad,
                             n_pad,
                             u,
@@ -831,21 +834,21 @@ pub(crate) fn execute_panels(
 
 /// The two side-channel reference products for plane `s`, computed as
 /// exact host-side widening dot products rather than engine GEMMs (an
-/// `(m, 1, k)` / `(1, n, k)` engine call would spend `NR`-tile padding
+/// `(m, 1, k)` / `(1, n, k)` engine call would spend `PV`-panel padding
 /// and epilogue work on a single output vector): row references
 /// `A'_s · chk_b` into `uchk_pl[..m]` and column references
 /// `chk_a · B'_s` into `uchk_pl[m..]`. Returns the number of checksum
 /// products (2) for [`FaultReport::checksum_gemms`].
 #[allow(clippy::too_many_arguments)]
 fn checksum_refs(
-    a_plane: &[i16],
-    b_plane: &[i16],
+    a_plane: &[i8],
+    b_plane: &[i8],
     m: usize,
     n: usize,
     kp: usize,
     p: u64,
-    chk_a: &mut [i16],
-    chk_b: &mut [i16],
+    chk_a: &mut [i8],
+    chk_b: &mut [i8],
     chk_sum: &mut [i32],
     uchk_pl: &mut [u8],
 ) -> usize {
@@ -865,7 +868,7 @@ fn checksum_refs(
 /// operands (deterministic, so untouched planes and their checksums are
 /// unchanged), rebuild plane `s`'s checksum vectors and references, and
 /// re-run the plane's GEMM. Caller holds the suppress (and possibly
-/// scalar-scope) guard.
+/// scalar cap) guard.
 #[allow(clippy::too_many_arguments)]
 fn full_repair(
     s: usize,
@@ -877,8 +880,8 @@ fn full_repair(
     b64: bool,
     a: &mut PanelsRef<'_>,
     b: &mut PanelsRef<'_>,
-    chk_a16: &mut [i16],
-    chk_b16: &mut [i16],
+    chk_a8: &mut [i8],
+    chk_b8: &mut [i8],
     m_pad: usize,
     n_pad: usize,
     u: &mut [u8],
@@ -900,8 +903,8 @@ fn full_repair(
         n,
         kp,
         p,
-        &mut chk_a16[s * kp..(s + 1) * kp],
-        &mut chk_b16[s * kp..(s + 1) * kp],
+        &mut chk_a8[s * kp..(s + 1) * kp],
+        &mut chk_b8[s * kp..(s + 1) * kp],
         chk_sum,
         &mut uchk[s * (m + n)..(s + 1) * (m + n)],
     );
@@ -950,12 +953,12 @@ mod tests {
         // kp = 32, 3 vectors; the representative must stay within ±128
         // and be congruent to the plain sum mod p.
         let kp = 32usize;
-        let mut plane = vec![0i16; 4 * kp];
+        let mut plane = vec![0i8; 4 * kp];
         for (i, x) in plane.iter_mut().enumerate() {
-            *x = ((i as i64 * 37 % 257) - 128) as i16;
+            *x = ((i as i64 * 37 % 256) - 128) as i8;
         }
         for p in [256u64, 255, 251, 193, 131] {
-            let mut out = vec![7i16; kp];
+            let mut out = vec![7i8; kp];
             let mut scratch = vec![0i32; kp];
             build_checksum_plane(&plane, 3, kp, p, &mut out, &mut scratch);
             for h in 0..kp {
@@ -974,11 +977,11 @@ mod tests {
     #[test]
     fn dot_mod_matches_wide_reference() {
         let kp = 96usize;
-        let x: Vec<i16> = (0..kp)
-            .map(|i| ((i as i64 * 53 % 257) - 128) as i16)
+        let x: Vec<i8> = (0..kp)
+            .map(|i| ((i as i64 * 53 % 256) - 128) as i8)
             .collect();
-        let y: Vec<i16> = (0..kp)
-            .map(|i| ((i as i64 * 91 % 257) - 128) as i16)
+        let y: Vec<i8> = (0..kp)
+            .map(|i| ((i as i64 * 91 % 256) - 128) as i8)
             .collect();
         for p in [256u64, 255, 251, 193, 131] {
             let want: i64 = x.iter().zip(&y).map(|(&a, &b)| a as i64 * b as i64).sum();

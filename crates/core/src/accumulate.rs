@@ -57,7 +57,7 @@ pub enum FoldPrecision {
 /// Human-readable name of the fold kernel the running CPU dispatches to.
 pub fn fold_kernel_name() -> &'static str {
     match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
         Isa::Avx2 => "avx2-fma",
         Isa::Scalar => "scalar",
     }
@@ -255,7 +255,7 @@ pub fn fold_span(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // the buffer contract is asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe {
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
             x86::fold_span_avx512(u, plane, idx0, s1, s2, p1, p2, p_inv, out)
         },
         #[cfg(target_arch = "x86_64")]

@@ -28,11 +28,12 @@
 //! *original* matrix (transposing for `A`), scaled by its power-of-two
 //! exponent and truncated into a cache-resident staging tile
 //! ([`crate::scale::strunc_row`]), reduced against *all* `N` moduli while
-//! L1-resident, and the i8 residues are sign-extended and written straight
-//! into the engine's `i16` panel layout
-//! ([`gemm_engine::pack_panels_i16`]). The integer matrices `A'`/`B'` and
-//! the plane-major i8 buffers of the unfused pipeline — and the engine's
-//! own packing sweep — disappear entirely. [`convert_pack_panels`] is the
+//! L1-resident, and the i8 residues are written straight into the engine's
+//! one `i8` panel format ([`gemm_engine::pack_panels`]) — the same bytes
+//! the AMX tiles and the SIMD kernels read, so nothing widens or repacks
+//! them. The integer matrices `A'`/`B'` and the plane-major i8 buffers of
+//! the unfused pipeline — and the engine's own packing sweep — disappear
+//! entirely. [`convert_pack_panels`] is the
 //! lines-4–5-only form for pretruncated input.
 //!
 //! The inner scale+trunc and `rmod` row kernels are runtime-dispatched on
@@ -110,18 +111,18 @@ pub fn rmod_to_i8(x: f64, p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8)
 /// Human-readable name of the `rmod` kernel the running CPU dispatches to.
 pub fn convert_kernel_name() -> &'static str {
     match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
         Isa::Avx2 => "avx2-fma",
         Isa::Scalar => "scalar",
     }
 }
 
-/// Scalar `rmod` row kernel: `dst[i] = rmod(xs[i], p)` sign-extended to
-/// i16 (the engine's packed element type). This is the reference the SIMD
-/// paths are property-tested against, lane for lane.
+/// Scalar `rmod` row kernel: `dst[i] = rmod(xs[i], p)` as i8 (the
+/// engine's packed element type). This is the reference the SIMD paths are
+/// property-tested against, lane for lane.
 pub fn rmod_row_scalar(
     xs: &[f64],
-    dst: &mut [i16],
+    dst: &mut [i8],
     p: f64,
     p32: f32,
     pinv64: f64,
@@ -129,7 +130,7 @@ pub fn rmod_row_scalar(
     steps: u8,
 ) {
     for (d, &x) in dst.iter_mut().zip(xs) {
-        *d = rmod_to_i8(x, p, p32, pinv64, pinv32, steps) as i16;
+        *d = rmod_to_i8(x, p, p32, pinv64, pinv32, steps);
     }
 }
 
@@ -139,7 +140,7 @@ mod x86 {
     //! scalar kernel exactly: multiply, round-to-nearest-even
     //! (`roundscale` / `roundpd`), fused multiply-add, f64→f32 narrowing
     //! (RNE), and a final wrap of the integral residue into the i8 range
-    //! before sign-extension to i16 — so the output is bit-identical to
+    //! before narrowing to i8 — so the output is bit-identical to
     //! [`super::rmod_row_scalar`] for every lane.
 
     use std::arch::x86_64::*;
@@ -153,7 +154,7 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx2,fma")]
     pub unsafe fn rmod_row_avx512(
         xs: &[f64],
-        dst: &mut [i16],
+        dst: &mut [i8],
         p: f64,
         p32: f32,
         pinv64: f64,
@@ -186,14 +187,14 @@ mod x86 {
                     yf
                 }
             };
-            // Integral residue -> i32 lanes (exact), wrap into i8, widen to
-            // i16 (packs never saturate: values are in [-128, 127] after
+            // Integral residue -> i32 lanes (exact), wrap into i8, narrow
+            // to i8 (packs never saturate: values are in [-128, 127] after
             // the shift pair).
             let vi = _mm256_cvtps_epi32(y32);
             let w = _mm256_srai_epi32::<24>(_mm256_slli_epi32::<24>(vi));
-            let packed =
-                _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, packed);
+            let w16 = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+            let packed = _mm_packs_epi16(w16, w16);
+            _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, packed);
             i += 8;
         }
         super::rmod_row_scalar(&xs[n8..], &mut dst[n8..], p, p32, pinv64, pinv32, steps);
@@ -205,7 +206,7 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn rmod_row_avx2(
         xs: &[f64],
-        dst: &mut [i16],
+        dst: &mut [i8],
         p: f64,
         p32: f32,
         pinv64: f64,
@@ -240,35 +241,28 @@ mod x86 {
             };
             let vi = _mm_cvtps_epi32(y32);
             let w = _mm_srai_epi32::<24>(_mm_slli_epi32::<24>(vi));
-            let packed = _mm_packs_epi32(w, w);
-            _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, packed);
+            let w16 = _mm_packs_epi32(w, w);
+            let packed = _mm_packs_epi16(w16, w16);
+            (dst.as_mut_ptr().add(i) as *mut i32).write_unaligned(_mm_cvtsi128_si32(packed));
             i += 4;
         }
         super::rmod_row_scalar(&xs[n4..], &mut dst[n4..], p, p32, pinv64, pinv32, steps);
     }
 }
 
-/// Vectorized `rmod` over a row of integer-valued f64s, writing residues
-/// sign-extended to i16 (the engine's packed element type). Dispatches to
+/// Vectorized `rmod` over a row of integer-valued f64s, writing i8
+/// residues (the engine's packed element type). Dispatches to
 /// the best kernel the CPU supports; bit-identical to [`rmod_row_scalar`]
 /// on every path.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn rmod_row(
-    xs: &[f64],
-    dst: &mut [i16],
-    p: f64,
-    p32: f32,
-    pinv64: f64,
-    pinv32: f32,
-    steps: u8,
-) {
+pub fn rmod_row(xs: &[f64], dst: &mut [i8], p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8) {
     assert!(dst.len() >= xs.len(), "destination row too short");
     match isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // the length contract is asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe {
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
             x86::rmod_row_avx512(xs, dst, p, p32, pinv64, pinv32, steps)
         },
         #[cfg(target_arch = "x86_64")]
@@ -376,7 +370,7 @@ struct ConvertJob<'a> {
     v0: usize,
     nv: usize,
     /// This job's slice of each modulus' panel set (`nv * kp` each).
-    planes: Vec<&'a mut [i16]>,
+    planes: Vec<&'a mut [i8]>,
 }
 
 /// The fused convert phase (Algorithm 1 lines 4–5 + engine packing).
@@ -386,8 +380,8 @@ struct ConvertJob<'a> {
 /// `v * k` — exactly what the Step 2–3 truncation emits. For each modulus
 /// `s`, the residues are written to the panel set
 /// `out[s * vecs_pad * kp ..][.. vecs_pad * kp]` in the INT8 engine's
-/// packed i16 layout ([`gemm_engine::pack_panels_i16`]): vector `v` at
-/// `v * kp`, sign-extended residues, depth zero-padded from `k` to `kp`,
+/// packed i8 layout ([`gemm_engine::pack_panels`]): vector `v` at
+/// `v * kp`, depth zero-padded from `k` to `kp`,
 /// vector count zero-padded to `vecs_pad`.
 ///
 /// The sweep is cache-blocked ([`CONVERT_DEPTH_BLOCK`] f64s are reduced
@@ -410,7 +404,7 @@ pub fn convert_pack_panels(
     consts: &Constants,
     b64: bool,
     parallel: bool,
-    out: &mut [i16],
+    out: &mut [i8],
 ) {
     trunc_convert_pack_panels(
         TruncSource::Pretruncated(src),
@@ -433,7 +427,7 @@ pub fn convert_pack_panels(
 /// [`TruncSource::Contiguous`], leading-dimension strided, f64 or exactly
 /// widened f32): each cache-resident operand tile is gathered (transposing
 /// where the layout demands it), scaled by its power-of-two exponent,
-/// truncated, reduced against all `N` moduli and written as packed i16
+/// truncated, reduced against all `N` moduli and written as packed i8
 /// panels in one DRAM pass — the intermediate integer matrices of the
 /// unfused pipeline never exist, and neither does any layout-normalised
 /// copy of a strided operand view.
@@ -463,7 +457,7 @@ pub fn trunc_convert_pack_panels(
     consts: &Constants,
     b64: bool,
     parallel: bool,
-    out: &mut [i16],
+    out: &mut [i8],
     timing: Option<&TimeShare>,
 ) {
     let nmod = consts.n;
@@ -504,12 +498,12 @@ pub fn trunc_convert_pack_panels(
     let tasks = (workers * 4).clamp(1, vecs_pad);
     let vb = vecs_pad.div_ceil(tasks);
 
-    let mut plane_rests: Vec<&mut [i16]> = out.chunks_mut(vecs_pad * kp).collect();
+    let mut plane_rests: Vec<&mut [i8]> = out.chunks_mut(vecs_pad * kp).collect();
     let mut jobs: Vec<ConvertJob<'_>> = Vec::with_capacity(tasks);
     let mut v0 = 0;
     while v0 < vecs_pad {
         let nv = vb.min(vecs_pad - v0);
-        let planes: Vec<&mut [i16]> = plane_rests
+        let planes: Vec<&mut [i8]> = plane_rests
             .iter_mut()
             .map(|rest| {
                 let (head, tail) = std::mem::take(rest).split_at_mut(nv * kp);
@@ -865,8 +859,8 @@ mod tests {
                         .map(|x| x.trunc())
                         .collect();
                     for s in 0..nmod {
-                        let mut got = vec![0i16; row.len()];
-                        let mut want = vec![0i16; row.len()];
+                        let mut got = vec![0i8; row.len()];
+                        let mut want = vec![0i8; row.len()];
                         rmod_row(
                             &row,
                             &mut got,
@@ -899,9 +893,9 @@ mod tests {
 
     #[test]
     fn fused_panels_match_reference_planes() {
-        // convert_pack_panels == residue_planes + pack_panels_i16, bitwise,
+        // convert_pack_panels == residue_planes + pack_panels, bitwise,
         // for ragged shapes and both parallel settings.
-        use gemm_engine::{pack_panels_i16, padded_a_rows, padded_depth};
+        use gemm_engine::{pack_panels, padded_a_rows, padded_depth};
         for (vecs, k) in [(1usize, 1usize), (3, 5), (7, 33), (12, 100), (5, 2048 + 17)] {
             let nmod = 15;
             let c = constants(nmod);
@@ -913,10 +907,10 @@ mod tests {
 
             let mut planes8 = vec![0i8; nmod * vecs * k];
             residue_planes(&src, c, true, &mut planes8);
-            let mut want = vec![0i16; nmod * vecs_pad * kp];
+            let mut want = vec![0i8; nmod * vecs_pad * kp];
             for s in 0..nmod {
                 let mut pack = Vec::new();
-                pack_panels_i16(
+                pack_panels(
                     &mut pack,
                     &planes8[s * vecs * k..(s + 1) * vecs * k],
                     k,
@@ -929,7 +923,7 @@ mod tests {
             }
 
             for parallel in [false, true] {
-                let mut got = vec![-1i16; nmod * vecs_pad * kp];
+                let mut got = vec![-1i8; nmod * vecs_pad * kp];
                 convert_pack_panels(&src, vecs, vecs_pad, k, kp, c, true, parallel, &mut got);
                 assert_eq!(got, want, "vecs={vecs} k={k} parallel={parallel}");
             }
@@ -956,10 +950,10 @@ mod tests {
             let kp = padded_depth(k);
             let mut pretrunc = vec![0f64; vecs * k];
             scale_trunc_a_rowmajor(&a, &exps_a, &mut pretrunc);
-            let mut want = vec![0i16; nmod * vecs_pad * kp];
+            let mut want = vec![0i8; nmod * vecs_pad * kp];
             convert_pack_panels(&pretrunc, vecs, vecs_pad, k, kp, c, true, false, &mut want);
             for parallel in [false, true] {
-                let mut got = vec![-1i16; nmod * vecs_pad * kp];
+                let mut got = vec![-1i8; nmod * vecs_pad * kp];
                 let timing = TimeShare::new();
                 trunc_convert_pack_panels(
                     TruncSource::Gathered {
@@ -988,7 +982,7 @@ mod tests {
             let vecs_pad_b = padded_b_cols(vecs);
             let mut pretrunc_b = vec![0f64; vecs * k];
             scale_trunc_b_colmajor(&b, &exps_b, &mut pretrunc_b);
-            let mut want_b = vec![0i16; nmod * vecs_pad_b * kp];
+            let mut want_b = vec![0i8; nmod * vecs_pad_b * kp];
             convert_pack_panels(
                 &pretrunc_b,
                 vecs,
@@ -1001,7 +995,7 @@ mod tests {
                 &mut want_b,
             );
             for parallel in [false, true] {
-                let mut got = vec![-1i16; nmod * vecs_pad_b * kp];
+                let mut got = vec![-1i8; nmod * vecs_pad_b * kp];
                 trunc_convert_pack_panels(
                     TruncSource::Contiguous {
                         data: ElemSlice::F64(b.as_slice()),
@@ -1034,10 +1028,10 @@ mod tests {
         let (vecs, k) = (5usize, 37usize);
         let nmod = 4;
         let c = constants(nmod);
-        let vecs_pad = padded_b_cols(vecs); // 8
+        let vecs_pad = padded_b_cols(vecs); // 16
         let kp = padded_depth(k); // 64
         let src: Vec<f64> = (0..vecs * k).map(|i| (i as f64 * 7.0) - 50.0).collect();
-        let mut out = vec![0x55i16; nmod * vecs_pad * kp];
+        let mut out = vec![0x55i8; nmod * vecs_pad * kp];
         convert_pack_panels(&src, vecs, vecs_pad, k, kp, c, true, true, &mut out);
         for s in 0..nmod {
             let panel = &out[s * vecs_pad * kp..(s + 1) * vecs_pad * kp];
@@ -1047,7 +1041,15 @@ mod tests {
                     if v >= vecs || h >= k {
                         assert_eq!(e, 0, "s={s} v={v} h={h} must be padding");
                     } else {
-                        assert!((-128..=127).contains(&e), "s={s} v={v} h={h}: {e}");
+                        let want = rmod_to_i8(
+                            src[v * k + h],
+                            c.p_f64[s],
+                            c.p_f32[s],
+                            c.p_inv_f64[s],
+                            c.p_inv_f32[s],
+                            steps_for(nmod, true),
+                        );
+                        assert_eq!(e, want, "s={s} v={v} h={h}");
                     }
                 }
             }

@@ -328,7 +328,7 @@ pub(crate) fn front_end<T: Element>(
     joint: Option<Vec<i32>>,
     consts: &Constants,
     parallel: bool,
-    panels: &mut [i16],
+    panels: &mut [i8],
     phases: &mut PhaseTimes,
 ) -> Vec<i32> {
     let t0 = Instant::now();
@@ -368,7 +368,7 @@ fn side_panels<'p, T: Element>(
     input: &OperandInput<'p, T>,
     side: OperandSide,
     exps: &'p [i32],
-    ws_panels: &'p mut [i16],
+    ws_panels: &'p mut [i8],
     nmod: usize,
 ) -> PanelsRef<'p> {
     match input {
@@ -488,14 +488,14 @@ pub(crate) fn algorithm1<T: Element>(
         ws.reserve_abft(m, n, k, nmod);
     }
     let WsBuffers {
-        a16,
-        b16,
+        a8,
+        b8,
         u,
         c32,
         racc,
         cstage,
-        chk_a16,
-        chk_b16,
+        chk_a8,
+        chk_b8,
         uchk,
         chk_sum,
         vsum,
@@ -507,7 +507,7 @@ pub(crate) fn algorithm1<T: Element>(
             joint_a,
             consts,
             parallel,
-            a16,
+            a8,
             &mut phases,
         )),
         OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
@@ -519,13 +519,13 @@ pub(crate) fn algorithm1<T: Element>(
             joint_b,
             consts,
             parallel,
-            b16,
+            b8,
             &mut phases,
         )),
         OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
     };
-    let a_ref = side_panels(&a, OperandSide::A, &exps_a, a16, nmod);
-    let b_ref = side_panels(&b, OperandSide::B, &exps_b, b16, nmod);
+    let a_ref = side_panels(&a, OperandSide::A, &exps_a, a8, nmod);
+    let b_ref = side_panels(&b, OperandSide::B, &exps_b, b8, nmod);
 
     // ---- Lines 6–12 over the packed panels -------------------------------
     let dst_direct = if direct_fold {
@@ -552,8 +552,8 @@ pub(crate) fn algorithm1<T: Element>(
             u,
             c32,
             racc,
-            chk_a16,
-            chk_b16,
+            chk_a8,
+            chk_b8,
             uchk,
             chk_sum,
             vsum,

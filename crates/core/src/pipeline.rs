@@ -7,7 +7,9 @@
 //! breakdown used to regenerate Figs. 6–7), and the `dgemm`/`sgemm`
 //! delegates. The entries and the one Algorithm-1 body live in
 //! [`crate::facade`]; lines 6–12 over packed panels run in the one
-//! executor in [`crate::abft`], for every fault policy.
+//! executor in [`crate::abft`], for every fault policy. The [`Workspace`]
+//! holds the residue panels in the engine's one i8 panel format, so a
+//! square product's panels take `2N·mk` bytes.
 
 use crate::abft::{FaultPolicy, FaultReport};
 use crate::facade::GemmArgs;
@@ -265,8 +267,8 @@ pub struct EmulationReport {
 /// panels the fused trunc+convert phase emits, the UINT8 residue planes,
 /// the INT32 product plane, and the block-residue accumulator.
 ///
-/// A single emulated GEMM needs ~`(5N + 4)·mn` bytes of scratch for a
-/// square product (`4N·mk` packed i16 panels, `N·mn` residue planes,
+/// A single emulated GEMM needs ~`(3N + 4)·mn` bytes of scratch for a
+/// square product (`2N·mk` packed i8 panels, `N·mn` residue planes,
 /// `4·mn` INT32; `k > 2^17` adds a `4·mn` block-residue accumulator); the
 /// integer matrices `A'`, `B'` of the unfused pipeline no longer exist —
 /// the truncation happens inside the convert sweep's cache-resident
@@ -275,13 +277,13 @@ pub struct EmulationReport {
 /// updates, purification sweeps, the `N` residue-panel sets of every call)
 /// allocate nothing per call.
 ///
-/// The residue panels are stored directly in the INT8 engine's packed i16
+/// The residue panels are stored directly in the INT8 engine's packed i8
 /// layout, so the GEMMs run over them with zero repacking
 /// ([`gemm_engine::int8_gemm_prepacked_fused`]).
 #[derive(Default)]
 pub struct Workspace {
-    a16: Vec<i16>,
-    b16: Vec<i16>,
+    a8: Vec<i8>,
+    b8: Vec<i8>,
     u: Vec<u8>,
     c32: Vec<i32>,
     racc: Vec<i32>,
@@ -289,11 +291,11 @@ pub struct Workspace {
     /// results (narrowed afterwards) and strided or `alpha`/`beta`
     /// epilogue outputs.
     cstage: Vec<f64>,
-    /// ABFT checksum vectors for `A` (`N` planes of `kp` i16 each; empty
+    /// ABFT checksum vectors for `A` (`N` planes of `kp` i8 each; empty
     /// unless a fault policy is active).
-    chk_a16: Vec<i16>,
-    /// ABFT checksum vectors for `B` (`N` planes of `kp` i16 each).
-    chk_b16: Vec<i16>,
+    chk_a8: Vec<i8>,
+    /// ABFT checksum vectors for `B` (`N` planes of `kp` i8 each).
+    chk_b8: Vec<i8>,
     /// ABFT checksum references: per plane, `m` row-sum residues followed
     /// by `n` column-sum residues.
     uchk: Vec<u8>,
@@ -309,14 +311,14 @@ pub struct Workspace {
 /// them simultaneously. The `chk_*` / `uchk` / `vsum` fields are empty
 /// unless [`Workspace::reserve_abft`] ran.
 pub(crate) struct WsBuffers<'w> {
-    pub a16: &'w mut [i16],
-    pub b16: &'w mut [i16],
+    pub a8: &'w mut [i8],
+    pub b8: &'w mut [i8],
     pub u: &'w mut [u8],
     pub c32: &'w mut [i32],
     pub racc: &'w mut [i32],
     pub cstage: &'w mut [f64],
-    pub chk_a16: &'w mut [i16],
-    pub chk_b16: &'w mut [i16],
+    pub chk_a8: &'w mut [i8],
+    pub chk_b8: &'w mut [i8],
     pub uchk: &'w mut [u8],
     pub chk_sum: &'w mut [i32],
     pub vsum: &'w mut [u32],
@@ -330,14 +332,14 @@ impl Workspace {
 
     /// Current scratch footprint in bytes (excluding `Vec` headers).
     pub fn bytes(&self) -> usize {
-        self.a16.capacity() * 2
-            + self.b16.capacity() * 2
+        self.a8.capacity()
+            + self.b8.capacity()
             + self.u.capacity()
             + self.c32.capacity() * 4
             + self.racc.capacity() * 4
             + self.cstage.capacity() * 8
-            + self.chk_a16.capacity() * 2
-            + self.chk_b16.capacity() * 2
+            + self.chk_a8.capacity()
+            + self.chk_b8.capacity()
             + self.uchk.capacity()
             + self.chk_sum.capacity() * 4
             + self.vsum.capacity() * 4
@@ -350,14 +352,14 @@ impl Workspace {
     /// depends on zeroed scratch — every path fully overwrites what it
     /// reads — so this is hygiene, not a functional reset.)
     pub fn scrub(&mut self) {
-        self.a16.fill(0);
-        self.b16.fill(0);
+        self.a8.fill(0);
+        self.b8.fill(0);
         self.u.fill(0);
         self.c32.fill(0);
         self.racc.fill(0);
         self.cstage.fill(0.0);
-        self.chk_a16.fill(0);
-        self.chk_b16.fill(0);
+        self.chk_a8.fill(0);
+        self.chk_b8.fill(0);
         self.uchk.fill(0);
         self.chk_sum.fill(0);
         self.vsum.fill(0);
@@ -374,22 +376,22 @@ impl Workspace {
     /// Grow-only resize of the A-side packed panel buffer.
     pub(crate) fn reserve_a(&mut self, m: usize, k: usize, nmod: usize) {
         let want = nmod * padded_a_rows(m) * padded_depth(k);
-        if self.a16.len() < want {
-            self.a16.resize(want, 0);
+        if self.a8.len() < want {
+            self.a8.resize(want, 0);
         }
     }
 
     /// Grow-only resize of the B-side packed panel buffer.
     pub(crate) fn reserve_b(&mut self, n: usize, k: usize, nmod: usize) {
         let want = nmod * padded_b_cols(n) * padded_depth(k);
-        if self.b16.len() < want {
-            self.b16.resize(want, 0);
+        if self.b8.len() < want {
+            self.b8.resize(want, 0);
         }
     }
 
     /// Grow-only resize of the execute-half buffers only (residue planes,
     /// INT32 product, block accumulator) — what a run over *prepared*
-    /// operand panels needs, since the packed `a16`/`b16` live inside the
+    /// operand panels needs, since the packed `a8`/`b8` live inside the
     /// [`crate::prepared::PreparedOperand`]s instead of the workspace.
     pub(crate) fn reserve_exec(&mut self, m: usize, n: usize, k: usize, nmod: usize) {
         if self.u.len() < nmod * m * n {
@@ -410,11 +412,11 @@ impl Workspace {
     pub(crate) fn reserve_abft(&mut self, m: usize, n: usize, k: usize, nmod: usize) {
         let kp = padded_depth(k);
         let want = nmod * kp;
-        if self.chk_a16.len() < want {
-            self.chk_a16.resize(want, 0);
+        if self.chk_a8.len() < want {
+            self.chk_a8.resize(want, 0);
         }
-        if self.chk_b16.len() < want {
-            self.chk_b16.resize(want, 0);
+        if self.chk_b8.len() < want {
+            self.chk_b8.resize(want, 0);
         }
         if self.uchk.len() < nmod * (m + n) {
             self.uchk.resize(nmod * (m + n), 0);
@@ -432,14 +434,14 @@ impl Workspace {
     /// first.
     pub(crate) fn buffers(&mut self) -> WsBuffers<'_> {
         WsBuffers {
-            a16: &mut self.a16,
-            b16: &mut self.b16,
+            a8: &mut self.a8,
+            b8: &mut self.b8,
             u: &mut self.u,
             c32: &mut self.c32,
             racc: &mut self.racc,
             cstage: &mut self.cstage,
-            chk_a16: &mut self.chk_a16,
-            chk_b16: &mut self.chk_b16,
+            chk_a8: &mut self.chk_a8,
+            chk_b8: &mut self.chk_b8,
             uchk: &mut self.uchk,
             chk_sum: &mut self.chk_sum,
             vsum: &mut self.vsum,

@@ -7,13 +7,13 @@
 //! [`crate::Workspace`] passed through [`crate::GemmArgs::workspace`]
 //! grows to its high-water mark on the first call and then stays flat,
 //! so with [`crate::Ozaki2::gemm_into`] the steady state allocates
-//! nothing. A single emulated GEMM needs ~`(5N + 4)·mn` bytes of scratch
-//! for a square product (the packed i16 residue panels, residue planes,
+//! nothing. A single emulated GEMM needs ~`(3N + 4)·mn` bytes of scratch
+//! for a square product (the packed i8 residue panels, residue planes,
 //! the INT32 product buffer, plus a block-residue accumulator when
 //! `k > 2^17`).
 
 /// Estimated arithmetic intensity of the emulated product's engine phase:
-/// INT8 multiply-add operations per byte of memory traffic (packed i16
+/// INT8 multiply-add operations per byte of memory traffic (packed i8
 /// panels streamed per GEMM, INT32 product and UINT8 residue planes
 /// written, the folded f64 output).
 ///
@@ -31,7 +31,7 @@ pub fn arithmetic_intensity(m: usize, n: usize, k: usize, n_moduli: usize) -> f6
     let nmod = n_moduli as f64;
     let (mf, nf, kf) = (m as f64, n as f64, k as f64);
     let ops = 2.0 * nmod * mf * nf * kf;
-    let bytes = 2.0 * nmod * (mf * kf + kf * nf) // i16 panels, read once per GEMM
+    let bytes = nmod * (mf * kf + kf * nf) // i8 panels, read once per GEMM
         + nmod * (4.0 + 1.0) * mf * nf // c32 write + u8 residue plane
         + 8.0 * mf * nf; // folded f64 output
     ops / bytes
@@ -87,9 +87,9 @@ mod tests {
         };
         run(&mut ws);
         let after_first = ws.bytes();
-        // At least the dominant buffers must be resident: the packed i16
+        // At least the dominant buffers must be resident: the packed i8
         // panel sets (one per modulus, padded), U planes (u8) and C32.
-        let floor = nmod * 2 * (m * k + k * n) + nmod * m * n + 4 * m * n;
+        let floor = nmod * (m * k + k * n) + nmod * m * n + 4 * m * n;
         assert!(
             after_first >= floor,
             "workspace too small: {after_first} < {floor}"

@@ -11,7 +11,7 @@
 //! [`Ozaki2::gemm`] per call.
 //!
 //! [`Ozaki2::prepare`] captures that front end once as a
-//! [`PreparedOperand`]: the scale exponents plus the `N` packed i16
+//! [`PreparedOperand`]: the scale exponents plus the `N` packed i8
 //! residue panels, in exactly the layout the INT8 engine's zero-repack
 //! entry ([`gemm_engine::int8_gemm_prepacked_fused`]) consumes.
 //! [`Ozaki2::execute`] runs the one Algorithm-1 body with either side a
@@ -57,7 +57,7 @@ impl OperandSide {
 }
 
 /// A cached Algorithm-1 front end (lines 1–5) for one operand: scale
-/// exponents plus the `N` packed i16 residue panels, ready for
+/// exponents plus the `N` packed i8 residue panels, ready for
 /// zero-repack INT8 GEMMs.
 ///
 /// Produced by [`Ozaki2::prepare`], consumed by [`Ozaki2::execute`].
@@ -92,7 +92,7 @@ pub struct PreparedOperand {
     mode: Mode,
     b64: bool,
     exps: Vec<i32>,
-    panels: Vec<i16>,
+    panels: Vec<i8>,
     prepare_phases: PhaseTimes,
 }
 
@@ -142,7 +142,7 @@ impl PreparedOperand {
     /// Heap footprint in bytes (panels + exponents) — what a cache charges
     /// for keeping this preparation alive.
     pub fn bytes(&self) -> usize {
-        self.panels.capacity() * 2 + self.exps.capacity() * 4
+        self.panels.capacity() + self.exps.capacity() * 4
     }
 
     /// Wall-clock the preparation spent in the front-end phases (line 1
@@ -157,7 +157,7 @@ impl PreparedOperand {
         self.prepare_phases.total().as_secs_f64()
     }
 
-    pub(crate) fn panels(&self) -> &[i16] {
+    pub(crate) fn panels(&self) -> &[i8] {
         &self.panels
     }
 
@@ -250,7 +250,7 @@ impl Ozaki2 {
         validate_view(&view, side)?;
         let consts = constants(self.n_moduli());
         let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
-        let mut panels = vec![0i16; consts.n * vecs_pad * padded_depth(k)];
+        let mut panels = vec![0i8; consts.n * vecs_pad * padded_depth(k)];
         let mut phases = PhaseTimes::default();
         let obs_start = gemm_obs::now_ns();
         let exps = front_end(&view, side, None, consts, true, &mut panels, &mut phases);
@@ -536,7 +536,7 @@ mod tests {
         assert!(ph.scale.as_nanos() > 0);
         assert!(ph.trunc + ph.convert > Duration::from_nanos(0));
         assert!(pa.prepare_seconds() > 0.0);
-        assert!(pa.bytes() >= 15 * 64 * 96 * 2);
+        assert!(pa.bytes() >= 15 * 64 * 96);
     }
 
     #[test]

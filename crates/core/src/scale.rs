@@ -321,7 +321,7 @@ pub fn pow2_split(e: i32) -> (f64, f64) {
 /// Human-readable name of the scale+trunc kernel the CPU dispatches to.
 pub fn trunc_kernel_name() -> &'static str {
     match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
         Isa::Avx2 => "avx",
         Isa::Scalar => "scalar",
     }
@@ -405,7 +405,7 @@ mod x86 {
 unsafe fn strunc_ptr(src: *const f64, dst: *mut f64, len: usize, s1: f64, s2: f64) {
     match isa() {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => x86::strunc_ptr_avx512(src, dst, len, s1, s2),
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => x86::strunc_ptr_avx512(src, dst, len, s1, s2),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => x86::strunc_ptr_avx(src, dst, len, s1, s2),
         _ => strunc_ptr_scalar(src, dst, len, s1, s2),

@@ -108,8 +108,8 @@ proptest! {
             .map(|x| (x % bound).trunc())
             .collect();
         let args = (c.p_f64[pidx], c.p_f32[pidx], c.p_inv_f64[pidx], c.p_inv_f32[pidx]);
-        let mut got = vec![0i16; len];
-        let mut want = vec![0i16; len];
+        let mut got = vec![0i8; len];
+        let mut want = vec![0i8; len];
         rmod_row(&row, &mut got, args.0, args.1, args.2, args.3, steps);
         rmod_row_scalar(&row, &mut want, args.0, args.1, args.2, args.3, steps);
         prop_assert_eq!(&got, &want, "lane mismatch: N={} steps={}", nmod, steps);
@@ -270,10 +270,10 @@ proptest! {
         let kp = gemm_engine::padded_depth(k);
         let mut pre = vec![0f64; vecs * k];
         scale_trunc_a_rowmajor(&a, &exps_a, &mut pre);
-        let mut want = vec![0i16; nmod * vecs_pad * kp];
+        let mut want = vec![0i8; nmod * vecs_pad * kp];
         convert_pack_panels(&pre, vecs, vecs_pad, k, kp, c, b64, false, &mut want);
         for parallel in [false, true] {
-            let mut got = vec![-1i16; nmod * vecs_pad * kp];
+            let mut got = vec![-1i8; nmod * vecs_pad * kp];
             let timing = TimeShare::new();
             trunc_convert_pack_panels(
                 TruncSource::Gathered { data: ElemSlice::F64(a.as_slice()), ld: vecs, exps: &exps_a },
@@ -290,10 +290,10 @@ proptest! {
         let vecs_pad_b = gemm_engine::padded_b_cols(vecs);
         let mut pre_b = vec![0f64; vecs * k];
         scale_trunc_b_colmajor(&b, &exps_b, &mut pre_b);
-        let mut want_b = vec![0i16; nmod * vecs_pad_b * kp];
+        let mut want_b = vec![0i8; nmod * vecs_pad_b * kp];
         convert_pack_panels(&pre_b, vecs, vecs_pad_b, k, kp, c, b64, false, &mut want_b);
         for parallel in [false, true] {
-            let mut got = vec![-1i16; nmod * vecs_pad_b * kp];
+            let mut got = vec![-1i8; nmod * vecs_pad_b * kp];
             trunc_convert_pack_panels(
                 TruncSource::Contiguous { data: ElemSlice::F64(b.as_slice()), ld: k, exps: &exps_b },
                 vecs, vecs_pad_b, k, kp, c, b64, parallel, &mut got, None,
@@ -313,7 +313,7 @@ proptest! {
         b64 in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // convert_pack_panels must equal residue_planes + pack_panels_i16
+        // convert_pack_panels must equal residue_planes + pack_panels
         // bitwise for every plane count, and be invariant to the
         // parallel/sequential split.
         prop_assume!(b64 || nmod <= 18);
@@ -329,10 +329,10 @@ proptest! {
         let kp = gemm_engine::padded_depth(k);
         let mut planes8 = vec![0i8; nmod * vecs * k];
         residue_planes(&src, c, b64, &mut planes8);
-        let mut want = vec![0i16; nmod * vecs_pad * kp];
+        let mut want = vec![0i8; nmod * vecs_pad * kp];
         for sidx in 0..nmod {
             let mut pack = Vec::new();
-            gemm_engine::pack_panels_i16(
+            gemm_engine::pack_panels(
                 &mut pack,
                 &planes8[sidx * vecs * k..(sidx + 1) * vecs * k],
                 k, vecs, vecs_pad, k, kp,
@@ -340,7 +340,7 @@ proptest! {
             want[sidx * vecs_pad * kp..(sidx + 1) * vecs_pad * kp].copy_from_slice(&pack);
         }
         for parallel in [false, true] {
-            let mut got = vec![-1i16; nmod * vecs_pad * kp];
+            let mut got = vec![-1i8; nmod * vecs_pad * kp];
             convert_pack_panels(&src, vecs, vecs_pad, k, kp, c, b64, parallel, &mut got);
             prop_assert_eq!(
                 &got, &want,

@@ -29,9 +29,8 @@
 //! deterministically testable).
 //!
 //! Flipped bits are chosen so every injected fault is *materializable*:
-//! panel flips stay inside the sign-extended-i8 value range (bits 0–6, so
-//! the engine's exactness contract `|x| ≤ 128` still holds and the fault
-//! propagates arithmetically instead of merely breaking a precondition),
+//! panel flips touch bits 0–6 of one i8 element (never the sign bit, so the
+//! fault propagates arithmetically as a changed residue),
 //! accumulator and residue flips touch the low byte (bits 0–7, below every
 //! supported modulus), so a flip either changes a residue class — and is
 //! detected — or is congruent to zero mod `p` and provably cannot alter
@@ -44,10 +43,10 @@ use std::sync::OnceLock;
 /// A named injection site in the pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Packed i16 residue panels of operand `A` (after the fused
+    /// Packed i8 residue panels of operand `A` (after the fused
     /// trunc+convert sweep, before the INT8 GEMMs).
     PanelA,
-    /// Packed i16 residue panels of operand `B`.
+    /// Packed i8 residue panels of operand `B`.
     PanelB,
     /// The INT32 accumulator stripe of a GEMM, after the tile sweep and
     /// before the fused mod-reduce epilogue.
@@ -235,11 +234,11 @@ fn should_fire(site: FaultSite) -> Option<u64> {
     }
 }
 
-/// Hook: maybe flip 1–3 bits among bits 0–6 of one element of a packed i16
-/// residue panel (stays inside the sign-extended-i8 range, so the flip is a
-/// live residue corruption rather than a broken precondition). Returns
-/// whether a fault was injected.
-pub fn corrupt_panel(site: FaultSite, panel: &mut [i16]) -> bool {
+/// Hook: maybe flip 1–3 bits among bits 0–6 of one element of a packed i8
+/// residue panel (the sign bit is left alone, so the flip is a live
+/// residue corruption of the same magnitude class the checksums bound).
+/// Returns whether a fault was injected.
+pub fn corrupt_panel(site: FaultSite, panel: &mut [i8]) -> bool {
     if !enabled() || panel.is_empty() {
         return false;
     }
@@ -248,7 +247,7 @@ pub fn corrupt_panel(site: FaultSite, panel: &mut [i16]) -> bool {
         Some(draw) => {
             let idx = (draw % panel.len() as u64) as usize;
             let extra = next_draw();
-            let mut mask: i16 = 1 << (extra % 7);
+            let mut mask: i8 = 1 << (extra % 7);
             for shift in 0..(extra >> 8) % 3 {
                 mask |= 1 << ((extra >> (16 + 8 * shift)) % 7);
             }
@@ -295,41 +294,6 @@ pub fn corrupt_residue(u: &mut [u8]) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scalar-scope dispatch override (graceful degradation)
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Scalar-fallback depth: while > 0, the engine's kernel dispatch on
-    /// this thread uses the scalar oracle kernels regardless of detected
-    /// CPU features.
-    static SCALAR_SCOPE: Cell<u32> = const { Cell::new(0) };
-}
-
-/// RAII guard forcing scalar kernel dispatch on the current thread — the
-/// degraded-but-trusted execution mode the `RetryThenScalar` fault policy
-/// falls back to. The scalar kernels are the bit-exact oracles every SIMD
-/// path is tested against, so results are unchanged; only throughput drops.
-pub struct ScalarScopeGuard(());
-
-impl Drop for ScalarScopeGuard {
-    fn drop(&mut self) {
-        SCALAR_SCOPE.with(|s| s.set(s.get() - 1));
-    }
-}
-
-/// Force scalar kernel dispatch on this thread until the guard drops.
-pub fn scalar_scope() -> ScalarScopeGuard {
-    SCALAR_SCOPE.with(|s| s.set(s.get() + 1));
-    ScalarScopeGuard(())
-}
-
-/// Whether the current thread is inside a [`scalar_scope`] guard.
-#[inline]
-pub fn in_scalar_scope() -> bool {
-    SCALAR_SCOPE.with(|s| s.get() > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +301,7 @@ mod tests {
     // Process-global state: keep every test in one serialized block.
     #[test]
     fn armed_faults_fire_once_and_respect_suppression() {
-        let mut panel = vec![0i16; 64];
+        let mut panel = vec![0i8; 64];
 
         // Nothing armed: hooks are inert.
         assert!(!corrupt_panel(FaultSite::PanelA, &mut panel));
@@ -352,8 +316,8 @@ mod tests {
         assert!(!armed_pending());
         let flipped: Vec<_> = panel.iter().filter(|&&x| x != 0).collect();
         assert_eq!(flipped.len(), 1, "exactly one element flipped");
-        // Panel flips stay in the sign-extended-i8 range.
-        assert!(panel.iter().all(|&x| (-128..=127).contains(&x)));
+        // Panel flips leave the sign bit alone.
+        assert!(panel.iter().all(|&x| x >= 0));
         assert!(!corrupt_panel(FaultSite::PanelA, &mut panel), "one-shot");
 
         // Suppression blocks an armed fault until the guard drops.
@@ -376,20 +340,5 @@ mod tests {
 
         assert!(injected() >= 3);
         disarm();
-    }
-
-    #[test]
-    fn scalar_scope_nests() {
-        assert!(!in_scalar_scope());
-        {
-            let _a = scalar_scope();
-            assert!(in_scalar_scope());
-            {
-                let _b = scalar_scope();
-                assert!(in_scalar_scope());
-            }
-            assert!(in_scalar_scope());
-        }
-        assert!(!in_scalar_scope());
     }
 }

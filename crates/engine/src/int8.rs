@@ -1,4 +1,5 @@
-//! The simulated INT8 matrix engine: a blocked, register-tiled GEMM.
+//! The INT8 matrix engine: a blocked GEMM on the AMX tile unit, or a
+//! register-tiled SIMD kernel standing in for one.
 //!
 //! Semantics mirror the GPU unit the paper targets (`mma.s8.s32` /
 //! cublasGemmEx with `CUDA_R_8I` inputs and `CUDA_R_32I` accumulation):
@@ -11,40 +12,50 @@
 //!
 //! Because wrapping 32-bit addition is associative and commutative, *any*
 //! summation order yields the bit-identical result — which is what lets the
-//! blocked kernel below reorder the reduction freely while remaining an
+//! blocked kernels below reorder the reduction freely while remaining an
 //! exact drop-in for [`int8_gemm_naive`].
 //!
 //! # Kernel structure
 //!
 //! 1. **Packing.** `A` (row-major, row stride `lda`) and `B` (column-major,
-//!    column stride `ldb`) are packed into `i16`-widened panels: row `i` of
-//!    the A-pack is the `i`-th row of `A` sign-extended to i16, depth padded
-//!    with zeros to a multiple of [`PK`], rows padded to a multiple of
-//!    [`MR`]; the B-pack holds columns the same way ([`NR`] / `PK`). The
-//!    widening moves the `i8 -> i16` conversion out of the inner loop so the
-//!    microkernel runs on `vpmaddwd`-ready data. Producers that can emit
-//!    this layout themselves (the `ozaki2` fused convert phase writes its
-//!    residues straight into panels) skip packing entirely via
-//!    [`int8_gemm_prepacked_fused`], which multiplies a [`PK`]-aligned depth
-//!    window of caller-built panels — that window is how the `k`-blocked
-//!    pipeline path reuses one panel set across blocks.
-//! 2. **Register-tiled microkernel.** An [`MR`]`x`[`NR`] tile of `C` is
-//!    computed as `MR * NR` SIMD dot products sharing operand loads, with
-//!    one vector accumulator per `C` element (16 independent chains — enough
-//!    to hide the multiply-add latency that limits a single autovectorized
-//!    dot product). Products of i8 values fit in 15 bits, so the pairwise
-//!    i16 multiply-add (`vpmaddwd` / `vpdpwssd`) is exact, and all i32
-//!    accumulation wraps. The kernel is selected by the one process-wide
-//!    probe, [`crate::isa()`]: AVX-512 VNNI, AVX-512 BW, AVX2, or a
-//!    portable scalar fallback (also the reference for parity tests).
-//! 3. **Cache blocking.** Per stripe the tile sweep runs `ic` ([`MC`] rows,
-//!    keeps the active A block L2-resident) over `pc` ([`KC`] depth, keeps
-//!    one A-panel + one B-panel L1-resident) over the `jt`/`it` tile grid,
-//!    accumulating partial tiles into `C` (wrapping adds commute, so the
-//!    split over `pc` is exact).
+//!    column stride `ldb`) are packed into `i8` panels: row `i` of the
+//!    A-pack is the `i`-th row of `A`, depth padded with zeros to a
+//!    multiple of [`PK`] (64, one tile row of bytes), rows padded to a
+//!    multiple of [`PV`] (16, one tile's height); the B-pack holds columns
+//!    the same way. Producers that can emit this layout themselves (the
+//!    `ozaki2` fused convert phase writes its residues straight into
+//!    panels) skip packing entirely via [`int8_gemm_prepacked_fused`],
+//!    which multiplies a [`PK`]-aligned depth window of caller-built
+//!    panels — that window is how the `k`-blocked pipeline path reuses one
+//!    panel set across blocks.
+//! 2. **Microkernel.** The kernel is selected by [`crate::isa::engine_isa`]
+//!    (the one probe, [`crate::isa()`], under the thread's
+//!    [`crate::isa::cap_scope`]), read once per call on the calling thread:
+//!    * **AMX** (`tdpbssd`, i8·i8 → i32). `tdpbssd` wants its second
+//!      source quad-interleaved, so the call first interleaves the A
+//!      window once (a vectorized 16×16 dword transpose per 16-row ×
+//!      64-byte block) into a grow-only per-thread buffer that every
+//!      stripe reads. B tiles load straight from the panels at stride
+//!      `kp`. The kernel computes `Cᵀ` tiles (16 B columns × 16 A rows), so
+//!      each tile row is one contiguous column segment of the column-major
+//!      `C`. It keeps a 2×2 grid of `C` tiles in tile registers over the
+//!      whole depth, with a 1-wide loop for edges that are a multiple of 16
+//!      but not of 32. Each stripe loads the tile configuration on entry and
+//!      releases the tiles on exit, so pool threads carry no tile state.
+//!    * **AVX-512 VNNI / AVX-512 BW / AVX2 / scalar**: an [`MR`]`x`[`NR`]
+//!      register tile of `C` as `MR * NR` SIMD dot products sharing operand
+//!      loads, one vector accumulator per `C` element. Panel bytes are
+//!      sign-extended to i16 on load; products of i8 values fit in 15 bits,
+//!      so the pairwise i16 multiply-add (`vpmaddwd` / `vpdpwssd`) is exact.
+//!      The portable scalar kernel is also the parity-test reference.
+//! 3. **Cache blocking** (SIMD arms). Per stripe the tile sweep runs `ic`
+//!    ([`MC`] rows, keeps the active A block L2-resident) over `pc` ([`KC`]
+//!    depth, keeps one A-panel + one B-panel L1-resident) over the
+//!    `jt`/`it` tile grid, accumulating partial tiles into `C` (wrapping
+//!    adds commute, so the split over `pc` is exact).
 //! 4. **Column stripes.** One driver, [`int8_gemm_prepacked_fused`],
-//!    splits the `N` dimension into stripes of whole B-panels (two per
-//!    pool worker) and runs one rayon task per stripe over shared
+//!    splits the `N` dimension into stripes of whole [`PV`]-column panels
+//!    (two per pool worker) and runs one rayon task per stripe over shared
 //!    read-only panels. The i8-input entries ([`int8_gemm_fused`] and its
 //!    wrappers) only pack: A serially, B in the same stripes in parallel,
 //!    then call that driver.
@@ -66,25 +77,30 @@
 //! residue planes of a single emulated product, LU panel updates, …)
 //! allocate nothing in steady state.
 
-use crate::isa::{isa, Isa};
+use crate::isa::{cap_scope, engine_isa, isa, Isa};
 use crate::stats::INT8_STATS;
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Microkernel tile rows (independent accumulator chains per column).
+/// Register-tile rows of the SIMD kernels (independent accumulator
+/// chains per column).
 pub const MR: usize = 4;
-/// Microkernel tile columns.
+/// Register-tile columns of the SIMD kernels.
 pub const NR: usize = 4;
-/// Depth padding granularity: i16 lanes of one 512-bit vector.
-pub const PK: usize = 32;
-/// Depth (`k`) blocking: one `MR x KC` A-panel plus one `NR x KC` B-panel
-/// in i16 is 16 KiB, comfortably L1-resident.
+/// Depth padding granularity: one AMX tile row of bytes.
+pub const PK: usize = 64;
+/// Vector-count padding granularity of the packed panels (rows of A,
+/// columns of B): one AMX tile's height. Also the column granularity of
+/// the engine's stripes, so a stripe always starts on a whole panel.
+pub const PV: usize = 16;
+/// Depth (`k`) blocking of the SIMD kernels: one `MR x KC` A-panel plus
+/// one `NR x KC` B-panel is 8 KiB of i8, comfortably L1-resident.
 pub const KC: usize = 1024;
-/// Row blocking: the active `MC x KC` A block (256 KiB as i16) stays
-/// L2-resident while the stripe's B-panels stream past it.
+/// Row blocking of the SIMD kernels: the active `MC x KC` A block
+/// (128 KiB) stays L2-resident while the stripe's B-panels stream past it.
 pub const MC: usize = 128;
 
 // ---------------------------------------------------------------------------
@@ -129,7 +145,7 @@ pub fn barrett_mod_row_acc_scalar(c: &[i32], out: &mut [i32], p: i32, pinv: u32)
 /// dispatches to.
 pub fn mod_kernel_name() -> &'static str {
     match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni => "avx512",
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
         Isa::Avx2 => "avx2",
         Isa::Scalar => "scalar",
     }
@@ -292,7 +308,9 @@ pub fn barrett_mod_row_u8(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected by runtime feature detection; length
         // contract asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { modx86::mod_row_u8_avx512(c, out, p, pinv) },
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
+            modx86::mod_row_u8_avx512(c, out, p, pinv)
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         Isa::Avx2 => unsafe { modx86::mod_row_u8_avx2(c, out, p, pinv) },
@@ -309,7 +327,9 @@ pub fn barrett_mod_row_acc(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected by runtime feature detection; length
         // contract asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { modx86::mod_row_acc_avx512(c, out, p, pinv) },
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
+            modx86::mod_row_acc_avx512(c, out, p, pinv)
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         Isa::Avx2 => unsafe { modx86::mod_row_acc_avx2(c, out, p, pinv) },
@@ -432,8 +452,8 @@ impl Epilogue for AccumulateEpilogue<'_> {
 /// shrinks; repeated calls with one shape allocate nothing.
 #[derive(Default)]
 pub struct Int8Workspace {
-    apack: Vec<i16>,
-    bpack: Vec<i16>,
+    apack: Vec<i8>,
+    bpack: Vec<i8>,
 }
 
 impl Int8Workspace {
@@ -444,7 +464,7 @@ impl Int8Workspace {
 
     /// Current footprint in bytes.
     pub fn bytes(&self) -> usize {
-        2 * (self.apack.capacity() + self.bpack.capacity())
+        self.apack.capacity() + self.bpack.capacity()
     }
 }
 
@@ -452,6 +472,10 @@ thread_local! {
     /// Workspace backing the allocation-free-after-warmup compatibility
     /// entry points ([`int8_gemm_rm_cm`], [`int8_gemm`]).
     static TLS_WS: RefCell<Int8Workspace> = RefCell::new(Int8Workspace::new());
+    /// The AMX arm's interleaved copy of the A window: grow-only, and lent
+    /// to one call at a time (a nested call on this thread finds it empty
+    /// and allocates its own).
+    static AMX_A: Cell<Vec<i8>> = const { Cell::new(Vec::new()) };
 }
 
 // ---------------------------------------------------------------------------
@@ -463,28 +487,28 @@ pub const fn padded_depth(k: usize) -> usize {
     k.div_ceil(PK) * PK
 }
 
-/// Row count of a packed A-panel set, padded to a multiple of [`MR`].
+/// Row count of a packed A-panel set, padded to a multiple of [`PV`].
 pub const fn padded_a_rows(m: usize) -> usize {
-    m.div_ceil(MR) * MR
+    m.div_ceil(PV) * PV
 }
 
-/// Column count of a packed B-panel set, padded to a multiple of [`NR`].
+/// Column count of a packed B-panel set, padded to a multiple of [`PV`].
 pub const fn padded_b_cols(n: usize) -> usize {
-    n.div_ceil(NR) * NR
+    n.div_ceil(PV) * PV
 }
 
 /// Pack `vecs` i8 k-vectors (rows of `A` / columns of `B`, vector `v`
-/// starting at `v * ld`) into the engine's `i16`-widened panel layout:
-/// vector `v` occupies `pack[v * kp..(v + 1) * kp]`, sign-extended to i16,
-/// depth zero-padded from `k` to `kp` (= [`padded_depth`]`(k)`), vector
-/// count zero-padded to `vecs_pad` (= [`padded_a_rows`] / [`padded_b_cols`]).
+/// starting at `v * ld`) into the engine's `i8` panel layout: vector `v`
+/// occupies `pack[v * kp..(v + 1) * kp]`, depth zero-padded from `k` to
+/// `kp` (= [`padded_depth`]`(k)`), vector count zero-padded to `vecs_pad`
+/// (= [`padded_a_rows`] / [`padded_b_cols`]).
 ///
 /// This is the exact layout [`int8_gemm_prepacked_fused`] consumes, and the
 /// layout the fused convert phase of the `ozaki2` pipeline emits directly
 /// from f64 data — exposed so producers and tests can build panels without
 /// going through an intermediate i8 plane.
-pub fn pack_panels_i16(
-    pack: &mut Vec<i16>,
+pub fn pack_panels(
+    pack: &mut Vec<i8>,
     src: &[i8],
     ld: usize,
     vecs: usize,
@@ -499,9 +523,9 @@ pub fn pack_panels_i16(
     pack_into(&mut pack[..needed], src, ld, vecs, vecs_pad, k, kp);
 }
 
-/// [`pack_panels_i16`] into a slice already sized for `vecs_pad` vectors.
+/// [`pack_panels`] into a slice already sized for `vecs_pad` vectors.
 fn pack_into(
-    pack: &mut [i16],
+    pack: &mut [i8],
     src: &[i8],
     ld: usize,
     vecs: usize,
@@ -512,10 +536,7 @@ fn pack_into(
     for v in 0..vecs_pad {
         let dst = &mut pack[v * kp..(v + 1) * kp];
         if v < vecs {
-            let row = &src[v * ld..v * ld + k];
-            for (d, &x) in dst[..k].iter_mut().zip(row) {
-                *d = x as i16;
-            }
+            dst[..k].copy_from_slice(&src[v * ld..v * ld + k]);
             dst[k..].fill(0);
         } else {
             dst.fill(0);
@@ -524,23 +545,13 @@ fn pack_into(
 }
 
 // ---------------------------------------------------------------------------
-// Microkernel (runtime-dispatched)
+// Microkernels (runtime-dispatched)
 // ---------------------------------------------------------------------------
-
-/// The SIMD level the engine's tile and mod-reduce kernels run at:
-/// [`isa()`], or [`Isa::Scalar`] inside a
-/// [`crate::faultinject::scalar_scope`] (the ABFT scalar fallback).
-fn engine_isa() -> Isa {
-    if crate::faultinject::in_scalar_scope() {
-        Isa::Scalar
-    } else {
-        isa()
-    }
-}
 
 /// Human-readable name of the microkernel the running CPU dispatches to.
 pub fn microkernel_name() -> &'static str {
     match isa() {
+        Isa::Amx => "amx",
         Isa::Avx512Vnni => "avx512-vnni",
         Isa::Avx512 => "avx512-bw",
         Isa::Avx2 => "avx2",
@@ -552,7 +563,7 @@ pub fn microkernel_name() -> &'static str {
 /// over `kc` (wrapping) — the tile is **column-major** so the driver can
 /// copy whole columns into `C` contiguously. Also the reference
 /// implementation the SIMD paths are tested against.
-fn tile_scalar(kc: usize, lda: usize, ldb: usize, a: &[i16], b: &[i16], out: &mut [[i32; MR]; NR]) {
+fn tile_scalar(kc: usize, lda: usize, ldb: usize, a: &[i8], b: &[i8], out: &mut [[i32; MR]; NR]) {
     for (c, ocol) in out.iter_mut().enumerate() {
         let bcol = &b[c * ldb..c * ldb + kc];
         for (r, o) in ocol.iter_mut().enumerate() {
@@ -568,13 +579,17 @@ fn tile_scalar(kc: usize, lda: usize, ldb: usize, a: &[i16], b: &[i16], out: &mu
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2 / AVX-512 tile kernels. All rely on `vpmaddwd`-family ops:
-    //! each i32 lane receives `a[2l]*b[2l] + a[2l+1]*b[2l+1]`, exact for
-    //! operands that came from i8 (|product sum| <= 2^15), with wrapping
-    //! i32 lane accumulation — bit-compatible with the scalar kernel.
+    //! AVX2 / AVX-512 tile kernels over i8 panels. Each load sign-extends
+    //! its bytes to i16; the `vpmaddwd`-family ops then give each i32 lane
+    //! `a[2l]*b[2l] + a[2l+1]*b[2l+1]`, exact for i8 operands
+    //! (|product sum| <= 2^15), with wrapping i32 lane accumulation —
+    //! bit-compatible with the scalar kernel.
 
     use super::{MR, NR, PK};
     use std::arch::x86_64::*;
+
+    /// i8 depth elements consumed per 512-bit step (widened to 32 i16).
+    const L512: usize = 32;
 
     /// Reduce four 16-lane accumulators to their four dot products in
     /// one xmm: halve each zmm, then a 3-`hadd` network. The same
@@ -600,6 +615,16 @@ mod x86 {
         _mm_add_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q))
     }
 
+    /// 32 i8 at `p`, sign-extended to 32 i16 lanes.
+    ///
+    /// # Safety
+    /// AVX-512BW required; `p` valid for 32 bytes.
+    #[inline]
+    #[target_feature(enable = "avx512bw")]
+    unsafe fn load_widen(p: *const i8) -> __m512i {
+        _mm512_cvtepi8_epi16(_mm256_loadu_si256(p as *const __m256i))
+    }
+
     /// # Safety
     /// Caller must ensure AVX-512BW + AVX-512VNNI are available, `kc` is a
     /// multiple of [`PK`], and `a`/`b` cover `(MR-1)*lda + kc` /
@@ -610,8 +635,8 @@ mod x86 {
         kc: usize,
         lda: usize,
         ldb: usize,
-        a: &[i16],
-        b: &[i16],
+        a: &[i8],
+        b: &[i8],
         out: &mut [[i32; MR]; NR],
     ) {
         debug_assert!(kc.is_multiple_of(PK));
@@ -619,14 +644,14 @@ mod x86 {
         let ap = a.as_ptr();
         let bp = b.as_ptr();
         let mut acc = [[_mm512_setzero_si512(); NR]; MR];
-        for s in 0..kc / PK {
-            let off = s * PK;
+        for s in 0..kc / L512 {
+            let off = s * L512;
             let mut av = [_mm512_setzero_si512(); MR];
             for (r, v) in av.iter_mut().enumerate() {
-                *v = _mm512_loadu_si512(ap.add(r * lda + off) as *const _);
+                *v = load_widen(ap.add(r * lda + off));
             }
             for c in 0..NR {
-                let bv = _mm512_loadu_si512(bp.add(c * ldb + off) as *const _);
+                let bv = load_widen(bp.add(c * ldb + off));
                 for r in 0..MR {
                     acc[r][c] = _mm512_dpwssd_epi32(acc[r][c], av[r], bv);
                 }
@@ -646,8 +671,8 @@ mod x86 {
         kc: usize,
         lda: usize,
         ldb: usize,
-        a: &[i16],
-        b: &[i16],
+        a: &[i8],
+        b: &[i8],
         out: &mut [[i32; MR]; NR],
     ) {
         debug_assert!(kc.is_multiple_of(PK));
@@ -655,14 +680,14 @@ mod x86 {
         let ap = a.as_ptr();
         let bp = b.as_ptr();
         let mut acc = [[_mm512_setzero_si512(); NR]; MR];
-        for s in 0..kc / PK {
-            let off = s * PK;
+        for s in 0..kc / L512 {
+            let off = s * L512;
             let mut av = [_mm512_setzero_si512(); MR];
             for (r, v) in av.iter_mut().enumerate() {
-                *v = _mm512_loadu_si512(ap.add(r * lda + off) as *const _);
+                *v = load_widen(ap.add(r * lda + off));
             }
             for c in 0..NR {
-                let bv = _mm512_loadu_si512(bp.add(c * ldb + off) as *const _);
+                let bv = load_widen(bp.add(c * ldb + off));
                 for r in 0..MR {
                     acc[r][c] = _mm512_add_epi32(acc[r][c], _mm512_madd_epi16(av[r], bv));
                 }
@@ -682,24 +707,25 @@ mod x86 {
         kc: usize,
         lda: usize,
         ldb: usize,
-        a: &[i16],
-        b: &[i16],
+        a: &[i8],
+        b: &[i8],
         out: &mut [[i32; MR]; NR],
     ) {
-        const L: usize = 16; // i16 lanes per 256-bit vector
+        const L: usize = 16; // i8 depth elements per 256-bit step
         debug_assert!(kc.is_multiple_of(L));
         debug_assert!(a.len() >= (MR - 1) * lda + kc && b.len() >= (NR - 1) * ldb + kc);
         let ap = a.as_ptr();
         let bp = b.as_ptr();
+        let load_widen = |p: *const i8| _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i));
         let mut acc = [[_mm256_setzero_si256(); NR]; MR];
         for s in 0..kc / L {
             let off = s * L;
             let mut av = [_mm256_setzero_si256(); MR];
             for (r, v) in av.iter_mut().enumerate() {
-                *v = _mm256_loadu_si256(ap.add(r * lda + off) as *const _);
+                *v = load_widen(ap.add(r * lda + off));
             }
             for c in 0..NR {
-                let bv = _mm256_loadu_si256(bp.add(c * ldb + off) as *const _);
+                let bv = load_widen(bp.add(c * ldb + off));
                 for r in 0..MR {
                     acc[r][c] = _mm256_add_epi32(acc[r][c], _mm256_madd_epi16(av[r], bv));
                 }
@@ -717,23 +743,316 @@ mod x86 {
     }
 }
 
-/// Run the selected tile kernel on `kc` depth (multiple of [`PK`] for the
-/// SIMD paths; packing guarantees this).
+#[cfg(target_arch = "x86_64")]
+mod amx {
+    //! The AMX-INT8 arm: `tdpbssd` over [`PV`]`×`[`PK`]-byte tiles, in
+    //! stable inline assembly (tile registers are named in the templates;
+    //! the compiler never allocates them).
+    //!
+    //! `tdpbssd dst, src1, src2` computes, for each 16×16 i32 `dst`,
+    //! `dst[r][c] += Σ_{q<16} Σ_{t<4} src1[r][4q+t] · src2[q][4c+t]`, with
+    //! wrapping i32 adds. `src1` rows are B panel columns loaded straight
+    //! from the panels (K contiguous); `src2` must hold, in row `q`, the
+    //! four bytes `4q..4q+4` of each of 16 A rows — the quad-interleaved
+    //! layout [`interleave_a`] builds. So `dst` is a `Cᵀ` tile: row `r` is
+    //! column `j0 + r` of `C` over rows `i0..i0 + 16`, one contiguous run
+    //! of the column-major plane.
+
+    use super::{PK, PV};
+    use std::arch::asm;
+    use std::arch::x86_64::*;
+
+    /// Bytes of one interleaved A block (16 rows × 64 depth bytes).
+    pub const BLOCK: usize = PV * PK;
+
+    /// `ldtilecfg` operand: palette 1, all eight tiles 16 rows × 64 bytes.
+    #[repr(C, align(64))]
+    struct TileConfig([u8; 64]);
+
+    static CONFIG: TileConfig = {
+        let mut b = [0u8; 64];
+        b[0] = 1;
+        let mut t = 0;
+        while t < 8 {
+            b[16 + 2 * t] = PK as u8; // colsb[t], bytes per row (u16 LE)
+            b[48 + t] = PV as u8; // rows[t]
+            t += 1;
+        }
+        TileConfig(b)
+    };
+
+    /// The tile state of one stripe: configured on creation, released on
+    /// drop (also when a panic unwinds the stripe), so a pool thread holds
+    /// no 8 KiB tile state between stripes.
+    struct TileScope(());
+
+    impl TileScope {
+        /// # Safety
+        /// The CPU and OS must support AMX for this process
+        /// ([`crate::Isa::Amx`] was probed).
+        unsafe fn enter() -> Self {
+            asm!(
+                "ldtilecfg [{cfg}]",
+                cfg = in(reg) &CONFIG as *const TileConfig,
+                options(nostack, readonly, preserves_flags),
+            );
+            TileScope(())
+        }
+    }
+
+    impl Drop for TileScope {
+        fn drop(&mut self) {
+            // SAFETY: a TileScope exists only after `enter`, whose caller
+            // guaranteed AMX support.
+            unsafe { asm!("tilerelease", options(nostack, nomem, preserves_flags)) };
+        }
+    }
+
+    /// `tileloadd tmm$t, [ptr + stride]`.
+    macro_rules! tileload {
+        ($t:literal, $ptr:expr, $stride:expr) => {
+            asm!(
+                concat!("tileloadd tmm", $t, ", [{p} + {s}*1]"),
+                p = in(reg) $ptr,
+                s = in(reg) $stride,
+                options(nostack, readonly, preserves_flags),
+            )
+        };
+    }
+
+    /// `tdpbssd tmm$c, tmm$b, tmm$a`.
+    macro_rules! dp {
+        ($c:literal, $b:literal, $a:literal) => {
+            asm!(
+                concat!("tdpbssd tmm", $c, ", tmm", $b, ", tmm", $a),
+                options(nostack, nomem, preserves_flags),
+            )
+        };
+    }
+
+    /// Store `C` tile register `tmm$t` (rows `j..j+16` of `Cᵀ`, columns
+    /// `i..i+16`) into the column-major `m x nc` stripe `c`: directly when
+    /// the whole tile is inside the stripe, through a stack tile otherwise.
+    macro_rules! store {
+        ($t:literal, $c:expr, $m:expr, $nc:expr, $j:expr, $i:expr) => {{
+            let (c, m, nc, j, i): (&mut [i32], usize, usize, usize, usize) = ($c, $m, $nc, $j, $i);
+            debug_assert!(j < nc && i < m);
+            if j + PV <= nc && i + PV <= m {
+                asm!(
+                    concat!("tilestored [{p} + {s}*1], tmm", $t),
+                    p = in(reg) c[j * m + i..].as_mut_ptr(),
+                    s = in(reg) 4 * m,
+                    options(nostack, preserves_flags),
+                );
+            } else {
+                let mut buf = [0i32; PV * PV];
+                asm!(
+                    concat!("tilestored [{p} + {s}*1], tmm", $t),
+                    p = in(reg) buf.as_mut_ptr(),
+                    s = in(reg) 4 * PV,
+                    options(nostack, preserves_flags),
+                );
+                let cnt = PV.min(m - i);
+                for (r, row) in buf.chunks_exact(PV).take(nc - j).enumerate() {
+                    c[(j + r) * m + i..][..cnt].copy_from_slice(&row[..cnt]);
+                }
+            }
+        }};
+    }
+
+    /// Interleave the `rows` (a multiple of 16) A-panel rows at `a` (row
+    /// stride `lda`, `kp` bytes each, `kp` a multiple of [`PK`]) into
+    /// `out`: the block of row strip `s` and depth chunk `ch` sits at
+    /// `(s * kp / PK + ch) * BLOCK` and is that 16-row × 64-byte block
+    /// transposed as a 16×16 matrix of dwords.
+    ///
+    /// # Safety
+    /// AVX-512F required.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn interleave_a(a: &[i8], lda: usize, rows: usize, kp: usize, out: &mut [i8]) {
+        assert!(rows.is_multiple_of(PV) && kp.is_multiple_of(PK));
+        assert!(
+            rows == 0 || a.len() >= (rows - 1) * lda + kp,
+            "A window mismatch"
+        );
+        assert!(out.len() >= rows * kp, "interleave buffer mismatch");
+        let nch = kp / PK;
+        for s in 0..rows / PV {
+            for ch in 0..nch {
+                let src = a.as_ptr().add(s * PV * lda + ch * PK);
+                let mut r = [_mm512_setzero_si512(); PV];
+                for (i, v) in r.iter_mut().enumerate() {
+                    *v = _mm512_loadu_si512(src.add(i * lda).cast());
+                }
+                let t = transpose16(r);
+                let dst = out.as_mut_ptr().add((s * nch + ch) * BLOCK);
+                for (q, v) in t.iter().enumerate() {
+                    _mm512_storeu_si512(dst.add(q * PK).cast(), *v);
+                }
+            }
+        }
+    }
+
+    /// Transpose a 16×16 matrix of dwords held one row per register.
+    ///
+    /// # Safety
+    /// AVX-512F required.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose16(r: [__m512i; 16]) -> [__m512i; 16] {
+        // 4×4 transposes inside every 128-bit lane: afterwards u[4g + x]
+        // lane l holds rows 4g..4g+4 of column 4l + x.
+        let mut t = [_mm512_setzero_si512(); 16];
+        for p in 0..8 {
+            t[2 * p] = _mm512_unpacklo_epi32(r[2 * p], r[2 * p + 1]);
+            t[2 * p + 1] = _mm512_unpackhi_epi32(r[2 * p], r[2 * p + 1]);
+        }
+        let mut u = [_mm512_setzero_si512(); 16];
+        for g in 0..4 {
+            u[4 * g] = _mm512_unpacklo_epi64(t[4 * g], t[4 * g + 2]);
+            u[4 * g + 1] = _mm512_unpackhi_epi64(t[4 * g], t[4 * g + 2]);
+            u[4 * g + 2] = _mm512_unpacklo_epi64(t[4 * g + 1], t[4 * g + 3]);
+            u[4 * g + 3] = _mm512_unpackhi_epi64(t[4 * g + 1], t[4 * g + 3]);
+        }
+        // Gather lane l of u[x], u[4 + x], u[8 + x], u[12 + x] into row
+        // 4l + x.
+        let mut out = [_mm512_setzero_si512(); 16];
+        for x in 0..4 {
+            let lo01 = _mm512_shuffle_i32x4::<0x88>(u[x], u[4 + x]);
+            let hi01 = _mm512_shuffle_i32x4::<0xdd>(u[x], u[4 + x]);
+            let lo23 = _mm512_shuffle_i32x4::<0x88>(u[8 + x], u[12 + x]);
+            let hi23 = _mm512_shuffle_i32x4::<0xdd>(u[8 + x], u[12 + x]);
+            out[x] = _mm512_shuffle_i32x4::<0x88>(lo01, lo23);
+            out[8 + x] = _mm512_shuffle_i32x4::<0xdd>(lo01, lo23);
+            out[4 + x] = _mm512_shuffle_i32x4::<0x88>(hi01, hi23);
+            out[12 + x] = _mm512_shuffle_i32x4::<0xdd>(hi01, hi23);
+        }
+        out
+    }
+
+    /// A `JW × IW` grid (each 1 or 2) of 16×16 `Cᵀ` tiles, accumulated in
+    /// tile registers over all `nch` depth chunks and stored into `c`:
+    /// B columns `j..j + 16·JW` of the stripe (panel rows at `b + j·ldb`),
+    /// A rows `i..i + 16·IW` (interleaved strips at `ai + (i/16)·nch·BLOCK`).
+    /// Tiles: `tmm0..3` accumulate `C`, `tmm4/5` hold B, `tmm6/7` hold A.
+    ///
+    /// # Safety
+    /// Inside a [`TileScope`]; the panel and interleave extents are those
+    /// [`stripe`] checks.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn block<const JW: usize, const IW: usize>(
+        nch: usize,
+        ldb: usize,
+        b: &[i8],
+        ai: &[i8],
+        c: &mut [i32],
+        m: usize,
+        nc: usize,
+        j: usize,
+        i: usize,
+    ) {
+        let bp = b[j * ldb..].as_ptr();
+        let ap = ai[i / PV * nch * BLOCK..].as_ptr();
+        let strip = nch * BLOCK;
+        asm!("tilezero tmm0", options(nostack, nomem, preserves_flags));
+        if IW == 2 {
+            asm!("tilezero tmm1", options(nostack, nomem, preserves_flags));
+        }
+        if JW == 2 {
+            asm!("tilezero tmm2", options(nostack, nomem, preserves_flags));
+            if IW == 2 {
+                asm!("tilezero tmm3", options(nostack, nomem, preserves_flags));
+            }
+        }
+        for ch in 0..nch {
+            tileload!("4", bp.add(ch * PK), ldb);
+            tileload!("6", ap.add(ch * BLOCK), PK);
+            dp!("0", "4", "6");
+            if IW == 2 {
+                tileload!("7", ap.add(strip + ch * BLOCK), PK);
+                dp!("1", "4", "7");
+            }
+            if JW == 2 {
+                tileload!("5", bp.add(PV * ldb + ch * PK), ldb);
+                dp!("2", "5", "6");
+                if IW == 2 {
+                    dp!("3", "5", "7");
+                }
+            }
+        }
+        store!("0", c, m, nc, j, i);
+        if IW == 2 {
+            store!("1", c, m, nc, j, i + PV);
+        }
+        if JW == 2 {
+            store!("2", c, m, nc, j + PV, i);
+            if IW == 2 {
+                store!("3", c, m, nc, j + PV, i + PV);
+            }
+        }
+    }
+
+    /// One stripe on the tile unit: `c = A · B` over `nc` stripe columns,
+    /// `b` the stripe's B panels (column `j` at `j * ldb`, offset to the
+    /// depth window) and `ai` the call's [`interleave_a`] copy of the A
+    /// window, `kp` bytes deep. Each B column pair is swept over all A row
+    /// pairs, so it is loaded from cache while the A strips stream past.
+    ///
+    /// # Safety
+    /// The CPU and OS must support AMX for this process
+    /// ([`crate::Isa::Amx`] was probed).
+    pub unsafe fn stripe(
+        m: usize,
+        kp: usize,
+        ldb: usize,
+        ai: &[i8],
+        b: &[i8],
+        nc: usize,
+        c: &mut [i32],
+    ) {
+        let (mp, np) = (m.div_ceil(PV), nc.div_ceil(PV));
+        assert!(kp.is_multiple_of(PK) && kp > 0);
+        assert!(ai.len() >= mp * PV * kp, "interleave buffer mismatch");
+        assert!(
+            b.len() >= (np * PV - 1) * ldb + kp,
+            "B panel buffer mismatch"
+        );
+        assert_eq!(c.len(), m * nc, "C buffer mismatch");
+        let nch = kp / PK;
+        let _tiles = TileScope::enter();
+        for jp in (0..np).step_by(2) {
+            let (j, jw2) = (jp * PV, jp + 1 < np);
+            for ip in (0..mp).step_by(2) {
+                let (i, iw2) = (ip * PV, ip + 1 < mp);
+                match (jw2, iw2) {
+                    (true, true) => block::<2, 2>(nch, ldb, b, ai, c, m, nc, j, i),
+                    (true, false) => block::<2, 1>(nch, ldb, b, ai, c, m, nc, j, i),
+                    (false, true) => block::<1, 2>(nch, ldb, b, ai, c, m, nc, j, i),
+                    (false, false) => block::<1, 1>(nch, ldb, b, ai, c, m, nc, j, i),
+                }
+            }
+        }
+    }
+}
+
+/// Run the selected SIMD tile kernel on `kc` depth (a multiple of [`PK`];
+/// packing guarantees this).
 #[inline]
 fn run_tile(
     isa: Isa,
     kc: usize,
     lda: usize,
     ldb: usize,
-    a: &[i16],
-    b: &[i16],
+    a: &[i8],
+    b: &[i8],
     out: &mut [[i32; MR]; NR],
 ) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // slice lengths are established by the packed-panel layout.
-        Isa::Avx512Vnni => unsafe { x86::tile_vnni(kc, lda, ldb, a, b, out) },
+        Isa::Avx512Vnni | Isa::Amx => unsafe { x86::tile_vnni(kc, lda, ldb, a, b, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         Isa::Avx512 => unsafe { x86::tile_avx512(kc, lda, ldb, a, b, out) },
@@ -748,31 +1067,23 @@ fn run_tile(
 // Driver
 // ---------------------------------------------------------------------------
 
-/// The cache-blocked tile sweep over one column stripe of already-packed
-/// panels, followed by the fused epilogue on the still-resident stripe.
-///
-/// `apack` and `bpack` are panel bases already offset to the depth window:
-/// row `i` of A at `i * lda`, stripe-local column `j` of B at `j * ldb`,
-/// with `kp_eff` (a multiple of [`PK`]) depth elements to consume.
+/// The cache-blocked SIMD tile sweep over one column stripe of packed
+/// panels: `apack` and `bpack` are panel bases already offset to the depth
+/// window (row `i` of A at `i * lda`, stripe-local column `j` of B at
+/// `j * ldb`), with `kp_eff` (a multiple of [`PK`]) depth elements to
+/// consume.
 #[allow(clippy::too_many_arguments)]
-fn stripe_compute<E: Epilogue>(
+fn simd_sweep(
+    isa: Isa,
     m: usize,
     kp_eff: usize,
     lda: usize,
     ldb: usize,
-    apack: &[i16],
-    bpack: &[i16],
+    apack: &[i8],
+    bpack: &[i8],
     nc: usize,
     c: &mut [i32],
-    out: &mut [E::Out],
-    epi: &E,
 ) {
-    let isa = engine_isa();
-    if kp_eff == 0 {
-        // No depth to consume: the product is all zeros (only reachable
-        // through entry points that do not early-out on k == 0).
-        c.fill(0);
-    }
     let mut tile = [[0i32; MR]; NR];
     for ic in (0..m).step_by(MC) {
         let ilim = (ic + MC).min(m);
@@ -810,6 +1121,32 @@ fn stripe_compute<E: Epilogue>(
             }
             pc += kc;
         }
+    }
+}
+
+/// One column stripe at level `isa`, followed by the fused epilogue on the
+/// still-resident stripe. `a` is the A panel base offset to the depth
+/// window, or for [`Isa::Amx`] the call's interleaved copy of that window.
+#[allow(clippy::too_many_arguments)]
+fn stripe_compute<E: Epilogue>(
+    isa: Isa,
+    m: usize,
+    kp_eff: usize,
+    lda: usize,
+    ldb: usize,
+    a: &[i8],
+    bpack: &[i8],
+    nc: usize,
+    c: &mut [i32],
+    out: &mut [E::Out],
+    epi: &E,
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Isa::Amx is reported only after the CPUID, XCR0 and
+        // arch_prctl checks in `isa`; `amx::stripe` checks the extents.
+        Isa::Amx => unsafe { amx::stripe(m, kp_eff, ldb, a, bpack, nc, c) },
+        _ => simd_sweep(isa, m, kp_eff, lda, ldb, a, bpack, nc, c),
     }
     // Fault-injection seam: the completed INT32 stripe, before the fused
     // epilogue consumes it (no-op unless the injector is armed).
@@ -870,7 +1207,7 @@ pub fn int8_gemm_fused<E: Epilogue>(
         assert!(b.len() >= (n - 1) * ldb + k, "B buffer mismatch");
     }
     let kp = padded_depth(k);
-    pack_panels_i16(&mut ws.apack, a, lda, m, padded_a_rows(m), k, kp);
+    pack_panels(&mut ws.apack, a, lda, m, padded_a_rows(m), k, kp);
 
     // B packs in as many column chunks as the sweep has stripes, one task
     // each, so packing scales with the workers like the sweep does.
@@ -878,9 +1215,9 @@ pub fn int8_gemm_fused<E: Epilogue>(
     if ws.bpack.len() < n_pad * kp {
         ws.bpack.resize(n_pad * kp, 0);
     }
-    let n_panels = n_pad / NR;
+    let n_panels = n_pad / PV;
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
-    let stripe_cols = n_panels.div_ceil(stripes) * NR;
+    let stripe_cols = n_panels.div_ceil(stripes) * PV;
     ws.bpack[..n_pad * kp]
         .par_chunks_mut((stripe_cols * kp).max(1))
         .enumerate()
@@ -893,17 +1230,16 @@ pub fn int8_gemm_fused<E: Epilogue>(
     int8_gemm_prepacked_fused(m, n, k, &ws.apack, &ws.bpack, kp, 0, c, out, epi, parallel);
 }
 
-/// The blocked INT8 GEMM over **pre-packed i16 panels** — the zero-repack
+/// The blocked INT8 GEMM over **pre-packed i8 panels** — the zero-repack
 /// entry the fused convert phase of the `ozaki2` pipeline feeds.
 ///
 /// `apack` holds [`padded_a_rows`]`(m)` row panels and `bpack`
-/// [`padded_b_cols`]`(n)` column panels in the [`pack_panels_i16`] layout
+/// [`padded_b_cols`]`(n)` column panels in the [`pack_panels`] layout
 /// with full padded depth `kp_stride`; the call multiplies the depth window
 /// `[depth_off, depth_off + k)` (so a `k`-blocked caller passes the same
-/// panels with advancing `depth_off`). Values must be sign-extended i8
-/// (`-128..=127`) for the pairwise i16 multiply-add to stay exact. `C` is
-/// column-major `m x n`, contiguous, fully overwritten; `out` is the fused
-/// epilogue plane exactly as in [`int8_gemm_fused`].
+/// panels with advancing `depth_off`). `C` is column-major `m x n`,
+/// contiguous, fully overwritten; `out` is the fused epilogue plane exactly
+/// as in [`int8_gemm_fused`].
 ///
 /// The kernel consumes the window rounded up to [`PK`], so the tail
 /// `[depth_off + k, depth_off + `[`padded_depth`]`(k))` must read zeros:
@@ -912,8 +1248,11 @@ pub fn int8_gemm_fused<E: Epilogue>(
 /// at multiples of `PK` — like the pipeline's `2^17` — satisfy this for
 /// every window.
 ///
-/// Because no packing happens here, no workspace is needed and the call
-/// performs no allocation at all.
+/// The level is [`engine_isa`], read once here and carried into every
+/// stripe (with the thread's cap), so a [`cap_scope`] on the caller pins
+/// parallel stripes too. No packing happens here, so no workspace is
+/// needed; the AMX arm's interleaved A copy lives in a grow-only
+/// per-thread buffer, so steady-state calls allocate nothing.
 ///
 /// # Panics
 /// If `depth_off` is not a multiple of [`PK`], a window over-runs
@@ -923,8 +1262,8 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     m: usize,
     n: usize,
     k: usize,
-    apack: &[i16],
-    bpack: &[i16],
+    apack: &[i8],
+    bpack: &[i8],
     kp_stride: usize,
     depth_off: usize,
     c: &mut [i32],
@@ -941,10 +1280,8 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
         depth_off + kp_eff <= kp_stride,
         "depth window {depth_off}+{kp_eff} over-runs panel depth {kp_stride}"
     );
-    assert!(
-        apack.len() >= padded_a_rows(m) * kp_stride,
-        "A panel buffer mismatch"
-    );
+    let m_pad = padded_a_rows(m);
+    assert!(apack.len() >= m_pad * kp_stride, "A panel buffer mismatch");
     assert!(
         bpack.len() >= padded_b_cols(n) * kp_stride,
         "B panel buffer mismatch"
@@ -966,12 +1303,18 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
         }
         return;
     }
-    let a_base = &apack[depth_off..];
-
     // Stripe boundaries never change per-element accumulation order, so
     // the stripe count cannot affect results.
-    let n_panels = n.div_ceil(NR);
+    let n_panels = n.div_ceil(PV);
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
+
+    let level = engine_isa();
+    let a_window = &apack[depth_off..];
+    // The AMX arm reads A quad-interleaved: one copy per call, shared by
+    // every stripe.
+    let interleaved =
+        (level == Isa::Amx).then(|| interleave_window(a_window, kp_stride, m_pad, kp_eff, stripes));
+    let a_base = interleaved.as_deref().unwrap_or(a_window);
 
     struct PrepackedJob<'a, E: Epilogue> {
         j0: usize,
@@ -985,8 +1328,8 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     for s in 0..stripes {
         let p0 = s * n_panels / stripes;
         let p1 = (s + 1) * n_panels / stripes;
-        let j0 = p0 * NR;
-        let nc = n.min(p1 * NR) - j0;
+        let j0 = p0 * PV;
+        let nc = n.min(p1 * PV) - j0;
         let (c_stripe, rest) = c_rest.split_at_mut(m * nc);
         c_rest = rest;
         let out_stripe = if E::ACTIVE {
@@ -1005,7 +1348,11 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     }
 
     let run = |job: PrepackedJob<'_, E>| {
+        // The caller's level, pinned on whichever thread runs the stripe
+        // (the epilogue's mod kernel reads it there too).
+        let _cap = cap_scope(level);
         stripe_compute(
+            level,
             m,
             kp_eff,
             kp_stride,
@@ -1023,6 +1370,35 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     } else {
         jobs.into_par_iter().for_each(run);
     }
+    if let Some(buf) = interleaved {
+        AMX_A.set(buf);
+    }
+}
+
+/// The AMX arm's copy of the A window (`rows` panel rows at stride `lda`,
+/// `kp` bytes deep), interleaved into the grow-only per-thread buffer,
+/// which the caller hands back when the call is done. The copy is split
+/// by 16-row strips over `tasks` pool tasks: it streams the whole window
+/// once, so it is bandwidth-bound and scales with the workers.
+fn interleave_window(a: &[i8], lda: usize, rows: usize, kp: usize, tasks: usize) -> Vec<i8> {
+    let mut buf = AMX_A.take();
+    if buf.len() < rows * kp {
+        buf.resize(rows * kp, 0);
+    }
+    let strips_per_task = (rows / PV).div_ceil(tasks.max(1));
+    buf[..rows * kp]
+        .par_chunks_mut((strips_per_task * PV * kp).max(1))
+        .enumerate()
+        .for_each(|(t, dst)| {
+            let r0 = t * strips_per_task * PV;
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: called only at Isa::Amx, which implies AVX-512F; the
+            // extents are checked inside.
+            unsafe {
+                amx::interleave_a(&a[r0 * lda..], lda, dst.len() / kp, kp, dst)
+            };
+        });
+    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -1065,7 +1441,7 @@ pub fn int8_gemm_blocked(
 /// Compatibility wrapper around [`int8_gemm_blocked`] using a thread-local
 /// workspace (allocation-free after warmup). The workspace grows to the
 /// high-water mark of the shapes seen on this thread and is retained for
-/// the life of the thread (~`2(m + n)k` bytes); for very large one-shot
+/// the life of the thread (~`(m + n)k` bytes); for very large one-shot
 /// products, prefer [`int8_gemm_blocked`] with an explicit
 /// [`Int8Workspace`] you can drop.
 ///
@@ -1161,17 +1537,47 @@ mod tests {
         // host supports.
         let kc = 2 * PK;
         let lda = kc + PK;
-        let a16: Vec<i16> = (0..MR * lda)
-            .map(|i| ((i * 37 + 5) % 255) as i16 - 127)
+        let a8: Vec<i8> = (0..MR * lda)
+            .map(|i| (((i * 37 + 5) % 256) as i16 - 128) as i8)
             .collect();
-        let b16: Vec<i16> = (0..NR * lda)
-            .map(|i| ((i * 61 + 9) % 255) as i16 - 127)
+        let b8: Vec<i8> = (0..NR * lda)
+            .map(|i| (((i * 61 + 9) % 256) as i16 - 128) as i8)
             .collect();
         let mut want = [[0i32; NR]; MR];
-        tile_scalar(kc, lda, lda, &a16, &b16, &mut want);
+        tile_scalar(kc, lda, lda, &a8, &b8, &mut want);
         let mut got = [[0i32; NR]; MR];
-        run_tile(isa(), kc, lda, lda, &a16, &b16, &mut got);
+        run_tile(isa(), kc, lda, lda, &a8, &b8, &mut got);
         assert_eq!(got, want, "kernel={}", microkernel_name());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn amx_interleave_is_a_dword_transpose() {
+        if isa() < Isa::Amx {
+            eprintln!("SKIPPED amx_interleave_is_a_dword_transpose: no AMX on this host");
+            return;
+        }
+        // Two 16-row strips, three depth chunks, at a row stride wider
+        // than the window.
+        let (rows, kp, lda) = (2 * PV, 3 * PK, 4 * PK);
+        let a: Vec<i8> = (0..rows * lda).map(|i| (i * 131 % 251) as i8).collect();
+        let mut out = vec![0i8; rows * kp];
+        // SAFETY: Isa::Amx implies AVX-512F.
+        unsafe { amx::interleave_a(&a, lda, rows, kp, &mut out) };
+        let nch = kp / PK;
+        for s in 0..rows / PV {
+            for ch in 0..nch {
+                let blk = &out[(s * nch + ch) * amx::BLOCK..][..amx::BLOCK];
+                for q in 0..PK / 4 {
+                    for i in 0..PV {
+                        for t in 0..4 {
+                            let want = a[(s * PV + i) * lda + ch * PK + 4 * q + t];
+                            assert_eq!(blk[q * PK + 4 * i + t], want, "s={s} ch={ch} q={q} i={i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1288,10 +1694,10 @@ mod tests {
     }
 
     /// Pack a full operand set into prepacked panels (test helper).
-    fn pack_full(src: &[i8], ld: usize, vecs: usize, vecs_pad: usize, k: usize) -> Vec<i16> {
+    fn pack_full(src: &[i8], ld: usize, vecs: usize, vecs_pad: usize, k: usize) -> Vec<i8> {
         let kp = padded_depth(k);
         let mut pack = Vec::new();
-        pack_panels_i16(&mut pack, src, ld, vecs, vecs_pad, k, kp);
+        pack_panels(&mut pack, src, ld, vecs, vecs_pad, k, kp);
         pack
     }
 
@@ -1387,8 +1793,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "depth_off must be PK-aligned")]
     fn prepacked_rejects_unaligned_offset() {
-        let apack = vec![0i16; padded_a_rows(1) * PK];
-        let bpack = vec![0i16; padded_b_cols(1) * PK];
+        let apack = vec![0i8; padded_a_rows(1) * PK];
+        let bpack = vec![0i8; padded_b_cols(1) * PK];
         let mut c = vec![0i32; 1];
         int8_gemm_prepacked_fused(
             1,

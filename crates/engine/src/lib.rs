@@ -4,16 +4,17 @@
 //!
 //! * [`isa`](mod@isa) — the one CPU-feature probe ([`Isa`], [`isa()`]) every
 //!   runtime-dispatched kernel in the workspace matches on, with the
-//!   `OZAKI_FORCE_SCALAR` override folded in;
+//!   `OZAKI_FORCE_SCALAR` override folded in, plus the thread-local engine
+//!   cap ([`cap_scope`], [`engine_isa`]);
 //! * [`int8`] — the INT8 matrix engine (`i8 × i8 → i32`, wrapping INT32
-//!   accumulation) that Ozaki Scheme I/II run on;
+//!   accumulation) that Ozaki Scheme I/II run on: AMX tiles where the CPU
+//!   has them, SIMD kernels otherwise;
 //! * [`tensor`] — FP16/BF16/TF32 tensor-core engines with FP32 accumulation
 //!   that the SGEMM baselines run on;
 //! * [`stats`] — global invocation counters consumed by tests and the
 //!   device model;
 //! * [`faultinject`] — deterministic bit-flip injection at named pipeline
-//!   sites plus the thread-local scalar-dispatch scope, the substrate of
-//!   the `ozaki2` fault-tolerant execution layer.
+//!   sites, the substrate of the `ozaki2` fault-tolerant execution layer.
 
 #![warn(missing_docs)]
 
@@ -27,9 +28,9 @@ pub use int8::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
     barrett_mod_u8, int8_gemm, int8_gemm_blocked, int8_gemm_fused, int8_gemm_naive,
     int8_gemm_prepacked_fused, int8_gemm_rm_cm, int8_gemm_rm_cm_scalar, microkernel_name,
-    mod_kernel_name, pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth,
-    AccumulateEpilogue, Epilogue, Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK,
+    mod_kernel_name, pack_panels, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
+    Epilogue, Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK, PV,
 };
-pub use isa::{isa, Isa};
+pub use isa::{cap_scope, engine_isa, isa, Isa};
 pub use stats::{EngineStats, INT8_STATS, LOWFP_STATS};
 pub use tensor::{dequantize, lowfp_gemm, quantize};

@@ -250,7 +250,7 @@ proptest! {
 mod backend_oracle {
     use super::*;
     use gemm_engine::{
-        int8_gemm_prepacked_fused, pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth,
+        int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
     };
 
     /// `⌊2^32 / p⌋ - 1`, the Barrett reciprocal the fused epilogue consumes.
@@ -295,8 +295,8 @@ mod backend_oracle {
             .collect();
         let mut apack = Vec::new();
         let mut bpack = Vec::new();
-        pack_panels_i16(&mut apack, &a_rm, k, m, m_pad, k, kp);
-        pack_panels_i16(&mut bpack, &b_cm, k, n, n_pad, k, kp);
+        pack_panels(&mut apack, &a_rm, k, m, m_pad, k, kp);
+        pack_panels(&mut bpack, &b_cm, k, n, n_pad, k, kp);
         let mut c32 = vec![0i32; m * n];
         let mut u = vec![0u8; m * n];
         let epi = ReduceEpilogue::new(p, pinv(p), None);
@@ -342,6 +342,113 @@ mod backend_oracle {
             let want = oracle_u8(&a, &b, p);
             let got = run_engine(&a, &b, p, parallel);
             prop_assert_eq!(&got, &want, "p={}", p);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Every dispatch level against the naive oracle
+// ---------------------------------------------------------------------------
+
+mod level_parity {
+    use super::*;
+    use gemm_engine::{
+        cap_scope, int8_gemm_prepacked_fused, isa, pack_panels, padded_a_rows, padded_b_cols,
+        padded_depth, AccumulateEpilogue, Isa, PK,
+    };
+    use std::io::Write;
+    use std::sync::Once;
+
+    /// Every level this host can run, lowest first. Printed once per
+    /// process, past the test harness's output capture, with a loud line
+    /// when the AMX arm cannot run here.
+    fn covered_levels() -> Vec<Isa> {
+        let top = isa();
+        let levels: Vec<Isa> = [
+            Isa::Scalar,
+            Isa::Avx2,
+            Isa::Avx512,
+            Isa::Avx512Vnni,
+            Isa::Amx,
+        ]
+        .into_iter()
+        .filter(|&l| l <= top)
+        .collect();
+        static REPORT: Once = Once::new();
+        REPORT.call_once(|| {
+            let mut err = std::io::stderr();
+            let _ = writeln!(err, "every_isa_level_matches_naive: levels {levels:?}");
+            if top < Isa::Amx {
+                let _ = writeln!(
+                    err,
+                    "!!! every_isa_level_matches_naive: Isa::Amx SKIPPED, this host tops out \
+                     at {top:?}; the AMX tile arm is not tested in this run !!!"
+                );
+            }
+        });
+        levels
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Each level, pinned with `cap_scope`, reproduces the naive
+        /// oracle on shapes that cross the 16/32 tile edges, over a
+        /// depth window at a nonzero offset, with both epilogues,
+        /// sequential and striped.
+        #[test]
+        fn every_isa_level_matches_naive(
+            m in 1usize..80,
+            n in 1usize..80,
+            k in 1usize..300,
+            chunks_before in 0usize..3,
+            p in 3u64..=256,
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(k % PK != 0);
+            // The window is the panels' final one, so its rounded-up tail
+            // is the zero padding.
+            let depth_off = chunks_before * PK;
+            let k_full = depth_off + k;
+            let mut s = seed | 1;
+            let mut next = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 56) as u8 as i8
+            };
+            let a_rm: Vec<i8> = (0..m * k_full).map(|_| next()).collect();
+            let b_cm: Vec<i8> = (0..n * k_full).map(|_| next()).collect();
+            let a = Matrix::from_fn(m, k, |i, h| a_rm[i * k_full + depth_off + h]);
+            let b = Matrix::from_fn(k, n, |h, j| b_cm[j * k_full + depth_off + h]);
+            let want = int8_gemm_naive(&a, &b);
+            let kp = padded_depth(k_full);
+            let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+            pack_panels(&mut apack, &a_rm, k_full, m, padded_a_rows(m), k_full, kp);
+            pack_panels(&mut bpack, &b_cm, k_full, n, padded_b_cols(n), k_full, kp);
+            let pinv = ((1u64 << 32) / p - 1) as u32;
+            for level in covered_levels() {
+                let _cap = cap_scope(level);
+                for parallel in [false, true] {
+                    let mut c = vec![0i32; m * n];
+                    let mut u = vec![0u8; m * n];
+                    let epi = ReduceEpilogue::new(p, pinv, None);
+                    int8_gemm_prepacked_fused(
+                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut u, &epi, parallel,
+                    );
+                    prop_assert_eq!(&c[..], want.as_slice(), "{:?} parallel={}", level, parallel);
+                    for (&r, &x) in u.iter().zip(&c) {
+                        prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64));
+                    }
+                    let mut acc = vec![7i32; m * n];
+                    let epi = AccumulateEpilogue::new(p, pinv, None);
+                    int8_gemm_prepacked_fused(
+                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut acc, &epi, parallel,
+                    );
+                    prop_assert_eq!(&c[..], want.as_slice(), "{:?} parallel={}", level, parallel);
+                    for (&r, &x) in acc.iter().zip(&c) {
+                        prop_assert_eq!(r as i64, 7 + (x as i64).rem_euclid(p as i64));
+                    }
+                }
+            }
         }
     }
 }

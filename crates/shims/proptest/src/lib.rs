@@ -12,7 +12,10 @@
 //!   [`prop_assert_ne!`], [`prop_assume!`].
 //!
 //! Sampling is a deterministic SplitMix64 stream seeded from the test's
-//! name, so failures reproduce exactly across runs. Integer `any` sampling
+//! name, so failures reproduce exactly across runs. Setting
+//! `PROPTEST_SEED` (a u64) mixes it into every test's seed, so each value
+//! draws a fresh set of cases; a failure prints the seed it ran under, and
+//! re-running with that value replays it. Integer `any` sampling
 //! is lightly biased toward boundary values (0, ±1, MIN, MAX), which is
 //! where the kernels under test historically break.
 
@@ -52,10 +55,17 @@ impl Default for ProptestConfig {
 pub struct TestRng(u64);
 
 impl TestRng {
-    /// Seed from a test name (FNV-1a over the bytes).
+    /// Seed from a test name and [`env_seed`].
     pub fn from_name(name: &str) -> Self {
+        Self::from_name_and_seed(name, env_seed())
+    }
+
+    /// FNV-1a over the bytes of `name`, then over those of `seed` when
+    /// given (so `None` keeps each test's fixed case set).
+    pub fn from_name_and_seed(name: &str, seed: Option<u64>) -> Self {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in name.as_bytes() {
+        let seed = seed.map(u64::to_le_bytes);
+        for &b in name.as_bytes().iter().chain(seed.iter().flatten()) {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -75,6 +85,12 @@ impl TestRng {
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
+}
+
+/// The `PROPTEST_SEED` environment variable as a u64 (`None` when unset
+/// or not a number).
+pub fn env_seed() -> Option<u64> {
+    std::env::var("PROPTEST_SEED").ok()?.trim().parse().ok()
 }
 
 /// A value generator.
@@ -299,9 +315,12 @@ macro_rules! __proptest_fns {
                 match outcome {
                     Ok(()) => accepted += 1,
                     Err($crate::TestCaseError::Reject(_)) => continue,
-                    Err($crate::TestCaseError::Fail(msg)) => {
-                        panic!("proptest case {} failed: {}", attempts, msg)
-                    }
+                    Err($crate::TestCaseError::Fail(msg)) => panic!(
+                        "proptest case {} failed (PROPTEST_SEED={}): {}",
+                        attempts,
+                        $crate::env_seed().map_or("unset".to_string(), |s| s.to_string()),
+                        msg
+                    ),
                 }
             }
             assert!(
@@ -428,6 +447,22 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn seed_mixes_into_the_name_seed() {
+        use super::TestRng;
+        let first = |mut rng: TestRng| rng.next_u64();
+        // No seed: the plain FNV-1a of the name, as before seeds existed.
+        assert_eq!(
+            TestRng::from_name_and_seed("t", None).0,
+            0xaf63_e94c_8602_02a3
+        );
+        let unseeded = first(TestRng::from_name_and_seed("t", None));
+        let a = first(TestRng::from_name_and_seed("t", Some(1)));
+        let b = first(TestRng::from_name_and_seed("t", Some(2)));
+        assert!(unseeded != a && a != b && unseeded != b);
+        assert_eq!(a, first(TestRng::from_name_and_seed("t", Some(1))));
     }
 
     #[test]
