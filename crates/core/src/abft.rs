@@ -42,9 +42,11 @@
 //! Recovery runs with injection suppressed and on the calling thread
 //! (`parallel = false`), escalating stripe re-run → full repack + plane
 //! re-run → scalar-kernel re-run ([`FaultPolicy::RetryThenScalar`], under
-//! `gemm_engine::cap_scope(Isa::Scalar)`); the scalar kernels are the
-//! bit-exact oracle the AMX and SIMD paths are tested against, so a
-//! successful recovery reproduces the fault-free result bit-identically.
+//! `gemm_engine::cap_scope(Isa::Scalar)`, which pins the engine and every
+//! dispatched row kernel, these checksum sweeps included); the scalar
+//! kernels are the bit-exact oracle the AMX and SIMD paths are tested
+//! against, so a successful recovery reproduces the fault-free result
+//! bit-identically.
 
 use crate::consts::Constants;
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
@@ -52,7 +54,7 @@ use crate::modred::finalize_block_residues;
 use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    cap_scope, int8_gemm_prepacked_fused, isa, padded_a_rows, padded_b_cols, padded_depth,
+    cap_scope, dispatch, int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth,
     AccumulateEpilogue, Isa, ReduceEpilogue, PV,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -246,81 +248,35 @@ impl PanelsRef<'_> {
 // The checksum capture, reference dot products, and verification sweep
 // are plain integer reduction loops; compiled for the baseline x86-64
 // target they autovectorize at SSE2 width only, which is wide enough to
-// show the side channel in the wall clock. Multiversioning the loop
-// bodies behind the same probe the engine kernels use (`isa()`) lets
-// LLVM re-autovectorize them at AVX2 / AVX-512 width — no hand-written
-// intrinsics, and bit-identical results at every width (integer
-// arithmetic only).
-
-/// Stamp out AVX-512 / AVX2 / scalar versions of an `#[inline(always)]`
-/// loop body plus the dispatching front-end. The `unsafe` is only the
-/// `#[target_feature]` calling convention; the bodies are safe code.
-macro_rules! simd_dispatch {
-    ($dispatch:ident, $body:ident, $avx512:ident, $avx2:ident,
-     fn($($arg:ident: $ty:ty),*) -> $ret:ty) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx512bw")]
-        unsafe fn $avx512($($arg: $ty),*) -> $ret {
-            $body($($arg),*)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) -> $ret {
-            $body($($arg),*)
-        }
-
-        fn $dispatch($($arg: $ty),*) -> $ret {
-            match isa() {
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe { $avx512($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe { $avx2($($arg),*) },
-                _ => $body($($arg),*),
-            }
-        }
-    };
-}
+// show the side channel in the wall clock. Their callers run them through
+// `gemm_engine::dispatch`, so LLVM re-autovectorizes them at AVX2 /
+// AVX-512 width — bit-identical at every width (integer arithmetic only).
 
 /// Depth-wise accumulation of packed vectors `v0..v1` into `scratch`
 /// (the checksum-capture inner loop).
 #[inline(always)]
-fn accum_vecs_body(plane: &[i8], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) {
+fn accum_vecs(plane: &[i8], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) {
     for v in v0..v1 {
         for (acc, &x) in scratch.iter_mut().zip(&plane[v * kp..(v + 1) * kp]) {
             *acc += x as i32;
         }
     }
 }
-simd_dispatch!(
-    accum_vecs,
-    accum_vecs_body,
-    accum_vecs_avx512,
-    accum_vecs_avx2,
-    fn(plane: &[i8], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) -> ()
-);
 
 /// Widening i8 dot product of one (≤ `2^16`-element) chunk.
 #[inline(always)]
-fn dot_chunk_body(x: &[i8], y: &[i8]) -> i32 {
+fn dot_chunk(x: &[i8], y: &[i8]) -> i32 {
     let mut acc = 0i32;
     for (&a, &b) in x.iter().zip(y) {
         acc += a as i32 * b as i32;
     }
     acc
 }
-simd_dispatch!(
-    dot_chunk,
-    dot_chunk_body,
-    dot_chunk_avx512,
-    dot_chunk_avx2,
-    fn(x: &[i8], y: &[i8]) -> i32
-);
 
 /// One verification column: column sum, row-sum accumulation, and the
 /// column maximum for the `u < p` range check.
 #[inline(always)]
-fn col_sweep_body(col: &[u8], rowsum: &mut [u32]) -> (u32, u8) {
+fn col_sweep(col: &[u8], rowsum: &mut [u32]) -> (u32, u8) {
     let mut cs = 0u32;
     let mut mx = 0u8;
     for (&x, rs) in col.iter().zip(rowsum.iter_mut()) {
@@ -330,13 +286,6 @@ fn col_sweep_body(col: &[u8], rowsum: &mut [u32]) -> (u32, u8) {
     }
     (cs, mx)
 }
-simd_dispatch!(
-    col_sweep,
-    col_sweep_body,
-    col_sweep_avx512,
-    col_sweep_avx2,
-    fn(col: &[u8], rowsum: &mut [u32]) -> (u32, u8)
-);
 
 // ---------------------------------------------------------------------------
 // Checksum construction and verification
@@ -364,7 +313,7 @@ fn build_checksum_plane(
     let mut v0 = 0usize;
     while v0 < vecs {
         let v1 = vecs.min(v0 + CHUNK);
-        accum_vecs(plane, kp, v0, v1, scratch);
+        dispatch(|| accum_vecs(plane, kp, v0, v1, scratch));
         v0 = v1;
         if v0 < vecs {
             for acc in scratch.iter_mut() {
@@ -389,7 +338,7 @@ fn dot_mod(x: &[i8], y: &[i8], p: u64) -> u8 {
     const CHUNK: usize = 1 << 16;
     let mut total = 0i64;
     for (cx, cy) in x.chunks(CHUNK).zip(y.chunks(CHUNK)) {
-        total += dot_chunk(cx, cy) as i64;
+        total += dispatch(|| dot_chunk(cx, cy)) as i64;
     }
     total.rem_euclid(p as i64) as u8
 }
@@ -443,7 +392,7 @@ fn verify_plane(
         // Branch-free accumulation (the vectorizable hot path); the range
         // check only tracks the column maximum here and drops to a locate
         // pass in the rare (already-faulted) case.
-        let (cs, mx) = col_sweep(col, rowsum);
+        let (cs, mx) = dispatch(|| col_sweep(col, rowsum));
         if mx as u32 >= p {
             // Out-of-range representative: same residue class is
             // possible (`u + p`), so the sums alone could miss it.
@@ -957,21 +906,23 @@ mod tests {
         for (i, x) in plane.iter_mut().enumerate() {
             *x = ((i as i64 * 37 % 256) - 128) as i8;
         }
-        for p in [256u64, 255, 251, 193, 131] {
-            let mut out = vec![7i8; kp];
-            let mut scratch = vec![0i32; kp];
-            build_checksum_plane(&plane, 3, kp, p, &mut out, &mut scratch);
-            for h in 0..kp {
-                let want: i64 = (0..3).map(|v| plane[v * kp + h] as i64).sum();
-                let got = out[h] as i64;
-                assert_eq!(
-                    got.rem_euclid(p as i64),
-                    want.rem_euclid(p as i64),
-                    "p={p} h={h}"
-                );
-                assert!(got.abs() <= 128, "p={p} h={h} rep={got}");
+        gemm_engine::for_each_level("checksum_plane_symmetric_representatives", |level| {
+            for p in [256u64, 255, 251, 193, 131] {
+                let mut out = vec![7i8; kp];
+                let mut scratch = vec![0i32; kp];
+                build_checksum_plane(&plane, 3, kp, p, &mut out, &mut scratch);
+                for h in 0..kp {
+                    let want: i64 = (0..3).map(|v| plane[v * kp + h] as i64).sum();
+                    let got = out[h] as i64;
+                    assert_eq!(
+                        got.rem_euclid(p as i64),
+                        want.rem_euclid(p as i64),
+                        "{level:?} p={p} h={h}"
+                    );
+                    assert!(got.abs() <= 128, "{level:?} p={p} h={h} rep={got}");
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -983,22 +934,27 @@ mod tests {
         let y: Vec<i8> = (0..kp)
             .map(|i| ((i as i64 * 91 % 256) - 128) as i8)
             .collect();
-        for p in [256u64, 255, 251, 193, 131] {
-            let want: i64 = x.iter().zip(&y).map(|(&a, &b)| a as i64 * b as i64).sum();
-            assert_eq!(
-                dot_mod(&x, &y, p) as i64,
-                want.rem_euclid(p as i64),
-                "p={p}"
-            );
-            assert!(
-                (dot_mod(&x, &y, p) as u64) < p,
-                "p={p}: canonical representative"
-            );
-        }
+        gemm_engine::for_each_level("dot_mod_matches_wide_reference", |level| {
+            for p in [256u64, 255, 251, 193, 131] {
+                let want: i64 = x.iter().zip(&y).map(|(&a, &b)| a as i64 * b as i64).sum();
+                let got = dot_mod(&x, &y, p);
+                assert_eq!(got as i64, want.rem_euclid(p as i64), "{level:?} p={p}");
+                assert!(
+                    (got as u64) < p,
+                    "{level:?} p={p}: canonical representative"
+                );
+            }
+        });
     }
 
     #[test]
     fn verify_plane_flags_row_and_column() {
+        gemm_engine::for_each_level("verify_plane_flags_row_and_column", |_| {
+            verify_plane_flags_row_and_column_once()
+        });
+    }
+
+    fn verify_plane_flags_row_and_column_once() {
         // 3x4 plane mod 131, consistent references, then corrupt (1, 2).
         let (m, n) = (3usize, 4usize);
         let p = 131u32;

@@ -17,13 +17,15 @@
 //! inverse diagonal scaling (line 12, exact: powers of two) is fused into
 //! the same pass.
 //!
-//! The hot recombination is a runtime-dispatched span kernel (AVX-512 →
-//! AVX2+FMA → scalar): residues are widened u8 → f64 in SIMD lanes and
-//! accumulated with fused multiply-adds. As with the convert kernels, the
-//! scalar span kernel [`fold_span_scalar`] is the bit-exact lane oracle —
+//! The hot recombination is one portable span kernel, [`fold_span`], run
+//! through [`gemm_engine::dispatch`] like the convert kernels: LLVM
+//! compiles it for AVX-512, AVX2+FMA and the baseline target, widening
+//! residues u8 → f64 in vector lanes and accumulating with fused
+//! multiply-adds over 16-lane chunks. The lane-at-a-time loop
+//! [`fold_span_scalar`] is its bit-exact lane oracle (and its tail):
 //! every operation (FMA-weighted accumulation, round-to-nearest-even
-//! quotient, the `P1`/`P2` FMA chain) is mirrored exactly, so the SIMD
-//! paths cannot diverge lane for lane. Two deliberate deviations from the
+//! quotient, the `P1`/`P2` FMA chain) is the same, in the same order, so
+//! no level can diverge lane for lane. Two deliberate deviations from the
 //! PR 2 scalar fold, both documented in `docs/ARCHITECTURE.md`:
 //!
 //! * the weighted accumulation uses FMA (`s·u + c` fused) instead of
@@ -33,12 +35,11 @@
 //! * the quotient rounding `Q = round(P_inv · C'⁽¹⁾)` is ties-to-even, the
 //!   mode the vector units implement natively. Any nearest rounding keeps
 //!   the fold correct (the uniqueness condition keeps `C'⁽¹⁾/P` away from
-//!   half-integers); RNE is what makes scalar/SIMD bit-identicality
-//!   possible.
+//!   half-integers); RNE is what makes every level bit-identical.
 
 use crate::consts::Constants;
 use crate::scale::{ilog2_abs, pow2_split, scale_by_pow2};
-use gemm_engine::{isa, Isa};
+use gemm_engine::{dispatch, dispatch_name, Kernel};
 use rayon::prelude::*;
 
 /// Which weight split drives the accumulation.
@@ -51,16 +52,25 @@ pub enum FoldPrecision {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized fold span kernels (runtime-dispatched)
+// The fold span kernel (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Human-readable name of the fold kernel the running CPU dispatches to.
+/// Lanes per chunk of [`fold_span`]'s body: 16 accumulators per weight
+/// split, two AVX-512 or four AVX2 registers each.
+const FOLD_LANES: usize = 16;
+
+/// Name of the level the fold span kernel runs at on this thread (see
+/// [`gemm_engine::dispatch_name`]).
 pub fn fold_kernel_name() -> &'static str {
-    match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
-        Isa::Avx2 => "avx2-fma",
-        Isa::Scalar => "scalar",
-    }
+    dispatch_name()
+}
+
+/// Line 11 for one lane: the quotient `Q` and the `P1`/`P2` FMA chain.
+#[inline(always)]
+fn fold_lane(c1: f64, c2: f64, p1: f64, p2: f64, p_inv: f64) -> f64 {
+    let q = (p_inv * c1).round_ties_even();
+    let t = q.mul_add(-p1, c1) + c2;
+    q.mul_add(-p2, t)
 }
 
 /// Scalar fold span kernel — the lane oracle. For each lane `l`, fold the
@@ -70,6 +80,7 @@ pub fn fold_kernel_name() -> &'static str {
 /// `s2 = Some` selects the DGEMM double-double weight split, `None` the
 /// SGEMM single-weight fold.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub fn fold_span_scalar(
     u: &[u8],
     plane: usize,
@@ -102,136 +113,78 @@ pub fn fold_span_scalar(
                 }
             }
         }
-        let q = (p_inv * c1).round_ties_even();
-        let t = q.mul_add(-p1, c1) + c2;
-        *o = q.mul_add(-p2, t);
+        *o = fold_lane(c1, c2, p1, p2, p_inv);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! AVX-512 / AVX2 fold span kernels. Residues are widened u8 → i32 →
-    //! f64 (exact), accumulated with `vfmadd`, the quotient rounded with
-    //! `roundscale`/`roundpd` (RNE) and the `P1`/`P2` chain mirrored
-    //! operation for operation — bit-identical to
-    //! [`super::fold_span_scalar`] on every lane.
+/// [`fold_span`]'s arguments, bound for [`dispatch`]. Its body is larger
+/// than LLVM inlines a closure, so it is a [`Kernel`] with an
+/// `#[inline(always)]` `run`.
+struct FoldSpan<'a> {
+    u: &'a [u8],
+    plane: usize,
+    idx0: usize,
+    s1: &'a [f64],
+    s2: Option<&'a [f64]>,
+    p: [f64; 3],
+    out: &'a mut [f64],
+}
 
-    use std::arch::x86_64::*;
+impl Kernel for FoldSpan<'_> {
+    type Out = ();
 
-    /// `_MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC`.
-    const RNE: i32 = 0x08;
-
-    /// # Safety
-    /// AVX-512F and AVX2 must be available; `u` must hold
-    /// `s1.len() * plane` bytes and `idx0 + out.len() <= plane`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx2")]
-    pub unsafe fn fold_span_avx512(
-        u: &[u8],
-        plane: usize,
-        idx0: usize,
-        s1: &[f64],
-        s2: Option<&[f64]>,
-        p1: f64,
-        p2: f64,
-        p_inv: f64,
-        out: &mut [f64],
-    ) {
-        let nmod = s1.len();
-        debug_assert!(u.len() >= nmod * plane && idx0 + out.len() <= plane);
-        let len = out.len();
-        let n8 = len / 8 * 8;
-        let np1 = _mm512_set1_pd(-p1);
-        let np2 = _mm512_set1_pd(-p2);
-        let piv = _mm512_set1_pd(p_inv);
-        let ubase = u.as_ptr().add(idx0);
-        let mut l = 0;
-        while l < n8 {
-            let mut c1 = _mm512_setzero_pd();
-            let mut c2 = _mm512_setzero_pd();
+    /// [`fold_span_scalar`]'s per-lane operations, in the same order, over
+    /// [`FOLD_LANES`]-lane chunks with one accumulator per lane (a shape
+    /// LLVM vectorizes), and the oracle itself on the tail.
+    #[inline(always)]
+    fn run(self) {
+        let FoldSpan {
+            u,
+            plane,
+            idx0,
+            s1,
+            s2,
+            p: [p1, p2, p_inv],
+            out,
+        } = self;
+        let body = out.len() / FOLD_LANES * FOLD_LANES;
+        let (head, tail) = out.split_at_mut(body);
+        for (chunk, o) in head.chunks_exact_mut(FOLD_LANES).enumerate() {
+            let l0 = idx0 + chunk * FOLD_LANES;
+            let lanes = |s: usize| -> &[u8; FOLD_LANES] {
+                u[s * plane + l0..s * plane + l0 + FOLD_LANES]
+                    .try_into()
+                    .unwrap()
+            };
+            let (mut c1, mut c2) = ([0.0f64; FOLD_LANES], [0.0f64; FOLD_LANES]);
             match s2 {
                 Some(s2v) => {
-                    for s in 0..nmod {
-                        let bytes = _mm_loadl_epi64(ubase.add(s * plane + l) as *const __m128i);
-                        let us = _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(bytes));
-                        c1 = _mm512_fmadd_pd(_mm512_set1_pd(s1[s]), us, c1);
-                        c2 = _mm512_fmadd_pd(_mm512_set1_pd(s2v[s]), us, c2);
+                    for (s, (&w1, &w2)) in s1.iter().zip(s2v).enumerate() {
+                        for (l, &x) in lanes(s).iter().enumerate() {
+                            c1[l] = w1.mul_add(x as f64, c1[l]); // exact by construction
+                            c2[l] = w2.mul_add(x as f64, c2[l]);
+                        }
                     }
                 }
                 None => {
-                    for (s, &w) in s1.iter().enumerate() {
-                        let bytes = _mm_loadl_epi64(ubase.add(s * plane + l) as *const __m128i);
-                        let us = _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(bytes));
-                        c1 = _mm512_fmadd_pd(_mm512_set1_pd(w), us, c1);
+                    for (s, &w1) in s1.iter().enumerate() {
+                        for (l, &x) in lanes(s).iter().enumerate() {
+                            c1[l] = w1.mul_add(x as f64, c1[l]);
+                        }
                     }
                 }
             }
-            let q = _mm512_roundscale_pd::<RNE>(_mm512_mul_pd(piv, c1));
-            let t = _mm512_add_pd(_mm512_fmadd_pd(q, np1, c1), c2);
-            let cpp = _mm512_fmadd_pd(q, np2, t);
-            _mm512_storeu_pd(out.as_mut_ptr().add(l), cpp);
-            l += 8;
-        }
-        super::fold_span_scalar(u, plane, idx0 + n8, s1, s2, p1, p2, p_inv, &mut out[n8..]);
-    }
-
-    /// # Safety
-    /// AVX2 and FMA must be available; same buffer contract as
-    /// `fold_span_avx512`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fold_span_avx2(
-        u: &[u8],
-        plane: usize,
-        idx0: usize,
-        s1: &[f64],
-        s2: Option<&[f64]>,
-        p1: f64,
-        p2: f64,
-        p_inv: f64,
-        out: &mut [f64],
-    ) {
-        let nmod = s1.len();
-        debug_assert!(u.len() >= nmod * plane && idx0 + out.len() <= plane);
-        let len = out.len();
-        let n4 = len / 4 * 4;
-        let np1 = _mm256_set1_pd(-p1);
-        let np2 = _mm256_set1_pd(-p2);
-        let piv = _mm256_set1_pd(p_inv);
-        let ubase = u.as_ptr().add(idx0);
-        let mut l = 0;
-        while l < n4 {
-            let mut c1 = _mm256_setzero_pd();
-            let mut c2 = _mm256_setzero_pd();
-            match s2 {
-                Some(s2v) => {
-                    for s in 0..nmod {
-                        let w = (ubase.add(s * plane + l) as *const i32).read_unaligned();
-                        let us = _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(w)));
-                        c1 = _mm256_fmadd_pd(_mm256_set1_pd(s1[s]), us, c1);
-                        c2 = _mm256_fmadd_pd(_mm256_set1_pd(s2v[s]), us, c2);
-                    }
-                }
-                None => {
-                    for (s, &wt) in s1.iter().enumerate() {
-                        let w = (ubase.add(s * plane + l) as *const i32).read_unaligned();
-                        let us = _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(w)));
-                        c1 = _mm256_fmadd_pd(_mm256_set1_pd(wt), us, c1);
-                    }
-                }
+            for (l, o) in o.iter_mut().enumerate() {
+                *o = fold_lane(c1[l], c2[l], p1, p2, p_inv);
             }
-            let q = _mm256_round_pd::<RNE>(_mm256_mul_pd(piv, c1));
-            let t = _mm256_add_pd(_mm256_fmadd_pd(q, np1, c1), c2);
-            let cpp = _mm256_fmadd_pd(q, np2, t);
-            _mm256_storeu_pd(out.as_mut_ptr().add(l), cpp);
-            l += 4;
         }
-        super::fold_span_scalar(u, plane, idx0 + n4, s1, s2, p1, p2, p_inv, &mut out[n4..]);
+        fold_span_scalar(u, plane, idx0 + body, s1, s2, p1, p2, p_inv, tail);
     }
 }
 
-/// Vectorized fold over a contiguous span: dispatches to the best kernel
-/// the CPU supports; bit-identical to [`fold_span_scalar`] on every path.
+/// Vectorized fold over a contiguous span: [`fold_span_scalar`]'s lane
+/// operations in 16-lane chunks, run through [`dispatch`], so
+/// it is bit-identical to the oracle at every level.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_span(
     u: &[u8],
@@ -251,18 +204,15 @@ pub fn fold_span(
     if let Some(s2v) = s2 {
         assert_eq!(s2v.len(), s1.len(), "weight split length mismatch");
     }
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: variant selected only after runtime feature detection;
-        // the buffer contract is asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
-            x86::fold_span_avx512(u, plane, idx0, s1, s2, p1, p2, p_inv, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Isa::Avx2 => unsafe { x86::fold_span_avx2(u, plane, idx0, s1, s2, p1, p2, p_inv, out) },
-        _ => fold_span_scalar(u, plane, idx0, s1, s2, p1, p2, p_inv, out),
-    }
+    dispatch(FoldSpan {
+        u,
+        plane,
+        idx0,
+        s1,
+        s2,
+        p: [p1, p2, p_inv],
+        out,
+    });
 }
 
 /// Fold all residue planes into the final matrix.
@@ -273,7 +223,7 @@ pub fn fold_span(
 ///
 /// The hot recombination runs through the dispatched [`fold_span`] kernel
 /// column by column; the exact inverse diagonal scaling (line 12) is a
-/// separate cheap pass over the span so the SIMD kernels stay oracle-exact
+/// separate cheap pass over the span so the fold kernel stays oracle-exact
 /// regardless of the per-row exponents.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_planes(
@@ -459,49 +409,51 @@ mod tests {
 
     #[test]
     fn fold_span_dispatched_bit_identical_to_scalar() {
-        // Odd plane counts, tile-edge span lengths, offset spans, and
+        // Odd plane counts, chunk-edge span lengths, offset spans, and
         // residues including the 255 maximum — the dispatched kernel must
-        // equal the scalar oracle bit for bit, both precisions.
-        for nmod in [2usize, 3, 5, 7, 15, 19, 20] {
-            let c = constants(nmod);
-            for len in [1usize, 3, 4, 7, 8, 9, 16, 33, 64] {
-                for idx0 in [0usize, 1, 5] {
-                    let plane = idx0 + len + 3;
-                    let mut seed = (nmod * 1000 + len * 10 + idx0) as u64 | 1;
-                    let u: Vec<u8> = (0..nmod * plane)
-                        .map(|i| {
-                            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(97);
-                            let s = i / plane;
-                            if i % 7 == 0 {
-                                (c.p[s] - 1) as u8 // max residue
-                            } else {
-                                ((seed >> 33) % c.p[s]) as u8
+        // equal the scalar oracle bit for bit, both precisions, every level.
+        gemm_engine::for_each_level("fold_span_dispatched_bit_identical_to_scalar", |level| {
+            for nmod in [2usize, 3, 5, 7, 15, 19, 20] {
+                let c = constants(nmod);
+                for len in [1usize, 3, 4, 7, 8, 9, 15, 16, 17, 33, 64] {
+                    for idx0 in [0usize, 1, 5] {
+                        let plane = idx0 + len + 3;
+                        let mut seed = (nmod * 1000 + len * 10 + idx0) as u64 | 1;
+                        let u: Vec<u8> = (0..nmod * plane)
+                            .map(|i| {
+                                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(97);
+                                let s = i / plane;
+                                if i % 7 == 0 {
+                                    (c.p[s] - 1) as u8 // max residue
+                                } else {
+                                    ((seed >> 33) % c.p[s]) as u8
+                                }
+                            })
+                            .collect();
+                        for single in [false, true] {
+                            if single && nmod > crate::moduli::N_MAX_SGEMM {
+                                continue;
                             }
-                        })
-                        .collect();
-                    for single in [false, true] {
-                        if single && nmod > crate::moduli::N_MAX_SGEMM {
-                            continue;
+                            let (s1, s2): (&[f64], Option<&[f64]>) = if single {
+                                (&c.s1_single, None)
+                            } else {
+                                (&c.s1, Some(&c.s2))
+                            };
+                            let p = (c.p1, c.p2, c.p_inv);
+                            let mut got = vec![0f64; len];
+                            let mut want = vec![0f64; len];
+                            fold_span(&u, plane, idx0, s1, s2, p.0, p.1, p.2, &mut got);
+                            fold_span_scalar(&u, plane, idx0, s1, s2, p.0, p.1, p.2, &mut want);
+                            assert_eq!(
+                                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                "{level:?} N={nmod} len={len} idx0={idx0} single={single}"
+                            );
                         }
-                        let (s1, s2): (&[f64], Option<&[f64]>) = if single {
-                            (&c.s1_single, None)
-                        } else {
-                            (&c.s1, Some(&c.s2))
-                        };
-                        let mut got = vec![0f64; len];
-                        let mut want = vec![0f64; len];
-                        fold_span(&u, plane, idx0, s1, s2, c.p1, c.p2, c.p_inv, &mut got);
-                        fold_span_scalar(&u, plane, idx0, s1, s2, c.p1, c.p2, c.p_inv, &mut want);
-                        assert_eq!(
-                            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                            "kernel={} N={nmod} len={len} idx0={idx0} single={single}",
-                            fold_kernel_name()
-                        );
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]

@@ -291,4 +291,15 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn mulhi_reciprocals_fit_i31() {
+        // `gemm_engine::barrett_mod_u8` sign-extends the reciprocal, which
+        // equals zero-extending only below 2^31.
+        let c = constants(N_MAX);
+        assert_eq!(c.p, crate::moduli::moduli(N_MAX));
+        for (&pi, &pinv) in c.p.iter().zip(&c.p_inv_u32) {
+            assert!(pinv < 1 << 31, "p={pi} pinv={pinv}");
+        }
+    }
 }

@@ -17,8 +17,9 @@
 //! * `round` is round-to-nearest **ties-to-even** (`roundscale` /
 //!   `round_ties_even`), not ties-away. Any nearest rounding keeps the
 //!   residual bound `|y| ≤ p/2 + ε`, and RNE is the mode the vector units
-//!   implement natively — using it everywhere is what lets the SIMD paths
-//!   below stay bit-identical to the scalar kernel, lane for lane.
+//!   implement natively — using it everywhere is what lets the vectorized
+//!   copies of the row kernel stay bit-identical to the portable loop,
+//!   lane for lane.
 //!
 //! # The fused trunc+convert phase
 //!
@@ -36,16 +37,19 @@
 //! entirely. [`convert_pack_panels`] is the
 //! lines-4–5-only form for pretruncated input.
 //!
-//! The inner scale+trunc and `rmod` row kernels are runtime-dispatched on
-//! the one probe, [`gemm_engine::isa()`] (AVX-512 → AVX2+FMA → scalar;
-//! forced to scalar by `OZAKI_FORCE_SCALAR=1`). The scalar kernels ([`rmod_row_scalar`],
-//! [`crate::scale::strunc_row_scalar`]) are the property-test oracles:
-//! every SIMD path must produce bit-identical residues for every lane,
-//! every step count, and every thread count.
+//! The inner scale+trunc and `rmod` row kernels are each one portable
+//! loop ([`rmod_row_scalar`], [`crate::scale::strunc_row_scalar`]) run
+//! through [`gemm_engine::dispatch`], which compiles it for AVX-512,
+//! AVX2+FMA and the baseline target and picks the level
+//! [`gemm_engine::engine_isa()`] reports (forced to scalar by
+//! `OZAKI_FORCE_SCALAR=1`, capped by [`gemm_engine::cap_scope`]). The
+//! portable loops are the property-test oracles: every level must produce
+//! bit-identical residues for every lane, every step count, and every
+//! thread count. The crate holds no `unsafe` code.
 
 use crate::consts::Constants;
 use crate::scale::{pow2_split, strunc_row, strunc_row_inplace};
-use gemm_engine::{isa, Isa};
+use gemm_engine::{dispatch, dispatch_name};
 use gemm_obs::TimeShare;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -78,9 +82,9 @@ pub fn steps_for(n: usize, b64: bool) -> u8 {
 ///
 /// The result is the symmetric residue in `[-p/2, p/2]`; the single corner
 /// case `+128` (p = 256) wraps to `-128`, which is congruent mod 256.
-/// Rounding is ties-to-even throughout (see the module docs) so this scalar
-/// kernel is the exact lane oracle for the SIMD paths.
-#[inline]
+/// Rounding is ties-to-even throughout (see the module docs), the mode the
+/// vector units implement, so this one body vectorizes lane-exactly.
+#[inline(always)]
 pub fn rmod_to_i8(x: f64, p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8) -> i8 {
     // Step 1 (always): one f64 FMA reduction.
     let t = (x * pinv64).round_ties_even();
@@ -99,27 +103,34 @@ pub fn rmod_to_i8(x: f64, p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8)
             y = t2.mul_add(-p32, y);
         }
     }
-    // Wrapping cast (Rust's `as i8` from float saturates; the paper relies
-    // on the wrap of 128 -> -128, so go through i32 -> u8).
-    (y as i32) as u8 as i8
+    wrap_to_i8(y)
+}
+
+/// `(y as i32) as u8 as i8` for an integral `|y| ≤ 2^22`: the wrap of
+/// `+128` to `-128` the paper relies on (Rust's float `as` saturates, so
+/// `y as i8` would not wrap). Adding `1.5·2^23` lands in `[2^23, 2^24]`,
+/// where the f32 ulp is 1, so the sum is exact and its low mantissa bits
+/// hold `y + 2^22 ≡ y (mod 256)`. Unlike the saturating cast, this
+/// vectorizes.
+#[inline(always)]
+fn wrap_to_i8(y: f32) -> i8 {
+    ((y + 12_582_912.0f32).to_bits() as u8) as i8
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized rmod row kernels (runtime-dispatched)
+// The rmod row kernel (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Human-readable name of the `rmod` kernel the running CPU dispatches to.
+/// Name of the level the `rmod` row kernel runs at on this thread (see
+/// [`gemm_engine::dispatch_name`]).
 pub fn convert_kernel_name() -> &'static str {
-    match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
-        Isa::Avx2 => "avx2-fma",
-        Isa::Scalar => "scalar",
-    }
+    dispatch_name()
 }
 
-/// Scalar `rmod` row kernel: `dst[i] = rmod(xs[i], p)` as i8 (the
-/// engine's packed element type). This is the reference the SIMD paths are
-/// property-tested against, lane for lane.
+/// Portable `rmod` row kernel: `dst[i] = rmod(xs[i], p)` as i8 (the
+/// engine's packed element type). The one body of [`rmod_row`], and the
+/// oracle it is property-tested against, lane for lane.
+#[inline(always)]
 pub fn rmod_row_scalar(
     xs: &[f64],
     dst: &mut [i8],
@@ -134,141 +145,19 @@ pub fn rmod_row_scalar(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! AVX-512 / AVX2 `rmod` row kernels. Every operation mirrors the
-    //! scalar kernel exactly: multiply, round-to-nearest-even
-    //! (`roundscale` / `roundpd`), fused multiply-add, f64→f32 narrowing
-    //! (RNE), and a final wrap of the integral residue into the i8 range
-    //! before narrowing to i8 — so the output is bit-identical to
-    //! [`super::rmod_row_scalar`] for every lane.
-
-    use std::arch::x86_64::*;
-
-    /// `_MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC`.
-    const RNE: i32 = 0x08;
-
-    /// # Safety
-    /// Caller must ensure AVX-512F, AVX2 and FMA are available and that
-    /// `dst.len() >= xs.len()`.
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn rmod_row_avx512(
-        xs: &[f64],
-        dst: &mut [i8],
-        p: f64,
-        p32: f32,
-        pinv64: f64,
-        pinv32: f32,
-        steps: u8,
-    ) {
-        debug_assert!(dst.len() >= xs.len());
-        let n8 = xs.len() / 8 * 8;
-        let npv = _mm512_set1_pd(-p);
-        let piv = _mm512_set1_pd(pinv64);
-        let np32v = _mm256_set1_ps(-p32);
-        let piv32 = _mm256_set1_ps(pinv32);
-        let mut i = 0;
-        while i < n8 {
-            let x = _mm512_loadu_pd(xs.as_ptr().add(i));
-            let t = _mm512_roundscale_pd::<RNE>(_mm512_mul_pd(x, piv));
-            let y64 = _mm512_fmadd_pd(t, npv, x);
-            let y32: __m256 = if steps >= 3 {
-                let t2 = _mm512_roundscale_pd::<RNE>(_mm512_mul_pd(y64, piv));
-                let y64b = _mm512_fmadd_pd(t2, npv, y64);
-                let yf = _mm512_cvtpd_ps(y64b);
-                let t3 = _mm256_round_ps::<RNE>(_mm256_mul_ps(yf, piv32));
-                _mm256_fmadd_ps(t3, np32v, yf)
-            } else {
-                let yf = _mm512_cvtpd_ps(y64);
-                if steps >= 2 {
-                    let t2 = _mm256_round_ps::<RNE>(_mm256_mul_ps(yf, piv32));
-                    _mm256_fmadd_ps(t2, np32v, yf)
-                } else {
-                    yf
-                }
-            };
-            // Integral residue -> i32 lanes (exact), wrap into i8, narrow
-            // to i8 (packs never saturate: values are in [-128, 127] after
-            // the shift pair).
-            let vi = _mm256_cvtps_epi32(y32);
-            let w = _mm256_srai_epi32::<24>(_mm256_slli_epi32::<24>(vi));
-            let w16 = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
-            let packed = _mm_packs_epi16(w16, w16);
-            _mm_storel_epi64(dst.as_mut_ptr().add(i) as *mut __m128i, packed);
-            i += 8;
-        }
-        super::rmod_row_scalar(&xs[n8..], &mut dst[n8..], p, p32, pinv64, pinv32, steps);
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 and FMA are available and that
-    /// `dst.len() >= xs.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rmod_row_avx2(
-        xs: &[f64],
-        dst: &mut [i8],
-        p: f64,
-        p32: f32,
-        pinv64: f64,
-        pinv32: f32,
-        steps: u8,
-    ) {
-        debug_assert!(dst.len() >= xs.len());
-        let n4 = xs.len() / 4 * 4;
-        let npv = _mm256_set1_pd(-p);
-        let piv = _mm256_set1_pd(pinv64);
-        let np32v = _mm_set1_ps(-p32);
-        let piv32 = _mm_set1_ps(pinv32);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-            let t = _mm256_round_pd::<RNE>(_mm256_mul_pd(x, piv));
-            let y64 = _mm256_fmadd_pd(t, npv, x);
-            let y32: __m128 = if steps >= 3 {
-                let t2 = _mm256_round_pd::<RNE>(_mm256_mul_pd(y64, piv));
-                let y64b = _mm256_fmadd_pd(t2, npv, y64);
-                let yf = _mm256_cvtpd_ps(y64b);
-                let t3 = _mm_round_ps::<RNE>(_mm_mul_ps(yf, piv32));
-                _mm_fmadd_ps(t3, np32v, yf)
-            } else {
-                let yf = _mm256_cvtpd_ps(y64);
-                if steps >= 2 {
-                    let t2 = _mm_round_ps::<RNE>(_mm_mul_ps(yf, piv32));
-                    _mm_fmadd_ps(t2, np32v, yf)
-                } else {
-                    yf
-                }
-            };
-            let vi = _mm_cvtps_epi32(y32);
-            let w = _mm_srai_epi32::<24>(_mm_slli_epi32::<24>(vi));
-            let w16 = _mm_packs_epi32(w, w);
-            let packed = _mm_packs_epi16(w16, w16);
-            (dst.as_mut_ptr().add(i) as *mut i32).write_unaligned(_mm_cvtsi128_si32(packed));
-            i += 4;
-        }
-        super::rmod_row_scalar(&xs[n4..], &mut dst[n4..], p, p32, pinv64, pinv32, steps);
-    }
-}
-
 /// Vectorized `rmod` over a row of integer-valued f64s, writing i8
-/// residues (the engine's packed element type). Dispatches to
-/// the best kernel the CPU supports; bit-identical to [`rmod_row_scalar`]
-/// on every path.
+/// residues (the engine's packed element type): [`rmod_row_scalar`] run
+/// through [`dispatch`], so it is bit-identical to it at every level.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn rmod_row(xs: &[f64], dst: &mut [i8], p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8) {
     assert!(dst.len() >= xs.len(), "destination row too short");
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: variant selected only after runtime feature detection;
-        // the length contract is asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
-            x86::rmod_row_avx512(xs, dst, p, p32, pinv64, pinv32, steps)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Isa::Avx2 => unsafe { x86::rmod_row_avx2(xs, dst, p, p32, pinv64, pinv32, steps) },
-        _ => rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, steps),
+    // One closure per step count keeps each body small enough for LLVM
+    // to inline into every level's copy.
+    match steps {
+        1 => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 1)),
+        2 => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 2)),
+        _ => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 3)),
     }
 }
 
@@ -843,51 +732,42 @@ mod tests {
 
     #[test]
     fn dispatched_rmod_row_bit_identical_to_scalar() {
-        for nmod in [2usize, 13, 20] {
-            let c = constants(nmod);
-            for b64 in [true, false] {
-                if !b64 && nmod > crate::moduli::N_MAX_SGEMM {
-                    continue;
-                }
-                let steps = steps_for(nmod, b64);
-                for row in parity_rows() {
-                    // Keep values within the magnitude budget of this N.
-                    let bound = 2f64.powf(c.p_fast);
-                    let row: Vec<f64> = row
-                        .iter()
-                        .map(|&x| if x.abs() < bound { x } else { x % bound })
-                        .map(|x| x.trunc())
-                        .collect();
-                    for s in 0..nmod {
-                        let mut got = vec![0i8; row.len()];
-                        let mut want = vec![0i8; row.len()];
-                        rmod_row(
-                            &row,
-                            &mut got,
-                            c.p_f64[s],
-                            c.p_f32[s],
-                            c.p_inv_f64[s],
-                            c.p_inv_f32[s],
-                            steps,
-                        );
-                        rmod_row_scalar(
-                            &row,
-                            &mut want,
-                            c.p_f64[s],
-                            c.p_f32[s],
-                            c.p_inv_f64[s],
-                            c.p_inv_f32[s],
-                            steps,
-                        );
-                        assert_eq!(
-                            got,
-                            want,
-                            "kernel={} N={nmod} s={s} steps={steps}",
-                            convert_kernel_name()
-                        );
+        gemm_engine::for_each_level("dispatched_rmod_row_bit_identical_to_scalar", |level| {
+            for nmod in [2usize, 13, 20] {
+                let c = constants(nmod);
+                for b64 in [true, false] {
+                    if !b64 && nmod > crate::moduli::N_MAX_SGEMM {
+                        continue;
+                    }
+                    let steps = steps_for(nmod, b64);
+                    for row in parity_rows() {
+                        // Keep values within the magnitude budget of this N.
+                        let bound = 2f64.powf(c.p_fast);
+                        let row: Vec<f64> = row
+                            .iter()
+                            .map(|&x| if x.abs() < bound { x } else { x % bound })
+                            .map(|x| x.trunc())
+                            .collect();
+                        for s in 0..nmod {
+                            let args = (c.p_f64[s], c.p_f32[s], c.p_inv_f64[s], c.p_inv_f32[s]);
+                            let mut got = vec![0i8; row.len()];
+                            let mut want = vec![0i8; row.len()];
+                            rmod_row(&row, &mut got, args.0, args.1, args.2, args.3, steps);
+                            rmod_row_scalar(&row, &mut want, args.0, args.1, args.2, args.3, steps);
+                            assert_eq!(got, want, "{level:?} N={nmod} s={s} steps={steps}");
+                        }
                     }
                 }
             }
+        });
+    }
+
+    #[test]
+    fn wrap_to_i8_matches_the_wrapping_cast() {
+        // Every integral f32 in [-2^22, 2^22], not just the residue range.
+        for y in -(1i32 << 22)..=(1 << 22) {
+            let yf = y as f32;
+            assert_eq!(wrap_to_i8(yf), (yf as i32) as u8 as i8, "y={y}");
         }
     }
 

@@ -29,6 +29,7 @@
 //! assert_eq!(c.shape(), (32, 32));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abft;

@@ -12,11 +12,16 @@
 //!
 //! Scales are represented by their exponents (`μ_i = 2^{e_i}`), so the
 //! inverse scaling in Step 4 is exact.
+//!
+//! The truncation row kernel [`strunc_row`] (and its in-place form) is one
+//! portable loop, [`strunc_row_scalar`], run through
+//! [`gemm_engine::dispatch`]: two IEEE multiplies and a truncation per
+//! lane, so every level LLVM compiles it for gives the oracle's bits.
 
 use crate::consts::Constants;
 use crate::element::Element;
 use gemm_dense::{MatF64, MatView, Matrix};
-use gemm_engine::{int8_gemm, isa, Isa};
+use gemm_engine::{dispatch, dispatch_name, int8_gemm};
 use gemm_exact::roundup;
 
 /// `⌊log2 |x|⌋` for finite nonzero `x`, exact (bit manipulation, handles
@@ -315,121 +320,44 @@ pub fn pow2_split(e: i32) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized scale+trunc row kernels (runtime-dispatched)
+// The scale+trunc row kernels (runtime-dispatched)
 // ---------------------------------------------------------------------------
 
-/// Human-readable name of the scale+trunc kernel the CPU dispatches to.
+/// Name of the level the scale+trunc row kernels run at on this thread
+/// (see [`gemm_engine::dispatch_name`]).
 pub fn trunc_kernel_name() -> &'static str {
-    match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
-        Isa::Avx2 => "avx",
-        Isa::Scalar => "scalar",
-    }
+    dispatch_name()
 }
 
-/// Scalar scale+trunc row kernel: `dst[i] = trunc(xs[i] * s1 * s2)` with
-/// `(s1, s2) = pow2_split(e)`. This is the lane oracle the SIMD paths are
-/// property-tested against, bit for bit.
+/// Portable scale+trunc row kernel: `dst[i] = trunc(xs[i] * s1 * s2)` with
+/// `(s1, s2) = pow2_split(e)`. The one body of [`strunc_row`], and the
+/// lane oracle it is property-tested against, bit for bit.
+#[inline(always)]
 pub fn strunc_row_scalar(xs: &[f64], dst: &mut [f64], s1: f64, s2: f64) {
     for (d, &x) in dst.iter_mut().zip(xs) {
         *d = (x * s1 * s2).trunc();
     }
 }
 
-/// Pointer form of the scalar kernel: lane `i` reads `src[i]` and writes
-/// `dst[i]` only, so `src == dst` (the in-place staging tile) is fine.
-///
-/// # Safety
-/// `src` and `dst` must each be valid for `len` elements; if they overlap
-/// they must be identical.
-unsafe fn strunc_ptr_scalar(src: *const f64, dst: *mut f64, len: usize, s1: f64, s2: f64) {
-    for i in 0..len {
-        *dst.add(i) = (*src.add(i) * s1 * s2).trunc();
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! AVX-512 / AVX scale+trunc row kernels. Two IEEE multiplies and a
-    //! round-toward-zero (`roundscale` / `roundpd` with imm 0x0B) — the
-    //! exact operation sequence of [`super::strunc_row_scalar`], so lanes
-    //! cannot diverge from the scalar oracle. Pointer-based so the same
-    //! body serves the out-of-place and in-place (src == dst) entries.
-
-    use std::arch::x86_64::*;
-
-    /// `_MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC` — truncation.
-    const RZ: i32 = 0x0B;
-
-    /// # Safety
-    /// AVX-512F must be available; `src`/`dst` valid for `len` elements,
-    /// identical if overlapping (each lane reads then writes its own slot).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn strunc_ptr_avx512(src: *const f64, dst: *mut f64, len: usize, s1: f64, s2: f64) {
-        let n8 = len / 8 * 8;
-        let s1v = _mm512_set1_pd(s1);
-        let s2v = _mm512_set1_pd(s2);
-        let mut i = 0;
-        while i < n8 {
-            let x = _mm512_loadu_pd(src.add(i));
-            let y = _mm512_mul_pd(_mm512_mul_pd(x, s1v), s2v);
-            _mm512_storeu_pd(dst.add(i), _mm512_roundscale_pd::<RZ>(y));
-            i += 8;
-        }
-        super::strunc_ptr_scalar(src.add(n8), dst.add(n8), len - n8, s1, s2);
-    }
-
-    /// # Safety
-    /// AVX must be available; same pointer contract as `strunc_ptr_avx512`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn strunc_ptr_avx(src: *const f64, dst: *mut f64, len: usize, s1: f64, s2: f64) {
-        let n4 = len / 4 * 4;
-        let s1v = _mm256_set1_pd(s1);
-        let s2v = _mm256_set1_pd(s2);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(src.add(i));
-            let y = _mm256_mul_pd(_mm256_mul_pd(x, s1v), s2v);
-            _mm256_storeu_pd(dst.add(i), _mm256_round_pd::<RZ>(y));
-            i += 4;
-        }
-        super::strunc_ptr_scalar(src.add(n4), dst.add(n4), len - n4, s1, s2);
-    }
-}
-
-/// Dispatch the pointer kernel (shared by the row and in-place entries).
-///
-/// # Safety
-/// `src`/`dst` valid for `len` elements; identical if overlapping.
-#[inline]
-unsafe fn strunc_ptr(src: *const f64, dst: *mut f64, len: usize, s1: f64, s2: f64) {
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => x86::strunc_ptr_avx512(src, dst, len, s1, s2),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => x86::strunc_ptr_avx(src, dst, len, s1, s2),
-        _ => strunc_ptr_scalar(src, dst, len, s1, s2),
-    }
-}
-
 /// Vectorized scale+trunc over a row: `dst[i] = trunc(xs[i] * s1 * s2)`
-/// with `(s1, s2)` from [`pow2_split`]. Dispatches to the best kernel the
-/// CPU supports; bit-identical to [`strunc_row_scalar`] on every path.
+/// with `(s1, s2)` from [`pow2_split`]: [`strunc_row_scalar`] run through
+/// [`dispatch`], so it is bit-identical to it at every level.
 #[inline]
 pub fn strunc_row(xs: &[f64], dst: &mut [f64], s1: f64, s2: f64) {
     assert!(dst.len() >= xs.len(), "destination row too short");
-    // SAFETY: disjoint slices, lengths asserted, kernel feature-detected.
-    unsafe { strunc_ptr(xs.as_ptr(), dst.as_mut_ptr(), xs.len(), s1, s2) }
+    dispatch(|| strunc_row_scalar(xs, dst, s1, s2))
 }
 
-/// In-place vectorized scale+trunc: `buf[i] = trunc(buf[i] * s1 * s2)`.
-/// Same dispatched kernel as [`strunc_row`] (each lane reads then writes
-/// only its own slot, so aliasing is benign); used on the fused convert's
-/// staging tile after the transpose gather.
+/// In-place [`strunc_row`]: `buf[i] = trunc(buf[i] * s1 * s2)`, the same
+/// per-lane operations; used on the fused convert's staging tile after
+/// the transpose gather.
 #[inline]
 pub fn strunc_row_inplace(buf: &mut [f64], s1: f64, s2: f64) {
-    // SAFETY: src == dst is the documented in-place case of strunc_ptr.
-    unsafe { strunc_ptr(buf.as_ptr(), buf.as_mut_ptr(), buf.len(), s1, s2) }
+    dispatch(|| {
+        for x in buf.iter_mut() {
+            *x = (*x * s1 * s2).trunc();
+        }
+    })
 }
 
 /// Depth tile of the standalone transposing trunc: 256 source cache lines
@@ -615,48 +543,54 @@ mod tests {
     fn strunc_row_bit_identical_to_scalar_and_reference() {
         // Ragged lengths (SIMD body + tail), extreme exponents (both
         // pow2_split regimes), negative zero producers.
-        for len in [1usize, 3, 4, 7, 8, 9, 16, 31, 64, 100] {
-            let xs: Vec<f64> = (0..len)
-                .map(|i| (i as f64 - 17.3) * 1.618f64.powi(i as i32 % 40 - 20))
-                .collect();
-            for e in [-1800i32, -975, -37, 0, 12, 975, 1800] {
-                let (s1, s2) = pow2_split(e);
-                let mut got = vec![0.0f64; len];
-                let mut want = vec![0.0f64; len];
-                strunc_row(&xs, &mut got, s1, s2);
-                strunc_row_scalar(&xs, &mut want, s1, s2);
-                for i in 0..len {
-                    assert_eq!(
-                        got[i].to_bits(),
-                        want[i].to_bits(),
-                        "kernel={} len={len} e={e} lane={i}",
-                        trunc_kernel_name()
-                    );
-                    assert_eq!(
-                        want[i].to_bits(),
-                        scale_by_pow2(xs[i], e).trunc().to_bits(),
-                        "oracle deviates from scale_by_pow2: len={len} e={e} lane={i}"
-                    );
+        gemm_engine::for_each_level(
+            "strunc_row_bit_identical_to_scalar_and_reference",
+            |level| {
+                for len in [1usize, 3, 4, 7, 8, 9, 16, 31, 64, 100] {
+                    let xs: Vec<f64> = (0..len)
+                        .map(|i| (i as f64 - 17.3) * 1.618f64.powi(i as i32 % 40 - 20))
+                        .collect();
+                    for e in [-1800i32, -975, -37, 0, 12, 975, 1800] {
+                        let (s1, s2) = pow2_split(e);
+                        let mut got = vec![0.0f64; len];
+                        let mut want = vec![0.0f64; len];
+                        strunc_row(&xs, &mut got, s1, s2);
+                        strunc_row_scalar(&xs, &mut want, s1, s2);
+                        for i in 0..len {
+                            assert_eq!(
+                                got[i].to_bits(),
+                                want[i].to_bits(),
+                                "{level:?} len={len} e={e} lane={i}"
+                            );
+                            assert_eq!(
+                                want[i].to_bits(),
+                                scale_by_pow2(xs[i], e).trunc().to_bits(),
+                                "oracle deviates from scale_by_pow2: len={len} e={e} lane={i}"
+                            );
+                        }
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 
     #[test]
     fn strunc_inplace_matches_out_of_place() {
         let xs: Vec<f64> = (0..53).map(|i| (i as f64) * 0.7331 - 19.0).collect();
-        for e in [-40i32, 0, 7, 1100] {
-            let (s1, s2) = pow2_split(e);
-            let mut want = vec![0.0f64; xs.len()];
-            strunc_row(&xs, &mut want, s1, s2);
-            let mut buf = xs.clone();
-            strunc_row_inplace(&mut buf, s1, s2);
-            assert_eq!(
-                buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "e={e}"
-            );
-        }
+        gemm_engine::for_each_level("strunc_inplace_matches_out_of_place", |level| {
+            for e in [-40i32, 0, 7, 1100] {
+                let (s1, s2) = pow2_split(e);
+                let mut want = vec![0.0f64; xs.len()];
+                strunc_row_scalar(&xs, &mut want, s1, s2);
+                let mut buf = xs.clone();
+                strunc_row_inplace(&mut buf, s1, s2);
+                assert_eq!(
+                    buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "{level:?} e={e}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! the uniqueness condition (3), and end-to-end reconstruction.
 
 use gemm_dense::Matrix;
+use gemm_engine::for_each_level;
 use ozaki2::accumulate::{fold_planes, fold_span, fold_span_scalar, FoldPrecision};
 use ozaki2::consts::constants;
 use ozaki2::convert::{
@@ -108,11 +109,20 @@ proptest! {
             .map(|x| (x % bound).trunc())
             .collect();
         let args = (c.p_f64[pidx], c.p_f32[pidx], c.p_inv_f64[pidx], c.p_inv_f32[pidx]);
-        let mut got = vec![0i8; len];
         let mut want = vec![0i8; len];
-        rmod_row(&row, &mut got, args.0, args.1, args.2, args.3, steps);
         rmod_row_scalar(&row, &mut want, args.0, args.1, args.2, args.3, steps);
-        prop_assert_eq!(&got, &want, "lane mismatch: N={} steps={}", nmod, steps);
+        let mut got = vec![0i8; len];
+        let mut mismatch = None;
+        for_each_level("vectorized_rmod_lane_exact_and_congruent", |level| {
+            rmod_row(&row, &mut got, args.0, args.1, args.2, args.3, steps);
+            if got != want && mismatch.is_none() {
+                mismatch = Some(level);
+            }
+        });
+        prop_assert!(
+            mismatch.is_none(),
+            "lane mismatch at {:?}: N={} steps={}", mismatch, nmod, steps
+        );
         for (i, (&g, &x)) in got.iter().zip(&row).enumerate() {
             let exact = gemm_exact::I256::from_f64_exact(x).rem_euclid_u64(p);
             prop_assert_eq!(
@@ -151,15 +161,18 @@ proptest! {
             })
             .collect();
         let (s1, s2) = pow2_split(e);
-        let mut got = vec![0f64; len];
         let mut want = vec![0f64; len];
-        strunc_row(&row, &mut got, s1, s2);
         strunc_row_scalar(&row, &mut want, s1, s2);
+        let mut mismatch = None;
+        for_each_level("strunc_row_lane_exact_any_exponent", |level| {
+            let mut got = vec![0f64; len];
+            strunc_row(&row, &mut got, s1, s2);
+            if let Some(i) = (0..len).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+                mismatch.get_or_insert((level, i));
+            }
+        });
+        prop_assert!(mismatch.is_none(), "lane diverges (level, lane) = {:?}, e={}", mismatch, e);
         for i in 0..len {
-            prop_assert_eq!(
-                got[i].to_bits(), want[i].to_bits(),
-                "lane {} diverges: x={} e={}", i, row[i], e
-            );
             prop_assert_eq!(
                 want[i].to_bits(), scale_by_pow2(row[i], e).trunc().to_bits(),
                 "oracle deviates from scale_by_pow2: x={} e={}", row[i], e
@@ -201,17 +214,21 @@ proptest! {
         } else {
             (&c.s1, Some(&c.s2))
         };
-        let mut got = vec![0f64; len];
         let mut want = vec![0f64; len];
-        fold_span(&u, plane, idx0, s1, s2, c.p1, c.p2, c.p_inv, &mut got);
         fold_span_scalar(&u, plane, idx0, s1, s2, c.p1, c.p2, c.p_inv, &mut want);
-        for i in 0..len {
-            prop_assert_eq!(
-                got[i].to_bits(), want[i].to_bits(),
-                "lane {} diverges: N={} len={} idx0={} single={}",
-                i, nmod, len, idx0, single
-            );
-        }
+        let mut mismatch = None;
+        for_each_level("fold_span_lane_exact_odd_planes", |level| {
+            let mut got = vec![0f64; len];
+            fold_span(&u, plane, idx0, s1, s2, c.p1, c.p2, c.p_inv, &mut got);
+            if let Some(i) = (0..len).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+                mismatch.get_or_insert((level, i));
+            }
+        });
+        prop_assert!(
+            mismatch.is_none(),
+            "lane diverges (level, lane) = {:?}: N={} len={} idx0={} single={}",
+            mismatch, nmod, len, idx0, single
+        );
     }
 
     #[test]

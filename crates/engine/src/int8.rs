@@ -68,7 +68,12 @@
 //! accepts an [`Epilogue`] applied to each completed `C` stripe while it is
 //! still cache-resident: [`ReduceEpilogue`] writes `u8` residues,
 //! [`AccumulateEpilogue`] adds residues into an i32 accumulator plane (the
-//! `k`-blocked path). [`NoEpilogue`] compiles the hook away.
+//! `k`-blocked path). [`NoEpilogue`] compiles the hook away. Their row
+//! kernels, [`barrett_mod_row_u8`] and [`barrett_mod_row_acc`], are
+//! portable loops run through [`crate::isa::dispatch`]; only the u8
+//! kernel keeps a hand-written AVX-512 arm, which measured faster than
+//! LLVM's vectorization of the loop. That arm, the tile kernels and the
+//! AMX arm are the only hand-written SIMD code in the workspace.
 //!
 //! # Workspace
 //!
@@ -77,7 +82,7 @@
 //! residue planes of a single emulated product, LU panel updates, …)
 //! allocate nothing in steady state.
 
-use crate::isa::{cap_scope, engine_isa, isa, Isa};
+use crate::isa::{cap_scope, dispatch, dispatch_name, engine_isa, isa, Isa};
 use crate::stats::INT8_STATS;
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
@@ -111,9 +116,14 @@ pub const MC: usize = 128;
 /// estimate with the precomputed reciprocal `pinv = ⌊2^32 / p⌋ - 1`,
 /// followed by two conditional fix-ups (`q` is off by at most one in each
 /// direction across the full i32 range).
-#[inline]
+///
+/// `pinv < 2^31` for every `p ≥ 2`, so it is sign-extended: the same
+/// value as zero-extending, and the signed widening multiply is one
+/// `vpmuldq` per lane pair when the row kernels vectorize.
+#[inline(always)]
 pub fn barrett_mod_u8(x: i32, p: i32, pinv: u32) -> u8 {
-    let q = ((x as i64 * pinv as i64) >> 32) as i32;
+    debug_assert!(pinv < 1 << 31, "pinv={pinv} needs p >= 2");
+    let q = ((x as i64 * pinv as i32 as i64) >> 32) as i32;
     let mut y = x.wrapping_sub(q.wrapping_mul(p));
     if y >= p {
         y -= p;
@@ -125,216 +135,87 @@ pub fn barrett_mod_u8(x: i32, p: i32, pinv: u32) -> u8 {
     y as u8
 }
 
-/// Scalar `mod p` row reduction into u8 residues — the lane-exact oracle
-/// the SIMD paths of [`barrett_mod_row_u8`] are tested against.
+/// Portable `mod p` row reduction into u8 residues: the one body of
+/// [`barrett_mod_row_u8`], and its lane-exact oracle.
+#[inline(always)]
 pub fn barrett_mod_row_u8_scalar(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     for (d, &x) in out.iter_mut().zip(c) {
         *d = barrett_mod_u8(x, p, pinv);
     }
 }
 
-/// Scalar `acc += mod p` row reduction — the oracle for
-/// [`barrett_mod_row_acc`].
+/// Portable `acc += mod p` row reduction: the one body of
+/// [`barrett_mod_row_acc`], and its oracle.
+#[inline(always)]
 pub fn barrett_mod_row_acc_scalar(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
     for (d, &x) in out.iter_mut().zip(c) {
         *d += barrett_mod_u8(x, p, pinv) as i32;
     }
 }
 
-/// Human-readable name of the mod-reduce row kernel the running CPU
-/// dispatches to.
+/// Name of the level the mod-reduce row kernels run at on this thread
+/// (see [`crate::isa::dispatch_name`]).
 pub fn mod_kernel_name() -> &'static str {
-    match isa() {
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
-        Isa::Avx2 => "avx2",
-        Isa::Scalar => "scalar",
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod modx86 {
-    //! Vectorized Barrett `mod p` row kernels. The quotient estimate is
-    //! the **high dword** of the signed 64-bit product `x · pinv` — every
-    //! reciprocal `⌊2^32/p⌋ - 1` for `p ≥ 2` fits in a non-negative i32,
-    //! so the widening signed multiply reproduces the scalar
-    //! `(x as i64 * pinv as i64) >> 32` exactly, and the two conditional
-    //! fix-ups become masked adds/subs. Bit-identical to
-    //! [`super::barrett_mod_u8`] for every i32 input.
-
-    use std::arch::x86_64::*;
-
-    /// Dword shuffle pattern `[1, 1, 3, 3]` (per 128-bit lane): moves the
-    /// odd dwords (or the high dwords of 64-bit products) into the even
-    /// slots.
-    const ODD_TO_EVEN: i32 = 0b11_11_01_01;
-
-    /// 16-lane Barrett quotient-and-residue: returns `mod(x, p)` in each
-    /// i32 lane, in `[0, p)`.
-    ///
-    /// # Safety
-    /// AVX-512F required.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn residue16(x: __m512i, pv: __m512i, pinv64: __m512i) -> __m512i {
-        // Signed widening products of the even / odd dword lanes; the
-        // quotient of each lane is the high dword of its product.
-        let pe = _mm512_mul_epi32(x, pinv64);
-        let po = _mm512_mul_epi32(_mm512_shuffle_epi32::<{ ODD_TO_EVEN as _ }>(x), pinv64);
-        let qe = _mm512_shuffle_epi32::<{ ODD_TO_EVEN as _ }>(pe);
-        // Even lanes: high dwords of pe (moved into place); odd lanes:
-        // the products of the odd inputs already hold their high dwords
-        // at the odd positions.
-        let q = _mm512_mask_blend_epi32(0xAAAA, qe, po);
-        let y0 = _mm512_sub_epi32(x, _mm512_mullo_epi32(q, pv));
-        let ge = _mm512_cmpge_epi32_mask(y0, pv);
-        let y1 = _mm512_mask_sub_epi32(y0, ge, y0, pv);
-        let lt = _mm512_cmplt_epi32_mask(y1, _mm512_setzero_si512());
-        _mm512_mask_add_epi32(y1, lt, y1, pv)
-    }
-
-    /// # Safety
-    /// AVX-512F + AVX-512BW required; `out.len() >= c.len()`.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn mod_row_u8_avx512(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
-        debug_assert!(out.len() >= c.len());
-        let pv = _mm512_set1_epi32(p);
-        let pinv64 = _mm512_set1_epi64(pinv as i64);
-        let n16 = c.len() / 16 * 16;
-        let mut i = 0;
-        while i < n16 {
-            let x = _mm512_loadu_si512(c.as_ptr().add(i).cast());
-            let y = residue16(x, pv, pinv64);
-            // Residues are in [0, p) ⊆ [0, 255]: truncating narrow.
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm512_cvtepi32_epi8(y));
-            i += 16;
-        }
-        super::barrett_mod_row_u8_scalar(&c[n16..], &mut out[n16..], p, pinv);
-    }
-
-    /// # Safety
-    /// AVX-512F required; `out.len() >= c.len()`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn mod_row_acc_avx512(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
-        debug_assert!(out.len() >= c.len());
-        let pv = _mm512_set1_epi32(p);
-        let pinv64 = _mm512_set1_epi64(pinv as i64);
-        let n16 = c.len() / 16 * 16;
-        let mut i = 0;
-        while i < n16 {
-            let x = _mm512_loadu_si512(c.as_ptr().add(i).cast());
-            let y = residue16(x, pv, pinv64);
-            let acc = _mm512_loadu_si512(out.as_ptr().add(i).cast());
-            _mm512_storeu_si512(out.as_mut_ptr().add(i).cast(), _mm512_add_epi32(acc, y));
-            i += 16;
-        }
-        super::barrett_mod_row_acc_scalar(&c[n16..], &mut out[n16..], p, pinv);
-    }
-
-    /// 8-lane Barrett residue (see [`residue16`]).
-    ///
-    /// # Safety
-    /// AVX2 required.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn residue8(x: __m256i, pv: __m256i, pinv64: __m256i) -> __m256i {
-        let pe = _mm256_mul_epi32(x, pinv64);
-        let po = _mm256_mul_epi32(_mm256_shuffle_epi32::<ODD_TO_EVEN>(x), pinv64);
-        let qe = _mm256_shuffle_epi32::<ODD_TO_EVEN>(pe);
-        let q = _mm256_blend_epi32::<0b10101010>(qe, po);
-        let y0 = _mm256_sub_epi32(x, _mm256_mullo_epi32(q, pv));
-        // y0 >= p  <=>  y0 > p - 1 (signed).
-        let pm1 = _mm256_sub_epi32(pv, _mm256_set1_epi32(1));
-        let ge = _mm256_cmpgt_epi32(y0, pm1);
-        let y1 = _mm256_sub_epi32(y0, _mm256_and_si256(ge, pv));
-        let lt = _mm256_cmpgt_epi32(_mm256_setzero_si256(), y1);
-        _mm256_add_epi32(y1, _mm256_and_si256(lt, pv))
-    }
-
-    /// # Safety
-    /// AVX2 required; `out.len() >= c.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mod_row_u8_avx2(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
-        debug_assert!(out.len() >= c.len());
-        let pv = _mm256_set1_epi32(p);
-        let pinv64 = _mm256_set1_epi64x(pinv as i64);
-        // Byte 0 of every dword, gathered into the low 4 bytes of each
-        // 128-bit lane (residues are < 256, the other bytes are zero).
-        let gather = _mm256_set_epi8(
-            -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 12, 8, 4, 0, //
-            -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 12, 8, 4, 0,
-        );
-        let n8 = c.len() / 8 * 8;
-        let mut i = 0;
-        while i < n8 {
-            let x = _mm256_loadu_si256(c.as_ptr().add(i).cast());
-            let y = residue8(x, pv, pinv64);
-            let packed = _mm256_shuffle_epi8(y, gather);
-            let lo = _mm_cvtsi128_si32(_mm256_castsi256_si128(packed));
-            let hi = _mm_cvtsi128_si32(_mm256_extracti128_si256::<1>(packed));
-            (out.as_mut_ptr().add(i) as *mut i32).write_unaligned(lo);
-            (out.as_mut_ptr().add(i + 4) as *mut i32).write_unaligned(hi);
-            i += 8;
-        }
-        super::barrett_mod_row_u8_scalar(&c[n8..], &mut out[n8..], p, pinv);
-    }
-
-    /// # Safety
-    /// AVX2 required; `out.len() >= c.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mod_row_acc_avx2(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
-        debug_assert!(out.len() >= c.len());
-        let pv = _mm256_set1_epi32(p);
-        let pinv64 = _mm256_set1_epi64x(pinv as i64);
-        let n8 = c.len() / 8 * 8;
-        let mut i = 0;
-        while i < n8 {
-            let x = _mm256_loadu_si256(c.as_ptr().add(i).cast());
-            let y = residue8(x, pv, pinv64);
-            let acc = _mm256_loadu_si256(out.as_ptr().add(i).cast());
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), _mm256_add_epi32(acc, y));
-            i += 8;
-        }
-        super::barrett_mod_row_acc_scalar(&c[n8..], &mut out[n8..], p, pinv);
-    }
+    dispatch_name()
 }
 
 /// Vectorized `out[i] = mod(c[i], p)` as u8 residues — the row kernel
-/// behind [`ReduceEpilogue`] (Algorithm 1 line 7). Runtime-dispatched
-/// (AVX-512 → AVX2 → scalar, forced scalar by `OZAKI_FORCE_SCALAR=1`);
-/// bit-identical to [`barrett_mod_row_u8_scalar`] on every path.
+/// behind [`ReduceEpilogue`] (Algorithm 1 line 7): the portable
+/// [`barrett_mod_row_u8_scalar`] run through [`dispatch`], except at the
+/// AVX-512 levels, which keep a hand-written arm (LLVM's vectorization of
+/// the portable loop measured slower there). Bit-identical to the
+/// portable loop at every level.
 pub fn barrett_mod_row_u8(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     assert!(out.len() >= c.len(), "output row too short");
-    match engine_isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: variant selected by runtime feature detection; length
-        // contract asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
-            modx86::mod_row_u8_avx512(c, out, p, pinv)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Isa::Avx2 => unsafe { modx86::mod_row_u8_avx2(c, out, p, pinv) },
-        _ => barrett_mod_row_u8_scalar(c, out, p, pinv),
+    #[cfg(target_arch = "x86_64")]
+    if engine_isa() >= Isa::Avx512 {
+        // SAFETY: `engine_isa() >= Avx512` means the probe verified
+        // AVX-512F and AVX-512BW; the length contract is asserted above.
+        return unsafe { mod_row_u8_avx512(c, out, p, pinv) };
     }
+    dispatch(|| barrett_mod_row_u8_scalar(c, out, p, pinv))
+}
+
+/// The AVX-512 arm of [`barrett_mod_row_u8`], 16 lanes at a time. The
+/// quotient is the high dword of the signed product `x · pinv`: even
+/// lanes multiply in place, odd lanes after a dword shuffle, and a blend
+/// puts each high dword back in its lane. The fix-ups are masked
+/// subtract/add.
+///
+/// # Safety
+/// AVX-512F and AVX-512BW must be available; `out.len() >= c.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn mod_row_u8_avx512(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
+    use std::arch::x86_64::*;
+    /// Dword pattern `[1, 1, 3, 3]` per 128-bit lane: odd dwords (the high
+    /// dwords of 64-bit products) into the even slots.
+    const ODD_TO_EVEN: i32 = 0b11_11_01_01;
+    let pv = _mm512_set1_epi32(p);
+    let pinv64 = _mm512_set1_epi64(pinv as i32 as i64);
+    let n16 = c.len() / 16 * 16;
+    for i in (0..n16).step_by(16) {
+        let x = _mm512_loadu_si512(c.as_ptr().add(i).cast());
+        let pe = _mm512_mul_epi32(x, pinv64);
+        let po = _mm512_mul_epi32(_mm512_shuffle_epi32::<{ ODD_TO_EVEN as _ }>(x), pinv64);
+        let qe = _mm512_shuffle_epi32::<{ ODD_TO_EVEN as _ }>(pe);
+        let q = _mm512_mask_blend_epi32(0xAAAA, qe, po);
+        let y0 = _mm512_sub_epi32(x, _mm512_mullo_epi32(q, pv));
+        let y1 = _mm512_mask_sub_epi32(y0, _mm512_cmpge_epi32_mask(y0, pv), y0, pv);
+        let lt = _mm512_cmplt_epi32_mask(y1, _mm512_setzero_si512());
+        let y = _mm512_mask_add_epi32(y1, lt, y1, pv);
+        // Residues are in [0, p) ⊆ [0, 255]: truncating narrow.
+        _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm512_cvtepi32_epi8(y));
+    }
+    barrett_mod_row_u8_scalar(&c[n16..], &mut out[n16..], p, pinv);
 }
 
 /// Vectorized `out[i] += mod(c[i], p)` residue accumulation — the row
-/// kernel behind [`AccumulateEpilogue`] (the `k > 2^17` block path).
-/// Bit-identical to [`barrett_mod_row_acc_scalar`] on every path.
+/// kernel behind [`AccumulateEpilogue`] (the `k > 2^17` block path): the
+/// portable [`barrett_mod_row_acc_scalar`] run through [`dispatch`].
 pub fn barrett_mod_row_acc(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
     assert!(out.len() >= c.len(), "output row too short");
-    match engine_isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: variant selected by runtime feature detection; length
-        // contract asserted above.
-        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe {
-            modx86::mod_row_acc_avx512(c, out, p, pinv)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Isa::Avx2 => unsafe { modx86::mod_row_acc_avx2(c, out, p, pinv) },
-        _ => barrett_mod_row_acc_scalar(c, out, p, pinv),
-    }
+    dispatch(|| barrett_mod_row_acc_scalar(c, out, p, pinv))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,27 @@
-//! The one CPU-feature probe behind every runtime-dispatched kernel.
+//! The one CPU-feature probe behind every runtime-dispatched kernel, and
+//! the one safe dispatcher the row kernels run through.
 //!
 //! Every SIMD sweep in the workspace — the INT8 tile and mod-reduce
 //! kernels here, the `ozaki2` trunc/convert/fold row kernels and the ABFT
-//! checksum sweeps — matches on [`isa()`] instead of probing the CPU
-//! itself. `OZAKI_FORCE_SCALAR` (any non-empty value other than `0`) pins
-//! every one of them to [`Isa::Scalar`], which is how the CI
-//! `scalar-fallback` job runs each scalar oracle on AVX-capable runners.
+//! checksum sweeps — runs at a level derived from [`isa()`] instead of
+//! probing the CPU itself. `OZAKI_FORCE_SCALAR` (any non-empty value other
+//! than `0`) pins every one of them to [`Isa::Scalar`], which is how the
+//! CI `scalar-fallback` job runs each scalar oracle on AVX-capable
+//! runners.
 //!
-//! The INT8 engine additionally honours a thread-local cap,
-//! [`cap_scope`]: inside one, its tile and mod-reduce kernels run at
-//! [`engine_isa()`] `= min(isa(), cap)`. The ABFT scalar repair and the
-//! level-parity tests use it to pin the engine to one level.
+//! A thread-local cap, [`cap_scope`], lowers the level further: inside
+//! one, every kernel runs at [`engine_isa()`] `= min(isa(), cap)`. The
+//! ABFT scalar repair and the level-parity tests use it to pin one level.
+//!
+//! The row kernels are written once, as portable safe loops, and run
+//! through [`dispatch`], which compiles each [`Kernel`] (usually a
+//! closure) for the AVX-512 and AVX2 levels and picks one at run time;
+//! LLVM vectorizes each copy at its width. Only the AMX and tile kernels
+//! of [`crate::int8`] are hand-written.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::io::Write;
+use std::sync::{Mutex, OnceLock};
 
 /// SIMD level of the running CPU. The levels are cumulative, so a kernel
 /// that needs level `L` runs on every `isa() >= L`; a kernel family with
@@ -145,20 +153,127 @@ impl Drop for CapGuard {
     }
 }
 
-/// Cap the INT8 engine's tile and mod-reduce kernels on this thread at
-/// `level` until the guard drops. Caps nest and only ever lower the
-/// level. The engine reads the cap once per GEMM call, on the calling
-/// thread, and carries it into every parallel stripe. Every level is
-/// bit-identical, so a cap changes speed, never results.
+/// Cap every dispatched kernel on this thread at `level` until the guard
+/// drops: the engine's tile and mod-reduce kernels and every row kernel
+/// run through [`dispatch`]. Caps nest and only ever lower the level. The
+/// engine reads the cap once per GEMM call, on the calling thread, and
+/// carries it into every parallel stripe; a row kernel reads it on the
+/// thread it runs on. Every level is bit-identical, so a cap changes
+/// speed, never results.
 pub fn cap_scope(level: Isa) -> CapGuard {
     let prev = CAP.with(|c| c.replace(c.get().min(level)));
     CapGuard { prev }
 }
 
-/// The level the INT8 engine runs at on this thread:
+/// The level every dispatched kernel runs at on this thread:
 /// `min(`[`isa()`]`, cap)`, the cap being [`cap_scope`]'s.
 pub fn engine_isa() -> Isa {
     isa().min(CAP.with(Cell::get))
+}
+
+/// A row kernel with its arguments bound: what [`dispatch`] compiles once
+/// per level. Every `FnOnce() -> R` closure is one.
+///
+/// Each level's copy contains the body only if LLVM inlines `run` into
+/// it. A closure is inlined only while LLVM judges it cheap (the cost
+/// `-C remark=inline` reports must stay under its threshold, 325 at
+/// `opt-level=3`), so a closure should just call one `#[inline(always)]`
+/// row loop of a few lines. A larger body is a struct implementing this
+/// trait with an `#[inline(always)]` `run`, which every copy contains
+/// whatever its size.
+pub trait Kernel {
+    /// What the kernel returns.
+    type Out;
+    /// The kernel's body.
+    fn run(self) -> Self::Out;
+}
+
+impl<R, F: FnOnce() -> R> Kernel for F {
+    type Out = R;
+    #[inline(always)]
+    fn run(self) -> R {
+        self()
+    }
+}
+
+/// Run `kernel` compiled for the level [`engine_isa()`] reports: AVX-512
+/// (`avx512f`, `avx512bw`, `avx2`, `fma`), AVX2 (`avx2`, `fma`) or the
+/// baseline target. Each call site is compiled once per level, and LLVM
+/// vectorizes each copy at its width.
+///
+/// This is safe to call: it never enables more than the probe verified.
+/// The integer and IEEE operations a body uses round the same at every
+/// width (`mul_add` is a fused multiply-add, with or without the `fma`
+/// feature), so each level gives the bits of the portable loop.
+#[inline]
+pub fn dispatch<K: Kernel>(kernel: K) -> K::Out {
+    match engine_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `engine_isa() <= isa()`, and `isa()` reports
+        // `Avx512` or above only after the probe verified `avx2`, `fma`,
+        // `avx512f` and `avx512bw`.
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => unsafe { at_avx512(kernel) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; `Avx2` means the probe verified `avx2` and `fma`.
+        Isa::Avx2 => unsafe { at_avx2(kernel) },
+        _ => kernel.run(),
+    }
+}
+
+/// Run `check` once under [`cap_scope`]`(level)` for every level this
+/// thread can run, lowest first, and report the levels once per `name` on
+/// standard error, past the test harness's output capture, loudly when
+/// the AMX level cannot run here. The level-parity tests of the engine
+/// and of every dispatched row kernel use it.
+pub fn for_each_level(name: &str, mut check: impl FnMut(Isa)) {
+    static REPORTED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let top = engine_isa();
+    let levels: Vec<Isa> = [
+        Isa::Scalar,
+        Isa::Avx2,
+        Isa::Avx512,
+        Isa::Avx512Vnni,
+        Isa::Amx,
+    ]
+    .into_iter()
+    .filter(|&l| l <= top)
+    .collect();
+    let mut reported = REPORTED.lock().unwrap_or_else(|e| e.into_inner());
+    if !reported.iter().any(|n| n == name) {
+        reported.push(name.to_string());
+        let mut line = format!("{name}: levels {levels:?}");
+        if top < Isa::Amx {
+            line += &format!(" !!! Isa::Amx SKIPPED, this host tops out at {top:?} !!!");
+        }
+        let _ = writeln!(std::io::stderr(), "{line}");
+    }
+    drop(reported);
+    for level in levels {
+        let _cap = cap_scope(level);
+        check(level);
+    }
+}
+
+/// Name of the level [`dispatch`] picks on this thread: `"avx512"`,
+/// `"avx2"` or `"scalar"`.
+pub fn dispatch_name() -> &'static str {
+    match engine_isa() {
+        Isa::Avx512 | Isa::Avx512Vnni | Isa::Amx => "avx512",
+        Isa::Avx2 => "avx2",
+        Isa::Scalar => "scalar",
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+unsafe fn at_avx512<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn at_avx2<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run()
 }
 
 #[cfg(test)]

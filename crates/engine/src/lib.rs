@@ -3,9 +3,10 @@
 //! Simulated matrix engines — the "hardware" substrate of the reproduction:
 //!
 //! * [`isa`](mod@isa) — the one CPU-feature probe ([`Isa`], [`isa()`]) every
-//!   runtime-dispatched kernel in the workspace matches on, with the
-//!   `OZAKI_FORCE_SCALAR` override folded in, plus the thread-local engine
-//!   cap ([`cap_scope`], [`engine_isa`]);
+//!   runtime-dispatched kernel in the workspace derives its level from, with
+//!   the `OZAKI_FORCE_SCALAR` override folded in, the thread-local cap
+//!   ([`cap_scope`], [`engine_isa`]), and the one safe dispatcher
+//!   ([`dispatch`]) every row kernel runs through;
 //! * [`int8`] — the INT8 matrix engine (`i8 × i8 → i32`, wrapping INT32
 //!   accumulation) that Ozaki Scheme I/II run on: AMX tiles where the CPU
 //!   has them, SIMD kernels otherwise;
@@ -31,6 +32,6 @@ pub use int8::{
     mod_kernel_name, pack_panels, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
     Epilogue, Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK, PV,
 };
-pub use isa::{cap_scope, engine_isa, isa, Isa};
+pub use isa::{cap_scope, dispatch, dispatch_name, engine_isa, for_each_level, isa, Isa, Kernel};
 pub use stats::{EngineStats, INT8_STATS, LOWFP_STATS};
 pub use tensor::{dequantize, lowfp_gemm, quantize};

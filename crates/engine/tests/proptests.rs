@@ -3,8 +3,8 @@
 use gemm_dense::Matrix;
 use gemm_engine::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
-    int8_gemm, int8_gemm_fused, int8_gemm_naive, int8_gemm_rm_cm, int8_gemm_rm_cm_scalar,
-    lowfp_gemm, mod_kernel_name, quantize, Int8Workspace, ReduceEpilogue,
+    for_each_level, int8_gemm, int8_gemm_fused, int8_gemm_naive, int8_gemm_rm_cm,
+    int8_gemm_rm_cm_scalar, lowfp_gemm, quantize, Int8Workspace, ReduceEpilogue,
 };
 use gemm_lowfp::{BF16, F16};
 use proptest::prelude::*;
@@ -61,16 +61,24 @@ proptest! {
             }
         };
         let row: Vec<i32> = (0..len).map(|_| next()).collect();
-        let mut got = vec![0u8; len];
         let mut want = vec![0u8; len];
-        barrett_mod_row_u8(&row, &mut got, p as i32, pinv);
         barrett_mod_row_u8_scalar(&row, &mut want, p as i32, pinv);
-        prop_assert_eq!(&got, &want, "u8 kernel={} p={}", mod_kernel_name(), p);
-        let mut got_acc: Vec<i32> = (0..len as i32).collect();
-        let mut want_acc = got_acc.clone();
-        barrett_mod_row_acc(&row, &mut got_acc, p as i32, pinv);
+        let mut want_acc: Vec<i32> = (0..len as i32).collect();
         barrett_mod_row_acc_scalar(&row, &mut want_acc, p as i32, pinv);
-        prop_assert_eq!(&got_acc, &want_acc, "acc kernel={} p={}", mod_kernel_name(), p);
+        let mut mismatch = None;
+        for_each_level("mod_rows_lane_exact_vs_scalar", |level| {
+            let mut got = vec![0u8; len];
+            barrett_mod_row_u8(&row, &mut got, p as i32, pinv);
+            let mut got_acc: Vec<i32> = (0..len as i32).collect();
+            barrett_mod_row_acc(&row, &mut got_acc, p as i32, pinv);
+            if got != want {
+                mismatch.get_or_insert(("u8", level));
+            }
+            if got_acc != want_acc {
+                mismatch.get_or_insert(("acc", level));
+            }
+        });
+        prop_assert!(mismatch.is_none(), "(kernel, level) = {:?}, p={}", mismatch, p);
     }
 
     #[test]
@@ -353,41 +361,9 @@ mod backend_oracle {
 mod level_parity {
     use super::*;
     use gemm_engine::{
-        cap_scope, int8_gemm_prepacked_fused, isa, pack_panels, padded_a_rows, padded_b_cols,
-        padded_depth, AccumulateEpilogue, Isa, PK,
+        int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
+        AccumulateEpilogue, PK,
     };
-    use std::io::Write;
-    use std::sync::Once;
-
-    /// Every level this host can run, lowest first. Printed once per
-    /// process, past the test harness's output capture, with a loud line
-    /// when the AMX arm cannot run here.
-    fn covered_levels() -> Vec<Isa> {
-        let top = isa();
-        let levels: Vec<Isa> = [
-            Isa::Scalar,
-            Isa::Avx2,
-            Isa::Avx512,
-            Isa::Avx512Vnni,
-            Isa::Amx,
-        ]
-        .into_iter()
-        .filter(|&l| l <= top)
-        .collect();
-        static REPORT: Once = Once::new();
-        REPORT.call_once(|| {
-            let mut err = std::io::stderr();
-            let _ = writeln!(err, "every_isa_level_matches_naive: levels {levels:?}");
-            if top < Isa::Amx {
-                let _ = writeln!(
-                    err,
-                    "!!! every_isa_level_matches_naive: Isa::Amx SKIPPED, this host tops out \
-                     at {top:?}; the AMX tile arm is not tested in this run !!!"
-                );
-            }
-        });
-        levels
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -425,8 +401,8 @@ mod level_parity {
             pack_panels(&mut apack, &a_rm, k_full, m, padded_a_rows(m), k_full, kp);
             pack_panels(&mut bpack, &b_cm, k_full, n, padded_b_cols(n), k_full, kp);
             let pinv = ((1u64 << 32) / p - 1) as u32;
-            for level in covered_levels() {
-                let _cap = cap_scope(level);
+            let mut failure = None;
+            for_each_level("every_isa_level_matches_naive", |level| {
                 for parallel in [false, true] {
                     let mut c = vec![0i32; m * n];
                     let mut u = vec![0u8; m * n];
@@ -434,21 +410,28 @@ mod level_parity {
                     int8_gemm_prepacked_fused(
                         m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut u, &epi, parallel,
                     );
-                    prop_assert_eq!(&c[..], want.as_slice(), "{:?} parallel={}", level, parallel);
-                    for (&r, &x) in u.iter().zip(&c) {
-                        prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64));
+                    let reduced = u
+                        .iter()
+                        .zip(&c)
+                        .all(|(&r, &x)| r as i64 == (x as i64).rem_euclid(p as i64));
+                    if c != want.as_slice() || !reduced {
+                        failure.get_or_insert(("reduce", level, parallel));
                     }
                     let mut acc = vec![7i32; m * n];
                     let epi = AccumulateEpilogue::new(p, pinv, None);
                     int8_gemm_prepacked_fused(
                         m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut acc, &epi, parallel,
                     );
-                    prop_assert_eq!(&c[..], want.as_slice(), "{:?} parallel={}", level, parallel);
-                    for (&r, &x) in acc.iter().zip(&c) {
-                        prop_assert_eq!(r as i64, 7 + (x as i64).rem_euclid(p as i64));
+                    let accumulated = acc
+                        .iter()
+                        .zip(&c)
+                        .all(|(&r, &x)| r as i64 == 7 + (x as i64).rem_euclid(p as i64));
+                    if c != want.as_slice() || !accumulated {
+                        failure.get_or_insert(("accumulate", level, parallel));
                     }
                 }
-            }
+            });
+            prop_assert!(failure.is_none(), "(epilogue, level, parallel) = {:?}", failure);
         }
     }
 }
