@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! Q   = round(P_inv · C'⁽¹⁾)
-//! C'' = fma(-P2, Q, fma(-P1, Q, C'⁽¹⁾) + C'⁽²⁾)
+//! C'' = fma(-P1, Q, C'⁽¹⁾) + fma(-P2, Q, C'⁽²⁾)
 //! ```
 //!
 //! subtracts the unique multiple of `P` (double-double `P1 + P2`), leaving
@@ -25,8 +25,8 @@
 //! [`fold_span_scalar`] is its bit-exact lane oracle (and its tail):
 //! every operation (FMA-weighted accumulation, round-to-nearest-even
 //! quotient, the `P1`/`P2` FMA chain) is the same, in the same order, so
-//! no level can diverge lane for lane. Two deliberate deviations from the
-//! PR 2 scalar fold, both documented in `docs/ARCHITECTURE.md`:
+//! no level can diverge lane for lane. Three deliberate deviations from
+//! the PR 2 scalar fold, all documented in `docs/ARCHITECTURE.md`:
 //!
 //! * the weighted accumulation uses FMA (`s·u + c` fused) instead of
 //!   multiply-then-add. The exact `C'⁽¹⁾` sum is unchanged (every term is
@@ -35,7 +35,15 @@
 //! * the quotient rounding `Q = round(P_inv · C'⁽¹⁾)` is ties-to-even, the
 //!   mode the vector units implement natively. Any nearest rounding keeps
 //!   the fold correct (the uniqueness condition keeps `C'⁽¹⁾/P` away from
-//!   half-integers); RNE is what makes every level bit-identical.
+//!   half-integers); RNE is what makes every level bit-identical;
+//! * line 11 adds the two corrections as `fma(-P1, Q, C'⁽¹⁾) +
+//!   fma(-P2, Q, C'⁽²⁾)` instead of `fma(-P2, Q, fma(-P1, Q, C'⁽¹⁾) +
+//!   C'⁽²⁾)`. The paper's order rounds twice at the result's magnitude
+//!   (the inner `+` and the outer FMA), which left an integer product of
+//!   −1024 as −1023.9999999999999 at N = 10. Here the first term is exact
+//!   for N ≤ 10 and the second is small, so only the final `+` rounds at
+//!   the result's magnitude. The single-weight SGEMM fold (`C'⁽²⁾ = 0`)
+//!   keeps the paper's order, which already rounds once there.
 
 use crate::consts::Constants;
 use crate::scale::{ilog2_abs, pow2_split, scale_by_pow2};
@@ -65,12 +73,17 @@ pub fn fold_kernel_name() -> &'static str {
     dispatch_name()
 }
 
-/// Line 11 for one lane: the quotient `Q` and the `P1`/`P2` FMA chain.
+/// Line 11 for one lane: the quotient `Q` and the `P1`/`P2` corrections,
+/// added as two FMAs for the double-weight split (one rounding at the
+/// result's magnitude, see the module docs) and chained for the single.
 #[inline(always)]
-fn fold_lane(c1: f64, c2: f64, p1: f64, p2: f64, p_inv: f64) -> f64 {
+fn fold_lane(c1: f64, c2: f64, p1: f64, p2: f64, p_inv: f64, double: bool) -> f64 {
     let q = (p_inv * c1).round_ties_even();
-    let t = q.mul_add(-p1, c1) + c2;
-    q.mul_add(-p2, t)
+    if double {
+        q.mul_add(-p1, c1) + q.mul_add(-p2, c2)
+    } else {
+        q.mul_add(-p2, q.mul_add(-p1, c1) + c2)
+    }
 }
 
 /// Scalar fold span kernel — the lane oracle. For each lane `l`, fold the
@@ -113,7 +126,7 @@ pub fn fold_span_scalar(
                 }
             }
         }
-        *o = fold_lane(c1, c2, p1, p2, p_inv);
+        *o = fold_lane(c1, c2, p1, p2, p_inv, s2.is_some());
     }
 }
 
@@ -175,7 +188,7 @@ impl Kernel for FoldSpan<'_> {
                 }
             }
             for (l, o) in o.iter_mut().enumerate() {
-                *o = fold_lane(c1[l], c2[l], p1, p2, p_inv);
+                *o = fold_lane(c1[l], c2[l], p1, p2, p_inv, s2.is_some());
             }
         }
         fold_span_scalar(u, plane, idx0 + body, s1, s2, p1, p2, p_inv, tail);

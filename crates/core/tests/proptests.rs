@@ -426,10 +426,11 @@ proptest! {
         accurate in any::<bool>(),
     ) {
         // Small integer matrices. For N <= 10 the scaled product C'' fits
-        // the fold's exact window (c1 and q·P1 share enough ulp headroom)
-        // and the result is bit-exact; for larger N the final FMA chain of
-        // line 11 rounds once at the C'' magnitude, so the contract is
-        // "within 2 ulp of the true integer".
+        // the fold's exact window (c1 and q·P1 share enough ulp headroom,
+        // so fma(-P1, Q, c1) is exact and line 11's one rounding at the
+        // C'' magnitude is the final `+`) and the result is bit-exact; for
+        // larger N that rounding can show, so the contract is "within a
+        // few ulp of the true integer".
         let (m, n, k) = (6usize, 5usize, 9usize);
         let mut s = seed | 1;
         let mut next = move || {
