@@ -484,21 +484,51 @@ proptest! {
 
     #[test]
     fn sgemm_dgemm_consistent_on_f32_inputs(seed in any::<u64>(), nmod in 6usize..=12) {
-        // Running f32 data through sgemm must give (after widening) the
-        // same result as widening first and running dgemm with the same
-        // constants ... up to the output rounding to f32.
+        // `sgemm` on f32 data must agree with the exact product of the
+        // widened data entry by entry, within the error the scheme itself
+        // allows. Relative error per entry is not that bound: an entry that
+        // cancels can be arbitrarily small next to its terms.
+        //
+        // Derivation. Line 1 picks exponents e_i (rows of A), f_j (columns
+        // of B); lines 2-3 truncate toward zero, so a~ = trunc(a·2^e_i)·2^-e_i
+        // has |a~| <= |a| and |a - a~| < 2^-e_i (likewise b~, 2^-f_j). Then
+        //   |(A~B~ - AB)_ij| = |Σ_h a~(b~ - b) + (a~ - a)b|
+        //                    <= 2^-f_j Σ_h |a_ih| + 2^-e_i Σ_h |b_hj| =: T.
+        // Lines 4-11 recover the integer A'B' exactly mod P, and condition
+        // (3) makes it the symmetric representative; the single-weight fold
+        // (s1 = w rounded to f64, FMA accumulation of N terms below
+        // N·255·P, one more rounding in the P1 correction) misses it by at
+        // most (N·255 + N²·255 + 2)·2^-53·P <= N²·2^-44·P, so line 12 adds
+        //   F = N²·2^-44·P·2^-(e_i + f_j).
+        // Rounding the result to f32 adds 2^-24 of its magnitude, and the
+        // f64 reference carries R = k·2^-52·(|A||B|)_ij. The sum
+        //   |c32 - exact| <= T + F + R + 2^-24·(|exact| + T + F + R)
+        // is the componentwise bound; T is the term that scales like
+        // predicted_error(N, k) times the row and column magnitudes.
         let (m, n, k) = (8usize, 8usize, 12usize);
         let a32 = gemm_dense::workload::phi_matrix_f32(m, k, 0.5, seed, 0);
         let b32 = gemm_dense::workload::phi_matrix_f32(k, n, 0.5, seed, 1);
         let c32 = Ozaki2::new(nmod, Mode::Fast).sgemm(&a32, &b32);
-        let exact = gemm_dense::gemm::gemm_f64_naive(
-            &a32.map(|x| x as f64),
-            &b32.map(|x| x as f64),
-        );
+        let (a, b) = (a32.map(|x| x as f64), b32.map(|x| x as f64));
+        let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
+        let c = constants(nmod);
+        let e = ozaki2::fast_scale_a_view(&a32.view(), c.p_fast);
+        let f = ozaki2::fast_scale_b_view(&b32.view(), c.p_fast);
+        let fold = (nmod * nmod) as f64 * 2f64.powi(-44) * c.p_big.to_f64();
         for i in 0..m {
             for j in 0..n {
-                let rel = ((c32[(i, j)] as f64 - exact[(i, j)]) / exact[(i, j)].abs().max(1e-20)).abs();
-                prop_assert!(rel < 1e-2, "({},{}) rel={}", i, j, rel);
+                let row_a: f64 = (0..k).map(|h| a[(i, h)].abs()).sum();
+                let col_b: f64 = (0..k).map(|h| b[(h, j)].abs()).sum();
+                let abs_ab: f64 = (0..k).map(|h| (a[(i, h)] * b[(h, j)]).abs()).sum();
+                let t = 2f64.powi(-f[j]) * row_a + 2f64.powi(-e[i]) * col_b;
+                let fl = fold * 2f64.powi(-e[i] - f[j]);
+                let r = k as f64 * 2f64.powi(-52) * abs_ab;
+                let bound = t + fl + r + 2f64.powi(-24) * (exact[(i, j)].abs() + t + fl + r);
+                let err = (c32[(i, j)] as f64 - exact[(i, j)]).abs();
+                prop_assert!(
+                    err <= bound,
+                    "({},{}) N={}: err {:e} > bound {:e}", i, j, nmod, err, bound
+                );
             }
         }
     }
