@@ -167,7 +167,7 @@ impl Kernel for FoldSpan<'_> {
             let lanes = |s: usize| -> &[u8; FOLD_LANES] {
                 u[s * plane + l0..s * plane + l0 + FOLD_LANES]
                     .try_into()
-                    .unwrap()
+                    .expect("the range is FOLD_LANES long")
             };
             let (mut c1, mut c2) = ([0.0f64; FOLD_LANES], [0.0f64; FOLD_LANES]);
             match s2 {

@@ -155,7 +155,7 @@ pub fn rmod_row(xs: &[f64], dst: &mut [i8], p: f64, p32: f32, pinv64: f64, pinv3
     // One closure per step count keeps each body small enough for LLVM
     // to inline into every level's copy.
     match steps {
-        1 => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 1)),
+        0 | 1 => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 1)),
         2 => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 2)),
         _ => dispatch(|| rmod_row_scalar(xs, dst, p, p32, pinv64, pinv32, 3)),
     }
