@@ -773,6 +773,21 @@ mod tests {
     }
 
     #[test]
+    fn accurate_mode_estimate_exact_past_2_pow_19() {
+        // Ā·B̄ of all-64 magnitudes totals 4096·k: at k = 2^19 a single
+        // i32 block reaches 2^31 and wraps, which once clamped the row
+        // estimate to 1 and scaled the operands far past the budget.
+        for k in [(1 << 19) - 64, 1 << 19, (1 << 19) + 64] {
+            let a = MatF64::from_fn(1, k, |_, _| 1.9999999);
+            let b = MatF64::from_fn(k, 1, |_, _| 1.9999999);
+            let exact = k as f64 * 1.9999999f64 * 1.9999999;
+            let got = Ozaki2::new(15, Mode::Accurate).dgemm(&a, &b)[(0, 0)];
+            let err = ((got - exact) / exact).abs();
+            assert!(err < 1e-12, "k={k}: relative error {err:e}");
+        }
+    }
+
+    #[test]
     fn deterministic() {
         let a = phi_matrix_f64(16, 16, 1.0, 9, 0);
         let b = phi_matrix_f64(16, 16, 1.0, 9, 1);

@@ -256,8 +256,9 @@ pub fn accurate_scale_view<T: Element>(
     });
 
     // C̄ = Ā·B̄ estimates Σ|a||b| per (row, col) pair. Products are ≤ 4096,
-    // so the i32 accumulator is exact for k ≤ 2^19; block above that.
-    const K_EST_BLOCK: usize = 1 << 19;
+    // so a 2^18-deep block totals at most 2^30 and its i32 accumulator is
+    // exact (a 2^19 block can reach 2^31 and wrap); block above that.
+    const K_EST_BLOCK: usize = 1 << 18;
     let c_bar: Matrix<i64> = if k <= K_EST_BLOCK {
         int8_gemm(&a_bar, &b_bar).map(|x| x as i64)
     } else {
