@@ -11,7 +11,7 @@
 //! exactly the >2x advantage the paper reports for Scheme II.
 
 use gemm_dense::{MatF64, MatMulF64, Matrix};
-use gemm_engine::int8_gemm_rm_cm;
+use gemm_engine::{int8_gemm_blocked, Int8Workspace};
 use rayon::prelude::*;
 
 /// Bits per significand slice (7 magnitude bits fit INT8 with sign).
@@ -70,12 +70,13 @@ impl OzImmu {
         // Accumulate 2^(-7(st+tt+2)) * A_st * B_tt for st + tt <= S - 1,
         // most-significant pairs last so the f64 additions favour accuracy.
         let mut c32 = vec![0i32; m * n];
+        let mut ws = Int8Workspace::new();
         let mut pairs: Vec<(usize, usize)> = (0..s)
             .flat_map(|st| (0..s - st).map(move |tt| (st, tt)))
             .collect();
         pairs.sort_by_key(|&(st, tt)| std::cmp::Reverse(st + tt));
         for (st, tt) in pairs {
-            int8_gemm_rm_cm(m, n, k, &a_slices[st], &b_slices[tt], &mut c32);
+            int8_gemm_blocked(m, n, k, &a_slices[st], &b_slices[tt], &mut c32, &mut ws);
             let scale_exp = -(SLICE_BITS * (st as i32 + tt as i32 + 2));
             let c_data = c.as_mut_slice();
             c_data

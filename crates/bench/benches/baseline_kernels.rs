@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gemm_dense::Philox4x32;
+use gemm_engine::barrett_mod_u8;
 use gemm_lowfp::{Tf32, BF16, F16};
 use ozaki2::constants;
 use ozaki2::convert::rmod_to_i8;
-use ozaki2::modred::mod_i32_to_u8;
 
 const LEN: usize = 1 << 16;
 
@@ -50,8 +50,10 @@ fn bench_mulhi_mod(c: &mut Criterion) {
         bench.iter(|| {
             let mut acc = 0u32;
             for &x in &xs {
-                acc = acc
-                    .wrapping_add(mod_i32_to_u8(x, consts.p[1] as i32, consts.p_inv_u32[1]) as u32);
+                acc =
+                    acc.wrapping_add(
+                        barrett_mod_u8(x, consts.p[1] as i32, consts.p_inv_u32[1]) as u32
+                    );
             }
             acc
         });

@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gemm_engine::{
-    int8_gemm_blocked, int8_gemm_fused, int8_gemm_rm_cm_scalar, Int8Workspace, NoEpilogue,
+    int8_gemm_blocked, int8_gemm_prepacked_fused, int8_gemm_rm_cm_scalar, pack_panels,
+    padded_a_rows, padded_b_cols, padded_depth, Int8Workspace, NoEpilogue,
 };
 
 fn pattern_vec(len: usize, salt: usize) -> Vec<i8> {
@@ -14,7 +15,8 @@ fn pattern_vec(len: usize, salt: usize) -> Vec<i8> {
         .collect()
 }
 
-/// The blocked kernel on one thread: no epilogue, `parallel = false`.
+/// The blocked kernel on one thread: pack both operands into `packs`,
+/// then one serial engine call with no epilogue.
 fn blocked_1t(
     m: usize,
     n: usize,
@@ -22,9 +24,24 @@ fn blocked_1t(
     a: &[i8],
     b: &[i8],
     c: &mut [i32],
-    ws: &mut Int8Workspace,
+    packs: &mut (Vec<i8>, Vec<i8>),
 ) {
-    int8_gemm_fused(m, n, k, a, k, b, k, c, &mut [], &NoEpilogue, ws, false);
+    let kp = padded_depth(k);
+    pack_panels(&mut packs.0, a, k, m, padded_a_rows(m), k, kp);
+    pack_panels(&mut packs.1, b, k, n, padded_b_cols(n), k, kp);
+    int8_gemm_prepacked_fused(
+        m,
+        n,
+        k,
+        &packs.0,
+        &packs.1,
+        kp,
+        0,
+        c,
+        &mut [],
+        &NoEpilogue,
+        false,
+    );
 }
 
 fn bench_square(c: &mut Criterion) {
@@ -34,10 +51,11 @@ fn bench_square(c: &mut Criterion) {
         let a = pattern_vec(n * n, 1);
         let b = pattern_vec(n * n, 2);
         let mut cbuf = vec![0i32; n * n];
+        let mut packs = (Vec::new(), Vec::new());
         let mut ws = Int8Workspace::new();
         group.throughput(Throughput::Elements(2 * (n * n * n) as u64));
         group.bench_with_input(BenchmarkId::new("blocked-1T", n), &n, |bench, _| {
-            bench.iter(|| blocked_1t(n, n, n, &a, &b, &mut cbuf, &mut ws));
+            bench.iter(|| blocked_1t(n, n, n, &a, &b, &mut cbuf, &mut packs));
         });
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
             bench.iter(|| int8_gemm_blocked(n, n, n, &a, &b, &mut cbuf, &mut ws));
@@ -58,10 +76,10 @@ fn bench_tall_k(c: &mut Criterion) {
         let a = pattern_vec(m * k, 3);
         let b = pattern_vec(k * m, 4);
         let mut cbuf = vec![0i32; m * m];
-        let mut ws = Int8Workspace::new();
+        let mut packs = (Vec::new(), Vec::new());
         group.throughput(Throughput::Elements(2 * (m * m * k) as u64));
         group.bench_with_input(BenchmarkId::new("blocked-1T", k), &k, |bench, _| {
-            bench.iter(|| blocked_1t(m, m, k, &a, &b, &mut cbuf, &mut ws));
+            bench.iter(|| blocked_1t(m, m, k, &a, &b, &mut cbuf, &mut packs));
         });
         group.bench_with_input(BenchmarkId::new("scalar-seed", k), &k, |bench, _| {
             bench.iter(|| int8_gemm_rm_cm_scalar(m, m, k, &a, &b, &mut cbuf));

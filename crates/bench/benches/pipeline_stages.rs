@@ -3,15 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gemm_dense::workload::phi_matrix_f64;
-use gemm_engine::{padded_a_rows, padded_depth};
+use gemm_engine::{
+    barrett_mod_row_u8, int8_gemm_blocked, padded_a_rows, padded_depth, Int8Workspace,
+};
 use ozaki2::accumulate::{fold_planes, fold_span_scalar, FoldPrecision};
 use ozaki2::constants;
 use ozaki2::convert::{
     convert_pack_panels, residue_planes, trunc_convert_pack_panels, TruncSource,
 };
-use ozaki2::modred::reduce_plane;
 use ozaki2::scale::{
-    accurate_scale, fast_scale_cols, fast_scale_rows, scale_trunc_a_rowmajor,
+    accurate_scale_view, fast_scale_cols, fast_scale_rows, scale_trunc_a_rowmajor,
     scale_trunc_b_colmajor,
 };
 
@@ -34,7 +35,7 @@ fn bench_phases(c: &mut Criterion) {
         });
     });
     group.bench_function("scale_accurate (line 1)", |bench| {
-        bench.iter(|| accurate_scale(&a, &b, consts.p_accu));
+        bench.iter(|| accurate_scale_view(&a.view(), &b.view(), consts.p_accu));
     });
 
     let exps_a = fast_scale_rows(&a, consts.p_fast);
@@ -90,13 +91,15 @@ fn bench_phases(c: &mut Criterion) {
     let mut b8 = vec![0i8; NMOD * N * N];
     residue_planes(&bprime, consts, true, &mut b8);
     let mut c32 = vec![0i32; N * N];
+    let mut ws = Int8Workspace::new();
     group.bench_function("int8_gemm x1 (line 6)", |bench| {
-        bench.iter(|| gemm_engine::int8_gemm_rm_cm(N, N, N, &a8[..N * N], &b8[..N * N], &mut c32));
+        bench.iter(|| int8_gemm_blocked(N, N, N, &a8[..N * N], &b8[..N * N], &mut c32, &mut ws));
     });
 
     let mut u = vec![0u8; NMOD * N * N];
+    let (p0, pinv0) = (consts.p[0] as i32, consts.p_inv_u32[0]);
     group.bench_function("mod_reduce x1 (line 7)", |bench| {
-        bench.iter(|| reduce_plane(&c32, consts.p[0], consts.p_inv_u32[0], &mut u[..N * N]));
+        bench.iter(|| barrett_mod_row_u8(&c32, &mut u[..N * N], p0, pinv0));
     });
 
     let mut out = vec![0f64; N * N];

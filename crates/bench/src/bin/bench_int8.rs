@@ -45,8 +45,9 @@ use gemm_bench::report::Args;
 use gemm_dense::workload::phi_matrix_f64;
 use gemm_dense::{MatF64, Matrix};
 use gemm_engine::{
-    int8_gemm_blocked, int8_gemm_fused, int8_gemm_rm_cm_scalar, microkernel_name, mod_kernel_name,
-    padded_a_rows, padded_depth, Int8Workspace, NoEpilogue,
+    int8_gemm_blocked, int8_gemm_prepacked_fused, int8_gemm_rm_cm_scalar, microkernel_name,
+    mod_kernel_name, pack_panels, padded_a_rows, padded_b_cols, padded_depth, Int8Workspace,
+    NoEpilogue,
 };
 use ozaki2::accumulate::{fold_kernel_name, fold_planes, FoldPrecision};
 use ozaki2::convert::{convert_kernel_name, convert_pack_panels, rmod_to_i8, steps_for};
@@ -91,19 +92,23 @@ fn main() {
     let mut c_scalar = vec![0i32; n * n];
     let mut ws = Int8Workspace::new();
 
+    // blocked-1T: pack both operands, then one serial engine call.
+    let kp = padded_depth(n);
+    let (mut apack, mut bpack) = (Vec::new(), Vec::new());
     let t_seq = time_best(reps, || {
-        int8_gemm_fused(
+        pack_panels(&mut apack, &a, n, n, padded_a_rows(n), n, kp);
+        pack_panels(&mut bpack, &b, n, n, padded_b_cols(n), n, kp);
+        int8_gemm_prepacked_fused(
             n,
             n,
             n,
-            &a,
-            n,
-            &b,
-            n,
+            &apack,
+            &bpack,
+            kp,
+            0,
             &mut c_blocked,
             &mut [],
             &NoEpilogue,
-            &mut ws,
             false,
         )
     });

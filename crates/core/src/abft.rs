@@ -1,8 +1,8 @@
-//! Algorithm 1 lines 6–12 over packed panels (`execute_panels`, the one
+//! Algorithm 1 lines 6–7 over packed panels (`execute_panels`, the one
 //! executor every entry runs) and its ABFT fault tolerance: checksum
 //! construction, per-plane verification, and the recovery state machine.
-//! Under [`FaultPolicy::Off`] the executor runs only the plane GEMMs and
-//! the fold — none of the machinery below.
+//! Under [`FaultPolicy::Off`] the executor runs only the plane GEMMs —
+//! none of the machinery below.
 //!
 //! The scheme's inner loop is **exact integer arithmetic mod `p`**, so
 //! Huang–Abraham checksums hold *bitwise*: for every residue plane
@@ -50,13 +50,13 @@
 
 use crate::consts::Constants;
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
-use crate::modred::finalize_block_residues;
 use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    cap_scope, dispatch, int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth,
-    AccumulateEpilogue, Isa, ReduceEpilogue, PV,
+    barrett_mod_row_u8, cap_scope, dispatch, engine_isa, int8_gemm_prepacked_fused, padded_a_rows,
+    padded_b_cols, padded_depth, AccumulateEpilogue, Isa, ReduceEpilogue, PV,
 };
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -422,8 +422,9 @@ fn verify_plane(
 /// Algorithm 1 lines 6–7 for one residue plane (or column stripe
 /// thereof): the INT8 GEMM with fused mod-`p` reduction, k-blocked past
 /// [`K_BLOCK_MAX`] (§4.3: each block's residues accumulate in i32 and are
-/// reduced once more at the end; every block is a PK-aligned depth window
-/// of the same panels). The only engine call site of this crate.
+/// reduced once more at the end, split over the workers; every block is a
+/// PK-aligned depth window of the same panels). With the accurate-mode
+/// estimate in [`crate::scale`], one of the crate's two engine call sites.
 /// `a_panels` / `b_panels` start at the operand's (sub)panel origin;
 /// `u_out` is the `m * n` destination. With `phases`, each engine call's
 /// time is split into `int8_gemm` and `mod_reduce` (the slowest stripe's
@@ -480,7 +481,16 @@ fn plane_gemm(
         h0 += kb;
     }
     let t0 = Instant::now();
-    finalize_block_residues(racc, p, pinv, u_out);
+    // The caller's level, pinned on whichever thread reduces a chunk.
+    let level = engine_isa();
+    const CHUNK: usize = 16 * 1024;
+    u_out[..m * n]
+        .par_chunks_mut(CHUNK)
+        .zip(racc.par_chunks(CHUNK))
+        .for_each(|(dst, src)| {
+            let _cap = cap_scope(level);
+            barrett_mod_row_u8(src, dst, p as i32, pinv);
+        });
     if let Some(ph) = phases {
         ph.mod_reduce += t0.elapsed();
     }
@@ -488,7 +498,7 @@ fn plane_gemm(
 }
 
 // ---------------------------------------------------------------------------
-// The lines-6–12 executor
+// The lines-6–7 executor
 // ---------------------------------------------------------------------------
 
 /// Scratch bundle for [`execute_panels`] (the non-panel slices of
@@ -505,10 +515,11 @@ pub(crate) struct ExecScratch<'w> {
     pub vsum: &'w mut [u32],
 }
 
-/// Algorithm 1 lines 6–12 over already-packed residue panels, the back
+/// Algorithm 1 lines 6–7 over already-packed residue panels, the back
 /// half of the one Algorithm-1 body (`facade::algorithm1`): the `N`
-/// plane GEMMs with fused modular reduction ([`plane_gemm`]), then the
-/// CRT fold with inverse scaling.
+/// plane GEMMs with fused modular reduction ([`plane_gemm`]) into the
+/// residue planes `scratch.u`, which the body's caller then folds
+/// (lines 8–12).
 ///
 /// Under [`FaultPolicy::Off`] that is all it does. An active policy adds,
 /// per plane: the checksum vectors and both reference products
@@ -527,12 +538,9 @@ pub(crate) fn execute_panels(
     b64: bool,
     mut a: PanelsRef<'_>,
     mut b: PanelsRef<'_>,
-    exps_a: &[i32],
-    exps_b: &[i32],
     scratch: ExecScratch<'_>,
     parallel: bool,
     policy: FaultPolicy,
-    out: &mut [f64],
     phases: &mut PhaseTimes,
 ) -> (usize, FaultReport) {
     let nmod = consts.n;
@@ -766,18 +774,6 @@ pub(crate) fn execute_panels(
         phases.verify += tv.elapsed();
     }
 
-    // ---- Lines 8–12: fold -------------------------------------------------
-    // fold_planes' internal column parallelism nests safely inside an
-    // inter-GEMM worker (nested regions run sequentially on the worker),
-    // and its output is bit-identical for every split.
-    let t0 = Instant::now();
-    let precision = if b64 {
-        crate::accumulate::FoldPrecision::Double
-    } else {
-        crate::accumulate::FoldPrecision::Single
-    };
-    crate::accumulate::fold_planes(u, m, n, consts, precision, exps_a, exps_b, out);
-    phases.fold = t0.elapsed();
     (gemm_calls, report)
 }
 

@@ -294,4 +294,47 @@ mod tests {
             }
         }
     }
+
+    /// Assert `gemm_engine::barrett_mod_u8` (the line-7 reduction every
+    /// engine epilogue and the k-blocked finalize run) equals `rem_euclid`
+    /// at `x` for every modulus of the pool, with the pipeline's
+    /// reciprocals.
+    fn assert_barrett_mod(x: i32) {
+        let c = constants(N_MAX);
+        for (&p, &pinv) in c.p.iter().zip(&c.p_inv_u32) {
+            assert_eq!(
+                gemm_engine::barrett_mod_u8(x, p as i32, pinv) as i64,
+                (x as i64).rem_euclid(p as i64),
+                "x={x} p={p}"
+            );
+        }
+    }
+
+    #[test]
+    fn barrett_mod_matches_rem_euclid_sampled() {
+        // Large prime stride: ~41k samples across the full i32 range.
+        for x in (i32::MIN as i64..=i32::MAX as i64).step_by(104_729) {
+            assert_barrett_mod(x as i32);
+        }
+    }
+
+    #[test]
+    fn barrett_mod_matches_rem_euclid_boundaries() {
+        for &x in &[i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX] {
+            assert_barrett_mod(x);
+        }
+        for &p in constants(N_MAX).p.iter() {
+            let p = p as i32;
+            for x in [-p * 7, -p - 1, -p, p - 1, p, p + 1] {
+                assert_barrett_mod(x);
+            }
+        }
+    }
+
+    #[test]
+    fn barrett_mod_exhaustive_small_window_every_modulus() {
+        for x in -100_000i32..100_000 {
+            assert_barrett_mod(x);
+        }
+    }
 }

@@ -18,6 +18,7 @@
 //!   reaches the target).
 
 use crate::abft::{execute_panels, ExecScratch, FaultPolicy, FaultReport, PanelsRef};
+use crate::accumulate::{fold_planes, FoldPrecision};
 use crate::blas::GemmOp;
 use crate::consts::{constants, Constants};
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
@@ -221,16 +222,16 @@ impl Ozaki2 {
                 &mut local
             }
         };
+        let consts = constants(self.n_moduli());
         let rep = algorithm1(
             self,
             OperandInput::View(a),
             OperandInput::View(b),
             ws,
             true,
-            alpha,
-            beta,
-            out,
             fault_policy.unwrap_or(self.fault_policy()),
+            out.shape(),
+            |planes| fold_into_view(planes, consts, alpha, beta, out),
         )?;
         if let Some(sink) = report {
             *sink = Some(rep.clone());
@@ -385,19 +386,30 @@ fn side_panels<'p, T: Element>(
     }
 }
 
+/// What the Algorithm-1 body hands its caller's lines-8–12 fold: the `N`
+/// UINT8 residue planes `U_s` (plane-major, each `m × n` column-major),
+/// both sides' scale exponents, and the workspace's grow-only f64 staging
+/// buffer for a fold that cannot write its output directly.
+pub(crate) struct FoldInput<'f> {
+    pub u: &'f [u8],
+    pub exps_a: &'f [i32],
+    pub exps_b: &'f [i32],
+    pub stage: &'f mut Vec<f64>,
+}
+
 /// Algorithm 1, the one body behind every entry ([`Ozaki2::gemm_into`],
-/// [`Ozaki2::execute`], and through them every wrapper and the batched
-/// runtime): `out ← alpha · A · B + beta · out`.
+/// [`Ozaki2::execute`], [`crate::dgemm_dd`], and through them every
+/// wrapper and the batched runtime).
 ///
 /// Each operand is a [`MatView`] — its front end (lines 1–5) runs into
 /// the workspace panels — or a [`crate::PreparedOperand`] whose cached panels
-/// are borrowed. Shapes come from the operands and `out`; view operands
-/// are scanned for non-finite entries. The fold writes
-/// straight into `out` on the plain contiguous f64 path; otherwise it
-/// lands in the workspace staging buffer and the `alpha`/`beta` epilogue
-/// (or the exact f32 narrowing) runs per column. Lines 6–12 run in
-/// [`execute_panels`], with checksums, verification and recovery only
-/// under an active `policy`.
+/// are borrowed. Shapes come from the operands; `out_shape` must be
+/// `(m, n)`, and view operands are scanned for non-finite entries. Lines
+/// 6–7 run in [`execute_panels`], with checksums, verification and
+/// recovery only under an active `policy`. Lines 8–12 are the caller's:
+/// `fold` receives the residue planes and exponents (timed as
+/// [`PhaseTimes::fold`]), or `None` when the product is empty (`m`, `n`
+/// or `k` zero) and its value is zero.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn algorithm1<T: Element>(
     emu: &Ozaki2,
@@ -405,10 +417,9 @@ pub(crate) fn algorithm1<T: Element>(
     b: OperandInput<'_, T>,
     ws: &mut Workspace,
     parallel: bool,
-    alpha: T,
-    beta: T,
-    mut out: MatViewMut<'_, T>,
     policy: FaultPolicy,
+    out_shape: (usize, usize),
+    fold: impl FnOnce(Option<FoldInput<'_>>),
 ) -> Result<EmulationReport, EmulationError> {
     let (n_moduli, mode) = (emu.n_moduli(), emu.mode());
     check_n::<T>(n_moduli)?;
@@ -423,7 +434,7 @@ pub(crate) fn algorithm1<T: Element>(
     }
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
-    if kb != k || out.shape() != (m, n) {
+    if kb != k || out_shape != (m, n) {
         return Err(EmulationError::ShapeMismatch);
     }
     for (input, side) in [(&a, OperandSide::A), (&b, OperandSide::B)] {
@@ -434,20 +445,11 @@ pub(crate) fn algorithm1<T: Element>(
     let consts: &Constants = constants(n_moduli);
     let predicted_error = nselect::predicted_error(n_moduli, k);
     let nmod = consts.n;
-    let plain = alpha == T::ONE && beta == T::ZERO;
     let mut phases = PhaseTimes::default();
     let mut gemm_calls = 0usize;
 
     if m == 0 || n == 0 || k == 0 {
-        for j in 0..n {
-            for c in out.col_mut(j) {
-                *c = if plain {
-                    T::ZERO
-                } else {
-                    alpha * T::ZERO + beta * *c
-                };
-            }
-        }
+        fold(None);
         return Ok(EmulationReport {
             shape: (m, n, k),
             n_moduli: nmod,
@@ -480,10 +482,6 @@ pub(crate) fn algorithm1<T: Element>(
         ws.reserve_b(n, k, nmod);
     }
     ws.reserve_exec(m, n, k, nmod);
-    let direct_fold = plain && out.is_contiguous_col_major() && T::IS_F64;
-    if !direct_fold {
-        ws.reserve_stage(m * n);
-    }
     if policy.is_active() {
         ws.reserve_abft(m, n, k, nmod);
     }
@@ -527,17 +525,7 @@ pub(crate) fn algorithm1<T: Element>(
     let a_ref = side_panels(&a, OperandSide::A, &exps_a, a8, nmod);
     let b_ref = side_panels(&b, OperandSide::B, &exps_b, b8, nmod);
 
-    // ---- Lines 6–12 over the packed panels -------------------------------
-    let dst_direct = if direct_fold {
-        out.as_col_major_slice_mut().and_then(T::as_f64_slice_mut)
-    } else {
-        None
-    };
-    let staged = dst_direct.is_none();
-    let dst: &mut [f64] = match dst_direct {
-        Some(slice) => &mut slice[..m * n],
-        None => &mut cstage[..m * n],
-    };
+    // ---- Lines 6–7 over the packed panels --------------------------------
     let (calls, report) = execute_panels(
         m,
         n,
@@ -546,10 +534,8 @@ pub(crate) fn algorithm1<T: Element>(
         T::IS_F64,
         a_ref,
         b_ref,
-        &exps_a,
-        &exps_b,
         ExecScratch {
-            u,
+            u: &mut u[..],
             c32,
             racc,
             chk_a8,
@@ -560,31 +546,19 @@ pub(crate) fn algorithm1<T: Element>(
         },
         parallel,
         policy,
-        dst,
         &mut phases,
     );
     gemm_calls += calls;
-    let fault = policy.is_active().then_some(report);
-    if staged {
-        // Narrow / scale / scatter into the output view. Counted as fold:
-        // it is the tail of lines 8–12 for these output shapes.
-        let t0 = Instant::now();
-        let stage = &cstage[..m * n];
-        for j in 0..n {
-            let col = out.col_mut(j);
-            let stage_col = &stage[j * m..(j + 1) * m];
-            if plain {
-                for (c, &p) in col.iter_mut().zip(stage_col) {
-                    *c = T::from_f64(p);
-                }
-            } else {
-                for (c, &p) in col.iter_mut().zip(stage_col) {
-                    *c = alpha * T::from_f64(p) + beta * *c;
-                }
-            }
-        }
-        phases.fold += t0.elapsed();
-    }
+
+    // ---- Lines 8–12: the caller's fold -----------------------------------
+    let t0 = Instant::now();
+    fold(Some(FoldInput {
+        u: &u[..nmod * m * n],
+        exps_a: &exps_a,
+        exps_b: &exps_b,
+        stage: cstage,
+    }));
+    phases.fold = t0.elapsed();
 
     let report = EmulationReport {
         shape: (m, n, k),
@@ -593,10 +567,87 @@ pub(crate) fn algorithm1<T: Element>(
         predicted_error,
         phases,
         int8_gemm_calls: gemm_calls,
-        fault,
+        fault: policy.is_active().then_some(report),
     };
     crate::pipeline::obs_record_report(obs_start, &report);
     Ok(report)
+}
+
+/// Lines 8–12 into an output view, the fold of [`Ozaki2::gemm_into`] and
+/// [`Ozaki2::execute`]: `out ← alpha · A·B + beta · out`. The plain
+/// contiguous f64 product folds straight into `out`; every other output
+/// folds into the staging buffer, then the `alpha`/`beta` epilogue (or
+/// the exact f32 narrowing) scatters it per column. An empty product
+/// (`None`) leaves `alpha · 0 + beta · out`. `fold_planes`' column
+/// parallelism nests safely inside an inter-GEMM worker (nested regions
+/// run sequentially there) and its output is bit-identical for every
+/// split.
+pub(crate) fn fold_into_view<T: Element>(
+    planes: Option<FoldInput<'_>>,
+    consts: &Constants,
+    alpha: T,
+    beta: T,
+    mut out: MatViewMut<'_, T>,
+) {
+    let plain = alpha == T::ONE && beta == T::ZERO;
+    let (m, n) = out.shape();
+    let Some(FoldInput {
+        u,
+        exps_a,
+        exps_b,
+        stage,
+    }) = planes
+    else {
+        for j in 0..n {
+            for c in out.col_mut(j) {
+                *c = if plain {
+                    T::ZERO
+                } else {
+                    alpha * T::ZERO + beta * *c
+                };
+            }
+        }
+        return;
+    };
+    let precision = if T::IS_F64 {
+        FoldPrecision::Double
+    } else {
+        FoldPrecision::Single
+    };
+    if plain && T::IS_F64 {
+        if let Some(dst) = out.as_col_major_slice_mut().and_then(T::as_f64_slice_mut) {
+            fold_planes(
+                u,
+                m,
+                n,
+                consts,
+                precision,
+                exps_a,
+                exps_b,
+                &mut dst[..m * n],
+            );
+            return;
+        }
+    }
+    if stage.len() < m * n {
+        stage.resize(m * n, 0.0);
+    }
+    let stage = &mut stage[..m * n];
+    fold_planes(u, m, n, consts, precision, exps_a, exps_b, stage);
+    // Narrow / scale / scatter into the output view.
+    for j in 0..n {
+        let col = out.col_mut(j);
+        let stage_col = &stage[j * m..(j + 1) * m];
+        if plain {
+            for (c, &p) in col.iter_mut().zip(stage_col) {
+                *c = T::from_f64(p);
+            }
+        } else {
+            for (c, &p) in col.iter_mut().zip(stage_col) {
+                *c = alpha * T::from_f64(p) + beta * *c;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

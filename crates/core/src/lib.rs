@@ -40,7 +40,6 @@ pub mod convert;
 pub mod element;
 pub mod facade;
 pub mod mixed;
-pub mod modred;
 pub mod moduli;
 pub mod nselect;
 pub mod pipeline;
@@ -62,8 +61,7 @@ pub use gemm_obs::TimeShare;
 pub use mixed::{dgemm_dd, gemm_f32xf64, gemm_f64xf32};
 pub use moduli::{moduli, MODULI, N_MAX, N_MAX_SGEMM};
 pub use nselect::{
-    auto_emulator, choose_n, choose_n_checked, n_for_dgemm_level, n_for_sgemm_level,
-    predicted_error,
+    choose_n, choose_n_checked, n_for_dgemm_level, n_for_sgemm_level, predicted_error,
 };
 pub use pipeline::{
     EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, K_BLOCK_MAX,

@@ -13,103 +13,74 @@
 //!   exactly; its scale budget is identical).
 
 use crate::consts::constants;
-use crate::convert::residue_planes;
-use crate::modred::reduce_plane;
-use crate::pipeline::{Mode, K_BLOCK_MAX};
-use crate::scale::{
-    accurate_scale, fast_scale_cols, fast_scale_rows, scale_by_pow2, scale_trunc_a_rowmajor,
-    scale_trunc_b_colmajor,
-};
+use crate::facade::{algorithm1, FoldInput};
+use crate::pipeline::{Mode, Ozaki2, Workspace};
+use crate::prepared::OperandInput;
+use crate::scale::scale_by_pow2;
 use gemm_dense::{MatF32, MatF64, Matrix};
-use gemm_engine::int8_gemm_rm_cm;
 use gemm_exact::Dd;
 use rayon::prelude::*;
 
 /// Emulated product with a double-double result: `C ≈ A·B` to ~`2·p_fast`
 /// bits (beyond FP64 for large `N`).
 ///
+/// Lines 1–7 are the one Algorithm-1 body every entry runs (fused, parallel
+/// front end; `k`-blocked past [`crate::K_BLOCK_MAX`]; the fault policy
+/// [`Ozaki2::new`] gives the emulator); only the fold differs.
+///
 /// # Panics
-/// On shape mismatch, non-finite input, or `k > 2^17` (the extension does
-/// not implement blocking; use [`crate::Ozaki2`] for huge `k`).
+/// On shape mismatch or non-finite input.
 pub fn dgemm_dd(a: &MatF64, b: &MatF64, n_moduli: usize, mode: Mode) -> Matrix<Dd> {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "inner dimensions must agree");
-    assert!(k <= K_BLOCK_MAX, "k > 2^17 unsupported in the DD extension");
-    assert!(
-        a.iter().all(|x| x.is_finite()) && b.iter().all(|x| x.is_finite()),
-        "inputs must be finite"
-    );
+    let emu = Ozaki2::new(n_moduli, mode);
     let consts = constants(n_moduli);
-    let nmod = consts.n;
-    let plane = m * n;
+    let (m, n) = (a.rows(), b.cols());
     let mut out = Matrix::<Dd>::zeros(m, n);
-    if plane == 0 || k == 0 {
-        return out;
-    }
-
-    let (exps_a, exps_b) = match mode {
-        Mode::Fast => (
-            fast_scale_rows(a, consts.p_fast),
-            fast_scale_cols(b, consts.p_fast),
-        ),
-        Mode::Accurate => accurate_scale(a, b, consts.p_accu),
-    };
-    let mut aprime = vec![0f64; m * k];
-    scale_trunc_a_rowmajor(a, &exps_a, &mut aprime);
-    let mut bprime = vec![0f64; k * n];
-    scale_trunc_b_colmajor(b, &exps_b, &mut bprime);
-
-    let mut a8 = vec![0i8; nmod * m * k];
-    residue_planes(&aprime, consts, true, &mut a8);
-    let mut b8 = vec![0i8; nmod * k * n];
-    residue_planes(&bprime, consts, true, &mut b8);
-
-    let mut u = vec![0u8; nmod * plane];
-    let mut c32 = vec![0i32; plane];
-    for s in 0..nmod {
-        int8_gemm_rm_cm(
-            m,
-            n,
-            k,
-            &a8[s * m * k..(s + 1) * m * k],
-            &b8[s * k * n..(s + 1) * k * n],
-            &mut c32,
-        );
-        reduce_plane(
-            &c32,
-            consts.p[s],
-            consts.p_inv_u32[s],
-            &mut u[s * plane..(s + 1) * plane],
-        );
-    }
-
-    // DD fold: c = Σ (s1 + s2)·u - P·Q, everything in double-double.
-    let p_dd = Dd::renorm(consts.p1, consts.p2);
-    out.as_mut_slice()
-        .par_chunks_mut(m)
-        .enumerate()
-        .for_each(|(j, out_col)| {
-            let col_off = j * m;
-            for (i, o) in out_col.iter_mut().enumerate() {
-                let idx = col_off + i;
-                let mut c1 = 0.0f64; // exact by the β construction
-                let mut c2 = Dd::ZERO;
-                for s in 0..nmod {
-                    let us = u[s * plane + idx] as f64;
-                    c1 += consts.s1[s] * us;
-                    c2 = c2.fma_acc(consts.s2[s], us);
+    let fold = |planes: Option<FoldInput<'_>>| {
+        let Some(FoldInput {
+            u, exps_a, exps_b, ..
+        }) = planes
+        else {
+            return;
+        };
+        // DD fold: c = Σ (s1 + s2)·u - P·Q, everything in double-double.
+        let plane = m * n;
+        let p_dd = Dd::renorm(consts.p1, consts.p2);
+        out.as_mut_slice()
+            .par_chunks_mut(m)
+            .enumerate()
+            .for_each(|(j, out_col)| {
+                let col_off = j * m;
+                for (i, o) in out_col.iter_mut().enumerate() {
+                    let idx = col_off + i;
+                    let mut c1 = 0.0f64; // exact by the β construction
+                    let mut c2 = Dd::ZERO;
+                    for s in 0..consts.n {
+                        let us = u[s * plane + idx] as f64;
+                        c1 += consts.s1[s] * us;
+                        c2 = c2.fma_acc(consts.s2[s], us);
+                    }
+                    let q = (consts.p_inv * c1).round();
+                    let cpp = c2.add_f64(c1).sub(p_dd.mul_f64(q));
+                    let e = -(exps_a[i] + exps_b[j]);
+                    // Exact power-of-two scaling of both components.
+                    *o = Dd {
+                        hi: scale_by_pow2(cpp.hi, e),
+                        lo: scale_by_pow2(cpp.lo, e),
+                    };
                 }
-                let q = (consts.p_inv * c1).round();
-                let cpp = c2.add_f64(c1).sub(p_dd.mul_f64(q));
-                let e = -(exps_a[i] + exps_b[j]);
-                // Exact power-of-two scaling of both components.
-                *o = Dd {
-                    hi: scale_by_pow2(cpp.hi, e),
-                    lo: scale_by_pow2(cpp.lo, e),
-                };
-            }
-        });
+            });
+    };
+    algorithm1(
+        &emu,
+        OperandInput::View(a.view()),
+        OperandInput::View(b.view()),
+        &mut Workspace::new(),
+        true,
+        emu.fault_policy(),
+        (m, n),
+        fold,
+    )
+    .unwrap_or_else(|e| panic!("dgemm_dd: {e}"));
     out
 }
 
@@ -189,6 +160,30 @@ mod tests {
 
         let c2 = gemm_f32xf64(&b32.transpose(), &a.transpose(), 14, Mode::Fast);
         assert_eq!(c2.shape(), (n, m));
+    }
+
+    #[test]
+    fn dd_k_blocked_past_2_pow_17_is_exact_on_integers() {
+        // k past the block limit runs the k-blocked plane GEMMs; entries in
+        // {-1, 0, 1} make the exact product an integer the DD fold must hit.
+        let k = crate::K_BLOCK_MAX + 64;
+        let (m, n) = (2usize, 3usize);
+        let mut s = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 60) as i64 % 3 - 1) as f64
+        };
+        let a = Matrix::from_fn(m, k, |_, _| next());
+        let b = Matrix::from_fn(k, n, |_, _| next());
+        let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
+        for mode in [Mode::Fast, Mode::Accurate] {
+            let dd = dgemm_dd(&a, &b, 10, mode);
+            for (g, w) in dd.iter().zip(exact.iter()) {
+                assert_eq!((g.hi, g.lo), (*w, 0.0), "{mode:?}");
+            }
+        }
     }
 
     #[test]

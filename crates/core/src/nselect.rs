@@ -10,7 +10,7 @@
 
 use crate::consts::constants;
 use crate::moduli::{N_MAX, N_MAX_SGEMM};
-use crate::pipeline::{EmulationError, Mode};
+use crate::pipeline::EmulationError;
 
 /// Empirical offset calibrated against the Fig. 3 measurements (see the
 /// `prediction_tracks_measurement` test): the constant-factor gap between
@@ -61,15 +61,10 @@ pub fn n_for_sgemm_level(k: usize) -> usize {
     choose_n(2f64.powi(-23), k, true).expect("SGEMM level is reachable for supported k")
 }
 
-/// An emulator configured automatically from an accuracy target.
-pub fn auto_emulator(target: f64, k: usize, mode: Mode) -> Option<crate::Ozaki2> {
-    choose_n(target, k, false).map(|n| crate::Ozaki2::new(n, mode))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ozaki2;
+    use crate::{Accuracy, Mode, Ozaki2};
     use gemm_dense::norms::normwise_relative_error;
     use gemm_dense::workload::phi_matrix_f64;
 
@@ -155,7 +150,12 @@ mod tests {
         let b = phi_matrix_f64(k, n, 0.5, 23, 1);
         let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
         let target = 1e-8;
-        let emu = auto_emulator(target, k, Mode::Fast).unwrap();
+        let emu = Ozaki2::builder()
+            .accuracy(Accuracy::TargetError(target))
+            .k(k)
+            .mode(Mode::Fast)
+            .build()
+            .unwrap();
         let got = emu.dgemm(&a, &b);
         let err = normwise_relative_error(&got, &exact);
         assert!(

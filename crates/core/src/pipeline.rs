@@ -6,8 +6,9 @@
 //! [`Workspace`] and [`EmulationReport`] (the per-phase wall-clock
 //! breakdown used to regenerate Figs. 6–7), and the `dgemm`/`sgemm`
 //! delegates. The entries and the one Algorithm-1 body live in
-//! [`crate::facade`]; lines 6–12 over packed panels run in the one
-//! executor in [`crate::abft`], for every fault policy. The [`Workspace`]
+//! [`crate::facade`]; lines 6–7 over packed panels run in the one
+//! executor in [`crate::abft`], for every fault policy, and each entry
+//! hands the body its own lines-8–12 fold. The [`Workspace`]
 //! holds the residue panels in the engine's one i8 panel format, so a
 //! square product's panels take `2N·mk` bytes.
 
@@ -307,7 +308,7 @@ pub struct Workspace {
 }
 
 /// Mutable borrows of every [`Workspace`] buffer at once, for the
-/// Algorithm-1 body and the lines-6–12 executor, which juggle several of
+/// Algorithm-1 body and the lines-6–7 executor, which juggle several of
 /// them simultaneously. The `chk_*` / `uchk` / `vsum` fields are empty
 /// unless [`Workspace::reserve_abft`] ran.
 pub(crate) struct WsBuffers<'w> {
@@ -316,7 +317,7 @@ pub(crate) struct WsBuffers<'w> {
     pub u: &'w mut [u8],
     pub c32: &'w mut [i32],
     pub racc: &'w mut [i32],
-    pub cstage: &'w mut [f64],
+    pub cstage: &'w mut Vec<f64>,
     pub chk_a8: &'w mut [i8],
     pub chk_b8: &'w mut [i8],
     pub uchk: &'w mut [u8],
@@ -363,14 +364,6 @@ impl Workspace {
         self.uchk.fill(0);
         self.chk_sum.fill(0);
         self.vsum.fill(0);
-    }
-
-    /// Grow-only resize of the fold staging buffer (f32 / epilogue
-    /// outputs only; the plain f64 path folds straight into the output).
-    pub(crate) fn reserve_stage(&mut self, len: usize) {
-        if self.cstage.len() < len {
-            self.cstage.resize(len, 0.0);
-        }
     }
 
     /// Grow-only resize of the A-side packed panel buffer.
@@ -429,7 +422,7 @@ impl Workspace {
         }
     }
 
-    /// Every buffer at once, for the Algorithm-1 body and the lines-6–12
+    /// Every buffer at once, for the Algorithm-1 body and the lines-6–7
     /// executor. Call the `reserve_*` methods for the buffers in use
     /// first.
     pub(crate) fn buffers(&mut self) -> WsBuffers<'_> {

@@ -28,7 +28,7 @@
 
 use crate::consts::constants;
 use crate::element::Element;
-use crate::facade::{algorithm1, check_n, front_end, validate_view};
+use crate::facade::{algorithm1, check_n, fold_into_view, front_end, validate_view};
 use crate::pipeline::{EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace};
 use gemm_dense::{MatView, MatViewMut, Matrix};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
@@ -292,16 +292,16 @@ impl Ozaki2 {
         parallel: bool,
         out: MatViewMut<'_, T>,
     ) -> Result<EmulationReport, EmulationError> {
+        let consts = constants(self.n_moduli());
         algorithm1(
             self,
             a.into(),
             b.into(),
             ws,
             parallel,
-            T::ONE,
-            T::ZERO,
-            out,
             self.fault_policy(),
+            out.shape(),
+            |planes| fold_into_view(planes, consts, T::ONE, T::ZERO, out),
         )
     }
 }

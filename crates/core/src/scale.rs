@@ -20,8 +20,11 @@
 
 use crate::consts::Constants;
 use crate::element::Element;
-use gemm_dense::{MatF64, MatView, Matrix};
-use gemm_engine::{dispatch, dispatch_name, int8_gemm};
+use gemm_dense::{MatF64, MatView};
+use gemm_engine::{
+    dispatch, dispatch_name, int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth,
+    NoEpilogue,
+};
 use gemm_exact::roundup;
 
 /// `⌊log2 |x|⌋` for finite nonzero `x`, exact (bit manipulation, handles
@@ -200,18 +203,13 @@ pub fn fast_scale_b_view<T: Element>(b: &MatView<'_, T>, budget: f64) -> Vec<i32
         .collect()
 }
 
-/// Accurate-mode scale exponents for both operands (§4.2).
+/// Accurate-mode scale exponents for both operands (§4.2), over borrowed
+/// strided operand views (f64 or exactly widened f32).
 ///
-/// Returns `(e_a, e_b)` and performs one INT8 GEMM of the 6-bit magnitude
-/// estimates internally.
-pub fn accurate_scale(a: &MatF64, b: &MatF64, budget: f64) -> (Vec<i32>, Vec<i32>) {
-    accurate_scale_view(&a.view(), &b.view(), budget)
-}
-
-/// [`accurate_scale`] over borrowed strided operand views (f64 or exactly
-/// widened f32). The 6-bit magnitude estimates `Ā`, `B̄` are built straight
-/// from the strided elements — the operands themselves are never copied —
-/// and the resulting exponents are bit-identical to the owned form.
+/// Returns `(e_a, e_b)`. The 6-bit magnitude estimates `Ā`, `B̄` are
+/// written from the strided elements straight into the engine's i8 panel
+/// layout (the operands themselves are never copied), and `Ā·B̄` is one
+/// INT8 GEMM over those panels.
 pub fn accurate_scale_view<T: Element>(
     a: &MatView<'_, T>,
     b: &MatView<'_, T>,
@@ -243,46 +241,60 @@ pub fn accurate_scale_view<T: Element>(
         .map(|&c| if c == 0.0 { 0 } else { 5 - ilog2_abs(c) })
         .collect();
 
-    // Ā = ⌈μ' |A|⌉, B̄ = ⌈|B| ν'⌉ — 6-bit magnitudes (≤ 64), INT8-safe.
-    let a_bar = Matrix::from_fn(m, k, |i, j| {
-        let v = (scale_by_pow2(a.get(i, j).to_f64().abs(), mu_prime[i])).ceil();
+    // Ā = ⌈μ' |A|⌉, B̄ = ⌈|B| ν'⌉ — 6-bit magnitudes (≤ 64), INT8-safe —
+    // as zero-padded panels: row i of Ā and column j of B̄ at stride kp.
+    let magnitude = |x: T, e: i32| {
+        let v = scale_by_pow2(x.to_f64().abs(), e).ceil();
         debug_assert!(v <= 64.0);
         v as i8
-    });
-    let b_bar = Matrix::from_fn(k, n, |i, j| {
-        let v = (scale_by_pow2(b.get(i, j).to_f64().abs(), nu_prime[j])).ceil();
-        debug_assert!(v <= 64.0);
-        v as i8
-    });
+    };
+    let kp = padded_depth(k);
+    let mut a_bar = vec![0i8; padded_a_rows(m) * kp];
+    for h in 0..k {
+        for (i, &e) in mu_prime.iter().enumerate() {
+            a_bar[i * kp + h] = magnitude(a.get(i, h), e);
+        }
+    }
+    let mut b_bar = vec![0i8; padded_b_cols(n) * kp];
+    for (j, &e) in nu_prime.iter().enumerate() {
+        for (h, v) in b_bar[j * kp..j * kp + k].iter_mut().enumerate() {
+            *v = magnitude(b.get(h, j), e);
+        }
+    }
 
     // C̄ = Ā·B̄ estimates Σ|a||b| per (row, col) pair. Products are ≤ 4096,
-    // so a 2^18-deep block totals at most 2^30 and its i32 accumulator is
-    // exact (a 2^19 block can reach 2^31 and wrap); block above that.
-    const K_EST_BLOCK: usize = 1 << 18;
-    let c_bar: Matrix<i64> = if k <= K_EST_BLOCK {
-        int8_gemm(&a_bar, &b_bar).map(|x| x as i64)
-    } else {
-        let mut acc = Matrix::<i64>::zeros(m, n);
-        let mut h0 = 0;
-        while h0 < k {
-            let kb = K_EST_BLOCK.min(k - h0);
-            let a_blk = Matrix::from_fn(m, kb, |i, j| a_bar[(i, h0 + j)]);
-            let b_blk = Matrix::from_fn(kb, n, |i, j| b_bar[(h0 + i, j)]);
-            let c_blk = int8_gemm(&a_blk, &b_blk);
-            for (av, &cv) in acc.as_mut_slice().iter_mut().zip(c_blk.iter()) {
-                *av += cv as i64;
-            }
-            h0 += kb;
+    // so a 2^18-deep window totals at most 2^30 and its i32 accumulator is
+    // exact (a 2^19 window can reach 2^31 and wrap); the windows are
+    // PK-aligned depth windows of the panels, summed in i64.
+    const K_EST_WINDOW: usize = 1 << 18;
+    let mut c_bar = vec![0i64; m * n];
+    let mut c32 = vec![0i32; m * n];
+    for h0 in (0..k).step_by(K_EST_WINDOW) {
+        let kw = K_EST_WINDOW.min(k - h0);
+        int8_gemm_prepacked_fused(
+            m,
+            n,
+            kw,
+            &a_bar,
+            &b_bar,
+            kp,
+            h0,
+            &mut c32,
+            &mut [],
+            &NoEpilogue,
+            true,
+        );
+        for (acc, &c) in c_bar.iter_mut().zip(&c32) {
+            *acc += c as i64;
         }
-        acc
-    };
+    }
 
     // Row / column maxima of C̄ (clamped to >= 1: a zero row estimate means
     // the product row is exactly zero, any scale works).
     let mut row_cmax = vec![1i64; m];
     let mut col_cmax = vec![1i64; n];
     for (j, cmax_j) in col_cmax.iter_mut().enumerate() {
-        for (i, &c) in c_bar.col(j).iter().enumerate() {
+        for (i, &c) in c_bar[j * m..(j + 1) * m].iter().enumerate() {
             if c > row_cmax[i] {
                 row_cmax[i] = c;
             }
@@ -603,7 +615,7 @@ mod tests {
         let b = phi_matrix_f64(48, 24, 1.0, 5, 1);
         let budget = 25.0;
         let fast = fast_scale_rows(&a, budget);
-        let (accu, _) = accurate_scale(&a, &b, budget + 0.25);
+        let (accu, _) = accurate_scale_view(&a.view(), &b.view(), budget + 0.25);
         let better: i32 = fast
             .iter()
             .zip(&accu)

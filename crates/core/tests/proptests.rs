@@ -2,14 +2,13 @@
 //! the uniqueness condition (3), and end-to-end reconstruction.
 
 use gemm_dense::Matrix;
-use gemm_engine::for_each_level;
+use gemm_engine::{barrett_mod_u8, for_each_level};
 use ozaki2::accumulate::{fold_planes, fold_span, fold_span_scalar, FoldPrecision};
 use ozaki2::consts::constants;
 use ozaki2::convert::{
     convert_pack_panels, residue_planes, rmod_reference, rmod_row, rmod_row_scalar, rmod_to_i8,
     steps_for, trunc_convert_pack_panels, ElemSlice, TruncSource,
 };
-use ozaki2::modred::mod_i32_to_u8;
 use ozaki2::scale::{
     condition3_holds, fast_scale_cols, fast_scale_rows, pow2_split, scale_by_pow2,
     scale_trunc_a_rowmajor, scale_trunc_b_colmajor, strunc_row, strunc_row_scalar,
@@ -26,7 +25,7 @@ proptest! {
         let c = constants(20);
         let p = c.p[pidx];
         prop_assert_eq!(
-            mod_i32_to_u8(x, p as i32, c.p_inv_u32[pidx]) as i64,
+            barrett_mod_u8(x, p as i32, c.p_inv_u32[pidx]) as i64,
             (x as i64).rem_euclid(p as i64)
         );
     }
@@ -374,8 +373,8 @@ proptest! {
         pidx in 0usize..20,
         seed in any::<u64>(),
     ) {
-        // The engine's fused GEMM epilogue must agree with the standalone
-        // reduce_plane kernel on the same INT32 plane.
+        // The engine's fused GEMM epilogue must agree with a separate
+        // scalar Barrett pass over the same INT32 plane.
         let c20 = constants(20);
         let (p, pinv) = (c20.p[pidx], c20.p_inv_u32[pidx]);
         let mut s = seed | 1;
@@ -387,13 +386,16 @@ proptest! {
         let b: Vec<i8> = (0..k * n).map(|_| next()).collect();
         let mut c32 = vec![0i32; m * n];
         let mut u_fused = vec![0u8; m * n];
-        let mut ws = gemm_engine::Int8Workspace::new();
+        let kp = gemm_engine::padded_depth(k);
+        let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+        gemm_engine::pack_panels(&mut apack, &a, k, m, gemm_engine::padded_a_rows(m), k, kp);
+        gemm_engine::pack_panels(&mut bpack, &b, k, n, gemm_engine::padded_b_cols(n), k, kp);
         let epi = gemm_engine::ReduceEpilogue::new(p, pinv, None);
-        gemm_engine::int8_gemm_fused(
-            m, n, k, &a, k, &b, k, &mut c32, &mut u_fused, &epi, &mut ws, true,
+        gemm_engine::int8_gemm_prepacked_fused(
+            m, n, k, &apack, &bpack, kp, 0, &mut c32, &mut u_fused, &epi, true,
         );
         let mut u_separate = vec![0u8; m * n];
-        ozaki2::modred::reduce_plane(&c32, p, pinv, &mut u_separate);
+        gemm_engine::barrett_mod_row_u8_scalar(&c32, &mut u_separate, p as i32, pinv);
         prop_assert_eq!(u_fused, u_separate, "p={}", p);
     }
 

@@ -17,17 +17,17 @@
 //!
 //! # Kernel structure
 //!
-//! 1. **Packing.** `A` (row-major, row stride `lda`) and `B` (column-major,
-//!    column stride `ldb`) are packed into `i8` panels: row `i` of the
+//! 1. **Panels.** The engine multiplies `i8` panels: row `i` of the
 //!    A-pack is the `i`-th row of `A`, depth padded with zeros to a
 //!    multiple of [`PK`] (64, one tile row of bytes), rows padded to a
 //!    multiple of [`PV`] (16, one tile's height); the B-pack holds columns
-//!    the same way. Producers that can emit this layout themselves (the
-//!    `ozaki2` fused convert phase writes its residues straight into
-//!    panels) skip packing entirely via [`int8_gemm_prepacked_fused`],
-//!    which multiplies a [`PK`]-aligned depth window of caller-built
-//!    panels — that window is how the `k`-blocked pipeline path reuses one
-//!    panel set across blocks.
+//!    the same way. [`int8_gemm_prepacked_fused`], the one engine entry,
+//!    multiplies a [`PK`]-aligned depth window of caller-built panels —
+//!    that window is how `k`-blocked callers reuse one panel set across
+//!    blocks. Producers that can emit this layout themselves (the `ozaki2`
+//!    fused convert phase and its accurate-mode estimate) never hold an
+//!    intermediate i8 plane; others pack with [`pack_panels`] (row-major
+//!    `A`, column-major `B`, any leading dimension).
 //! 2. **Microkernel.** The kernel is selected by [`crate::isa::engine_isa`]
 //!    (the one probe, [`crate::isa()`], under the thread's
 //!    [`crate::isa::cap_scope`]), read once per call on the calling thread:
@@ -56,9 +56,9 @@
 //! 4. **Column stripes.** One driver, [`int8_gemm_prepacked_fused`],
 //!    splits the `N` dimension into stripes of whole [`PV`]-column panels
 //!    (two per pool worker) and runs one rayon task per stripe over shared
-//!    read-only panels. The i8-input entries ([`int8_gemm_fused`] and its
-//!    wrappers) only pack: A serially, B in the same stripes in parallel,
-//!    then call that driver.
+//!    read-only panels. [`int8_gemm_blocked`], the contiguous i8-input
+//!    entry, only packs (A serially, B in the same stripes in parallel) and
+//!    then calls that driver.
 //!
 //! # Fused epilogue
 //!
@@ -77,16 +77,15 @@
 //!
 //! # Workspace
 //!
-//! All packing buffers live in an [`Int8Workspace`], which grows on first
-//! use and is reused across calls — repeated GEMMs of one shape (the `N`
-//! residue planes of a single emulated product, LU panel updates, …)
-//! allocate nothing in steady state.
+//! [`int8_gemm_blocked`]'s packing buffers live in an [`Int8Workspace`],
+//! which grows on first use and is reused across calls — repeated GEMMs of
+//! one shape (the slice products of one Scheme-I product, LU panel
+//! updates, …) allocate nothing in steady state.
 
 use crate::isa::{cap_scope, dispatch, dispatch_name, engine_isa, isa, Isa};
-use crate::stats::INT8_STATS;
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -350,9 +349,6 @@ impl Int8Workspace {
 }
 
 thread_local! {
-    /// Workspace backing the allocation-free-after-warmup compatibility
-    /// entry points ([`int8_gemm_rm_cm`], [`int8_gemm`]).
-    static TLS_WS: RefCell<Int8Workspace> = RefCell::new(Int8Workspace::new());
     /// The AMX arm's interleaved copy of the A window: grow-only, and lent
     /// to one call at a time (a nested call on this thread finds it empty
     /// and allocates its own).
@@ -1050,77 +1046,21 @@ fn stripe_count(n_panels: usize) -> usize {
     }
 }
 
-/// The blocked INT8 GEMM with optional fused epilogue and strided inputs.
-///
-/// `C = A * B` where `A` is row-major `m x k` with row stride `lda >= k`,
-/// `B` is column-major `k x n` with column stride `ldb >= k`, and `C` is
-/// column-major `m x n`, contiguous, fully overwritten. If `E::ACTIVE`,
-/// `out` must be an `m x n` plane (same layout as `C`) and receives `epi`
-/// applied to every element; otherwise pass an empty slice.
-///
-/// Packs both operands into `ws` (B split across the column stripes when
-/// `parallel`) and runs [`int8_gemm_prepacked_fused`] over the panels.
-/// Set `parallel = false` to force a single-threaded sweep (microkernel
-/// benchmarking, nested-parallel contexts).
-///
-/// # Panics
-/// If any buffer is too short for its shape/stride.
-#[allow(clippy::too_many_arguments)]
-pub fn int8_gemm_fused<E: Epilogue>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    c: &mut [i32],
-    out: &mut [E::Out],
-    epi: &E,
-    ws: &mut Int8Workspace,
-    parallel: bool,
-) {
-    assert!(lda >= k && ldb >= k, "strides must cover the depth");
-    if m > 0 {
-        assert!(a.len() >= (m - 1) * lda + k, "A buffer mismatch");
-    }
-    if n > 0 {
-        assert!(b.len() >= (n - 1) * ldb + k, "B buffer mismatch");
-    }
-    let kp = padded_depth(k);
-    pack_panels(&mut ws.apack, a, lda, m, padded_a_rows(m), k, kp);
-
-    // B packs in as many column chunks as the sweep has stripes, one task
-    // each, so packing scales with the workers like the sweep does.
-    let n_pad = padded_b_cols(n);
-    if ws.bpack.len() < n_pad * kp {
-        ws.bpack.resize(n_pad * kp, 0);
-    }
-    let n_panels = n_pad / PV;
-    let stripes = if parallel { stripe_count(n_panels) } else { 1 };
-    let stripe_cols = n_panels.div_ceil(stripes) * PV;
-    ws.bpack[..n_pad * kp]
-        .par_chunks_mut((stripe_cols * kp).max(1))
-        .enumerate()
-        .for_each(|(s, dst)| {
-            let j0 = s * stripe_cols;
-            let nc = stripe_cols.min(n_pad - j0);
-            pack_into(dst, &b[j0 * ldb..], ldb, nc.min(n - j0), nc, k, kp);
-        });
-
-    int8_gemm_prepacked_fused(m, n, k, &ws.apack, &ws.bpack, kp, 0, c, out, epi, parallel);
-}
-
-/// The blocked INT8 GEMM over **pre-packed i8 panels** — the zero-repack
-/// entry the fused convert phase of the `ozaki2` pipeline feeds.
+/// The blocked INT8 GEMM over **pre-packed i8 panels** — the engine's one
+/// entry: every product Algorithm 1 issues in `ozaki2` runs here, over
+/// panels its producer wrote directly, and [`int8_gemm_blocked`] packs
+/// and calls it.
 ///
 /// `apack` holds [`padded_a_rows`]`(m)` row panels and `bpack`
 /// [`padded_b_cols`]`(n)` column panels in the [`pack_panels`] layout
 /// with full padded depth `kp_stride`; the call multiplies the depth window
 /// `[depth_off, depth_off + k)` (so a `k`-blocked caller passes the same
 /// panels with advancing `depth_off`). `C` is column-major `m x n`,
-/// contiguous, fully overwritten; `out` is the fused epilogue plane exactly
-/// as in [`int8_gemm_fused`].
+/// contiguous, fully overwritten. If `E::ACTIVE`, `out` must be an
+/// `m x n` plane (same layout as `C`) and receives `epi` applied to every
+/// element; otherwise pass an empty slice. `parallel = false` forces a
+/// single-threaded sweep (microkernel benchmarking, nested-parallel
+/// contexts).
 ///
 /// The kernel consumes the window rounded up to [`PK`], so the tail
 /// `[depth_off + k, depth_off + `[`padded_depth`]`(k))` must read zeros:
@@ -1171,7 +1111,6 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     if E::ACTIVE {
         assert_eq!(out.len(), m * n, "epilogue plane mismatch");
     }
-    INT8_STATS.record_gemm(m, n, k);
     gemm_obs::catalog::ENGINE_INT8_CALLS.inc();
     gemm_obs::catalog::ENGINE_INT8_MACS.add((m as u64) * (n as u64) * (k as u64));
     if m == 0 || n == 0 {
@@ -1286,9 +1225,17 @@ fn interleave_window(a: &[i8], lda: usize, rows: usize, kp: usize, tasks: usize)
 // Public entry points
 // ---------------------------------------------------------------------------
 
-/// Blocked GEMM over contiguous packed operands with a caller-owned
-/// workspace: `A` row-major `m x k`, `B` column-major `k x n`, `C`
-/// column-major `m x n`.
+/// Blocked GEMM over contiguous operands with a caller-owned workspace:
+/// `A` row-major `m x k`, `B` column-major `k x n`, `C` column-major
+/// `m x n`, fully overwritten.
+///
+/// Packs both operands into `ws` (A serially, B in as many column chunks
+/// as the sweep has stripes, one task each, so packing scales with the
+/// workers like the sweep does) and runs [`int8_gemm_prepacked_fused`]
+/// over the panels in parallel, with no epilogue.
+///
+/// # Panics
+/// If any buffer length disagrees with the shape.
 pub fn int8_gemm_blocked(
     m: usize,
     n: usize,
@@ -1300,47 +1247,37 @@ pub fn int8_gemm_blocked(
 ) {
     assert_eq!(a_rm.len(), m * k, "A buffer mismatch");
     assert_eq!(b_cm.len(), k * n, "B buffer mismatch");
-    int8_gemm_fused(
+    let kp = padded_depth(k);
+    pack_panels(&mut ws.apack, a_rm, k, m, padded_a_rows(m), k, kp);
+
+    let n_pad = padded_b_cols(n);
+    if ws.bpack.len() < n_pad * kp {
+        ws.bpack.resize(n_pad * kp, 0);
+    }
+    let n_panels = n_pad / PV;
+    let stripe_cols = n_panels.div_ceil(stripe_count(n_panels)) * PV;
+    ws.bpack[..n_pad * kp]
+        .par_chunks_mut((stripe_cols * kp).max(1))
+        .enumerate()
+        .for_each(|(s, dst)| {
+            let j0 = s * stripe_cols;
+            let nc = stripe_cols.min(n_pad - j0);
+            pack_into(dst, &b_cm[j0 * k..], k, nc.min(n - j0), nc, k, kp);
+        });
+
+    int8_gemm_prepacked_fused(
         m,
         n,
         k,
-        a_rm,
-        k,
-        b_cm,
-        k,
+        &ws.apack,
+        &ws.bpack,
+        kp,
+        0,
         c_cm,
         &mut [],
         &NoEpilogue,
-        ws,
         true,
     );
-}
-
-/// Hot-path GEMM: `C = A * B` with `A` packed row-major (`m x k`),
-/// `B` column-major (`k x n`), `C` column-major (`m x n`), all contiguous.
-///
-/// Compatibility wrapper around [`int8_gemm_blocked`] using a thread-local
-/// workspace (allocation-free after warmup). The workspace grows to the
-/// high-water mark of the shapes seen on this thread and is retained for
-/// the life of the thread (~`(m + n)k` bytes); for very large one-shot
-/// products, prefer [`int8_gemm_blocked`] with an explicit
-/// [`Int8Workspace`] you can drop.
-///
-/// # Panics
-/// If any buffer length disagrees with the shape.
-pub fn int8_gemm_rm_cm(m: usize, n: usize, k: usize, a_rm: &[i8], b_cm: &[i8], c_cm: &mut [i32]) {
-    TLS_WS.with(|ws| int8_gemm_blocked(m, n, k, a_rm, b_cm, c_cm, &mut ws.borrow_mut()));
-}
-
-/// Convenience GEMM over [`Matrix`] operands (packs `A` internally).
-pub fn int8_gemm(a: &MatI8, b: &MatI8) -> MatI32 {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "inner dimensions must agree");
-    let a_rm = a.to_row_major();
-    let mut c = Matrix::<i32>::zeros(m, n);
-    int8_gemm_rm_cm(m, n, k, &a_rm, b.as_slice(), c.as_mut_slice());
-    c
 }
 
 /// The seed scalar kernel: per-element dot products, no tiling, no SIMD
@@ -1394,6 +1331,53 @@ mod tests {
         })
     }
 
+    /// `A · B` through [`int8_gemm_blocked`] with a fresh workspace.
+    fn gemm(a: &MatI8, b: &MatI8) -> MatI32 {
+        let ((m, k), n) = (a.shape(), b.cols());
+        let mut c = Matrix::<i32>::zeros(m, n);
+        let mut ws = Int8Workspace::new();
+        int8_gemm_blocked(
+            m,
+            n,
+            k,
+            &a.to_row_major(),
+            b.as_slice(),
+            c.as_mut_slice(),
+            &mut ws,
+        );
+        c
+    }
+
+    /// Pack a full operand set into prepacked panels (test helper).
+    fn pack_full(src: &[i8], ld: usize, vecs: usize, vecs_pad: usize, k: usize) -> Vec<i8> {
+        let kp = padded_depth(k);
+        let mut pack = Vec::new();
+        pack_panels(&mut pack, src, ld, vecs, vecs_pad, k, kp);
+        pack
+    }
+
+    /// `A · B` over panels packed from row-major `a` (row stride `lda`)
+    /// and column-major `b` (column stride `ldb`), with epilogue `epi`
+    /// into `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_strided<E: Epilogue>(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[i8],
+        lda: usize,
+        b: &[i8],
+        ldb: usize,
+        c: &mut [i32],
+        out: &mut [E::Out],
+        epi: &E,
+    ) {
+        let apack = pack_full(a, lda, m, padded_a_rows(m), k);
+        let bpack = pack_full(b, ldb, n, padded_b_cols(n), k);
+        let kp = padded_depth(k);
+        int8_gemm_prepacked_fused(m, n, k, &apack, &bpack, kp, 0, c, out, epi, true);
+    }
+
     #[test]
     fn matches_naive() {
         for &(m, k, n) in &[
@@ -1408,7 +1392,7 @@ mod tests {
         ] {
             let a = pattern_mat(m, k, 1);
             let b = pattern_mat(k, n, 2);
-            assert_eq!(int8_gemm(&a, &b), int8_gemm_naive(&a, &b), "{m}x{k}x{n}");
+            assert_eq!(gemm(&a, &b), int8_gemm_naive(&a, &b), "{m}x{k}x{n}");
         }
     }
 
@@ -1468,7 +1452,8 @@ mod tests {
         let b = pattern_mat(k, n, 6);
         let mut c_blocked = vec![0i32; m * n];
         let mut c_scalar = vec![0i32; m * n];
-        int8_gemm_rm_cm(m, n, k, &a, b.as_slice(), &mut c_blocked);
+        let mut ws = Int8Workspace::new();
+        int8_gemm_blocked(m, n, k, &a, b.as_slice(), &mut c_blocked, &mut ws);
         int8_gemm_rm_cm_scalar(m, n, k, &a, b.as_slice(), &mut c_scalar);
         assert_eq!(c_blocked, c_scalar);
     }
@@ -1496,8 +1481,7 @@ mod tests {
             int8_gemm_rm_cm_scalar(m, n, kb, &a_blk, &b_blk, &mut want);
         }
         let mut got = vec![0i32; m * n];
-        let mut ws = Int8Workspace::new();
-        int8_gemm_fused(
+        gemm_strided(
             m,
             n,
             kb,
@@ -1508,8 +1492,6 @@ mod tests {
             &mut got,
             &mut [],
             &NoEpilogue,
-            &mut ws,
-            true,
         );
         assert_eq!(got, want);
     }
@@ -1523,22 +1505,8 @@ mod tests {
         let b = pattern_mat(k, n, 8);
         let mut c = vec![0i32; m * n];
         let mut u_fused = vec![0u8; m * n];
-        let mut ws = Int8Workspace::new();
         let epi = ReduceEpilogue::new(p, pinv, None);
-        int8_gemm_fused(
-            m,
-            n,
-            k,
-            &a,
-            k,
-            b.as_slice(),
-            k,
-            &mut c,
-            &mut u_fused,
-            &epi,
-            &mut ws,
-            true,
-        );
+        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut c, &mut u_fused, &epi);
         for (i, (&u, &x)) in u_fused.iter().zip(&c).enumerate() {
             assert_eq!(u as i64, (x as i64).rem_euclid(p as i64), "elem {i}");
         }
@@ -1553,33 +1521,11 @@ mod tests {
         let b = pattern_mat(k, n, 10);
         let mut c = vec![0i32; m * n];
         let mut acc = vec![7i32; m * n]; // pre-existing residue sums
-        let mut ws = Int8Workspace::new();
         let epi = AccumulateEpilogue::new(p, pinv, None);
-        int8_gemm_fused(
-            m,
-            n,
-            k,
-            &a,
-            k,
-            b.as_slice(),
-            k,
-            &mut c,
-            &mut acc,
-            &epi,
-            &mut ws,
-            true,
-        );
+        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut c, &mut acc, &epi);
         for (i, (&s, &x)) in acc.iter().zip(&c).enumerate() {
             assert_eq!(s as i64, 7 + (x as i64).rem_euclid(p as i64), "elem {i}");
         }
-    }
-
-    /// Pack a full operand set into prepacked panels (test helper).
-    fn pack_full(src: &[i8], ld: usize, vecs: usize, vecs_pad: usize, k: usize) -> Vec<i8> {
-        let kp = padded_depth(k);
-        let mut pack = Vec::new();
-        pack_panels(&mut pack, src, ld, vecs, vecs_pad, k, kp);
-        pack
     }
 
     #[test]
@@ -1598,20 +1544,7 @@ mod tests {
             let bpack = pack_full(b.as_slice(), k, n, padded_b_cols(n), k);
             let mut want = vec![0i32; m * n];
             let mut ws = Int8Workspace::new();
-            int8_gemm_fused(
-                m,
-                n,
-                k,
-                &a,
-                k,
-                b.as_slice(),
-                k,
-                &mut want,
-                &mut [],
-                &NoEpilogue,
-                &mut ws,
-                true,
-            );
+            int8_gemm_blocked(m, n, k, &a, b.as_slice(), &mut want, &mut ws);
             let mut got = vec![0i32; m * n];
             int8_gemm_prepacked_fused(
                 m,
@@ -1697,7 +1630,7 @@ mod tests {
         // Include the extreme values -128 and 127.
         let a = Matrix::from_fn(2, 3, |i, j| if (i + j) % 2 == 0 { -128 } else { 127 });
         let b = Matrix::from_fn(3, 2, |i, j| if (i * j) % 2 == 0 { 127 } else { -128 });
-        let c = int8_gemm(&a, &b);
+        let c = gemm(&a, &b);
         assert_eq!(c, int8_gemm_naive(&a, &b));
     }
 
@@ -1708,7 +1641,7 @@ mod tests {
         let k = 1 << 17;
         let a = Matrix::from_fn(1, k, |_, _| -128i8);
         let b = Matrix::from_fn(k, 1, |_, _| -128i8);
-        let c = int8_gemm(&a, &b);
+        let c = gemm(&a, &b);
         assert_eq!(c[(0, 0)], i32::MIN);
         // And the mod-256 residue is unharmed: -2^31 ≡ 0 ≡ 2^31 (mod 256).
         assert_eq!((c[(0, 0)] as i64).rem_euclid(256), 0);
@@ -1718,7 +1651,7 @@ mod tests {
     fn zero_k_gives_zero_matrix() {
         let a = Matrix::<i8>::zeros(3, 0);
         let b = Matrix::<i8>::zeros(0, 2);
-        let c = int8_gemm(&a, &b);
+        let c = gemm(&a, &b);
         assert!(c.iter().all(|&x| x == 0));
     }
 
@@ -1741,7 +1674,15 @@ mod tests {
     #[should_panic(expected = "A buffer mismatch")]
     fn buffer_length_checked() {
         let mut c = vec![0i32; 4];
-        int8_gemm_rm_cm(2, 2, 2, &[0i8; 3], &[0i8; 4], &mut c);
+        int8_gemm_blocked(
+            2,
+            2,
+            2,
+            &[0i8; 3],
+            &[0i8; 4],
+            &mut c,
+            &mut Int8Workspace::new(),
+        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!   ([`dispatch`]) every row kernel runs through;
 //! * [`int8`] — the INT8 matrix engine (`i8 × i8 → i32`, wrapping INT32
 //!   accumulation) that Ozaki Scheme I/II run on: AMX tiles where the CPU
-//!   has them, SIMD kernels otherwise;
+//!   has them, SIMD kernels otherwise. Every call counts into the
+//!   `gemm_obs` catalog (`ENGINE_INT8_CALLS`, `ENGINE_INT8_MACS`) when
+//!   observability is armed;
 //! * [`tensor`] — FP16/BF16/TF32 tensor-core engines with FP32 accumulation
 //!   that the SGEMM baselines run on;
-//! * [`stats`] — global invocation counters consumed by tests and the
-//!   device model;
 //! * [`faultinject`] — deterministic bit-flip injection at named pipeline
 //!   sites, the substrate of the `ozaki2` fault-tolerant execution layer.
 
@@ -22,16 +22,14 @@
 pub mod faultinject;
 pub mod int8;
 pub mod isa;
-pub mod stats;
 pub mod tensor;
 
 pub use int8::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
-    barrett_mod_u8, int8_gemm, int8_gemm_blocked, int8_gemm_fused, int8_gemm_naive,
-    int8_gemm_prepacked_fused, int8_gemm_rm_cm, int8_gemm_rm_cm_scalar, microkernel_name,
-    mod_kernel_name, pack_panels, padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue,
-    Epilogue, Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK, PV,
+    barrett_mod_u8, int8_gemm_blocked, int8_gemm_naive, int8_gemm_prepacked_fused,
+    int8_gemm_rm_cm_scalar, microkernel_name, mod_kernel_name, pack_panels, padded_a_rows,
+    padded_b_cols, padded_depth, AccumulateEpilogue, Epilogue, Int8Workspace, NoEpilogue,
+    ReduceEpilogue, MR, NR, PK, PV,
 };
 pub use isa::{cap_scope, dispatch, dispatch_name, engine_isa, for_each_level, isa, Isa, Kernel};
-pub use stats::{EngineStats, INT8_STATS, LOWFP_STATS};
 pub use tensor::{dequantize, lowfp_gemm, quantize};

@@ -3,11 +3,52 @@
 use gemm_dense::Matrix;
 use gemm_engine::{
     barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
-    for_each_level, int8_gemm, int8_gemm_fused, int8_gemm_naive, int8_gemm_rm_cm,
-    int8_gemm_rm_cm_scalar, lowfp_gemm, quantize, Int8Workspace, ReduceEpilogue,
+    for_each_level, int8_gemm_blocked, int8_gemm_naive, int8_gemm_rm_cm_scalar, lowfp_gemm,
+    quantize, Epilogue, Int8Workspace, ReduceEpilogue,
 };
 use gemm_lowfp::{BF16, F16};
 use proptest::prelude::*;
+
+/// `A · B` through [`int8_gemm_blocked`] with a fresh workspace.
+fn gemm(a: &Matrix<i8>, b: &Matrix<i8>) -> Matrix<i32> {
+    let ((m, k), n) = (a.shape(), b.cols());
+    let mut c = Matrix::<i32>::zeros(m, n);
+    let mut ws = Int8Workspace::new();
+    int8_gemm_blocked(
+        m,
+        n,
+        k,
+        &a.to_row_major(),
+        b.as_slice(),
+        c.as_mut_slice(),
+        &mut ws,
+    );
+    c
+}
+
+/// `A · B` with epilogue `epi` over panels packed from row-major `a` (row
+/// stride `lda`) and column-major `b` (column stride `ldb`).
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed<E: Epilogue>(
+    (m, n, k): (usize, usize, usize),
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    c: &mut [i32],
+    out: &mut [E::Out],
+    epi: &E,
+    parallel: bool,
+) {
+    use gemm_engine::{
+        int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
+    };
+    let kp = padded_depth(k);
+    let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+    pack_panels(&mut apack, a, lda, m, padded_a_rows(m), k, kp);
+    pack_panels(&mut bpack, b, ldb, n, padded_b_cols(n), k, kp);
+    int8_gemm_prepacked_fused(m, n, k, &apack, &bpack, kp, 0, c, out, epi, parallel);
+}
 
 fn arb_i8_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<i8>> {
     proptest::collection::vec(any::<i8>(), rows * cols)
@@ -31,12 +72,12 @@ proptest! {
         };
         let a = Matrix::from_fn(m, k, |_, _| next());
         let b = Matrix::from_fn(k, n, |_, _| next());
-        prop_assert_eq!(int8_gemm(&a, &b), int8_gemm_naive(&a, &b));
+        prop_assert_eq!(gemm(&a, &b), int8_gemm_naive(&a, &b));
     }
 
     #[test]
     fn arbitrary_values_match(a in arb_i8_matrix(5, 7), b in arb_i8_matrix(7, 4)) {
-        prop_assert_eq!(int8_gemm(&a, &b), int8_gemm_naive(&a, &b));
+        prop_assert_eq!(gemm(&a, &b), int8_gemm_naive(&a, &b));
     }
 
     /// The dispatched mod-reduce row kernels (the fused line-7 epilogues)
@@ -101,7 +142,7 @@ proptest! {
         };
         let a = Matrix::from_fn(m, k, |_, _| next());
         let b = Matrix::from_fn(k, n, |_, _| next());
-        prop_assert_eq!(int8_gemm(&a, &b), int8_gemm_naive(&a, &b), "{}x{}x{}", m, k, n);
+        prop_assert_eq!(gemm(&a, &b), int8_gemm_naive(&a, &b), "{}x{}x{}", m, k, n);
     }
 
     #[test]
@@ -123,7 +164,7 @@ proptest! {
         let b: Vec<i8> = (0..k * n).map(|_| next()).collect();
         let mut c_blocked = vec![0i32; m * n];
         let mut c_scalar = vec![0i32; m * n];
-        int8_gemm_rm_cm(m, n, k, &a, &b, &mut c_blocked);
+        int8_gemm_blocked(m, n, k, &a, &b, &mut c_blocked, &mut Int8Workspace::new());
         int8_gemm_rm_cm_scalar(m, n, k, &a, &b, &mut c_scalar);
         prop_assert_eq!(c_blocked, c_scalar, "k={}", k);
     }
@@ -145,12 +186,11 @@ proptest! {
         let a: Vec<i8> = (0..m * k).map(|_| next()).collect();
         let b: Vec<i8> = (0..k * n).map(|_| next()).collect();
         let mut c_plain = vec![0i32; m * n];
-        int8_gemm_rm_cm(m, n, k, &a, &b, &mut c_plain);
+        int8_gemm_blocked(m, n, k, &a, &b, &mut c_plain, &mut Int8Workspace::new());
         let mut c_fused = vec![0i32; m * n];
         let mut u = vec![0u8; m * n];
-        let mut ws = Int8Workspace::new();
         let epi = ReduceEpilogue::new(p, pinv, None);
-        int8_gemm_fused(m, n, k, &a, k, &b, k, &mut c_fused, &mut u, &epi, &mut ws, true);
+        gemm_packed((m, n, k), &a, k, &b, k, &mut c_fused, &mut u, &epi, true);
         prop_assert_eq!(&c_fused, &c_plain);
         for (i, (&r, &x)) in u.iter().zip(&c_plain).enumerate() {
             prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64), "elem {} p {}", i, p);
@@ -168,8 +208,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // lda, ldb > k with garbage in the gaps, an active epilogue, and
-        // both sweep modes: every i8-input call packs into the workspace
-        // and runs the one prepacked stripe driver.
+        // both sweep modes: strided operands packed into panels, then the
+        // one prepacked stripe driver.
         let (lda, ldb) = (k + pad_a, k + pad_b);
         let pinv = ((1u64 << 32) / p - 1) as u32;
         let mut s = seed | 1;
@@ -182,12 +222,11 @@ proptest! {
         let a = Matrix::from_fn(m, k, |i, h| a_buf[i * lda + h]);
         let b = Matrix::from_fn(k, n, |h, j| b_buf[j * ldb + h]);
         let want = int8_gemm_naive(&a, &b);
-        let mut ws = Int8Workspace::new();
         for parallel in [false, true] {
             let mut c = vec![0i32; m * n];
             let mut u = vec![0u8; m * n];
             let epi = ReduceEpilogue::new(p, pinv, None);
-            int8_gemm_fused(m, n, k, &a_buf, lda, &b_buf, ldb, &mut c, &mut u, &epi, &mut ws, parallel);
+            gemm_packed((m, n, k), &a_buf, lda, &b_buf, ldb, &mut c, &mut u, &epi, parallel);
             prop_assert_eq!(&c[..], want.as_slice(), "parallel={}", parallel);
             for (&r, &x) in u.iter().zip(&c) {
                 prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64));
@@ -199,7 +238,7 @@ proptest! {
     fn linearity_in_scalar(a in arb_i8_matrix(4, 6), b in arb_i8_matrix(6, 3)) {
         // C(A, B) + C(A, B) == C(A, 2B) as long as 2B stays in range —
         // verify via i32 doubling instead to avoid range issues.
-        let c = int8_gemm(&a, &b);
+        let c = gemm(&a, &b);
         let doubled = int8_gemm_naive(&a, &b).map(|x| x.wrapping_mul(2));
         let sum = c.map(|x| x.wrapping_mul(2));
         prop_assert_eq!(doubled, sum);

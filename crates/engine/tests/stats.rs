@@ -1,43 +1,25 @@
-//! The engine invocation counters ([`INT8_STATS`], [`LOWFP_STATS`]) are
-//! process-global, and these tests reset them and assert exact counts.
-//! They live in a test binary of their own, where nothing else calls the
-//! engines concurrently; as lib unit tests they raced every other test
-//! in that binary that runs a GEMM.
+//! The engine's invocation counters (`gemm_obs::catalog::ENGINE_INT8_CALLS`
+//! and `ENGINE_INT8_MACS`) are process-global, and this test asserts exact
+//! deltas. It lives in a test binary of its own, where nothing else calls
+//! the engine concurrently; as a lib unit test it would race every other
+//! test in that binary that runs a GEMM.
 
-use gemm_dense::{MatI8, Matrix};
-use gemm_engine::{int8_gemm, lowfp_gemm, INT8_STATS, LOWFP_STATS};
+use gemm_engine::{int8_gemm_blocked, Int8Workspace};
+use gemm_obs::catalog::{ENGINE_INT8_CALLS, ENGINE_INT8_MACS};
 
 mod int8 {
     use super::*;
 
-    fn pattern_mat(rows: usize, cols: usize, salt: i32) -> MatI8 {
-        Matrix::from_fn(rows, cols, |i, j| {
-            (((i as i32 * 31 + j as i32 * 17 + salt) % 255) - 127) as i8
-        })
-    }
-
     #[test]
     fn records_stats() {
-        INT8_STATS.reset();
-        let a = pattern_mat(4, 8, 3);
-        let b = pattern_mat(8, 2, 4);
-        let _ = int8_gemm(&a, &b);
-        assert_eq!(INT8_STATS.calls(), 1);
-        assert_eq!(INT8_STATS.macs(), 4 * 8 * 2);
-    }
-}
-
-mod tensor {
-    use super::*;
-    use gemm_lowfp::F16;
-
-    #[test]
-    fn records_stats() {
-        LOWFP_STATS.reset();
-        let a = Matrix::from_fn(2, 3, |_, _| F16::from_f32(1.0));
-        let b = Matrix::from_fn(3, 2, |_, _| F16::from_f32(1.0));
-        let _ = lowfp_gemm(&a, &b);
-        assert_eq!(LOWFP_STATS.calls(), 1);
-        assert_eq!(LOWFP_STATS.macs(), 12);
+        gemm_obs::set_enabled(true);
+        let (m, n, k) = (4usize, 2usize, 8usize);
+        let a: Vec<i8> = (0..m * k).map(|i| (i % 7) as i8 - 3).collect();
+        let b: Vec<i8> = (0..k * n).map(|i| (i % 5) as i8 - 2).collect();
+        let mut c = vec![0i32; m * n];
+        let (calls, macs) = (ENGINE_INT8_CALLS.value(), ENGINE_INT8_MACS.value());
+        int8_gemm_blocked(m, n, k, &a, &b, &mut c, &mut Int8Workspace::new());
+        assert_eq!(ENGINE_INT8_CALLS.value() - calls, 1);
+        assert_eq!(ENGINE_INT8_MACS.value() - macs, (m * n * k) as u64);
     }
 }

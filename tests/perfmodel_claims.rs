@@ -121,14 +121,14 @@ fn modelled_gh200_matches_measured_phase_structure() {
     };
     let gemm = get("int8 GEMM");
     let convert = get("convert");
-    let modred = get("mod");
+    let mod_reduce = get("mod");
     for (label, share) in &bar.shares {
         if !label.contains("int8 GEMM") {
             assert!(gemm > *share, "GEMM must dominate over {label}");
         }
     }
     // The two plane-sized passes (convert, mod) lead the overheads.
-    assert!(convert + modred > get("scale") + get("trunc") + get("fold"));
+    assert!(convert + mod_reduce > get("scale") + get("trunc") + get("fold"));
 
     // Measured counterpart on the CPU substrate: check structure, not
     // wall-clock ratios (CI machines are noisy and shared).
