@@ -134,17 +134,10 @@ impl BatchedOzaki2 {
     /// Runtime with `n_moduli ∈ 2..=20` and the given mode, retaining up
     /// to [`DEFAULT_CACHE_CAPACITY`] prepared operands across calls.
     pub fn new(n_moduli: usize, mode: Mode) -> Self {
-        Self::with_cache_capacity(n_moduli, mode, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Runtime with an explicit prepared-operand cache capacity
-    /// (`0` disables cross-call caching; within-call sharing still
-    /// prepares once).
-    pub fn with_cache_capacity(n_moduli: usize, mode: Mode, capacity: usize) -> Self {
         Self {
             emu: Ozaki2::new(n_moduli, mode),
             pool: WorkspacePool::new(),
-            cache: OperandCache::new(capacity),
+            cache: OperandCache::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 

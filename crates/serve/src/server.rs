@@ -11,7 +11,7 @@
 
 use crate::request::{GemmRequest, JobCell, JobError, JobHandle, SubmitError};
 use crate::stats::{ServerStats, TenantStats};
-use gemm_batch::{BatchedOzaki2, DEFAULT_CACHE_CAPACITY, INTENSITY_CROSSOVER};
+use gemm_batch::{BatchedOzaki2, INTENSITY_CROSSOVER};
 use gemm_dense::MatF64;
 use ozaki2::{arithmetic_intensity, EmulationError, FaultPolicy, Mode, OperandSide};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -28,7 +28,6 @@ struct Config {
     coalesce_window: Duration,
     max_batch: usize,
     default_deadline: Option<Duration>,
-    intensity_crossover: f64,
 }
 
 /// One admitted job travelling from the queue to its completion cell.
@@ -115,8 +114,6 @@ pub struct ServerBuilder {
     max_batch: usize,
     default_deadline: Option<Duration>,
     fault_policy: Option<FaultPolicy>,
-    cache_capacity: usize,
-    intensity_crossover: f64,
 }
 
 impl ServerBuilder {
@@ -164,28 +161,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Capacity of the cross-round prepared-operand LRU (weight
-    /// matrices and other recurring operands). Default
-    /// [`gemm_batch::DEFAULT_CACHE_CAPACITY`].
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Arithmetic-intensity threshold (INT8 ops per byte) separating
-    /// coalesced small jobs from solo striped large jobs. Default
-    /// [`gemm_batch::INTENSITY_CROSSOVER`]; raise it to coalesce more
-    /// aggressively, lower it to stripe more jobs individually.
-    pub fn intensity_crossover(mut self, crossover: f64) -> Self {
-        self.intensity_crossover = crossover;
-        self
-    }
-
     /// Start the server: spawns the dispatcher thread and returns the
     /// submission surface.
     pub fn build(self) -> Server {
-        let mut runtime =
-            BatchedOzaki2::with_cache_capacity(self.n_moduli, self.mode, self.cache_capacity);
+        let mut runtime = BatchedOzaki2::new(self.n_moduli, self.mode);
         if let Some(policy) = self.fault_policy {
             runtime = runtime.with_fault_policy(policy);
         }
@@ -196,7 +175,6 @@ impl ServerBuilder {
                 coalesce_window: self.coalesce_window,
                 max_batch: self.max_batch,
                 default_deadline: self.default_deadline,
-                intensity_crossover: self.intensity_crossover,
             },
             n_moduli: self.n_moduli,
             queue: Mutex::new(QueueState {
@@ -283,8 +261,6 @@ impl Server {
             max_batch: 64,
             default_deadline: None,
             fault_policy: None,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            intensity_crossover: INTENSITY_CROSSOVER,
         }
     }
 
@@ -396,8 +372,7 @@ impl Server {
         }
         let shared = &self.shared;
         let (m, k, n) = req.shape();
-        let coalesce =
-            arithmetic_intensity(m, n, k, shared.n_moduli) < shared.cfg.intensity_crossover;
+        let coalesce = arithmetic_intensity(m, n, k, shared.n_moduli) < INTENSITY_CROSSOVER;
         let cell = JobCell::new();
         let ids = (ident(&req.a), ident(&req.b));
         let admitted = Admitted {
