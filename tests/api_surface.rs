@@ -12,6 +12,10 @@
 //!    equal the frozen whitelist below — adding a new named entry fails
 //!    this test, forcing the addition through the facade (or an explicit
 //!    whitelist change with review).
+//!
+//! The INT8 engine's GEMM entries are frozen the same way: one entry for
+//! caller-built panels, one contiguous i8-input entry, and the two test
+//! oracles.
 
 use gemm_dense::{MatView, MatViewMut, Matrix};
 use ozaki2::{
@@ -141,4 +145,38 @@ fn canonical_items_exist_and_compose() {
 
     // Builder type is nameable (for APIs that store one).
     let _builder: Ozaki2Builder = Ozaki2::builder().accuracy(Accuracy::FixedN(8));
+}
+
+/// The INT8 engine's `pub fn int8_gemm*` entries: the one panel entry
+/// every Algorithm-1 product runs, the packing entry for contiguous i8
+/// operands, and the two oracles.
+const ENGINE_GEMM_FNS: &[&str] = &[
+    "int8_gemm_prepacked_fused",
+    "int8_gemm_blocked",
+    "int8_gemm_naive",
+    "int8_gemm_rm_cm_scalar",
+];
+
+#[test]
+fn engine_gemm_entries_match_the_frozen_whitelist() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/engine/src/int8.rs");
+    let src = std::fs::read_to_string(&path).expect("read crates/engine/src/int8.rs");
+    let got: BTreeSet<String> = src
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("pub fn int8_gemm"))
+        .map(|rest| {
+            let tail: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            format!("int8_gemm{tail}")
+        })
+        .collect();
+    let want: BTreeSet<String> = ENGINE_GEMM_FNS.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        got, want,
+        "the engine's GEMM entries changed: products belong on \
+         int8_gemm_prepacked_fused (or int8_gemm_blocked for contiguous i8 \
+         operands) — update tests/api_surface.rs deliberately"
+    );
 }
