@@ -110,6 +110,44 @@ mod tests {
     }
 
     #[test]
+    fn beta_zero_never_reads_c() {
+        // BLAS: with beta = 0, C need not be set on entry. NaN or Inf
+        // left in the output buffer must not reach the result.
+        let emu = Ozaki2::new(15, Mode::Fast);
+        let a = phi_matrix_f64(8, 12, 0.5, 5, 0);
+        let b = phi_matrix_f64(12, 6, 0.5, 5, 1);
+        let want = emu.dgemm(&a, &b);
+        for junk in [f64::NAN, f64::INFINITY] {
+            let mut c = MatF64::from_fn(8, 6, |_, _| junk);
+            blas(&emu, GemmOp::N, GemmOp::N, 2.0, &a, &b, 0.0, &mut c);
+            for i in 0..8 {
+                for j in 0..6 {
+                    assert_eq!(c[(i, j)], 2.0 * want[(i, j)], "f64 ({i},{j}) {junk}");
+                }
+            }
+            // k = 0: the empty product is zero whatever C held.
+            let mut c = MatF64::from_fn(8, 6, |_, _| junk);
+            let (a0, b0) = (MatF64::zeros(8, 0), MatF64::zeros(0, 6));
+            blas(&emu, GemmOp::N, GemmOp::N, 2.0, &a0, &b0, 0.0, &mut c);
+            assert!(c.as_slice().iter().all(|&x| x == 0.0), "k = 0 {junk}");
+        }
+        let emu = Ozaki2::new(8, Mode::Fast);
+        let a = phi_matrix_f32(8, 12, 0.5, 5, 0);
+        let b = phi_matrix_f32(12, 6, 0.5, 5, 1);
+        let want = emu.sgemm(&a, &b);
+        for junk in [f32::NAN, f32::INFINITY] {
+            let mut c = Matrix::<f32>::from_fn(8, 6, |_, _| junk);
+            let args = GemmArgs::new(&a, &b).alpha(2.0).beta(0.0);
+            emu.gemm_into(args, c.view_mut()).unwrap();
+            for i in 0..8 {
+                for j in 0..6 {
+                    assert_eq!(c[(i, j)], 2.0 * want[(i, j)], "f32 ({i},{j}) {junk}");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "ShapeMismatch")]
     fn shape_check() {
         let a = MatF64::zeros(3, 4);

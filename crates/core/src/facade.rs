@@ -578,7 +578,9 @@ pub(crate) fn algorithm1<T: Element>(
 /// contiguous f64 product folds straight into `out`; every other output
 /// folds into the staging buffer, then the `alpha`/`beta` epilogue (or
 /// the exact f32 narrowing) scatters it per column. An empty product
-/// (`None`) leaves `alpha · 0 + beta · out`. `fold_planes`' column
+/// (`None`) leaves `alpha · 0 + beta · out`. With `beta = 0` the output
+/// is never read (the BLAS contract), so NaN or Inf already in `out`
+/// cannot reach the result. `fold_planes`' column
 /// parallelism nests safely inside an inter-GEMM worker (nested regions
 /// run sequentially there) and its output is bit-identical for every
 /// split.
@@ -600,7 +602,7 @@ pub(crate) fn fold_into_view<T: Element>(
     else {
         for j in 0..n {
             for c in out.col_mut(j) {
-                *c = if plain {
+                *c = if beta == T::ZERO {
                     T::ZERO
                 } else {
                     alpha * T::ZERO + beta * *c
@@ -641,6 +643,10 @@ pub(crate) fn fold_into_view<T: Element>(
         if plain {
             for (c, &p) in col.iter_mut().zip(stage_col) {
                 *c = T::from_f64(p);
+            }
+        } else if beta == T::ZERO {
+            for (c, &p) in col.iter_mut().zip(stage_col) {
+                *c = alpha * T::from_f64(p);
             }
         } else {
             for (c, &p) in col.iter_mut().zip(stage_col) {
