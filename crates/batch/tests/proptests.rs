@@ -353,6 +353,74 @@ fn cache_hits_across_calls() {
     }
 }
 
+/// The operand-reuse policy, pinned by exact cumulative cache counts
+/// `(hits, misses, len)` after each of three identical calls. Per-item
+/// operands of a multi-item strided batch never touch the cache; a
+/// broadcast side is prepared on its first call; a lone operand (a
+/// single-item batch, or a group operand used once) is prepared only on
+/// its second sighting; a group operand used twice is prepared at once.
+#[test]
+fn operand_reuse_policy_cache_counts() {
+    let (m, n, k, count, nmod) = (8usize, 8, 12, 4, 8);
+    let counts = |r: &BatchedOzaki2| (r.cache().hits(), r.cache().misses(), r.cache().len());
+    let a_mats: Vec<MatF64> = (0..count)
+        .map(|i| phi_matrix_f64(m, k, 0.5, 20 + i as u64, 0))
+        .collect();
+    let b_mats: Vec<MatF64> = (0..count)
+        .map(|i| phi_matrix_f64(k, n, 0.5, 40 + i as u64, 1))
+        .collect();
+    let (a_data, a_stride) = packed_stream(&a_mats, 0);
+    let (b_data, b_stride) = packed_stream(&b_mats, 0);
+    let a_batch = StridedBatchF64::new(&a_data, m, k, a_stride, count);
+    let mut outs: Vec<MatF64> = (0..count).map(|_| Matrix::zeros(m, n)).collect();
+
+    let strided = |b_batch: &StridedBatchF64<'_>, want: [(u64, u64, usize); 3]| {
+        let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
+        let mut outs = outs.clone();
+        for (call, want) in want.into_iter().enumerate() {
+            runtime
+                .try_dgemm_batched_into(&a_batch, b_batch, &mut outs)
+                .unwrap();
+            assert_eq!(counts(&runtime), want, "call {call}");
+        }
+    };
+    // packed × packed: no side is shared, the cache is never consulted.
+    strided(
+        &StridedBatchF64::new(&b_data, k, n, b_stride, count),
+        [(0, 0, 0); 3],
+    );
+    // packed A × broadcast B: B prepared on the first call, then hit.
+    strided(
+        &StridedBatchF64::broadcast(&b_mats[0], count),
+        [(0, 1, 1), (1, 1, 1), (2, 1, 1)],
+    );
+
+    // Single-item batch: both sides on probation, promoted on repeat.
+    let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
+    for (call, want) in [(0, 2, 0), (0, 4, 2), (2, 4, 2)].into_iter().enumerate() {
+        runtime
+            .try_dgemm_batched_into(
+                &StridedBatchF64::broadcast(&a_mats[0], 1),
+                &StridedBatchF64::broadcast(&b_mats[0], 1),
+                &mut outs[..1],
+            )
+            .unwrap();
+        assert_eq!(counts(&runtime), want, "single-item call {call}");
+    }
+
+    // Group of two unique As sharing one W: W prepared at once, the
+    // As on their second sighting.
+    let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
+    let w = &b_mats[0];
+    let items = [(&a_mats[0], w), (&a_mats[1], w)];
+    for (call, want) in [(0, 3, 1), (1, 5, 3), (4, 5, 3)].into_iter().enumerate() {
+        runtime
+            .try_dgemm_group_into(&items, &mut outs[..2])
+            .unwrap();
+        assert_eq!(counts(&runtime), want, "group call {call}");
+    }
+}
+
 /// Single-item batches only pay for a preparation once the same operand
 /// has been seen twice (probation): one-off operands stay on the raw
 /// zero-alloc path, recurring weights still get amortized.
