@@ -25,12 +25,13 @@
 //! of [`ozaki2::Ozaki2::dgemm`] / `sgemm` calls — caching, pooling and
 //! either schedule change *when* work happens, never *what* is computed.
 //! (In [`Mode::Accurate`] the scales couple `A` and `B`, so operands
-//! cannot be prepared one-sided; accurate batches keep the pool and
-//! scheduler but skip the cache.)
+//! cannot be prepared one-sided; accurate batches run item by item,
+//! each striped, over one pooled workspace and skip the cache.)
 //!
 //! ```
-//! use gemm_batch::{BatchedOzaki2, StridedBatchF64};
+//! use gemm_batch::{BatchedOzaki2, StridedBatch};
 //! use gemm_dense::workload::phi_matrix_f64;
+//! use gemm_dense::MatF64;
 //! use ozaki2::{Mode, Ozaki2};
 //!
 //! // A weight-stationary micro-batch: one shared B, four streaming As.
@@ -39,16 +40,19 @@
 //!     .flat_map(|s| phi_matrix_f64(16, 32, 0.5, s, 0).into_vec())
 //!     .collect();
 //! let runtime = BatchedOzaki2::new(15, Mode::Fast);
-//! let cs = runtime.dgemm_batched(
-//!     &StridedBatchF64::packed(&a_stream, 16, 32, 4),
-//!     &StridedBatchF64::broadcast(&b, 4), // stride 0: prepared once
-//! );
+//! let mut cs = vec![MatF64::zeros(16, 24); 4];
+//! runtime.try_batched_into(
+//!     &StridedBatch::packed(&a_stream, 16, 32, 4),
+//!     &StridedBatch::broadcast(&b, 4), // stride 0: prepared once
+//!     &mut cs,
+//! )?;
 //! // Bit-identical to the per-item emulator.
 //! let emu = Ozaki2::new(15, Mode::Fast);
 //! for (s, c) in cs.iter().enumerate() {
 //!     let a = phi_matrix_f64(16, 32, 0.5, s as u64, 0);
 //!     assert_eq!(c, &emu.dgemm(&a, &b));
 //! }
+//! # Ok::<(), ozaki2::EmulationError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -61,9 +65,9 @@ pub mod strided;
 pub use cache::{OperandCache, OperandKey};
 pub use pool::{PooledWorkspace, WorkspacePool};
 pub use schedule::{Schedule, INTENSITY_CROSSOVER};
-pub use strided::{StridedBatch, StridedBatchF32, StridedBatchF64};
+pub use strided::StridedBatch;
 
-use gemm_dense::{MatF32, MatF64, MatView, Matrix};
+use gemm_dense::{MatF64, MatView, Matrix};
 use ozaki2::{
     Element, EmulationError, GemmArgs, Mode, OperandInput, OperandSide, Ozaki2, PreparedOperand,
 };
@@ -82,7 +86,12 @@ enum Side<'s, T: Element> {
     Prep(Arc<PreparedOperand>),
 }
 
-impl<T: Element> Side<'_, T> {
+impl<'s, T: Element> Side<'s, T> {
+    /// The shared preparation if one was resolved, else the view.
+    fn new(prepared: Option<Arc<PreparedOperand>>, view: MatView<'s, T>) -> Self {
+        prepared.map_or(Side::View(view), Side::Prep)
+    }
+
     fn input(&self) -> OperandInput<'_, T> {
         match self {
             Side::View(v) => OperandInput::View(*v),
@@ -95,14 +104,24 @@ impl<T: Element> Side<'_, T> {
 struct Job<'s, T: Element> {
     a: Side<'s, T>,
     b: Side<'s, T>,
-    parallel: bool,
+    schedule: Schedule,
     out: &'s mut Matrix<T>,
     err: &'s mut Option<EmulationError>,
 }
 
+/// Identity of a group operand within one call: side + data pointer +
+/// shape.
+type GroupId = (OperandSide, usize, usize, usize);
+
 /// The batched Ozaki Scheme II runtime: prepared-operand cache +
 /// workspace pool + many-GEMM scheduler. See the crate docs for the
 /// design and the bit-identicality contract.
+///
+/// Two entries, one per job: [`BatchedOzaki2::try_batched_into`] for
+/// uniform strided batches (either precision) and
+/// [`BatchedOzaki2::try_dgemm_group_into`] for ragged groups. Both write
+/// into caller-owned outputs and share one operand-reuse rule, one round
+/// runner and one accurate-mode fallback.
 ///
 /// The runtime is `Sync`: one instance can serve concurrent callers (the
 /// cache is behind one lock, the pool is sharded per worker).
@@ -111,6 +130,7 @@ struct Job<'s, T: Element> {
 /// ```
 /// use gemm_batch::BatchedOzaki2;
 /// use gemm_dense::workload::phi_matrix_f64;
+/// use gemm_dense::MatF64;
 /// use ozaki2::{Mode, Ozaki2};
 ///
 /// let runtime = BatchedOzaki2::new(12, Mode::Fast);
@@ -119,10 +139,12 @@ struct Job<'s, T: Element> {
 /// let w = phi_matrix_f64(20, 16, 0.5, 1, 1);
 /// let a0 = phi_matrix_f64(8, 20, 0.5, 2, 0);
 /// let a1 = phi_matrix_f64(30, 20, 0.5, 3, 0);
-/// let cs = runtime.dgemm_group(&[(&a0, &w), (&a1, &w)]);
+/// let mut cs = [MatF64::zeros(8, 16), MatF64::zeros(30, 16)];
+/// runtime.try_dgemm_group_into(&[(&a0, &w), (&a1, &w)], &mut cs)?;
 /// let emu = Ozaki2::new(12, Mode::Fast);
 /// assert_eq!(cs[0], emu.dgemm(&a0, &w));
 /// assert_eq!(cs[1], emu.dgemm(&a1, &w));
+/// # Ok::<(), ozaki2::EmulationError>(())
 /// ```
 pub struct BatchedOzaki2 {
     emu: Ozaki2,
@@ -139,11 +161,6 @@ impl BatchedOzaki2 {
             pool: WorkspacePool::new(),
             cache: OperandCache::new(DEFAULT_CACHE_CAPACITY),
         }
-    }
-
-    /// The underlying per-call emulator (the bit-identicality reference).
-    pub fn emulator(&self) -> Ozaki2 {
-        self.emu
     }
 
     /// Set the fault-tolerance policy of the underlying emulator (every
@@ -164,185 +181,24 @@ impl BatchedOzaki2 {
         &self.cache
     }
 
-    /// Drop every cached preparation. Rarely needed for correctness —
-    /// the full-content fingerprint already prevents a mutated or
-    /// reallocated operand from hitting — but useful to release the
-    /// retained panel memory of operands that will not recur.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
-    // -- uniform-shape strided batches ----------------------------------
-
-    /// Batched emulated DGEMM over uniform-shape strided batches:
-    /// `C_i ≈ A_i · B_i` for every item. Broadcast (stride-0) operands
-    /// are prepared once and shared.
+    /// Batched emulated GEMM over uniform-shape strided batches, in
+    /// either precision: `C_i ≈ A_i · B_i` for every item, written into
+    /// caller-owned outputs (each must already have shape
+    /// `(a.rows(), b.cols())`; fully overwritten).
     ///
-    /// # Panics
-    /// On shape/count mismatch or non-finite input (see
-    /// [`BatchedOzaki2::try_dgemm_batched`]).
-    pub fn dgemm_batched(&self, a: &StridedBatchF64<'_>, b: &StridedBatchF64<'_>) -> Vec<MatF64> {
-        self.try_dgemm_batched(a, b)
-            .unwrap_or_else(|e| panic!("dgemm_batched: {e}"))
-    }
-
-    /// Checked form of [`BatchedOzaki2::dgemm_batched`].
-    pub fn try_dgemm_batched(
-        &self,
-        a: &StridedBatchF64<'_>,
-        b: &StridedBatchF64<'_>,
-    ) -> Result<Vec<MatF64>, EmulationError> {
-        let mut outs: Vec<MatF64> = (0..a.count())
-            .map(|_| Matrix::zeros(a.rows(), b.cols()))
-            .collect();
-        self.try_dgemm_batched_into(a, b, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// [`BatchedOzaki2::try_dgemm_batched`] into caller-owned outputs
-    /// (each must already have shape `(a.rows(), b.cols())`; fully
-    /// overwritten). With outputs reused across calls, steady-state
-    /// iterations perform **zero** heap allocations beyond the grow-once
-    /// pool and cache.
-    pub fn try_dgemm_batched_into(
-        &self,
-        a: &StridedBatchF64<'_>,
-        b: &StridedBatchF64<'_>,
-        outs: &mut [MatF64],
-    ) -> Result<(), EmulationError> {
-        self.batched_into(a, b, outs)
-    }
-
-    /// Batched emulated SGEMM over uniform-shape strided f32 batches.
-    /// Broadcast operands (either side) are prepared once and cached;
-    /// per-item operands convert straight from their f32 views in the
-    /// workers' pooled workspaces — no widened copy, and nothing is
-    /// allocated beyond the returned outputs once the pool has grown.
+    /// A broadcast (stride-0) side of a multi-item batch is prepared once
+    /// and cached; per-item sides convert straight from their views in
+    /// the workers' pooled workspaces and never touch the cache. A
+    /// single-item batch consults the cache and prepares a side only on
+    /// its second sighting ([`OperandCache::repeat_miss`]). With outputs
+    /// reused across calls, steady-state iterations perform **zero** heap
+    /// allocations beyond the grow-once pool and cache.
     ///
-    /// # Panics
-    /// On shape/count mismatch, non-finite input, or `N > 18`.
-    pub fn sgemm_batched(&self, a: &StridedBatchF32<'_>, b: &StridedBatchF32<'_>) -> Vec<MatF32> {
-        self.try_sgemm_batched(a, b)
-            .unwrap_or_else(|e| panic!("sgemm_batched: {e}"))
-    }
-
-    /// Checked form of [`BatchedOzaki2::sgemm_batched`].
-    pub fn try_sgemm_batched(
-        &self,
-        a: &StridedBatchF32<'_>,
-        b: &StridedBatchF32<'_>,
-    ) -> Result<Vec<MatF32>, EmulationError> {
-        let mut outs: Vec<MatF32> = (0..a.count())
-            .map(|_| Matrix::zeros(a.rows(), b.cols()))
-            .collect();
-        self.batched_into(a, b, &mut outs)?;
-        Ok(outs)
-    }
-
-    // -- ragged shape groups --------------------------------------------
-
-    /// Batched emulated DGEMM over a ragged group: items may have
-    /// arbitrary (compatible) shapes. Operands referenced by more than
-    /// one item — compared by data identity — are prepared once; large
-    /// items run striped, small items run one-per-worker.
-    ///
-    /// # Panics
-    /// On a shape mismatch or non-finite input (see
-    /// [`BatchedOzaki2::try_dgemm_group`]).
-    pub fn dgemm_group(&self, items: &[(&MatF64, &MatF64)]) -> Vec<MatF64> {
-        self.try_dgemm_group(items)
-            .unwrap_or_else(|e| panic!("dgemm_group: {e}"))
-    }
-
-    /// Checked form of [`BatchedOzaki2::dgemm_group`].
-    pub fn try_dgemm_group(
-        &self,
-        items: &[(&MatF64, &MatF64)],
-    ) -> Result<Vec<MatF64>, EmulationError> {
-        let mut outs: Vec<MatF64> = items
-            .iter()
-            .map(|(a, b)| Matrix::zeros(a.rows(), b.cols()))
-            .collect();
-        self.try_dgemm_group_into(items, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// [`BatchedOzaki2::try_dgemm_group`] into caller-owned outputs
-    /// (each must already have shape `(a.rows(), b.cols())`; fully
-    /// overwritten). The allocation-free form for serving loops that
-    /// recycle output buffers round after round — together with the
-    /// workspace pool and operand cache, steady-state group rounds
-    /// allocate nothing.
-    pub fn try_dgemm_group_into(
-        &self,
-        items: &[(&MatF64, &MatF64)],
-        outs: &mut [MatF64],
-    ) -> Result<(), EmulationError> {
-        if outs.len() != items.len() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        for ((a, b), out) in items.iter().zip(outs.iter()) {
-            if a.cols() != b.rows() || out.shape() != (a.rows(), b.cols()) {
-                return Err(EmulationError::ShapeMismatch);
-            }
-        }
-        if items.is_empty() {
-            return Ok(());
-        }
-
-        if self.emu.mode() != Mode::Fast {
-            let mut ws = self.pool.checkout();
-            for ((a, b), out) in items.iter().zip(outs.iter_mut()) {
-                self.emu
-                    .gemm_into(GemmArgs::new(*a, *b).workspace(&mut ws), out.view_mut())?;
-            }
-            return Ok(());
-        }
-
-        // Identity-based sharing: operands referenced by >= 2 items are
-        // prepared once (and cached across calls); unique operands stay
-        // plain views and convert in the worker's pooled workspace — unless a
-        // previous call already cached them.
-        let mult_a = multiplicities(items.iter().map(|(a, _)| ident(a)));
-        let mult_b = multiplicities(items.iter().map(|(_, b)| ident(b)));
-        let workers = rayon::current_num_threads();
-        let nmod = self.emu.n_moduli();
-
-        let mut errs: Vec<Option<EmulationError>> = (0..items.len()).map(|_| None).collect();
-        let mut prepared_a: HashMap<(usize, usize, usize), Arc<PreparedOperand>> = HashMap::new();
-        let mut prepared_b: HashMap<(usize, usize, usize), Arc<PreparedOperand>> = HashMap::new();
-        let mut small = Vec::new();
-        let mut large = Vec::new();
-        for (((a, b), out), err) in items.iter().zip(outs.iter_mut()).zip(errs.iter_mut()) {
-            let (m, k) = a.shape();
-            let n = b.cols();
-            let a_side = self.group_side(a, OperandSide::A, mult_a[&ident(a)], &mut prepared_a)?;
-            let b_side = self.group_side(b, OperandSide::B, mult_b[&ident(b)], &mut prepared_b)?;
-            let schedule = Schedule::choose_with(m, n, k, nmod, items.len(), workers);
-            let job = Job {
-                a: a_side,
-                b: b_side,
-                parallel: schedule.intra_parallel(),
-                out,
-                err,
-            };
-            match schedule {
-                Schedule::InterItem => small.push(job),
-                Schedule::IntraItem => large.push(job),
-            }
-        }
-        // Large items first, striped one at a time; then the small tail
-        // fans out one item per worker.
-        self.run_jobs(large, Schedule::IntraItem);
-        self.run_jobs(small, Schedule::InterItem);
-        collect_errors(errs)?;
-        Ok(())
-    }
-
-    // -- internals -------------------------------------------------------
-
-    /// Shared body of the uniform strided entries (both precisions).
-    fn batched_into<T: Element>(
+    /// # Errors
+    /// [`EmulationError::ShapeMismatch`] on a shape or count mismatch;
+    /// otherwise the first per-item error (non-finite input, `N > 18`
+    /// for f32, a fault the policy could not recover).
+    pub fn try_batched_into<T: Element>(
         &self,
         a: &StridedBatch<'_, T>,
         b: &StridedBatch<'_, T>,
@@ -360,70 +216,141 @@ impl BatchedOzaki2 {
         if count == 0 {
             return Ok(());
         }
-
         if self.emu.mode() != Mode::Fast {
-            // Accurate mode scales A and B jointly: no one-sided
-            // preparation exists. Run the plain per-item facade over a
-            // pooled workspace (items striped internally) — still
-            // zero-copy: the facade takes the item views directly.
-            let mut ws = self.pool.checkout();
-            for (i, out) in outs.iter_mut().enumerate() {
-                self.emu.gemm_into(
-                    GemmArgs::new(a.view(i), b.view(i)).workspace(&mut ws),
-                    out.view_mut(),
-                )?;
-            }
-            return Ok(());
+            let items = outs.iter_mut().enumerate();
+            return self.accurate_into(items.map(|(i, out)| (a.view(i), b.view(i), out)));
         }
 
-        // Fast mode: shared sides go through the prepared-operand cache,
-        // per-item sides convert in the worker's pooled workspace.
-        let pa_shared = self.shared(a, OperandSide::A)?;
-        let pb_shared = self.shared(b, OperandSide::B)?;
-        let schedule = Schedule::choose(m, n, k, self.emu.n_moduli(), count);
-        let parallel = schedule.intra_parallel();
-        let mut errs: Vec<Option<EmulationError>> = (0..count).map(|_| None).collect();
-        let side = |shared: &Option<Arc<PreparedOperand>>, view| match shared {
-            Some(p) => Side::Prep(p.clone()),
-            None => Side::View(view),
+        // The stride-0 declaration separates the two policies: only a
+        // broadcast side (or the lone item of a one-item batch) is worth
+        // a cache lookup; per-item sides stay views.
+        let resolve = |batch: &StridedBatch<'_, T>, side| {
+            let shared = batch.is_broadcast() && count > 1;
+            if shared || count == 1 {
+                self.resolve(batch.view(0), side, shared)
+            } else {
+                Ok(None)
+            }
         };
-        let jobs: Vec<Job<'_, T>> = outs
+        let pa = resolve(a, OperandSide::A)?;
+        let pb = resolve(b, OperandSide::B)?;
+        let schedule = Schedule::choose_with(
+            m,
+            n,
+            k,
+            self.emu.n_moduli(),
+            count,
+            rayon::current_num_threads(),
+        );
+        let mut errs: Vec<Option<EmulationError>> = (0..count).map(|_| None).collect();
+        let jobs = outs
             .iter_mut()
             .zip(errs.iter_mut())
             .enumerate()
             .map(|(i, (out, err))| Job {
-                a: side(&pa_shared, a.view(i)),
-                b: side(&pb_shared, b.view(i)),
-                parallel,
+                a: Side::new(pa.clone(), a.view(i)),
+                b: Side::new(pb.clone(), b.view(i)),
+                schedule,
                 out,
                 err,
             })
             .collect();
-        self.run_jobs(jobs, schedule);
+        self.run_round(jobs);
         collect_errors(errs)
     }
 
-    /// Resolve a strided side to a shared preparation. Broadcast
-    /// multi-item batches always prepare (the within-call reuse pays
-    /// immediately). A single-item batch consults the cache and, on a
-    /// miss, goes through probation ([`OperandCache::repeat_miss`]): only
-    /// an operand seen on an earlier call gets prepared and retained —
-    /// a one-off operand stays on the cheaper zero-alloc view path.
-    fn shared<T: Element>(
+    /// Batched emulated DGEMM over a ragged group, into caller-owned
+    /// outputs (each must already have shape `(a.rows(), b.cols())`;
+    /// fully overwritten). Items may have arbitrary (compatible) shapes.
+    /// Operands referenced by more than one item — compared by data
+    /// identity — are prepared once and cached; an operand used once is
+    /// prepared only on its second sighting across calls. Large items
+    /// run striped, small items run one-per-worker. Together with the
+    /// workspace pool and operand cache, steady-state rounds over
+    /// recycled outputs allocate nothing.
+    ///
+    /// # Errors
+    /// As [`BatchedOzaki2::try_batched_into`].
+    pub fn try_dgemm_group_into(
         &self,
-        batch: &StridedBatch<'_, T>,
-        side: OperandSide,
-    ) -> Result<Option<Arc<PreparedOperand>>, EmulationError> {
-        let within_call = batch.is_broadcast() && batch.count() > 1;
-        if !within_call && batch.count() != 1 {
-            return Ok(None);
+        items: &[(&MatF64, &MatF64)],
+        outs: &mut [MatF64],
+    ) -> Result<(), EmulationError> {
+        if outs.len() != items.len() {
+            return Err(EmulationError::ShapeMismatch);
         }
-        let view = batch.view(0);
+        for ((a, b), out) in items.iter().zip(outs.iter()) {
+            if a.cols() != b.rows() || out.shape() != (a.rows(), b.cols()) {
+                return Err(EmulationError::ShapeMismatch);
+            }
+        }
+        if items.is_empty() {
+            return Ok(());
+        }
+        if self.emu.mode() != Mode::Fast {
+            let items = items.iter().zip(outs.iter_mut());
+            return self.accurate_into(items.map(|((a, b), out)| (a.view(), b.view(), out)));
+        }
+
+        // Identity-based sharing: operands referenced by >= 2 items are
+        // prepared once (and cached across calls); unique operands stay
+        // plain views unless the cache shows they recur across calls.
+        let id = |m: &MatF64, side| (side, m.as_slice().as_ptr() as usize, m.rows(), m.cols());
+        let mut multiplicity: HashMap<GroupId, usize> = HashMap::new();
+        for (a, b) in items {
+            *multiplicity.entry(id(a, OperandSide::A)).or_insert(0) += 1;
+            *multiplicity.entry(id(b, OperandSide::B)).or_insert(0) += 1;
+        }
+        let mut prepared: HashMap<GroupId, Arc<PreparedOperand>> = HashMap::new();
+        let mut side = |m: &MatF64, side| -> Result<_, EmulationError> {
+            let key = id(m, side);
+            if let Some(p) = prepared.get(&key) {
+                return Ok(Some(p.clone()));
+            }
+            let p = self.resolve(m.view(), side, multiplicity[&key] >= 2)?;
+            if let Some(p) = &p {
+                prepared.insert(key, p.clone());
+            }
+            Ok(p)
+        };
+        let (nmod, workers) = (self.emu.n_moduli(), rayon::current_num_threads());
+        let mut errs: Vec<Option<EmulationError>> = (0..items.len()).map(|_| None).collect();
+        let mut jobs = Vec::with_capacity(items.len());
+        for (((a, b), out), err) in items.iter().zip(outs.iter_mut()).zip(errs.iter_mut()) {
+            let (m, k) = a.shape();
+            let n = b.cols();
+            jobs.push(Job {
+                a: Side::new(side(a, OperandSide::A)?, a.view()),
+                b: Side::new(side(b, OperandSide::B)?, b.view()),
+                schedule: Schedule::choose_with(m, n, k, nmod, items.len(), workers),
+                out,
+                err,
+            });
+        }
+        self.run_round(jobs);
+        collect_errors(errs)
+    }
+
+    // -- internals -------------------------------------------------------
+
+    /// The one operand-reuse rule. A cache hit is always reused. On a
+    /// miss, an operand shared within the call (`shared_in_call`) is
+    /// prepared and retained at once — the within-call reuse pays
+    /// immediately; a lone operand goes through probation
+    /// ([`OperandCache::repeat_miss`]) and is prepared only on its second
+    /// sighting, so a one-off operand stays on the cheaper zero-alloc
+    /// view path (`None`).
+    fn resolve<T: Element>(
+        &self,
+        view: MatView<'_, T>,
+        side: OperandSide,
+        shared_in_call: bool,
+    ) -> Result<Option<Arc<PreparedOperand>>, EmulationError> {
         let key = OperandKey::view(&view, side, self.emu.n_moduli(), self.emu.mode());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(Some(hit));
         }
-        if !within_call && !self.cache.repeat_miss(&key) {
+        if !shared_in_call && !self.cache.repeat_miss(&key) {
             return Ok(None);
         }
         let prepared = Arc::new(self.emu.prepare(side, view)?);
@@ -431,79 +358,54 @@ impl BatchedOzaki2 {
         Ok(Some(prepared))
     }
 
-    /// Resolve one group-item side: operands shared by ≥ 2 items are
-    /// prepared and cached immediately; unique operands stay plain views
-    /// (converting in the worker's pooled workspace beats allocating
-    /// panels) unless a cache hit or a probation repeat sighting shows
-    /// they recur across calls.
-    fn group_side<'s>(
+    /// The one accurate-mode fallback. Accurate mode scales A and B
+    /// jointly, so no one-sided preparation exists: run the plain
+    /// per-item facade over one pooled workspace (items striped
+    /// internally) — still zero-copy, the facade takes the item views
+    /// directly.
+    fn accurate_into<'v, T: Element + 'v>(
         &self,
-        mat: &'s MatF64,
-        side: OperandSide,
-        multiplicity: usize,
-        local: &mut HashMap<(usize, usize, usize), Arc<PreparedOperand>>,
-    ) -> Result<Side<'s, f64>, EmulationError> {
-        let id = ident(mat);
-        if let Some(p) = local.get(&id) {
-            return Ok(Side::Prep(p.clone()));
+        items: impl Iterator<Item = (MatView<'v, T>, MatView<'v, T>, &'v mut Matrix<T>)>,
+    ) -> Result<(), EmulationError> {
+        let mut ws = self.pool.checkout();
+        for (a, b, out) in items {
+            self.emu
+                .gemm_into(GemmArgs::new(a, b).workspace(&mut ws), out.view_mut())?;
         }
-        let key = OperandKey::view(&mat.view(), side, self.emu.n_moduli(), self.emu.mode());
-        if let Some(hit) = self.cache.get(&key) {
-            local.insert(id, hit.clone());
-            return Ok(Side::Prep(hit));
-        }
-        if multiplicity < 2 && !self.cache.repeat_miss(&key) {
-            return Ok(Side::View(mat.view()));
-        }
-        let prepared = Arc::new(self.emu.prepare(side, mat)?);
-        self.cache.insert(key, prepared.clone());
-        local.insert(id, prepared.clone());
-        Ok(Side::Prep(prepared))
+        Ok(())
     }
 
-    /// Execute jobs under the chosen schedule.
-    fn run_jobs<T: Element>(&self, jobs: Vec<Job<'_, T>>, schedule: Schedule) {
+    /// The one round runner: `IntraItem` jobs first, striped one at a
+    /// time; then the `InterItem` jobs fan out one item per worker. An
+    /// empty class is skipped. Each job records its own error.
+    fn run_round<T: Element>(&self, jobs: Vec<Job<'_, T>>) {
         let _span = gemm_obs::span("batch_round", "batch");
+        let (intra, inter): (Vec<_>, Vec<_>) = jobs
+            .into_iter()
+            .partition(|job| job.schedule.intra_parallel());
         let run = |job: Job<'_, T>| self.run_job(job);
-        match schedule {
-            Schedule::InterItem => {
-                gemm_obs::catalog::BATCH_ITEMS_INTER.add(jobs.len() as u64);
-                jobs.into_par_iter().for_each(run)
-            }
-            Schedule::IntraItem => {
-                gemm_obs::catalog::BATCH_ITEMS_INTRA.add(jobs.len() as u64);
-                jobs.into_iter().for_each(run)
-            }
+        if !intra.is_empty() {
+            gemm_obs::catalog::BATCH_ITEMS_INTRA.add(intra.len() as u64);
+            intra.into_iter().for_each(run);
+        }
+        if !inter.is_empty() {
+            gemm_obs::catalog::BATCH_ITEMS_INTER.add(inter.len() as u64);
+            inter.into_par_iter().for_each(run);
         }
     }
 
     /// Execute one item with a pooled workspace.
     fn run_job<T: Element>(&self, job: Job<'_, T>) {
         let mut ws = self.pool.checkout();
+        let parallel = job.schedule.intra_parallel();
         let out = job.out.view_mut();
         if let Err(e) = self
             .emu
-            .execute(job.a.input(), job.b.input(), &mut ws, job.parallel, out)
+            .execute(job.a.input(), job.b.input(), &mut ws, parallel, out)
         {
             *job.err = Some(e);
         }
     }
-}
-
-/// Data identity of a matrix: pointer + shape.
-fn ident(m: &MatF64) -> (usize, usize, usize) {
-    (m.as_slice().as_ptr() as usize, m.rows(), m.cols())
-}
-
-/// Count occurrences of each identity.
-fn multiplicities<I: Iterator<Item = (usize, usize, usize)>>(
-    ids: I,
-) -> HashMap<(usize, usize, usize), usize> {
-    let mut map = HashMap::new();
-    for id in ids {
-        *map.entry(id).or_insert(0usize) += 1;
-    }
-    map
 }
 
 /// First recorded per-item error, if any.

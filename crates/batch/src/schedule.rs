@@ -60,11 +60,6 @@ impl Schedule {
         }
     }
 
-    /// [`Schedule::choose_with`] on the current rayon worker count.
-    pub fn choose(m: usize, n: usize, k: usize, n_moduli: usize, item_count: usize) -> Schedule {
-        Self::choose_with(m, n, k, n_moduli, item_count, rayon::current_num_threads())
-    }
-
     /// Whether per-item executions should enable the engine's internal
     /// stripe parallelism.
     pub fn intra_parallel(self) -> bool {

@@ -9,7 +9,7 @@
 //! larger parent allocation and are handed to the pipeline as borrowed
 //! [`MatView`]s — never copied into owned matrices.
 
-use gemm_dense::{MatF32, MatF64, MatView};
+use gemm_dense::{MatView, Matrix};
 
 /// A strided batch of column-major matrices over a borrowed element slice.
 #[derive(Clone, Copy, Debug)]
@@ -22,11 +22,6 @@ pub struct StridedBatch<'a, T> {
     stride: usize,
     count: usize,
 }
-
-/// Strided batch of f64 matrices (DGEMM operands).
-pub type StridedBatchF64<'a> = StridedBatch<'a, f64>;
-/// Strided batch of f32 matrices (SGEMM operands).
-pub type StridedBatchF32<'a> = StridedBatch<'a, f32>;
 
 impl<'a, T> StridedBatch<'a, T> {
     /// Batch of `count` `rows x cols` column-major matrices, matrix `i`
@@ -143,6 +138,13 @@ impl<'a, T> StridedBatch<'a, T> {
 }
 
 impl<'a, T: Copy> StridedBatch<'a, T> {
+    /// Broadcast one matrix to every item of a `count`-item batch
+    /// (`stride = 0`): the shared-operand form the runtime prepares once
+    /// and caches.
+    pub fn broadcast(m: &'a Matrix<T>, count: usize) -> Self {
+        Self::new(m.as_slice(), m.rows(), m.cols(), 0, count)
+    }
+
     /// Borrowed strided view of item `i` — the canonical, copy-free item
     /// accessor (works for dense and `ld`-strided batches alike).
     pub fn view(&self, i: usize) -> MatView<'a, T> {
@@ -157,29 +159,15 @@ impl<'a, T: Copy> StridedBatch<'a, T> {
     }
 }
 
-impl<'a> StridedBatchF64<'a> {
-    /// Broadcast one matrix to every item of a `count`-item batch
-    /// (`stride = 0`): the shared-operand form the runtime caches.
-    pub fn broadcast(m: &'a MatF64, count: usize) -> Self {
-        Self::new(m.as_slice(), m.rows(), m.cols(), 0, count)
-    }
-}
-
-impl<'a> StridedBatchF32<'a> {
-    /// Broadcast one f32 matrix to every item (`stride = 0`).
-    pub fn broadcast(m: &'a MatF32, count: usize) -> Self {
-        Self::new(m.as_slice(), m.rows(), m.cols(), 0, count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gemm_dense::MatF64;
 
     #[test]
     fn packed_items_tile_the_buffer() {
         let data: Vec<f64> = (0..24).map(|i| i as f64).collect();
-        let b = StridedBatchF64::packed(&data, 2, 3, 4);
+        let b = StridedBatch::packed(&data, 2, 3, 4);
         assert_eq!(b.item(0), &data[0..6]);
         assert_eq!(b.item(3), &data[18..24]);
         assert!(!b.is_broadcast());
@@ -188,7 +176,7 @@ mod tests {
     #[test]
     fn broadcast_repeats_one_matrix() {
         let m = MatF64::from_fn(3, 2, |i, j| (i + 10 * j) as f64);
-        let b = StridedBatchF64::broadcast(&m, 5);
+        let b = StridedBatch::broadcast(&m, 5);
         assert_eq!(b.count(), 5);
         assert!(b.is_broadcast());
         assert_eq!(b.item(0), b.item(4));
@@ -198,7 +186,7 @@ mod tests {
     #[test]
     fn padded_stride_skips_gaps() {
         let data = vec![0f64; 3 * 10 + 6];
-        let b = StridedBatchF64::new(&data, 2, 3, 10, 4);
+        let b = StridedBatch::new(&data, 2, 3, 10, 4);
         assert_eq!(b.item(1).len(), 6);
         assert_eq!(b.item(3).as_ptr(), data[30..].as_ptr());
     }
@@ -208,7 +196,7 @@ mod tests {
         // 3 items, each a 2x3 window with ld 4 inside its own block.
         let (ld, stride) = (4usize, 4 * 3);
         let data: Vec<f64> = (0..stride * 3).map(|i| i as f64).collect();
-        let b = StridedBatchF64::with_ld(&data, 2, 3, ld, stride, 3);
+        let b = StridedBatch::with_ld(&data, 2, 3, ld, stride, 3);
         assert!(!b.is_contiguous());
         assert_eq!(b.ld(), 4);
         let v = b.view(1);
@@ -216,7 +204,7 @@ mod tests {
         assert_eq!(v.get(1, 2), (stride + 1 + 2 * ld) as f64);
         assert!(v.as_col_major_slice().is_none());
         // Dense batches expose contiguous views.
-        let dense = StridedBatchF64::packed(&data, 2, 3, 2);
+        let dense = StridedBatch::packed(&data, 2, 3, 2);
         assert!(dense.view(1).as_col_major_slice().is_some());
     }
 
@@ -224,7 +212,7 @@ mod tests {
     #[should_panic(expected = "use view()")]
     fn item_rejects_ld_strided() {
         let data = vec![0f64; 64];
-        let b = StridedBatchF64::with_ld(&data, 2, 3, 4, 16, 2);
+        let b = StridedBatch::with_ld(&data, 2, 3, 4, 16, 2);
         let _ = b.item(0);
     }
 
@@ -232,20 +220,20 @@ mod tests {
     #[should_panic(expected = "below rows")]
     fn rejects_undersized_ld() {
         let data = vec![0f64; 64];
-        let _ = StridedBatchF64::with_ld(&data, 4, 3, 3, 16, 2);
+        let _ = StridedBatch::with_ld(&data, 4, 3, 3, 16, 2);
     }
 
     #[test]
     #[should_panic(expected = "batch data too short")]
     fn rejects_short_buffers() {
         let data = vec![0f64; 11];
-        let _ = StridedBatchF64::packed(&data, 2, 3, 2);
+        let _ = StridedBatch::packed(&data, 2, 3, 2);
     }
 
     #[test]
     #[should_panic(expected = "below matrix footprint")]
     fn rejects_undersized_stride() {
         let data = vec![0f64; 100];
-        let _ = StridedBatchF64::new(&data, 4, 4, 10, 2);
+        let _ = StridedBatch::new(&data, 4, 4, 10, 2);
     }
 }

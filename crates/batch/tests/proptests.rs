@@ -5,10 +5,10 @@
 //! regimes, and (via the scalar-fallback CI job, `OZAKI_FORCE_SCALAR=1`)
 //! every kernel dispatch.
 
-use gemm_batch::{BatchedOzaki2, StridedBatchF32, StridedBatchF64};
+use gemm_batch::{BatchedOzaki2, StridedBatch};
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::{MatF64, Matrix};
-use ozaki2::{GemmArgs, Mode, Ozaki2, Workspace};
+use ozaki2::{Element, EmulationError, GemmArgs, Mode, Ozaki2, Workspace};
 use proptest::prelude::*;
 
 /// Flatten `count` matrices into one strided buffer with `pad` unused
@@ -21,6 +21,30 @@ fn packed_stream(mats: &[MatF64], pad: usize) -> (Vec<f64>, usize) {
         data[i * stride..i * stride + footprint].copy_from_slice(m.as_slice());
     }
     (data, stride)
+}
+
+/// `try_batched_into` into freshly zeroed outputs.
+fn batched<T: Element>(
+    runtime: &BatchedOzaki2,
+    a: &StridedBatch<'_, T>,
+    b: &StridedBatch<'_, T>,
+) -> Result<Vec<Matrix<T>>, EmulationError> {
+    let mut outs = vec![Matrix::zeros(a.rows(), b.cols()); a.count()];
+    runtime.try_batched_into(a, b, &mut outs).map(|()| outs)
+}
+
+/// `try_dgemm_group_into` into freshly zeroed outputs.
+fn group(
+    runtime: &BatchedOzaki2,
+    items: &[(&MatF64, &MatF64)],
+) -> Result<Vec<MatF64>, EmulationError> {
+    let mut outs: Vec<MatF64> = items
+        .iter()
+        .map(|(a, b)| MatF64::zeros(a.rows(), b.cols()))
+        .collect();
+    runtime
+        .try_dgemm_group_into(items, &mut outs)
+        .map(|()| outs)
 }
 
 proptest! {
@@ -45,10 +69,11 @@ proptest! {
         let (a_data, a_stride) = packed_stream(&a_mats, pad);
         let (b_data, b_stride) = packed_stream(&b_mats, 0);
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
-        let got = runtime.dgemm_batched(
-            &StridedBatchF64::new(&a_data, m, k, a_stride, count),
-            &StridedBatchF64::new(&b_data, k, n, b_stride, count),
-        );
+        let got = batched(
+            &runtime,
+            &StridedBatch::new(&a_data, m, k, a_stride, count),
+            &StridedBatch::new(&b_data, k, n, b_stride, count),
+        ).unwrap();
         let emu = Ozaki2::new(nmod, Mode::Fast);
         for i in 0..count {
             let want = emu.dgemm(&a_mats[i], &b_mats[i]);
@@ -87,10 +112,11 @@ proptest! {
         let b = phi_matrix_f64(k, n, 0.6, seed + 500, 1);
         let mode = if accurate { Mode::Accurate } else { Mode::Fast };
         let runtime = BatchedOzaki2::new(nmod, mode);
-        let got = runtime.dgemm_batched(
-            &StridedBatchF64::with_ld(&a_data, m, k, ld, stride, count),
-            &StridedBatchF64::broadcast(&b, count),
-        );
+        let got = batched(
+            &runtime,
+            &StridedBatch::with_ld(&a_data, m, k, ld, stride, count),
+            &StridedBatch::broadcast(&b, count),
+        ).unwrap();
         let emu = Ozaki2::new(nmod, mode);
         for i in 0..count {
             let want = emu.dgemm(&a_mats[i], &b);
@@ -117,10 +143,11 @@ proptest! {
             let b_mats: Vec<MatF64> =
                 (0..count).map(|i| phi_matrix_f64(k, n, 0.6, seed + 1 + i as u64, 1)).collect();
             let (b_data, b_stride) = packed_stream(&b_mats, 3);
-            let got = runtime.dgemm_batched(
-                &StridedBatchF64::broadcast(&a, count),
-                &StridedBatchF64::new(&b_data, k, n, b_stride, count),
-            );
+            let got = batched(
+                &runtime,
+                &StridedBatch::broadcast(&a, count),
+                &StridedBatch::new(&b_data, k, n, b_stride, count),
+            ).unwrap();
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.dgemm(&a, &b_mats[i]), "shared-A item {}", i);
             }
@@ -129,10 +156,11 @@ proptest! {
             let a_mats: Vec<MatF64> =
                 (0..count).map(|i| phi_matrix_f64(m, k, 0.6, seed + 1 + i as u64, 0)).collect();
             let (a_data, a_stride) = packed_stream(&a_mats, 0);
-            let got = runtime.dgemm_batched(
-                &StridedBatchF64::new(&a_data, m, k, a_stride, count),
-                &StridedBatchF64::broadcast(&b, count),
-            );
+            let got = batched(
+                &runtime,
+                &StridedBatch::new(&a_data, m, k, a_stride, count),
+                &StridedBatch::broadcast(&b, count),
+            ).unwrap();
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.dgemm(&a_mats[i], &b), "shared-B item {}", i);
             }
@@ -185,7 +213,7 @@ proptest! {
             })
             .collect();
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
-        let got = runtime.dgemm_group(&refs);
+        let got = group(&runtime, &refs).unwrap();
         let emu = Ozaki2::new(nmod, Mode::Fast);
         for (i, (a, b)) in refs.iter().enumerate() {
             prop_assert_eq!(&got[i], &emu.dgemm(a, b), "group item {} share={}", i, share);
@@ -217,12 +245,13 @@ proptest! {
                 a_data[col..col + m].copy_from_slice(&a.as_slice()[j * m..(j + 1) * m]);
             }
         }
-        let a_batch = StridedBatchF32::with_ld(&a_data, m, k, lda, lda * k, count);
+        let a_batch = StridedBatch::with_ld(&a_data, m, k, lda, lda * k, count);
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
         let emu = Ozaki2::new(nmod, Mode::Fast);
         if share_b {
             let b = phi_matrix_f32(k, n, 0.5, seed + 777, 1);
-            let got = runtime.sgemm_batched(&a_batch, &StridedBatchF32::broadcast(&b, count));
+            let got =
+                batched(&runtime, &a_batch, &StridedBatch::broadcast(&b, count)).unwrap();
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.sgemm(&a_mats[i], &b), "sgemm shared item {}", i);
             }
@@ -233,8 +262,8 @@ proptest! {
             for b in &b_mats {
                 b_data.extend_from_slice(b.as_slice());
             }
-            let got = runtime
-                .sgemm_batched(&a_batch, &StridedBatchF32::packed(&b_data, k, n, count));
+            let b_batch = StridedBatch::packed(&b_data, k, n, count);
+            let got = batched(&runtime, &a_batch, &b_batch).unwrap();
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.sgemm(&a_mats[i], &b_mats[i]), "sgemm item {}", i);
             }
@@ -257,10 +286,11 @@ proptest! {
         let b = phi_matrix_f64(k, n, 1.5, seed + 42, 1);
         let (a_data, a_stride) = packed_stream(&a_mats, 2);
         let runtime = BatchedOzaki2::new(nmod, Mode::Accurate);
-        let got = runtime.dgemm_batched(
-            &StridedBatchF64::new(&a_data, m, k, a_stride, count),
-            &StridedBatchF64::broadcast(&b, count),
-        );
+        let got = batched(
+            &runtime,
+            &StridedBatch::new(&a_data, m, k, a_stride, count),
+            &StridedBatch::broadcast(&b, count),
+        ).unwrap();
         let emu = Ozaki2::new(nmod, Mode::Accurate);
         for i in 0..count {
             prop_assert_eq!(&got[i], &emu.dgemm(&a_mats[i], &b), "accurate item {}", i);
@@ -268,6 +298,25 @@ proptest! {
         // Accurate mode cannot cache one-sided preparations.
         prop_assert_eq!(runtime.cache().len(), 0);
     }
+}
+
+/// Accurate mode through the group entry runs the same per-item
+/// fallback as the strided entry: bitwise equal to the per-item
+/// emulator, with nothing cached.
+#[test]
+fn accurate_mode_group_matches_sequential() {
+    let nmod = 10usize;
+    let runtime = BatchedOzaki2::new(nmod, Mode::Accurate);
+    let w = phi_matrix_f64(12, 7, 1.5, 1, 1);
+    let a0 = phi_matrix_f64(5, 12, 1.5, 2, 0);
+    let a1 = phi_matrix_f64(9, 12, 1.5, 3, 0);
+    let items = [(&a0, &w), (&a1, &w), (&a0, &w)];
+    let got = group(&runtime, &items).unwrap();
+    let emu = Ozaki2::new(nmod, Mode::Accurate);
+    for (i, (a, b)) in items.iter().enumerate() {
+        assert_eq!(got[i], emu.dgemm(a, b), "item {i}");
+    }
+    assert_eq!(runtime.cache().len(), 0);
 }
 
 /// Steady-state batched serving performs zero heap growth beyond the
@@ -288,14 +337,14 @@ fn batched_steady_state_allocates_nothing() {
         .map(|i| phi_matrix_f64(m, k, 0.5, i as u64, 0))
         .collect();
     let (a_data, a_stride) = packed_stream(&a_mats, 0);
-    let a_batch = StridedBatchF64::new(&a_data, m, k, a_stride, count);
-    let b_batch = StridedBatchF64::broadcast(&b, count);
+    let a_batch = StridedBatch::new(&a_data, m, k, a_stride, count);
+    let b_batch = StridedBatch::broadcast(&b, count);
     let mut outs: Vec<MatF64> = (0..count).map(|_| Matrix::zeros(m, n)).collect();
 
     // Warm up: pool and cache grow to their high-water marks.
     for _ in 0..2 {
         runtime
-            .try_dgemm_batched_into(&a_batch, &b_batch, &mut outs)
+            .try_batched_into(&a_batch, &b_batch, &mut outs)
             .unwrap();
     }
     let created = runtime.pool().created();
@@ -309,7 +358,7 @@ fn batched_steady_state_allocates_nothing() {
     let workers = rayon::current_num_threads();
     for _ in 0..4 {
         runtime
-            .try_dgemm_batched_into(&a_batch, &b_batch, &mut outs)
+            .try_batched_into(&a_batch, &b_batch, &mut outs)
             .unwrap();
         if workers == 1 {
             assert_eq!(runtime.pool().created(), created, "no new workspaces");
@@ -342,10 +391,12 @@ fn cache_hits_across_calls() {
     let a = phi_matrix_f64(m, k, 0.5, 2, 0);
     let a_batch_data = a.as_slice().to_vec();
     for call in 0..3 {
-        let _ = runtime.dgemm_batched(
-            &StridedBatchF64::new(&a_batch_data, m, k, 0, count),
-            &StridedBatchF64::broadcast(&b, count),
-        );
+        let _ = batched(
+            &runtime,
+            &StridedBatch::new(&a_batch_data, m, k, 0, count),
+            &StridedBatch::broadcast(&b, count),
+        )
+        .unwrap();
         assert_eq!(runtime.cache().len(), 2, "A and B preparations retained");
         if call > 0 {
             assert!(runtime.cache().hits() >= 2 * call, "call {call} must hit");
@@ -371,27 +422,27 @@ fn operand_reuse_policy_cache_counts() {
         .collect();
     let (a_data, a_stride) = packed_stream(&a_mats, 0);
     let (b_data, b_stride) = packed_stream(&b_mats, 0);
-    let a_batch = StridedBatchF64::new(&a_data, m, k, a_stride, count);
+    let a_batch = StridedBatch::new(&a_data, m, k, a_stride, count);
     let mut outs: Vec<MatF64> = (0..count).map(|_| Matrix::zeros(m, n)).collect();
 
-    let strided = |b_batch: &StridedBatchF64<'_>, want: [(u64, u64, usize); 3]| {
+    let strided = |b_batch: &StridedBatch<'_, f64>, want: [(u64, u64, usize); 3]| {
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
         let mut outs = outs.clone();
         for (call, want) in want.into_iter().enumerate() {
             runtime
-                .try_dgemm_batched_into(&a_batch, b_batch, &mut outs)
+                .try_batched_into(&a_batch, b_batch, &mut outs)
                 .unwrap();
             assert_eq!(counts(&runtime), want, "call {call}");
         }
     };
     // packed × packed: no side is shared, the cache is never consulted.
     strided(
-        &StridedBatchF64::new(&b_data, k, n, b_stride, count),
+        &StridedBatch::new(&b_data, k, n, b_stride, count),
         [(0, 0, 0); 3],
     );
     // packed A × broadcast B: B prepared on the first call, then hit.
     strided(
-        &StridedBatchF64::broadcast(&b_mats[0], count),
+        &StridedBatch::broadcast(&b_mats[0], count),
         [(0, 1, 1), (1, 1, 1), (2, 1, 1)],
     );
 
@@ -399,9 +450,9 @@ fn operand_reuse_policy_cache_counts() {
     let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
     for (call, want) in [(0, 2, 0), (0, 4, 2), (2, 4, 2)].into_iter().enumerate() {
         runtime
-            .try_dgemm_batched_into(
-                &StridedBatchF64::broadcast(&a_mats[0], 1),
-                &StridedBatchF64::broadcast(&b_mats[0], 1),
+            .try_batched_into(
+                &StridedBatch::broadcast(&a_mats[0], 1),
+                &StridedBatch::broadcast(&b_mats[0], 1),
                 &mut outs[..1],
             )
             .unwrap();
@@ -433,10 +484,12 @@ fn single_item_batches_promote_on_repeat() {
     let emu = Ozaki2::new(nmod, Mode::Fast);
     let want = emu.dgemm(&a, &b);
     let call = || {
-        runtime.dgemm_batched(
-            &StridedBatchF64::broadcast(&a, 1),
-            &StridedBatchF64::broadcast(&b, 1),
+        batched(
+            &runtime,
+            &StridedBatch::broadcast(&a, 1),
+            &StridedBatch::broadcast(&b, 1),
         )
+        .unwrap()
     };
     assert_eq!(call()[0], want);
     assert_eq!(
@@ -465,10 +518,12 @@ fn sgemm_shared_a_is_cached_and_bit_identical() {
     for b in &b_mats {
         b_data.extend_from_slice(b.as_slice());
     }
-    let got = runtime.sgemm_batched(
-        &StridedBatchF32::broadcast(&a, count),
-        &StridedBatchF32::packed(&b_data, k, n, count),
-    );
+    let got = batched(
+        &runtime,
+        &StridedBatch::broadcast(&a, count),
+        &StridedBatch::packed(&b_data, k, n, count),
+    )
+    .unwrap();
     assert_eq!(runtime.cache().len(), 1, "shared A prepared once");
     let emu = Ozaki2::new(nmod, Mode::Fast);
     for (i, b) in b_mats.iter().enumerate() {
@@ -489,10 +544,12 @@ fn in_place_mutation_never_serves_stale_panels() {
         // Mutate ONE element in place between rounds (same pointer,
         // same shape — only the content differs).
         b[(round, round)] += 1.0 + round as f64;
-        let got = runtime.dgemm_batched(
-            &StridedBatchF64::packed(&a_data, m, k, count),
-            &StridedBatchF64::broadcast(&b, count),
-        );
+        let got = batched(
+            &runtime,
+            &StridedBatch::packed(&a_data, m, k, count),
+            &StridedBatch::broadcast(&b, count),
+        )
+        .unwrap();
         let a0 = gemm_dense::Matrix::from_vec(m, k, a_data[..m * k].to_vec());
         assert_eq!(got[0], emu.dgemm(&a0, &b), "round {round}");
     }
@@ -506,12 +563,12 @@ fn batched_propagates_item_errors() {
     let b = phi_matrix_f64(k, n, 0.5, 1, 1);
     let mut a_data = vec![0.5f64; count * m * k];
     a_data[m * k + 3] = f64::NAN; // poison item 1
-    let err = runtime
-        .try_dgemm_batched(
-            &StridedBatchF64::packed(&a_data, m, k, count),
-            &StridedBatchF64::broadcast(&b, count),
-        )
-        .unwrap_err();
+    let err = batched(
+        &runtime,
+        &StridedBatch::packed(&a_data, m, k, count),
+        &StridedBatch::broadcast(&b, count),
+    )
+    .unwrap_err();
     assert!(
         matches!(
             err,
@@ -526,12 +583,12 @@ fn batched_propagates_item_errors() {
     // Count mismatch.
     let ok_a = vec![0.5f64; 2 * m * k];
     assert_eq!(
-        runtime
-            .try_dgemm_batched(
-                &StridedBatchF64::packed(&ok_a, m, k, 2),
-                &StridedBatchF64::broadcast(&b, 3),
-            )
-            .unwrap_err(),
+        batched(
+            &runtime,
+            &StridedBatch::packed(&ok_a, m, k, 2),
+            &StridedBatch::broadcast(&b, 3),
+        )
+        .unwrap_err(),
         ozaki2::EmulationError::ShapeMismatch
     );
 }

@@ -9,7 +9,7 @@
 //! bit-identical), and flat steady-state allocation with panic-poison
 //! recovery (a panicking holder never wedges or leaks the pool).
 
-use gemm_batch::{BatchedOzaki2, OperandCache, OperandKey, StridedBatchF64, WorkspacePool};
+use gemm_batch::{BatchedOzaki2, OperandCache, OperandKey, StridedBatch, WorkspacePool};
 use gemm_dense::workload::phi_matrix_f64;
 use gemm_dense::{Layout, MatF64, MatView};
 use ozaki2::{Mode, OperandSide, Ozaki2, PreparedOperand};
@@ -120,10 +120,14 @@ fn shared_runtime_concurrent_calls_stay_exact_and_flat() {
         for a in &a_mats {
             a_data.extend_from_slice(a.as_slice());
         }
-        let got = runtime.dgemm_batched(
-            &StridedBatchF64::packed(&a_data, m, k, count),
-            &StridedBatchF64::broadcast(&b, count),
-        );
+        let mut got = vec![MatF64::zeros(m, n); count];
+        runtime
+            .try_batched_into(
+                &StridedBatch::packed(&a_data, m, k, count),
+                &StridedBatch::broadcast(&b, count),
+                &mut got,
+            )
+            .unwrap();
         for (i, g) in got.iter().enumerate() {
             assert_eq!(g, &emu.dgemm(&a_mats[i], &b), "thread {thread} item {i}");
         }

@@ -39,7 +39,7 @@
 //! `OZAKI_OBS=1` an `obs` section read straight from the `gemm_obs`
 //! registry.
 
-use gemm_batch::{BatchedOzaki2, StridedBatchF64};
+use gemm_batch::{BatchedOzaki2, StridedBatch};
 use gemm_bench::check::{check_regressions, json_number, json_string, GateMetric};
 use gemm_bench::report::Args;
 use gemm_dense::workload::phi_matrix_f64;
@@ -252,12 +252,12 @@ fn main() {
             naive_out = a_mats.iter().map(|a| emu.dgemm(a, &bb)).collect();
         });
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
-        let a_batch = StridedBatchF64::packed(&a_data, bs, bs, count);
-        let b_batch = StridedBatchF64::broadcast(&bb, count);
+        let a_batch = StridedBatch::packed(&a_data, bs, bs, count);
+        let b_batch = StridedBatch::broadcast(&bb, count);
         let mut outs: Vec<MatF64> = (0..count).map(|_| Matrix::zeros(bs, bs)).collect();
         let t_batched = time_best(reps, || {
             runtime
-                .try_dgemm_batched_into(&a_batch, &b_batch, &mut outs)
+                .try_batched_into(&a_batch, &b_batch, &mut outs)
                 .expect("batched run");
         });
         assert_eq!(outs, naive_out, "batched must stay bit-identical");

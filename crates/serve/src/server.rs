@@ -652,7 +652,15 @@ impl Dispatcher {
         let outcome = {
             let pairs: Vec<(&MatF64, &MatF64)> =
                 live.iter().map(|it| (&*it.req.a, &*it.req.b)).collect();
-            catch_unwind(AssertUnwindSafe(|| self.runtime.try_dgemm_group(&pairs)))
+            let mut outs: Vec<MatF64> = pairs
+                .iter()
+                .map(|(a, b)| MatF64::zeros(a.rows(), b.cols()))
+                .collect();
+            catch_unwind(AssertUnwindSafe(|| {
+                self.runtime
+                    .try_dgemm_group_into(&pairs, &mut outs)
+                    .map(|()| outs)
+            }))
         };
         let end_ns = gemm_obs::now_ns();
         if end_ns != 0 {

@@ -71,10 +71,10 @@ fn main() {
         for (i, a) in batch.iter().enumerate() {
             flat[i * m * k..(i + 1) * m * k].copy_from_slice(a.as_slice());
         }
-        let a_batch = StridedBatchF64::packed(&flat, m, k, items);
-        let b_batch = StridedBatchF64::broadcast(&weights, items);
+        let a_batch = StridedBatch::packed(&flat, m, k, items);
+        let b_batch = StridedBatch::broadcast(&weights, items);
         runtime
-            .try_dgemm_batched_into(&a_batch, &b_batch, &mut outs)
+            .try_batched_into(&a_batch, &b_batch, &mut outs)
             .expect("batched serving");
         // Spot-check bit-identicality against the naive loop.
         assert_eq!(&outs, &naive_out[r], "round {r} must match bitwise");

@@ -51,7 +51,7 @@ pub use ozaki2;
 /// Everything a typical user needs in scope.
 pub mod prelude {
     pub use gemm_baselines::{Bf16x9, CuMpSgemm, OzImmu, Tf32Gemm};
-    pub use gemm_batch::{BatchedOzaki2, StridedBatchF32, StridedBatchF64, WorkspacePool};
+    pub use gemm_batch::{BatchedOzaki2, StridedBatch, WorkspacePool};
     pub use gemm_dense::norms::{max_relative_error, normwise_relative_error};
     pub use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64, PHI_HPL};
     pub use gemm_dense::{
