@@ -15,7 +15,8 @@
 //!
 //! The INT8 engine's GEMM entries are frozen the same way: one entry for
 //! caller-built panels, one contiguous i8-input entry, and the two test
-//! oracles.
+//! oracles. So is the batched runtime: one entry per job (uniform strided
+//! batches, ragged groups) beside its constructors and accessors.
 
 use gemm_dense::{MatView, MatViewMut, Matrix};
 use ozaki2::{
@@ -47,16 +48,17 @@ const OZAKI2_PUB_FNS: &[&str] = &[
     "execute",
 ];
 
-/// Collect the `pub fn` names declared directly inside `impl Ozaki2 {`
+/// Collect the `pub fn` names declared directly inside `impl <ty> {`
 /// blocks of one source file (brace-depth scan; good enough for rustfmt'd
 /// source, which this repo enforces in CI).
-fn pub_fns_in_impl_ozaki2(src: &str) -> Vec<String> {
+fn pub_fns_in_impl(src: &str, ty: &str) -> Vec<String> {
+    let header = format!("impl {ty} {{");
     let mut found = Vec::new();
     let mut in_impl = false;
     let mut depth = 0i32;
     for line in src.lines() {
         let trimmed = line.trim();
-        if !in_impl && (trimmed == "impl Ozaki2 {" || trimmed.starts_with("impl Ozaki2 {")) {
+        if !in_impl && trimmed.starts_with(&header) {
             in_impl = true;
             depth = 0;
         }
@@ -90,7 +92,7 @@ fn ozaki2_surface_matches_the_frozen_whitelist() {
             continue;
         }
         let src = std::fs::read_to_string(&path).expect("read source");
-        got.extend(pub_fns_in_impl_ozaki2(&src));
+        got.extend(pub_fns_in_impl(&src, "Ozaki2"));
     }
     let got: BTreeSet<String> = got.into_iter().collect();
     let want: BTreeSet<String> = OZAKI2_PUB_FNS.iter().map(|s| s.to_string()).collect();
@@ -178,5 +180,37 @@ fn engine_gemm_entries_match_the_frozen_whitelist() {
         "the engine's GEMM entries changed: products belong on \
          int8_gemm_prepacked_fused (or int8_gemm_blocked for contiguous i8 \
          operands) — update tests/api_surface.rs deliberately"
+    );
+}
+
+/// The `impl BatchedOzaki2` surface: constructors, the two accessors,
+/// and one GEMM entry per job — `try_batched_into` for uniform strided
+/// batches (either precision), `try_dgemm_group_into` for ragged groups.
+const BATCHED_PUB_FNS: &[&str] = &[
+    "new",
+    "with_fault_policy",
+    "pool",
+    "cache",
+    "try_batched_into",
+    "try_dgemm_group_into",
+];
+
+#[test]
+fn batched_surface_matches_the_frozen_whitelist() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/batch/src/lib.rs");
+    let src = std::fs::read_to_string(&path).expect("read crates/batch/src/lib.rs");
+    let found = pub_fns_in_impl(&src, "BatchedOzaki2");
+    let got: BTreeSet<String> = found.iter().cloned().collect();
+    let want: BTreeSet<String> = BATCHED_PUB_FNS.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        got, want,
+        "the batched runtime's entries changed: a new job shape belongs on \
+         try_batched_into or try_dgemm_group_into — update tests/api_surface.rs \
+         deliberately"
+    );
+    assert_eq!(
+        found.len(),
+        BATCHED_PUB_FNS.len(),
+        "one impl block, no repeats"
     );
 }
