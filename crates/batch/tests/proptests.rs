@@ -8,8 +8,11 @@
 use gemm_batch::{BatchedOzaki2, StridedBatch};
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::{MatF64, Matrix};
-use ozaki2::{Element, EmulationError, GemmArgs, Mode, Ozaki2, Workspace};
+use ozaki2::{GemmArgs, Mode, Ozaki2, Workspace};
 use proptest::prelude::*;
+
+mod common;
+use common::{batched, group};
 
 /// Flatten `count` matrices into one strided buffer with `pad` unused
 /// elements between consecutive items (exercises non-trivial strides).
@@ -21,30 +24,6 @@ fn packed_stream(mats: &[MatF64], pad: usize) -> (Vec<f64>, usize) {
         data[i * stride..i * stride + footprint].copy_from_slice(m.as_slice());
     }
     (data, stride)
-}
-
-/// `try_batched_into` into freshly zeroed outputs.
-fn batched<T: Element>(
-    runtime: &BatchedOzaki2,
-    a: &StridedBatch<'_, T>,
-    b: &StridedBatch<'_, T>,
-) -> Result<Vec<Matrix<T>>, EmulationError> {
-    let mut outs = vec![Matrix::zeros(a.rows(), b.cols()); a.count()];
-    runtime.try_batched_into(a, b, &mut outs).map(|()| outs)
-}
-
-/// `try_dgemm_group_into` into freshly zeroed outputs.
-fn group(
-    runtime: &BatchedOzaki2,
-    items: &[(&MatF64, &MatF64)],
-) -> Result<Vec<MatF64>, EmulationError> {
-    let mut outs: Vec<MatF64> = items
-        .iter()
-        .map(|(a, b)| MatF64::zeros(a.rows(), b.cols()))
-        .collect();
-    runtime
-        .try_dgemm_group_into(items, &mut outs)
-        .map(|()| outs)
 }
 
 proptest! {
@@ -73,7 +52,7 @@ proptest! {
             &runtime,
             &StridedBatch::new(&a_data, m, k, a_stride, count),
             &StridedBatch::new(&b_data, k, n, b_stride, count),
-        ).unwrap();
+        );
         let emu = Ozaki2::new(nmod, Mode::Fast);
         for i in 0..count {
             let want = emu.dgemm(&a_mats[i], &b_mats[i]);
@@ -116,7 +95,7 @@ proptest! {
             &runtime,
             &StridedBatch::with_ld(&a_data, m, k, ld, stride, count),
             &StridedBatch::broadcast(&b, count),
-        ).unwrap();
+        );
         let emu = Ozaki2::new(nmod, mode);
         for i in 0..count {
             let want = emu.dgemm(&a_mats[i], &b);
@@ -147,7 +126,7 @@ proptest! {
                 &runtime,
                 &StridedBatch::broadcast(&a, count),
                 &StridedBatch::new(&b_data, k, n, b_stride, count),
-            ).unwrap();
+            );
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.dgemm(&a, &b_mats[i]), "shared-A item {}", i);
             }
@@ -160,7 +139,7 @@ proptest! {
                 &runtime,
                 &StridedBatch::new(&a_data, m, k, a_stride, count),
                 &StridedBatch::broadcast(&b, count),
-            ).unwrap();
+            );
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.dgemm(&a_mats[i], &b), "shared-B item {}", i);
             }
@@ -213,7 +192,7 @@ proptest! {
             })
             .collect();
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
-        let got = group(&runtime, &refs).unwrap();
+        let got = group(&runtime, &refs);
         let emu = Ozaki2::new(nmod, Mode::Fast);
         for (i, (a, b)) in refs.iter().enumerate() {
             prop_assert_eq!(&got[i], &emu.dgemm(a, b), "group item {} share={}", i, share);
@@ -250,8 +229,7 @@ proptest! {
         let emu = Ozaki2::new(nmod, Mode::Fast);
         if share_b {
             let b = phi_matrix_f32(k, n, 0.5, seed + 777, 1);
-            let got =
-                batched(&runtime, &a_batch, &StridedBatch::broadcast(&b, count)).unwrap();
+            let got = batched(&runtime, &a_batch, &StridedBatch::broadcast(&b, count));
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.sgemm(&a_mats[i], &b), "sgemm shared item {}", i);
             }
@@ -263,7 +241,7 @@ proptest! {
                 b_data.extend_from_slice(b.as_slice());
             }
             let b_batch = StridedBatch::packed(&b_data, k, n, count);
-            let got = batched(&runtime, &a_batch, &b_batch).unwrap();
+            let got = batched(&runtime, &a_batch, &b_batch);
             for i in 0..count {
                 prop_assert_eq!(&got[i], &emu.sgemm(&a_mats[i], &b_mats[i]), "sgemm item {}", i);
             }
@@ -290,7 +268,7 @@ proptest! {
             &runtime,
             &StridedBatch::new(&a_data, m, k, a_stride, count),
             &StridedBatch::broadcast(&b, count),
-        ).unwrap();
+        );
         let emu = Ozaki2::new(nmod, Mode::Accurate);
         for i in 0..count {
             prop_assert_eq!(&got[i], &emu.dgemm(&a_mats[i], &b), "accurate item {}", i);
@@ -311,7 +289,7 @@ fn accurate_mode_group_matches_sequential() {
     let a0 = phi_matrix_f64(5, 12, 1.5, 2, 0);
     let a1 = phi_matrix_f64(9, 12, 1.5, 3, 0);
     let items = [(&a0, &w), (&a1, &w), (&a0, &w)];
-    let got = group(&runtime, &items).unwrap();
+    let got = group(&runtime, &items);
     let emu = Ozaki2::new(nmod, Mode::Accurate);
     for (i, (a, b)) in items.iter().enumerate() {
         assert_eq!(got[i], emu.dgemm(a, b), "item {i}");
@@ -395,8 +373,7 @@ fn cache_hits_across_calls() {
             &runtime,
             &StridedBatch::new(&a_batch_data, m, k, 0, count),
             &StridedBatch::broadcast(&b, count),
-        )
-        .unwrap();
+        );
         assert_eq!(runtime.cache().len(), 2, "A and B preparations retained");
         if call > 0 {
             assert!(runtime.cache().hits() >= 2 * call, "call {call} must hit");
@@ -489,7 +466,6 @@ fn single_item_batches_promote_on_repeat() {
             &StridedBatch::broadcast(&a, 1),
             &StridedBatch::broadcast(&b, 1),
         )
-        .unwrap()
     };
     assert_eq!(call()[0], want);
     assert_eq!(
@@ -522,8 +498,7 @@ fn sgemm_shared_a_is_cached_and_bit_identical() {
         &runtime,
         &StridedBatch::broadcast(&a, count),
         &StridedBatch::packed(&b_data, k, n, count),
-    )
-    .unwrap();
+    );
     assert_eq!(runtime.cache().len(), 1, "shared A prepared once");
     let emu = Ozaki2::new(nmod, Mode::Fast);
     for (i, b) in b_mats.iter().enumerate() {
@@ -548,8 +523,7 @@ fn in_place_mutation_never_serves_stale_panels() {
             &runtime,
             &StridedBatch::packed(&a_data, m, k, count),
             &StridedBatch::broadcast(&b, count),
-        )
-        .unwrap();
+        );
         let a0 = gemm_dense::Matrix::from_vec(m, k, a_data[..m * k].to_vec());
         assert_eq!(got[0], emu.dgemm(&a0, &b), "round {round}");
     }
@@ -563,12 +537,14 @@ fn batched_propagates_item_errors() {
     let b = phi_matrix_f64(k, n, 0.5, 1, 1);
     let mut a_data = vec![0.5f64; count * m * k];
     a_data[m * k + 3] = f64::NAN; // poison item 1
-    let err = batched(
-        &runtime,
-        &StridedBatch::packed(&a_data, m, k, count),
-        &StridedBatch::broadcast(&b, count),
-    )
-    .unwrap_err();
+    let mut outs = vec![MatF64::zeros(m, n); count];
+    let err = runtime
+        .try_batched_into(
+            &StridedBatch::packed(&a_data, m, k, count),
+            &StridedBatch::broadcast(&b, count),
+            &mut outs,
+        )
+        .unwrap_err();
     assert!(
         matches!(
             err,
@@ -583,12 +559,13 @@ fn batched_propagates_item_errors() {
     // Count mismatch.
     let ok_a = vec![0.5f64; 2 * m * k];
     assert_eq!(
-        batched(
-            &runtime,
-            &StridedBatch::packed(&ok_a, m, k, 2),
-            &StridedBatch::broadcast(&b, 3),
-        )
-        .unwrap_err(),
+        runtime
+            .try_batched_into(
+                &StridedBatch::packed(&ok_a, m, k, 2),
+                &StridedBatch::broadcast(&b, 3),
+                &mut outs[..2],
+            )
+            .unwrap_err(),
         ozaki2::EmulationError::ShapeMismatch
     );
 }

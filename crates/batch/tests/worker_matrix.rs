@@ -14,10 +14,13 @@
 
 use gemm_batch::{BatchedOzaki2, StridedBatch};
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
-use gemm_dense::{MatF32, MatF64, Matrix};
+use gemm_dense::{MatF32, MatF64};
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{Element, EmulationError, FaultPolicy, Mode, Ozaki2};
+use ozaki2::{FaultPolicy, Mode, Ozaki2};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
+use common::{batched, group};
 
 /// Worker counts the matrix sweeps (satellite requirement: 1, 2, 4, 8).
 const WORKER_MATRIX: [usize; 4] = [1, 2, 4, 8];
@@ -54,30 +57,6 @@ fn packed_stream(mats: &[MatF64]) -> Vec<f64> {
     data
 }
 
-/// `try_batched_into` into freshly zeroed outputs.
-fn batched<T: Element>(
-    runtime: &BatchedOzaki2,
-    a: &StridedBatch<'_, T>,
-    b: &StridedBatch<'_, T>,
-) -> Result<Vec<Matrix<T>>, EmulationError> {
-    let mut outs = vec![Matrix::zeros(a.rows(), b.cols()); a.count()];
-    runtime.try_batched_into(a, b, &mut outs).map(|()| outs)
-}
-
-/// `try_dgemm_group_into` into freshly zeroed outputs.
-fn group(
-    runtime: &BatchedOzaki2,
-    items: &[(&MatF64, &MatF64)],
-) -> Result<Vec<MatF64>, EmulationError> {
-    let mut outs: Vec<MatF64> = items
-        .iter()
-        .map(|(a, b)| MatF64::zeros(a.rows(), b.cols()))
-        .collect();
-    runtime
-        .try_dgemm_group_into(items, &mut outs)
-        .map(|()| outs)
-}
-
 /// Low-intensity uniform batch (InterItem at W >= 2): every worker owns
 /// whole items with its own checked-out workspace.
 #[test]
@@ -103,8 +82,7 @@ fn interitem_dgemm_batch_is_bit_identical_at_every_worker_count() {
             &runtime,
             &StridedBatch::packed(&a_data, m, k, count),
             &StridedBatch::packed(&b_data, k, n, count),
-        )
-        .unwrap();
+        );
         for i in 0..count {
             assert_eq!(got[i], oracle[i], "item {i} diverged at W={w}");
         }
@@ -132,8 +110,7 @@ fn intraitem_stripes_are_bit_identical_at_every_worker_count() {
             &runtime,
             &StridedBatch::packed(&a_data, m, k, count),
             &StridedBatch::broadcast(&b, count),
-        )
-        .unwrap();
+        );
         for i in 0..count {
             assert_eq!(got[i], oracle[i], "stripe item {i} diverged at W={w}");
         }
@@ -174,7 +151,7 @@ fn ragged_group_is_bit_identical_at_every_worker_count() {
 
     for_each_worker_count(|w| {
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
-        let got = group(&runtime, &items).unwrap();
+        let got = group(&runtime, &items);
         for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
             assert_eq!(g, o, "group item {i} diverged at W={w}");
         }
@@ -203,8 +180,7 @@ fn sgemm_batch_is_bit_identical_at_every_worker_count() {
             &runtime,
             &StridedBatch::packed(&a_data, m, k, count),
             &StridedBatch::broadcast(&b, count),
-        )
-        .unwrap();
+        );
         for i in 0..count {
             assert_eq!(got[i], oracle[i], "sgemm item {i} diverged at W={w}");
         }
@@ -241,7 +217,7 @@ fn seeded_steal_orders_leave_results_bit_identical() {
     for seed in [1u64, 2, 3, 0x00ff_00ff, 0xdead_beef_cafe_f00d, u64::MAX] {
         rayon::set_steal_seed(seed);
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
-        let got = group(&runtime, &items).unwrap();
+        let got = group(&runtime, &items);
         assert_eq!(got.len(), oracle.len(), "lost items under seed {seed:#x}");
         for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
             assert_eq!(g, o, "item {i} diverged under steal seed {seed:#x}");
@@ -288,8 +264,7 @@ fn armed_fault_recovery_is_bit_identical_at_every_worker_count() {
                 &runtime,
                 &StridedBatch::packed(&a_data, m, k, count),
                 &StridedBatch::packed(&b_data, k, n, count),
-            )
-            .unwrap();
+            );
             faultinject::disarm();
             for i in 0..count {
                 assert_eq!(
