@@ -109,10 +109,6 @@ struct Job<'s, T: Element> {
     err: &'s mut Option<EmulationError>,
 }
 
-/// Identity of a group operand within one call: side + data pointer +
-/// shape.
-type GroupId = (OperandSide, usize, usize, usize);
-
 /// The batched Ozaki Scheme II runtime: prepared-operand cache +
 /// workspace pool + many-GEMM scheduler. See the crate docs for the
 /// design and the bit-identicality contract.
@@ -224,7 +220,7 @@ impl BatchedOzaki2 {
         // The stride-0 declaration separates the two policies: only a
         // broadcast side (or the lone item of a one-item batch) is worth
         // a cache lookup; per-item sides stay views.
-        let resolve = |batch: &StridedBatch<'_, T>, side| {
+        let side = |batch: &StridedBatch<'_, T>, side| {
             let shared = batch.is_broadcast() && count > 1;
             if shared || count == 1 {
                 self.resolve(batch.view(0), side, shared)
@@ -232,8 +228,8 @@ impl BatchedOzaki2 {
                 Ok(None)
             }
         };
-        let pa = resolve(a, OperandSide::A)?;
-        let pb = resolve(b, OperandSide::B)?;
+        let pa = side(a, OperandSide::A)?;
+        let pb = side(b, OperandSide::B)?;
         let schedule = Schedule::choose_with(
             m,
             n,
@@ -292,16 +288,17 @@ impl BatchedOzaki2 {
             return self.accurate_into(items.map(|((a, b), out)| (a.view(), b.view(), out)));
         }
 
-        // Identity-based sharing: operands referenced by >= 2 items are
-        // prepared once (and cached across calls); unique operands stay
-        // plain views unless the cache shows they recur across calls.
+        // Identity-based sharing (side + data pointer + shape): operands
+        // referenced by >= 2 items are prepared once (and cached across
+        // calls); unique operands stay plain views unless the cache shows
+        // they recur across calls.
         let id = |m: &MatF64, side| (side, m.as_slice().as_ptr() as usize, m.rows(), m.cols());
-        let mut multiplicity: HashMap<GroupId, usize> = HashMap::new();
+        let mut multiplicity = HashMap::new();
         for (a, b) in items {
             *multiplicity.entry(id(a, OperandSide::A)).or_insert(0) += 1;
             *multiplicity.entry(id(b, OperandSide::B)).or_insert(0) += 1;
         }
-        let mut prepared: HashMap<GroupId, Arc<PreparedOperand>> = HashMap::new();
+        let mut prepared: HashMap<_, Arc<PreparedOperand>> = HashMap::new();
         let mut side = |m: &MatF64, side| -> Result<_, EmulationError> {
             let key = id(m, side);
             if let Some(p) = prepared.get(&key) {
