@@ -330,13 +330,13 @@ impl BatchedOzaki2 {
 
     // -- internals -------------------------------------------------------
 
-    /// The one operand-reuse rule. A cache hit is always reused. On a
-    /// miss, an operand shared within the call (`shared_in_call`) is
-    /// prepared and retained at once — the within-call reuse pays
-    /// immediately; a lone operand goes through probation
-    /// ([`OperandCache::repeat_miss`]) and is prepared only on its second
-    /// sighting, so a one-off operand stays on the cheaper zero-alloc
-    /// view path (`None`).
+    /// The operand-reuse rule both entries share. A cache hit is always
+    /// reused. On a miss, an operand shared within the call
+    /// (`shared_in_call`) is prepared and retained at once — the
+    /// within-call reuse pays immediately; a lone operand goes through
+    /// probation ([`OperandCache::repeat_miss`]) and is prepared only on
+    /// its second sighting, so a one-off operand stays on the cheaper
+    /// zero-alloc view path (`None`).
     fn resolve<T: Element>(
         &self,
         view: MatView<'_, T>,
@@ -355,9 +355,9 @@ impl BatchedOzaki2 {
         Ok(Some(prepared))
     }
 
-    /// The one accurate-mode fallback. Accurate mode scales A and B
-    /// jointly, so no one-sided preparation exists: run the plain
-    /// per-item facade over one pooled workspace (items striped
+    /// The accurate-mode fallback both entries share. Accurate mode
+    /// scales A and B jointly, so no one-sided preparation exists: run
+    /// the plain per-item facade over one pooled workspace (items striped
     /// internally) — still zero-copy, the facade takes the item views
     /// directly.
     fn accurate_into<'v, T: Element + 'v>(
@@ -372,9 +372,10 @@ impl BatchedOzaki2 {
         Ok(())
     }
 
-    /// The one round runner: `IntraItem` jobs first, striped one at a
-    /// time; then the `InterItem` jobs fan out one item per worker. An
-    /// empty class is skipped. Each job records its own error.
+    /// The round runner both entries share: `IntraItem` jobs first,
+    /// striped one at a time; then the `InterItem` jobs fan out one item
+    /// per worker. An empty class is skipped. Each job records its own
+    /// error.
     fn run_round<T: Element>(&self, jobs: Vec<Job<'_, T>>) {
         let _span = gemm_obs::span("batch_round", "batch");
         let (intra, inter): (Vec<_>, Vec<_>) = jobs
