@@ -5,7 +5,7 @@
 //! batched call (a broadcast/stride-0 operand, a matrix referenced by
 //! several group items) and **across** calls (the weight matrix of a
 //! serving loop). Identity combines the operand's data pointer, length,
-//! shape and pipeline configuration `(N, mode, precision)`, guarded by a
+//! shape and pipeline configuration `(N, precision)`, guarded by a
 //! **full-content** fingerprint: a buffer that is freed and
 //! coincidentally reallocated at the same address, or mutated in place —
 //! even at a single element — changes the key, so stale panels can never
@@ -20,7 +20,7 @@
 //! uncontended.
 
 use gemm_dense::MatView;
-use ozaki2::{Element, Mode, OperandSide, PreparedOperand};
+use ozaki2::{Element, OperandSide, PreparedOperand};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -91,20 +91,15 @@ pub struct OperandKey {
     row_major: bool,
     side: OperandSide,
     n_moduli: usize,
-    mode: Mode,
     b64: bool,
     fingerprint: u64,
 }
 
 impl OperandKey {
     /// Key for a (possibly `ld`-strided, either-layout) operand view of
-    /// either precision; a dense matrix passes `mat.view()`.
-    pub fn view<T: Element>(
-        v: &MatView<'_, T>,
-        side: OperandSide,
-        n_moduli: usize,
-        mode: Mode,
-    ) -> Self {
+    /// either precision; a dense matrix passes `mat.view()`. Only
+    /// fast-mode operands can be prepared, so the mode is not part of it.
+    pub fn view<T: Element>(v: &MatView<'_, T>, side: OperandSide, n_moduli: usize) -> Self {
         let (rows, cols) = v.shape();
         Self {
             ptr: v.data().as_ptr() as usize,
@@ -115,7 +110,6 @@ impl OperandKey {
             row_major: v.layout() == gemm_dense::Layout::RowMajor,
             side,
             n_moduli,
-            mode,
             b64: T::IS_F64,
             fingerprint: fingerprint(v),
         }
@@ -268,7 +262,7 @@ mod tests {
     use super::*;
     use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
     use gemm_dense::Layout;
-    use ozaki2::Ozaki2;
+    use ozaki2::{Mode, Ozaki2};
 
     fn prep(seed: u64) -> (Vec<f64>, Arc<PreparedOperand>) {
         let b = phi_matrix_f64(8, 6, 0.5, seed, 1);
@@ -287,7 +281,7 @@ mod tests {
         n: usize,
     ) -> OperandKey {
         let v = MatView::new(d, rows, cols, rows, Layout::ColMajor);
-        OperandKey::view(&v, side, n, Mode::Fast)
+        OperandKey::view(&v, side, n)
     }
 
     #[test]
@@ -349,7 +343,7 @@ mod tests {
                 ld,
                 Layout::ColMajor,
             );
-            OperandKey::view(&v, OperandSide::A, 8, Mode::Fast)
+            OperandKey::view(&v, OperandSide::A, 8)
         };
         let k0 = key(&d);
         d[ld + rows] = f64::NAN; // column 1, row 5: inside the gap
@@ -364,16 +358,10 @@ mod tests {
     fn dense_view_key_matches_explicit_view() {
         let m = phi_matrix_f64(8, 6, 0.5, 9, 0);
         let explicit = key_of(m.as_slice(), 8, 6, OperandSide::B, 8);
-        assert_eq!(
-            OperandKey::view(&m.view(), OperandSide::B, 8, Mode::Fast),
-            explicit
-        );
+        assert_eq!(OperandKey::view(&m.view(), OperandSide::B, 8), explicit);
         let m32 = phi_matrix_f32(8, 6, 0.5, 9, 0);
         let explicit32 = key_of(m32.as_slice(), 8, 6, OperandSide::B, 8);
-        assert_eq!(
-            OperandKey::view(&m32.view(), OperandSide::B, 8, Mode::Fast),
-            explicit32
-        );
+        assert_eq!(OperandKey::view(&m32.view(), OperandSide::B, 8), explicit32);
         assert_ne!(explicit, explicit32, "precision is part of the key");
     }
 

@@ -25,8 +25,8 @@
 //! of [`ozaki2::Ozaki2::dgemm`] / `sgemm` calls — caching, pooling and
 //! either schedule change *when* work happens, never *what* is computed.
 //! (In [`Mode::Accurate`] the scales couple `A` and `B`, so operands
-//! cannot be prepared one-sided; accurate batches run item by item,
-//! each striped, over one pooled workspace and skip the cache.)
+//! cannot be prepared one-sided; accurate batches skip the cache and run
+//! every item over its two views, on the same schedules.)
 //!
 //! ```
 //! use gemm_batch::{BatchedOzaki2, StridedBatch};
@@ -78,35 +78,24 @@ use std::sync::Arc;
 /// Default capacity of the cross-call prepared-operand LRU.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 
-/// One side of a batch item: a borrowed view converted in the worker's
-/// pooled workspace (zero-copy, even for `ld`-strided items), or a shared
-/// preparation.
-enum Side<'s, T: Element> {
-    View(MatView<'s, T>),
-    Prep(Arc<PreparedOperand>),
-}
-
-impl<'s, T: Element> Side<'s, T> {
-    /// The shared preparation if one was resolved, else the view.
-    fn new(prepared: Option<Arc<PreparedOperand>>, view: MatView<'s, T>) -> Self {
-        prepared.map_or(Side::View(view), Side::Prep)
-    }
-
-    fn input(&self) -> OperandInput<'_, T> {
-        match self {
-            Side::View(v) => OperandInput::View(*v),
-            Side::Prep(p) => OperandInput::Prepared(p),
-        }
-    }
-}
-
-/// One schedulable unit of work.
+/// One schedulable unit of work. Each operand is the item's view
+/// (converted in the worker's pooled workspace — zero-copy, even for
+/// `ld`-strided items) or a preparation borrowed from the call's resolved
+/// `Arc`s.
 struct Job<'s, T: Element> {
-    a: Side<'s, T>,
-    b: Side<'s, T>,
+    a: OperandInput<'s, T>,
+    b: OperandInput<'s, T>,
     schedule: Schedule,
     out: &'s mut Matrix<T>,
     err: &'s mut Option<EmulationError>,
+}
+
+/// A job operand: the resolved preparation if there is one, else the view.
+fn operand<'s, T: Element>(
+    prepared: &'s Option<Arc<PreparedOperand>>,
+    view: MatView<'s, T>,
+) -> OperandInput<'s, T> {
+    prepared.as_deref().map_or(view.into(), Into::into)
 }
 
 /// The batched Ozaki Scheme II runtime: prepared-operand cache +
@@ -116,11 +105,11 @@ struct Job<'s, T: Element> {
 /// Two entries, one per job: [`BatchedOzaki2::try_batched_into`] for
 /// uniform strided batches (either precision) and
 /// [`BatchedOzaki2::try_dgemm_group_into`] for ragged groups. Both write
-/// into caller-owned outputs and share one operand-reuse rule, one round
-/// runner and one accurate-mode fallback.
+/// into caller-owned outputs and share one operand-reuse rule and one
+/// round runner, in either mode.
 ///
 /// The runtime is `Sync`: one instance can serve concurrent callers (the
-/// cache is behind one lock, the pool is sharded per worker).
+/// cache and the pool are each behind one lock).
 ///
 /// # Examples
 /// ```
@@ -212,10 +201,6 @@ impl BatchedOzaki2 {
         if count == 0 {
             return Ok(());
         }
-        if self.emu.mode() != Mode::Fast {
-            let items = outs.iter_mut().enumerate();
-            return self.accurate_into(items.map(|(i, out)| (a.view(i), b.view(i), out)));
-        }
 
         // The stride-0 declaration separates the two policies: only a
         // broadcast side (or the lone item of a one-item batch) is worth
@@ -244,8 +229,8 @@ impl BatchedOzaki2 {
             .zip(errs.iter_mut())
             .enumerate()
             .map(|(i, (out, err))| Job {
-                a: Side::new(pa.clone(), a.view(i)),
-                b: Side::new(pb.clone(), b.view(i)),
+                a: operand(&pa, a.view(i)),
+                b: operand(&pb, b.view(i)),
                 schedule,
                 out,
                 err,
@@ -283,10 +268,6 @@ impl BatchedOzaki2 {
         if items.is_empty() {
             return Ok(());
         }
-        if self.emu.mode() != Mode::Fast {
-            let items = items.iter().zip(outs.iter_mut());
-            return self.accurate_into(items.map(|((a, b), out)| (a.view(), b.view(), out)));
-        }
 
         // Identity-based sharing (side + data pointer + shape): operands
         // referenced by >= 2 items are prepared once (and cached across
@@ -310,40 +291,55 @@ impl BatchedOzaki2 {
             }
             Ok(p)
         };
+        let resolved = items
+            .iter()
+            .map(|(a, b)| Ok((side(a, OperandSide::A)?, side(b, OperandSide::B)?)))
+            .collect::<Result<Vec<_>, EmulationError>>()?;
         let (nmod, workers) = (self.emu.n_moduli(), rayon::current_num_threads());
         let mut errs: Vec<Option<EmulationError>> = (0..items.len()).map(|_| None).collect();
-        let mut jobs = Vec::with_capacity(items.len());
-        for (((a, b), out), err) in items.iter().zip(outs.iter_mut()).zip(errs.iter_mut()) {
-            let (m, k) = a.shape();
-            let n = b.cols();
-            jobs.push(Job {
-                a: Side::new(side(a, OperandSide::A)?, a.view()),
-                b: Side::new(side(b, OperandSide::B)?, b.view()),
-                schedule: Schedule::choose_with(m, n, k, nmod, items.len(), workers),
+        let jobs = items
+            .iter()
+            .zip(&resolved)
+            .zip(outs.iter_mut().zip(errs.iter_mut()))
+            .map(|(((a, b), (pa, pb)), (out, err))| Job {
+                a: operand(pa, a.view()),
+                b: operand(pb, b.view()),
+                schedule: Schedule::choose_with(
+                    a.rows(),
+                    b.cols(),
+                    a.cols(),
+                    nmod,
+                    items.len(),
+                    workers,
+                ),
                 out,
                 err,
-            });
-        }
+            })
+            .collect();
         self.run_round(jobs);
         collect_errors(errs)
     }
 
     // -- internals -------------------------------------------------------
 
-    /// The operand-reuse rule both entries share. A cache hit is always
-    /// reused. On a miss, an operand shared within the call
-    /// (`shared_in_call`) is prepared and retained at once — the
-    /// within-call reuse pays immediately; a lone operand goes through
-    /// probation ([`OperandCache::repeat_miss`]) and is prepared only on
-    /// its second sighting, so a one-off operand stays on the cheaper
-    /// zero-alloc view path (`None`).
+    /// The operand-reuse rule both entries share. Only [`Mode::Fast`]
+    /// prepares, so any other mode returns `None` without touching the
+    /// cache. A cache hit is always reused. On a miss, an operand shared
+    /// within the call (`shared_in_call`) is prepared and retained at once
+    /// — the within-call reuse pays immediately; a lone operand goes
+    /// through probation ([`OperandCache::repeat_miss`]) and is prepared
+    /// only on its second sighting, so a one-off operand stays on the
+    /// cheaper zero-alloc view path (`None`).
     fn resolve<T: Element>(
         &self,
         view: MatView<'_, T>,
         side: OperandSide,
         shared_in_call: bool,
     ) -> Result<Option<Arc<PreparedOperand>>, EmulationError> {
-        let key = OperandKey::view(&view, side, self.emu.n_moduli(), self.emu.mode());
+        if self.emu.mode() != Mode::Fast {
+            return Ok(None);
+        }
+        let key = OperandKey::view(&view, side, self.emu.n_moduli());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(Some(hit));
         }
@@ -353,23 +349,6 @@ impl BatchedOzaki2 {
         let prepared = Arc::new(self.emu.prepare(side, view)?);
         self.cache.insert(key, prepared.clone());
         Ok(Some(prepared))
-    }
-
-    /// The accurate-mode fallback both entries share. Accurate mode
-    /// scales A and B jointly, so no one-sided preparation exists: run
-    /// the plain per-item facade over one pooled workspace (items striped
-    /// internally) — still zero-copy, the facade takes the item views
-    /// directly.
-    fn accurate_into<'v, T: Element + 'v>(
-        &self,
-        items: impl Iterator<Item = (MatView<'v, T>, MatView<'v, T>, &'v mut Matrix<T>)>,
-    ) -> Result<(), EmulationError> {
-        let mut ws = self.pool.checkout();
-        for (a, b, out) in items {
-            self.emu
-                .gemm_into(GemmArgs::new(a, b).workspace(&mut ws), out.view_mut())?;
-        }
-        Ok(())
     }
 
     /// The round runner both entries share: `IntraItem` jobs first,
@@ -395,12 +374,10 @@ impl BatchedOzaki2 {
     /// Execute one item with a pooled workspace.
     fn run_job<T: Element>(&self, job: Job<'_, T>) {
         let mut ws = self.pool.checkout();
-        let parallel = job.schedule.intra_parallel();
-        let out = job.out.view_mut();
-        if let Err(e) = self
-            .emu
-            .execute(job.a.input(), job.b.input(), &mut ws, parallel, out)
-        {
+        let args = GemmArgs::new(job.a, job.b)
+            .workspace(&mut ws)
+            .parallel(job.schedule.intra_parallel());
+        if let Err(e) = self.emu.gemm_into(args, job.out.view_mut()) {
             *job.err = Some(e);
         }
     }

@@ -37,7 +37,7 @@ fn tenants(count: usize, nmod: usize) -> Vec<(Vec<f64>, Arc<PreparedOperand>)> {
 
 fn key_of(data: &[f64], nmod: usize) -> OperandKey {
     let view = MatView::new(data, 8, 6, 8, Layout::ColMajor);
-    OperandKey::view(&view, OperandSide::B, nmod, Mode::Fast)
+    OperandKey::view(&view, OperandSide::B, nmod)
 }
 
 /// N threads hammering get/insert/repeat_miss over an overlapping key set

@@ -35,7 +35,7 @@ fn bench_phases(c: &mut Criterion) {
         });
     });
     group.bench_function("scale_accurate (line 1)", |bench| {
-        bench.iter(|| accurate_scale_view(&a.view(), &b.view(), consts.p_accu));
+        bench.iter(|| accurate_scale_view(&a.view(), &b.view(), consts.p_accu, true));
     });
 
     let exps_a = fast_scale_rows(&a, consts.p_fast);
@@ -113,6 +113,7 @@ fn bench_phases(c: &mut Criterion) {
                 FoldPrecision::Double,
                 &exps_a,
                 &exps_b,
+                true,
                 &mut out,
             )
         });

@@ -223,6 +223,7 @@ fn main() {
             FoldPrecision::Double,
             &exps,
             &exps,
+            true,
             &mut fold_out,
         )
     });

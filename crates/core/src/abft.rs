@@ -422,14 +422,15 @@ fn verify_plane(
 /// Algorithm 1 lines 6–7 for one residue plane (or column stripe
 /// thereof): the INT8 GEMM with fused mod-`p` reduction, k-blocked past
 /// [`K_BLOCK_MAX`] (§4.3: each block's residues accumulate in i32 and are
-/// reduced once more at the end, split over the workers; every block is a
-/// PK-aligned depth window of the same panels). With the accurate-mode
-/// estimate in [`crate::scale`], one of the crate's two engine call sites.
-/// `a_panels` / `b_panels` start at the operand's (sub)panel origin;
-/// `u_out` is the `m * n` destination. With `phases`, each engine call's
-/// time is split into `int8_gemm` and `mod_reduce` (the slowest stripe's
-/// fused epilogue), and the block-residue finalization counts as
-/// `mod_reduce`. Returns the number of engine calls issued.
+/// reduced once more at the end, split over the workers when `parallel`;
+/// every block is a PK-aligned depth window of the same panels). With the
+/// accurate-mode estimate in [`crate::scale`], one of the crate's two
+/// engine call sites. `a_panels` / `b_panels` start at the operand's
+/// (sub)panel origin; `u_out` is the `m * n` destination. With `phases`,
+/// each engine call's time is split into `int8_gemm` and `mod_reduce`
+/// (the slowest stripe's fused epilogue), and the block-residue
+/// finalization counts as `mod_reduce`. Returns the number of engine
+/// calls issued.
 #[allow(clippy::too_many_arguments)]
 fn plane_gemm(
     m: usize,
@@ -481,16 +482,20 @@ fn plane_gemm(
         h0 += kb;
     }
     let t0 = Instant::now();
-    // The caller's level, pinned on whichever thread reduces a chunk.
-    let level = engine_isa();
-    const CHUNK: usize = 16 * 1024;
-    u_out[..m * n]
-        .par_chunks_mut(CHUNK)
-        .zip(racc.par_chunks(CHUNK))
-        .for_each(|(dst, src)| {
-            let _cap = cap_scope(level);
-            barrett_mod_row_u8(src, dst, p as i32, pinv);
-        });
+    if parallel {
+        // The caller's level, pinned on whichever thread reduces a chunk.
+        let level = engine_isa();
+        const CHUNK: usize = 16 * 1024;
+        u_out[..m * n]
+            .par_chunks_mut(CHUNK)
+            .zip(racc.par_chunks(CHUNK))
+            .for_each(|(dst, src)| {
+                let _cap = cap_scope(level);
+                barrett_mod_row_u8(src, dst, p as i32, pinv);
+            });
+    } else {
+        barrett_mod_row_u8(racc, &mut u_out[..m * n], p as i32, pinv);
+    }
     if let Some(ph) = phases {
         ph.mod_reduce += t0.elapsed();
     }

@@ -232,6 +232,8 @@ pub fn fold_span(
 ///
 /// * `u` — `N` UINT8 planes, plane-major, each `m*n` column-major;
 /// * `exps_a` / `exps_b` — the scale exponents (`μ_i = 2^{e}`), negated here;
+/// * `parallel` — split the columns over the worker pool (`false`: run
+///   them all on the calling thread; the output is identical);
 /// * `out` — `m*n` column-major f64.
 ///
 /// The hot recombination runs through the dispatched [`fold_span`] kernel
@@ -247,6 +249,7 @@ pub fn fold_planes(
     precision: FoldPrecision,
     exps_a: &[i32],
     exps_b: &[i32],
+    parallel: bool,
     out: &mut [f64],
 ) {
     let plane = m * n;
@@ -278,7 +281,7 @@ pub fn fold_planes(
     let inv_a: Vec<(f64, f64)> = exps_a.iter().map(|&e| pow2_split(-e)).collect();
     let inv_b: Vec<(f64, f64)> = exps_b.iter().map(|&e| pow2_split(-e)).collect();
 
-    out.par_chunks_mut(m).enumerate().for_each(|(j, out_col)| {
+    let fold_col = |(j, out_col): (usize, &mut [f64])| {
         let col_off = j * m;
         fold_span(u, plane, col_off, s1, s2, p1, p2, p_inv, out_col);
         let (b1, b2) = inv_b[j];
@@ -306,7 +309,12 @@ pub fn fold_planes(
                 *o = scale_by_pow2(x, e2);
             }
         }
-    });
+    };
+    if parallel {
+        out.par_chunks_mut(m).enumerate().for_each(fold_col);
+    } else {
+        out.chunks_mut(m).enumerate().for_each(fold_col);
+    }
 }
 
 #[cfg(test)]
@@ -335,7 +343,7 @@ mod tests {
         let mut u = vec![0u8; consts.n];
         u.copy_from_slice(us);
         let mut out = [0.0f64];
-        fold_planes(&u, 1, 1, consts, prec, &[0], &[0], &mut out);
+        fold_planes(&u, 1, 1, consts, prec, &[0], &[0], true, &mut out);
         out[0]
     }
 
@@ -476,7 +484,17 @@ mod tests {
         // holds one element per plane.
         let u = vec![3u8, 3, 3, 3];
         let mut out = [0.0f64];
-        fold_planes(&u, 1, 1, c, FoldPrecision::Double, &[2], &[3], &mut out);
+        fold_planes(
+            &u,
+            1,
+            1,
+            c,
+            FoldPrecision::Double,
+            &[2],
+            &[3],
+            true,
+            &mut out,
+        );
         // All residues equal 3 => reconstructed integer is 3; scales 2^-5.
         assert_eq!(out[0], 3.0 / 32.0);
     }
@@ -499,7 +517,17 @@ mod tests {
             (-30, -30, scale_by_pow2(3.0, 60)),    // in-range growth
         ] {
             let mut out = [0.0f64];
-            fold_planes(&u, 1, 1, c, FoldPrecision::Double, &[ea], &[eb], &mut out);
+            fold_planes(
+                &u,
+                1,
+                1,
+                c,
+                FoldPrecision::Double,
+                &[ea],
+                &[eb],
+                true,
+                &mut out,
+            );
             assert_eq!(
                 out[0].to_bits(),
                 want.to_bits(),
@@ -522,6 +550,7 @@ mod tests {
             FoldPrecision::Double,
             &[0, 0],
             &[0, 0, 0],
+            true,
             &mut out,
         );
         assert!(out.iter().all(|&x| x == 0.0));

@@ -520,11 +520,11 @@ fn convert_job(
 /// (`out[s * len + idx] = rmod(src[idx], p_s)`).
 ///
 /// This is the *unfused* PR 1 convert kernel — one full sweep over `src`
-/// per modulus, emitting plane-major i8. The hot pipeline now uses
-/// [`convert_pack_panels`] instead; this stays as the structurally
-/// independent reference the fused path is property-tested against (both
-/// build on [`rmod_to_i8`], so they agree bit-for-bit), and as the
-/// convenient form for consumers that want plain residue planes.
+/// per modulus, emitting plane-major i8. The hot pipeline now uses the
+/// fused [`trunc_convert_pack_panels`] instead; this stays as the
+/// structurally independent reference the fused path is property-tested
+/// against (both build on [`rmod_to_i8`], so they agree bit-for-bit), and
+/// as the convenient form for consumers that want plain residue planes.
 ///
 /// # Examples
 /// ```

@@ -1,16 +1,16 @@
 //! The GEMM facade: one element-generic Algorithm-1 body and the entries
 //! built on it, plus accuracy-driven construction.
 //!
-//! * [`Ozaki2::gemm`] / [`Ozaki2::gemm_into`] — the plain product per
-//!   output policy, generic over the sealed [`Element`] precisions
-//!   (`f64`, `f32`). Operands are [`MatView`]s: any layout, leading
+//! * [`Ozaki2::gemm`] / [`Ozaki2::gemm_into`] — the product per output
+//!   policy, generic over the sealed [`Element`] precisions (`f64`,
+//!   `f32`). Each operand is a [`MatView`] — any layout, leading
 //!   dimension, or transpose feeds the fused trunc+convert sweep with
-//!   **zero copies**. `dgemm`/`sgemm` are panicking delegates.
-//! * [`Ozaki2::prepare`] / [`Ozaki2::execute`] — the same body with a
-//!   cached one-sided front end ([`crate::PreparedOperand`]) on either side.
+//!   **zero copies** — or a cached one-sided front end from
+//!   [`Ozaki2::prepare`] ([`crate::PreparedOperand`]). `dgemm`/`sgemm`
+//!   are panicking delegates.
 //! * [`GemmArgs`] — the argument bundle (`trans`/`alpha`/`beta`, optional
-//!   reusable [`Workspace`], optional [`EmulationReport`] sink), built
-//!   fluently.
+//!   reusable [`Workspace`], optional [`EmulationReport`] sink, fault
+//!   policy, `parallel`), built fluently.
 //! * [`Ozaki2::builder`] / [`Accuracy`] — construct an emulator from an
 //!   accuracy *target* instead of a raw moduli count, resolving `N`
 //!   through the a-priori model in [`crate::nselect`] (with a typed
@@ -43,9 +43,10 @@ use std::time::Instant;
 /// Argument bundle for the unified GEMM facade:
 /// `C ← alpha · op(A) · op(B) [+ beta · C]`.
 ///
-/// Built fluently from two operand views; everything else defaults to the
-/// plain product (`op = N`, `alpha = 1`, `beta = 0`, fresh workspace, no
-/// report sink).
+/// Built fluently from two operands (views or [`crate::PreparedOperand`]s,
+/// see [`OperandInput`]); everything else defaults to the plain product
+/// (`op = N`, `alpha = 1`, `beta = 0`, fresh workspace, no report sink,
+/// parallel regions on).
 ///
 /// # Examples
 /// ```
@@ -60,8 +61,8 @@ use std::time::Instant;
 /// assert_eq!(out.c, emu.dgemm(&a, &b));
 /// ```
 pub struct GemmArgs<'a, T: Element> {
-    pub(crate) a: MatView<'a, T>,
-    pub(crate) b: MatView<'a, T>,
+    pub(crate) a: OperandInput<'a, T>,
+    pub(crate) b: OperandInput<'a, T>,
     pub(crate) trans_a: GemmOp,
     pub(crate) trans_b: GemmOp,
     pub(crate) alpha: T,
@@ -69,12 +70,14 @@ pub struct GemmArgs<'a, T: Element> {
     pub(crate) workspace: Option<&'a mut Workspace>,
     pub(crate) report: Option<&'a mut Option<EmulationReport>>,
     pub(crate) fault_policy: Option<FaultPolicy>,
+    pub(crate) parallel: bool,
 }
 
 impl<'a, T: Element> GemmArgs<'a, T> {
-    /// Arguments for the plain product `A · B` (accepts `&Matrix<T>` or
-    /// any [`MatView`] — including strided / transposed ones).
-    pub fn new(a: impl Into<MatView<'a, T>>, b: impl Into<MatView<'a, T>>) -> Self {
+    /// Arguments for the plain product `A · B` (accepts `&Matrix<T>`, any
+    /// [`MatView`] — including strided / transposed ones — or a
+    /// `&PreparedOperand` for its side).
+    pub fn new(a: impl Into<OperandInput<'a, T>>, b: impl Into<OperandInput<'a, T>>) -> Self {
         Self {
             a: a.into(),
             b: b.into(),
@@ -85,17 +88,20 @@ impl<'a, T: Element> GemmArgs<'a, T> {
             workspace: None,
             report: None,
             fault_policy: None,
+            parallel: true,
         }
     }
 
     /// Transpose option for `A` (zero-copy: flips the view, moves no
-    /// element).
+    /// element). A prepared `A` cannot be transposed:
+    /// [`GemmOp::T`] on it fails with [`EmulationError::PreparedMismatch`].
     pub fn trans_a(mut self, op: GemmOp) -> Self {
         self.trans_a = op;
         self
     }
 
-    /// Transpose option for `B` (zero-copy).
+    /// Transpose option for `B` (zero-copy; as for `A`, not on a prepared
+    /// `B`).
     pub fn trans_b(mut self, op: GemmOp) -> Self {
         self.trans_b = op;
         self
@@ -139,17 +145,26 @@ impl<'a, T: Element> GemmArgs<'a, T> {
         self
     }
 
-    /// Effective operand views after the transpose options (zero-copy).
-    fn effective(&self) -> (MatView<'a, T>, MatView<'a, T>) {
-        let a = match self.trans_a {
-            GemmOp::N => self.a,
-            GemmOp::T => self.a.t(),
+    /// Run the internal parallel regions (engine stripes, convert jobs,
+    /// the fold's columns) on the worker pool (default `true`). `false`
+    /// keeps the whole call on the calling thread, so an inter-GEMM
+    /// scheduler can run many single-threaded items at once. Bit-identical
+    /// either way.
+    pub fn parallel(mut self, parallel: bool) -> Self {
+        self.parallel = parallel;
+        self
+    }
+
+    /// Effective operands after the transpose options (zero-copy).
+    fn effective(&self) -> Result<(OperandInput<'a, T>, OperandInput<'a, T>), EmulationError> {
+        let op = |input: OperandInput<'a, T>, op| match (input, op) {
+            (input, GemmOp::N) => Ok(input),
+            (OperandInput::View(v), GemmOp::T) => Ok(OperandInput::View(v.t())),
+            (OperandInput::Prepared(_), GemmOp::T) => Err(EmulationError::PreparedMismatch {
+                reason: "transpose requested on a prepared operand",
+            }),
         };
-        let b = match self.trans_b {
-            GemmOp::N => self.b,
-            GemmOp::T => self.b.t(),
-        };
-        (a, b)
+        Ok((op(self.a, self.trans_a)?, op(self.b, self.trans_b)?))
     }
 }
 
@@ -168,11 +183,12 @@ pub struct GemmOut<T: Element> {
 // ---------------------------------------------------------------------------
 
 impl Ozaki2 {
-    /// The unified, element-generic, view-based GEMM:
+    /// The unified, element-generic GEMM:
     /// `C = alpha · op(A) · op(B)` for `T ∈ {f64, f32}`, allocating the
     /// output. Strided, transposed, and row-major operand views all run
-    /// with zero operand materialization; results are bit-identical to
-    /// the equivalent owned-matrix path.
+    /// with zero operand materialization, and a [`crate::PreparedOperand`]
+    /// side skips its front end; results are bit-identical to the
+    /// equivalent owned-matrix path.
     ///
     /// See [`GemmArgs`] for the argument bundle and [`Ozaki2::gemm_into`]
     /// for the allocation-free form.
@@ -190,8 +206,8 @@ impl Ozaki2 {
     /// every INT8 residue product; detections and recoveries are reported
     /// in [`EmulationReport::fault`].
     pub fn gemm<T: Element>(&self, args: GemmArgs<'_, T>) -> Result<GemmOut<T>, EmulationError> {
-        let (a, b) = args.effective();
-        let mut c = Matrix::<T>::zeros(a.rows(), b.cols());
+        let (a, b) = args.effective()?;
+        let mut c = Matrix::<T>::zeros(a.shape().0, b.shape().1);
         let report = self.gemm_into(args, c.view_mut())?;
         Ok(GemmOut { c, report })
     }
@@ -199,19 +215,27 @@ impl Ozaki2 {
     /// [`Ozaki2::gemm`] into a caller-owned output view (column-major,
     /// any leading dimension): `C ← alpha · op(A) · op(B) + beta · C`.
     /// With a reused [`GemmArgs::workspace`] this is the fully
-    /// allocation-free steady state.
+    /// allocation-free steady state; with a prepared side, only the other
+    /// side's front end runs.
+    ///
+    /// # Errors
+    /// Those of [`Ozaki2::gemm`], plus for a prepared operand:
+    /// [`EmulationError::PreparedMismatch`] when its side, `N` or
+    /// precision disagrees or a transpose is requested on it, and
+    /// [`EmulationError::PreparationUnsupported`] under [`Mode::Accurate`].
     pub fn gemm_into<T: Element>(
         &self,
         args: GemmArgs<'_, T>,
         out: MatViewMut<'_, T>,
     ) -> Result<EmulationReport, EmulationError> {
-        let (a, b) = args.effective();
+        let (a, b) = args.effective()?;
         let GemmArgs {
             alpha,
             beta,
             workspace,
             report,
             fault_policy,
+            parallel,
             ..
         } = args;
         let mut local;
@@ -225,10 +249,10 @@ impl Ozaki2 {
         let consts = constants(self.n_moduli());
         let rep = algorithm1(
             self,
-            OperandInput::View(a),
-            OperandInput::View(b),
+            a,
+            b,
             ws,
-            true,
+            parallel,
             fault_policy.unwrap_or(self.fault_policy()),
             out.shape(),
             |planes| fold_into_view(planes, consts, alpha, beta, out),
@@ -388,18 +412,20 @@ fn side_panels<'p, T: Element>(
 
 /// What the Algorithm-1 body hands its caller's lines-8–12 fold: the `N`
 /// UINT8 residue planes `U_s` (plane-major, each `m × n` column-major),
-/// both sides' scale exponents, and the workspace's grow-only f64 staging
-/// buffer for a fold that cannot write its output directly.
+/// both sides' scale exponents, the workspace's grow-only f64 staging
+/// buffer for a fold that cannot write its output directly, and whether
+/// the call may use the worker pool.
 pub(crate) struct FoldInput<'f> {
     pub u: &'f [u8],
     pub exps_a: &'f [i32],
     pub exps_b: &'f [i32],
     pub stage: &'f mut Vec<f64>,
+    pub parallel: bool,
 }
 
 /// Algorithm 1, the one body behind every entry ([`Ozaki2::gemm_into`],
-/// [`Ozaki2::execute`], [`crate::dgemm_dd`], and through them every
-/// wrapper and the batched runtime).
+/// [`crate::dgemm_dd`], and through them every wrapper and the batched
+/// runtime).
 ///
 /// Each operand is a [`MatView`] — its front end (lines 1–5) runs into
 /// the workspace panels — or a [`crate::PreparedOperand`] whose cached panels
@@ -409,7 +435,8 @@ pub(crate) struct FoldInput<'f> {
 /// recovery only under an active `policy`. Lines 8–12 are the caller's:
 /// `fold` receives the residue planes and exponents (timed as
 /// [`PhaseTimes::fold`]), or `None` when the product is empty (`m`, `n`
-/// or `k` zero) and its value is zero.
+/// or `k` zero) and its value is zero. `parallel = false` keeps every
+/// phase on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn algorithm1<T: Element>(
     emu: &Ozaki2,
@@ -467,7 +494,7 @@ pub(crate) fn algorithm1<T: Element>(
         (OperandInput::View(va), OperandInput::View(vb)) if mode == Mode::Accurate => {
             let t0 = Instant::now();
             gemm_calls += 1; // the Ā·B̄ estimation GEMM
-            let (ea, eb) = accurate_scale_view(va, vb, consts.p_accu);
+            let (ea, eb) = accurate_scale_view(va, vb, consts.p_accu, parallel);
             phases.scale = t0.elapsed();
             (Some(ea), Some(eb))
         }
@@ -557,6 +584,7 @@ pub(crate) fn algorithm1<T: Element>(
         exps_a: &exps_a,
         exps_b: &exps_b,
         stage: cstage,
+        parallel,
     }));
     phases.fold = t0.elapsed();
 
@@ -573,17 +601,17 @@ pub(crate) fn algorithm1<T: Element>(
     Ok(report)
 }
 
-/// Lines 8–12 into an output view, the fold of [`Ozaki2::gemm_into`] and
-/// [`Ozaki2::execute`]: `out ← alpha · A·B + beta · out`. The plain
-/// contiguous f64 product folds straight into `out`; every other output
-/// folds into the staging buffer, then the `alpha`/`beta` epilogue (or
-/// the exact f32 narrowing) scatters it per column. An empty product
-/// (`None`) leaves `alpha · 0 + beta · out`. With `beta = 0` the output
-/// is never read (the BLAS contract), so NaN or Inf already in `out`
-/// cannot reach the result. `fold_planes`' column
-/// parallelism nests safely inside an inter-GEMM worker (nested regions
-/// run sequentially there) and its output is bit-identical for every
-/// split.
+/// Lines 8–12 into an output view, the fold of [`Ozaki2::gemm_into`]:
+/// `out ← alpha · A·B + beta · out`. The plain contiguous f64 product
+/// folds straight into `out`; every other output folds into the staging
+/// buffer, then the `alpha`/`beta` epilogue (or the exact f32 narrowing)
+/// scatters it per column. An empty product (`None`) leaves
+/// `alpha · 0 + beta · out`. With `beta = 0` the output is never read
+/// (the BLAS contract), so NaN or Inf already in `out` cannot reach the
+/// result. `fold_planes` splits the columns over the pool only for a
+/// `parallel` call (a nested region on a worker goes to that worker's
+/// own deque, where idle siblings steal from it); its output is
+/// bit-identical for every split.
 pub(crate) fn fold_into_view<T: Element>(
     planes: Option<FoldInput<'_>>,
     consts: &Constants,
@@ -598,6 +626,7 @@ pub(crate) fn fold_into_view<T: Element>(
         exps_a,
         exps_b,
         stage,
+        parallel,
     }) = planes
     else {
         for j in 0..n {
@@ -626,6 +655,7 @@ pub(crate) fn fold_into_view<T: Element>(
                 precision,
                 exps_a,
                 exps_b,
+                parallel,
                 &mut dst[..m * n],
             );
             return;
@@ -635,7 +665,7 @@ pub(crate) fn fold_into_view<T: Element>(
         stage.resize(m * n, 0.0);
     }
     let stage = &mut stage[..m * n];
-    fold_planes(u, m, n, consts, precision, exps_a, exps_b, stage);
+    fold_planes(u, m, n, consts, precision, exps_a, exps_b, parallel, stage);
     // Narrow / scale / scatter into the output view.
     for j in 0..n {
         let col = out.col_mut(j);

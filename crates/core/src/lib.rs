@@ -15,9 +15,10 @@
 //!    with a weight split engineered so the hot sum is exact in f64, then
 //!    applies the exact inverse scaling.
 //!
-//! Entry point: [`Ozaki2`] — `gemm`/`gemm_into` for plain products,
-//! `prepare`/`execute` to reuse one operand's front end (see the crate
-//! examples and `examples/` at the workspace root).
+//! Entry point: [`Ozaki2`] — `gemm`/`gemm_into` for every product, with
+//! `prepare` to cache one operand's front end as an operand of later
+//! products (see the crate examples and `examples/` at the workspace
+//! root).
 //!
 //! ```
 //! use ozaki2::{Mode, Ozaki2};
@@ -58,7 +59,7 @@ pub use convert::{
 pub use element::Element;
 pub use facade::{Accuracy, GemmArgs, GemmOut, Ozaki2Builder};
 pub use gemm_obs::TimeShare;
-pub use mixed::{dgemm_dd, gemm_f32xf64, gemm_f64xf32};
+pub use mixed::dgemm_dd;
 pub use moduli::{moduli, MODULI, N_MAX, N_MAX_SGEMM};
 pub use nselect::{
     choose_n, choose_n_checked, n_for_dgemm_level, n_for_sgemm_level, predicted_error,

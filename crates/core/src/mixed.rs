@@ -8,16 +8,13 @@
 //!   reconstruction keeps ~`β + 53` bits of each weight. The result is
 //!   accurate beyond FP64: the limit becomes the Step-2 truncation
 //!   (~`2·p_fast - log2 k` bits), e.g. ~68 bits at `N = 20`.
-//! * [`gemm_f64xf32`] — **heterogeneous inputs**: an FP64 × FP32 product
-//!   through the same integer pipeline (the f32 operand is widened
-//!   exactly; its scale budget is identical).
 
 use crate::consts::constants;
 use crate::facade::{algorithm1, FoldInput};
 use crate::pipeline::{Mode, Ozaki2, Workspace};
 use crate::prepared::OperandInput;
 use crate::scale::scale_by_pow2;
-use gemm_dense::{MatF32, MatF64, Matrix};
+use gemm_dense::{MatF64, Matrix};
 use gemm_exact::Dd;
 use rayon::prelude::*;
 
@@ -84,20 +81,6 @@ pub fn dgemm_dd(a: &MatF64, b: &MatF64, n_moduli: usize, mode: Mode) -> Matrix<D
     out
 }
 
-/// Heterogeneous emulated product: `C ≈ A_f64 · B_f32` (widening the f32
-/// operand is exact, so the pipeline is the DGEMM one; the result honours
-/// the narrower operand's information content).
-pub fn gemm_f64xf32(a: &MatF64, b: &MatF32, n_moduli: usize, mode: Mode) -> MatF64 {
-    let b64 = b.map(|x| x as f64);
-    crate::Ozaki2::new(n_moduli, mode).dgemm(a, &b64)
-}
-
-/// Heterogeneous emulated product: `C ≈ A_f32 · B_f64`.
-pub fn gemm_f32xf64(a: &MatF32, b: &MatF64, n_moduli: usize, mode: Mode) -> MatF64 {
-    let a64 = a.map(|x| x as f64);
-    crate::Ozaki2::new(n_moduli, mode).dgemm(&a64, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +133,18 @@ mod tests {
 
     #[test]
     fn heterogeneous_products_work() {
+        // An FP64 × FP32 product runs the DGEMM pipeline over the exactly
+        // widened f32 operand; the facade takes it on either side.
         let (m, n, k) = (16, 16, 32);
         let a = phi_matrix_f64(m, k, 0.5, 9, 0);
-        let b32 = phi_matrix_f32(k, n, 0.5, 9, 1);
-        let c = gemm_f64xf32(&a, &b32, 14, Mode::Fast);
-        let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b32.map(|x| x as f64));
+        let b = phi_matrix_f32(k, n, 0.5, 9, 1).map(|x| x as f64);
+        let emu = crate::Ozaki2::new(14, Mode::Fast);
+        let c = emu.dgemm(&a, &b);
+        let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
         let err = gemm_dense::norms::max_relative_error(&c, &exact);
         assert!(err < 1e-9, "err={err:e}");
 
-        let c2 = gemm_f32xf64(&b32.transpose(), &a.transpose(), 14, Mode::Fast);
+        let c2 = emu.dgemm(&b.transpose(), &a.transpose());
         assert_eq!(c2.shape(), (n, m));
     }
 

@@ -13,24 +13,25 @@
 //! [`Ozaki2::prepare`] captures that front end once as a
 //! [`PreparedOperand`]: the scale exponents plus the `N` packed i8
 //! residue panels, in exactly the layout the INT8 engine's zero-repack
-//! entry ([`gemm_engine::int8_gemm_prepacked_fused`]) consumes.
-//! [`Ozaki2::execute`] runs the one Algorithm-1 body with either side a
-//! preparation (front end skipped) or a plain view (front end computed
-//! into the workspace). Both halves run the very same kernels as
-//! [`Ozaki2::gemm`], so the result is **bit-identical** to it — the
-//! property the batched runtime (`gemm_batch`) builds its caching on.
+//! entry ([`gemm_engine::int8_gemm_prepacked_fused`]) consumes. A
+//! preparation is just another operand of [`Ozaki2::gemm_into`] (see
+//! [`OperandInput`]): the one Algorithm-1 body skips its front end and
+//! computes a view side's into the workspace. Both halves run the very
+//! same kernels as a call over two views, so the result is
+//! **bit-identical** to it — the property the batched runtime
+//! (`gemm_batch`) builds its caching on.
 //!
 //! [`Mode::Accurate`] scales `A` and `B` jointly (one estimation GEMM over
 //! both magnitudes), so a one-sided preparation cannot exist; `prepare`,
-//! and `execute` with a prepared side, return
+//! and a product with a prepared side, return
 //! [`EmulationError::PreparationUnsupported`] for it, and accurate-mode
-//! batches fall back to [`Ozaki2::gemm_into`] per item.
+//! batches run every item over its two views.
 
 use crate::consts::constants;
 use crate::element::Element;
-use crate::facade::{algorithm1, check_n, fold_into_view, front_end, validate_view};
-use crate::pipeline::{EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace};
-use gemm_dense::{MatView, MatViewMut, Matrix};
+use crate::facade::{check_n, front_end, validate_view};
+use crate::pipeline::{EmulationError, Mode, Ozaki2, PhaseTimes};
+use gemm_dense::{MatView, Matrix};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
 
 /// Which side of the product an operand was prepared for. The sides pack
@@ -60,15 +61,16 @@ impl OperandSide {
 /// exponents plus the `N` packed i8 residue panels, ready for
 /// zero-repack INT8 GEMMs.
 ///
-/// Produced by [`Ozaki2::prepare`], consumed by [`Ozaki2::execute`].
-/// Reusing a preparation across products amortizes the entire convert
-/// front end — see the example below and `examples/batched_inference.rs`.
+/// Produced by [`Ozaki2::prepare`], consumed as an operand of
+/// [`Ozaki2::gemm_into`]. Reusing a preparation across products amortizes
+/// the entire convert front end — see the example below and
+/// `examples/batched_inference.rs`.
 ///
 /// # Examples
 /// ```
 /// use gemm_dense::workload::phi_matrix_f64;
 /// use gemm_dense::Matrix;
-/// use ozaki2::{Mode, OperandSide, Ozaki2, Workspace};
+/// use ozaki2::{GemmArgs, Mode, OperandSide, Ozaki2, Workspace};
 ///
 /// let emu = Ozaki2::new(12, Mode::Fast);
 /// let b = phi_matrix_f64(48, 32, 0.5, 7, 1);
@@ -79,7 +81,8 @@ impl OperandSide {
 /// for seed in 0..3 {
 ///     let a = phi_matrix_f64(24, 48, 0.5, seed, 0);
 ///     // ...and every product over it skips B's scale/trunc/convert.
-///     emu.execute(&a, &pb, &mut ws, true, c.view_mut()).unwrap();
+///     emu.gemm_into(GemmArgs::new(&a, &pb).workspace(&mut ws), c.view_mut())
+///         .unwrap();
 ///     assert_eq!(c, emu.dgemm(&a, &b)); // bit-identical
 /// }
 /// ```
@@ -89,7 +92,6 @@ pub struct PreparedOperand {
     vecs: usize,
     k: usize,
     n_moduli: usize,
-    mode: Mode,
     b64: bool,
     exps: Vec<i32>,
     panels: Vec<i8>,
@@ -102,7 +104,6 @@ impl std::fmt::Debug for PreparedOperand {
             .field("side", &self.side)
             .field("shape", &self.shape())
             .field("n_moduli", &self.n_moduli)
-            .field("mode", &self.mode)
             .field("b64", &self.b64)
             .field("bytes", &self.bytes())
             .finish()
@@ -126,11 +127,6 @@ impl PreparedOperand {
     /// Moduli count the panels were reduced against.
     pub fn n_moduli(&self) -> usize {
         self.n_moduli
-    }
-
-    /// Scaling mode (always [`Mode::Fast`]; accurate mode cannot prepare).
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     /// `true` when prepared with the DGEMM (`b = 64`) conversion
@@ -187,9 +183,9 @@ impl PreparedOperand {
     }
 }
 
-/// One operand of [`Ozaki2::execute`]: a borrowed view (any layout,
+/// One operand of a [`crate::GemmArgs`]: a borrowed view (any layout,
 /// leading dimension or transpose) whose front end (lines 1–5) is
-/// computed into the caller's [`Workspace`] — zero copies, zero
+/// computed into the call's [`crate::Workspace`] — zero copies, zero
 /// allocations once the workspace has grown — or a cached preparation
 /// whose panels are borrowed.
 #[derive(Clone, Copy)]
@@ -231,7 +227,8 @@ impl<'a, T: Element> From<&'a PreparedOperand> for OperandInput<'a, T> {
 impl Ozaki2 {
     /// Run Algorithm 1 lines 1–5 over one operand (`m x k` for
     /// [`OperandSide::A`], `k x n` for [`OperandSide::B`]; `f64` or `f32`,
-    /// any view) and keep the result for reuse by [`Ozaki2::execute`].
+    /// any view) and keep the result for reuse as an operand of
+    /// [`Ozaki2::gemm_into`].
     ///
     /// # Errors
     /// [`EmulationError::PreparationUnsupported`] in [`Mode::Accurate`]
@@ -261,67 +258,31 @@ impl Ozaki2 {
             vecs,
             k,
             n_moduli: consts.n,
-            mode: self.mode(),
             b64: T::IS_F64,
             exps,
             panels,
             prepare_phases: phases,
         })
     }
-
-    /// `out ← A · B` with each operand a view or a [`PreparedOperand`]
-    /// (see [`OperandInput`]; `&Matrix`, views and `&PreparedOperand`
-    /// convert). Shapes come from the operands and `out` (column-major,
-    /// any leading dimension; fully overwritten). View operands convert
-    /// into `ws`, so with a reused workspace the steady state allocates
-    /// nothing. `parallel` gates the internal parallel regions, so an
-    /// inter-GEMM scheduler can run many single-threaded items at once.
-    /// Bit-identical to [`Ozaki2::gemm`] on the same operands, for either
-    /// `parallel`.
-    ///
-    /// # Errors
-    /// [`EmulationError::PreparedMismatch`] when a preparation's side,
-    /// `N` or precision disagrees, [`EmulationError::ShapeMismatch`],
-    /// [`EmulationError::PreparationUnsupported`] for a prepared operand
-    /// under [`Mode::Accurate`], plus the errors of [`Ozaki2::gemm`].
-    pub fn execute<'a, T: Element>(
-        &self,
-        a: impl Into<OperandInput<'a, T>>,
-        b: impl Into<OperandInput<'a, T>>,
-        ws: &mut Workspace,
-        parallel: bool,
-        out: MatViewMut<'_, T>,
-    ) -> Result<EmulationReport, EmulationError> {
-        let consts = constants(self.n_moduli());
-        algorithm1(
-            self,
-            a.into(),
-            b.into(),
-            ws,
-            parallel,
-            self.fault_policy(),
-            out.shape(),
-            |planes| fold_into_view(planes, consts, T::ONE, T::ZERO, out),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GemmArgs, GemmOp, Workspace};
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
-    use gemm_dense::MatF64;
+    use gemm_dense::{MatF64, MatViewMut};
     use std::time::Duration;
 
     /// `A · B` over two preparations into a fresh output, fresh workspace.
-    fn execute_prepared(
+    fn prepared_product(
         emu: &Ozaki2,
         pa: &PreparedOperand,
         pb: &PreparedOperand,
     ) -> Result<MatF64, EmulationError> {
         let mut c = MatF64::zeros(pa.shape().0, pb.shape().1);
-        emu.execute(pa, pb, &mut Workspace::new(), true, c.view_mut())?;
+        emu.gemm_into(GemmArgs::new(pa, pb), c.view_mut())?;
         Ok(c)
     }
 
@@ -339,7 +300,7 @@ mod tests {
                 let emu = Ozaki2::new(nmod, Mode::Fast);
                 let pa = emu.prepare(OperandSide::A, &a).unwrap();
                 let pb = emu.prepare(OperandSide::B, &b).unwrap();
-                let got = execute_prepared(&emu, &pa, &pb).unwrap();
+                let got = prepared_product(&emu, &pa, &pb).unwrap();
                 assert_eq!(got, emu.dgemm(&a, &b), "m={m} n={n} k={k} N={nmod}");
             }
         }
@@ -359,11 +320,9 @@ mod tests {
             let pa = emu.prepare(OperandSide::A, &a).unwrap();
             for parallel in [false, true] {
                 let mut out = vec![f64::NAN; m * n];
-                emu.execute(
-                    &pa,
-                    &pb,
-                    &mut ws,
-                    parallel,
+                let args = GemmArgs::new(&pa, &pb).workspace(&mut ws);
+                emu.gemm_into(
+                    args.parallel(parallel),
                     MatViewMut::col_major(&mut out, m, n),
                 )
                 .unwrap();
@@ -386,7 +345,7 @@ mod tests {
         let pb = emu
             .prepare(OperandSide::B, MatView::col_major(b.as_slice(), k, n))
             .unwrap();
-        assert_eq!(execute_prepared(&emu, &pa, &pb).unwrap(), emu.dgemm(&a, &b));
+        assert_eq!(prepared_product(&emu, &pa, &pb).unwrap(), emu.dgemm(&a, &b));
     }
 
     #[test]
@@ -398,11 +357,11 @@ mod tests {
         let pa = emu.prepare(OperandSide::A, &a).unwrap();
         let pb = emu.prepare(OperandSide::B, &b).unwrap();
         let mut out = Matrix::<f32>::zeros(m, n);
-        emu.execute(&pa, &pb, &mut Workspace::new(), true, out.view_mut())
+        emu.gemm_into(GemmArgs::new(&pa, &pb), out.view_mut())
             .unwrap();
         assert_eq!(out, emu.sgemm(&a, &b));
         // Mixed: a streaming f32 view against the prepared B.
-        emu.execute(&a, &pb, &mut Workspace::new(), true, out.view_mut())
+        emu.gemm_into(GemmArgs::new(&a, &pb), out.view_mut())
             .unwrap();
         assert_eq!(out, emu.sgemm(&a, &b));
     }
@@ -421,7 +380,8 @@ mod tests {
         let mut steady = 0usize;
         for seed in 0..5u64 {
             let a = phi_matrix_f64(m, k, 0.5, seed, 0);
-            emu.execute(&a, &pb, &mut ws, true, out.view_mut()).unwrap();
+            emu.gemm_into(GemmArgs::new(&a, &pb).workspace(&mut ws), out.view_mut())
+                .unwrap();
             assert_eq!(out, emu.dgemm(&a, &b), "seed={seed}");
             if seed == 0 {
                 steady = ws.bytes();
@@ -439,7 +399,7 @@ mod tests {
         let b = phi_matrix_f64(k, n, 0.9, 2, 1);
         let mut out = MatF64::zeros(m, n);
         for parallel in [false, true] {
-            emu.execute(&a, &b, &mut Workspace::new(), parallel, out.view_mut())
+            emu.gemm_into(GemmArgs::new(&a, &b).parallel(parallel), out.view_mut())
                 .unwrap();
             assert_eq!(out, emu.dgemm(&a, &b), "parallel={parallel}");
         }
@@ -461,11 +421,12 @@ mod tests {
         let mut c = MatF64::zeros(4, 4);
         let mut ws = Workspace::new();
         assert_eq!(
-            emu.execute(&pa, &a, &mut ws, true, c.view_mut())
+            emu.gemm_into(GemmArgs::new(&pa, &a).workspace(&mut ws), c.view_mut())
                 .unwrap_err(),
             unsupported
         );
-        emu.execute(&a, &a, &mut ws, true, c.view_mut()).unwrap();
+        emu.gemm_into(GemmArgs::new(&a, &a).workspace(&mut ws), c.view_mut())
+            .unwrap();
         assert_eq!(c, emu.dgemm(&a, &a));
     }
 
@@ -478,36 +439,65 @@ mod tests {
         let pb = emu.prepare(OperandSide::B, &b).unwrap();
         // Sides swapped.
         assert!(matches!(
-            execute_prepared(&emu, &pb, &pa),
+            prepared_product(&emu, &pb, &pa),
             Err(EmulationError::PreparedMismatch { .. })
         ));
         // Inner dimension mismatch.
         let b_bad = phi_matrix_f64(7, 5, 0.5, 1, 1);
         let pb_bad = emu.prepare(OperandSide::B, &b_bad).unwrap();
         assert_eq!(
-            execute_prepared(&emu, &pa, &pb_bad).unwrap_err(),
+            prepared_product(&emu, &pa, &pb_bad).unwrap_err(),
             EmulationError::ShapeMismatch
         );
         // Output shape mismatch.
         let mut c_bad = MatF64::zeros(4, 4);
         assert_eq!(
-            emu.execute(&pa, &pb, &mut Workspace::new(), true, c_bad.view_mut())
+            emu.gemm_into(GemmArgs::new(&pa, &pb), c_bad.view_mut())
                 .unwrap_err(),
             EmulationError::ShapeMismatch
         );
         // Moduli mismatch with the executing emulator.
         let other = Ozaki2::new(9, Mode::Fast);
         assert!(matches!(
-            execute_prepared(&other, &pa, &pb),
+            prepared_product(&other, &pa, &pb),
             Err(EmulationError::PreparedMismatch { .. })
         ));
         // Precision mismatch.
         let bf = phi_matrix_f32(6, 5, 0.5, 1, 1);
         let pb_f32 = emu.prepare(OperandSide::B, &bf).unwrap();
         assert!(matches!(
-            execute_prepared(&emu, &pa, &pb_f32),
+            prepared_product(&emu, &pa, &pb_f32),
             Err(EmulationError::PreparedMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn transposed_prepared_side_is_rejected() {
+        // A preparation fixes its packing; a transpose on it cannot be
+        // honoured, so it must fail, never be ignored.
+        let emu = Ozaki2::new(8, Mode::Fast);
+        let a = phi_matrix_f64(5, 5, 0.5, 3, 0);
+        let pa = emu.prepare(OperandSide::A, &a).unwrap();
+        let pb = emu.prepare(OperandSide::B, &a).unwrap();
+        let transposed = [
+            GemmArgs::new(&pa, &a).trans_a(GemmOp::T),
+            GemmArgs::new(&a, &pb).trans_b(GemmOp::T),
+        ];
+        for args in transposed {
+            let mut c = MatF64::zeros(5, 5);
+            assert!(matches!(
+                emu.gemm_into(args, c.view_mut()),
+                Err(EmulationError::PreparedMismatch { .. })
+            ));
+            assert!(c.iter().all(|&x| x == 0.0), "output untouched");
+        }
+        // The allocating entry rejects it too; a transposed view is fine.
+        assert!(matches!(
+            emu.gemm(GemmArgs::<f64>::new(&pa, &pb).trans_b(GemmOp::T)),
+            Err(EmulationError::PreparedMismatch { .. })
+        ));
+        let got = emu.gemm(GemmArgs::new(&a, &pb).trans_a(GemmOp::T)).unwrap();
+        assert_eq!(got.c, emu.dgemm(&a.transpose(), &a));
     }
 
     #[test]
@@ -517,12 +507,12 @@ mod tests {
         let b = MatF64::zeros(5, 3);
         let pa = emu.prepare(OperandSide::A, &a).unwrap();
         let pb = emu.prepare(OperandSide::B, &b).unwrap();
-        let c = execute_prepared(&emu, &pa, &pb).unwrap();
+        let c = prepared_product(&emu, &pa, &pb).unwrap();
         assert_eq!(c.shape(), (0, 3));
         // k = 0: product is all zeros.
         let pa0 = emu.prepare(OperandSide::A, &MatF64::zeros(2, 0)).unwrap();
         let pb0 = emu.prepare(OperandSide::B, &MatF64::zeros(0, 3)).unwrap();
-        let c0 = execute_prepared(&emu, &pa0, &pb0).unwrap();
+        let c0 = prepared_product(&emu, &pa0, &pb0).unwrap();
         assert!(c0.iter().all(|&x| x == 0.0));
         assert_eq!(c0.shape(), (2, 3));
     }
@@ -546,7 +536,7 @@ mod tests {
         let a = phi_matrix_f64(m, k, 0.5, 4, 0);
         let b = phi_matrix_f64(k, n, 0.5, 4, 1);
         let emu = Ozaki2::new(15, Mode::Fast);
-        let c = execute_prepared(
+        let c = prepared_product(
             &emu,
             &emu.prepare(OperandSide::A, &a).unwrap(),
             &emu.prepare(OperandSide::B, &b).unwrap(),

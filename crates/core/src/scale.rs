@@ -209,11 +209,13 @@ pub fn fast_scale_b_view<T: Element>(b: &MatView<'_, T>, budget: f64) -> Vec<i32
 /// Returns `(e_a, e_b)`. The 6-bit magnitude estimates `Ā`, `B̄` are
 /// written from the strided elements straight into the engine's i8 panel
 /// layout (the operands themselves are never copied), and `Ā·B̄` is one
-/// INT8 GEMM over those panels.
+/// INT8 GEMM over those panels, striped over the worker pool when
+/// `parallel` is set.
 pub fn accurate_scale_view<T: Element>(
     a: &MatView<'_, T>,
     b: &MatView<'_, T>,
     budget: f64,
+    parallel: bool,
 ) -> (Vec<i32>, Vec<i32>) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
@@ -282,7 +284,7 @@ pub fn accurate_scale_view<T: Element>(
             &mut c32,
             &mut [],
             &NoEpilogue,
-            true,
+            parallel,
         );
         for (acc, &c) in c_bar.iter_mut().zip(&c32) {
             *acc += c as i64;
@@ -383,7 +385,7 @@ const TRUNC_DEPTH_TILE: usize = 256;
 /// The hot pipeline no longer calls this (the truncation is fused into the
 /// convert sweep, [`crate::convert::trunc_convert_pack_panels`]); it stays
 /// as the standalone form for consumers that want the integer matrices
-/// (`mixed.rs`, diagnostics, the structural-independence property tests).
+/// (the benchmarks, the structural-independence property tests).
 pub fn scale_trunc_a_rowmajor(a: &MatF64, exps: &[i32], out: &mut [f64]) {
     let (m, k) = a.shape();
     assert_eq!(exps.len(), m);
@@ -615,7 +617,7 @@ mod tests {
         let b = phi_matrix_f64(48, 24, 1.0, 5, 1);
         let budget = 25.0;
         let fast = fast_scale_rows(&a, budget);
-        let (accu, _) = accurate_scale_view(&a.view(), &b.view(), budget + 0.25);
+        let (accu, _) = accurate_scale_view(&a.view(), &b.view(), budget + 0.25, true);
         let better: i32 = fast
             .iter()
             .zip(&accu)

@@ -247,7 +247,7 @@ proptest! {
         };
         let us: Vec<u8> = (0..nmod).map(|m| ((next() >> 33) % c.p[m]) as u8).collect();
         let mut out = [0.0f64];
-        fold_planes(&us, 1, 1, c, FoldPrecision::Double, &[0], &[0], &mut out);
+        fold_planes(&us, 1, 1, c, FoldPrecision::Double, &[0], &[0], true, &mut out);
         let mut acc = gemm_exact::U256::ZERO;
         for (i, &uv) in us.iter().enumerate() {
             acc = acc.add(basis.weight(i).mul_u64(uv as u64));
@@ -685,8 +685,8 @@ proptest! {
 
     /// Every entry runs the one Algorithm-1 body: the named delegates,
     /// `gemm_into` with a reused workspace and its transpose/alpha/beta
-    /// cases, and `execute` over views and preparations all equal the
-    /// facade, bit for bit.
+    /// cases, serial, and over preparations all equal the facade, bit for
+    /// bit.
     #[test]
     fn named_wrappers_equal_facade(
         m in 1usize..=10,
@@ -723,17 +723,18 @@ proptest! {
                 prop_assert_eq!(cab[(i, j)], 2.0 * facade[(i, j)] + 0.5 * c0[(i, j)]);
             }
         }
-        // execute over two views (either mode), and over preparations.
-        emu.execute(&a, &b, &mut ws, false, c.view_mut()).unwrap();
+        // Serial over two views (either mode), and over preparations.
+        let serial = GemmArgs::new(&a, &b).parallel(false);
+        emu.gemm_into(serial.workspace(&mut ws), c.view_mut()).unwrap();
         prop_assert_eq!(&c, &facade);
         if !accurate {
             let pa = emu.prepare(OperandSide::A, &a).unwrap();
             let pb = emu.prepare(OperandSide::B, &b).unwrap();
-            emu.execute(&pa, &pb, &mut ws, true, c.view_mut()).unwrap();
+            emu.gemm_into(GemmArgs::new(&pa, &pb).workspace(&mut ws), c.view_mut()).unwrap();
             prop_assert_eq!(&c, &facade);
-            emu.execute(&a, &pb, &mut ws, true, c.view_mut()).unwrap();
+            emu.gemm_into(GemmArgs::new(&a, &pb).workspace(&mut ws), c.view_mut()).unwrap();
             prop_assert_eq!(&c, &facade);
-            emu.execute(&pa, &b, &mut ws, true, c.view_mut()).unwrap();
+            emu.gemm_into(GemmArgs::new(&pa, &b).workspace(&mut ws), c.view_mut()).unwrap();
             prop_assert_eq!(&c, &facade);
         }
 
@@ -746,11 +747,12 @@ proptest! {
         let mut cf = Matrix::<f32>::zeros(m, n);
         emu8.gemm_into(GemmArgs::new(&af, &bf).workspace(&mut ws), cf.view_mut()).unwrap();
         prop_assert_eq!(&cf, &facade32);
-        emu8.execute(&af, &bf, &mut ws, true, cf.view_mut()).unwrap();
+        let serial = GemmArgs::new(&af, &bf).parallel(false);
+        emu8.gemm_into(serial.workspace(&mut ws), cf.view_mut()).unwrap();
         prop_assert_eq!(&cf, &facade32);
         if !accurate {
             let pbf = emu8.prepare(OperandSide::B, &bf).unwrap();
-            emu8.execute(&af, &pbf, &mut ws, true, cf.view_mut()).unwrap();
+            emu8.gemm_into(GemmArgs::new(&af, &pbf).workspace(&mut ws), cf.view_mut()).unwrap();
             prop_assert_eq!(&cf, &facade32);
         }
     }

@@ -3,8 +3,9 @@
 //! Every GEMM entry runs one element-generic Algorithm-1 body. The
 //! `Ozaki2` surface is the constructors, `gemm`/`gemm_into` for plain
 //! products (with `GemmArgs` carrying trans/alpha/beta, workspace,
-//! report sink and fault policy), the `dgemm`/`sgemm` panicking
-//! delegates, and `prepare`/`execute` for cached one-sided front ends.
+//! report sink, fault policy and `parallel`; either operand may be a
+//! cached one-sided front end from `prepare`), the `dgemm`/`sgemm`
+//! panicking delegates, and `prepare`.
 //! This test pins that state two ways:
 //!
 //! 1. the canonical items must exist and work (checked by using them);
@@ -43,9 +44,8 @@ const OZAKI2_PUB_FNS: &[&str] = &[
     // panicking delegates of `gemm`
     "dgemm",
     "sgemm",
-    // cached one-sided front ends
+    // cached one-sided front ends, consumed as `gemm`/`gemm_into` operands
     "prepare",
-    "execute",
 ];
 
 /// Collect the `pub fn` names declared directly inside `impl <ty> {`
@@ -137,12 +137,13 @@ fn canonical_items_exist_and_compose() {
     emu.gemm_into(GemmArgs::new(&a, &b), cview).unwrap();
     assert_eq!(&cbuf, out.c.as_slice());
 
-    // prepare → execute: one side cached, the other a view.
+    // prepare → gemm_into: one side cached, the other a view.
     let pb: PreparedOperand = emu.prepare(OperandSide::B, &b).unwrap();
     let mut ws = Workspace::new();
     let mut c = Matrix::<f64>::zeros(8, 6);
     let a_in: OperandInput<'_, f64> = OperandInput::View(va);
-    emu.execute(a_in, &pb, &mut ws, true, c.view_mut()).unwrap();
+    let args = GemmArgs::new(a_in, &pb).workspace(&mut ws).parallel(false);
+    emu.gemm_into(args, c.view_mut()).unwrap();
     assert_eq!(c, out.c);
 
     // Builder type is nameable (for APIs that store one).

@@ -24,9 +24,7 @@
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::MatF64;
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{
-    FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, Workspace, K_BLOCK_MAX,
-};
+use ozaki2::{FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, K_BLOCK_MAX};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -186,8 +184,7 @@ fn prepared_operands_have_no_panel_seam_and_recover() {
     let pb = emu.prepare(OperandSide::B, &b).unwrap();
     let execute = |pa: &PreparedOperand, pb: &PreparedOperand| {
         let mut c = MatF64::zeros(m, n);
-        emu.execute(pa, pb, &mut Workspace::new(), true, c.view_mut())
-            .unwrap();
+        emu.gemm_into(GemmArgs::new(pa, pb), c.view_mut()).unwrap();
         c
     };
 
