@@ -9,32 +9,21 @@
 //! call performs **zero** workspace allocations: the pool holds one
 //! grown workspace per peak-concurrent item.
 //!
-//! The free list is **sharded by pool-worker index**: a checkout from
-//! worker `w` tries shard `w % SHARDS` first and returns the workspace
-//! there, so under inter-item parallelism each worker keeps re-borrowing
-//! "its" grown workspace without contending on a single lock (and with
-//! the side benefit that a workspace's pages stay warm on the core that
-//! grew them). External threads use the last shard. A worker whose home
-//! shard is empty falls back to scanning the others before allocating,
-//! so the pool never creates a workspace while any shard holds a parked
-//! one.
+//! The free list sits behind **one** lock, held only for a push or a pop,
+//! so a checkout from any thread reuses any parked workspace: the pool
+//! never creates one while another is parked.
 
 use ozaki2::Workspace;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Free-list shard count. A power of two comfortably above the worker
-/// counts we test (`OZAKI_WORKERS <= 8` in CI); worker `w` homes to
-/// `w % SHARDS`, external threads to the last shard.
-const SHARDS: usize = 16;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Pool of reusable pipeline workspaces (see the module docs).
 ///
 /// The pool is panic-hardened: a guard dropped during unwinding scrubs
 /// its workspace before returning it (a panic mid-pipeline can leave
 /// half-written panels behind), and a mutex poisoned by a panicking
-/// holder is recovered rather than propagated — each free list is always
+/// holder is recovered rather than propagated — the free list is always
 /// structurally valid, so later checkouts keep working.
 ///
 /// # Examples
@@ -48,27 +37,10 @@ const SHARDS: usize = 16;
 /// let _ws2 = pool.checkout(); // the same workspace, reused
 /// assert_eq!(pool.created(), 1);
 /// ```
+#[derive(Default)]
 pub struct WorkspacePool {
-    shards: [Mutex<Vec<Workspace>>; SHARDS],
+    free: Mutex<Vec<Workspace>>,
     created: AtomicUsize,
-}
-
-impl Default for WorkspacePool {
-    fn default() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            created: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// Home shard of the calling thread: pool workers map to `w % SHARDS`,
-/// external threads (including the batch submitter itself) share the
-/// last shard.
-fn home_shard() -> usize {
-    rayon::current_worker_index()
-        .map(|w| w % SHARDS)
-        .unwrap_or(SHARDS - 1)
 }
 
 impl WorkspacePool {
@@ -77,34 +49,21 @@ impl WorkspacePool {
         Self::default()
     }
 
-    /// One shard's free list, recovering from lock poisoning: the
-    /// protected `Vec<Workspace>` is never left mid-mutation by pool code
-    /// (push / pop / iterate are the only operations), so a poisoned lock
-    /// only means some *holder* of a checked-out workspace panicked — the
+    /// The free list, recovering from lock poisoning: the protected
+    /// `Vec<Workspace>` is never left mid-mutation by pool code (push /
+    /// pop / iterate are the only operations), so a poisoned lock only
+    /// means some *holder* of a checked-out workspace panicked — the
     /// guard's drop has already scrubbed that workspace.
-    fn shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<Workspace>> {
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn free(&self) -> MutexGuard<'_, Vec<Workspace>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Check out a workspace (reusing a returned one when available).
     /// The guard returns it to the pool on drop.
     pub fn checkout(&self) -> PooledWorkspace<'_> {
         gemm_obs::catalog::WORKSPACE_CHECKOUTS.inc();
-        let home = home_shard();
-        let mut ws = self.shard(home).pop();
-        if ws.is_none() {
-            // Home shard dry: adopt from any other shard before paying
-            // for a fresh multi-megabyte workspace.
-            for off in 1..SHARDS {
-                ws = self.shard((home + off) % SHARDS).pop();
-                if ws.is_some() {
-                    break;
-                }
-            }
-        }
-        let ws = ws.unwrap_or_else(|| {
+        let parked = self.free().pop();
+        let ws = parked.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
             gemm_obs::catalog::WORKSPACE_CREATED.inc();
             Workspace::new()
@@ -121,17 +80,15 @@ impl WorkspacePool {
         self.created.load(Ordering::Relaxed)
     }
 
-    /// Workspaces currently parked in the pool (all shards).
+    /// Workspaces currently parked in the pool.
     pub fn available(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).len()).sum()
+        self.free().len()
     }
 
     /// Summed scratch footprint of the parked workspaces in bytes.
     /// Stable across steady-state iterations (grow-once, reuse forever).
     pub fn bytes(&self) -> usize {
-        (0..SHARDS)
-            .map(|i| self.shard(i).iter().map(Workspace::bytes).sum::<usize>())
-            .sum()
+        self.free().iter().map(Workspace::bytes).sum()
     }
 }
 
@@ -165,10 +122,7 @@ impl Drop for PooledWorkspace<'_> {
             if std::thread::panicking() {
                 ws.scrub();
             }
-            // Return to the dropping thread's home shard: under
-            // inter-item parallelism that is the worker that just used
-            // it, which will re-borrow it for its next item.
-            self.pool.shard(home_shard()).push(ws);
+            self.pool.free().push(ws);
         }
     }
 }

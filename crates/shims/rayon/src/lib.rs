@@ -19,8 +19,7 @@
 //! work). External submitters (threads that are not pool workers) distribute
 //! a region's tasks round-robin across the worker deques, so task `i` of a
 //! region consistently lands on worker `i % W` — stripe `i` of a GEMM meets
-//! the same worker (and therefore the same core and workspace shard) on
-//! every call.
+//! the same worker (and therefore the same core) on every call.
 //!
 //! A *region* ([`ParIter::for_each`]) submits its items as tasks and then
 //! **helps**: the submitting thread executes tasks of its own region —
@@ -434,8 +433,8 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Worker index (`0..current_num_threads()`) on pool worker threads, `None`
-/// on external threads. Stable for the lifetime of a pool generation — used
-/// by `WorkspacePool` to give each worker its own free-list shard.
+/// on external threads. Stable for the lifetime of a pool generation, so a
+/// caller can tell which worker ran a task.
 pub fn current_worker_index() -> Option<usize> {
     WORKER_TLS.with(|w| w.get()).map(|(_, idx)| idx)
 }
