@@ -69,8 +69,9 @@ use std::time::{Duration, Instant};
 ///
 /// The default for every [`crate::Ozaki2`] comes from the
 /// `OZAKI_FAULT_POLICY` environment variable (`off` | `detect` |
-/// `retry[:N]` | `retry-then-scalar[:N]`, unset → `Off`); override per
-/// emulator with [`crate::Ozaki2::with_fault_policy`] or per call with
+/// `retry[:N]` | `retry-then-scalar[:N]`, unset → `Off`, anything else
+/// panics); override per emulator with
+/// [`crate::Ozaki2::with_fault_policy`] or per call with
 /// [`crate::GemmArgs::fault_policy`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FaultPolicy {
@@ -106,33 +107,51 @@ impl FaultPolicy {
 
     /// The process-wide default: parsed once from `OZAKI_FAULT_POLICY`
     /// (`off` | `detect` | `retry[:N]` | `retry-then-scalar[:N]`,
-    /// case-insensitive; unset or unparsable → [`FaultPolicy::Off`]).
-    /// This is how CI runs the entire suite under an active policy
-    /// without touching a single call site.
+    /// case-insensitive; unset or empty → [`FaultPolicy::Off`]). This is
+    /// how CI runs the entire suite under an active policy without
+    /// touching a single call site.
+    ///
+    /// # Panics
+    /// On any other value, naming the variable, the value and the
+    /// grammar — a typo must not silently turn the policy off.
     pub fn default_from_env() -> Self {
         static DEFAULT: OnceLock<FaultPolicy> = OnceLock::new();
         *DEFAULT.get_or_init(|| {
-            let Ok(raw) = std::env::var("OZAKI_FAULT_POLICY") else {
-                return FaultPolicy::Off;
-            };
-            let raw = raw.to_ascii_lowercase();
-            let (name, retries) = match raw.split_once(':') {
-                Some((n, r)) => (n, r.parse::<u8>().ok()),
-                None => (raw.as_str(), None),
-            };
-            match name {
-                "detect" => FaultPolicy::Detect,
-                "retry" => FaultPolicy::Retry {
-                    max_retries: retries.unwrap_or(2),
-                },
-                "retry-then-scalar" => FaultPolicy::RetryThenScalar {
-                    max_retries: retries.unwrap_or(2),
-                },
-                _ => FaultPolicy::Off,
-            }
+            let raw = std::env::var("OZAKI_FAULT_POLICY").unwrap_or_default();
+            FaultPolicy::parse(&raw).unwrap_or_else(|e| {
+                panic!("OZAKI_FAULT_POLICY={raw:?}: {e}; expected {POLICY_GRAMMAR}")
+            })
         })
     }
+
+    /// Parse one `OZAKI_FAULT_POLICY` value ([`POLICY_GRAMMAR`]; empty
+    /// means unset, `N` defaults to 2).
+    fn parse(raw: &str) -> Result<Self, String> {
+        let raw = raw.trim().to_ascii_lowercase();
+        let (name, retries) = match raw.split_once(':') {
+            Some((name, n)) => {
+                let n = n
+                    .parse::<u8>()
+                    .map_err(|_| format!("retry count {n:?} is not an integer in 0..=255"))?;
+                (name, Some(n))
+            }
+            None => (raw.as_str(), None),
+        };
+        let max_retries = retries.unwrap_or(2);
+        match (name, retries) {
+            ("" | "off", None) => Ok(FaultPolicy::Off),
+            ("detect", None) => Ok(FaultPolicy::Detect),
+            ("retry", _) => Ok(FaultPolicy::Retry { max_retries }),
+            ("retry-then-scalar", _) => Ok(FaultPolicy::RetryThenScalar { max_retries }),
+            ("" | "off" | "detect", Some(_)) => Err(format!("{name:?} takes no retry count")),
+            _ => Err(format!("unknown policy {name:?}")),
+        }
+    }
 }
+
+/// The values `OZAKI_FAULT_POLICY` accepts.
+const POLICY_GRAMMAR: &str =
+    "off | detect | retry[:N] | retry-then-scalar[:N] (case-insensitive, N in 0..=255)";
 
 /// What recovery did about one detected mismatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -896,6 +915,32 @@ mod tests {
         assert!(!FaultPolicy::Off.is_active());
         assert!(FaultPolicy::Detect.is_active());
         assert!(FaultPolicy::Retry { max_retries: 1 }.is_active());
+    }
+
+    #[test]
+    fn policy_parser_accepts_the_grammar_and_rejects_the_rest() {
+        let parse = FaultPolicy::parse;
+        assert_eq!(parse(""), Ok(FaultPolicy::Off));
+        assert_eq!(parse("OFF"), Ok(FaultPolicy::Off));
+        assert_eq!(parse("detect"), Ok(FaultPolicy::Detect));
+        assert_eq!(parse("retry"), Ok(FaultPolicy::Retry { max_retries: 2 }));
+        assert_eq!(
+            parse(" Retry-Then-Scalar:7 "),
+            Ok(FaultPolicy::RetryThenScalar { max_retries: 7 })
+        );
+        assert_eq!(parse("retry:0"), Ok(FaultPolicy::Retry { max_retries: 0 }));
+        for bad in [
+            "retyr",
+            "scalar",
+            "retry:",
+            "retry:x",
+            "retry:256",
+            "retry:-1",
+            "detect:2",
+            "off:1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   `OZAKI_FORCE_SCALAR` in [`crate::isa()`]):
 //!   `OZAKI_FAULT_INJECT=rate,seed,site` arms a
 //!   deterministic per-hook-call Bernoulli draw (an LCG seeded by `seed`;
-//!   `rate ∈ [0, 1]`; `site ∈ panel-a|panel-b|acc|residue|all`). Rate draws
+//!   `rate ∈ [0, 1]`; `site ∈ panel-a|panel-b|panel|acc|residue|all`;
+//!   rate 0 is off, a malformed value panics). Rate draws
 //!   fire only inside a **protected region** (see [`region`]) — the
 //!   `ozaki2` fault-tolerant execution path opens one around its GEMMs, so
 //!   raw engine calls (benchmarks, kernel parity tests, paths with no ABFT
@@ -66,42 +67,74 @@ impl FaultSite {
     }
 }
 
+#[derive(Debug, PartialEq)]
 struct EnvCfg {
     rate_bits: u64,
     site_mask: u8,
+    seed: u64,
 }
 
+/// The values `OZAKI_FAULT_INJECT` accepts.
+const INJECT_GRAMMAR: &str = "rate[,seed[,site]] with rate in [0, 1], seed an unsigned \
+     64-bit integer (default 0x5eed), site one of panel-a|panel-b|panel|acc|residue|all \
+     (default all)";
+
+/// Parse one `OZAKI_FAULT_INJECT` value ([`INJECT_GRAMMAR`]). Empty or
+/// rate 0 means injection off (`Ok(None)`).
+fn parse_inject(raw: &str) -> Result<Option<EnvCfg>, String> {
+    if raw.trim().is_empty() {
+        return Ok(None);
+    }
+    let mut parts = raw.splitn(3, ',').map(str::trim);
+    let rate_s = parts.next().unwrap_or_default();
+    let rate: f64 = rate_s
+        .parse()
+        .ok()
+        .filter(|r| (0.0..=1.0).contains(r))
+        .ok_or_else(|| format!("rate {rate_s:?} is not a number in [0, 1]"))?;
+    let seed = match parts.next() {
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("seed {s:?} is not an unsigned 64-bit integer"))?,
+        None => 0x5eed,
+    };
+    let site_mask = match parts.next().unwrap_or("all") {
+        "panel-a" => FaultSite::PanelA.mask_bit(),
+        "panel-b" => FaultSite::PanelB.mask_bit(),
+        "panel" => FaultSite::PanelA.mask_bit() | FaultSite::PanelB.mask_bit(),
+        "acc" => FaultSite::Acc.mask_bit(),
+        "residue" => FaultSite::Residue.mask_bit(),
+        "all" => 0xF,
+        site => return Err(format!("unknown site {site:?}")),
+    };
+    if rate == 0.0 {
+        return Ok(None);
+    }
+    Ok(Some(EnvCfg {
+        // The fire threshold as a 32-bit fixed-point fraction.
+        rate_bits: (rate * (1u64 << 32) as f64) as u64,
+        site_mask,
+        seed,
+    }))
+}
+
+/// The environment-rate configuration, parsed once.
+///
+/// # Panics
+/// On a malformed `OZAKI_FAULT_INJECT`, naming the variable, the value
+/// and the grammar — a typo must not silently disable injection.
 fn env_cfg() -> Option<&'static EnvCfg> {
     static CFG: OnceLock<Option<EnvCfg>> = OnceLock::new();
     CFG.get_or_init(|| {
-        let raw = std::env::var("OZAKI_FAULT_INJECT").ok()?;
-        let mut parts = raw.splitn(3, ',');
-        let rate: f64 = parts.next()?.trim().parse().ok()?;
-        if rate.is_nan() || rate <= 0.0 {
-            return None;
-        }
-        let seed: u64 = parts
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0x5eed);
-        let site_mask = match parts.next().map(str::trim).unwrap_or("all") {
-            "panel-a" => FaultSite::PanelA.mask_bit(),
-            "panel-b" => FaultSite::PanelB.mask_bit(),
-            "panel" => FaultSite::PanelA.mask_bit() | FaultSite::PanelB.mask_bit(),
-            "acc" => FaultSite::Acc.mask_bit(),
-            "residue" => FaultSite::Residue.mask_bit(),
-            _ => 0xF,
-        };
+        let raw = std::env::var("OZAKI_FAULT_INJECT").unwrap_or_default();
+        let cfg = parse_inject(&raw).unwrap_or_else(|e| {
+            panic!("OZAKI_FAULT_INJECT={raw:?}: {e}; expected {INJECT_GRAMMAR}")
+        })?;
         RNG.store(
-            seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
+            cfg.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
             Ordering::Relaxed,
         );
-        // The fire threshold as a 32-bit fixed-point fraction.
-        let rate_bits = (rate.min(1.0) * (1u64 << 32) as f64) as u64;
-        Some(EnvCfg {
-            rate_bits,
-            site_mask,
-        })
+        Some(cfg)
     })
     .as_ref()
 }
@@ -297,6 +330,36 @@ pub fn corrupt_residue(u: &mut [u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inject_parser_accepts_the_grammar_and_rejects_the_rest() {
+        let cfg = |rate: f64, seed, site_mask| EnvCfg {
+            rate_bits: (rate * (1u64 << 32) as f64) as u64,
+            site_mask,
+            seed,
+        };
+        assert_eq!(parse_inject("0.02,42,all"), Ok(Some(cfg(0.02, 42, 0xF))));
+        assert_eq!(parse_inject("1"), Ok(Some(cfg(1.0, 0x5eed, 0xF))));
+        assert_eq!(parse_inject(" 0.5 , 7 , acc "), Ok(Some(cfg(0.5, 7, 4))));
+        assert_eq!(parse_inject("0.5,7,panel"), Ok(Some(cfg(0.5, 7, 3))));
+        // Rate 0 and empty keep injection off.
+        assert_eq!(parse_inject("0"), Ok(None));
+        assert_eq!(parse_inject("0.0,42,residue"), Ok(None));
+        assert_eq!(parse_inject(""), Ok(None));
+        for bad in [
+            "abc",
+            "NaN",
+            "-0.1",
+            "1.5",
+            "0.02,x",
+            "0.02,-1",
+            "0.02,42,alll",
+            "0.02,42,all,extra",
+            "0,42,nowhere",
+        ] {
+            assert!(parse_inject(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 
     // Process-global state: keep every test in one serialized block.
     #[test]
