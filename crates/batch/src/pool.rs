@@ -9,9 +9,12 @@
 //! call performs **zero** workspace allocations: the pool holds one
 //! grown workspace per peak-concurrent item.
 //!
-//! The free list sits behind **one** lock, held only for a push or a pop,
-//! so a checkout from any thread reuses any parked workspace: the pool
-//! never creates one while another is parked.
+//! The free list sits behind **one** lock, held only for a push or a
+//! checkout, so a checkout from any thread reuses any parked workspace:
+//! the pool never creates one while another is parked. A checkout takes
+//! the largest parked workspace, so a large item never grows a small one
+//! while a large one sits parked: the pool grows a second large
+//! workspace only for a second large item running at the same time.
 
 use ozaki2::Workspace;
 use std::ops::{Deref, DerefMut};
@@ -58,11 +61,15 @@ impl WorkspacePool {
         self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Check out a workspace (reusing a returned one when available).
-    /// The guard returns it to the pool on drop.
+    /// Check out a workspace (the largest parked one when any is
+    /// available). The guard returns it to the pool on drop.
     pub fn checkout(&self) -> PooledWorkspace<'_> {
         gemm_obs::catalog::WORKSPACE_CHECKOUTS.inc();
-        let parked = self.free().pop();
+        let parked = {
+            let mut free = self.free();
+            let largest = (0..free.len()).max_by_key(|&i| free[i].bytes());
+            largest.map(|i| free.swap_remove(i))
+        };
         let ws = parked.unwrap_or_else(|| {
             self.created.fetch_add(1, Ordering::Relaxed);
             gemm_obs::catalog::WORKSPACE_CREATED.inc();

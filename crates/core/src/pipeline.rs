@@ -237,7 +237,7 @@ pub(crate) fn obs_record_report(call_start_ns: u64, report: &EmulationReport) {
     }
 }
 
-/// Per-call metadata returned by [`Ozaki2::gemm_into`] / [`Ozaki2::execute`]
+/// Per-call metadata returned by [`Ozaki2::gemm_into`]
 /// (and carried in [`crate::facade::GemmOut`]).
 #[derive(Clone, Debug)]
 pub struct EmulationReport {
