@@ -157,14 +157,14 @@ impl<'a, T: Element> GemmArgs<'a, T> {
 
     /// Effective operands after the transpose options (zero-copy).
     fn effective(&self) -> Result<(OperandInput<'a, T>, OperandInput<'a, T>), EmulationError> {
-        let op = |input: OperandInput<'a, T>, op| match (input, op) {
+        let apply = |input: OperandInput<'a, T>, op| match (input, op) {
             (input, GemmOp::N) => Ok(input),
             (OperandInput::View(v), GemmOp::T) => Ok(OperandInput::View(v.t())),
             (OperandInput::Prepared(_), GemmOp::T) => Err(EmulationError::PreparedMismatch {
                 reason: "transpose requested on a prepared operand",
             }),
         };
-        Ok((op(self.a, self.trans_a)?, op(self.b, self.trans_b)?))
+        Ok((apply(self.a, self.trans_a)?, apply(self.b, self.trans_b)?))
     }
 }
 
