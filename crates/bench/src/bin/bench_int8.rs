@@ -11,7 +11,7 @@
 //! batch), recording items/s and the speedup, after asserting the batched
 //! results bit-identical to the loop's.
 //!
-//! `--workers=N` sizes the work-stealing pool for the run (same knob as
+//! `--workers=N` sizes the worker pool for the run (same knob as
 //! `OZAKI_WORKERS`); the report records the configured pool width, the
 //! host's physical core count, and the shared-operand batch's scaling
 //! ratio vs a 1-worker run of the same pool, so the numbers stay honest
@@ -266,7 +266,7 @@ fn main() {
     };
     // Worker scaling: the shared-operand batch once on a degenerate
     // 1-worker pool, then on the configured pool. The ratio isolates what
-    // the work-stealing pool itself buys (inter-item overlap) from what
+    // the worker pool itself buys (inter-item overlap) from what
     // caching + pooling buy (present in both runs). On a host with fewer
     // physical cores than configured workers the ratio honestly hovers
     // near 1.0 — the report records both numbers so nobody mistakes pool
@@ -698,7 +698,7 @@ fn main() {
             // on a single-core runner both sides sit near 1.0, on a
             // many-core runner both sides reflect real overlap — either
             // way a scheduling regression (lost inter-item parallelism,
-            // serialized stealing) drags `current` below the floor.
+            // a serialized queue) drags `current` below the floor.
             GateMetric {
                 name: "shared64_scaling_vs_1worker",
                 current: shared64_scaling,

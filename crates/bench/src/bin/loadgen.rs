@@ -14,6 +14,11 @@
 //! bit-identical to the sequential `Ozaki2::dgemm` oracle before any
 //! timing counts for anything.
 //!
+//! In the closed loop both ratios are exact functions of the trace, and
+//! every run asserts them: operand hits equal 2 x submissions minus the
+//! distinct operands the client submitted, every small request coalesces
+//! and every large one runs solo.
+//!
 //! With `--check-against=<baseline.json>` the run doubles as a CI gate:
 //! the deterministic ratio metrics (coalesce rate, cache hit rate) are
 //! always gated; the timing metrics (GEMMs/s, p99) are gated only in
@@ -54,6 +59,7 @@ use gemm_dense::{MatF64, Philox4x32};
 use gemm_engine::microkernel_name;
 use gemm_serve::{GemmRequest, JobHandle, Server};
 use ozaki2::{Mode, Ozaki2};
+use std::collections::HashSet;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +95,12 @@ impl Tenant {
             .iter()
             .map(|a| emu.dgemm(a, &self.weights))
             .collect();
+    }
+
+    /// Identities of request `i`'s two operands, as the server counts hits.
+    fn operand_ids(&self, i: usize) -> [*const MatF64; 2] {
+        let idx = i % self.acts.len();
+        [Arc::as_ptr(&self.acts[idx]), Arc::as_ptr(&self.weights)]
     }
 
     fn request(&self, i: usize) -> (GemmRequest, &MatF64) {
@@ -171,6 +183,8 @@ fn main() {
     let mut submitted_small = 0usize;
     let mut submitted_large = 0usize;
     let mut shed = 0usize;
+    // Distinct operands submitted (closed loop only).
+    let mut operands: HashSet<*const MatF64> = HashSet::new();
     let t_start = Instant::now();
     if open_loop {
         // Open-loop Poisson trace: exponential inter-arrival gaps at
@@ -227,11 +241,13 @@ fn main() {
             for _ in 0..burst {
                 let tenant = &tenants[submitted_small % 2];
                 let (req, want) = tenant.request(submitted_small / 2);
+                operands.extend(tenant.operand_ids(submitted_small / 2));
                 inflight.push((Instant::now(), server.submit(req).expect("admit"), want));
                 submitted_small += 1;
             }
             if large_every > 0 && b % large_every == 0 && submitted_large < n_large {
                 let (req, want) = hpc.request(submitted_large);
+                operands.extend(hpc.operand_ids(submitted_large));
                 inflight.push((Instant::now(), server.submit(req).expect("admit"), want));
                 submitted_large += 1;
             }
@@ -261,6 +277,24 @@ fn main() {
     }
     // Two operands per submission; hits are identity re-sightings.
     let cache_hit_rate = hits as f64 / (2 * submissions) as f64;
+    if !open_loop {
+        // Each burst is one coalesced round and each large job one solo
+        // round, and a hit is every sighting of an operand after its
+        // first: check both ratios exactly, not within a tolerance.
+        assert_eq!(
+            hits,
+            2 * submissions - operands.len() as u64,
+            "operand hits must be 2 x {submissions} submissions - {} distinct operands",
+            operands.len()
+        );
+        assert_eq!(stats.coalesced, submitted_small as u64, "every small request coalesces");
+        assert_eq!(stats.solo, submitted_large as u64, "every large request runs solo");
+        println!(
+            "  exact ratios: {hits} hits = 2 x {submissions} - {} distinct operands; \
+             {submitted_small} coalesced, {submitted_large} solo",
+            operands.len()
+        );
+    }
 
     println!(
         "serving loadgen: {total} reqs ({submitted_small} x {small}^3 across 2 tenants, \

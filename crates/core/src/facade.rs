@@ -609,9 +609,9 @@ pub(crate) fn algorithm1<T: Element>(
 /// `alpha · 0 + beta · out`. With `beta = 0` the output is never read
 /// (the BLAS contract), so NaN or Inf already in `out` cannot reach the
 /// result. `fold_planes` splits the columns over the pool only for a
-/// `parallel` call (a nested region on a worker goes to that worker's
-/// own deque, where idle siblings steal from it); its output is
-/// bit-identical for every split.
+/// `parallel` call (a nested region on a worker joins the pool's queue,
+/// where idle workers take its tasks); its output is bit-identical for
+/// every split.
 pub(crate) fn fold_into_view<T: Element>(
     planes: Option<FoldInput<'_>>,
     consts: &Constants,

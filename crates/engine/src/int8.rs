@@ -1034,9 +1034,10 @@ fn stripe_compute<E: Epilogue>(
 }
 
 /// Column-stripe count for a parallel sweep over `n_panels` B-panels:
-/// two stripes per pool worker (capped at the panel count) so the
-/// work-stealing pool has slack to rebalance, one stripe when the pool is
-/// a single worker (no parallelism to feed, so no reason to split).
+/// two stripes per pool worker (capped at the panel count) so a worker
+/// that finishes early takes another stripe from the pool's queue, one
+/// stripe when the pool is a single worker (no parallelism to feed, so no
+/// reason to split).
 fn stripe_count(n_panels: usize) -> usize {
     let workers = rayon::current_num_threads();
     if workers <= 1 {

@@ -6,7 +6,7 @@
 //! See `docs/OBSERVABILITY.md` for the operator-facing catalog with
 //! label semantics and the span hierarchy.
 
-use crate::registry::{Counter, Gauge, Histogram, PerWorkerGauge};
+use crate::registry::{Counter, Gauge, Histogram};
 
 // ---------------------------------------------------------------------------
 // Pipeline (Algorithm 1) — crates/core
@@ -147,28 +147,24 @@ pub static BATCH_ITEMS_INTRA: Counter = Counter::new(
 );
 
 // ---------------------------------------------------------------------------
-// Work-stealing pool — crates/shims/rayon
+// Worker pool — crates/shims/rayon
 // ---------------------------------------------------------------------------
 
-/// Successful steals (victim queue drained by another worker).
+/// Tasks run by a thread other than the one that submitted their region
+/// (always a pool worker; the rest ran on their submitter while it waited).
 pub static POOL_STEALS: Counter = Counter::new(
     "ozaki_pool_steals_total",
-    "Successful task steals between pool workers",
+    "Tasks run by a pool worker rather than by their region's submitter",
 );
-/// Worker parks (timed sleep when no runnable task was found).
+/// Worker parks (sleeps because the pool queue was empty).
 pub static POOL_PARKS: Counter = Counter::new(
     "ozaki_pool_parks_total",
-    "Worker parks after an empty find-task sweep",
+    "Worker parks on an empty pool queue",
 );
 /// Tasks executed by pool workers.
 pub static POOL_TASKS: Counter = Counter::new(
     "ozaki_pool_tasks_total",
     "Tasks executed by pool workers (including the submitting thread)",
-);
-/// Victim queue depth observed at steal time, per worker.
-pub static POOL_QUEUE_DEPTH: PerWorkerGauge = PerWorkerGauge::new(
-    "ozaki_pool_queue_depth",
-    "Victim queue depth sampled at steal time, labelled by worker",
 );
 
 // ---------------------------------------------------------------------------
@@ -259,8 +255,6 @@ static ALL_COUNTERS: [&Counter; 23] = [
 
 static ALL_GAUGES: [&Gauge; 1] = [&SERVE_SEEN_SATURATED];
 
-static ALL_WORKER_GAUGES: [&PerWorkerGauge; 1] = [&POOL_QUEUE_DEPTH];
-
 static ALL_HISTOGRAMS: [&Histogram; 10] = [
     &PHASE_SCALE,
     &PHASE_TRUNC,
@@ -284,11 +278,6 @@ pub fn gauges() -> &'static [&'static Gauge] {
     &ALL_GAUGES
 }
 
-/// Every registered per-worker gauge.
-pub fn worker_gauges() -> &'static [&'static PerWorkerGauge] {
-    &ALL_WORKER_GAUGES
-}
-
 /// Every registered histogram. Sessions reconcile span sums against this
 /// list (each histogram names its paired span — `Histogram::span_name`).
 pub fn histograms() -> &'static [&'static Histogram] {
@@ -302,7 +291,7 @@ pub fn histograms() -> &'static [&'static Histogram] {
 use std::fmt::Write as _;
 
 /// Render the whole catalog in the Prometheus text exposition format
-/// (counters, gauges, labelled per-worker gauges, and histograms with
+/// (counters, gauges, and histograms with
 /// cumulative `_bucket{le=...}` series in seconds plus exact `_sum` /
 /// `_count`). Histograms emit only their populated bucket range (plus
 /// `+Inf`), which the format permits and keeps scrapes compact.
@@ -317,17 +306,6 @@ pub fn render_prometheus() -> String {
         let _ = writeln!(out, "# HELP {} {}", g.name(), g.help());
         let _ = writeln!(out, "# TYPE {} gauge", g.name());
         let _ = writeln!(out, "{} {}", g.name(), g.value());
-    }
-    for g in worker_gauges() {
-        let snap = g.snapshot();
-        if snap.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "# HELP {} {}", g.name(), g.help());
-        let _ = writeln!(out, "# TYPE {} gauge", g.name());
-        for (w, v) in snap {
-            let _ = writeln!(out, "{}{{worker=\"{w}\"}} {v}", g.name());
-        }
     }
     for h in histograms() {
         let _ = writeln!(out, "# HELP {} {}", h.name(), h.help());

@@ -1,7 +1,7 @@
 //! # gemm_obs — unified observability for the emulation stack
 //!
 //! One instrumentation substrate for every runtime layer (pipeline, engine,
-//! batch scheduler, work-stealing pool, serving runtime), replacing the
+//! batch scheduler, worker pool, serving runtime), replacing the
 //! previous patchwork of ad-hoc timing structs. Three surfaces:
 //!
 //! - **Metrics registry** ([`registry`], [`catalog`]): monotonic counters,
@@ -42,7 +42,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 pub use catalog::render_prometheus;
-pub use registry::{Counter, Gauge, Histogram, PerWorkerGauge, TimeShare};
+pub use registry::{Counter, Gauge, Histogram, TimeShare};
 pub use span::{
     dropped, observe_span, record_span, render_chrome_trace, span, span_timed, ObsSession,
     Reconciliation, SpanEvent, SpanGuard,

@@ -6,8 +6,8 @@
 //! contended lines. Readers aggregate across all shards, so totals are
 //! linearizable for quiesced writers (every increment issued before the
 //! read is included) even though concurrent reads may observe partial
-//! sums. The shard id deliberately does *not* come from the rayon worker
-//! index: that would invert the dependency graph (the rayon shim itself
+//! sums. The shard id deliberately does *not* come from the rayon pool:
+//! that would invert the dependency graph (the rayon shim itself
 //! instruments through this crate).
 
 use crate::enabled;
@@ -17,9 +17,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 /// Per-thread slots each sharded metric maintains. Threads beyond this
 /// many hash onto shared slots — still correct (atomics), just contended.
 pub const SHARDS: usize = 32;
-
-/// Slots a [`PerWorkerGauge`] tracks; workers beyond this wrap around.
-pub const WORKER_SLOTS: usize = 64;
 
 /// Histogram bucket count: bucket `i` holds durations in `[2^i, 2^(i+1))`
 /// nanoseconds (bucket 0 also absorbs 0 ns; the last bucket is unbounded
@@ -143,62 +140,6 @@ impl Gauge {
     /// Current value.
     pub fn value(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Exposition name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Help line for `# HELP`.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PerWorkerGauge
-// ---------------------------------------------------------------------------
-
-/// A gauge with one slot per pool worker, rendered as labelled series
-/// (`name{worker="3"} v`). Only slots that were ever written are exported.
-pub struct PerWorkerGauge {
-    name: &'static str,
-    help: &'static str,
-    /// Bitmask of slots that have been written at least once.
-    touched: AtomicU64,
-    slots: [AtomicI64; WORKER_SLOTS],
-}
-
-impl PerWorkerGauge {
-    /// A gauge with all slots zeroed and untouched.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            touched: AtomicU64::new(0),
-            slots: [const { AtomicI64::new(0) }; WORKER_SLOTS],
-        }
-    }
-
-    /// Store `v` into `worker`'s slot; no-op while the gate is off.
-    #[inline]
-    pub fn set(&self, worker: usize, v: i64) {
-        if !enabled() {
-            return;
-        }
-        let w = worker % WORKER_SLOTS;
-        self.slots[w].store(v, Ordering::Relaxed);
-        self.touched.fetch_or(1u64 << w, Ordering::Relaxed);
-    }
-
-    /// `(worker, value)` for every slot written at least once.
-    pub fn snapshot(&self) -> Vec<(usize, i64)> {
-        let touched = self.touched.load(Ordering::Relaxed);
-        (0..WORKER_SLOTS)
-            .filter(|w| touched & (1u64 << w) != 0)
-            .map(|w| (w, self.slots[w].load(Ordering::Relaxed)))
-            .collect()
     }
 
     /// Exposition name.

@@ -4,7 +4,7 @@
 //! overrides whatever `OZAKI_OBS` says in the environment, so the suite
 //! behaves identically in plain CI and in the `OZAKI_OBS=1` job.
 
-use gemm_obs::{set_enabled, Counter, Gauge, Histogram, PerWorkerGauge, TimeShare};
+use gemm_obs::{set_enabled, Counter, Gauge, Histogram, TimeShare};
 use std::sync::Arc;
 
 /// 8 threads x 100k increments on one sharded counter must lose nothing:
@@ -115,7 +115,7 @@ fn histogram_quantiles_report_bucket_upper_edges() {
 }
 
 #[test]
-fn gauge_and_worker_gauge_record_latest_values() {
+fn gauge_records_latest_value() {
     set_enabled(true);
     static G: Gauge = Gauge::new("test_gauge", "test");
     // Gauges are deliberately ungated (cold-path correctness signals).
@@ -123,13 +123,6 @@ fn gauge_and_worker_gauge_record_latest_values() {
     assert_eq!(G.value(), 7);
     G.set(-3);
     assert_eq!(G.value(), -3);
-
-    static W: PerWorkerGauge = PerWorkerGauge::new("test_worker_gauge", "test");
-    W.set(0, 5);
-    W.set(3, 9);
-    W.set(3, 2); // last write wins per slot
-    let snap = W.snapshot();
-    assert_eq!(snap, vec![(0, 5), (3, 2)], "only touched slots reported");
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! the low-intensity jobs into shared-operand [`gemm_batch`] group
 //! rounds, and runs high-intensity jobs immediately with intra-GEMM
 //! stripe parallelism. Execution itself happens on the process-global
-//! work-stealing pool — the dispatcher thread only sequences rounds.
+//! worker pool — the dispatcher thread only sequences rounds, and helps
+//! run the tasks of the round it submitted.
 
 use crate::request::{GemmRequest, JobCell, JobError, JobHandle, SubmitError};
 use crate::stats::{ServerStats, TenantStats};

@@ -15,10 +15,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Worker counts the property sweeps: the no-thread fast path and a
-/// stealing pool.
+/// four-worker pool.
 const WORKER_SWEEP: [usize; 2] = [1, 4];
 
-/// The work-stealing pool is process-global; tests that reconfigure it
+/// The worker pool is process-global; tests that reconfigure it
 /// serialise here (same pattern as `gemm_batch`'s worker_matrix tests).
 static POOL_CONFIG: Mutex<()> = Mutex::new(());
 

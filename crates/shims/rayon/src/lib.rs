@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access, so this crate provides the
 //! (small) subset of rayon's parallel-iterator API the workspace actually
-//! uses, implemented on a **persistent work-stealing thread pool**:
+//! uses, implemented on a **persistent thread pool with one queue**:
 //!
 //! * [`ParallelSlice::par_chunks`] / [`ParallelSliceMut::par_chunks_mut`]
 //! * [`IntoParallelRefMutIterator::par_iter_mut`] (slices and `Vec`)
@@ -12,40 +12,31 @@
 //!
 //! # Pool design
 //!
-//! The pool is a process-global set of `W` persistent worker threads, one
-//! double-ended queue per worker. Owners push and pop at the back of their
-//! own deque (LIFO, keeps nested work cache-hot); idle workers steal **half**
-//! of a victim's queue from the front (FIFO, takes the oldest, coarsest
-//! work). External submitters (threads that are not pool workers) distribute
-//! a region's tasks round-robin across the worker deques, so task `i` of a
-//! region consistently lands on worker `i % W` — stripe `i` of a GEMM meets
-//! the same worker (and therefore the same core) on every call.
-//!
-//! A *region* ([`ParIter::for_each`]) submits its items as tasks and then
-//! **helps**: the submitting thread executes tasks of its own region —
-//! popping its own deque if it is a worker, otherwise scanning the worker
-//! deques — until the region's pending count reaches zero. Helping is
-//! restricted to the submitter's own region so a thread that holds
-//! region-scoped thread-local state (fault-injection scopes, suppression
-//! flags) never executes unrelated work under that state. Nested regions
-//! submitted from a worker go to that worker's own deque where siblings can
-//! steal them, so nesting splits instead of serialising.
+//! The pool is a process-global set of `W` persistent worker threads
+//! (`ozaki-worker-0` … `ozaki-worker-{W-1}`) and one FIFO of *regions*. A
+//! region ([`ParIter::for_each`]) owns the list of its not-yet-started
+//! tasks, one per item. Submitting a region appends it to the FIFO; a
+//! worker takes the next task of the oldest region that still has one. The
+//! submitting thread **helps** while it waits: it takes tasks from its own
+//! region's list until the list is empty, then sleeps until the tasks in
+//! flight on workers finish. Helping cannot reach another region's list, so
+//! a thread that holds region-scoped thread-local state (fault-injection
+//! scopes, suppression flags) never runs unrelated work under that state. A
+//! region submitted from inside a task (nesting) is queued like any other,
+//! so idle workers split it instead of the submitter running it alone.
 //!
 //! Worker count precedence: [`set_num_threads`] (explicit) >
 //! `OZAKI_WORKERS` (environment) > `available_parallelism()`. Results of
 //! every region are **bit-identical for any worker count** by construction:
 //! tasks are data-disjoint and each task's work is itself deterministic, so
 //! scheduling only permutes *when* disjoint writes happen, never what they
-//! contain. [`set_steal_seed`] perturbs victim-selection order so tests can
-//! drive adversarial steal interleavings.
+//! contain.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Worker-count resolution
@@ -54,84 +45,127 @@ use std::time::Duration;
 /// Sanity ceiling on configurable worker counts.
 const MAX_WORKERS: usize = 256;
 
+/// What `OZAKI_WORKERS` accepts, for the panic message.
+const WORKERS_GRAMMAR: &str = "an integer in 0..=256 (unset, empty or 0 = machine default)";
+
+/// Parse an `OZAKI_WORKERS` value: `None` for empty or `0` (use the machine
+/// default), `Some(n)` for `1..=MAX_WORKERS`, an error for anything else.
+fn parse_workers(raw: &str) -> Result<Option<usize>, String> {
+    let s = raw.trim();
+    if s.is_empty() {
+        return Ok(None);
+    }
+    match s.parse::<usize>() {
+        Ok(0) => Ok(None),
+        Ok(n) if n <= MAX_WORKERS => Ok(Some(n)),
+        Ok(n) => Err(format!("{n} workers is above the ceiling of {MAX_WORKERS}")),
+        Err(_) => Err(format!("{s:?} is not an unsigned integer")),
+    }
+}
+
 /// Pure worker-count resolution: explicit override > `OZAKI_WORKERS` env >
-/// `available_parallelism()`. Zero or unparsable values fall through to the
-/// next source, so `OZAKI_WORKERS=0` or `OZAKI_WORKERS=banana` mean "use the
-/// machine default" rather than erroring.
+/// `available_parallelism()`. An explicit zero falls through to the next
+/// source, as do an empty or zero environment value.
+///
+/// # Panics
+/// On a malformed `OZAKI_WORKERS` (or one above the ceiling), naming the
+/// variable, the value and the grammar, even when an explicit count
+/// overrides it — a typo must not go unnoticed.
 fn resolve_worker_count(explicit: Option<usize>, env: Option<&str>) -> usize {
-    if let Some(n) = explicit {
-        if n > 0 {
-            return n.min(MAX_WORKERS);
-        }
+    let env = env.and_then(|raw| {
+        parse_workers(raw)
+            .unwrap_or_else(|e| panic!("OZAKI_WORKERS={raw:?}: {e}; expected {WORKERS_GRAMMAR}"))
+    });
+    match explicit.filter(|&n| n > 0) {
+        Some(n) => n.min(MAX_WORKERS),
+        None => env.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }),
     }
-    if let Some(s) = env {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n > 0 {
-                return n.min(MAX_WORKERS);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 fn resolved_from_globals() -> usize {
     let explicit = EXPLICIT_WORKERS.load(Ordering::Relaxed);
     let env = std::env::var("OZAKI_WORKERS").ok();
-    resolve_worker_count(
-        if explicit > 0 { Some(explicit) } else { None },
-        env.as_deref(),
-    )
+    resolve_worker_count(Some(explicit), env.as_deref())
 }
 
 // ---------------------------------------------------------------------------
 // Pool internals
 // ---------------------------------------------------------------------------
 
-/// Completion state shared by every task of one `for_each` region.
-struct Region {
-    /// Tasks not yet finished. The submitter returns when this hits zero.
-    pending: AtomicUsize,
-    /// First captured panic payload; re-thrown on the submitting thread.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Parking spot for the submitter while workers finish the tail.
-    done: Mutex<()>,
-    done_cv: Condvar,
-    /// Stable id, used to derive a deterministic steal-order stream when a
-    /// steal seed is set (region pointers are not stable across runs).
-    id: u64,
-}
-
 /// One unit of region work: a lifetime-erased closure over a single item.
-struct Task {
-    region: Arc<Region>,
-    job: Box<dyn FnOnce() + Send>,
+type Job = Box<dyn FnOnce() + Send>;
+
+/// One `for_each` call: the tasks nobody has started yet and the
+/// completion state the submitter waits on.
+struct Region {
+    state: Mutex<RegionState>,
+    /// Signalled when `unfinished` reaches zero.
+    done: Condvar,
 }
 
-/// State shared between the workers of one pool generation. Reconfiguring
-/// via [`set_num_threads`] swaps the global `Arc` for a fresh generation;
-/// regions still draining an old generation hold their own `Arc` and finish
-/// their tasks themselves even after the old workers exit.
+struct RegionState {
+    /// Tasks not yet started, in item order.
+    todo: std::vec::IntoIter<Job>,
+    /// Tasks not yet finished, started or not. The submitter returns at zero.
+    unfinished: usize,
+    /// First captured panic payload; re-thrown on the submitting thread.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Region {
+    /// Run this region's unstarted tasks until none is left, catching each
+    /// task's panic into the region. One lock per task both retires the
+    /// finished task and takes the next; the last retirement wakes the
+    /// submitter. `by_worker` counts the tasks into `POOL_STEALS`. The
+    /// caller keeps the region alive, so notifying after unlocking is safe.
+    fn drain(&self, by_worker: bool) {
+        let mut state = lock(&self.state);
+        while let Some(job) = state.todo.next() {
+            drop(state);
+            gemm_obs::catalog::POOL_TASKS.inc();
+            if by_worker {
+                gemm_obs::catalog::POOL_STEALS.inc();
+            }
+            let result = catch_unwind(AssertUnwindSafe(job));
+            state = lock(&self.state);
+            if let Err(payload) = result {
+                state.panic.get_or_insert(payload);
+            }
+            state.unfinished -= 1;
+            if state.unfinished == 0 {
+                // Notify after unlocking, so the woken submitter does not
+                // block on the lock straight away.
+                drop(state);
+                self.done.notify_one();
+                return;
+            }
+        }
+    }
+}
+
+/// The queue one pool generation's workers serve.
+struct Queue {
+    /// Regions in submission order. A region stays until a worker finds
+    /// its task list empty.
+    regions: VecDeque<Arc<Region>>,
+    /// Set when [`set_num_threads`] replaces this generation; its workers
+    /// exit, and submitters finish what is left of their regions themselves.
+    retired: bool,
+}
+
+/// One pool generation. Reconfiguring via [`set_num_threads`] swaps the
+/// global `Arc` for a fresh generation; regions still draining an old
+/// generation hold their own `Arc` and finish their tasks themselves even
+/// after the old workers exit.
 struct PoolShared {
-    /// Pool generation id; thread-local worker indices are tagged with it so
-    /// a worker of a retired pool is not mistaken for one of the current.
-    id: u64,
     workers: usize,
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    shutdown: AtomicBool,
-    /// Non-zero: seed for deterministic victim-selection order (test hook).
-    steal_seed: AtomicU64,
-    /// Wake generation counter: bumped (under the lock) on every submission
-    /// so sleepers never miss work that was pushed between their last scan
-    /// and their wait.
-    sleep: Mutex<u64>,
-    sleep_cv: Condvar,
-}
-
-thread_local! {
-    /// `(pool id, worker index)` on pool worker threads, `None` elsewhere.
-    static WORKER_TLS: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
+    queue: Mutex<Queue>,
+    /// Signalled when a region is queued or the generation retires.
+    work: Condvar,
 }
 
 static POOL: Mutex<Option<Arc<PoolShared>>> = Mutex::new(None);
@@ -139,10 +173,6 @@ static POOL: Mutex<Option<Arc<PoolShared>>> = Mutex::new(None);
 static WORKERS_CACHE: AtomicUsize = AtomicUsize::new(0);
 /// Last explicit [`set_num_threads`] value (0 = no explicit override).
 static EXPLICIT_WORKERS: AtomicUsize = AtomicUsize::new(0);
-/// Seed applied to newly built pools (and the live one) by [`set_steal_seed`].
-static STEAL_SEED: AtomicU64 = AtomicU64::new(0);
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_REGION_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Lock that shrugs off poisoning: pool bookkeeping must stay usable after a
 /// task panic (the panic is re-thrown to the submitter, not swallowed).
@@ -150,252 +180,109 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl PoolShared {
-    /// Bump the wake generation and wake every parked worker.
-    fn wake_all(&self) {
-        {
-            let mut generation = lock(&self.sleep);
-            *generation = generation.wrapping_add(1);
-        }
-        self.sleep_cv.notify_all();
-    }
-
-    /// Victim scan order for `who` on steal attempt `attempt`: a rotation of
-    /// the other workers. Seeded pools derive the rotation from the seed so
-    /// tests can replay (or sweep) steal interleavings; unseeded pools just
-    /// advance a cheap per-thread counter.
-    fn victim_start(&self, who: u64, attempt: u64) -> usize {
-        let seed = self.steal_seed.load(Ordering::Relaxed);
-        let h = if seed == 0 {
-            splitmix64(who.wrapping_mul(0x9e37).wrapping_add(attempt))
-        } else {
-            splitmix64(seed ^ who.rotate_left(32) ^ attempt.wrapping_mul(0x2545_f491_4f6c_dd1d))
-        };
-        (h % self.workers as u64) as usize
-    }
-
-    /// Worker fast path: pop the back of our own deque (newest first — keeps
-    /// nested work on the thread that created it), else steal half of the
-    /// front of someone else's (oldest first — coarsest-grained work).
-    fn find_any_task(&self, me: usize, attempt: &mut u64) -> Option<Task> {
-        if let Some(task) = lock(&self.deques[me]).pop_back() {
-            return Some(task);
-        }
-        *attempt = attempt.wrapping_add(1);
-        let start = self.victim_start(me as u64, *attempt);
-        for off in 0..self.workers {
-            let victim = (start + off) % self.workers;
-            if victim == me {
-                continue;
-            }
-            let (mut stolen, left): (VecDeque<Task>, usize) = {
-                let mut vq = lock(&self.deques[victim]);
-                let take = vq.len().div_ceil(2);
-                if take == 0 {
-                    continue;
-                }
-                let stolen = vq.drain(..take).collect();
-                (stolen, vq.len())
-            };
-            // Recorded outside the deque lock: one steal, and the victim's
-            // post-steal depth as a sampled load signal.
-            gemm_obs::catalog::POOL_STEALS.inc();
-            gemm_obs::catalog::POOL_QUEUE_DEPTH.set(victim, left as i64);
-            let first = stolen.pop_front();
-            if !stolen.is_empty() {
-                let mut mine = lock(&self.deques[me]);
-                mine.extend(stolen);
-            }
-            return first;
-        }
-        None
-    }
-
-    /// Helper path: find a task belonging to `region` only. The submitting
-    /// thread may carry region-scoped thread-local state (fault-injection
-    /// scopes), so it must never execute unrelated work while waiting.
-    fn find_region_task(
-        &self,
-        region: &Arc<Region>,
-        me: Option<usize>,
-        attempt: &mut u64,
-    ) -> Option<Task> {
-        if let Some(own) = me {
-            let mut q = lock(&self.deques[own]);
-            if let Some(pos) = q.iter().rposition(|t| Arc::ptr_eq(&t.region, region)) {
-                return q.remove(pos);
-            }
-        }
-        *attempt = attempt.wrapping_add(1);
-        let who = me.map(|m| m as u64).unwrap_or(region.id | 1 << 63);
-        let start = self.victim_start(who, *attempt);
-        for off in 0..self.workers {
-            let victim = (start + off) % self.workers;
-            if Some(victim) == me {
-                continue;
-            }
-            let mut q = lock(&self.deques[victim]);
-            if let Some(pos) = q.iter().position(|t| Arc::ptr_eq(&t.region, region)) {
-                return q.remove(pos);
-            }
-        }
-        None
-    }
-
     /// Submit `items` as one region and block until all of them ran.
     ///
     /// # Safety of the lifetime erasure
     ///
     /// Tasks capture `f` by raw pointer and may borrow stack data through
     /// `T` (e.g. `&mut [f64]` chunks). They are transmuted to `'static` to
-    /// live in the deques, which is sound because this function does not
-    /// return until `pending == 0`, and `pending` only reaches zero when
-    /// every task has been consumed by `execute_task` (panics included —
-    /// they are caught, recorded, and the count still drops). Tasks are
-    /// never dropped unexecuted: nothing else removes them from the deques.
-    fn run_region<T: Send, F: Fn(T) + Sync>(self: &Arc<Self>, items: Vec<T>, f: &F) {
-        let region = Arc::new(Region {
-            pending: AtomicUsize::new(items.len()),
-            panic: Mutex::new(None),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            id: NEXT_REGION_ID.fetch_add(1, Ordering::Relaxed),
-        });
-        let me = WORKER_TLS
-            .with(|w| w.get())
-            .filter(|(pool_id, _)| *pool_id == self.id)
-            .map(|(_, idx)| idx);
-
+    /// live in the region, which is sound because this function does not
+    /// return until `unfinished == 0`, and `unfinished` only reaches zero
+    /// when every task has been taken from the list and run by
+    /// [`Region::drain`] (panics included — they are caught, recorded, and
+    /// the count still drops). Tasks are never dropped unexecuted: only
+    /// `drain` removes them from the list, and it runs what it took.
+    fn run_region<T: Send, F: Fn(T) + Sync>(&self, items: Vec<T>, f: &F) {
         struct FnPtr<F>(*const F);
         unsafe impl<F: Sync> Send for FnPtr<F> {}
 
-        for (i, item) in items.into_iter().enumerate() {
-            let fp = FnPtr(f as *const F);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // Capture the whole `FnPtr` wrapper (it is the Send carrier),
-                // not just its raw-pointer field.
-                let FnPtr(fp) = { fp };
-                // SAFETY: `f` outlives the region (see run_region docs).
-                unsafe { (*fp)(item) }
-            });
-            // SAFETY: lifetime erasure justified in the method docs above.
-            let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
-            let target = match me {
-                // Nested region on a worker: own deque, siblings steal.
-                Some(own) => own,
-                // External region: round-robin so task i is core-affine.
-                None => i % self.workers,
-            };
-            lock(&self.deques[target]).push_back(Task {
-                region: Arc::clone(&region),
-                job,
-            });
+        let n = items.len();
+        let jobs: Vec<Job> = items
+            .into_iter()
+            .map(|item| {
+                let fp = FnPtr(f as *const F);
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    // Capture the whole `FnPtr` wrapper (it is the Send
+                    // carrier), not just its raw-pointer field.
+                    let FnPtr(fp) = { fp };
+                    // SAFETY: `f` outlives the region (see run_region docs).
+                    unsafe { (*fp)(item) }
+                });
+                // SAFETY: lifetime erasure justified in the method docs above.
+                unsafe { std::mem::transmute::<_, Job>(job) }
+            })
+            .collect();
+        let region = Arc::new(Region {
+            state: Mutex::new(RegionState {
+                todo: jobs.into_iter(),
+                unfinished: n,
+                panic: None,
+            }),
+            done: Condvar::new(),
+        });
+        lock(&self.queue).regions.push_back(Arc::clone(&region));
+        // The submitter runs tasks too: W - 1 workers fill W cores.
+        for _ in 0..(n - 1).min(self.workers - 1) {
+            self.work.notify_one();
         }
-        self.wake_all();
 
-        let mut attempt = splitmix64(region.id);
-        loop {
-            if region.pending.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            if let Some(task) = self.find_region_task(&region, me, &mut attempt) {
-                execute_task(task);
-                continue;
-            }
-            // Nothing of ours to run: the tail is in flight on workers.
-            let parked = lock(&region.done);
-            if region.pending.load(Ordering::Acquire) != 0 {
-                // Timeout is a belt-and-braces fallback; completion notifies.
-                let _parked = self
-                    .done_wait(parked, &region)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+        region.drain(false);
+        let mut state = lock(&region.state);
+        while state.unfinished != 0 {
+            state = region.done.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
-        let payload = lock(&region.panic).take();
-        if let Some(payload) = payload {
+        if let Some(payload) = state.panic.take() {
+            drop(state);
             resume_unwind(payload);
         }
     }
-
-    fn done_wait<'a>(
-        &self,
-        guard: MutexGuard<'a, ()>,
-        region: &Region,
-    ) -> Result<MutexGuard<'a, ()>, PoisonError<MutexGuard<'a, ()>>> {
-        region
-            .done_cv
-            .wait_timeout(guard, Duration::from_micros(500))
-            .map(|(g, _)| g)
-            .map_err(|e| PoisonError::new(e.into_inner().0))
-    }
 }
 
-/// Run one task: catch panics into the region, then retire the task. The
-/// last retirement wakes the submitter.
-fn execute_task(task: Task) {
-    gemm_obs::catalog::POOL_TASKS.inc();
-    let Task { region, job } = task;
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-        let mut slot = lock(&region.panic);
-        slot.get_or_insert(payload);
-    }
-    if region.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Take the lock so the submitter's pending re-check and our notify
-        // cannot interleave into a missed wakeup.
-        drop(lock(&region.done));
-        region.done_cv.notify_all();
-    }
-}
-
-fn worker_main(shared: Arc<PoolShared>, index: usize) {
-    WORKER_TLS.with(|w| w.set(Some((shared.id, index))));
-    let mut attempt = splitmix64(index as u64 ^ 0xa5a5);
+fn worker_main(shared: Arc<PoolShared>) {
     loop {
-        let seen_generation = *lock(&shared.sleep);
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(task) = shared.find_any_task(index, &mut attempt) {
-            execute_task(task);
-            continue;
-        }
-        let generation = lock(&shared.sleep);
-        if *generation == seen_generation && !shared.shutdown.load(Ordering::Acquire) {
-            // Counted, not spanned: idle workers park ~200x/s each and
-            // would flood the span rings with no information.
-            gemm_obs::catalog::POOL_PARKS.inc();
-            // Timed wait: a stray lost wakeup costs 5 ms, not a hang.
-            let _ = shared
-                .sleep_cv
-                .wait_timeout(generation, Duration::from_millis(5))
-                .map_err(PoisonError::into_inner);
-        }
+        let region = {
+            let mut queue = lock(&shared.queue);
+            loop {
+                if queue.retired {
+                    return;
+                }
+                match queue.regions.front() {
+                    None => {
+                        // Counted, not spanned: parks are too frequent to
+                        // be worth a span each.
+                        gemm_obs::catalog::POOL_PARKS.inc();
+                        queue = shared.work.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                    }
+                    Some(front) if lock(&front.state).todo.len() == 0 => {
+                        drop(queue.regions.pop_front());
+                    }
+                    Some(front) => break Arc::clone(front),
+                }
+            }
+        };
+        // The oldest region with tasks: stay on it until its list is empty.
+        // A worker never runs a region it submitted: its own regions are
+        // drained inside `run_region` before it returns here.
+        region.drain(true);
     }
 }
 
 fn build_pool(workers: usize) -> Arc<PoolShared> {
     let shared = Arc::new(PoolShared {
-        id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
         workers,
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        shutdown: AtomicBool::new(false),
-        steal_seed: AtomicU64::new(STEAL_SEED.load(Ordering::Relaxed)),
-        sleep: Mutex::new(0),
-        sleep_cv: Condvar::new(),
+        queue: Mutex::new(Queue {
+            regions: VecDeque::new(),
+            retired: false,
+        }),
+        work: Condvar::new(),
     });
     if workers >= 2 {
         for i in 0..workers {
             let worker_shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("ozaki-worker-{i}"))
-                .spawn(move || worker_main(worker_shared, i))
+                .spawn(move || worker_main(worker_shared))
                 .expect("spawn pool worker");
         }
     }
@@ -422,21 +309,13 @@ fn current_pool() -> Arc<PoolShared> {
 /// it): `std::thread::available_parallelism` re-reads cgroup limits from the
 /// filesystem on every invocation (tens of microseconds inside containers),
 /// which a dispatch check on the hot path of every small GEMM cannot afford.
-/// Unlike the old `OnceLock` cache, this tracks [`set_num_threads`]
-/// reconfiguration and honours `OZAKI_WORKERS`.
+/// Tracks [`set_num_threads`] reconfiguration and honours `OZAKI_WORKERS`.
 pub fn current_num_threads() -> usize {
     let cached = WORKERS_CACHE.load(Ordering::Relaxed);
     if cached != 0 {
         return cached;
     }
     current_pool().workers
-}
-
-/// Worker index (`0..current_num_threads()`) on pool worker threads, `None`
-/// on external threads. Stable for the lifetime of a pool generation, so a
-/// caller can tell which worker ran a task.
-pub fn current_worker_index() -> Option<usize> {
-    WORKER_TLS.with(|w| w.get()).map(|(_, idx)| idx)
 }
 
 /// Reconfigure the global pool to `n` workers (`0` clears the explicit
@@ -451,27 +330,16 @@ pub fn set_num_threads(n: usize) {
     let mut slot = lock(&POOL);
     if let Some(old) = slot.take() {
         if old.workers == workers {
-            // Same size: keep the generation (worker TLS indices stay valid).
+            // Same size: keep the generation and its threads.
             *slot = Some(old);
             WORKERS_CACHE.store(workers, Ordering::Relaxed);
             return;
         }
-        old.shutdown.store(true, Ordering::Release);
-        old.wake_all();
+        lock(&old.queue).retired = true;
+        old.work.notify_all();
     }
     *slot = Some(build_pool(workers));
     WORKERS_CACHE.store(workers, Ordering::Relaxed);
-}
-
-/// Test hook: seed the steal-order permutation (0 restores the default
-/// free-running order). Applies to the live pool and any pool built later.
-/// Different seeds drive different steal interleavings; results must be (and
-/// are asserted to be) bit-identical under all of them.
-pub fn set_steal_seed(seed: u64) {
-    STEAL_SEED.store(seed, Ordering::Relaxed);
-    if let Some(pool) = lock(&POOL).as_ref() {
-        pool.steal_seed.store(seed, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -668,18 +536,43 @@ mod tests {
         assert_eq!(super::resolve_worker_count(Some(3), Some("7")), 3);
         assert_eq!(super::resolve_worker_count(None, Some("7")), 7);
         assert_eq!(super::resolve_worker_count(Some(0), Some("7")), 7);
-        // Unparsable / zero env falls back to the machine default.
+        // Empty / zero env falls back to the machine default.
         let machine = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        assert_eq!(super::resolve_worker_count(None, Some("banana")), machine);
+        assert_eq!(super::resolve_worker_count(None, Some("")), machine);
         assert_eq!(super::resolve_worker_count(None, Some("0")), machine);
         assert_eq!(super::resolve_worker_count(None, None), machine);
-        // Ceiling is clamped.
+        // A malformed env value is an error, even under an explicit count.
+        for explicit in [None, Some(3)] {
+            let r = std::panic::catch_unwind(|| {
+                super::resolve_worker_count(explicit, Some("banana"))
+            });
+            let msg = *r.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                msg.contains("OZAKI_WORKERS=\"banana\"") && msg.contains("0..=256"),
+                "{msg}"
+            );
+        }
+        // The explicit ceiling is clamped.
         assert_eq!(
             super::resolve_worker_count(Some(100_000), None),
             super::MAX_WORKERS
         );
+    }
+
+    #[test]
+    fn workers_env_parser_accepts_the_grammar_and_rejects_the_rest() {
+        use super::parse_workers;
+        assert_eq!(parse_workers(""), Ok(None));
+        assert_eq!(parse_workers("  "), Ok(None));
+        assert_eq!(parse_workers("0"), Ok(None));
+        assert_eq!(parse_workers("1"), Ok(Some(1)));
+        assert_eq!(parse_workers(" 4 "), Ok(Some(4)));
+        assert_eq!(parse_workers("256"), Ok(Some(256)));
+        for bad in ["banana", "-1", "2x", "1.5", "+", "257", "100000"] {
+            assert!(parse_workers(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
@@ -691,37 +584,82 @@ mod tests {
         });
     }
 
+    /// The `N` of an `ozaki-worker-N` thread, `None` on any other thread.
+    fn worker_number() -> Option<usize> {
+        std::thread::current()
+            .name()?
+            .strip_prefix("ozaki-worker-")?
+            .parse()
+            .ok()
+    }
+
     #[test]
     fn worker_indices_are_in_range_and_external_thread_has_none() {
-        assert_eq!(super::current_worker_index(), None);
+        assert_eq!(worker_number(), None);
         use std::sync::Condvar;
         use std::time::Duration;
         with_workers(4, || {
             let seen = Mutex::new(Vec::new());
             let worker_ran = (Mutex::new(false), Condvar::new());
             let jobs: Vec<usize> = (0..64).collect();
-            jobs.into_par_iter()
-                .for_each(|_| match super::current_worker_index() {
-                    Some(idx) => {
-                        assert!(idx < 4);
-                        seen.lock().unwrap().push(idx);
-                        *worker_ran.0.lock().unwrap() = true;
-                        worker_ran.1.notify_all();
-                    }
-                    // The submitting thread helps. So that it cannot drain all
-                    // 64 items before any worker wakes, an item it runs waits
-                    // (bounded) until a worker has run one of the others.
-                    None => {
-                        let ran = worker_ran.0.lock().unwrap();
-                        let _ran = worker_ran
-                            .1
-                            .wait_timeout_while(ran, Duration::from_secs(10), |ran| !*ran)
-                            .unwrap();
-                    }
-                });
+            jobs.into_par_iter().for_each(|_| match worker_number() {
+                Some(idx) => {
+                    assert!(idx < 4);
+                    seen.lock().unwrap().push(idx);
+                    *worker_ran.0.lock().unwrap() = true;
+                    worker_ran.1.notify_all();
+                }
+                // The submitting thread helps. So that it cannot drain all
+                // 64 items before any worker wakes, an item it runs waits
+                // (bounded) until a worker has run one of the others.
+                None => {
+                    let ran = worker_ran.0.lock().unwrap();
+                    let _ran = worker_ran
+                        .1
+                        .wait_timeout_while(ran, Duration::from_secs(10), |ran| !*ran)
+                        .unwrap();
+                }
+            });
             assert!(!seen.lock().unwrap().is_empty());
         });
-        assert_eq!(super::current_worker_index(), None);
+        assert_eq!(worker_number(), None);
+    }
+
+    /// Fault-injection scopes are thread-local, so a submitter that helps
+    /// must only ever run tasks of its own region, never a concurrent
+    /// submitter's.
+    #[test]
+    fn submitters_only_help_their_own_region() {
+        use std::cell::Cell;
+        thread_local! {
+            static SUBMITTER: Cell<Option<usize>> = const { Cell::new(None) };
+        }
+        with_workers(2, || {
+            let helped = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for t in 0..2 {
+                    let helped = &helped;
+                    scope.spawn(move || {
+                        SUBMITTER.with(|s| s.set(Some(t)));
+                        for _ in 0..200 {
+                            let jobs: Vec<u64> = (0..16).collect();
+                            jobs.into_par_iter().for_each(|j| {
+                                match SUBMITTER.with(Cell::get) {
+                                    Some(s) => {
+                                        assert_eq!(s, t, "submitter {s} ran a task of region {t}");
+                                        helped.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    None => assert!(worker_number().is_some()),
+                                }
+                                // A little work so the two regions overlap.
+                                std::hint::black_box((0..500 * j).sum::<u64>());
+                            });
+                        }
+                    });
+                }
+            });
+            assert!(helped.load(Ordering::Relaxed) > 0, "submitters never helped");
+        });
     }
 
     #[test]
@@ -760,25 +698,6 @@ mod tests {
             for (i, &x) in data.iter().enumerate() {
                 assert_eq!(x, ((i / 32) * 10 + (i % 32) / 8) as u64);
             }
-        });
-    }
-
-    #[test]
-    fn steal_seed_sweep_is_bit_identical() {
-        with_workers(4, || {
-            let oracle: Vec<u64> = (0..128u64).map(|i| i.wrapping_mul(i ^ 0x5bd1)).collect();
-            for seed in [0u64, 1, 42, 0xdead_beef, u64::MAX] {
-                super::set_steal_seed(seed);
-                let mut out = vec![0u64; 128];
-                out.par_chunks_mut(4).enumerate().for_each(|(c, chunk)| {
-                    for (j, x) in chunk.iter_mut().enumerate() {
-                        let i = (c * 4 + j) as u64;
-                        *x = i.wrapping_mul(i ^ 0x5bd1);
-                    }
-                });
-                assert_eq!(out, oracle, "steal seed {seed} changed results");
-            }
-            super::set_steal_seed(0);
         });
     }
 
