@@ -287,8 +287,14 @@ fn main() {
             "operand hits must be 2 x {submissions} submissions - {} distinct operands",
             operands.len()
         );
-        assert_eq!(stats.coalesced, submitted_small as u64, "every small request coalesces");
-        assert_eq!(stats.solo, submitted_large as u64, "every large request runs solo");
+        assert_eq!(
+            stats.coalesced, submitted_small as u64,
+            "every small request coalesces"
+        );
+        assert_eq!(
+            stats.solo, submitted_large as u64,
+            "every large request runs solo"
+        );
         println!(
             "  exact ratios: {hits} hits = 2 x {submissions} - {} distinct operands; \
              {submitted_small} coalesced, {submitted_large} solo",

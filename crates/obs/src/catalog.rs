@@ -161,7 +161,7 @@ pub static POOL_PARKS: Counter = Counter::new(
     "ozaki_pool_parks_total",
     "Worker parks on an empty pool queue",
 );
-/// Tasks executed by pool workers.
+/// Tasks executed by the pool, by workers and submitters alike.
 pub static POOL_TASKS: Counter = Counter::new(
     "ozaki_pool_tasks_total",
     "Tasks executed by pool workers (including the submitting thread)",

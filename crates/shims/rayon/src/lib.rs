@@ -230,7 +230,10 @@ impl PoolShared {
         region.drain(false);
         let mut state = lock(&region.state);
         while state.unfinished != 0 {
-            state = region.done.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = region
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if let Some(payload) = state.panic.take() {
             drop(state);
@@ -252,7 +255,10 @@ fn worker_main(shared: Arc<PoolShared>) {
                         // Counted, not spanned: parks are too frequent to
                         // be worth a span each.
                         gemm_obs::catalog::POOL_PARKS.inc();
-                        queue = shared.work.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                        queue = shared
+                            .work
+                            .wait(queue)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                     Some(front) if lock(&front.state).todo.len() == 0 => {
                         drop(queue.regions.pop_front());
@@ -545,9 +551,8 @@ mod tests {
         assert_eq!(super::resolve_worker_count(None, None), machine);
         // A malformed env value is an error, even under an explicit count.
         for explicit in [None, Some(3)] {
-            let r = std::panic::catch_unwind(|| {
-                super::resolve_worker_count(explicit, Some("banana"))
-            });
+            let r =
+                std::panic::catch_unwind(|| super::resolve_worker_count(explicit, Some("banana")));
             let msg = *r.unwrap_err().downcast::<String>().unwrap();
             assert!(
                 msg.contains("OZAKI_WORKERS=\"banana\"") && msg.contains("0..=256"),
@@ -658,7 +663,10 @@ mod tests {
                     });
                 }
             });
-            assert!(helped.load(Ordering::Relaxed) > 0, "submitters never helped");
+            assert!(
+                helped.load(Ordering::Relaxed) > 0,
+                "submitters never helped"
+            );
         });
     }
 
