@@ -29,7 +29,7 @@ use crate::pipeline::{
     EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
 };
 use crate::prepared::{OperandInput, OperandSide};
-use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
+use crate::scale::{accurate_scale_view, fast_scale_view};
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
 use gemm_engine::padded_depth;
 use gemm_obs::TimeShare;
@@ -269,19 +269,15 @@ impl Ozaki2 {
 // ---------------------------------------------------------------------------
 
 /// Map an effective operand view to its fused-sweep source: rows of `A`
-/// (`vectors_are_rows`) or columns of `B`, each either contiguous or a
-/// strided gather depending on the view's layout — never a copy.
+/// or columns of `B`, each either contiguous or a strided gather
+/// depending on the view's layout — never a copy.
 pub(crate) fn vectors_source<'s, T: Element>(
     v: &MatView<'s, T>,
-    vectors_are_rows: bool,
+    side: OperandSide,
     exps: &'s [i32],
 ) -> TruncSource<'s> {
     let data = T::elem_slice(v.data());
-    let contiguous = matches!(
-        (vectors_are_rows, v.layout()),
-        (true, Layout::RowMajor) | (false, Layout::ColMajor)
-    );
-    if contiguous {
+    if side.vectors_contiguous(v.layout()) {
         TruncSource::Contiguous {
             data,
             ld: v.ld(),
@@ -298,7 +294,9 @@ pub(crate) fn vectors_source<'s, T: Element>(
 
 /// Finiteness check over a view (contiguous fast path either layout).
 /// The error reports the operand `side` and the storage index of the
-/// first offending entry in the view's backing slice.
+/// first offending entry in the view's backing slice. Fast mode runs it
+/// only on the cold path of [`fast_line1`]; accurate mode runs it on
+/// both views before its estimate.
 pub(crate) fn validate_view<T: Element>(
     v: &MatView<'_, T>,
     side: OperandSide,
@@ -340,35 +338,45 @@ pub(crate) fn check_n<T: Element>(n_moduli: usize) -> Result<(), EmulationError>
     Ok(())
 }
 
-/// Algorithm 1 lines 1–5 for one operand view — the shared front end of
-/// the body below and of [`Ozaki2::prepare`]. Line 1 computes the
-/// one-sided fast-mode scale exponents unless `joint` carries the
-/// accurate-mode ones; lines 2–5 run the fused trunc+convert sweep into
-/// `panels` (`N` packed panel sets in the engine layout). The time lands
-/// in `phases` (the sweep split into trunc/convert by CPU-time share);
-/// returns the exponents.
+/// Algorithm 1 line 1 in fast mode for one view side, which is also the
+/// view's finiteness check: the exponents of [`fast_scale_view`], or,
+/// when one of its norms came out non-finite, the error [`validate_view`]
+/// names (same side, same first storage index). That cold path also
+/// passes a finite view whose non-finite norm came from a vector maximum
+/// below `2^-1023`.
+pub(crate) fn fast_line1<T: Element>(
+    view: &MatView<'_, T>,
+    side: OperandSide,
+    consts: &Constants,
+    parallel: bool,
+) -> Result<Vec<i32>, EmulationError> {
+    let (exps, finite) = fast_scale_view(view, side, consts.p_fast, parallel);
+    if !finite {
+        validate_view(view, side)?;
+    }
+    Ok(exps)
+}
+
+/// Algorithm 1 lines 2–5 for one operand view — the shared front end of
+/// the body below and of [`Ozaki2::prepare`]: the fused trunc+convert
+/// sweep under line 1's exponents `exps`, into `panels` (`N` packed panel
+/// sets in the engine layout). The time lands in `phases`, split into
+/// trunc/convert by CPU-time share.
 pub(crate) fn front_end<T: Element>(
     view: &MatView<'_, T>,
     side: OperandSide,
-    joint: Option<Vec<i32>>,
+    exps: &[i32],
     consts: &Constants,
     parallel: bool,
     panels: &mut [i8],
     phases: &mut PhaseTimes,
-) -> Vec<i32> {
-    let t0 = Instant::now();
-    let exps = joint.unwrap_or_else(|| match side {
-        OperandSide::A => fast_scale_a_view(view, consts.p_fast),
-        OperandSide::B => fast_scale_b_view(view, consts.p_fast),
-    });
-    phases.scale += t0.elapsed();
-
+) {
     let t0 = Instant::now();
     let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
     let kp = padded_depth(k);
     let timing = TimeShare::new();
     trunc_convert_pack_panels(
-        vectors_source(view, side == OperandSide::A, &exps),
+        vectors_source(view, side, exps),
         vecs,
         vecs_pad,
         k,
@@ -383,7 +391,18 @@ pub(crate) fn front_end<T: Element>(
     let trunc = sweep.mul_f64(timing.fraction());
     phases.trunc += trunc;
     phases.convert += sweep.saturating_sub(trunc);
-    exps
+}
+
+/// Line 1's exponents for one side: a view side's, as computed, or a
+/// preparation's cached ones.
+fn side_exps<'p, T: Element>(
+    computed: Option<Vec<i32>>,
+    input: &OperandInput<'p, T>,
+) -> Cow<'p, [i32]> {
+    match *input {
+        OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
+        OperandInput::View(_) => Cow::Owned(computed.expect("line 1 ran for every view side")),
+    }
 }
 
 /// The panels lines 6–12 run over for one side: a preparation's cached
@@ -402,7 +421,7 @@ fn side_panels<'p, T: Element>(
             let (vecs, vecs_pad, k) = side.panel_dims(v.shape());
             PanelsRef::Repackable {
                 panels: &mut ws_panels[..nmod * vecs_pad * padded_depth(k)],
-                src: vectors_source(v, side == OperandSide::A, exps),
+                src: vectors_source(v, side, exps),
                 vecs,
                 vecs_pad,
             }
@@ -464,16 +483,32 @@ pub(crate) fn algorithm1<T: Element>(
     if kb != k || out_shape != (m, n) {
         return Err(EmulationError::ShapeMismatch);
     }
-    for (input, side) in [(&a, OperandSide::A), (&b, OperandSide::B)] {
-        if let OperandInput::View(v) = input {
-            validate_view(v, side)?;
-        }
-    }
     let consts: &Constants = constants(n_moduli);
     let predicted_error = nselect::predicted_error(n_moduli, k);
     let nmod = consts.n;
     let mut phases = PhaseTimes::default();
     let mut gemm_calls = 0usize;
+    let obs_start = gemm_obs::now_ns();
+
+    // ---- Line 1, A then B, before any panel is written ------------------
+    // Fast mode: each view side's one-sided pass, which is also its
+    // finiteness check. Accurate mode: both views are checked here, and
+    // the joint estimate runs once the product is known to be non-empty.
+    let t0 = Instant::now();
+    let mut exps = [None, None];
+    for (e, (input, side)) in exps
+        .iter_mut()
+        .zip([(&a, OperandSide::A), (&b, OperandSide::B)])
+    {
+        match input {
+            OperandInput::View(v) if mode == Mode::Fast => {
+                *e = Some(fast_line1(v, side, consts, parallel)?);
+            }
+            OperandInput::View(v) => validate_view(v, side)?,
+            OperandInput::Prepared(_) => {}
+        }
+    }
+    phases.scale = t0.elapsed();
 
     if m == 0 || n == 0 || k == 0 {
         fold(None);
@@ -487,21 +522,18 @@ pub(crate) fn algorithm1<T: Element>(
             fault: policy.is_active().then(FaultReport::default),
         });
     }
+    if let (OperandInput::View(va), OperandInput::View(vb), Mode::Accurate) = (&a, &b, mode) {
+        let t0 = Instant::now();
+        gemm_calls += 1; // the Ā·B̄ estimation GEMM
+        let (ea, eb) = accurate_scale_view(va, vb, consts.p_accu, parallel);
+        exps = [Some(ea), Some(eb)];
+        phases.scale += t0.elapsed();
+    }
+    let [exps_a, exps_b] = exps;
+    let exps_a = side_exps(exps_a, &a);
+    let exps_b = side_exps(exps_b, &b);
 
-    // ---- Line 1 in accurate mode: one joint estimate over both views ----
-    let obs_start = gemm_obs::now_ns();
-    let (joint_a, joint_b) = match (&a, &b) {
-        (OperandInput::View(va), OperandInput::View(vb)) if mode == Mode::Accurate => {
-            let t0 = Instant::now();
-            gemm_calls += 1; // the Ā·B̄ estimation GEMM
-            let (ea, eb) = accurate_scale_view(va, vb, consts.p_accu, parallel);
-            phases.scale = t0.elapsed();
-            (Some(ea), Some(eb))
-        }
-        _ => (None, None),
-    };
-
-    // ---- Lines 1–5 for the view sides; prepared sides bring panels ------
+    // ---- Lines 2–5 for the view sides; prepared sides bring panels ------
     if !prepared(&a) {
         ws.reserve_a(m, k, nmod);
     }
@@ -525,30 +557,14 @@ pub(crate) fn algorithm1<T: Element>(
         chk_sum,
         vsum,
     } = ws.buffers();
-    let exps_a: Cow<'_, [i32]> = match &a {
-        OperandInput::View(v) => Cow::Owned(front_end(
-            v,
-            OperandSide::A,
-            joint_a,
-            consts,
-            parallel,
-            a8,
-            &mut phases,
-        )),
-        OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
-    };
-    let exps_b: Cow<'_, [i32]> = match &b {
-        OperandInput::View(v) => Cow::Owned(front_end(
-            v,
-            OperandSide::B,
-            joint_b,
-            consts,
-            parallel,
-            b8,
-            &mut phases,
-        )),
-        OperandInput::Prepared(p) => Cow::Borrowed(p.exps()),
-    };
+    for (input, side, exps, panels) in [
+        (&a, OperandSide::A, &exps_a, &mut *a8),
+        (&b, OperandSide::B, &exps_b, &mut *b8),
+    ] {
+        if let OperandInput::View(v) = input {
+            front_end(v, side, exps, consts, parallel, panels, &mut phases);
+        }
+    }
     let a_ref = side_panels(&a, OperandSide::A, &exps_a, a8, nmod);
     let b_ref = side_panels(&b, OperandSide::B, &exps_b, b8, nmod);
 
@@ -1019,6 +1035,131 @@ mod tests {
                 index: 5,
             }
         );
+    }
+
+    /// Storage indices of the first, a middle and the last logical
+    /// element of a `rows x cols` matrix stored as `layout` with leading
+    /// dimension `ld`.
+    fn first_middle_last(rows: usize, cols: usize, ld: usize, layout: Layout) -> [usize; 3] {
+        let mut idx: Vec<usize> = (0..rows)
+            .flat_map(|i| {
+                (0..cols).map(move |j| match layout {
+                    Layout::ColMajor => i + j * ld,
+                    Layout::RowMajor => i * ld + j,
+                })
+            })
+            .collect();
+        idx.sort_unstable();
+        [idx[0], idx[idx.len() / 2], idx[idx.len() - 1]]
+    }
+
+    /// `mat` stored as `layout` with leading dimension `minor + pad`.
+    fn stored<T: Element>(mat: &Matrix<T>, layout: Layout, pad: usize) -> (Vec<T>, usize) {
+        let (rows, cols) = mat.shape();
+        let (major, minor) = match layout {
+            Layout::ColMajor => (cols, rows),
+            Layout::RowMajor => (rows, cols),
+        };
+        let ld = minor + pad;
+        let mut buf = vec![T::ZERO; major * ld];
+        for i in 0..rows {
+            for j in 0..cols {
+                match layout {
+                    Layout::ColMajor => buf[i + j * ld] = mat[(i, j)],
+                    Layout::RowMajor => buf[i * ld + j] = mat[(i, j)],
+                }
+            }
+        }
+        (buf, ld)
+    }
+
+    fn check_non_finite_errors<T: Element>() {
+        let (m, k, n) = (7, 9, 5);
+        let a = phi_matrix_f64(m, k, 0.5, 3, 0).map(T::from_f64);
+        let b = phi_matrix_f64(k, n, 0.5, 3, 1).map(T::from_f64);
+        let layouts = [
+            (Layout::ColMajor, 0),
+            (Layout::RowMajor, 0),
+            (Layout::ColMajor, 2),
+            (Layout::RowMajor, 3),
+        ];
+        for (layout, pad) in layouts {
+            let (abuf, lda) = stored(&a, layout, pad);
+            let (bbuf, ldb) = stored(&b, layout, pad);
+            let spots_a = first_middle_last(m, k, lda, layout);
+            let spots_b = first_middle_last(k, n, ldb, layout);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for (ia, ib) in spots_a.into_iter().zip(spots_b) {
+                    for (bad_a, bad_b) in [(true, false), (false, true), (true, true)] {
+                        let (mut abad, mut bbad) = (abuf.clone(), bbuf.clone());
+                        if bad_a {
+                            abad[ia] = T::from_f64(bad);
+                        }
+                        if bad_b {
+                            bbad[ib] = T::from_f64(bad);
+                        }
+                        let va = MatView::new(&abad, m, k, lda, layout);
+                        let vb = MatView::new(&bbad, k, n, ldb, layout);
+                        let want = validate_view(&va, OperandSide::A)
+                            .and_then(|()| validate_view(&vb, OperandSide::B))
+                            .unwrap_err();
+                        let bad_side = if bad_a {
+                            OperandSide::A
+                        } else {
+                            OperandSide::B
+                        };
+                        let at = if bad_a { ia } else { ib };
+                        assert_eq!(
+                            want,
+                            EmulationError::NonFiniteInput {
+                                side: bad_side,
+                                index: at
+                            }
+                        );
+                        let what = format!("{layout:?} pad {pad} {bad} A {bad_a} B {bad_b}");
+                        for mode in [Mode::Fast, Mode::Accurate] {
+                            for parallel in [true, false] {
+                                // Rejected before any work: no panel
+                                // written, the output untouched.
+                                let mut ws = Workspace::new();
+                                let mut c = Matrix::<T>::from_fn(m, n, |_, _| T::ONE);
+                                let got = Ozaki2::new(8, mode)
+                                    .gemm_into(
+                                        GemmArgs::new(va, vb).workspace(&mut ws).parallel(parallel),
+                                        c.view_mut(),
+                                    )
+                                    .unwrap_err();
+                                assert_eq!(got, want, "{what} {mode:?} parallel {parallel}");
+                                assert_eq!(ws.bytes(), 0, "{what} {mode:?}: workspace grew");
+                                assert!(c.iter().all(|&x| x == T::ONE), "{what}: output written");
+                            }
+                        }
+                        let emu = Ozaki2::new(8, Mode::Fast);
+                        for (side, v, is_bad) in
+                            [(OperandSide::A, va, bad_a), (OperandSide::B, vb, bad_b)]
+                        {
+                            let got = emu.prepare(side, v).map(|_| ());
+                            let want = if is_bad {
+                                validate_view(&v, side)
+                            } else {
+                                Ok(())
+                            };
+                            assert_eq!(got, want, "{what}: prepare {side:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_inputs_fail_as_validate_view_reports() {
+        // NaN, +inf and -inf at the first, a middle and the last storage
+        // index of A, of B and of both (A wins), over contiguous and
+        // strided views of either layout, in both precisions, through
+        // gemm_into (both modes, parallel or not) and prepare.
+        check_non_finite_errors::<f64>();
+        check_non_finite_errors::<f32>();
     }
 
     #[test]

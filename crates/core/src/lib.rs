@@ -69,7 +69,4 @@ pub use pipeline::{
 };
 pub use plan::arithmetic_intensity;
 pub use prepared::{OperandInput, OperandSide, PreparedOperand};
-pub use scale::{
-    fast_scale_a_view, fast_scale_b_view, pow2_split, strunc_row, strunc_row_scalar,
-    trunc_kernel_name,
-};
+pub use scale::{fast_scale_view, pow2_split, strunc_row, strunc_row_scalar, trunc_kernel_name};

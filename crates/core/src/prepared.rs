@@ -29,10 +29,11 @@
 
 use crate::consts::constants;
 use crate::element::Element;
-use crate::facade::{check_n, front_end, validate_view};
+use crate::facade::{check_n, fast_line1, front_end};
 use crate::pipeline::{EmulationError, Mode, Ozaki2, PhaseTimes};
-use gemm_dense::{MatView, Matrix};
+use gemm_dense::{Layout, MatView, Matrix};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
+use std::time::Instant;
 
 /// Which side of the product an operand was prepared for. The sides pack
 /// differently (`A` is transpose-gathered into row panels, `B` into column
@@ -54,6 +55,16 @@ impl OperandSide {
             OperandSide::A => (rows, padded_a_rows(rows), cols),
             OperandSide::B => (cols, padded_b_cols(cols), rows),
         }
+    }
+
+    /// Whether this side's vectors (rows of `A`, columns of `B`) are
+    /// contiguous runs in a view of `layout`; otherwise element `h` of
+    /// consecutive vectors sits side by side (the strided gather).
+    pub(crate) fn vectors_contiguous(self, layout: Layout) -> bool {
+        matches!(
+            (self, layout),
+            (OperandSide::A, Layout::RowMajor) | (OperandSide::B, Layout::ColMajor)
+        )
     }
 }
 
@@ -244,13 +255,15 @@ impl Ozaki2 {
             return Err(EmulationError::PreparationUnsupported { mode: self.mode() });
         }
         check_n::<T>(self.n_moduli())?;
-        validate_view(&view, side)?;
         let consts = constants(self.n_moduli());
-        let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
-        let mut panels = vec![0i8; consts.n * vecs_pad * padded_depth(k)];
         let mut phases = PhaseTimes::default();
         let obs_start = gemm_obs::now_ns();
-        let exps = front_end(&view, side, None, consts, true, &mut panels, &mut phases);
+        let t0 = Instant::now();
+        let exps = fast_line1(&view, side, consts, true)?;
+        phases.scale = t0.elapsed();
+        let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
+        let mut panels = vec![0i8; consts.n * vecs_pad * padded_depth(k)];
+        front_end(&view, side, &exps, consts, true, &mut panels, &mut phases);
         crate::pipeline::obs_record_phases(obs_start, &phases);
         gemm_obs::catalog::PREPARED_OPERANDS.inc();
         Ok(PreparedOperand {

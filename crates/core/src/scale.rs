@@ -20,12 +20,15 @@
 
 use crate::consts::Constants;
 use crate::element::Element;
+use crate::prepared::OperandSide;
 use gemm_dense::{MatF64, MatView};
 use gemm_engine::{
     dispatch, dispatch_name, int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth,
-    NoEpilogue,
+    Kernel, NoEpilogue,
 };
 use gemm_exact::roundup;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `⌊log2 |x|⌋` for finite nonzero `x`, exact (bit manipulation, handles
 /// subnormals).
@@ -132,75 +135,276 @@ pub fn fast_scale_cols(b: &MatF64, budget: f64) -> Vec<i32> {
         .collect()
 }
 
-/// [`fast_scale_rows`] over a borrowed strided operand view (any layout,
-/// leading dimension, or transpose; f64 or exactly widened f32): per-row
-/// scale exponents for the view's **logical** elements, with zero
-/// materialization. Bit-identical to [`fast_scale_rows`] on a
-/// column-major copy — every row's maxima and norm accumulation run in
-/// the same ascending-`h` order, and f32 widening is exact.
-// Kept out of line (also `fast_scale_b_view`): inlined into the large
-// generic Algorithm-1 body these scalar strided loops compiled measurably
-// slower (f32 256x256x8192, 2-vCPU x86-64: line 1 took 13 ms instead of
-// 8.5 ms).
+// ---------------------------------------------------------------------------
+// Fast-mode line 1 over a view (runtime-dispatched)
+// ---------------------------------------------------------------------------
+
+/// Vectors per block of the gathered line-1 kernel: the lanes of its inner
+/// loops (consecutive vectors are consecutive in memory), with running
+/// maxima and norms of 1 KiB each, L1-resident.
+const LINE1_GATHER_BLOCK: usize = 128;
+/// Vectors side by side in the lanes of the contiguous line-1 kernel's
+/// norm loop.
+const LINE1_LANES: usize = 16;
+/// Depth of the contiguous kernel's transposed staging tile (8 KiB).
+const LINE1_TILE_DEPTH: usize = 64;
+
+/// Fast-mode line 1 over a borrowed operand view (any layout, leading
+/// dimension or transpose; f64 or exactly widened f32): the per-vector
+/// scale exponents of `side` (rows of `A`, columns of `B`), and whether
+/// every vector's scaled norm came out finite.
+///
+/// Bit-identical to [`fast_scale_rows`] / [`fast_scale_cols`] on a
+/// column-major f64 copy: each vector's maximum (order-free) comes first,
+/// then its scaled norm `s += t*t` in ascending `h`, with the same
+/// inverse scale and no fused multiply-add. Two portable kernels run
+/// through [`dispatch`], chosen by the memory order
+/// [`crate::convert::TruncSource`] also splits on: a gathered view puts
+/// consecutive vectors in the lanes, a contiguous one puts
+/// [`LINE1_LANES`] vectors side by side.
+///
+/// A NaN or infinite entry always makes its vector's norm non-finite (NaN
+/// propagates; ±inf makes the maximum, and so `t`, infinite), so a `true`
+/// flag proves the view finite; `false` also arises for a finite vector
+/// whose maximum is below `2^-1023`. With `parallel`, contiguous chunks
+/// of vectors run on the worker pool; otherwise nothing is submitted.
+// Kept out of line: inlined into the large generic Algorithm-1 body,
+// line 1's loops compiled measurably slower (f32 256x256x8192, 2-vCPU
+// x86-64: 13 ms instead of 8.5 ms for the earlier scalar passes).
 #[inline(never)]
-pub fn fast_scale_a_view<T: Element>(a: &MatView<'_, T>, budget: f64) -> Vec<i32> {
-    let (m, k) = a.shape();
-    let mut row_max = vec![0.0f64; m];
-    for h in 0..k {
-        for (i, rm) in row_max.iter_mut().enumerate() {
-            let ax = a.get(i, h).to_f64().abs();
-            if ax > *rm {
-                *rm = ax;
-            }
-        }
+pub fn fast_scale_view<T: Element>(
+    v: &MatView<'_, T>,
+    side: OperandSide,
+    budget: f64,
+    parallel: bool,
+) -> (Vec<i32>, bool) {
+    let (vecs, _, k) = side.panel_dims(v.shape());
+    let mut exps = vec![0i32; vecs];
+    if vecs == 0 || k == 0 {
+        return (exps, true);
     }
-    let m_exp: Vec<i32> = row_max
-        .iter()
-        .map(|&r| if r == 0.0 { 0 } else { ilog2_abs(r) })
-        .collect();
-    let inv_scale: Vec<f64> = m_exp.iter().map(|&e| scale_by_pow2(1.0, -e)).collect();
-    let mut norm_sq = vec![0.0f64; m];
-    for h in 0..k {
-        for (i, (ns, &s)) in norm_sq.iter_mut().zip(&inv_scale).enumerate() {
-            let t = a.get(i, h).to_f64() * s;
-            *ns += t * t;
+    let contiguous = side.vectors_contiguous(v.layout());
+    let block = if contiguous {
+        LINE1_LANES
+    } else {
+        LINE1_GATHER_BLOCK
+    };
+    // Two chunks per worker, each a whole number of blocks.
+    let workers = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let blocks = vecs.div_ceil(block);
+    let chunk = blocks.div_ceil((workers * 2).min(blocks)) * block;
+    let finite = AtomicBool::new(true);
+    let run = |(c, out): (usize, &mut [i32])| {
+        let ok = dispatch(Line1 {
+            data: v.data(),
+            ld: v.ld(),
+            k,
+            v0: c * chunk,
+            contiguous,
+            budget,
+            exps: out,
+        });
+        if !ok {
+            finite.store(false, Ordering::Relaxed);
         }
+    };
+    if parallel && chunk < vecs {
+        exps.par_chunks_mut(chunk).enumerate().for_each(run);
+    } else {
+        exps.chunks_mut(chunk).enumerate().for_each(run);
     }
-    norm_sq
-        .iter()
-        .zip(&m_exp)
-        .zip(&row_max)
-        .map(|((&ns, &me), &rm)| {
-            if rm == 0.0 {
-                return 0;
-            }
-            let upper = roundup::inflate(ns, k);
-            let t = (0.51 * upper.log2()).max(1.0);
-            (budget - t).floor() as i32 - me
-        })
-        .collect()
+    (exps, finite.into_inner())
 }
 
-/// [`fast_scale_cols`] over a borrowed strided operand view — the
-/// column-side counterpart of [`fast_scale_a_view`], bit-identical to
-/// [`fast_scale_cols`] on a column-major copy.
-// Out of line: see `fast_scale_a_view`.
-#[inline(never)]
-pub fn fast_scale_b_view<T: Element>(b: &MatView<'_, T>, budget: f64) -> Vec<i32> {
-    let (k, n) = b.shape();
-    (0..n)
-        .map(|j| {
-            let cm = (0..k).fold(0.0f64, |acc, h| acc.max(b.get(h, j).to_f64().abs()));
-            if cm == 0.0 {
-                return 0;
+/// One chunk of [`fast_scale_view`]: vectors `v0..v0 + exps.len()`, bound
+/// for [`dispatch`]. Returns whether every scaled norm is finite.
+struct Line1<'a, T> {
+    data: &'a [T],
+    ld: usize,
+    k: usize,
+    v0: usize,
+    contiguous: bool,
+    budget: f64,
+    exps: &'a mut [i32],
+}
+
+impl<T: Element> Kernel for Line1<'_, T> {
+    type Out = bool;
+
+    #[inline(always)]
+    fn run(self) -> bool {
+        let Line1 {
+            data,
+            ld,
+            k,
+            v0,
+            contiguous,
+            budget,
+            exps,
+        } = self;
+        let block = if contiguous {
+            LINE1_LANES
+        } else {
+            LINE1_GATHER_BLOCK
+        };
+        let mut finite = true;
+        let mut row_max = [0.0f64; LINE1_GATHER_BLOCK];
+        let mut m_exp = [0i32; LINE1_GATHER_BLOCK];
+        let mut inv = [1.0f64; LINE1_GATHER_BLOCK];
+        let mut norm = [0.0f64; LINE1_GATHER_BLOCK];
+        for (b, out) in exps.chunks_mut(block).enumerate() {
+            let v = v0 + b * block;
+            let nv = out.len();
+            let rm = &mut row_max[..nv];
+            if contiguous {
+                contiguous_max(data, ld, k, v, rm);
+            } else {
+                gathered_max(data, ld, k, v, rm);
             }
-            let me = ilog2_abs(cm);
-            let s = scale_by_pow2(1.0, -me);
-            let upper = roundup::sum_sq_upper((0..k).map(|h| b.get(h, j).to_f64() * s));
-            let t = (0.51 * upper.log2()).max(1.0);
-            (budget - t).floor() as i32 - me
-        })
-        .collect()
+            for ((&r, me), s) in rm.iter().zip(&mut m_exp).zip(&mut inv) {
+                // A zero maximum keeps the neutral scale; an infinite one
+                // (an infinite entry) any finite nonzero one, so the norm
+                // is infinite too.
+                (*me, *s) = if r == 0.0 || !r.is_finite() {
+                    (0, 1.0)
+                } else {
+                    let me = ilog2_abs(r);
+                    (me, scale_by_pow2(1.0, -me))
+                };
+            }
+            let ns = &mut norm[..nv];
+            if contiguous {
+                contiguous_norm(data, ld, k, v, &inv[..nv], ns);
+            } else {
+                gathered_norm(data, ld, k, v, &inv[..nv], ns);
+            }
+            for (((e, &r), &me), &ns) in out.iter_mut().zip(&row_max).zip(&m_exp).zip(&norm) {
+                finite &= ns.is_finite();
+                *e = if r == 0.0 {
+                    0
+                } else {
+                    // `inflate` of a NaN norm is NaN (its debug assertion
+                    // only admits non-negative sums).
+                    let upper = if ns.is_nan() {
+                        ns
+                    } else {
+                        roundup::inflate(ns, k)
+                    };
+                    let t = (0.51 * upper.log2()).max(1.0);
+                    (budget - t).floor() as i32 - me
+                };
+            }
+        }
+        finite
+    }
+}
+
+/// Gathered maxima: `rm[l] = max_h |data[h*ld + v + l]|`, consecutive
+/// vectors in the lanes.
+#[inline(always)]
+fn gathered_max<T: Element>(data: &[T], ld: usize, k: usize, v: usize, rm: &mut [f64]) {
+    rm.fill(0.0);
+    let nv = rm.len();
+    for h in 0..k {
+        for (r, &x) in rm.iter_mut().zip(&data[h * ld + v..h * ld + v + nv]) {
+            let ax = x.to_f64().abs();
+            if ax > *r {
+                *r = ax;
+            }
+        }
+    }
+}
+
+/// Gathered norms: `ns[l] = Σ_h (data[h*ld + v + l] · inv[l])²` in
+/// ascending `h`, consecutive vectors in the lanes.
+#[inline(always)]
+fn gathered_norm<T: Element>(
+    data: &[T],
+    ld: usize,
+    k: usize,
+    v: usize,
+    inv: &[f64],
+    ns: &mut [f64],
+) {
+    ns.fill(0.0);
+    let nv = ns.len();
+    for h in 0..k {
+        for ((n, &s), &x) in ns
+            .iter_mut()
+            .zip(inv)
+            .zip(&data[h * ld + v..h * ld + v + nv])
+        {
+            let t = x.to_f64() * s;
+            *n += t * t;
+        }
+    }
+}
+
+/// Contiguous maxima: `rm[l] = max_h |data[(v+l)*ld + h]|`, each vector
+/// reduced over [`LINE1_LANES`] running maxima (the maximum does not
+/// depend on the order).
+#[inline(always)]
+fn contiguous_max<T: Element>(data: &[T], ld: usize, k: usize, v: usize, rm: &mut [f64]) {
+    for (l, r) in rm.iter_mut().enumerate() {
+        let col = &data[(v + l) * ld..(v + l) * ld + k];
+        let mut acc = [0.0f64; LINE1_LANES];
+        let mut chunks = col.chunks_exact(LINE1_LANES);
+        for c in &mut chunks {
+            for (a, &x) in acc.iter_mut().zip(c) {
+                let ax = x.to_f64().abs();
+                if ax > *a {
+                    *a = ax;
+                }
+            }
+        }
+        for (a, &x) in acc.iter_mut().zip(chunks.remainder()) {
+            let ax = x.to_f64().abs();
+            if ax > *a {
+                *a = ax;
+            }
+        }
+        *r = acc.iter().fold(0.0, |m, &a| if a > m { a } else { m });
+    }
+}
+
+/// Contiguous norms: `ns[l] = Σ_h (data[(v+l)*ld + h] · inv[l])²` in
+/// ascending `h`, [`LINE1_LANES`] vectors side by side: each depth tile
+/// is transposed into an L1 staging tile, whose rows are one vector op.
+#[inline(always)]
+fn contiguous_norm<T: Element>(
+    data: &[T],
+    ld: usize,
+    k: usize,
+    v: usize,
+    inv: &[f64],
+    ns: &mut [f64],
+) {
+    let nv = ns.len();
+    // Unused lanes keep zero entries and a unit scale.
+    let mut tile = [[0.0f64; LINE1_LANES]; LINE1_TILE_DEPTH];
+    let mut s = [1.0f64; LINE1_LANES];
+    s[..nv].copy_from_slice(inv);
+    let mut acc = [0.0f64; LINE1_LANES];
+    for h0 in (0..k).step_by(LINE1_TILE_DEPTH) {
+        let hb = LINE1_TILE_DEPTH.min(k - h0);
+        for l in 0..nv {
+            let base = (v + l) * ld + h0;
+            for (row, &x) in tile.iter_mut().zip(&data[base..base + hb]) {
+                row[l] = x.to_f64();
+            }
+        }
+        for row in &tile[..hb] {
+            for ((a, &x), &s) in acc.iter_mut().zip(row).zip(&s) {
+                let t = x * s;
+                *a += t * t;
+            }
+        }
+    }
+    ns.copy_from_slice(&acc[..nv]);
 }
 
 /// Accurate-mode scale exponents for both operands (§4.2), over borrowed
@@ -446,7 +650,178 @@ pub fn condition3_holds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::constants;
     use gemm_dense::workload::phi_matrix_f64;
+    use gemm_dense::{Layout, Matrix};
+    use gemm_engine::Isa;
+
+    /// Logical line-1 operand for `side` (`vecs x k` rows of `A`, or
+    /// `k x vecs` columns of `B`), entries `±[0.5, 1)·2^e` for `e` in
+    /// `[-30, 30]`. With `special` and `vecs >= 4`, vectors 0–3 are: all
+    /// zero; a maximum of `1.75·2^big`; a maximum of `1.5·2^tiny` among
+    /// smaller entries and a zero; every entry in `[1, 2)·2^deep`.
+    fn line1_operand<T: Element>(
+        side: OperandSide,
+        vecs: usize,
+        k: usize,
+        seed: u64,
+        [big, tiny, deep]: [i32; 3],
+    ) -> Matrix<T> {
+        let mut state = seed | 1;
+        let mut draw = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let logical = Matrix::<f64>::from_fn(vecs, k, |v, h| {
+            let r = draw();
+            let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+            let frac = 1.0 + (r >> 12) as f64 / (1u64 << 41) as f64; // [1, 2)
+            let x = sign * frac;
+            match (vecs >= 4, v) {
+                (true, 0) => 0.0,
+                (true, 1) if h == k / 2 => 1.75 * scale_by_pow2(1.0, big),
+                (true, 1) => x * scale_by_pow2(1.0, big - 4),
+                (true, 2) if h == 0 => -1.5 * scale_by_pow2(1.0, tiny),
+                (true, 2) if h == 1 => 0.0,
+                (true, 2) => x * scale_by_pow2(1.0, tiny - 2),
+                (true, 3) => x * scale_by_pow2(1.0, deep),
+                _ => x * scale_by_pow2(0.5, (r >> 53) as i32 % 61 - 30),
+            }
+        });
+        let logical = logical.map(T::from_f64);
+        match side {
+            OperandSide::A => logical,
+            OperandSide::B => logical.transpose(),
+        }
+    }
+
+    /// `mat` stored as `layout` with leading dimension `minor + pad`, the
+    /// gaps poisoned with NaN.
+    fn stored<T: Element>(mat: &Matrix<T>, layout: Layout, pad: usize) -> (Vec<T>, usize) {
+        let (rows, cols) = mat.shape();
+        let (major, minor) = match layout {
+            Layout::ColMajor => (cols, rows),
+            Layout::RowMajor => (rows, cols),
+        };
+        let ld = minor + pad;
+        let mut buf = vec![T::from_f64(f64::NAN); major * ld];
+        for i in 0..rows {
+            for j in 0..cols {
+                let idx = match layout {
+                    Layout::ColMajor => i + j * ld,
+                    Layout::RowMajor => i * ld + j,
+                };
+                buf[idx] = mat[(i, j)];
+            }
+        }
+        (buf, ld)
+    }
+
+    /// [`fast_scale_view`] over every view of `mat` (column- and
+    /// row-major, padded leading dimensions, a `.t()` of the transpose)
+    /// against the oracle on the widened column-major copy, bit for bit.
+    fn check_line1<T: Element>(mat: &Matrix<T>, side: OperandSide, parallel: bool, what: &str) {
+        let budget = constants(15).p_fast;
+        let wide = mat.map(T::to_f64);
+        let want = match side {
+            OperandSide::A => fast_scale_rows(&wide, budget),
+            OperandSide::B => fast_scale_cols(&wide, budget),
+        };
+        // A vector's norm is non-finite exactly when its maximum is below
+        // 2^-1023 but nonzero (its inverse scale overflows).
+        let tiny = scale_by_pow2(1.0, -1023);
+        let (rows, cols) = mat.shape();
+        let vec_max = |v: usize| -> f64 {
+            let at = |h: usize| match side {
+                OperandSide::A => wide[(v, h)],
+                OperandSide::B => wide[(h, v)],
+            };
+            let k = if side == OperandSide::A { cols } else { rows };
+            (0..k).fold(0.0, |m: f64, h| m.max(at(h).abs()))
+        };
+        let vecs = if side == OperandSide::A { rows } else { cols };
+        let want_finite = (0..vecs).all(|v| {
+            let m = vec_max(v);
+            m == 0.0 || m >= tiny
+        });
+        let transposed = mat.transpose();
+        let mut views: Vec<(String, Vec<T>, usize, Layout)> = Vec::new();
+        for layout in [Layout::ColMajor, Layout::RowMajor] {
+            for pad in [0usize, 3] {
+                let (buf, ld) = stored(mat, layout, pad);
+                views.push((format!("{layout:?} pad {pad}"), buf, ld, layout));
+            }
+        }
+        for (name, buf, ld, layout) in &views {
+            let view = MatView::new(buf, rows, cols, *ld, *layout);
+            let (got, finite) = fast_scale_view(&view, side, budget, parallel);
+            assert_eq!(got, want, "{what} {side:?} {name}");
+            assert_eq!(finite, want_finite, "{what} {side:?} {name}: finite flag");
+        }
+        let (got, finite) = fast_scale_view(&transposed.view().t(), side, budget, parallel);
+        assert_eq!(got, want, "{what} {side:?} .t()");
+        assert_eq!(finite, want_finite, "{what} {side:?} .t(): finite flag");
+    }
+
+    #[test]
+    fn fast_scale_view_bit_identical_to_oracles() {
+        // Vector counts off the lane widths (16, 128), depths off the
+        // tile depth (64), both sides, both precisions, every layout;
+        // zero vectors, maxima near the top of the range and below the
+        // normal range. On one thread at every level, then split over
+        // the pool.
+        let shapes = [
+            (1usize, 1usize),
+            (5, 3),
+            (16, 16),
+            (17, 67),
+            (40, 130),
+            (129, 5),
+            (130, 33),
+        ];
+        const F64_SPECIALS: [i32; 3] = [1023, -1023, -1060];
+        const F32_SPECIALS: [i32; 3] = [127, -140, -149];
+        let run = |parallel: bool, level: Option<Isa>| {
+            for (t, &(vecs, k)) in shapes.iter().enumerate() {
+                for side in [OperandSide::A, OperandSide::B] {
+                    let seed = 1 + t as u64;
+                    let what = format!("{level:?} {vecs}x{k}");
+                    let a64 = line1_operand::<f64>(side, vecs, k, seed, F64_SPECIALS);
+                    check_line1(&a64, side, parallel, &format!("f64 {what}"));
+                    let a32 = line1_operand::<f32>(side, vecs, k, seed, F32_SPECIALS);
+                    check_line1(&a32, side, parallel, &format!("f32 {what}"));
+                }
+            }
+        };
+        gemm_engine::for_each_level("fast_scale_view_bit_identical_to_oracles", |level| {
+            run(false, Some(level))
+        });
+        run(true, None);
+    }
+
+    #[test]
+    fn fast_scale_view_flags_every_non_finite_entry() {
+        // One NaN or ±inf anywhere makes its vector's norm non-finite.
+        let budget = constants(15).p_fast;
+        for side in [OperandSide::A, OperandSide::B] {
+            let mat = line1_operand::<f64>(side, 37, 21, 9, [1023, -1023, -1060]);
+            let (rows, cols) = mat.shape();
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for (i, j) in [(0, 0), (rows / 2, cols / 3), (rows - 1, cols - 1)] {
+                    let mut m = mat.clone();
+                    m[(i, j)] = bad;
+                    for layout in [Layout::ColMajor, Layout::RowMajor] {
+                        let (buf, ld) = stored(&m, layout, 2);
+                        let view = MatView::new(&buf, rows, cols, ld, layout);
+                        let (_, finite) = fast_scale_view(&view, side, budget, false);
+                        assert!(!finite, "{side:?} {bad} at ({i}, {j}) {layout:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn ilog2_matches_log2_floor() {

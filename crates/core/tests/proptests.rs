@@ -514,8 +514,10 @@ proptest! {
         let (a, b) = (a32.map(|x| x as f64), b32.map(|x| x as f64));
         let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
         let c = constants(nmod);
-        let e = ozaki2::fast_scale_a_view(&a32.view(), c.p_fast);
-        let f = ozaki2::fast_scale_b_view(&b32.view(), c.p_fast);
+        // Line 1's exponents, from the oracles over the exactly widened
+        // copies (the view pass is bit-identical to them).
+        let e = fast_scale_rows(&a, c.p_fast);
+        let f = fast_scale_cols(&b, c.p_fast);
         let fold = (nmod * nmod) as f64 * 2f64.powi(-44) * c.p_big.to_f64();
         for i in 0..m {
             for j in 0..n {
@@ -755,5 +757,65 @@ proptest! {
             emu8.gemm_into(GemmArgs::new(&af, &pbf).workspace(&mut ws), cf.view_mut()).unwrap();
             prop_assert_eq!(&cf, &facade32);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Line 1 over views: the dispatched pass against the scalar oracles.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fast_scale_view_matches_oracles(
+        seed in any::<u64>(),
+        vecs in 1usize..70,
+        k in 1usize..90,
+        pad in 0usize..3,
+        row_major in any::<bool>(),
+        side_a in any::<bool>(),
+        single in any::<bool>(),
+        spread in 0i32..200,
+    ) {
+        // Entries `±[1, 2)·2^e` with `e` spread over `±spread` (within
+        // f32 range for the f32 case), one zero vector when there are two
+        // or more; every view layout with a padded leading dimension.
+        let side = if side_a { OperandSide::A } else { OperandSide::B };
+        let spread = if single { spread.min(100) } else { spread };
+        let mut state = seed | 1;
+        let mut draw = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let logical = Matrix::<f64>::from_fn(vecs, k, |v, _| {
+            let r = draw();
+            let x = (1.0 + (r >> 12) as f64 / (1u64 << 41) as f64) * if r & 1 == 0 { 1.0 } else { -1.0 };
+            let e = (r >> 53) as i32 % (2 * spread + 1) - spread;
+            if vecs > 1 && v == vecs / 2 { 0.0 } else { scale_by_pow2(x, e) }
+        });
+        let logical = if single { logical.map(|x| x as f32 as f64) } else { logical };
+        let mat = if side_a { logical } else { logical.transpose() };
+        let budget = constants(15).p_fast;
+        let want = if side_a { fast_scale_rows(&mat, budget) } else { fast_scale_cols(&mat, budget) };
+        let layout = if row_major { Layout::RowMajor } else { Layout::ColMajor };
+        let (rows, cols) = mat.shape();
+        let ld = if row_major { cols } else { rows } + pad;
+        let major = if row_major { rows } else { cols };
+        let at = |i: usize, j: usize| if row_major { i * ld + j } else { i + j * ld };
+        let mut buf = vec![f64::NAN; major * ld];
+        for i in 0..rows {
+            for j in 0..cols {
+                buf[at(i, j)] = mat[(i, j)];
+            }
+        }
+        let got = if single {
+            let buf32: Vec<f32> = buf.iter().map(|&x| x as f32).collect();
+            ozaki2::fast_scale_view(&MatView::new(&buf32, rows, cols, ld, layout), side, budget, true)
+        } else {
+            ozaki2::fast_scale_view(&MatView::new(&buf, rows, cols, ld, layout), side, budget, true)
+        };
+        prop_assert_eq!(&got.0, &want);
+        prop_assert!(got.1, "finite operand flagged non-finite");
     }
 }
