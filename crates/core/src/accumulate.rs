@@ -228,18 +228,109 @@ pub fn fold_span(
     });
 }
 
+// ---------------------------------------------------------------------------
+// Line 12: the inverse diagonal scaling (runtime-dispatched)
+// ---------------------------------------------------------------------------
+
+/// Whether `x · 2^{-e_a} · 2^{-e_b}`, chained as per-side factors, keeps
+/// every partial product normal, so that each multiply is exact: `x` is
+/// zero (preserved by any chain of positive powers of two), or the
+/// exponents the value passes through (its own, after the `A` factors,
+/// final) stay in `[-1021, 1022]`, which also holds the `pow2_split`
+/// halves. A subnormal `x` reads as exponent −1023 here and fails, as
+/// does a non-finite one. Computed in i64 so no exponent pair overflows.
+#[inline(always)]
+fn in_normal_hull(x: f64, ea: i32, eb: i32) -> bool {
+    let e1 = -(ea as i64);
+    let e2 = e1 - eb as i64;
+    let ex = ((x.to_bits() >> 52) & 0x7ff) as i64 - 1023;
+    x == 0.0 || (ex + e1.min(0).min(e2) >= -1021 && ex + e1.max(0).max(e2) <= 1022)
+}
+
+/// Line 12 on one output column, element by element — the oracle of
+/// [`InverseScaleCol`], and its path for a column that leaves the normal
+/// hull: the chained factors `x·a1·a2·b1·b2` where every partial stays
+/// normal, else the one-shot combined exponent [`scale_by_pow2`].
+fn inverse_scale_col_scalar(
+    col: &mut [f64],
+    exps_a: &[i32],
+    inv_a: (&[f64], &[f64]),
+    eb: i32,
+    (b1, b2): (f64, f64),
+) {
+    for (o, ((&ea, &a1), &a2)) in col.iter_mut().zip(exps_a.iter().zip(inv_a.0).zip(inv_a.1)) {
+        let x = *o;
+        if x == 0.0 {
+            continue;
+        }
+        let e1 = -ea;
+        let e2 = e1 - eb;
+        let ex = ilog2_abs(x);
+        let lo = ex + e1.min(0).min(e2);
+        let hi = ex + e1.max(0).max(e2);
+        if lo >= -1021 && hi <= 1022 {
+            *o = x * a1 * a2 * b1 * b2;
+        } else {
+            *o = scale_by_pow2(x, e2);
+        }
+    }
+}
+
+/// Line 12 on one output column, bound for [`dispatch`]: one vector pass
+/// checks that every lane is in the normal hull ([`in_normal_hull`]);
+/// then the column is the same chained product as a vector loop, so its
+/// bits equal [`inverse_scale_col_scalar`]'s, which runs otherwise.
+struct InverseScaleCol<'a> {
+    col: &'a mut [f64],
+    exps_a: &'a [i32],
+    inv_a: (&'a [f64], &'a [f64]),
+    eb: i32,
+    inv_b: (f64, f64),
+}
+
+impl Kernel for InverseScaleCol<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let InverseScaleCol {
+            col,
+            exps_a,
+            inv_a,
+            eb,
+            inv_b,
+        } = self;
+        let in_hull = col
+            .iter()
+            .zip(exps_a)
+            .fold(true, |ok, (&x, &ea)| ok & in_normal_hull(x, ea, eb));
+        if !in_hull {
+            return inverse_scale_col_scalar(col, exps_a, inv_a, eb, inv_b);
+        }
+        let (b1, b2) = inv_b;
+        for (o, (&a1, &a2)) in col.iter_mut().zip(inv_a.0.iter().zip(inv_a.1)) {
+            *o = *o * a1 * a2 * b1 * b2;
+        }
+    }
+}
+
+/// Tasks per worker of [`fold_planes`]' column split: enough to balance,
+/// few enough that the pool's per-task cost stays out of the profile.
+const FOLD_TASKS_PER_WORKER: usize = 4;
+
 /// Fold all residue planes into the final matrix.
 ///
 /// * `u` — `N` UINT8 planes, plane-major, each `m*n` column-major;
 /// * `exps_a` / `exps_b` — the scale exponents (`μ_i = 2^{e}`), negated here;
-/// * `parallel` — split the columns over the worker pool (`false`: run
-///   them all on the calling thread; the output is identical);
+/// * `parallel` — split the columns over the worker pool in a few
+///   contiguous chunks per worker (`false`: run them all on the calling
+///   thread; the output is identical);
 /// * `out` — `m*n` column-major f64.
 ///
-/// The hot recombination runs through the dispatched [`fold_span`] kernel
-/// column by column; the exact inverse diagonal scaling (line 12) is a
-/// separate cheap pass over the span so the fold kernel stays oracle-exact
-/// regardless of the per-row exponents.
+/// Per column, the dispatched [`fold_span`] kernel recombines the
+/// residues and the dispatched line-12 kernel applies the exact inverse
+/// diagonal scaling as a separate pass over the column, so the fold
+/// kernel stays oracle-exact whatever the per-row exponents.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_planes(
     u: &[u8],
@@ -267,53 +358,34 @@ pub fn fold_planes(
     };
     let (p1, p2, p_inv) = (consts.p1, consts.p2, consts.p_inv);
 
-    // Line 12: the inverse diagonal scales are powers of two, so
-    // `2^{-e_i} · 2^{-e_j} · x` is a chain of exact multiplications as
-    // long as every partial product stays in the normal f64 range.
-    // Hoisting the factor computation to one pow2_split per row/column —
-    // instead of one powi per *element* — is what keeps the scaling pass
-    // far below the recombination cost. Elements whose partial exponents
-    // could leave the normal range (the chain applies 2^{-e_i} before
-    // 2^{-e_j}, so opposite-sign extremes can transiently under/overflow
-    // even when the combined exponent is benign) take the one-shot
-    // combined-exponent path instead, which is the bit-exact PR 2
-    // behavior; the integer range check costs a few ALU ops per element.
-    let inv_a: Vec<(f64, f64)> = exps_a.iter().map(|&e| pow2_split(-e)).collect();
-    let inv_b: Vec<(f64, f64)> = exps_b.iter().map(|&e| pow2_split(-e)).collect();
+    // Line 12: the inverse diagonal scales are powers of two, hoisted to
+    // one pow2_split per row and per column instead of one powi per
+    // element.
+    let (inv_a1, inv_a2): (Vec<f64>, Vec<f64>) = exps_a.iter().map(|&e| pow2_split(-e)).unzip();
 
-    let fold_col = |(j, out_col): (usize, &mut [f64])| {
-        let col_off = j * m;
-        fold_span(u, plane, col_off, s1, s2, p1, p2, p_inv, out_col);
-        let (b1, b2) = inv_b[j];
-        let eb = exps_b[j];
-        for (o, (&ea, &(a1, a2))) in out_col.iter_mut().zip(exps_a.iter().zip(&inv_a)) {
-            let x = *o;
-            if x == 0.0 {
-                // ±0 is preserved identically by either path (all factors
-                // are positive powers of two).
-                continue;
-            }
-            // Exponents the chained value passes through: 0 (start),
-            // -e_i (after the A factors), -e_i - e_j (final). pow2_split
-            // halves land inside this hull. All partials normal => every
-            // multiply is exact => identical to the combined-exponent
-            // form.
-            let e1 = -ea;
-            let e2 = e1 - eb;
-            let ex = ilog2_abs(x);
-            let lo = ex + e1.min(0).min(e2);
-            let hi = ex + e1.max(0).max(e2);
-            if lo >= -1021 && hi <= 1022 {
-                *o = x * a1 * a2 * b1 * b2;
-            } else {
-                *o = scale_by_pow2(x, e2);
-            }
+    let workers = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let cols = n.div_ceil(workers * FOLD_TASKS_PER_WORKER);
+    let fold_cols = |(t, chunk): (usize, &mut [f64])| {
+        for (jj, out_col) in chunk.chunks_mut(m).enumerate() {
+            let j = t * cols + jj;
+            fold_span(u, plane, j * m, s1, s2, p1, p2, p_inv, out_col);
+            dispatch(InverseScaleCol {
+                col: out_col,
+                exps_a,
+                inv_a: (&inv_a1, &inv_a2),
+                eb: exps_b[j],
+                inv_b: pow2_split(-exps_b[j]),
+            });
         }
     };
-    if parallel {
-        out.par_chunks_mut(m).enumerate().for_each(fold_col);
+    if parallel && cols < n {
+        out.par_chunks_mut(cols * m).enumerate().for_each(fold_cols);
     } else {
-        out.chunks_mut(m).enumerate().for_each(fold_col);
+        out.chunks_mut(cols * m).enumerate().for_each(fold_cols);
     }
 }
 
@@ -535,6 +607,129 @@ mod tests {
                 out[0]
             );
         }
+    }
+
+    #[test]
+    fn inverse_scale_col_dispatched_bit_identical_to_elementwise() {
+        // A column whose lanes all stay in the normal hull takes the
+        // vector path; one that mixes them with lanes whose partials leave
+        // it (row exponents near ±1022 and past them, transient overflow
+        // and underflow, subnormal results) takes the element loop. Both
+        // must equal the element loop bit for bit, at every level.
+        gemm_engine::for_each_level(
+            "inverse_scale_col_dispatched_bit_identical_to_elementwise",
+            |level| {
+                for m in [1usize, 7, 16, 33, 100] {
+                    for mixed in [false, true] {
+                        let extremes = [1060, -1000, 1022, -1022, 540, 1100];
+                        let exps_a: Vec<i32> = (0..m)
+                            .map(|i| {
+                                if mixed && i % 3 == 1 {
+                                    extremes[i / 3 % extremes.len()]
+                                } else {
+                                    (i as i32 * 7) % 81 - 40
+                                }
+                            })
+                            .collect();
+                        let col: Vec<f64> = (0..m)
+                            .map(|i| match i % 5 {
+                                0 => 0.0,
+                                3 => -0.0,
+                                _ => {
+                                    let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                                    sign * (i as f64 + 0.5)
+                                        * scale_by_pow2(1.0, (i as i32 * 13) % 50 - 25)
+                                }
+                            })
+                            .collect();
+                        let (a1, a2): (Vec<f64>, Vec<f64>) =
+                            exps_a.iter().map(|&e| pow2_split(-e)).unzip();
+                        let ebs: &[i32] = if mixed {
+                            &[-1100, -1000, -30, 0, 25, 540, 1000]
+                        } else {
+                            &[-30, 0, 25]
+                        };
+                        for &eb in ebs {
+                            let hull = col
+                                .iter()
+                                .zip(&exps_a)
+                                .all(|(&x, &ea)| in_normal_hull(x, ea, eb));
+                            if !mixed {
+                                assert!(hull, "m={m} eb={eb}: the vector path should run");
+                            }
+                            if mixed && m > 1 {
+                                assert!(!hull, "m={m} eb={eb}: the element loop should run");
+                            }
+                            let mut want = col.clone();
+                            inverse_scale_col_scalar(
+                                &mut want,
+                                &exps_a,
+                                (&a1, &a2),
+                                eb,
+                                pow2_split(-eb),
+                            );
+                            let mut got = col.clone();
+                            dispatch(InverseScaleCol {
+                                col: &mut got,
+                                exps_a: &exps_a,
+                                inv_a: (&a1, &a2),
+                                eb,
+                                inv_b: pow2_split(-eb),
+                            });
+                            assert_eq!(
+                                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                "{level:?} m={m} mixed={mixed} eb={eb}"
+                            );
+                            for (i, (&x, &w)) in col.iter().zip(&want).enumerate() {
+                                if x == 0.0 {
+                                    assert_eq!(w.to_bits(), x.to_bits(), "lane {i}: ±0 kept");
+                                    continue;
+                                }
+                                assert_eq!(
+                                    w.to_bits(),
+                                    scale_by_pow2(x, -exps_a[i] - eb).to_bits(),
+                                    "element loop deviates from the combined exponent: lane {i}"
+                                );
+                            }
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn fold_planes_column_split_is_bit_identical() {
+        // The parallel column split (a few chunks per worker, a ragged
+        // last chunk) gives the serial fold's bits.
+        let c = constants(7);
+        let (m, n) = (5usize, 37usize);
+        let mut seed = 11u64;
+        let u: Vec<u8> = (0..c.n * m * n)
+            .map(|i| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(5);
+                ((seed >> 33) % c.p[i / (m * n)]) as u8
+            })
+            .collect();
+        let exps_a: Vec<i32> = (0..m as i32).map(|i| 3 * i - 7).collect();
+        let exps_b: Vec<i32> = (0..n as i32).map(|j| j % 9 - 4).collect();
+        let fold = |parallel| {
+            let mut out = vec![0.0f64; m * n];
+            fold_planes(
+                &u,
+                m,
+                n,
+                c,
+                FoldPrecision::Double,
+                &exps_a,
+                &exps_b,
+                parallel,
+                &mut out,
+            );
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(fold(true), fold(false));
     }
 
     #[test]
