@@ -7,12 +7,26 @@ non-fallthrough block aligned to 64 bytes, so that a change which only moves
 code cannot move the numbers. It then runs interleaved pairs per workload
 (the order alternates, parent first on even pairs) and prints, for each
 end-to-end metric that BENCHMARK.json declares, the median of each side,
-the parent's interquartile range, and in how many pairs the change was
-better. A change reads as a gain only when its median clears the parent's
-IQR and it wins nearly every pair.
+the parent's interquartile range, in how many pairs the change was
+better, and a verdict:
+
+    gain              the change won at least 9 of every 10 pairs and its
+                      median is better than the parent's by more than the
+                      parent's interquartile range;
+    worse than bound  the change's median is worse than the parent's by
+                      more than the metric's `bound` in BENCHMARK.json;
+    unresolved        the parent's interquartile range is wider than the
+                      bound, and not every change run beats every parent
+                      run;
+    within bound      none of these.
+
+With --ledger it then makes one traced run (`--trace 1`) per side per
+workload and prints the call's p50, the six phase times, the unattributed
+remainder and the pool tasks per operation side by side, to show where a
+gain comes from.
 
     scripts/perf_ab.py --parent HEAD~1 --pairs 10 --seconds 12 \\
-        --workloads serve_mixed,dgemm_rankk
+        --workloads serve_mixed,dgemm_rankk --ledger
 
 Builds and raw results go under target/perf_ab/ (one JSON line per run in
 results.jsonl). Needs only python3, git and cargo.
@@ -41,10 +55,16 @@ def build(src: Path, target: Path) -> Path:
     return target / "release" / "perfbench"
 
 
-def run(exe: Path, cwd: Path, workload: str, seed: int, seconds: float) -> dict:
+# What --ledger prints from each side's traced run, in Algorithm 1 order.
+LEDGER = ["ozaki2.call_ms_p50", "ozaki2.scale_ms", "ozaki2.trunc_ms", "ozaki2.convert_ms",
+          "ozaki2.gemm_ms", "ozaki2.mod_ms", "ozaki2.fold_ms", "ozaki2.unattributed_ms",
+          "pool.tasks"]
+
+
+def run(exe: Path, cwd: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     out = subprocess.run(
         [str(exe), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=cwd, capture_output=True, text=True,
     )
     lines = out.stdout.strip().splitlines()
@@ -60,6 +80,22 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def verdict(p, c, higher, bound):
+    """One end-to-end metric's verdict from the paired runs (see the docs)."""
+    pm, cm = statistics.median(p), statistics.median(c)
+    q1, q3 = quartiles(p)
+    sign = 1 if higher else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+    if 10 * wins >= 9 * len(p) and sign * (cm - pm) > q3 - q1:
+        return "gain"
+    if sign * (cm - pm) < -bound * abs(pm):
+        return "worse than bound"
+    all_better = min(c) > max(p) if higher else max(c) < min(p)
+    if q3 - q1 > bound * abs(pm) and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -67,6 +103,9 @@ def main():
     ap.add_argument("--seconds", type=float, default=12)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workloads", help="comma-separated; default: all in BENCHMARK.json")
+    ap.add_argument("--ledger", action="store_true",
+                    help="after the pairs, one traced run per side per workload, "
+                         "phase times side by side")
     args = ap.parse_args()
 
     root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"],
@@ -104,7 +143,8 @@ def main():
             failed = sum(r["failed"] for r in got[side])
             attempted = sum(r["attempted"] for r in got[side])
             print(f"  {side:6} failed {failed} of {attempted} checks")
-        print(f"  {'metric':18} {'parent':>12} {'parent IQR':>25} {'change':>12} {'delta':>8}  better")
+        print(f"  {'metric':18} {'parent':>12} {'parent IQR':>25} {'change':>12} {'delta':>8}"
+              f"  better  verdict")
         for m in metrics:
             name, higher = m["name"], m["better"] == "higher"
             p = [r["metrics"][name]["value"] for r in got["parent"]]
@@ -115,7 +155,25 @@ def main():
             delta = (cm - pm) / pm * 100 if pm else 0.0
             same = " (all runs bitwise equal)" if len(set(p + c)) == 1 else ""
             print(f"  {name:18} {pm:12.6g} {q1:12.6g}..{q3:<12.6g} {cm:12.6g} {delta:+7.2f}%"
-                  f"  {wins}/{len(p)}{same}")
+                  f"  {wins:>2}/{len(p):<3} {verdict(p, c, higher, m['bound'])}{same}")
+
+    if args.ledger:
+        for w in workloads:
+            traced = {}
+            for side in ("parent", "change"):
+                exe, cwd = sides[side]
+                traced[side] = run(exe, cwd, w, args.seed, args.seconds, trace=1)
+                log.write(json.dumps({"workload": w, "side": side, "trace": 1,
+                                      **traced[side]}) + "\n")
+                log.flush()
+            print(f"\n{w}: ledger, one traced run per side of {args.seconds:g} s, seed {args.seed}")
+            print(f"  {'metric':24} {'parent':>12} {'change':>12} {'delta':>8}")
+            for name in LEDGER:
+                pv = traced["parent"]["metrics"][name]["value"]
+                cv = traced["change"]["metrics"][name]["value"]
+                delta = (cv - pv) / pv * 100 if pv else 0.0
+                unit = traced["parent"]["metrics"][name]["unit"]
+                print(f"  {name:24} {pv:12.6g} {cv:12.6g} {delta:+7.2f}%  {unit}")
 
 
 if __name__ == "__main__":
