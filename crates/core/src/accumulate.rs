@@ -13,9 +13,18 @@
 //! ```
 //!
 //! subtracts the unique multiple of `P` (double-double `P1 + P2`), leaving
-//! `C'' ≈ rmod(A'B', P) = A'B'` by the uniqueness condition (3). The
-//! inverse diagonal scaling (line 12, exact: powers of two) is fused into
-//! the same pass.
+//! `C'' ≈ rmod(A'B', P) = A'B'` by the uniqueness condition (3).
+//!
+//! Line 12, the inverse diagonal scaling `2^{-e_i}·2^{-e_j}`, is exact
+//! (powers of two) and runs per output column right after its fold, while
+//! the column is in cache. It is a dispatched kernel too: one vector pass
+//! checks that every lane is zero or keeps each partial product of the
+//! chain `x·a1·a2·b1·b2` (the `pow2_split` halves of both factors) in the
+//! normal range, and then applies that chain as one vector loop — the
+//! same expression, so the same bits. A column that fails the check, say
+//! one whose row exponents near ±1022 overflow or underflow a partial,
+//! or whose results are subnormal, runs the per-element loop, which takes
+//! the one-shot combined exponent where the chain would not be exact.
 //!
 //! The hot recombination is one portable span kernel, [`fold_span`], run
 //! through [`gemm_engine::dispatch`] like the convert kernels: LLVM

@@ -212,6 +212,8 @@ pub fn fast_scale_view<T: Element>(
             finite.store(false, Ordering::Relaxed);
         }
     };
+    // `Relaxed` suffices for the flag: it publishes no other data, and the
+    // region's join orders every store before the read below.
     if parallel && chunk < vecs {
         exps.par_chunks_mut(chunk).enumerate().for_each(run);
     } else {
