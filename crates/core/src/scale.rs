@@ -149,6 +149,26 @@ const LINE1_LANES: usize = 16;
 /// Depth of the contiguous kernel's transposed staging tile (8 KiB).
 const LINE1_TILE_DEPTH: usize = 64;
 
+/// Vectors per block of line 1's kernel for vectors that are contiguous
+/// runs, or a strided gather.
+#[inline(always)]
+fn line1_block(contiguous: bool) -> usize {
+    if contiguous {
+        LINE1_LANES
+    } else {
+        LINE1_GATHER_BLOCK
+    }
+}
+
+/// `*m = max(*m, |x|)`, skipping NaN as the oracles do.
+#[inline(always)]
+fn max_abs(m: &mut f64, x: f64) {
+    let ax = x.abs();
+    if ax > *m {
+        *m = ax;
+    }
+}
+
 /// Fast-mode line 1 over a borrowed operand view (any layout, leading
 /// dimension or transpose; f64 or exactly widened f32): the per-vector
 /// scale exponents of `side` (rows of `A`, columns of `B`), and whether
@@ -184,11 +204,7 @@ pub fn fast_scale_view<T: Element>(
         return (exps, true);
     }
     let contiguous = side.vectors_contiguous(v.layout());
-    let block = if contiguous {
-        LINE1_LANES
-    } else {
-        LINE1_GATHER_BLOCK
-    };
+    let block = line1_block(contiguous);
     // Two chunks per worker, each a whole number of blocks.
     let workers = if parallel {
         rayon::current_num_threads()
@@ -248,11 +264,7 @@ impl<T: Element> Kernel for Line1<'_, T> {
             budget,
             exps,
         } = self;
-        let block = if contiguous {
-            LINE1_LANES
-        } else {
-            LINE1_GATHER_BLOCK
-        };
+        let block = line1_block(contiguous);
         let mut finite = true;
         let mut row_max = [0.0f64; LINE1_GATHER_BLOCK];
         let mut m_exp = [0i32; LINE1_GATHER_BLOCK];
@@ -313,10 +325,7 @@ fn gathered_max<T: Element>(data: &[T], ld: usize, k: usize, v: usize, rm: &mut 
     let nv = rm.len();
     for h in 0..k {
         for (r, &x) in rm.iter_mut().zip(&data[h * ld + v..h * ld + v + nv]) {
-            let ax = x.to_f64().abs();
-            if ax > *r {
-                *r = ax;
-            }
+            max_abs(r, x.to_f64());
         }
     }
 }
@@ -357,19 +366,16 @@ fn contiguous_max<T: Element>(data: &[T], ld: usize, k: usize, v: usize, rm: &mu
         let mut chunks = col.chunks_exact(LINE1_LANES);
         for c in &mut chunks {
             for (a, &x) in acc.iter_mut().zip(c) {
-                let ax = x.to_f64().abs();
-                if ax > *a {
-                    *a = ax;
-                }
+                max_abs(a, x.to_f64());
             }
         }
         for (a, &x) in acc.iter_mut().zip(chunks.remainder()) {
-            let ax = x.to_f64().abs();
-            if ax > *a {
-                *a = ax;
-            }
+            max_abs(a, x.to_f64());
         }
-        *r = acc.iter().fold(0.0, |m, &a| if a > m { a } else { m });
+        *r = 0.0;
+        for &a in &acc {
+            max_abs(r, a);
+        }
     }
 }
 
