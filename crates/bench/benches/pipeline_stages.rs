@@ -3,18 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gemm_dense::workload::phi_matrix_f64;
+use gemm_dense::MatView;
 use gemm_engine::{
     barrett_mod_row_u8, int8_gemm_blocked, padded_a_rows, padded_depth, Int8Workspace,
 };
 use ozaki2::accumulate::{fold_planes, fold_span_scalar, FoldPrecision};
-use ozaki2::constants;
-use ozaki2::convert::{
-    convert_pack_panels, residue_planes, trunc_convert_pack_panels, TruncSource,
-};
+use ozaki2::convert::{residue_planes, trunc_convert_pack_panels};
 use ozaki2::scale::{
     accurate_scale_view, fast_scale_cols, fast_scale_rows, scale_trunc_a_rowmajor,
     scale_trunc_b_colmajor,
 };
+use ozaki2::{constants, OperandSide};
 
 const N: usize = 256;
 const NMOD: usize = 15;
@@ -56,12 +55,24 @@ fn bench_phases(c: &mut Criterion) {
         bench.iter(|| residue_planes(&aprime, consts, true, &mut a8));
     });
 
-    // The hot-pipeline convert: vectorized rmod fused with panel packing.
-    let n_pad = padded_a_rows(N);
-    let kp = padded_depth(N);
-    let mut a16 = vec![0i8; NMOD * n_pad * kp];
+    // The hot-pipeline convert: vectorized rmod fused with panel packing,
+    // over A' as a row-major A with zero exponents (which truncation
+    // leaves unchanged).
+    let mut a16 = vec![0i8; NMOD * padded_a_rows(N) * padded_depth(N)];
+    let aprime_view = MatView::row_major(&aprime, N, N);
+    let zero_exps = vec![0i32; N];
     group.bench_function("convert_fused (lines 4-5)", |bench| {
-        bench.iter(|| convert_pack_panels(&aprime, N, n_pad, N, kp, consts, true, true, &mut a16));
+        bench.iter(|| {
+            trunc_convert_pack_panels(
+                &aprime_view,
+                OperandSide::A,
+                &zero_exps,
+                consts,
+                true,
+                &mut a16,
+                None,
+            )
+        });
     });
 
     // The full fused sweep the pipeline actually runs: scale + trunc +
@@ -69,17 +80,10 @@ fn bench_phases(c: &mut Criterion) {
     group.bench_function("trunc_convert_fused (lines 2-5)", |bench| {
         bench.iter(|| {
             trunc_convert_pack_panels(
-                TruncSource::Gathered {
-                    data: ozaki2::ElemSlice::F64(a.as_slice()),
-                    ld: N,
-                    exps: &exps_a,
-                },
-                N,
-                n_pad,
-                N,
-                kp,
+                &a.view(),
+                OperandSide::A,
+                &exps_a,
                 consts,
-                true,
                 true,
                 &mut a16,
                 None,

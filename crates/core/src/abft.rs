@@ -49,7 +49,6 @@
 //! bit-identically.
 
 use crate::consts::Constants;
-use crate::convert::{trunc_convert_pack_panels, TruncSource};
 use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
@@ -224,13 +223,13 @@ pub(crate) enum PanelsRef<'a> {
     /// trusted source recovery recomputes *from*.
     Fixed(&'a [i8]),
     /// Per-call panels packed into the workspace, with the deterministic
-    /// recipe (source view + scale exponents) to repack them from
-    /// scratch when a panel-level fault is suspected.
+    /// recipe to repack them from scratch when a panel-level fault is
+    /// suspected: the trunc+convert sweep over the source view and its
+    /// scale exponents, as a borrowed closure (so this stays one type for
+    /// both precisions).
     Repackable {
         panels: &'a mut [i8],
-        src: TruncSource<'a>,
-        vecs: usize,
-        vecs_pad: usize,
+        repack: &'a dyn Fn(&mut [i8]),
     },
 }
 
@@ -246,17 +245,9 @@ impl PanelsRef<'_> {
     /// (no-op for [`PanelsRef::Fixed`]). The sweep is bit-reproducible,
     /// so untouched planes come back identical and previously built
     /// checksums stay valid.
-    fn repack(&mut self, k: usize, kp: usize, consts: &Constants, b64: bool) {
-        if let PanelsRef::Repackable {
-            panels,
-            src,
-            vecs,
-            vecs_pad,
-        } = self
-        {
-            trunc_convert_pack_panels(
-                *src, *vecs, *vecs_pad, k, kp, consts, b64, false, panels, None,
-            );
+    fn repack(&mut self) {
+        if let PanelsRef::Repackable { panels, repack } = self {
+            repack(panels);
         }
     }
 }
@@ -559,7 +550,6 @@ pub(crate) fn execute_panels(
     n: usize,
     k: usize,
     consts: &Constants,
-    b64: bool,
     mut a: PanelsRef<'_>,
     mut b: PanelsRef<'_>,
     scratch: ExecScratch<'_>,
@@ -710,7 +700,6 @@ pub(crate) fn execute_panels(
                             k,
                             kp,
                             consts,
-                            b64,
                             &mut a,
                             &mut b,
                             chk_a8,
@@ -770,7 +759,6 @@ pub(crate) fn execute_panels(
                             k,
                             kp,
                             consts,
-                            b64,
                             &mut a,
                             &mut b,
                             chk_a8,
@@ -846,7 +834,6 @@ fn full_repair(
     k: usize,
     kp: usize,
     consts: &Constants,
-    b64: bool,
     a: &mut PanelsRef<'_>,
     b: &mut PanelsRef<'_>,
     chk_a8: &mut [i8],
@@ -863,8 +850,8 @@ fn full_repair(
     let p = consts.p[s];
     let pinv = consts.p_inv_u32[s];
     let plane = m * n;
-    a.repack(k, kp, consts, b64);
-    b.repack(k, kp, consts, b64);
+    a.repack();
+    b.repack();
     report.checksum_gemms += checksum_refs(
         &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
         &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],

@@ -25,17 +25,19 @@
 //!
 //! Converting a full operand is the memory-bound half of the pipeline, so
 //! [`trunc_convert_pack_panels`] fuses Algorithm 1 lines 2–5 with the
-//! INT8 engine's operand packing: each operand tile is gathered from the
-//! *original* matrix (transposing for `A`), scaled by its power-of-two
+//! INT8 engine's operand packing. It reads the operand as line 1 does: a
+//! [`MatView`] of either precision and an [`OperandSide`]. Each operand
+//! tile is read from the *original* view (a strided gather where the
+//! side's vectors are not contiguous runs), scaled by its power-of-two
 //! exponent and truncated into a cache-resident staging tile
-//! ([`crate::scale::strunc_row`]), reduced against *all* `N` moduli while
-//! L1-resident, and the i8 residues are written straight into the engine's
-//! one `i8` panel format ([`gemm_engine::pack_panels`]) — the same bytes
-//! the AMX tiles and the SIMD kernels read, so nothing widens or repacks
-//! them. The integer matrices `A'`/`B'` and the plane-major i8 buffers of
-//! the unfused pipeline — and the engine's own packing sweep — disappear
-//! entirely. [`convert_pack_panels`] is the
-//! lines-4–5-only form for pretruncated input.
+//! ([`crate::scale::strunc_row`], f32 widened exactly in the kernel),
+//! reduced against *all* `N` moduli while L1-resident, and the i8
+//! residues are written straight into the engine's one `i8` panel format
+//! ([`gemm_engine::pack_panels`]) — the same bytes the AMX tiles and the
+//! SIMD kernels read, so nothing widens or repacks them. The integer
+//! matrices `A'`/`B'` and the plane-major i8 buffers of the unfused
+//! pipeline — and the engine's own packing sweep — disappear entirely;
+//! [`residue_planes`] stays as the unfused reference.
 //!
 //! The inner scale+trunc and `rmod` row kernels are each one portable
 //! loop ([`rmod_row_scalar`], [`crate::scale::strunc_row_scalar`]) run
@@ -48,8 +50,11 @@
 //! thread count. The crate holds no `unsafe` code.
 
 use crate::consts::Constants;
-use crate::scale::{pow2_split, strunc_row, strunc_row_inplace};
-use gemm_engine::{dispatch, dispatch_name};
+use crate::element::Element;
+use crate::prepared::OperandSide;
+use crate::scale::{pow2_split, strunc_gather, strunc_row};
+use gemm_dense::MatView;
+use gemm_engine::{dispatch, dispatch_name, padded_depth};
 use gemm_obs::TimeShare;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -66,6 +71,12 @@ pub const N2_F32: usize = 11;
 /// Depth block of the fused convert: `2048` f64s (16 KiB) stay L1-resident
 /// while all `N` moduli reduce them.
 pub const CONVERT_DEPTH_BLOCK: usize = 2048;
+
+/// Gathered vectors truncated together: reading a source row's 8
+/// consecutive entries at once took f32 256x256x8192's gathered trunc
+/// from ~5.5 to ~4.7 ms against one strided pass per vector (2-vCPU
+/// x86-64); 16 read no faster.
+const GATHER_GROUP: usize = 8;
 
 /// Number of reduction steps for a given N and input width.
 #[inline]
@@ -165,94 +176,6 @@ pub fn rmod_row(xs: &[f64], dst: &mut [i8], p: f64, p32: f32, pinv64: f64, pinv3
 // Fused trunc+convert -> packed-panel emission
 // ---------------------------------------------------------------------------
 
-/// Strided element data for the fused sweep: native f64, or f32 widened
-/// **exactly** while gathered into the staging tile (so an f32 operand is
-/// never materialised at f64 width — the element-generic facade's
-/// zero-copy guarantee extends to SGEMM).
-#[derive(Clone, Copy)]
-pub enum ElemSlice<'a> {
-    /// f64 elements.
-    F64(&'a [f64]),
-    /// f32 elements (widened per lane on gather; widening is exact, so
-    /// the residues are bit-identical to a pre-widened f64 pass).
-    F32(&'a [f32]),
-}
-
-impl ElemSlice<'_> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self {
-            ElemSlice::F64(d) => d.len(),
-            ElemSlice::F32(d) => d.len(),
-        }
-    }
-
-    /// Whether the slice holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Gather `tmp.len()` elements starting at `start` with element
-    /// stride `stride`, widening f32 lanes exactly.
-    #[inline]
-    fn gather_strided(&self, tmp: &mut [f64], start: usize, stride: usize) {
-        match self {
-            ElemSlice::F64(d) => {
-                for (t, idx) in tmp.iter_mut().zip((start..).step_by(stride.max(1))) {
-                    *t = d[idx];
-                }
-            }
-            ElemSlice::F32(d) => {
-                for (t, idx) in tmp.iter_mut().zip((start..).step_by(stride.max(1))) {
-                    *t = d[idx] as f64;
-                }
-            }
-        }
-    }
-}
-
-/// Where the fused trunc+convert sweep reads its `k`-vectors from.
-///
-/// The `Gathered` / `Contiguous` variants fuse Algorithm 1 lines 2–3 (the
-/// diagonal scale + truncation) into the convert sweep: each operand tile
-/// is read from DRAM exactly once for scale + reduce + pack, and the
-/// intermediate integer matrices `A'`, `B'` never exist in memory. Both
-/// take a leading dimension, so any strided [`gemm_dense::MatView`] — any
-/// layout, any transpose, any submatrix — feeds the sweep with **zero
-/// copies**: rows-of-`A` from a column-major view and columns-of-`B` from
-/// a row-major view are `Gathered`; the two opposite pairings are
-/// `Contiguous`.
-#[derive(Clone, Copy)]
-pub enum TruncSource<'a> {
-    /// Already scaled+truncated integer-valued vectors, vector `v` at
-    /// `v * k` (the layout [`crate::scale::scale_trunc_a_rowmajor`] /
-    /// [`crate::scale::scale_trunc_b_colmajor`] emit).
-    Pretruncated(&'a [f64]),
-    /// Strided gather: vector `v` element `h` at `data[h * ld + v]`
-    /// (rows of a column-major operand, or columns of a row-major one),
-    /// scaled by `2^{exps[v]}` and truncated on the fly — the fused
-    /// transpose gather.
-    Gathered {
-        /// Strided element data (`(k-1) * ld + vecs` elements at least).
-        data: ElemSlice<'a>,
-        /// Leading dimension: the element stride between consecutive `h`.
-        ld: usize,
-        /// Per-vector scale exponents (`vecs` entries).
-        exps: &'a [i32],
-    },
-    /// Contiguous vectors: vector `v` element `h` at `data[v * ld + h]`
-    /// (columns of a column-major operand, or rows of a row-major one),
-    /// scaled by `2^{exps[v]}` and truncated on the fly.
-    Contiguous {
-        /// Strided element data (`(vecs-1) * ld + k` elements at least).
-        data: ElemSlice<'a>,
-        /// Leading dimension: the element stride between vectors.
-        ld: usize,
-        /// Per-vector scale exponents (`vecs` entries).
-        exps: &'a [i32],
-    },
-}
-
 /// One parallel unit of the fused convert: vectors `[v0, v0 + nv)` of every
 /// residue panel.
 struct ConvertJob<'a> {
@@ -262,70 +185,36 @@ struct ConvertJob<'a> {
     planes: Vec<&'a mut [i8]>,
 }
 
-/// The fused convert phase (Algorithm 1 lines 4–5 + engine packing).
+/// The fused trunc+convert phase (Algorithm 1 lines 2–5 + engine packing)
+/// for one operand view: the `vecs` vectors of `side` (rows of `A`,
+/// columns of `B`), each scaled by `2^{exps[v]}`, truncated, reduced
+/// against every modulus of `consts` and packed.
 ///
-/// `src` holds `vecs` integer-valued f64 k-vectors — rows of `A'` laid out
-/// row-major or columns of `B'` laid out column-major, vector `v` at
-/// `v * k` — exactly what the Step 2–3 truncation emits. For each modulus
-/// `s`, the residues are written to the panel set
-/// `out[s * vecs_pad * kp ..][.. vecs_pad * kp]` in the INT8 engine's
-/// packed i8 layout ([`gemm_engine::pack_panels`]): vector `v` at
-/// `v * kp`, depth zero-padded from `k` to `kp`,
-/// vector count zero-padded to `vecs_pad`.
+/// The view may have any layout, leading dimension or transpose, in f64
+/// or f32 (widened exactly inside the trunc kernels), and is never
+/// copied. Vectors that are contiguous runs in memory (rows of a
+/// row-major `A`, columns of a column-major `B`; the split line 1 makes
+/// too) run the dispatched [`strunc_row`] straight over the source. The
+/// others are gathered 8 consecutive vectors at a time, each source row's
+/// entries of the group read together, with the same per-lane scale and
+/// trunc. Each [`CONVERT_DEPTH_BLOCK`]-deep run of a vector is truncated
+/// into a staging row and reduced against all `N` moduli while that row
+/// is L1-resident, so the operand streams from DRAM once; the integer
+/// matrices `A'`, `B'` of the unfused pipeline never exist. The
+/// conversion thresholds are the precision's (`b = 64` for f64, `b = 32`
+/// for f32).
 ///
-/// The sweep is cache-blocked ([`CONVERT_DEPTH_BLOCK`] f64s are reduced
-/// against all `N` moduli while L1-resident, so `src` streams from DRAM
-/// once instead of `N` times) and split over `vecs` for rayon when
-/// `parallel` is set. The output is bit-identical for every kernel, thread
-/// count and split: workers own disjoint vector ranges and the row kernels
-/// are lane-exact against [`rmod_row_scalar`].
+/// For each modulus `s`, the residues are written to the panel set
+/// `panels[s * vecs_pad * kp ..][.. vecs_pad * kp]` in the INT8 engine's
+/// packed i8 layout ([`gemm_engine::pack_panels`]): vector `v` at `v * kp`,
+/// depth zero-padded from `k` to `kp = padded_depth(k)`, vector count
+/// zero-padded to `vecs_pad`. Bytes past the `N` panel sets are untouched.
 ///
-/// # Panics
-/// If `out` is not exactly `N * vecs_pad * kp` elements, `src` is shorter
-/// than `vecs * k`, `vecs_pad < vecs`, or `kp < k`.
-#[allow(clippy::too_many_arguments)]
-pub fn convert_pack_panels(
-    src: &[f64],
-    vecs: usize,
-    vecs_pad: usize,
-    k: usize,
-    kp: usize,
-    consts: &Constants,
-    b64: bool,
-    parallel: bool,
-    out: &mut [i8],
-) {
-    trunc_convert_pack_panels(
-        TruncSource::Pretruncated(src),
-        vecs,
-        vecs_pad,
-        k,
-        kp,
-        consts,
-        b64,
-        parallel,
-        out,
-        None,
-    );
-}
-
-/// The fused trunc+convert phase (Algorithm 1 lines 2–5 + engine packing).
-///
-/// Generalizes [`convert_pack_panels`] to read directly from the *unscaled*
-/// operand matrices ([`TruncSource::Gathered`] /
-/// [`TruncSource::Contiguous`], leading-dimension strided, f64 or exactly
-/// widened f32): each cache-resident operand tile is gathered (transposing
-/// where the layout demands it), scaled by its power-of-two exponent,
-/// truncated, reduced against all `N` moduli and written as packed i8
-/// panels in one DRAM pass — the intermediate integer matrices of the
-/// unfused pipeline never exist, and neither does any layout-normalised
-/// copy of a strided operand view.
-///
-/// The scale+trunc inner kernels ([`crate::scale::strunc_row`]) and the
-/// `rmod` row kernels are independently runtime-dispatched and each
-/// bit-identical to its scalar oracle, so the fused output equals the
-/// unfused composition `scale_trunc_* → convert_pack_panels` bitwise for
-/// every kernel, thread count and split.
+/// The sweep is split over the vectors for rayon when `parallel` is set.
+/// The output is bit-identical for every kernel level, thread count and
+/// split, and to the unfused chain `pack_panels(residue_planes(scale_trunc_*))`:
+/// workers own disjoint vector ranges and the row kernels are lane-exact
+/// against [`crate::scale::strunc_row_scalar`] and [`rmod_row_scalar`].
 ///
 /// `timing`, when given, accumulates per-job trunc vs total CPU
 /// nanoseconds for phase attribution (a [`TimeShare`] from `gemm_obs`:
@@ -334,48 +223,39 @@ pub fn convert_pack_panels(
 /// additionally emits a `convert_job` span when observability is enabled.
 ///
 /// # Panics
-/// As [`convert_pack_panels`]; additionally if a fused source's `exps`
-/// length does not cover `vecs`.
-#[allow(clippy::too_many_arguments)]
-pub fn trunc_convert_pack_panels(
-    src: TruncSource<'_>,
-    vecs: usize,
-    vecs_pad: usize,
-    k: usize,
-    kp: usize,
+/// If `exps` has fewer than `vecs` entries or `panels` fewer than
+/// `N * vecs_pad * kp`.
+// Kept out of line, as line 1 is: the generic Algorithm-1 body it is
+// called from is large.
+#[inline(never)]
+pub fn trunc_convert_pack_panels<T: Element>(
+    view: &MatView<'_, T>,
+    side: OperandSide,
+    exps: &[i32],
     consts: &Constants,
-    b64: bool,
     parallel: bool,
-    out: &mut [i8],
+    panels: &mut [i8],
     timing: Option<&TimeShare>,
 ) {
-    let nmod = consts.n;
-    assert!(vecs_pad >= vecs, "vector padding below count");
-    assert!(kp >= k, "depth padding below depth");
-    match src {
-        TruncSource::Pretruncated(data) => {
-            assert!(data.len() >= vecs * k, "source buffer too short");
-        }
-        TruncSource::Gathered { data, ld, exps } => {
-            assert!(ld >= vecs, "leading dimension below vector count");
-            if vecs > 0 && k > 0 {
-                assert!(data.len() >= (k - 1) * ld + vecs, "source buffer too short");
-            }
-            assert!(exps.len() >= vecs, "exponent vector too short");
-        }
-        TruncSource::Contiguous { data, ld, exps } => {
-            assert!(ld >= k, "leading dimension below depth");
-            if vecs > 0 && k > 0 {
-                assert!(data.len() >= (vecs - 1) * ld + k, "source buffer too short");
-            }
-            assert!(exps.len() >= vecs, "exponent vector too short");
-        }
-    }
-    assert_eq!(out.len(), nmod * vecs_pad * kp, "panel buffer mismatch");
+    let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
+    let kp = padded_depth(k);
+    assert!(exps.len() >= vecs, "exponent vector too short");
+    let out = &mut panels[..consts.n * vecs_pad * kp];
     if vecs_pad == 0 || kp == 0 {
         return;
     }
-    let steps = steps_for(nmod, b64);
+    let src = Source {
+        data: view.data(),
+        ld: view.ld(),
+        contiguous: side.vectors_contiguous(view.layout()),
+        exps,
+        vecs,
+        k,
+        kp,
+        consts,
+        steps: steps_for(consts.n, T::IS_F64),
+        timing,
+    };
 
     // Coarse vector blocks: enough tasks to balance, few enough that each
     // worker streams long contiguous panel runs.
@@ -404,7 +284,7 @@ pub fn trunc_convert_pack_panels(
         v0 += nv;
     }
 
-    let run = |job: ConvertJob<'_>| convert_job(src, vecs, k, kp, consts, steps, timing, job);
+    let run = |job: ConvertJob<'_>| src.convert_job(job);
     if !parallel || jobs.len() == 1 {
         jobs.into_iter().for_each(run);
     } else {
@@ -412,101 +292,117 @@ pub fn trunc_convert_pack_panels(
     }
 }
 
-/// Convert one job's vector range across all moduli (cache-blocked depth).
-#[allow(clippy::too_many_arguments)]
-fn convert_job(
-    src: TruncSource<'_>,
+/// The operand and constants every job of one sweep reads.
+struct Source<'a, T> {
+    data: &'a [T],
+    ld: usize,
+    /// Vector `v` element `h` at `data[v * ld + h]`; otherwise at
+    /// `data[h * ld + v]`.
+    contiguous: bool,
+    exps: &'a [i32],
     vecs: usize,
     k: usize,
     kp: usize,
-    consts: &Constants,
+    consts: &'a Constants,
     steps: u8,
-    timing: Option<&TimeShare>,
-    job: ConvertJob<'_>,
-) {
-    let ConvertJob { v0, nv, mut planes } = job;
-    let job_t0 = timing.map(|_| Instant::now());
-    let mut trunc_ns = 0u64;
-    // Scale+trunc staging tile: stays L1-resident while all N moduli
-    // reduce it, so the fused sources stream each operand tile from DRAM
-    // exactly once.
-    let mut tmp = [0.0f64; CONVERT_DEPTH_BLOCK];
-    for vl in 0..nv {
-        let v = v0 + vl;
-        let base = vl * kp;
-        if v >= vecs {
-            // Padding vector: all-zero in every panel.
+    timing: Option<&'a TimeShare>,
+}
+
+impl<T: Element> Source<'_, T> {
+    /// Convert one job's vector range across all moduli (cache-blocked
+    /// depth).
+    fn convert_job(&self, job: ConvertJob<'_>) {
+        let Source {
+            data,
+            ld,
+            contiguous,
+            exps,
+            vecs,
+            k,
+            kp,
+            consts,
+            steps,
+            timing,
+        } = *self;
+        let ConvertJob { v0, nv, mut planes } = job;
+        let job_t0 = timing.map(|_| Instant::now());
+        let mut trunc_ns = 0u64;
+        // Scale+trunc staging rows, one per vector of a group: each row
+        // stays L1-resident while all N moduli reduce it, so each operand
+        // tile streams from DRAM exactly once. Rows are no longer than
+        // the depth, so a shallow product zeroes no unused tile.
+        let group = if contiguous { 1 } else { GATHER_GROUP };
+        let depth = CONVERT_DEPTH_BLOCK.min(k);
+        let mut tile = vec![0.0f64; group * depth];
+        let mut scales = [(1.0f64, 1.0f64); GATHER_GROUP];
+        let mut vl = 0;
+        while vl < nv {
+            let v = v0 + vl;
+            if v >= vecs {
+                // Padding vector: all-zero in every panel.
+                for plane in planes.iter_mut() {
+                    plane[vl * kp..(vl + 1) * kp].fill(0);
+                }
+                vl += 1;
+                continue;
+            }
+            let g = group.min(vecs - v).min(nv - vl);
+            for (sc, &e) in scales.iter_mut().zip(&exps[v..v + g]) {
+                *sc = pow2_split(e);
+            }
+            let mut off = 0;
+            while off < k {
+                let len = depth.min(k - off);
+                let t0 = timing.map(|_| Instant::now());
+                if contiguous {
+                    let (s1, s2) = scales[0];
+                    strunc_row(&data[v * ld + off..v * ld + off + len], &mut tile, s1, s2);
+                } else {
+                    strunc_gather(
+                        &data[off * ld + v..],
+                        ld,
+                        &scales[..g],
+                        len,
+                        &mut tile,
+                        depth,
+                    );
+                }
+                if let Some(t0) = t0 {
+                    trunc_ns += t0.elapsed().as_nanos() as u64;
+                }
+                for (i, xs) in tile.chunks_exact(depth).take(g).enumerate() {
+                    let base = (vl + i) * kp + off;
+                    for (s, plane) in planes.iter_mut().enumerate() {
+                        rmod_row(
+                            &xs[..len],
+                            &mut plane[base..base + len],
+                            consts.p_f64[s],
+                            consts.p_f32[s],
+                            consts.p_inv_f64[s],
+                            consts.p_inv_f32[s],
+                            steps,
+                        );
+                    }
+                }
+                off += len;
+            }
             for plane in planes.iter_mut() {
-                plane[base..base + kp].fill(0);
-            }
-            continue;
-        }
-        let mut off = 0;
-        while off < k {
-            let len = CONVERT_DEPTH_BLOCK.min(k - off);
-            let xs: &[f64] = match src {
-                TruncSource::Pretruncated(data) => &data[v * k + off..v * k + off + len],
-                TruncSource::Gathered { data, ld, exps } => {
-                    let t0 = timing.map(|_| Instant::now());
-                    let (s1, s2) = pow2_split(exps[v]);
-                    // Fused transpose gather: strided source, contiguous
-                    // tile (f32 lanes widen exactly here). Consecutive
-                    // vectors of this job re-hit the same source cache
-                    // lines while they are still resident.
-                    data.gather_strided(&mut tmp[..len], off * ld + v, ld);
-                    strunc_row_inplace(&mut tmp[..len], s1, s2);
-                    if let Some(t0) = t0 {
-                        trunc_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    &tmp[..len]
+                for i in vl..vl + g {
+                    plane[i * kp + k..(i + 1) * kp].fill(0);
                 }
-                TruncSource::Contiguous { data, ld, exps } => {
-                    let t0 = timing.map(|_| Instant::now());
-                    let (s1, s2) = pow2_split(exps[v]);
-                    match data {
-                        ElemSlice::F64(d) => strunc_row(
-                            &d[v * ld + off..v * ld + off + len],
-                            &mut tmp[..len],
-                            s1,
-                            s2,
-                        ),
-                        ElemSlice::F32(_) => {
-                            data.gather_strided(&mut tmp[..len], v * ld + off, 1);
-                            strunc_row_inplace(&mut tmp[..len], s1, s2);
-                        }
-                    }
-                    if let Some(t0) = t0 {
-                        trunc_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    &tmp[..len]
-                }
-            };
-            for (s, plane) in planes.iter_mut().enumerate() {
-                rmod_row(
-                    xs,
-                    &mut plane[base + off..base + off + len],
-                    consts.p_f64[s],
-                    consts.p_f32[s],
-                    consts.p_inv_f64[s],
-                    consts.p_inv_f32[s],
-                    steps,
-                );
             }
-            off += len;
+            vl += g;
         }
-        for plane in planes.iter_mut() {
-            plane[base + k..base + kp].fill(0);
-        }
-    }
-    if let (Some(t), Some(t0)) = (timing, job_t0) {
-        let job_ns = t0.elapsed().as_nanos() as u64;
-        t.add(trunc_ns, job_ns);
-        // One span per job (not per tile): end-anchored on the obs clock
-        // using the already-measured duration, so the disabled path never
-        // reads the clock.
-        let end = gemm_obs::now_ns();
-        if end != 0 {
-            gemm_obs::record_span("convert_job", "convert", end.saturating_sub(job_ns), end);
+        if let (Some(t), Some(t0)) = (timing, job_t0) {
+            let job_ns = t0.elapsed().as_nanos() as u64;
+            t.add(trunc_ns, job_ns);
+            // One span per job (not per tile): end-anchored on the obs clock
+            // using the already-measured duration, so the disabled path never
+            // reads the clock.
+            let end = gemm_obs::now_ns();
+            if end != 0 {
+                gemm_obs::record_span("convert_job", "convert", end.saturating_sub(job_ns), end);
+            }
         }
     }
 }
@@ -592,6 +488,7 @@ pub fn rmod_reference(x: f64, p: u64) -> i8 {
 mod tests {
     use super::*;
     use crate::consts::constants;
+    use gemm_dense::Matrix;
 
     fn check_residue(x: f64, s: usize, c: &Constants, steps: u8) {
         let got = rmod_to_i8(
@@ -771,148 +668,145 @@ mod tests {
         }
     }
 
+    /// The unfused oracle of the sweep: `pack_panels(residue_planes(ints))`
+    /// for integer-valued vectors `ints` (vector `v` at `v * k`).
+    fn oracle_panels(
+        ints: &[f64],
+        vecs: usize,
+        vecs_pad: usize,
+        k: usize,
+        c: &Constants,
+        b64: bool,
+    ) -> Vec<i8> {
+        let kp = padded_depth(k);
+        let mut planes8 = vec![0i8; c.n * vecs * k];
+        residue_planes(ints, c, b64, &mut planes8);
+        let mut want = Vec::with_capacity(c.n * vecs_pad * kp);
+        for plane in planes8.chunks_exact(vecs * k) {
+            let mut pack = Vec::new();
+            gemm_engine::pack_panels(&mut pack, plane, k, vecs, vecs_pad, k, kp);
+            want.extend_from_slice(&pack);
+        }
+        want
+    }
+
+    /// The sweep over `view` into a buffer that starts dirty, with one
+    /// byte past the panel sets that must stay untouched.
+    fn sweep<T: Element>(
+        view: &MatView<'_, T>,
+        side: OperandSide,
+        exps: &[i32],
+        c: &Constants,
+        parallel: bool,
+        timing: Option<&TimeShare>,
+    ) -> Vec<i8> {
+        let (_, vecs_pad, k) = side.panel_dims(view.shape());
+        let len = c.n * vecs_pad * padded_depth(k);
+        let mut got = vec![0x55i8; len + 1];
+        trunc_convert_pack_panels(view, side, exps, c, parallel, &mut got, timing);
+        assert_eq!(got.pop(), Some(0x55), "byte past the panel sets written");
+        got
+    }
+
     #[test]
     fn fused_panels_match_reference_planes() {
-        // convert_pack_panels == residue_planes + pack_panels, bitwise,
-        // for ragged shapes and both parallel settings.
-        use gemm_engine::{pack_panels, padded_a_rows, padded_depth};
+        // The sweep over integers with zero exponents (which truncation
+        // leaves unchanged) == residue_planes + pack_panels, bitwise, for
+        // ragged shapes and both parallel settings.
+        use gemm_engine::padded_a_rows;
         for (vecs, k) in [(1usize, 1usize), (3, 5), (7, 33), (12, 100), (5, 2048 + 17)] {
-            let nmod = 15;
-            let c = constants(nmod);
+            let c = constants(15);
             let src: Vec<f64> = (0..vecs * k)
                 .map(|i| ((i as f64 * 97.0 + 13.0) * 1009.0 - 50_000.0).trunc())
                 .collect();
-            let vecs_pad = padded_a_rows(vecs);
-            let kp = padded_depth(k);
-
-            let mut planes8 = vec![0i8; nmod * vecs * k];
-            residue_planes(&src, c, true, &mut planes8);
-            let mut want = vec![0i8; nmod * vecs_pad * kp];
-            for s in 0..nmod {
-                let mut pack = Vec::new();
-                pack_panels(
-                    &mut pack,
-                    &planes8[s * vecs * k..(s + 1) * vecs * k],
-                    k,
-                    vecs,
-                    vecs_pad,
-                    k,
-                    kp,
-                );
-                want[s * vecs_pad * kp..(s + 1) * vecs_pad * kp].copy_from_slice(&pack);
-            }
-
+            let want = oracle_panels(&src, vecs, padded_a_rows(vecs), k, c, true);
+            let view = MatView::row_major(&src, vecs, k);
             for parallel in [false, true] {
-                let mut got = vec![-1i8; nmod * vecs_pad * kp];
-                convert_pack_panels(&src, vecs, vecs_pad, k, kp, c, true, parallel, &mut got);
+                let got = sweep(&view, OperandSide::A, &vec![0; vecs], c, parallel, None);
                 assert_eq!(got, want, "vecs={vecs} k={k} parallel={parallel}");
             }
         }
     }
 
-    #[test]
-    fn fused_trunc_sources_match_unfused_composition() {
-        // trunc_convert_pack_panels with a fused source must equal the
-        // standalone scale_trunc_* pass followed by the pretruncated
-        // convert, bitwise, for both operand layouts and both splits.
+    /// The sweep over every view of the logical operand `mat` of `side`
+    /// (both layouts, padded leading dimensions, a `.t()`), on one thread
+    /// and split, against the oracle chain over its exactly widened
+    /// column-major copy, bit for bit. An f32 operand's sweep (`b = 32`
+    /// thresholds) must also equal the sweep over the widened f64 copy
+    /// (`b = 64`).
+    fn check_sweep<T: Element>(mat: &Matrix<T>, side: OperandSide, c: &Constants, what: &str) {
+        use crate::scale::tests::for_each_view;
         use crate::scale::{
             fast_scale_cols, fast_scale_rows, scale_trunc_a_rowmajor, scale_trunc_b_colmajor,
         };
-        use gemm_dense::workload::phi_matrix_f64;
-        use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
-        let nmod = 13;
-        let c = constants(nmod);
-        for (vecs, k) in [(1usize, 1usize), (5, 37), (12, 100), (3, 2048 + 17)] {
-            // Operand A: rows of a column-major vecs × k matrix.
-            let a = phi_matrix_f64(vecs, k, 1.0, 3, 0);
-            let exps_a = fast_scale_rows(&a, c.p_fast);
-            let vecs_pad = padded_a_rows(vecs);
-            let kp = padded_depth(k);
-            let mut pretrunc = vec![0f64; vecs * k];
-            scale_trunc_a_rowmajor(&a, &exps_a, &mut pretrunc);
-            let mut want = vec![0i8; nmod * vecs_pad * kp];
-            convert_pack_panels(&pretrunc, vecs, vecs_pad, k, kp, c, true, false, &mut want);
+        let wide = mat.map(T::to_f64);
+        let (vecs, vecs_pad, k) = side.panel_dims(wide.shape());
+        let mut ints = vec![0f64; vecs * k];
+        let exps = match side {
+            OperandSide::A => fast_scale_rows(&wide, c.p_fast),
+            OperandSide::B => fast_scale_cols(&wide, c.p_fast),
+        };
+        match side {
+            OperandSide::A => scale_trunc_a_rowmajor(&wide, &exps, &mut ints),
+            OperandSide::B => scale_trunc_b_colmajor(&wide, &exps, &mut ints),
+        }
+        let want = oracle_panels(&ints, vecs, vecs_pad, k, c, T::IS_F64);
+        for_each_view(mat, |name, view| {
             for parallel in [false, true] {
-                let mut got = vec![-1i8; nmod * vecs_pad * kp];
                 let timing = TimeShare::new();
-                trunc_convert_pack_panels(
-                    TruncSource::Gathered {
-                        data: ElemSlice::F64(a.as_slice()),
-                        ld: vecs,
-                        exps: &exps_a,
-                    },
-                    vecs,
-                    vecs_pad,
-                    k,
-                    kp,
-                    c,
-                    true,
-                    parallel,
-                    &mut got,
-                    Some(&timing),
-                );
-                assert_eq!(got, want, "A-source vecs={vecs} k={k} parallel={parallel}");
+                let got = sweep(&view, side, &exps, c, parallel, Some(&timing));
+                assert_eq!(got, want, "{what} {side:?} {name} parallel={parallel}");
                 assert!(timing.total_ns() > 0);
                 assert!(timing.fraction() > 0.0 && timing.fraction() < 1.0);
             }
+        });
+        if !T::IS_F64 {
+            let got = sweep(&wide.view(), side, &exps, c, true, None);
+            assert_eq!(got, want, "{what} {side:?} widened to f64");
+        }
+    }
 
-            // Operand B: columns of a column-major k × vecs matrix.
-            let b = phi_matrix_f64(k, vecs, 1.0, 4, 1);
-            let exps_b = fast_scale_cols(&b, c.p_fast);
-            let vecs_pad_b = padded_b_cols(vecs);
-            let mut pretrunc_b = vec![0f64; vecs * k];
-            scale_trunc_b_colmajor(&b, &exps_b, &mut pretrunc_b);
-            let mut want_b = vec![0i8; nmod * vecs_pad_b * kp];
-            convert_pack_panels(
-                &pretrunc_b,
-                vecs,
-                vecs_pad_b,
-                k,
-                kp,
-                c,
-                true,
-                false,
-                &mut want_b,
-            );
-            for parallel in [false, true] {
-                let mut got = vec![-1i8; nmod * vecs_pad_b * kp];
-                trunc_convert_pack_panels(
-                    TruncSource::Contiguous {
-                        data: ElemSlice::F64(b.as_slice()),
-                        ld: k,
-                        exps: &exps_b,
-                    },
-                    vecs,
-                    vecs_pad_b,
-                    k,
-                    kp,
-                    c,
-                    true,
-                    parallel,
-                    &mut got,
-                    None,
-                );
-                assert_eq!(
-                    got, want_b,
-                    "B-source vecs={vecs} k={k} parallel={parallel}"
-                );
+    #[test]
+    fn fused_trunc_sources_match_unfused_composition() {
+        // Every side, layout and precision, with vector counts that split
+        // into several jobs and depths past one staging tile.
+        use gemm_dense::workload::phi_matrix_f64;
+        for nmod in [8usize, 13] {
+            let c = constants(nmod);
+            for (vecs, k) in [
+                (1usize, 1usize),
+                (5, 37),
+                (40, 9),
+                (12, 100),
+                (3, 2048 + 17),
+            ] {
+                for side in [OperandSide::A, OperandSide::B] {
+                    let (rows, cols) = match side {
+                        OperandSide::A => (vecs, k),
+                        OperandSide::B => (k, vecs),
+                    };
+                    let mat = phi_matrix_f64(rows, cols, 1.0, 3 + vecs as u64, 0);
+                    let what = format!("N={nmod} {vecs}x{k}");
+                    check_sweep(&mat, side, c, &format!("f64 {what}"));
+                    check_sweep(&mat.map(|x| x as f32), side, c, &format!("f32 {what}"));
+                }
             }
         }
     }
 
     #[test]
     fn fused_panels_zero_padding() {
-        // Padding rows and the depth tail must be zero even when the
-        // buffer starts dirty.
-        use gemm_engine::{padded_b_cols, padded_depth};
+        // Padding vectors and the depth tail must be zero even when the
+        // buffer starts dirty (the B side: columns of a column-major k x
+        // vecs integer matrix, zero exponents).
         let (vecs, k) = (5usize, 37usize);
         let nmod = 4;
         let c = constants(nmod);
-        let vecs_pad = padded_b_cols(vecs); // 16
+        let vecs_pad = gemm_engine::padded_b_cols(vecs); // 16
         let kp = padded_depth(k); // 64
         let src: Vec<f64> = (0..vecs * k).map(|i| (i as f64 * 7.0) - 50.0).collect();
-        let mut out = vec![0x55i8; nmod * vecs_pad * kp];
-        convert_pack_panels(&src, vecs, vecs_pad, k, kp, c, true, true, &mut out);
+        let view = MatView::col_major(&src, k, vecs);
+        let out = sweep(&view, OperandSide::B, &[0; 5], c, true, None);
         for s in 0..nmod {
             let panel = &out[s * vecs_pad * kp..(s + 1) * vecs_pad * kp];
             for v in 0..vecs_pad {

@@ -2,15 +2,15 @@
 //!
 //! Ozaki Scheme II natively emulates over exact integer products, so both
 //! supported precisions run the *same* f64 pipeline: f32 operands are
-//! widened **exactly** on gather (inside the fused trunc+convert staging
-//! tile — no widened copy of the operand ever exists) and the fold output
-//! is narrowed once at the end. [`Element`] captures the handful of
-//! precision-specific facts — the conversion-threshold flag `b = 64/32`,
-//! the supported moduli range, and the exact widen/narrow hops — and is
-//! sealed to `f64` and `f32`: the set of precisions is a property of the
-//! scheme (§4), not an extension point.
+//! widened **exactly** inside the kernels that read them (line 1's
+//! kernels and the fused trunc+convert sweep, all generic over
+//! [`Element`] — no widened copy of the operand ever exists) and the fold
+//! output is narrowed once at the end. [`Element`] captures the handful
+//! of precision-specific facts — the conversion-threshold flag
+//! `b = 64/32`, the supported moduli range, and the exact widen/narrow
+//! hops — and is sealed to `f64` and `f32`: the set of precisions is a
+//! property of the scheme (§4), not an extension point.
 
-use crate::convert::ElemSlice;
 use crate::moduli::{N_MAX, N_MAX_SGEMM};
 
 mod sealed {
@@ -48,9 +48,6 @@ pub trait Element:
     fn from_f64(x: f64) -> Self;
     /// Finite (neither NaN nor infinite)?
     fn is_finite_elem(self) -> bool;
-    /// Tag a slice for the fused trunc+convert sweep (which widens f32
-    /// lanes exactly while gathering).
-    fn elem_slice(s: &[Self]) -> ElemSlice<'_>;
     /// `Some` iff the element type *is* f64 — the zero-copy escape hatch
     /// that lets the generic facade fold directly into an f64 output
     /// buffer without a staging pass.
@@ -76,10 +73,6 @@ impl Element for f64 {
         self.is_finite()
     }
     #[inline]
-    fn elem_slice(s: &[f64]) -> ElemSlice<'_> {
-        ElemSlice::F64(s)
-    }
-    #[inline]
     fn as_f64_slice_mut(s: &mut [f64]) -> Option<&mut [f64]> {
         Some(s)
     }
@@ -102,10 +95,6 @@ impl Element for f32 {
     #[inline]
     fn is_finite_elem(self) -> bool {
         self.is_finite()
-    }
-    #[inline]
-    fn elem_slice(s: &[f32]) -> ElemSlice<'_> {
-        ElemSlice::F32(s)
     }
     #[inline]
     fn as_f64_slice_mut(_: &mut [f32]) -> Option<&mut [f64]> {

@@ -21,7 +21,7 @@ use crate::abft::{execute_panels, ExecScratch, FaultPolicy, FaultReport, PanelsR
 use crate::accumulate::{fold_planes, FoldPrecision};
 use crate::blas::GemmOp;
 use crate::consts::{constants, Constants};
-use crate::convert::{trunc_convert_pack_panels, TruncSource};
+use crate::convert::trunc_convert_pack_panels;
 use crate::element::Element;
 use crate::moduli::N_MAX;
 use crate::nselect;
@@ -31,7 +31,6 @@ use crate::pipeline::{
 use crate::prepared::{OperandInput, OperandSide};
 use crate::scale::{accurate_scale_view, fast_scale_view};
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
-use gemm_engine::padded_depth;
 use gemm_obs::TimeShare;
 use std::borrow::Cow;
 use std::time::Instant;
@@ -268,30 +267,6 @@ impl Ozaki2 {
 // The one Algorithm-1 body
 // ---------------------------------------------------------------------------
 
-/// Map an effective operand view to its fused-sweep source: rows of `A`
-/// or columns of `B`, each either contiguous or a strided gather
-/// depending on the view's layout — never a copy.
-pub(crate) fn vectors_source<'s, T: Element>(
-    v: &MatView<'s, T>,
-    side: OperandSide,
-    exps: &'s [i32],
-) -> TruncSource<'s> {
-    let data = T::elem_slice(v.data());
-    if side.vectors_contiguous(v.layout()) {
-        TruncSource::Contiguous {
-            data,
-            ld: v.ld(),
-            exps,
-        }
-    } else {
-        TruncSource::Gathered {
-            data,
-            ld: v.ld(),
-            exps,
-        }
-    }
-}
-
 /// Finiteness check over a view (contiguous fast path either layout).
 /// The error reports the operand `side` and the storage index of the
 /// first offending entry in the view's backing slice. Fast mode runs it
@@ -340,10 +315,8 @@ pub(crate) fn check_n<T: Element>(n_moduli: usize) -> Result<(), EmulationError>
 
 /// Algorithm 1 line 1 in fast mode for one view side, which is also the
 /// view's finiteness check: the exponents of [`fast_scale_view`], or,
-/// when one of its norms came out non-finite, the error [`validate_view`]
-/// names (same side, same first storage index). That cold path also
-/// passes a finite view whose non-finite norm came from a vector maximum
-/// below `2^-1023`.
+/// when its flag reports a non-finite entry, the error [`validate_view`]
+/// names (same side, same first storage index).
 pub(crate) fn fast_line1<T: Element>(
     view: &MatView<'_, T>,
     side: OperandSide,
@@ -372,21 +345,8 @@ pub(crate) fn front_end<T: Element>(
     phases: &mut PhaseTimes,
 ) {
     let t0 = Instant::now();
-    let (vecs, vecs_pad, k) = side.panel_dims(view.shape());
-    let kp = padded_depth(k);
     let timing = TimeShare::new();
-    trunc_convert_pack_panels(
-        vectors_source(view, side, exps),
-        vecs,
-        vecs_pad,
-        k,
-        kp,
-        consts,
-        T::IS_F64,
-        parallel,
-        &mut panels[..consts.n * vecs_pad * kp],
-        Some(&timing),
-    );
+    trunc_convert_pack_panels(view, side, exps, consts, parallel, panels, Some(&timing));
     let sweep = t0.elapsed();
     let trunc = sweep.mul_f64(timing.fraction());
     phases.trunc += trunc;
@@ -406,26 +366,34 @@ fn side_exps<'p, T: Element>(
 }
 
 /// The panels lines 6–12 run over for one side: a preparation's cached
-/// panels, or the workspace panels [`front_end`] just filled from a view
-/// (with the recipe ABFT recovery repacks them from).
+/// panels, or the workspace panels [`front_end`] just filled from a view,
+/// with `repack`, the sweep ABFT recovery refills them with.
 fn side_panels<'p, T: Element>(
     input: &OperandInput<'p, T>,
-    side: OperandSide,
-    exps: &'p [i32],
     ws_panels: &'p mut [i8],
-    nmod: usize,
+    repack: &'p dyn Fn(&mut [i8]),
 ) -> PanelsRef<'p> {
     match input {
         OperandInput::Prepared(p) => PanelsRef::Fixed(p.panels()),
-        OperandInput::View(v) => {
-            let (vecs, vecs_pad, k) = side.panel_dims(v.shape());
-            PanelsRef::Repackable {
-                panels: &mut ws_panels[..nmod * vecs_pad * padded_depth(k)],
-                src: vectors_source(v, side, exps),
-                vecs,
-                vecs_pad,
-            }
-        }
+        OperandInput::View(_) => PanelsRef::Repackable {
+            panels: ws_panels,
+            repack,
+        },
+    }
+}
+
+/// ABFT recovery's refill of a view side's panels: the front end's sweep
+/// again, on the calling thread (a no-op for a prepared side, whose
+/// panels are never repacked).
+fn repack_side<T: Element>(
+    input: &OperandInput<'_, T>,
+    side: OperandSide,
+    exps: &[i32],
+    consts: &Constants,
+    panels: &mut [i8],
+) {
+    if let OperandInput::View(v) = input {
+        trunc_convert_pack_panels(v, side, exps, consts, false, panels, None);
     }
 }
 
@@ -565,8 +533,10 @@ pub(crate) fn algorithm1<T: Element>(
             front_end(v, side, exps, consts, parallel, panels, &mut phases);
         }
     }
-    let a_ref = side_panels(&a, OperandSide::A, &exps_a, a8, nmod);
-    let b_ref = side_panels(&b, OperandSide::B, &exps_b, b8, nmod);
+    let repack_a = |p: &mut [i8]| repack_side(&a, OperandSide::A, &exps_a, consts, p);
+    let repack_b = |p: &mut [i8]| repack_side(&b, OperandSide::B, &exps_b, consts, p);
+    let a_ref = side_panels(&a, a8, &repack_a);
+    let b_ref = side_panels(&b, b8, &repack_b);
 
     // ---- Lines 6–7 over the packed panels --------------------------------
     let (calls, report) = execute_panels(
@@ -574,7 +544,6 @@ pub(crate) fn algorithm1<T: Element>(
         n,
         k,
         consts,
-        T::IS_F64,
         a_ref,
         b_ref,
         ExecScratch {
@@ -856,6 +825,7 @@ impl Ozaki2Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::scale_by_pow2;
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
     use gemm_dense::{MatF64, MatView};
@@ -1160,6 +1130,46 @@ mod tests {
         // gemm_into (both modes, parallel or not) and prepare.
         check_non_finite_errors::<f64>();
         check_non_finite_errors::<f32>();
+    }
+
+    #[test]
+    fn row_maxima_below_2_pow_minus_1023_give_a_finite_product() {
+        // A's row 0 lies near 2^-1060 with no zero entry, B near 2^1000:
+        // the row's inverse scale 2^1060 overflows one f64, which once
+        // made its norm infinite and C[0, 0] NaN. The product is exact in
+        // f64 (C[0, 0] = 6.75 * 2^-60 ~ 5.85e-18).
+        let tiny = scale_by_pow2(1.0, -1060);
+        let huge = scale_by_pow2(1.0, 1000);
+        let a = Matrix::from_fn(2, 4, |i, h| {
+            let x = [1.0, 1.5, 1.25, 1.75][h];
+            if i == 0 {
+                x * tiny
+            } else {
+                x * (h + 1) as f64
+            }
+        });
+        let b = Matrix::from_fn(4, 2, |h, j| {
+            [1.5, 1.0, 1.25, 1.25][h] * (j + 1) as f64 * huge
+        });
+        let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
+        assert_eq!(exact[(0, 0)], 6.75 * scale_by_pow2(1.0, -60));
+        let emu = Ozaki2::new(15, Mode::Fast);
+        let check = |c: &MatF64, what: &str| {
+            assert!(c.iter().all(|x| x.is_finite()), "{what}: {c:?}");
+            assert!(max_relative_error(c, &exact) < 1e-12, "{what}: {c:?}");
+        };
+        check(&emu.dgemm(&a, &b), "col-major");
+        let (abuf, lda) = stored(&a, Layout::RowMajor, 0);
+        let (bbuf, ldb) = stored(&b, Layout::RowMajor, 0);
+        let va = MatView::new(&abuf, 2, 4, lda, Layout::RowMajor);
+        let vb = MatView::new(&bbuf, 4, 2, ldb, Layout::RowMajor);
+        check(&emu.gemm(GemmArgs::new(va, vb)).unwrap().c, "row-major");
+        for view in [a.view(), va] {
+            let pa = emu.prepare(OperandSide::A, view).unwrap();
+            let mut c = MatF64::zeros(2, 2);
+            emu.gemm_into(GemmArgs::new(&pa, &b), c.view_mut()).unwrap();
+            check(&c, &format!("prepared {:?}", view.layout()));
+        }
     }
 
     #[test]

@@ -52,10 +52,7 @@ pub use abft::{FaultEvent, FaultPolicy, FaultReport, RecoveryAction};
 pub use accumulate::{fold_kernel_name, fold_planes, fold_span, fold_span_scalar, FoldPrecision};
 pub use blas::GemmOp;
 pub use consts::{constants, Constants};
-pub use convert::{
-    convert_kernel_name, convert_pack_panels, residue_planes, trunc_convert_pack_panels, ElemSlice,
-    TruncSource,
-};
+pub use convert::{convert_kernel_name, residue_planes, trunc_convert_pack_panels};
 pub use element::Element;
 pub use facade::{Accuracy, GemmArgs, GemmOut, Ozaki2Builder};
 pub use gemm_obs::TimeShare;

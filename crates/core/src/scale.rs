@@ -13,10 +13,14 @@
 //! Scales are represented by their exponents (`μ_i = 2^{e_i}`), so the
 //! inverse scaling in Step 4 is exact.
 //!
-//! The truncation row kernel [`strunc_row`] (and its in-place form) is one
-//! portable loop, [`strunc_row_scalar`], run through
-//! [`gemm_engine::dispatch`]: two IEEE multiplies and a truncation per
-//! lane, so every level LLVM compiles it for gives the oracle's bits.
+//! The truncation row kernel [`strunc_row`] is one portable loop,
+//! [`strunc_row_scalar`], run through [`gemm_engine::dispatch`]: an exact
+//! widening to f64, two IEEE multiplies and a truncation per lane, so
+//! every level LLVM compiles it for gives the oracle's bits, over f64 and
+//! f32 sources alike. The fused trunc+convert sweep
+//! ([`crate::convert::trunc_convert_pack_panels`]) runs it straight over
+//! an operand's contiguous vectors, and its gathering twin over groups of
+//! gathered ones.
 
 use crate::consts::Constants;
 use crate::element::Element;
@@ -71,7 +75,10 @@ pub fn scale_by_pow2(x: f64, e: i32) -> f64 {
 /// Implements `e_i = ⌊budget − max(1, 0.51·log2 Σ_h ã_ih²)⌋ − m_i` where
 /// `m_i = ⌊log2 max_h |a_ih|⌋` and `ã` is the row pre-normalised by `2^-m_i`
 /// (the normalisation keeps the sum of squares in `[1, 4k]`, immune to
-/// overflow, exactly as the paper's formula is structured).
+/// overflow, exactly as the paper's formula is structured). The
+/// normalisation multiplies by the two exact factors of
+/// `pow2_split(-m_i)`, so a maximum below `2^-1023`, whose `2^-m_i`
+/// overflows one f64, is normalised too.
 pub fn fast_scale_rows(a: &MatF64, budget: f64) -> Vec<i32> {
     let (m, k) = a.shape();
     let data = a.as_slice();
@@ -88,15 +95,15 @@ pub fn fast_scale_rows(a: &MatF64, budget: f64) -> Vec<i32> {
         .iter()
         .map(|&r| if r == 0.0 { 0 } else { ilog2_abs(r) })
         .collect();
-    let inv_scale: Vec<f64> = m_exp.iter().map(|&e| scale_by_pow2(1.0, -e)).collect();
+    let inv_scale: Vec<(f64, f64)> = m_exp.iter().map(|&e| pow2_split(-e)).collect();
     let mut norm_sq = vec![0.0f64; m];
     for h in 0..k {
-        for ((ns, &s), &x) in norm_sq
+        for ((ns, &(s1, s2)), &x) in norm_sq
             .iter_mut()
             .zip(&inv_scale)
             .zip(&data[h * m..(h + 1) * m])
         {
-            let t = x * s;
+            let t = x * s1 * s2;
             *ns += t * t;
         }
     }
@@ -127,8 +134,8 @@ pub fn fast_scale_cols(b: &MatF64, budget: f64) -> Vec<i32> {
                 return 0;
             }
             let me = ilog2_abs(cm);
-            let s = scale_by_pow2(1.0, -me);
-            let upper = roundup::sum_sq_upper(col.iter().map(|&x| x * s));
+            let (s1, s2) = pow2_split(-me);
+            let upper = roundup::sum_sq_upper(col.iter().map(|&x| x * s1 * s2));
             let t = (0.51 * upper.log2()).max(1.0);
             (budget - t).floor() as i32 - me
         })
@@ -178,16 +185,18 @@ fn max_abs(m: &mut f64, x: f64) {
 /// column-major f64 copy: each vector's maximum (order-free) comes first,
 /// then its scaled norm `s += t*t` in ascending `h`, with the same
 /// inverse scale and no fused multiply-add. Two portable kernels run
-/// through [`dispatch`], chosen by the memory order
-/// [`crate::convert::TruncSource`] also splits on: a gathered view puts
-/// consecutive vectors in the lanes, a contiguous one puts
-/// [`LINE1_LANES`] vectors side by side.
+/// through [`dispatch`], chosen by the memory order the trunc+convert
+/// sweep also splits on: a gathered view puts consecutive vectors in the
+/// lanes, a contiguous one puts 16 vectors side by side. A
+/// vector whose maximum is below `2^-1023` (its inverse scale overflows
+/// one f64) gets its norm from a separate pass with both exact factors of
+/// [`pow2_split`], as the oracles compute every norm.
 ///
 /// A NaN or infinite entry always makes its vector's norm non-finite (NaN
-/// propagates; ±inf makes the maximum, and so `t`, infinite), so a `true`
-/// flag proves the view finite; `false` also arises for a finite vector
-/// whose maximum is below `2^-1023`. With `parallel`, contiguous chunks
-/// of vectors run on the worker pool; otherwise nothing is submitted.
+/// propagates; ±inf makes the maximum, and so `t`, infinite), and a
+/// finite vector's norm is finite, so the flag is `true` exactly when the
+/// view is finite. With `parallel`, contiguous chunks of vectors run on
+/// the worker pool; otherwise nothing is submitted.
 // Kept out of line: inlined into the large generic Algorithm-1 body,
 // line 1's loops compiled measurably slower (f32 256x256x8192, 2-vCPU
 // x86-64: 13 ms instead of 8.5 ms for the earlier scalar passes).
@@ -296,6 +305,11 @@ impl<T: Element> Kernel for Line1<'_, T> {
             } else {
                 gathered_norm(data, ld, k, v, &inv[..nv], ns);
             }
+            for (l, (n, &me)) in ns.iter_mut().zip(&m_exp).enumerate() {
+                if me < -1023 {
+                    *n = split_norm(data, ld, k, v + l, contiguous, me);
+                }
+            }
             for (((e, &r), &me), &ns) in out.iter_mut().zip(&row_max).zip(&m_exp).zip(&norm) {
                 finite &= ns.is_finite();
                 *e = if r == 0.0 {
@@ -315,6 +329,31 @@ impl<T: Element> Kernel for Line1<'_, T> {
         }
         finite
     }
+}
+
+/// The scaled norm `Σ_h (x_h · 2^-me)²` in ascending `h` of vector `v`,
+/// whose maximum has the exponent `me < -1023`: `2^-me` overflows one
+/// f64, so each entry takes the two exact factors of [`pow2_split`], as
+/// in the oracles.
+#[cold]
+fn split_norm<T: Element>(
+    data: &[T],
+    ld: usize,
+    k: usize,
+    v: usize,
+    contiguous: bool,
+    me: i32,
+) -> f64 {
+    let (s1, s2) = pow2_split(-me);
+    let (start, stride) = if contiguous { (v * ld, 1) } else { (v, ld) };
+    data[start..]
+        .iter()
+        .step_by(stride)
+        .take(k)
+        .fold(0.0, |n, &x| {
+            let t = x.to_f64() * s1 * s2;
+            n + t * t
+        })
 }
 
 /// Gathered maxima: `rm[l] = max_h |data[h*ld + v + l]|`, consecutive
@@ -415,6 +454,54 @@ fn contiguous_norm<T: Element>(
     ns.copy_from_slice(&acc[..nv]);
 }
 
+/// Every vector's maximum `max_h |x_h|` of `side` (rows of `A`, columns
+/// of `B`), by line 1's max kernels run through [`dispatch`] (skipping
+/// NaN, as line 1 does).
+fn vector_maxima<T: Element>(v: &MatView<'_, T>, side: OperandSide) -> Vec<f64> {
+    let (vecs, _, k) = side.panel_dims(v.shape());
+    let mut maxima = vec![0.0f64; vecs];
+    if vecs > 0 && k > 0 {
+        dispatch(Maxima {
+            data: v.data(),
+            ld: v.ld(),
+            k,
+            contiguous: side.vectors_contiguous(v.layout()),
+            out: &mut maxima,
+        });
+    }
+    maxima
+}
+
+/// [`vector_maxima`]'s kernel, bound for [`dispatch`] (too large for a
+/// closure LLVM would inline into every level's copy).
+struct Maxima<'a, T> {
+    data: &'a [T],
+    ld: usize,
+    k: usize,
+    contiguous: bool,
+    out: &'a mut [f64],
+}
+
+impl<T: Element> Kernel for Maxima<'_, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Maxima {
+            data,
+            ld,
+            k,
+            contiguous,
+            out,
+        } = self;
+        if contiguous {
+            contiguous_max(data, ld, k, 0, out);
+        } else {
+            gathered_max(data, ld, k, 0, out);
+        }
+    }
+}
+
 /// Accurate-mode scale exponents for both operands (§4.2), over borrowed
 /// strided operand views (f64 or exactly widened f32).
 ///
@@ -434,26 +521,14 @@ pub fn accurate_scale_view<T: Element>(
     assert_eq!(k, kb);
 
     // μ'_i = 2^{5 - ⌊log2 max_h |a_ih|⌋}: scales the row max into [32, 64).
-    let mut row_max = vec![0.0f64; m];
-    for h in 0..k {
-        for (i, rm) in row_max.iter_mut().enumerate() {
-            let ax = a.get(i, h).to_f64().abs();
-            if ax > *rm {
-                *rm = ax;
-            }
-        }
-    }
-    let mu_prime: Vec<i32> = row_max
-        .iter()
-        .map(|&r| if r == 0.0 { 0 } else { 5 - ilog2_abs(r) })
-        .collect();
-    let col_max: Vec<f64> = (0..n)
-        .map(|j| (0..k).fold(0.0f64, |acc, h| acc.max(b.get(h, j).to_f64().abs())))
-        .collect();
-    let nu_prime: Vec<i32> = col_max
-        .iter()
-        .map(|&c| if c == 0.0 { 0 } else { 5 - ilog2_abs(c) })
-        .collect();
+    let prime = |v: &MatView<'_, T>, side: OperandSide| -> Vec<i32> {
+        vector_maxima(v, side)
+            .iter()
+            .map(|&r| if r == 0.0 { 0 } else { 5 - ilog2_abs(r) })
+            .collect()
+    };
+    let mu_prime = prime(a, OperandSide::A);
+    let nu_prime = prime(b, OperandSide::B);
 
     // Ā = ⌈μ' |A|⌉, B̄ = ⌈|B| ν'⌉ — 6-bit magnitudes (≤ 64), INT8-safe —
     // as zero-padded panels: row i of Ā and column j of B̄ at stride kp.
@@ -557,12 +632,13 @@ pub fn trunc_kernel_name() -> &'static str {
 }
 
 /// Portable scale+trunc row kernel: `dst[i] = trunc(xs[i] * s1 * s2)` with
-/// `(s1, s2) = pow2_split(e)`. The one body of [`strunc_row`], and the
-/// lane oracle it is property-tested against, bit for bit.
+/// `(s1, s2) = pow2_split(e)`, f32 lanes widened exactly first. The one
+/// body of [`strunc_row`], and the lane oracle it is property-tested
+/// against, bit for bit.
 #[inline(always)]
-pub fn strunc_row_scalar(xs: &[f64], dst: &mut [f64], s1: f64, s2: f64) {
+pub fn strunc_row_scalar<T: Element>(xs: &[T], dst: &mut [f64], s1: f64, s2: f64) {
     for (d, &x) in dst.iter_mut().zip(xs) {
-        *d = (x * s1 * s2).trunc();
+        *d = (x.to_f64() * s1 * s2).trunc();
     }
 }
 
@@ -570,19 +646,36 @@ pub fn strunc_row_scalar(xs: &[f64], dst: &mut [f64], s1: f64, s2: f64) {
 /// with `(s1, s2)` from [`pow2_split`]: [`strunc_row_scalar`] run through
 /// [`dispatch`], so it is bit-identical to it at every level.
 #[inline]
-pub fn strunc_row(xs: &[f64], dst: &mut [f64], s1: f64, s2: f64) {
+pub fn strunc_row<T: Element>(xs: &[T], dst: &mut [f64], s1: f64, s2: f64) {
     assert!(dst.len() >= xs.len(), "destination row too short");
     dispatch(|| strunc_row_scalar(xs, dst, s1, s2))
 }
 
-/// In-place [`strunc_row`]: `buf[i] = trunc(buf[i] * s1 * s2)`, the same
-/// per-lane operations; used on the fused convert's staging tile after
-/// the transpose gather.
+/// [`strunc_row`] over `scales.len()` gathered vectors at once: vector
+/// `i`, entry `h` is `xs[h * ld + i]`, scaled by `scales[i]` (a
+/// [`pow2_split`] pair) and truncated into `tile[i * row + h]` for
+/// `h < len` — the same per-lane operations, reading each source row's
+/// entries of the group together (the fused transpose gather of the
+/// trunc+convert sweep).
 #[inline]
-pub fn strunc_row_inplace(buf: &mut [f64], s1: f64, s2: f64) {
+pub(crate) fn strunc_gather<T: Element>(
+    xs: &[T],
+    ld: usize,
+    scales: &[(f64, f64)],
+    len: usize,
+    tile: &mut [f64],
+    row: usize,
+) {
+    let g = scales.len();
+    assert!(
+        len <= row && tile.len() >= g * row,
+        "staging tile too small"
+    );
     dispatch(|| {
-        for x in buf.iter_mut() {
-            *x = (*x * s1 * s2).trunc();
+        for h in 0..len {
+            for ((&x, &(s1, s2)), i) in xs[h * ld..h * ld + g].iter().zip(scales).zip(0..) {
+                tile[i * row + h] = (x.to_f64() * s1 * s2).trunc();
+            }
         }
     })
 }
@@ -656,7 +749,7 @@ pub fn condition3_holds(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::consts::constants;
     use gemm_dense::workload::phi_matrix_f64;
@@ -727,9 +820,30 @@ mod tests {
         (buf, ld)
     }
 
-    /// [`fast_scale_view`] over every view of `mat` (column- and
-    /// row-major, padded leading dimensions, a `.t()` of the transpose)
-    /// against the oracle on the widened column-major copy, bit for bit.
+    /// Every view of `mat`, named: column- and row-major with padded
+    /// leading dimensions (gaps poisoned with NaN), and a `.t()` of the
+    /// transpose. Each call of `f` gets one.
+    pub(crate) fn for_each_view<T: Element>(
+        mat: &Matrix<T>,
+        mut f: impl FnMut(&str, MatView<'_, T>),
+    ) {
+        let (rows, cols) = mat.shape();
+        for layout in [Layout::ColMajor, Layout::RowMajor] {
+            for pad in [0usize, 3] {
+                let (buf, ld) = stored(mat, layout, pad);
+                f(
+                    &format!("{layout:?} pad {pad}"),
+                    MatView::new(&buf, rows, cols, ld, layout),
+                );
+            }
+        }
+        let transposed = mat.transpose();
+        f(".t()", transposed.view().t());
+    }
+
+    /// [`fast_scale_view`] over every view of `mat` against the oracle on
+    /// the widened column-major copy, bit for bit; the operand is finite,
+    /// so the flag must be set.
     fn check_line1<T: Element>(mat: &Matrix<T>, side: OperandSide, parallel: bool, what: &str) {
         let budget = constants(15).p_fast;
         let wide = mat.map(T::to_f64);
@@ -737,40 +851,11 @@ mod tests {
             OperandSide::A => fast_scale_rows(&wide, budget),
             OperandSide::B => fast_scale_cols(&wide, budget),
         };
-        // A vector's norm is non-finite exactly when its maximum is below
-        // 2^-1023 but nonzero (its inverse scale overflows).
-        let tiny = scale_by_pow2(1.0, -1023);
-        let (rows, cols) = mat.shape();
-        let vec_max = |v: usize| -> f64 {
-            let at = |h: usize| match side {
-                OperandSide::A => wide[(v, h)],
-                OperandSide::B => wide[(h, v)],
-            };
-            let k = if side == OperandSide::A { cols } else { rows };
-            (0..k).fold(0.0, |m: f64, h| m.max(at(h).abs()))
-        };
-        let vecs = if side == OperandSide::A { rows } else { cols };
-        let want_finite = (0..vecs).all(|v| {
-            let m = vec_max(v);
-            m == 0.0 || m >= tiny
-        });
-        let transposed = mat.transpose();
-        let mut views: Vec<(String, Vec<T>, usize, Layout)> = Vec::new();
-        for layout in [Layout::ColMajor, Layout::RowMajor] {
-            for pad in [0usize, 3] {
-                let (buf, ld) = stored(mat, layout, pad);
-                views.push((format!("{layout:?} pad {pad}"), buf, ld, layout));
-            }
-        }
-        for (name, buf, ld, layout) in &views {
-            let view = MatView::new(buf, rows, cols, *ld, *layout);
+        for_each_view(mat, |name, view| {
             let (got, finite) = fast_scale_view(&view, side, budget, parallel);
             assert_eq!(got, want, "{what} {side:?} {name}");
-            assert_eq!(finite, want_finite, "{what} {side:?} {name}: finite flag");
-        }
-        let (got, finite) = fast_scale_view(&transposed.view().t(), side, budget, parallel);
-        assert_eq!(got, want, "{what} {side:?} .t()");
-        assert_eq!(finite, want_finite, "{what} {side:?} .t(): finite flag");
+            assert!(finite, "{what} {side:?} {name}: finite flag");
+        });
     }
 
     #[test]
@@ -973,22 +1058,108 @@ mod tests {
     }
 
     #[test]
-    fn strunc_inplace_matches_out_of_place() {
-        let xs: Vec<f64> = (0..53).map(|i| (i as f64) * 0.7331 - 19.0).collect();
-        gemm_engine::for_each_level("strunc_inplace_matches_out_of_place", |level| {
-            for e in [-40i32, 0, 7, 1100] {
+    fn strunc_f32_and_gathered_match_widened_scalar() {
+        // The f32 kernel widens exactly, and the gathered kernel reads
+        // vector i's entry h at h * ld + i for a group of vectors: both
+        // equal the scalar kernel over the widened, gathered f64 vector,
+        // bit for bit, at every level.
+        const LD: usize = 11;
+        let xs: Vec<f32> = (0..LD * 300)
+            .map(|i| (i as f32) * 0.7331 - 1091.0)
+            .collect();
+        let wide: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        gemm_engine::for_each_level("strunc_f32_and_gathered_match_widened_scalar", |level| {
+            let exps = [-40i32, 0, 7, 1100, -1100, 3, -7, 60];
+            for g in [1usize, 3, 8] {
+                let scales: Vec<(f64, f64)> = exps[..g].iter().map(|&e| pow2_split(e)).collect();
+                for len in [1usize, 7, 300] {
+                    const ROW: usize = 301;
+                    let mut tile32 = vec![0.0f64; g * ROW];
+                    let mut tile64 = tile32.clone();
+                    strunc_gather(&xs, LD, &scales, len, &mut tile32, ROW);
+                    strunc_gather(&wide, LD, &scales, len, &mut tile64, ROW);
+                    for (i, &(s1, s2)) in scales.iter().enumerate() {
+                        let vector: Vec<f64> =
+                            wide[i..].iter().step_by(LD).take(len).copied().collect();
+                        let mut want = vec![0.0f64; len];
+                        strunc_row_scalar(&vector, &mut want, s1, s2);
+                        let row = i * ROW..i * ROW + len;
+                        let what = format!("{level:?} g={g} len={len} vector {i}");
+                        assert_eq!(bits(&tile32[row.clone()]), bits(&want), "f32 {what}");
+                        assert_eq!(bits(&tile64[row]), bits(&want), "f64 {what}");
+                    }
+                }
+            }
+            for e in exps {
                 let (s1, s2) = pow2_split(e);
                 let mut want = vec![0.0f64; xs.len()];
-                strunc_row_scalar(&xs, &mut want, s1, s2);
-                let mut buf = xs.clone();
-                strunc_row_inplace(&mut buf, s1, s2);
-                assert_eq!(
-                    buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "{level:?} e={e}"
-                );
+                strunc_row_scalar(&wide, &mut want, s1, s2);
+                let mut got = vec![0.0f64; xs.len()];
+                strunc_row(&xs, &mut got, s1, s2);
+                assert_eq!(bits(&got), bits(&want), "{level:?} e={e} f32 row");
             }
         });
+    }
+
+    #[test]
+    fn accurate_scale_view_is_layout_and_precision_independent() {
+        // Line 1's max kernels (gathered or contiguous, by layout) give
+        // the maxima the per-element loops gave, so every view of the
+        // operands, in either precision, yields the exponents of the
+        // dense column-major f64 copy.
+        let budget = constants(15).p_accu;
+        for (m, k, n) in [(1usize, 1usize, 1usize), (7, 33, 5), (17, 67, 130)] {
+            let a = line1_operand::<f64>(OperandSide::A, m, k, 5, [1023, -1023, -1060]);
+            let b = line1_operand::<f64>(OperandSide::B, n, k, 6, [1000, -1000, -1050]);
+            let want = accurate_scale_view(&a.view(), &b.view(), budget, false);
+            // The maxima themselves, against a plain fold over `get`.
+            let naive = |v: MatView<'_, f64>, side: OperandSide| -> Vec<f64> {
+                let (vecs, _, k) = side.panel_dims(v.shape());
+                (0..vecs)
+                    .map(|i| {
+                        (0..k).fold(0.0f64, |acc, h| {
+                            let x = match side {
+                                OperandSide::A => v.get(i, h),
+                                OperandSide::B => v.get(h, i),
+                            };
+                            acc.max(x.abs())
+                        })
+                    })
+                    .collect()
+            };
+            for_each_view(&a, |name, va| {
+                assert_eq!(
+                    vector_maxima(&va, OperandSide::A),
+                    naive(va, OperandSide::A),
+                    "A {name}"
+                );
+                let got = accurate_scale_view(&va, &b.view(), budget, false);
+                assert_eq!(got, want, "A {name} {m}x{k}x{n}");
+            });
+            for_each_view(&b, |name, vb| {
+                assert_eq!(
+                    vector_maxima(&vb, OperandSide::B),
+                    naive(vb, OperandSide::B),
+                    "B {name}"
+                );
+                let got = accurate_scale_view(&a.view(), &vb, budget, true);
+                assert_eq!(got, want, "B {name} {m}x{k}x{n}");
+            });
+            // f32: the exponents of the exactly widened copy, every view.
+            let a32 = line1_operand::<f32>(OperandSide::A, m, k, 5, [127, -140, -149]);
+            let b32 = line1_operand::<f32>(OperandSide::B, n, k, 6, [120, -126, -145]);
+            let (a32w, b32w) = (a32.map(f64::from), b32.map(f64::from));
+            let want32 = accurate_scale_view(&a32w.view(), &b32w.view(), budget, false);
+            for_each_view(&a32, |name, va| {
+                let got = accurate_scale_view(&va, &b32.view(), budget, false);
+                assert_eq!(got, want32, "f32 A {name} {m}x{k}x{n}");
+            });
+            for_each_view(&b32, |name, vb| {
+                let got = accurate_scale_view(&a32.view(), &vb, budget, false);
+                assert_eq!(got, want32, "f32 B {name} {m}x{k}x{n}");
+            });
+        }
     }
 
     #[test]

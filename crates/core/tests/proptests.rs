@@ -1,21 +1,145 @@
 //! Property-based tests for the Ozaki Scheme II core: kernel exactness,
 //! the uniqueness condition (3), and end-to-end reconstruction.
 
-use gemm_dense::Matrix;
-use gemm_engine::{barrett_mod_u8, for_each_level};
+use gemm_dense::{Layout, MatView, Matrix};
+use gemm_engine::{barrett_mod_u8, for_each_level, padded_depth};
 use ozaki2::accumulate::{fold_planes, fold_span, fold_span_scalar, FoldPrecision};
 use ozaki2::consts::constants;
+use ozaki2::consts::Constants;
 use ozaki2::convert::{
-    convert_pack_panels, residue_planes, rmod_reference, rmod_row, rmod_row_scalar, rmod_to_i8,
-    steps_for, trunc_convert_pack_panels, ElemSlice, TruncSource,
+    residue_planes, rmod_reference, rmod_row, rmod_row_scalar, rmod_to_i8, steps_for,
+    trunc_convert_pack_panels,
 };
 use ozaki2::scale::{
     condition3_holds, fast_scale_cols, fast_scale_rows, pow2_split, scale_by_pow2,
     scale_trunc_a_rowmajor, scale_trunc_b_colmajor, strunc_row, strunc_row_scalar,
 };
-use ozaki2::TimeShare;
-use ozaki2::{Mode, Ozaki2};
+use ozaki2::{Element, Mode, OperandSide, Ozaki2, TimeShare, N_MAX_SGEMM};
 use proptest::prelude::*;
+
+/// The unfused oracle of the trunc+convert sweep:
+/// `pack_panels(residue_planes(ints))` for integer-valued vectors `ints`
+/// (vector `v` at `v * k`).
+fn oracle_panels(
+    ints: &[f64],
+    vecs: usize,
+    vecs_pad: usize,
+    k: usize,
+    c: &Constants,
+    b64: bool,
+) -> Vec<i8> {
+    let kp = padded_depth(k);
+    let mut planes8 = vec![0i8; c.n * vecs * k];
+    residue_planes(ints, c, b64, &mut planes8);
+    let mut want = Vec::with_capacity(c.n * vecs_pad * kp);
+    for plane in planes8.chunks_exact(vecs * k) {
+        let mut pack = Vec::new();
+        gemm_engine::pack_panels(&mut pack, plane, k, vecs, vecs_pad, k, kp);
+        want.extend_from_slice(&pack);
+    }
+    want
+}
+
+/// The trunc+convert sweep over `view` into a buffer that starts dirty.
+fn sweep<T: Element>(
+    view: &MatView<'_, T>,
+    side: OperandSide,
+    exps: &[i32],
+    c: &Constants,
+    parallel: bool,
+) -> Vec<i8> {
+    let (rows, cols) = view.shape();
+    let (vecs_pad, k) = match side {
+        OperandSide::A => (gemm_engine::padded_a_rows(rows), cols),
+        OperandSide::B => (gemm_engine::padded_b_cols(cols), rows),
+    };
+    let mut got = vec![-1i8; c.n * vecs_pad * padded_depth(k)];
+    let timing = TimeShare::new();
+    trunc_convert_pack_panels(view, side, exps, c, parallel, &mut got, Some(&timing));
+    got
+}
+
+/// The sweep over the logical operand `mat` of `side` stored column- and
+/// row-major with leading dimension `minor + pad`, and as a `.t()`, on one
+/// thread and split, against the oracle chain over the exactly widened
+/// column-major copy; an f32 operand's sweep (`b = 32` thresholds) also
+/// equals the sweep over that widened copy (`b = 64`).
+fn check_sweep<T: Element>(
+    mat: &Matrix<T>,
+    side: OperandSide,
+    c: &Constants,
+    pad: usize,
+) -> Result<(), TestCaseError> {
+    let wide = mat.map(T::to_f64);
+    let (rows, cols) = mat.shape();
+    let (vecs, vecs_pad, k) = match side {
+        OperandSide::A => (rows, gemm_engine::padded_a_rows(rows), cols),
+        OperandSide::B => (cols, gemm_engine::padded_b_cols(cols), rows),
+    };
+    let mut ints = vec![0f64; vecs * k];
+    let exps = match side {
+        OperandSide::A => fast_scale_rows(&wide, c.p_fast),
+        OperandSide::B => fast_scale_cols(&wide, c.p_fast),
+    };
+    match side {
+        OperandSide::A => scale_trunc_a_rowmajor(&wide, &exps, &mut ints),
+        OperandSide::B => scale_trunc_b_colmajor(&wide, &exps, &mut ints),
+    }
+    let want = oracle_panels(&ints, vecs, vecs_pad, k, c, T::IS_F64);
+    for layout in [Layout::ColMajor, Layout::RowMajor] {
+        let (major, minor) = match layout {
+            Layout::ColMajor => (cols, rows),
+            Layout::RowMajor => (rows, cols),
+        };
+        let ld = minor + pad;
+        let mut buf = vec![T::from_f64(f64::NAN); major * ld];
+        for i in 0..rows {
+            for j in 0..cols {
+                match layout {
+                    Layout::ColMajor => buf[i + j * ld] = mat[(i, j)],
+                    Layout::RowMajor => buf[i * ld + j] = mat[(i, j)],
+                }
+            }
+        }
+        let view = MatView::new(&buf, rows, cols, ld, layout);
+        for parallel in [false, true] {
+            prop_assert_eq!(
+                &sweep(&view, side, &exps, c, parallel),
+                &want,
+                "{:?} {:?} pad {} N={} {}x{} parallel={}",
+                side,
+                layout,
+                pad,
+                c.n,
+                rows,
+                cols,
+                parallel
+            );
+        }
+    }
+    let transposed = mat.transpose();
+    prop_assert_eq!(
+        &sweep(&transposed.view().t(), side, &exps, c, true),
+        &want,
+        "{:?} .t() N={} {}x{}",
+        side,
+        c.n,
+        rows,
+        cols
+    );
+    if !T::IS_F64 {
+        prop_assert_eq!(
+            &sweep(&wide.view(), side, &exps, c, false),
+            &want,
+            "{:?} widened to f64 N={} {}x{}",
+            side,
+            c.n,
+            rows,
+            cols
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -272,52 +396,28 @@ proptest! {
         vecs in 1usize..10,
         k in 1usize..80,
         nmod in 2usize..=20,
-        b64 in any::<bool>(),
+        f32_elems in any::<bool>(),
+        pad in 0usize..3,
         seed in any::<u64>(),
     ) {
-        // The fused trunc+convert (both operand layouts) must equal the
-        // unfused composition scale_trunc_* -> convert_pack_panels bitwise
-        // for every plane count and both parallel splits.
-        prop_assume!(b64 || nmod <= 18);
+        // The sweep over every side, layout (column- and row-major with a
+        // padded leading dimension, and a .t()) and precision must equal
+        // the unfused chain pack_panels(residue_planes(scale_trunc_*))
+        // over the exactly widened copy bitwise, for every plane count
+        // and both parallel splits.
+        prop_assume!(!f32_elems || nmod <= N_MAX_SGEMM);
         let c = constants(nmod);
-        let a = gemm_dense::workload::phi_matrix_f64(vecs, k, 1.0, seed, 0);
-        let exps_a = fast_scale_rows(&a, c.p_fast);
-        let vecs_pad = gemm_engine::padded_a_rows(vecs);
-        let kp = gemm_engine::padded_depth(k);
-        let mut pre = vec![0f64; vecs * k];
-        scale_trunc_a_rowmajor(&a, &exps_a, &mut pre);
-        let mut want = vec![0i8; nmod * vecs_pad * kp];
-        convert_pack_panels(&pre, vecs, vecs_pad, k, kp, c, b64, false, &mut want);
-        for parallel in [false, true] {
-            let mut got = vec![-1i8; nmod * vecs_pad * kp];
-            let timing = TimeShare::new();
-            trunc_convert_pack_panels(
-                TruncSource::Gathered { data: ElemSlice::F64(a.as_slice()), ld: vecs, exps: &exps_a },
-                vecs, vecs_pad, k, kp, c, b64, parallel, &mut got, Some(&timing),
-            );
-            prop_assert_eq!(
-                &got, &want,
-                "A-source N={} vecs={} k={} parallel={}", nmod, vecs, k, parallel
-            );
-        }
-
-        let b = gemm_dense::workload::phi_matrix_f64(k, vecs, 1.0, seed ^ 0xabcd, 1);
-        let exps_b = fast_scale_cols(&b, c.p_fast);
-        let vecs_pad_b = gemm_engine::padded_b_cols(vecs);
-        let mut pre_b = vec![0f64; vecs * k];
-        scale_trunc_b_colmajor(&b, &exps_b, &mut pre_b);
-        let mut want_b = vec![0i8; nmod * vecs_pad_b * kp];
-        convert_pack_panels(&pre_b, vecs, vecs_pad_b, k, kp, c, b64, false, &mut want_b);
-        for parallel in [false, true] {
-            let mut got = vec![-1i8; nmod * vecs_pad_b * kp];
-            trunc_convert_pack_panels(
-                TruncSource::Contiguous { data: ElemSlice::F64(b.as_slice()), ld: k, exps: &exps_b },
-                vecs, vecs_pad_b, k, kp, c, b64, parallel, &mut got, None,
-            );
-            prop_assert_eq!(
-                &got, &want_b,
-                "B-source N={} vecs={} k={} parallel={}", nmod, vecs, k, parallel
-            );
+        for side in [OperandSide::A, OperandSide::B] {
+            let (rows, cols) = match side {
+                OperandSide::A => (vecs, k),
+                OperandSide::B => (k, vecs),
+            };
+            let mat = gemm_dense::workload::phi_matrix_f64(rows, cols, 1.0, seed, side as u64);
+            if f32_elems {
+                check_sweep(&mat.map(|x| x as f32), side, c, pad)?;
+            } else {
+                check_sweep(&mat, side, c, pad)?;
+            }
         }
     }
 
@@ -329,10 +429,12 @@ proptest! {
         b64 in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // convert_pack_panels must equal residue_planes + pack_panels
-        // bitwise for every plane count, and be invariant to the
-        // parallel/sequential split.
-        prop_assume!(b64 || nmod <= 18);
+        // The sweep over integers with zero exponents (which truncation
+        // leaves unchanged) must equal residue_planes + pack_panels
+        // bitwise for every plane count, at either conversion threshold
+        // of the oracle, and be invariant to the parallel/sequential
+        // split.
+        prop_assume!(b64 || nmod <= N_MAX_SGEMM);
         let c = constants(nmod);
         let bound = 2f64.powf(c.p_fast);
         let mut s = seed | 1;
@@ -341,23 +443,10 @@ proptest! {
             (((s >> 16) as f64) - 2f64.powi(47)) % bound
         };
         let src: Vec<f64> = (0..vecs * k).map(|_| next().trunc()).collect();
-        let vecs_pad = gemm_engine::padded_a_rows(vecs);
-        let kp = gemm_engine::padded_depth(k);
-        let mut planes8 = vec![0i8; nmod * vecs * k];
-        residue_planes(&src, c, b64, &mut planes8);
-        let mut want = vec![0i8; nmod * vecs_pad * kp];
-        for sidx in 0..nmod {
-            let mut pack = Vec::new();
-            gemm_engine::pack_panels(
-                &mut pack,
-                &planes8[sidx * vecs * k..(sidx + 1) * vecs * k],
-                k, vecs, vecs_pad, k, kp,
-            );
-            want[sidx * vecs_pad * kp..(sidx + 1) * vecs_pad * kp].copy_from_slice(&pack);
-        }
+        let want = oracle_panels(&src, vecs, gemm_engine::padded_a_rows(vecs), k, c, b64);
+        let view = MatView::row_major(&src, vecs, k);
         for parallel in [false, true] {
-            let mut got = vec![-1i8; nmod * vecs_pad * kp];
-            convert_pack_panels(&src, vecs, vecs_pad, k, kp, c, b64, parallel, &mut got);
+            let got = sweep(&view, OperandSide::A, &vec![0; vecs], c, parallel);
             prop_assert_eq!(
                 &got, &want,
                 "N={} vecs={} k={} parallel={}", nmod, vecs, k, parallel
@@ -544,9 +633,7 @@ proptest! {
 // job, which runs this whole suite with OZAKI_FORCE_SCALAR=1).
 // ---------------------------------------------------------------------------
 
-use gemm_dense::view::Layout;
-use gemm_dense::MatView;
-use ozaki2::{GemmArgs, GemmOp, OperandSide};
+use ozaki2::{GemmArgs, GemmOp};
 
 /// Scatter `mat` into a fresh NaN-poisoned column-major buffer with
 /// leading dimension `rows + pad`; only the logical elements are written,
