@@ -241,6 +241,29 @@ impl PanelsRef<'_> {
         }
     }
 
+    /// Whether plane `s` of these panels (`vecs` packed vectors) still sums
+    /// to the checksum vector `chk` captured from it ([`panel_intact`]).
+    /// Fixed panels are never injected into, so they are always intact.
+    /// A flipped panel byte trips both verification axes like a residue
+    /// fault, but a stripe re-run from the same panels cannot mend it.
+    fn plane_intact(
+        &self,
+        s: usize,
+        vecs: usize,
+        kp: usize,
+        p: u64,
+        chk: &[i8],
+        scratch: &mut [i32],
+    ) -> bool {
+        match self {
+            PanelsRef::Fixed(_) => true,
+            PanelsRef::Repackable { panels, .. } => {
+                let len = vecs.div_ceil(PV) * PV * kp;
+                panel_intact(&panels[s * len..(s + 1) * len], vecs, kp, p, chk, scratch)
+            }
+        }
+    }
+
     /// Deterministically rebuild the panels from the source operand
     /// (no-op for [`PanelsRef::Fixed`]). The sweep is bit-reproducible,
     /// so untouched planes come back identical and previously built
@@ -301,13 +324,36 @@ fn col_sweep(col: &[u8], rowsum: &mut [u32]) -> (u32, u8) {
 // Checksum construction and verification
 // ---------------------------------------------------------------------------
 
-/// Build one plane's checksum vector: sum the plane's `vecs` packed
-/// vectors depth-wise, reduce mod `p`, and store the symmetric
-/// representative (in `[-128, 127]`, the regular panels' i8 range) in
-/// the `kp`-element `out`. Accumulation is i32 — `|x| ≤ 128` keeps
-/// `2^16` vectors overflow-free, and the running sums are re-reduced
-/// mod `p` between chunks for larger `vecs` — so the inner loop
-/// vectorizes at twice the width an i64 accumulator would allow.
+/// Depth-wise sums of one plane's `vecs` packed vectors, reduced to
+/// `[0, p)`, in `scratch[..kp]`. Accumulation is i32 — `|x| ≤ 128` keeps
+/// `2^16` vectors overflow-free, and the running sums are re-reduced mod
+/// `p` between chunks for larger `vecs` — so the inner loop vectorizes at
+/// twice the width an i64 accumulator would allow.
+fn checksum_sums<'s>(
+    plane: &[i8],
+    vecs: usize,
+    kp: usize,
+    p: u64,
+    scratch: &'s mut [i32],
+) -> &'s [i32] {
+    const CHUNK: usize = 1 << 16;
+    let scratch = &mut scratch[..kp];
+    scratch.fill(0);
+    let mut v0 = 0usize;
+    while v0 < vecs {
+        let v1 = vecs.min(v0 + CHUNK);
+        dispatch(|| accum_vecs(plane, kp, v0, v1, scratch));
+        v0 = v1;
+        for acc in scratch.iter_mut() {
+            *acc = acc.rem_euclid(p as i32);
+        }
+    }
+    scratch
+}
+
+/// Build one plane's checksum vector: the [`checksum_sums`] of its `vecs`
+/// packed vectors as symmetric representatives (in `[-128, 127]`, the
+/// regular panels' i8 range) in the `kp`-element `out`.
 fn build_checksum_plane(
     plane: &[i8],
     vecs: usize,
@@ -316,26 +362,31 @@ fn build_checksum_plane(
     out: &mut [i8],
     scratch: &mut [i32],
 ) {
-    const CHUNK: usize = 1 << 16;
-    let scratch = &mut scratch[..kp];
-    scratch.fill(0);
     let p = p as i32;
-    let mut v0 = 0usize;
-    while v0 < vecs {
-        let v1 = vecs.min(v0 + CHUNK);
-        dispatch(|| accum_vecs(plane, kp, v0, v1, scratch));
-        v0 = v1;
-        if v0 < vecs {
-            for acc in scratch.iter_mut() {
-                *acc = acc.rem_euclid(p);
-            }
-        }
-    }
     let half = (p - 1) / 2;
-    for (o, &s) in out[..kp].iter_mut().zip(scratch.iter()) {
-        let r = s.rem_euclid(p);
+    for (o, &r) in out[..kp]
+        .iter_mut()
+        .zip(checksum_sums(plane, vecs, kp, p as u64, scratch))
+    {
         *o = (if r <= half { r } else { r - p }) as i8;
     }
+}
+
+/// Whether a plane's panels still sum to the checksum vector captured
+/// from them. A flip of bits 0–6 of one panel byte moves one depth sum by
+/// a nonzero amount below every modulus, so it always shows here.
+fn panel_intact(
+    plane: &[i8],
+    vecs: usize,
+    kp: usize,
+    p: u64,
+    chk: &[i8],
+    scratch: &mut [i32],
+) -> bool {
+    checksum_sums(plane, vecs, kp, p, scratch)
+        .iter()
+        .zip(chk)
+        .all(|(&r, &c)| r == (c as i32).rem_euclid(p as i32))
 }
 
 /// Exact dot product of two `kp`-element packed vectors, reduced to the
@@ -364,12 +415,6 @@ struct VerifyOutcome {
 impl VerifyOutcome {
     fn clean(&self) -> bool {
         self.rows.is_none() && self.cols.is_none()
-    }
-
-    /// Both axes tripped: the fault is in the residue plane itself (not
-    /// a panel), so a column-stripe re-run can repair it.
-    fn localized(&self) -> bool {
-        self.rows.is_some() && self.cols.is_some()
     }
 }
 
@@ -720,13 +765,16 @@ pub(crate) fn execute_panels(
                             action: RecoveryAction::ScalarFallback,
                         });
                         scalar_done = true;
-                    } else if attempt == 0 && ver.localized() {
+                    } else if attempt == 0
+                        && a.plane_intact(s, m, kp, p, &chk_a8[s * kp..(s + 1) * kp], chk_sum)
+                        && b.plane_intact(s, n, kp, p, &chk_b8[s * kp..(s + 1) * kp], chk_sum)
+                    {
                         // Fault is in the residue plane itself: re-run
                         // just the stripe of whole PV-column panels
                         // covering the mismatching columns, from the
                         // (good) panels: a window that starts mid-panel
                         // would pad past the panel set's end.
-                        let (jlo, jhi) = ver.cols.expect("localized implies cols");
+                        let (jlo, jhi) = ver.cols.unwrap_or((0, n - 1));
                         let c0 = (jlo / PV) * PV;
                         let c1 = n.min((jhi / PV + 1) * PV);
                         plane_gemm(
@@ -1009,7 +1057,6 @@ mod tests {
         u[2 * m + 1] ^= 0x10; // (i=1, j=2)
         let bad = verify_plane(&u, &chk_rows, &chk_cols, m, n, p, &mut rowsum);
         assert!(!bad.clean());
-        assert!(bad.localized());
         assert_eq!(bad.rows, Some((1, 1)));
         assert_eq!(bad.cols, Some((2, 2)));
 

@@ -24,7 +24,9 @@
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::MatF64;
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, K_BLOCK_MAX};
+use ozaki2::{
+    FaultPolicy, GemmArgs, Mode, OperandSide, Ozaki2, PreparedOperand, RecoveryAction, K_BLOCK_MAX,
+};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -205,6 +207,37 @@ fn prepared_operands_have_no_panel_seam_and_recover() {
         let got = execute(&pa, &pb);
         faultinject::disarm();
         assert_eq!(got, reference, "{site:?} must recover bit-identically");
+    }
+}
+
+/// A flipped panel byte trips both checksum axes (the references were
+/// captured before the panel seam), so only the panel-integrity check can
+/// tell it from a residue fault. A stripe re-run from the same corrupt
+/// panels cannot repair it: one retry must go straight to the repack.
+#[test]
+fn one_panel_flip_is_repaired_by_one_retry() {
+    let _g = injector_lock();
+    // Padding-free: every panel byte is live.
+    let (m, n, k) = (32usize, 32usize, 64usize);
+    let a = phi_matrix_f64(m, k, 0.5, 13, 0);
+    let b = phi_matrix_f64(k, n, 0.5, 13, 1);
+    let off = Ozaki2::new(8, Mode::Fast)
+        .with_fault_policy(FaultPolicy::Off)
+        .gemm(GemmArgs::new(&a, &b))
+        .unwrap()
+        .c;
+    let emu = Ozaki2::new(8, Mode::Fast).with_fault_policy(FaultPolicy::Retry { max_retries: 1 });
+    for site in [FaultSite::PanelA, FaultSite::PanelB] {
+        faultinject::arm_once(site);
+        let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
+        faultinject::disarm();
+        let rep = out.report.fault.expect("active policy must report");
+        assert_eq!(rep.unrecovered, 0, "{site:?}: {rep:?}");
+        assert_eq!(out.c, off, "{site:?}: {rep:?}");
+        if !faultinject::enabled() {
+            let actions: Vec<_> = rep.events.iter().map(|e| e.action).collect();
+            assert_eq!(actions, [RecoveryAction::FullRepair], "{site:?}: {rep:?}");
+        }
     }
 }
 
