@@ -241,6 +241,124 @@ fn one_panel_flip_is_repaired_by_one_retry() {
     }
 }
 
+/// The recovery ladder end to end: one armed flip at each site under
+/// each policy yields this exact event list, these counters, and the
+/// `Off` bits whenever recovery succeeds. A panel flip goes straight to
+/// the repack (its plane's checksum vector no longer matches); an
+/// accumulator or residue flip is mended by one stripe re-run. The
+/// second shape is k-blocked (`k > K_BLOCK_MAX`), so its stripe re-run
+/// accumulates block residues over a column window of the plane.
+#[test]
+fn recovery_ladder_events_counters_and_bits() {
+    use gemm_engine::PV;
+    use RecoveryAction::*;
+    let _g = injector_lock();
+    // (policy, actions for a residue-class flip, actions for a panel flip)
+    let ladder: [(FaultPolicy, RecoveryAction, RecoveryAction); 7] = [
+        (FaultPolicy::Detect, Detected, Detected),
+        (
+            FaultPolicy::Retry { max_retries: 0 },
+            Unrecovered,
+            Unrecovered,
+        ),
+        (
+            FaultPolicy::Retry { max_retries: 1 },
+            StripeRetry,
+            FullRepair,
+        ),
+        (
+            FaultPolicy::Retry { max_retries: 2 },
+            StripeRetry,
+            FullRepair,
+        ),
+        (
+            FaultPolicy::RetryThenScalar { max_retries: 0 },
+            ScalarFallback,
+            ScalarFallback,
+        ),
+        (
+            FaultPolicy::RetryThenScalar { max_retries: 1 },
+            StripeRetry,
+            FullRepair,
+        ),
+        (
+            FaultPolicy::RetryThenScalar { max_retries: 2 },
+            StripeRetry,
+            FullRepair,
+        ),
+    ];
+    // Rows and columns are whole panels; the second shape's depth pads
+    // 63 bytes per packed vector, where a panel flip is inert.
+    for (m, n, k, nmod) in [
+        (32usize, 32usize, 64usize, 8usize),
+        (16, 32, K_BLOCK_MAX + 129, 4),
+    ] {
+        let a = phi_matrix_f64(m, k, 0.5, 17, 0);
+        let b = phi_matrix_f64(k, n, 0.5, 17, 1);
+        let off = Ozaki2::new(nmod, Mode::Fast)
+            .with_fault_policy(FaultPolicy::Off)
+            .gemm(GemmArgs::new(&a, &b))
+            .unwrap()
+            .c;
+        for (policy, residue_action, panel_action) in ladder {
+            let emu = Ozaki2::new(nmod, Mode::Fast).with_fault_policy(policy);
+            for site in SITES {
+                faultinject::arm_once(site);
+                let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
+                faultinject::disarm();
+                let rep = out.report.fault.expect("active policy must report");
+                let what = format!("{site:?} {policy:?} {m}x{n}x{k}: {rep:?}");
+                let recovered = policy != FaultPolicy::Detect && rep.unrecovered == 0;
+                if faultinject::enabled() {
+                    // Environment-rate faults join the armed one: only the
+                    // contracts hold, not the exact ladder.
+                    if recovered {
+                        assert_eq!(out.c, off, "{what}");
+                    } else if out.c != off {
+                        assert!(rep.detected > 0, "{what}");
+                    }
+                    continue;
+                }
+                let panel = matches!(site, FaultSite::PanelA | FaultSite::PanelB);
+                if panel && k > 64 && rep.events.is_empty() {
+                    // The flip landed in the depth padding.
+                    assert_eq!(out.c, off, "{what}");
+                    continue;
+                }
+                let action = if panel { panel_action } else { residue_action };
+                let actions: Vec<_> = rep.events.iter().map(|e| e.action).collect();
+                assert_eq!(actions, [action], "{what}");
+                assert!(rep.events.iter().all(|e| e.plane == 0), "{what}");
+                if action == StripeRetry {
+                    let (c0, c1) = rep.events[0].columns.expect("a stripe has columns");
+                    assert!(c0 % PV == 0 && c1 == (c0 + PV).min(n) - 1, "{what}");
+                }
+                let count = |x: RecoveryAction| usize::from(action == x);
+                let repairs = count(FullRepair) + count(ScalarFallback);
+                assert_eq!(rep.detected, 1, "{what}");
+                assert_eq!(
+                    rep.retries,
+                    count(StripeRetry) + count(FullRepair),
+                    "{what}"
+                );
+                assert_eq!(rep.scalar_fallbacks, count(ScalarFallback), "{what}");
+                assert_eq!(rep.unrecovered, count(Unrecovered), "{what}");
+                assert_eq!(rep.checksum_gemms, 2 * nmod + 2 * repairs, "{what}");
+                assert_eq!(
+                    out.report.int8_gemm_calls,
+                    nmod * k.div_ceil(K_BLOCK_MAX),
+                    "{what}"
+                );
+                if recovered {
+                    assert_eq!(out.c, off, "{what}");
+                } else {
+                    assert_ne!(out.c, off, "a live flip must show when unrepaired: {what}");
+                }
+            }
+        }
+    }
+}
+
 const POLICIES: [FaultPolicy; 3] = [
     FaultPolicy::Retry { max_retries: 2 },
     FaultPolicy::RetryThenScalar { max_retries: 2 },
