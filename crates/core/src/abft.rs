@@ -21,16 +21,21 @@
 //! of the reference products is bounded by `2^14` and the host-side
 //! widening dot products that compute them are exact at any depth.
 //!
-//! Fault axes localize the failure class:
+//! Each plane's checksums are captured from its panels right before its
+//! GEMM, and the panel fault seams run after the capture, so both
+//! references predate any fault. Where the fault lands decides the
+//! recovery:
 //!
 //! * accumulator / residue corruption at `(i, j)` → row `i` **and**
 //!   column `j` mismatch → re-run only the panel-aligned column stripe;
-//! * a corrupted `A` panel shifts `U` and the row references computed
-//!   *from the same corrupt panel* consistently → only the **column**
-//!   axis (whose reference predates the corruption) trips → the stripe
-//!   re-run would recompute from the same bad panel, so recovery repacks
-//!   the panels from the source operand and re-runs the whole plane;
-//! * symmetric for a corrupted `B` panel (row axis trips);
+//! * a corrupted `A` or `B` panel byte shifts a whole row or column of
+//!   `U` away from references that predate it, so it trips both axes too.
+//!   To tell it apart, a mismatch rebuilds each repackable side's
+//!   depth-wise checksum of the plane and compares it with the captured
+//!   one: a flip of bits 0–6 of one byte moves one depth sum by a nonzero
+//!   amount below every modulus. If it differs, a stripe re-run would
+//!   recompute from the same bad panel, so recovery repacks the panels
+//!   from the source operand and re-runs the whole plane at once;
 //! * a residue byte rewritten to `u + p` (same class, out-of-range
 //!   representative) is caught by the `u < p` range check.
 //!
@@ -40,8 +45,9 @@
 //! the fault-free run ⟹ the fault was detected".
 //!
 //! Recovery runs with injection suppressed and on the calling thread
-//! (`parallel = false`), escalating stripe re-run → full repack + plane
-//! re-run → scalar-kernel re-run ([`FaultPolicy::RetryThenScalar`], under
+//! (`parallel = false`). `recovery_action` picks each step: stripe
+//! re-run → full repack + plane re-run → scalar-kernel re-run
+//! ([`FaultPolicy::RetryThenScalar`], under
 //! `gemm_engine::cap_scope(Isa::Scalar)`, which pins the engine and every
 //! dispatched row kernel, these checksum sweeps included); the scalar
 //! kernels are the bit-exact oracle the AMX and SIMD paths are tested
@@ -49,13 +55,14 @@
 //! bit-identically.
 
 use crate::consts::Constants;
-use crate::pipeline::{PhaseTimes, K_BLOCK_MAX};
+use crate::pipeline::{grow, PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    barrett_mod_row_u8, cap_scope, dispatch, engine_isa, int8_gemm_prepacked_fused, padded_a_rows,
-    padded_b_cols, padded_depth, AccumulateEpilogue, Isa, ReduceEpilogue, PV,
+    barrett_mod_row_u8, cap_scope, dispatch, engine_isa, int8_gemm_prepacked_fused, padded_depth,
+    AccumulateEpilogue, Epilogue, Isa, ReduceEpilogue, PV,
 };
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -234,18 +241,19 @@ pub(crate) enum PanelsRef<'a> {
 }
 
 impl PanelsRef<'_> {
-    pub(crate) fn panels(&self) -> &[i8] {
-        match self {
+    /// Plane `s` of these panels: `vecs` packed vectors, padded to whole
+    /// `PV` panels, of `kp` bytes each.
+    fn plane(&self, s: usize, vecs: usize, kp: usize) -> &[i8] {
+        let panels = match self {
             PanelsRef::Fixed(p) => p,
-            PanelsRef::Repackable { panels, .. } => panels,
-        }
+            PanelsRef::Repackable { panels, .. } => &**panels,
+        };
+        &panels[plane_range(s, vecs, kp)]
     }
 
-    /// Whether plane `s` of these panels (`vecs` packed vectors) still sums
-    /// to the checksum vector `chk` captured from it ([`panel_intact`]).
-    /// Fixed panels are never injected into, so they are always intact.
-    /// A flipped panel byte trips both verification axes like a residue
-    /// fault, but a stripe re-run from the same panels cannot mend it.
+    /// Whether plane `s` still sums to the checksum vector `chk` captured
+    /// from it ([`panel_intact`]). Fixed panels are never injected into,
+    /// so they are always intact.
     fn plane_intact(
         &self,
         s: usize,
@@ -255,12 +263,15 @@ impl PanelsRef<'_> {
         chk: &[i8],
         scratch: &mut [i32],
     ) -> bool {
-        match self {
-            PanelsRef::Fixed(_) => true,
-            PanelsRef::Repackable { panels, .. } => {
-                let len = vecs.div_ceil(PV) * PV * kp;
-                panel_intact(&panels[s * len..(s + 1) * len], vecs, kp, p, chk, scratch)
-            }
+        matches!(self, PanelsRef::Fixed(_))
+            || panel_intact(self.plane(s, vecs, kp), vecs, kp, p, chk, scratch)
+    }
+
+    /// The panel fault seam of plane `s`. Fixed panels are deliberately
+    /// not a seam: they are the trusted source recovery recomputes from.
+    fn seam(&mut self, site: FaultSite, s: usize, vecs: usize, kp: usize) {
+        if let PanelsRef::Repackable { panels, .. } = self {
+            faultinject::corrupt_panel(site, &mut panels[plane_range(s, vecs, kp)]);
         }
     }
 
@@ -273,6 +284,13 @@ impl PanelsRef<'_> {
             repack(panels);
         }
     }
+}
+
+/// Byte range of plane `s` in a panel set of `vecs` packed vectors
+/// ([`gemm_engine::padded_a_rows`] or [`gemm_engine::padded_b_cols`] of them, `kp` bytes each).
+fn plane_range(s: usize, vecs: usize, kp: usize) -> Range<usize> {
+    let len = vecs.div_ceil(PV) * PV * kp;
+    s * len..(s + 1) * len
 }
 
 // ---------------------------------------------------------------------------
@@ -471,462 +489,437 @@ fn verify_plane(
 }
 
 // ---------------------------------------------------------------------------
-// GEMM helpers
+// The lines-6–7 executor
 // ---------------------------------------------------------------------------
 
-/// Algorithm 1 lines 6–7 for one residue plane (or column stripe
-/// thereof): the INT8 GEMM with fused mod-`p` reduction, k-blocked past
-/// [`K_BLOCK_MAX`] (§4.3: each block's residues accumulate in i32 and are
-/// reduced once more at the end, split over the workers when `parallel`;
-/// every block is a PK-aligned depth window of the same panels). With the
-/// accurate-mode estimate in [`crate::scale`], one of the crate's two
-/// engine call sites. `a_panels` / `b_panels` start at the operand's
-/// (sub)panel origin; `u_out` is the `m * n` destination. With `phases`,
-/// each engine call's time is split into `int8_gemm` and `mod_reduce`
-/// (the slowest stripe's fused epilogue), and the block-residue
-/// finalization counts as `mod_reduce`. Returns the number of engine
-/// calls issued.
-#[allow(clippy::too_many_arguments)]
-fn plane_gemm(
+/// The executor's scratch, owned by [`crate::Workspace`]: the residue
+/// planes, the INT32 product and block-residue accumulator, and the ABFT
+/// side-channel buffers. Every buffer grows to the high-water mark of the
+/// calls it has served and is then reused.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The `N` UINT8 residue planes `U_s` (plane-major, each `m × n`
+    /// column-major) that lines 8–12 fold.
+    pub(crate) u: Vec<u8>,
+    /// The INT32 product of one plane or column window.
+    c32: Vec<i32>,
+    /// Block-residue accumulator (`m·n` i32, only for `k >` [`K_BLOCK_MAX`]).
+    racc: Vec<i32>,
+    /// Checksum vectors of `A` and `B` (`N` planes of `kp` i8 each).
+    chk_a8: Vec<i8>,
+    chk_b8: Vec<i8>,
+    /// Checksum references: per plane, `m` row-sum residues followed by
+    /// `n` column-sum residues.
+    uchk: Vec<u8>,
+    /// i32 accumulator for checksum-vector construction (`kp` entries).
+    chk_sum: Vec<i32>,
+    /// Row-sum scratch of the verification sweep (`m` u32).
+    vsum: Vec<u32>,
+}
+
+impl Scratch {
+    /// Grow-only sizing for one `m × n × k` call with `nmod` moduli. Under
+    /// [`FaultPolicy::Off`] no side-channel buffer is allocated.
+    fn reserve(&mut self, m: usize, n: usize, k: usize, nmod: usize, policy: FaultPolicy) {
+        grow(&mut self.u, nmod * m * n);
+        grow(&mut self.c32, m * n);
+        if k > K_BLOCK_MAX {
+            grow(&mut self.racc, m * n);
+        }
+        if policy.is_active() {
+            let kp = padded_depth(k);
+            grow(&mut self.chk_a8, nmod * kp);
+            grow(&mut self.chk_b8, nmod * kp);
+            grow(&mut self.uchk, nmod * (m + n));
+            grow(&mut self.chk_sum, kp);
+            grow(&mut self.vsum, m);
+        }
+    }
+
+    /// Footprint in bytes (excluding `Vec` headers).
+    pub(crate) fn bytes(&self) -> usize {
+        self.u.capacity()
+            + self.chk_a8.capacity()
+            + self.chk_b8.capacity()
+            + self.uchk.capacity()
+            + 4 * (self.c32.capacity()
+                + self.racc.capacity()
+                + self.chk_sum.capacity()
+                + self.vsum.capacity())
+    }
+
+    /// Zero every buffer in place (capacity kept).
+    pub(crate) fn scrub(&mut self) {
+        self.u.fill(0);
+        self.c32.fill(0);
+        self.racc.fill(0);
+        self.chk_a8.fill(0);
+        self.chk_b8.fill(0);
+        self.uchk.fill(0);
+        self.chk_sum.fill(0);
+        self.vsum.fill(0);
+    }
+}
+
+/// The next step of the recovery ladder after a failed verification of
+/// one plane: `attempt` SIMD re-executions done so far, whether the scalar
+/// fallback already ran, and whether the plane's panels still match their
+/// captured checksum vectors. A residue-class fault first gets the cheap
+/// stripe re-run; a panel fault, or a fault the stripe did not mend, gets
+/// the full repair; [`FaultPolicy::RetryThenScalar`] ends with one repair
+/// on the scalar kernels.
+fn recovery_action(
+    policy: FaultPolicy,
+    attempt: u8,
+    scalar_done: bool,
+    panels_intact: bool,
+) -> RecoveryAction {
+    let (max_retries, scalar) = match policy {
+        FaultPolicy::Off | FaultPolicy::Detect => return RecoveryAction::Detected,
+        FaultPolicy::Retry { max_retries } => (max_retries, false),
+        FaultPolicy::RetryThenScalar { max_retries } => (max_retries, true),
+    };
+    if scalar_done {
+        RecoveryAction::Unrecovered
+    } else if attempt < max_retries {
+        if attempt == 0 && panels_intact {
+            RecoveryAction::StripeRetry
+        } else {
+            RecoveryAction::FullRepair
+        }
+    } else if scalar {
+        RecoveryAction::ScalarFallback
+    } else {
+        RecoveryAction::Unrecovered
+    }
+}
+
+/// One call's lines 6–7: the geometry, both sides' panels, the scratch
+/// and the fault report, with each step of the per-plane state machine
+/// written once.
+struct Executor<'e> {
     m: usize,
     n: usize,
     k: usize,
     kp: usize,
-    p: u64,
-    pinv: u32,
-    a_panels: &[i8],
-    b_panels: &[i8],
-    c32: &mut [i32],
-    racc: &mut [i32],
-    u_out: &mut [u8],
-    parallel: bool,
-    mut phases: Option<&mut PhaseTimes>,
-) -> usize {
-    let c32 = &mut c32[..m * n];
-    let mod_nanos = AtomicU64::new(0);
-    let nanos = phases.is_some().then_some(&mod_nanos);
-    let mut charge = |t0: Instant| {
-        if let Some(ph) = phases.as_deref_mut() {
-            let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-            ph.mod_reduce += modd;
-            ph.int8_gemm += t0.elapsed().saturating_sub(modd);
-        }
-    };
-    if k <= K_BLOCK_MAX {
-        let t0 = Instant::now();
-        let epi = ReduceEpilogue::new(p, pinv, nanos);
-        int8_gemm_prepacked_fused(
-            m, n, k, a_panels, b_panels, kp, 0, c32, u_out, &epi, parallel,
-        );
-        charge(t0);
-        return 1;
-    }
-    let racc = &mut racc[..m * n];
-    racc.fill(0);
-    let mut calls = 0usize;
-    let mut h0 = 0usize;
-    while h0 < k {
-        let kb = K_BLOCK_MAX.min(k - h0);
-        let t0 = Instant::now();
-        let epi = AccumulateEpilogue::new(p, pinv, nanos);
-        int8_gemm_prepacked_fused(
-            m, n, kb, a_panels, b_panels, kp, h0, c32, racc, &epi, parallel,
-        );
-        charge(t0);
-        calls += 1;
-        h0 += kb;
-    }
-    let t0 = Instant::now();
-    if parallel {
-        // The caller's level, pinned on whichever thread reduces a chunk.
-        let level = engine_isa();
-        const CHUNK: usize = 16 * 1024;
-        u_out[..m * n]
-            .par_chunks_mut(CHUNK)
-            .zip(racc.par_chunks(CHUNK))
-            .for_each(|(dst, src)| {
-                let _cap = cap_scope(level);
-                barrett_mod_row_u8(src, dst, p as i32, pinv);
-            });
-    } else {
-        barrett_mod_row_u8(racc, &mut u_out[..m * n], p as i32, pinv);
-    }
-    if let Some(ph) = phases {
-        ph.mod_reduce += t0.elapsed();
-    }
-    calls
+    consts: &'e Constants,
+    a: PanelsRef<'e>,
+    b: PanelsRef<'e>,
+    scratch: &'e mut Scratch,
+    policy: FaultPolicy,
+    report: FaultReport,
 }
 
-// ---------------------------------------------------------------------------
-// The lines-6–7 executor
-// ---------------------------------------------------------------------------
+impl Executor<'_> {
+    /// Algorithm 1 lines 6–7 for columns `cols` of residue plane `s`: the
+    /// INT8 GEMM with fused mod-`p` reduction into `U_s`, k-blocked past
+    /// [`K_BLOCK_MAX`] (§4.3: each block's residues accumulate in i32 and
+    /// are reduced once more at the end, split over the workers when
+    /// `parallel`; every block is a PK-aligned depth window of the same
+    /// panels). A window starts on a whole `PV`-column panel. With
+    /// `phases`, each engine call's time is split into `int8_gemm` and
+    /// `mod_reduce` (the slowest stripe's fused epilogue), and the
+    /// block-residue finalization counts as `mod_reduce`. Returns the
+    /// number of engine calls issued.
+    fn gemm(
+        &mut self,
+        s: usize,
+        cols: Range<usize>,
+        parallel: bool,
+        mut phases: Option<&mut PhaseTimes>,
+    ) -> usize {
+        let (m, k, kp) = (self.m, self.k, self.kp);
+        let (p, pinv) = (self.consts.p[s], self.consts.p_inv_u32[s]);
+        let width = cols.len();
+        let a = self.a.plane(s, m, kp);
+        let b = &self.b.plane(s, self.n, kp)[cols.start * kp..];
+        let plane = s * m * self.n;
+        let u = &mut self.scratch.u[plane + cols.start * m..plane + cols.end * m];
+        let c32 = &mut self.scratch.c32[..m * width];
+        let mod_nanos = AtomicU64::new(0);
+        let nanos = phases.is_some().then_some(&mod_nanos);
+        let mut charge = |t0: Instant| {
+            if let Some(ph) = phases.as_deref_mut() {
+                let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
+                ph.mod_reduce += modd;
+                ph.int8_gemm += t0.elapsed().saturating_sub(modd);
+            }
+        };
+        let run = Product {
+            m,
+            width,
+            k,
+            kp,
+            a,
+            b,
+            parallel,
+        };
+        if k <= K_BLOCK_MAX {
+            return run.blocks(c32, u, &ReduceEpilogue::new(p, pinv, nanos), &mut charge);
+        }
+        let racc = &mut self.scratch.racc[..m * width];
+        racc.fill(0);
+        let calls = run.blocks(
+            c32,
+            racc,
+            &AccumulateEpilogue::new(p, pinv, nanos),
+            &mut charge,
+        );
+        let t0 = Instant::now();
+        if parallel {
+            // The caller's level, pinned on whichever thread reduces a chunk.
+            let level = engine_isa();
+            const CHUNK: usize = 16 * 1024;
+            u.par_chunks_mut(CHUNK)
+                .zip(racc.par_chunks(CHUNK))
+                .for_each(|(dst, src)| {
+                    let _cap = cap_scope(level);
+                    barrett_mod_row_u8(src, dst, p as i32, pinv);
+                });
+        } else {
+            barrett_mod_row_u8(racc, u, p as i32, pinv);
+        }
+        if let Some(ph) = phases {
+            ph.mod_reduce += t0.elapsed();
+        }
+        calls
+    }
 
-/// Scratch bundle for [`execute_panels`] (the non-panel slices of
-/// [`crate::pipeline::WsBuffers`]; the `chk_*` / `uchk` / `vsum` slices
-/// are only touched under an active policy).
-pub(crate) struct ExecScratch<'w> {
-    pub u: &'w mut [u8],
-    pub c32: &'w mut [i32],
-    pub racc: &'w mut [i32],
-    pub chk_a8: &'w mut [i8],
-    pub chk_b8: &'w mut [i8],
-    pub uchk: &'w mut [u8],
-    pub chk_sum: &'w mut [i32],
-    pub vsum: &'w mut [u32],
+    /// Lines 6–7 for the whole plane `s`. An active policy first captures
+    /// the plane's checksums from the pristine panels (timed as
+    /// `verify`), then passes the panel fault seams: a flipped panel byte
+    /// then trips both verification axes and fails [`Self::panels_intact`].
+    /// The capture streams the plane's panels into cache, which the GEMM
+    /// then reads warm, so the side channel largely pays for its own
+    /// memory traffic.
+    fn plane(&mut self, s: usize, parallel: bool, mut phases: Option<&mut PhaseTimes>) -> usize {
+        if self.policy.is_active() {
+            let tv = Instant::now();
+            self.capture(s);
+            if let Some(ph) = phases.as_deref_mut() {
+                ph.verify += tv.elapsed();
+            }
+            self.a.seam(FaultSite::PanelA, s, self.m, self.kp);
+            self.b.seam(FaultSite::PanelB, s, self.n, self.kp);
+        }
+        self.gemm(s, 0..self.n, parallel, phases)
+    }
+
+    /// Plane `s`'s checksum vectors and both reference products, as exact
+    /// host-side widening dot products rather than engine GEMMs (an
+    /// `(m, 1, k)` / `(1, n, k)` engine call would spend `PV`-panel padding
+    /// and epilogue work on a single output vector): row references
+    /// `A'_s · chk_b` and column references `chk_a · B'_s`. Counted as two
+    /// [`FaultReport::checksum_gemms`].
+    fn capture(&mut self, s: usize) {
+        let (m, n, kp, p) = (self.m, self.n, self.kp, self.consts.p[s]);
+        let (a, b) = (self.a.plane(s, m, kp), self.b.plane(s, n, kp));
+        let sc = &mut *self.scratch;
+        let chk_a = &mut sc.chk_a8[s * kp..(s + 1) * kp];
+        let chk_b = &mut sc.chk_b8[s * kp..(s + 1) * kp];
+        build_checksum_plane(b, n, kp, p, chk_b, &mut sc.chk_sum);
+        build_checksum_plane(a, m, kp, p, chk_a, &mut sc.chk_sum);
+        let (rows, cols) = sc.uchk[s * (m + n)..(s + 1) * (m + n)].split_at_mut(m);
+        for (i, r) in rows.iter_mut().enumerate() {
+            *r = dot_mod(&a[i * kp..(i + 1) * kp], chk_b, p);
+        }
+        for (j, c) in cols.iter_mut().enumerate() {
+            *c = dot_mod(chk_a, &b[j * kp..(j + 1) * kp], p);
+        }
+        self.report.checksum_gemms += 2;
+    }
+
+    /// Verify plane `s` against its captured references.
+    fn verify(&mut self, s: usize) -> VerifyOutcome {
+        let (m, n) = (self.m, self.n);
+        let sc = &mut *self.scratch;
+        let refs = &sc.uchk[s * (m + n)..(s + 1) * (m + n)];
+        let (rows, cols) = refs.split_at(m);
+        let u = &sc.u[s * m * n..(s + 1) * m * n];
+        verify_plane(u, rows, cols, m, n, self.consts.p[s] as u32, &mut sc.vsum)
+    }
+
+    /// Whether both sides' plane `s` panels still match their captured
+    /// checksum vectors.
+    fn panels_intact(&mut self, s: usize) -> bool {
+        let (kp, p) = (self.kp, self.consts.p[s]);
+        let sc = &mut *self.scratch;
+        let chk = s * kp..(s + 1) * kp;
+        self.a
+            .plane_intact(s, self.m, kp, p, &sc.chk_a8[chk.clone()], &mut sc.chk_sum)
+            && self
+                .b
+                .plane_intact(s, self.n, kp, p, &sc.chk_b8[chk], &mut sc.chk_sum)
+    }
+
+    /// Heavy recovery: repack the repackable sides from their source
+    /// operands (deterministic, so untouched planes and their checksums
+    /// are unchanged), then capture and run plane `s` again on the calling
+    /// thread (its seams are suppressed).
+    fn repair(&mut self, s: usize) {
+        self.a.repack();
+        self.b.repack();
+        self.plane(s, false, None);
+    }
+
+    /// Verify plane `s` and walk the recovery ladder until it verifies or
+    /// [`recovery_action`] gives up, recording each step. Recovery runs
+    /// with injection suppressed and on the calling thread, so the
+    /// thread-local guards hold.
+    fn recover(&mut self, s: usize) {
+        let mut attempt = 0u8;
+        let mut scalar_done = false;
+        loop {
+            let ver = self.verify(s);
+            if ver.clean() {
+                return;
+            }
+            self.report.detected += 1;
+            let action = recovery_action(self.policy, attempt, scalar_done, self.panels_intact(s));
+            let mut columns = ver.cols;
+            let _quiet = faultinject::suppress();
+            match action {
+                RecoveryAction::Detected => {}
+                RecoveryAction::Unrecovered => self.report.unrecovered += 1,
+                RecoveryAction::StripeRetry => {
+                    // The stripe of whole PV-column panels covering the
+                    // mismatching columns: a window that starts mid-panel
+                    // would pad past the panel set's end.
+                    let (lo, hi) = ver.cols.unwrap_or((0, self.n - 1));
+                    let cols = lo / PV * PV..self.n.min((hi / PV + 1) * PV);
+                    columns = Some((cols.start, cols.end - 1));
+                    self.gemm(s, cols, false, None);
+                    self.report.retries += 1;
+                }
+                RecoveryAction::FullRepair => {
+                    self.repair(s);
+                    self.report.retries += 1;
+                }
+                RecoveryAction::ScalarFallback => {
+                    let _scalar = cap_scope(Isa::Scalar);
+                    self.repair(s);
+                    self.report.scalar_fallbacks += 1;
+                }
+            }
+            self.report.events.push(FaultEvent {
+                plane: s,
+                columns,
+                action,
+            });
+            match action {
+                RecoveryAction::Detected | RecoveryAction::Unrecovered => return,
+                RecoveryAction::ScalarFallback => scalar_done = true,
+                RecoveryAction::StripeRetry | RecoveryAction::FullRepair => attempt += 1,
+            }
+        }
+    }
+}
+
+/// One plane's engine product over a column window: `m` rows by `width`
+/// columns at depth `k`, over plane panels `a`, `b` of depth stride `kp`.
+struct Product<'p> {
+    m: usize,
+    width: usize,
+    k: usize,
+    kp: usize,
+    a: &'p [i8],
+    b: &'p [i8],
+    parallel: bool,
+}
+
+impl Product<'_> {
+    /// The engine calls, one per [`K_BLOCK_MAX`] depth block, into `out`
+    /// through `epi`; `charge` times each. With the accurate-mode estimate
+    /// in [`crate::scale`], one of the crate's two engine call sites.
+    fn blocks<E: Epilogue>(
+        &self,
+        c32: &mut [i32],
+        out: &mut [E::Out],
+        epi: &E,
+        charge: &mut impl FnMut(Instant),
+    ) -> usize {
+        let mut calls = 0usize;
+        let mut h0 = 0usize;
+        while h0 < self.k {
+            let kb = K_BLOCK_MAX.min(self.k - h0);
+            let t0 = Instant::now();
+            int8_gemm_prepacked_fused(
+                self.m,
+                self.width,
+                kb,
+                self.a,
+                self.b,
+                self.kp,
+                h0,
+                c32,
+                out,
+                epi,
+                self.parallel,
+            );
+            charge(t0);
+            calls += 1;
+            h0 += kb;
+        }
+        calls
+    }
 }
 
 /// Algorithm 1 lines 6–7 over already-packed residue panels, the back
 /// half of the one Algorithm-1 body (`facade::algorithm1`): the `N`
-/// plane GEMMs with fused modular reduction ([`plane_gemm`]) into the
-/// residue planes `scratch.u`, which the body's caller then folds
-/// (lines 8–12).
+/// plane GEMMs with fused modular reduction into the residue planes
+/// `scratch.u`, which the body's caller then folds (lines 8–12). The
+/// scratch is sized here.
 ///
 /// Under [`FaultPolicy::Off`] that is all it does. An active policy adds,
-/// per plane: the checksum vectors and both reference products
-/// (`A'_s · chk_b` for the row axis, `chk_a · B'_s` for the column axis)
-/// captured from the pristine panels before the GEMM, the fault-injection
-/// seams, and verification plus recovery per the policy after it.
-/// Returns `(int8_gemm_calls, FaultReport)` — recovery re-runs and
-/// checksum products are counted in the report, not in the main call
-/// count; the report stays empty under `Off`.
+/// per plane: the checksum vectors and both reference products captured
+/// from the pristine panels before the GEMM, the fault-injection seams,
+/// and verification plus recovery per the policy after it. Returns
+/// `(int8_gemm_calls, FaultReport)` — recovery re-runs and checksum
+/// products are counted in the report, not in the main call count; the
+/// report stays empty under `Off`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_panels(
     m: usize,
     n: usize,
     k: usize,
     consts: &Constants,
-    mut a: PanelsRef<'_>,
-    mut b: PanelsRef<'_>,
-    scratch: ExecScratch<'_>,
+    a: PanelsRef<'_>,
+    b: PanelsRef<'_>,
+    scratch: &mut Scratch,
     parallel: bool,
     policy: FaultPolicy,
     phases: &mut PhaseTimes,
 ) -> (usize, FaultReport) {
-    let nmod = consts.n;
-    let plane = m * n;
-    let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    let n_pad = padded_b_cols(n);
-    let mut gemm_calls = 0usize;
-    let mut report = FaultReport::default();
     let active = policy.is_active();
-
+    scratch.reserve(m, n, k, consts.n, policy);
     // Env-rate fault injection only fires inside this protected region:
     // raw engine calls elsewhere (kernel parity tests, benches) and runs
     // with the policy off have no ABFT to catch a flip, so they stay
     // clean even when CI runs the whole suite with OZAKI_FAULT_INJECT set.
     let _region = active.then(faultinject::region);
-
-    let ExecScratch {
-        u,
-        c32,
-        racc,
-        chk_a8,
-        chk_b8,
-        uchk,
-        chk_sum,
-        vsum,
-    } = scratch;
-    let u = &mut u[..nmod * plane];
-
-    // ---- Per plane: [capture, seams,] GEMM, [verify, recover] -----------
-    for s in 0..nmod {
-        let p = consts.p[s];
-        let pinv = consts.p_inv_u32[s];
-        let a_lo = s * m_pad * kp;
-        let b_lo = s * n_pad * kp;
-
-        if active {
-            // Checksum capture + references, from the pristine panels,
-            // right before this plane's GEMM: the reference sweeps stream
-            // the plane's panels into cache, which the GEMM then reads
-            // warm — so the side channel largely pays for its own memory
-            // traffic.
-            let tv = Instant::now();
-            report.checksum_gemms += checksum_refs(
-                &a.panels()[a_lo..a_lo + m_pad * kp],
-                &b.panels()[b_lo..b_lo + n_pad * kp],
-                m,
-                n,
-                kp,
-                p,
-                &mut chk_a8[s * kp..(s + 1) * kp],
-                &mut chk_b8[s * kp..(s + 1) * kp],
-                chk_sum,
-                &mut uchk[s * (m + n)..(s + 1) * (m + n)],
-            );
-            phases.verify += tv.elapsed();
-
-            // Panel fault seams: after this plane's checksum capture, so
-            // a flipped panel byte shows up as a checksum mismatch
-            // downstream. Prepared (Fixed) panels are deliberately not a
-            // seam — they are the trusted source recovery recomputes from.
-            if let PanelsRef::Repackable { panels, .. } = &mut a {
-                faultinject::corrupt_panel(FaultSite::PanelA, &mut panels[a_lo..a_lo + m_pad * kp]);
-            }
-            if let PanelsRef::Repackable { panels, .. } = &mut b {
-                faultinject::corrupt_panel(FaultSite::PanelB, &mut panels[b_lo..b_lo + n_pad * kp]);
-            }
-        }
-
-        // Lines 6–7: the plane's GEMM, timed as the int8/mod phases.
-        gemm_calls += plane_gemm(
-            m,
-            n,
-            k,
-            kp,
-            p,
-            pinv,
-            &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-            &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],
-            c32,
-            racc,
-            &mut u[s * plane..(s + 1) * plane],
-            parallel,
-            Some(&mut *phases),
-        );
-        if !active {
-            continue;
-        }
-
-        // Residue-plane fault seam (post-GEMM, pre-verification).
-        faultinject::corrupt_residue(&mut u[s * plane..(s + 1) * plane]);
-
-        // Side channel: verification + recovery.
-        let tv = Instant::now();
-        let mut attempt = 0u8;
-        let mut scalar_done = false;
-        loop {
-            let ver = verify_plane(
-                &u[s * plane..(s + 1) * plane],
-                &uchk[s * (m + n)..s * (m + n) + m],
-                &uchk[s * (m + n) + m..(s + 1) * (m + n)],
-                m,
-                n,
-                p as u32,
-                vsum,
-            );
-            if ver.clean() {
-                break;
-            }
-            report.detected += 1;
-            match policy {
-                FaultPolicy::Off => unreachable!("verification only runs under an active policy"),
-                FaultPolicy::Detect => {
-                    report.events.push(FaultEvent {
-                        plane: s,
-                        columns: ver.cols,
-                        action: RecoveryAction::Detected,
-                    });
-                    break;
-                }
-                FaultPolicy::Retry { max_retries }
-                | FaultPolicy::RetryThenScalar { max_retries } => {
-                    let scalar_next = matches!(policy, FaultPolicy::RetryThenScalar { .. })
-                        && attempt >= max_retries;
-                    if attempt >= max_retries && !scalar_next || scalar_done {
-                        report.unrecovered += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: ver.cols,
-                            action: RecoveryAction::Unrecovered,
-                        });
-                        break;
-                    }
-                    // All recovery runs with injection suppressed and on
-                    // the calling thread, so the thread-local guards hold.
-                    let _quiet = faultinject::suppress();
-                    if scalar_next {
-                        let _scalar = cap_scope(Isa::Scalar);
-                        full_repair(
-                            s,
-                            m,
-                            n,
-                            k,
-                            kp,
-                            consts,
-                            &mut a,
-                            &mut b,
-                            chk_a8,
-                            chk_b8,
-                            m_pad,
-                            n_pad,
-                            u,
-                            c32,
-                            racc,
-                            chk_sum,
-                            uchk,
-                            &mut report,
-                        );
-                        report.scalar_fallbacks += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: ver.cols,
-                            action: RecoveryAction::ScalarFallback,
-                        });
-                        scalar_done = true;
-                    } else if attempt == 0
-                        && a.plane_intact(s, m, kp, p, &chk_a8[s * kp..(s + 1) * kp], chk_sum)
-                        && b.plane_intact(s, n, kp, p, &chk_b8[s * kp..(s + 1) * kp], chk_sum)
-                    {
-                        // Fault is in the residue plane itself: re-run
-                        // just the stripe of whole PV-column panels
-                        // covering the mismatching columns, from the
-                        // (good) panels: a window that starts mid-panel
-                        // would pad past the panel set's end.
-                        let (jlo, jhi) = ver.cols.unwrap_or((0, n - 1));
-                        let c0 = (jlo / PV) * PV;
-                        let c1 = n.min((jhi / PV + 1) * PV);
-                        plane_gemm(
-                            m,
-                            c1 - c0,
-                            k,
-                            kp,
-                            p,
-                            pinv,
-                            &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-                            &b.panels()[s * n_pad * kp + c0 * kp..(s + 1) * n_pad * kp],
-                            c32,
-                            racc,
-                            &mut u[s * plane + c0 * m..s * plane + c1 * m],
-                            false,
-                            None,
-                        );
-                        report.retries += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: Some((c0, c1 - 1)),
-                            action: RecoveryAction::StripeRetry,
-                        });
-                        attempt += 1;
-                    } else {
-                        full_repair(
-                            s,
-                            m,
-                            n,
-                            k,
-                            kp,
-                            consts,
-                            &mut a,
-                            &mut b,
-                            chk_a8,
-                            chk_b8,
-                            m_pad,
-                            n_pad,
-                            u,
-                            c32,
-                            racc,
-                            chk_sum,
-                            uchk,
-                            &mut report,
-                        );
-                        report.retries += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: ver.cols,
-                            action: RecoveryAction::FullRepair,
-                        });
-                        attempt += 1;
-                    }
-                }
-            }
-        }
-        phases.verify += tv.elapsed();
-    }
-
-    (gemm_calls, report)
-}
-
-/// The two side-channel reference products for plane `s`, computed as
-/// exact host-side widening dot products rather than engine GEMMs (an
-/// `(m, 1, k)` / `(1, n, k)` engine call would spend `PV`-panel padding
-/// and epilogue work on a single output vector): row references
-/// `A'_s · chk_b` into `uchk_pl[..m]` and column references
-/// `chk_a · B'_s` into `uchk_pl[m..]`. Returns the number of checksum
-/// products (2) for [`FaultReport::checksum_gemms`].
-#[allow(clippy::too_many_arguments)]
-fn checksum_refs(
-    a_plane: &[i8],
-    b_plane: &[i8],
-    m: usize,
-    n: usize,
-    kp: usize,
-    p: u64,
-    chk_a: &mut [i8],
-    chk_b: &mut [i8],
-    chk_sum: &mut [i32],
-    uchk_pl: &mut [u8],
-) -> usize {
-    build_checksum_plane(b_plane, n, kp, p, chk_b, chk_sum);
-    build_checksum_plane(a_plane, m, kp, p, chk_a, chk_sum);
-    let (rows, cols) = uchk_pl.split_at_mut(m);
-    for (i, r) in rows.iter_mut().enumerate() {
-        *r = dot_mod(&a_plane[i * kp..(i + 1) * kp], chk_b, p);
-    }
-    for (j, c) in cols.iter_mut().enumerate() {
-        *c = dot_mod(chk_a, &b_plane[j * kp..(j + 1) * kp], p);
-    }
-    2
-}
-
-/// Heavy recovery: repack the repackable sides from their source
-/// operands (deterministic, so untouched planes and their checksums are
-/// unchanged), rebuild plane `s`'s checksum vectors and references, and
-/// re-run the plane's GEMM. Caller holds the suppress (and possibly
-/// scalar cap) guard.
-#[allow(clippy::too_many_arguments)]
-fn full_repair(
-    s: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    kp: usize,
-    consts: &Constants,
-    a: &mut PanelsRef<'_>,
-    b: &mut PanelsRef<'_>,
-    chk_a8: &mut [i8],
-    chk_b8: &mut [i8],
-    m_pad: usize,
-    n_pad: usize,
-    u: &mut [u8],
-    c32: &mut [i32],
-    racc: &mut [i32],
-    chk_sum: &mut [i32],
-    uchk: &mut [u8],
-    report: &mut FaultReport,
-) {
-    let p = consts.p[s];
-    let pinv = consts.p_inv_u32[s];
-    let plane = m * n;
-    a.repack();
-    b.repack();
-    report.checksum_gemms += checksum_refs(
-        &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-        &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],
-        m,
-        n,
-        kp,
-        p,
-        &mut chk_a8[s * kp..(s + 1) * kp],
-        &mut chk_b8[s * kp..(s + 1) * kp],
-        chk_sum,
-        &mut uchk[s * (m + n)..(s + 1) * (m + n)],
-    );
-    plane_gemm(
+    let mut ex = Executor {
         m,
         n,
         k,
-        kp,
-        p,
-        pinv,
-        &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-        &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],
-        c32,
-        racc,
-        &mut u[s * plane..(s + 1) * plane],
-        false,
-        None,
-    );
+        kp: padded_depth(k),
+        consts,
+        a,
+        b,
+        scratch,
+        policy,
+        report: FaultReport::default(),
+    };
+    let mut gemm_calls = 0usize;
+    for s in 0..consts.n {
+        gemm_calls += ex.plane(s, parallel, Some(&mut *phases));
+        if active {
+            faultinject::corrupt_residue(&mut ex.scratch.u[s * m * n..(s + 1) * m * n]);
+            let tv = Instant::now();
+            ex.recover(s);
+            phases.verify += tv.elapsed();
+        }
+    }
+    (gemm_calls, ex.report)
 }
 
 #[cfg(test)]
@@ -975,6 +968,94 @@ mod tests {
             "off:1",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn recovery_ladder_table() {
+        use FaultPolicy::*;
+        use RecoveryAction::*;
+        // Per policy: attempt 0 with intact panels, attempt 0 with a
+        // corrupt panel, then attempts 1, 2 and 3 (either panel state),
+        // all before any scalar fallback.
+        let table: [(FaultPolicy, [RecoveryAction; 5]); 7] = [
+            (Detect, [Detected; 5]),
+            (Retry { max_retries: 0 }, [Unrecovered; 5]),
+            (
+                Retry { max_retries: 1 },
+                [
+                    StripeRetry,
+                    FullRepair,
+                    Unrecovered,
+                    Unrecovered,
+                    Unrecovered,
+                ],
+            ),
+            (
+                Retry { max_retries: 2 },
+                [
+                    StripeRetry,
+                    FullRepair,
+                    FullRepair,
+                    Unrecovered,
+                    Unrecovered,
+                ],
+            ),
+            (RetryThenScalar { max_retries: 0 }, [ScalarFallback; 5]),
+            (
+                RetryThenScalar { max_retries: 1 },
+                [
+                    StripeRetry,
+                    FullRepair,
+                    ScalarFallback,
+                    ScalarFallback,
+                    ScalarFallback,
+                ],
+            ),
+            (
+                RetryThenScalar { max_retries: 2 },
+                [
+                    StripeRetry,
+                    FullRepair,
+                    FullRepair,
+                    ScalarFallback,
+                    ScalarFallback,
+                ],
+            ),
+        ];
+        for (policy, row) in table {
+            assert_eq!(
+                recovery_action(policy, 0, false, true),
+                row[0],
+                "{policy:?}"
+            );
+            assert_eq!(
+                recovery_action(policy, 0, false, false),
+                row[1],
+                "{policy:?}"
+            );
+            for attempt in 1..=3u8 {
+                for intact in [true, false] {
+                    let got = recovery_action(policy, attempt, false, intact);
+                    assert_eq!(
+                        got,
+                        row[1 + attempt as usize],
+                        "{policy:?} {attempt} {intact}"
+                    );
+                }
+            }
+            // After the scalar fallback, nothing is left to try.
+            let last = if policy == Detect {
+                Detected
+            } else {
+                Unrecovered
+            };
+            for attempt in 0..=3u8 {
+                for intact in [true, false] {
+                    let got = recovery_action(policy, attempt, true, intact);
+                    assert_eq!(got, last, "{policy:?} {attempt} {intact} scalar done");
+                }
+            }
         }
     }
 

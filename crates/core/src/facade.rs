@@ -17,7 +17,7 @@
 //!   [`EmulationError::AccuracyUnreachable`] when no supported `N`
 //!   reaches the target).
 
-use crate::abft::{execute_panels, ExecScratch, FaultPolicy, FaultReport, PanelsRef};
+use crate::abft::{execute_panels, FaultPolicy, FaultReport, PanelsRef};
 use crate::accumulate::{fold_planes, FoldPrecision};
 use crate::blas::GemmOp;
 use crate::consts::{constants, Constants};
@@ -25,9 +25,7 @@ use crate::convert::trunc_convert_pack_panels;
 use crate::element::Element;
 use crate::moduli::N_MAX;
 use crate::nselect;
-use crate::pipeline::{
-    EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
-};
+use crate::pipeline::{EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace};
 use crate::prepared::{OperandInput, OperandSide};
 use crate::scale::{accurate_scale_view, fast_scale_view};
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
@@ -508,26 +506,9 @@ pub(crate) fn algorithm1<T: Element>(
     if !prepared(&b) {
         ws.reserve_b(n, k, nmod);
     }
-    ws.reserve_exec(m, n, k, nmod);
-    if policy.is_active() {
-        ws.reserve_abft(m, n, k, nmod);
-    }
-    let WsBuffers {
-        a8,
-        b8,
-        u,
-        c32,
-        racc,
-        cstage,
-        chk_a8,
-        chk_b8,
-        uchk,
-        chk_sum,
-        vsum,
-    } = ws.buffers();
     for (input, side, exps, panels) in [
-        (&a, OperandSide::A, &exps_a, &mut *a8),
-        (&b, OperandSide::B, &exps_b, &mut *b8),
+        (&a, OperandSide::A, &exps_a, &mut ws.a8),
+        (&b, OperandSide::B, &exps_b, &mut ws.b8),
     ] {
         if let OperandInput::View(v) = input {
             front_end(v, side, exps, consts, parallel, panels, &mut phases);
@@ -535,8 +516,8 @@ pub(crate) fn algorithm1<T: Element>(
     }
     let repack_a = |p: &mut [i8]| repack_side(&a, OperandSide::A, &exps_a, consts, p);
     let repack_b = |p: &mut [i8]| repack_side(&b, OperandSide::B, &exps_b, consts, p);
-    let a_ref = side_panels(&a, a8, &repack_a);
-    let b_ref = side_panels(&b, b8, &repack_b);
+    let a_ref = side_panels(&a, &mut ws.a8, &repack_a);
+    let b_ref = side_panels(&b, &mut ws.b8, &repack_b);
 
     // ---- Lines 6–7 over the packed panels --------------------------------
     let (calls, report) = execute_panels(
@@ -546,16 +527,7 @@ pub(crate) fn algorithm1<T: Element>(
         consts,
         a_ref,
         b_ref,
-        ExecScratch {
-            u: &mut u[..],
-            c32,
-            racc,
-            chk_a8,
-            chk_b8,
-            uchk,
-            chk_sum,
-            vsum,
-        },
+        &mut ws.exec,
         parallel,
         policy,
         &mut phases,
@@ -565,10 +537,10 @@ pub(crate) fn algorithm1<T: Element>(
     // ---- Lines 8–12: the caller's fold -----------------------------------
     let t0 = Instant::now();
     fold(Some(FoldInput {
-        u: &u[..nmod * m * n],
+        u: &ws.exec.u[..nmod * m * n],
         exps_a: &exps_a,
         exps_b: &exps_b,
-        stage: cstage,
+        stage: &mut ws.cstage,
         parallel,
     }));
     phases.fold = t0.elapsed();

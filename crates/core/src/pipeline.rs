@@ -10,7 +10,8 @@
 //! executor in [`crate::abft`], for every fault policy, and each entry
 //! hands the body its own lines-8–12 fold. The [`Workspace`]
 //! holds the residue panels in the engine's one i8 panel format, so a
-//! square product's panels take `2N·mk` bytes.
+//! square product's panels take `2N·mk` bytes, next to the executor's
+//! own scratch.
 
 use crate::abft::{FaultPolicy, FaultReport};
 use crate::facade::GemmArgs;
@@ -265,8 +266,11 @@ pub struct EmulationReport {
 }
 
 /// Reusable scratch for the whole Algorithm-1 pipeline: the packed residue
-/// panels the fused trunc+convert phase emits, the UINT8 residue planes,
-/// the INT32 product plane, and the block-residue accumulator.
+/// panels the fused trunc+convert phase emits, the f64 fold staging, and
+/// the lines-6–7 executor's own scratch (the UINT8 residue planes, the
+/// INT32 product, the block-residue accumulator and, under an active
+/// [`FaultPolicy`], the ABFT side-channel buffers), which the executor in
+/// [`crate::abft`] sizes itself.
 ///
 /// A single emulated GEMM needs ~`(3N + 4)·mn` bytes of scratch for a
 /// square product (`2N·mk` packed i8 panels, `N·mn` residue planes,
@@ -283,46 +287,21 @@ pub struct EmulationReport {
 /// ([`gemm_engine::int8_gemm_prepacked_fused`]).
 #[derive(Default)]
 pub struct Workspace {
-    a8: Vec<i8>,
-    b8: Vec<i8>,
-    u: Vec<u8>,
-    c32: Vec<i32>,
-    racc: Vec<i32>,
+    pub(crate) a8: Vec<i8>,
+    pub(crate) b8: Vec<i8>,
     /// f64 fold staging for outputs the fold cannot write directly: f32
     /// results (narrowed afterwards) and strided or `alpha`/`beta`
     /// epilogue outputs.
-    cstage: Vec<f64>,
-    /// ABFT checksum vectors for `A` (`N` planes of `kp` i8 each; empty
-    /// unless a fault policy is active).
-    chk_a8: Vec<i8>,
-    /// ABFT checksum vectors for `B` (`N` planes of `kp` i8 each).
-    chk_b8: Vec<i8>,
-    /// ABFT checksum references: per plane, `m` row-sum residues followed
-    /// by `n` column-sum residues.
-    uchk: Vec<u8>,
-    /// i32 accumulator for checksum-vector construction (`kp` entries,
-    /// re-reduced mod `p` between chunks so it never overflows).
-    chk_sum: Vec<i32>,
-    /// Row-sum scratch for the verification sweep (`m` u32).
-    vsum: Vec<u32>,
+    pub(crate) cstage: Vec<f64>,
+    /// The lines-6–7 executor's scratch.
+    pub(crate) exec: crate::abft::Scratch,
 }
 
-/// Mutable borrows of every [`Workspace`] buffer at once, for the
-/// Algorithm-1 body and the lines-6–7 executor, which juggle several of
-/// them simultaneously. The `chk_*` / `uchk` / `vsum` fields are empty
-/// unless [`Workspace::reserve_abft`] ran.
-pub(crate) struct WsBuffers<'w> {
-    pub a8: &'w mut [i8],
-    pub b8: &'w mut [i8],
-    pub u: &'w mut [u8],
-    pub c32: &'w mut [i32],
-    pub racc: &'w mut [i32],
-    pub cstage: &'w mut Vec<f64>,
-    pub chk_a8: &'w mut [i8],
-    pub chk_b8: &'w mut [i8],
-    pub uchk: &'w mut [u8],
-    pub chk_sum: &'w mut [i32],
-    pub vsum: &'w mut [u32],
+/// Grow-only resize of one scratch buffer to at least `len` elements.
+pub(crate) fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
 }
 
 impl Workspace {
@@ -333,17 +312,7 @@ impl Workspace {
 
     /// Current scratch footprint in bytes (excluding `Vec` headers).
     pub fn bytes(&self) -> usize {
-        self.a8.capacity()
-            + self.b8.capacity()
-            + self.u.capacity()
-            + self.c32.capacity() * 4
-            + self.racc.capacity() * 4
-            + self.cstage.capacity() * 8
-            + self.chk_a8.capacity()
-            + self.chk_b8.capacity()
-            + self.uchk.capacity()
-            + self.chk_sum.capacity() * 4
-            + self.vsum.capacity() * 4
+        self.a8.capacity() + self.b8.capacity() + self.cstage.capacity() * 8 + self.exec.bytes()
     }
 
     /// Zero every buffer in place (capacity kept). The batch runtime's
@@ -355,90 +324,18 @@ impl Workspace {
     pub fn scrub(&mut self) {
         self.a8.fill(0);
         self.b8.fill(0);
-        self.u.fill(0);
-        self.c32.fill(0);
-        self.racc.fill(0);
         self.cstage.fill(0.0);
-        self.chk_a8.fill(0);
-        self.chk_b8.fill(0);
-        self.uchk.fill(0);
-        self.chk_sum.fill(0);
-        self.vsum.fill(0);
+        self.exec.scrub();
     }
 
     /// Grow-only resize of the A-side packed panel buffer.
     pub(crate) fn reserve_a(&mut self, m: usize, k: usize, nmod: usize) {
-        let want = nmod * padded_a_rows(m) * padded_depth(k);
-        if self.a8.len() < want {
-            self.a8.resize(want, 0);
-        }
+        grow(&mut self.a8, nmod * padded_a_rows(m) * padded_depth(k));
     }
 
     /// Grow-only resize of the B-side packed panel buffer.
     pub(crate) fn reserve_b(&mut self, n: usize, k: usize, nmod: usize) {
-        let want = nmod * padded_b_cols(n) * padded_depth(k);
-        if self.b8.len() < want {
-            self.b8.resize(want, 0);
-        }
-    }
-
-    /// Grow-only resize of the execute-half buffers only (residue planes,
-    /// INT32 product, block accumulator) — what a run over *prepared*
-    /// operand panels needs, since the packed `a8`/`b8` live inside the
-    /// [`crate::prepared::PreparedOperand`]s instead of the workspace.
-    pub(crate) fn reserve_exec(&mut self, m: usize, n: usize, k: usize, nmod: usize) {
-        if self.u.len() < nmod * m * n {
-            self.u.resize(nmod * m * n, 0);
-        }
-        if self.c32.len() < m * n {
-            self.c32.resize(m * n, 0);
-        }
-        if k > K_BLOCK_MAX && self.racc.len() < m * n {
-            self.racc.resize(m * n, 0);
-        }
-    }
-
-    /// Grow-only resize of the ABFT side-channel buffers (checksum vectors,
-    /// checksum references, verification scratch). Only called when a
-    /// fault policy is active — [`crate::abft::FaultPolicy::Off`] packs no
-    /// checksum columns and allocates nothing here.
-    pub(crate) fn reserve_abft(&mut self, m: usize, n: usize, k: usize, nmod: usize) {
-        let kp = padded_depth(k);
-        let want = nmod * kp;
-        if self.chk_a8.len() < want {
-            self.chk_a8.resize(want, 0);
-        }
-        if self.chk_b8.len() < want {
-            self.chk_b8.resize(want, 0);
-        }
-        if self.uchk.len() < nmod * (m + n) {
-            self.uchk.resize(nmod * (m + n), 0);
-        }
-        if self.chk_sum.len() < kp {
-            self.chk_sum.resize(kp, 0);
-        }
-        if self.vsum.len() < m {
-            self.vsum.resize(m, 0);
-        }
-    }
-
-    /// Every buffer at once, for the Algorithm-1 body and the lines-6–7
-    /// executor. Call the `reserve_*` methods for the buffers in use
-    /// first.
-    pub(crate) fn buffers(&mut self) -> WsBuffers<'_> {
-        WsBuffers {
-            a8: &mut self.a8,
-            b8: &mut self.b8,
-            u: &mut self.u,
-            c32: &mut self.c32,
-            racc: &mut self.racc,
-            cstage: &mut self.cstage,
-            chk_a8: &mut self.chk_a8,
-            chk_b8: &mut self.chk_b8,
-            uchk: &mut self.uchk,
-            chk_sum: &mut self.chk_sum,
-            vsum: &mut self.vsum,
-        }
+        grow(&mut self.b8, nmod * padded_b_cols(n) * padded_depth(k));
     }
 }
 

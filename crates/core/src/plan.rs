@@ -8,9 +8,10 @@
 //! grows to its high-water mark on the first call and then stays flat,
 //! so with [`crate::Ozaki2::gemm_into`] the steady state allocates
 //! nothing. A single emulated GEMM needs ~`(3N + 4)·mn` bytes of scratch
-//! for a square product (the packed i8 residue panels, residue planes,
-//! the INT32 product buffer, plus a block-residue accumulator when
-//! `k > 2^17`).
+//! for a square product: the packed i8 residue panels, plus the lines-6–7
+//! executor's own scratch, which it sizes itself (residue planes, the
+//! INT32 product buffer, a block-residue accumulator when `k > 2^17`, and
+//! the ABFT buffers under an active fault policy).
 
 /// Estimated arithmetic intensity of the emulated product's engine phase:
 /// INT8 multiply-add operations per byte of memory traffic (packed i8
