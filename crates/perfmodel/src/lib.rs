@@ -13,13 +13,11 @@
 
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod device;
 pub mod figures;
 pub mod model;
 pub mod ops;
 
-pub use advisor::{is_excluded_shape, recommend_dgemm, recommend_sgemm, Recommendation};
 pub use device::{a100, evaluation_devices, gh200, rtx5080, DeviceSpec, FIG1_DATASHEET};
 pub use figures::{
     breakdown, fig4_dgemm_throughput, fig5_sgemm_throughput, fig8_dgemm_power, fig9_sgemm_power,

@@ -1,10 +1,9 @@
 //! Production workflow: pick the moduli count from an accuracy target,
-//! check the shape is in the emulation's sweet spot, and reuse one
-//! workspace across repeated products.
+//! see how each shape is scheduled on this host, and reuse one workspace
+//! across repeated products.
 //!
 //! Run: `cargo run --release --example auto_precision`
 
-use gemm_perfmodel::{gh200, recommend_dgemm, Recommendation};
 use gemmul8::prelude::*;
 use ozaki2::{n_for_dgemm_level, predicted_error};
 
@@ -19,23 +18,33 @@ fn main() {
         println!("{:<10} {:>4} {:>16.2e}", k, n, predicted_error(n, k));
     }
 
-    // 2. Shape advisor: is emulation worth it on the target device?
-    println!("\n-- Deployment advisor (GH200 model, N from accuracy target) --");
-    println!("{:<26} {:>12}", "shape (m x k x n)", "verdict");
+    // 2. Per-shape schedule on this host: a product whose engine phase
+    //    has enough INT8 work per byte splits its stripes over the worker
+    //    pool; lighter ones run whole items per worker in a batch.
+    println!("\n-- Schedule per shape (N from accuracy target) --");
+    println!(
+        "{:<22} {:>4} {:>10}   schedule",
+        "shape (m x k x n)", "N", "ops/byte"
+    );
     for (m, k, n) in [
-        (1024usize, 1024usize, 1024usize),
-        (4096, 4096, 4096),
-        (16384, 16384, 16384),
-        (65536, 64, 65536), // tall-and-skinny: excluded by the paper
+        (64usize, 64usize, 64usize),
+        (256, 256, 256),
+        (1024, 1024, 1024),
+        (2048, 128, 2048), // rank-k update
     ] {
         let nmod = n_for_dgemm_level(k).min(ozaki2::N_MAX);
-        let verdict = match recommend_dgemm(gh200(), m, n, k, nmod) {
-            Recommendation::Native => "native DGEMM".to_string(),
-            Recommendation::Emulate { n_moduli, speedup } => {
-                format!("emulate N={n_moduli} ({speedup:.2}x)")
-            }
+        let intensity = ozaki2::arithmetic_intensity(m, n, k, nmod);
+        let schedule = if intensity < gemm_batch::INTENSITY_CROSSOVER {
+            "inter-item"
+        } else {
+            "intra-item"
         };
-        println!("{:<26} {:>12}", format!("{m} x {k} x {n}"), verdict);
+        println!(
+            "{:<22} {:>4} {:>10.1}   {schedule}",
+            format!("{m} x {k} x {n}"),
+            nmod,
+            intensity
+        );
     }
 
     // 3. Workspace reuse: iterative consumers allocate scratch once.
