@@ -20,10 +20,11 @@ better, and a verdict:
                       run;
     within bound      none of these.
 
-With --ledger it then makes one traced run (`--trace 1`) per side per
-workload and prints the call's p50, the six phase times, the unattributed
-remainder and the pool tasks per operation side by side, to show where a
-gain comes from.
+With --ledger it then makes 5 interleaved traced runs (`--trace 1`) per
+side per workload and prints, for the call's p50, the six phase times,
+the unattributed remainder and the pool tasks per operation, each side's
+median and the parent's interquartile range, to show where a gain comes
+from. A single traced run cannot resolve a phase change below ~20%.
 
     scripts/perf_ab.py --parent HEAD~1 --pairs 10 --seconds 12 \\
         --workloads serve_mixed,dgemm_rankk --ledger
@@ -59,6 +60,8 @@ def build(src: Path, target: Path) -> Path:
 LEDGER = ["ozaki2.call_ms_p50", "ozaki2.scale_ms", "ozaki2.trunc_ms", "ozaki2.convert_ms",
           "ozaki2.gemm_ms", "ozaki2.mod_ms", "ozaki2.fold_ms", "ozaki2.unattributed_ms",
           "pool.tasks"]
+# Traced runs per side per workload for --ledger.
+LEDGER_RUNS = 5
 
 
 def run(exe: Path, cwd: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -68,8 +71,9 @@ def run(exe: Path, cwd: Path, workload: str, seed: int, seconds: float, trace: i
         cwd=cwd, capture_output=True, text=True,
     )
     lines = out.stdout.strip().splitlines()
-    if not lines:
-        sys.exit(f"{exe} {workload}: no output (exit {out.returncode})\n{out.stderr}")
+    if out.returncode != 0 or not lines:
+        sys.exit(f"{exe} {workload}: exit {out.returncode}, {len(lines)} lines of output\n"
+                 f"{out.stderr}")
     return json.loads(lines[-1])
 
 
@@ -104,8 +108,8 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workloads", help="comma-separated; default: all in BENCHMARK.json")
     ap.add_argument("--ledger", action="store_true",
-                    help="after the pairs, one traced run per side per workload, "
-                         "phase times side by side")
+                    help=f"after the pairs, {LEDGER_RUNS} interleaved traced runs per side "
+                         "per workload, phase-time medians side by side")
     args = ap.parse_args()
 
     root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"],
@@ -159,22 +163,28 @@ def main():
 
     if args.ledger:
         for w in workloads:
-            traced = {}
-            for side in ("parent", "change"):
-                exe, cwd = sides[side]
-                traced[side] = run(exe, cwd, w, args.seed, args.seconds, trace=1)
-                log.write(json.dumps({"workload": w, "side": side, "trace": 1,
-                                      **traced[side]}) + "\n")
-                log.flush()
-            print(f"\n{w}: ledger, one traced run per side of {args.seconds:g} s, seed {args.seed}")
-            print(f"  {'metric':24} {'parent':>12} {'change':>12} {'delta':>8}")
+            traced = {"parent": [], "change": []}
+            for i in range(LEDGER_RUNS):
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+                for side in order:
+                    exe, cwd = sides[side]
+                    r = run(exe, cwd, w, args.seed, args.seconds, trace=1)
+                    traced[side].append(r)
+                    log.write(json.dumps({"workload": w, "side": side, "trace": 1, "run": i,
+                                          **r}) + "\n")
+                    log.flush()
+            print(f"\n{w}: ledger, {LEDGER_RUNS} interleaved traced runs per side of "
+                  f"{args.seconds:g} s, seed {args.seed}")
+            print(f"  {'metric':24} {'parent':>12} {'parent IQR':>25} {'change':>12} {'delta':>8}")
             for name in LEDGER:
-                pv = traced["parent"]["metrics"][name]["value"]
-                cv = traced["change"]["metrics"][name]["value"]
-                delta = (cv - pv) / pv * 100 if pv else 0.0
-                unit = traced["parent"]["metrics"][name]["unit"]
-                print(f"  {name:24} {pv:12.6g} {cv:12.6g} {delta:+7.2f}%  {unit}")
-
+                p = [r["metrics"][name]["value"] for r in traced["parent"]]
+                c = [r["metrics"][name]["value"] for r in traced["change"]]
+                pm, cm = statistics.median(p), statistics.median(c)
+                q1, q3 = quartiles(p)
+                delta = (cm - pm) / pm * 100 if pm else 0.0
+                unit = traced["parent"][0]["metrics"][name]["unit"]
+                print(f"  {name:24} {pm:12.6g} {q1:12.6g}..{q3:<12.6g} {cm:12.6g} "
+                      f"{delta:+7.2f}%  {unit}")
 
 if __name__ == "__main__":
     main()
