@@ -71,10 +71,19 @@ def run(exe: Path, cwd: Path, workload: str, seed: int, seconds: float, trace: i
         cwd=cwd, capture_output=True, text=True,
     )
     lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or not lines:
-        sys.exit(f"{exe} {workload}: exit {out.returncode}, {len(lines)} lines of output\n"
-                 f"{out.stderr}")
-    return json.loads(lines[-1])
+    try:
+        r = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"{exe} {workload}: exit {out.returncode}, no result line\n{out.stderr}")
+    # perfbench exits 1 after its result line when a check failed; the
+    # result counts those, and each table prints the count. Any other
+    # nonzero exit is a broken run.
+    if out.returncode != 0:
+        if not r.get("failed"):
+            sys.exit(f"{exe} {workload}: exit {out.returncode}\n{out.stderr}")
+        print(f"{exe} {workload}: exit {out.returncode}, {r['failed']} of "
+              f"{r['attempted']} checks failed", file=sys.stderr)
+    return r
 
 
 def quartiles(xs):
@@ -175,6 +184,10 @@ def main():
                     log.flush()
             print(f"\n{w}: ledger, {LEDGER_RUNS} interleaved traced runs per side of "
                   f"{args.seconds:g} s, seed {args.seed}")
+            for side in ("parent", "change"):
+                failed = sum(r["failed"] for r in traced[side])
+                attempted = sum(r["attempted"] for r in traced[side])
+                print(f"  {side:6} failed {failed} of {attempted} checks")
             print(f"  {'metric':24} {'parent':>12} {'parent IQR':>25} {'change':>12} {'delta':>8}")
             for name in LEDGER:
                 p = [r["metrics"][name]["value"] for r in traced["parent"]]
