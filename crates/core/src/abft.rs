@@ -252,8 +252,9 @@ impl PanelsRef<'_> {
     }
 
     /// Whether plane `s` still sums to the checksum vector `chk` captured
-    /// from it ([`panel_intact`]). Fixed panels are never injected into,
-    /// so they are always intact.
+    /// from it. A flip of bits 0–6 of one panel byte moves one depth sum
+    /// by a nonzero amount below every modulus, so it always shows here.
+    /// Fixed panels are never injected into, so they are always intact.
     fn plane_intact(
         &self,
         s: usize,
@@ -264,7 +265,10 @@ impl PanelsRef<'_> {
         scratch: &mut [i32],
     ) -> bool {
         matches!(self, PanelsRef::Fixed(_))
-            || panel_intact(self.plane(s, vecs, kp), vecs, kp, p, chk, scratch)
+            || checksum_sums(self.plane(s, vecs, kp), vecs, kp, p, scratch)
+                .iter()
+                .zip(chk)
+                .all(|(&r, &c)| r == (c as i32).rem_euclid(p as i32))
     }
 
     /// The panel fault seam of plane `s`. Fixed panels are deliberately
@@ -287,7 +291,8 @@ impl PanelsRef<'_> {
 }
 
 /// Byte range of plane `s` in a panel set of `vecs` packed vectors
-/// ([`gemm_engine::padded_a_rows`] or [`gemm_engine::padded_b_cols`] of them, `kp` bytes each).
+/// ([`gemm_engine::padded_a_rows`] or [`gemm_engine::padded_b_cols`] of
+/// them, `kp` bytes each).
 fn plane_range(s: usize, vecs: usize, kp: usize) -> Range<usize> {
     let len = vecs.div_ceil(PV) * PV * kp;
     s * len..(s + 1) * len
@@ -344,9 +349,9 @@ fn col_sweep(col: &[u8], rowsum: &mut [u32]) -> (u32, u8) {
 
 /// Depth-wise sums of one plane's `vecs` packed vectors, reduced to
 /// `[0, p)`, in `scratch[..kp]`. Accumulation is i32 — `|x| ≤ 128` keeps
-/// `2^16` vectors overflow-free, and the running sums are re-reduced mod
-/// `p` between chunks for larger `vecs` — so the inner loop vectorizes at
-/// twice the width an i64 accumulator would allow.
+/// `2^16` vectors overflow-free, and the running sums are reduced mod `p`
+/// after each chunk of that many — so the inner loop vectorizes at twice
+/// the width an i64 accumulator would allow.
 fn checksum_sums<'s>(
     plane: &[i8],
     vecs: usize,
@@ -388,23 +393,6 @@ fn build_checksum_plane(
     {
         *o = (if r <= half { r } else { r - p }) as i8;
     }
-}
-
-/// Whether a plane's panels still sum to the checksum vector captured
-/// from them. A flip of bits 0–6 of one panel byte moves one depth sum by
-/// a nonzero amount below every modulus, so it always shows here.
-fn panel_intact(
-    plane: &[i8],
-    vecs: usize,
-    kp: usize,
-    p: u64,
-    chk: &[i8],
-    scratch: &mut [i32],
-) -> bool {
-    checksum_sums(plane, vecs, kp, p, scratch)
-        .iter()
-        .zip(chk)
-        .all(|(&r, &c)| r == (c as i32).rem_euclid(p as i32))
 }
 
 /// Exact dot product of two `kp`-element packed vectors, reduced to the
