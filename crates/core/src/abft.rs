@@ -58,10 +58,9 @@ use crate::consts::Constants;
 use crate::pipeline::{grow, PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    barrett_mod_row_u8, cap_scope, dispatch, engine_isa, int8_gemm_prepacked_fused, padded_depth,
-    AccumulateEpilogue, Epilogue, Isa, ReduceEpilogue, PV,
+    cap_scope, dispatch, int8_gemm_prepacked_fused, padded_depth, AddModEpilogue, Epilogue, Isa,
+    ReduceEpilogue, PV,
 };
-use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -481,8 +480,7 @@ fn verify_plane(
 // ---------------------------------------------------------------------------
 
 /// The executor's scratch, owned by [`crate::Workspace`]: the residue
-/// planes, the INT32 product and block-residue accumulator, and the ABFT
-/// side-channel buffers. Every buffer grows to the high-water mark of the
+/// planes, the INT32 product, and the ABFT side-channel buffers. Every buffer grows to the high-water mark of the
 /// calls it has served and is then reused.
 #[derive(Default)]
 pub(crate) struct Scratch {
@@ -491,8 +489,6 @@ pub(crate) struct Scratch {
     pub(crate) u: Vec<u8>,
     /// The INT32 product of one plane or column window.
     c32: Vec<i32>,
-    /// Block-residue accumulator (`m·n` i32, only for `k >` [`K_BLOCK_MAX`]).
-    racc: Vec<i32>,
     /// Checksum vectors of `A` and `B` (`N` planes of `kp` i8 each).
     chk_a8: Vec<i8>,
     chk_b8: Vec<i8>,
@@ -511,9 +507,6 @@ impl Scratch {
     fn reserve(&mut self, m: usize, n: usize, k: usize, nmod: usize, policy: FaultPolicy) {
         grow(&mut self.u, nmod * m * n);
         grow(&mut self.c32, m * n);
-        if k > K_BLOCK_MAX {
-            grow(&mut self.racc, m * n);
-        }
         if policy.is_active() {
             let kp = padded_depth(k);
             grow(&mut self.chk_a8, nmod * kp);
@@ -530,17 +523,13 @@ impl Scratch {
             + self.chk_a8.capacity()
             + self.chk_b8.capacity()
             + self.uchk.capacity()
-            + 4 * (self.c32.capacity()
-                + self.racc.capacity()
-                + self.chk_sum.capacity()
-                + self.vsum.capacity())
+            + 4 * (self.c32.capacity() + self.chk_sum.capacity() + self.vsum.capacity())
     }
 
     /// Zero every buffer in place (capacity kept).
     pub(crate) fn scrub(&mut self) {
         self.u.fill(0);
         self.c32.fill(0);
-        self.racc.fill(0);
         self.chk_a8.fill(0);
         self.chk_b8.fill(0);
         self.uchk.fill(0);
@@ -601,13 +590,10 @@ struct Executor<'e> {
 impl Executor<'_> {
     /// Algorithm 1 lines 6–7 for columns `cols` of residue plane `s`: the
     /// INT8 GEMM with fused mod-`p` reduction into `U_s`, k-blocked past
-    /// [`K_BLOCK_MAX`] (§4.3: each block's residues accumulate in i32 and
-    /// are reduced once more at the end, split over the workers when
-    /// `parallel`; every block is a PK-aligned depth window of the same
-    /// panels). A window starts on a whole `PV`-column panel. With
-    /// `phases`, each engine call's time is split into `int8_gemm` and
-    /// `mod_reduce` (the slowest stripe's fused epilogue), and the
-    /// block-residue finalization counts as `mod_reduce`. Returns the
+    /// [`K_BLOCK_MAX`] (§4.3; every block is a PK-aligned depth window of
+    /// the same panels). A window starts on a whole `PV`-column panel.
+    /// With `phases`, each engine call's time is split into `int8_gemm`
+    /// and `mod_reduce` (the slowest stripe's fused epilogue). Returns the
     /// number of engine calls issued.
     fn gemm(
         &mut self,
@@ -616,61 +602,33 @@ impl Executor<'_> {
         parallel: bool,
         mut phases: Option<&mut PhaseTimes>,
     ) -> usize {
-        let (m, k, kp) = (self.m, self.k, self.kp);
-        let (p, pinv) = (self.consts.p[s], self.consts.p_inv_u32[s]);
+        let (m, kp) = (self.m, self.kp);
         let width = cols.len();
-        let a = self.a.plane(s, m, kp);
-        let b = &self.b.plane(s, self.n, kp)[cols.start * kp..];
         let plane = s * m * self.n;
-        let u = &mut self.scratch.u[plane + cols.start * m..plane + cols.end * m];
-        let c32 = &mut self.scratch.c32[..m * width];
         let mod_nanos = AtomicU64::new(0);
-        let nanos = phases.is_some().then_some(&mod_nanos);
-        let mut charge = |t0: Instant| {
-            if let Some(ph) = phases.as_deref_mut() {
-                let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-                ph.mod_reduce += modd;
-                ph.int8_gemm += t0.elapsed().saturating_sub(modd);
-            }
-        };
         let run = Product {
             m,
             width,
-            k,
+            k: self.k,
             kp,
-            a,
-            b,
+            a: self.a.plane(s, m, kp),
+            b: &self.b.plane(s, self.n, kp)[cols.start * kp..],
+            p: self.consts.p[s],
+            pinv: self.consts.p_inv_u32[s],
+            nanos: phases.is_some().then_some(&mod_nanos),
             parallel,
         };
-        if k <= K_BLOCK_MAX {
-            return run.blocks(c32, u, &ReduceEpilogue::new(p, pinv, nanos), &mut charge);
-        }
-        let racc = &mut self.scratch.racc[..m * width];
-        racc.fill(0);
-        let calls = run.blocks(
-            c32,
-            racc,
-            &AccumulateEpilogue::new(p, pinv, nanos),
-            &mut charge,
-        );
-        let t0 = Instant::now();
-        if parallel {
-            // The caller's level, pinned on whichever thread reduces a chunk.
-            let level = engine_isa();
-            const CHUNK: usize = 16 * 1024;
-            u.par_chunks_mut(CHUNK)
-                .zip(racc.par_chunks(CHUNK))
-                .for_each(|(dst, src)| {
-                    let _cap = cap_scope(level);
-                    barrett_mod_row_u8(src, dst, p as i32, pinv);
-                });
-        } else {
-            barrett_mod_row_u8(racc, u, p as i32, pinv);
-        }
-        if let Some(ph) = phases {
-            ph.mod_reduce += t0.elapsed();
-        }
-        calls
+        run.blocks(
+            &mut self.scratch.c32[..m * width],
+            &mut self.scratch.u[plane + cols.start * m..plane + cols.end * m],
+            &mut |t0: Instant| {
+                if let Some(ph) = phases.as_deref_mut() {
+                    let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
+                    ph.mod_reduce += modd;
+                    ph.int8_gemm += t0.elapsed().saturating_sub(modd);
+                }
+            },
+        )
     }
 
     /// Lines 6–7 for the whole plane `s`. An active policy first captures
@@ -804,7 +762,8 @@ impl Executor<'_> {
 }
 
 /// One plane's engine product over a column window: `m` rows by `width`
-/// columns at depth `k`, over plane panels `a`, `b` of depth stride `kp`.
+/// columns at depth `k`, over plane panels `a`, `b` of depth stride `kp`,
+/// reduced mod `p` (reciprocal `pinv`) into the window's residues.
 struct Product<'p> {
     m: usize,
     width: usize,
@@ -812,43 +771,52 @@ struct Product<'p> {
     kp: usize,
     a: &'p [i8],
     b: &'p [i8],
+    p: u64,
+    pinv: u32,
+    nanos: Option<&'p AtomicU64>,
     parallel: bool,
 }
 
 impl Product<'_> {
-    /// The engine calls, one per [`K_BLOCK_MAX`] depth block, into `out`
-    /// through `epi`; `charge` times each. With the accurate-mode estimate
-    /// in [`crate::scale`], one of the crate's two engine call sites.
-    fn blocks<E: Epilogue>(
-        &self,
-        c32: &mut [i32],
-        out: &mut [E::Out],
-        epi: &E,
-        charge: &mut impl FnMut(Instant),
-    ) -> usize {
+    /// The engine calls, one per [`K_BLOCK_MAX`] depth block: the first
+    /// writes `u = C mod p`, each later one `u = (u + C mod p) mod p`, so
+    /// `u` holds the canonical residue of the whole product after every
+    /// block. `charge` times each call. With the accurate-mode estimate in
+    /// [`crate::scale`], one of the crate's two engine call sites.
+    fn blocks(&self, c32: &mut [i32], u: &mut [u8], charge: &mut impl FnMut(Instant)) -> usize {
+        let (p, pinv, nanos) = (self.p, self.pinv, self.nanos);
         let mut calls = 0usize;
         let mut h0 = 0usize;
         while h0 < self.k {
             let kb = K_BLOCK_MAX.min(self.k - h0);
             let t0 = Instant::now();
-            int8_gemm_prepacked_fused(
-                self.m,
-                self.width,
-                kb,
-                self.a,
-                self.b,
-                self.kp,
-                h0,
-                c32,
-                out,
-                epi,
-                self.parallel,
-            );
+            if h0 == 0 {
+                self.call(kb, h0, c32, u, &ReduceEpilogue::new(p, pinv, nanos));
+            } else {
+                self.call(kb, h0, c32, u, &AddModEpilogue::new(p, pinv, nanos));
+            }
             charge(t0);
             calls += 1;
             h0 += kb;
         }
         calls
+    }
+
+    /// One engine call over the depth window `[h0, h0 + kb)`.
+    fn call<E: Epilogue>(&self, kb: usize, h0: usize, c32: &mut [i32], u: &mut [u8], epi: &E) {
+        int8_gemm_prepacked_fused(
+            self.m,
+            self.width,
+            kb,
+            self.a,
+            self.b,
+            self.kp,
+            h0,
+            c32,
+            u,
+            epi,
+            self.parallel,
+        );
     }
 }
 

@@ -66,13 +66,15 @@
 //! small prime (Algorithm 1 line 7). Doing that as a second pass over a
 //! plane that has left the cache re-streams it from DRAM, so the engine
 //! accepts an [`Epilogue`] applied to each completed `C` stripe while it is
-//! still cache-resident: [`ReduceEpilogue`] writes `u8` residues,
-//! [`AccumulateEpilogue`] adds residues into an i32 accumulator plane (the
-//! `k`-blocked path). [`NoEpilogue`] compiles the hook away. Their row
-//! kernels, [`barrett_mod_row_u8`] and [`barrett_mod_row_acc`], are
-//! portable loops run through [`crate::isa::dispatch`]; only the u8
-//! kernel keeps a hand-written AVX-512 arm, which measured faster than
-//! LLVM's vectorization of the loop. That arm, the tile kernels and the
+//! still cache-resident. Every epilogue writes `u8` residues:
+//! [`ReduceEpilogue`] overwrites the plane with `C mod p`, and
+//! [`AddModEpilogue`] adds `C mod p` into residues already there, mod `p`
+//! (the later depth blocks of the `k`-blocked path). [`NoEpilogue`]
+//! compiles the hook away. Their row kernels, [`barrett_mod_row_u8`] and
+//! [`barrett_addmod_row_u8`], are portable loops run through
+//! [`crate::isa::dispatch`]; only the reducing kernel keeps a hand-written
+//! AVX-512 arm, which measured faster than LLVM's vectorization of the
+//! loop. That arm, the tile kernels and the
 //! AMX arm are the only hand-written SIMD code in the workspace.
 //!
 //! # Workspace
@@ -143,12 +145,15 @@ pub fn barrett_mod_row_u8_scalar(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     }
 }
 
-/// Portable `acc += mod p` row reduction: the one body of
-/// [`barrett_mod_row_acc`], and its oracle.
+/// Portable `u = (u + c mod p) mod p` row update of u8 residues: the one
+/// body of [`barrett_addmod_row_u8`], and its oracle. Each `u` must already
+/// lie in `[0, p)`, so `u + (c mod p) <= 2p - 2` and one compare-subtract
+/// lands it back in `[0, p)`.
 #[inline(always)]
-pub fn barrett_mod_row_acc_scalar(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
+pub fn barrett_addmod_row_u8_scalar(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     for (d, &x) in out.iter_mut().zip(c) {
-        *d += barrett_mod_u8(x, p, pinv) as i32;
+        let s = *d as i32 + barrett_mod_u8(x, p, pinv) as i32;
+        *d = if s >= p { s - p } else { s } as u8;
     }
 }
 
@@ -209,12 +214,13 @@ unsafe fn mod_row_u8_avx512(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     barrett_mod_row_u8_scalar(&c[n16..], &mut out[n16..], p, pinv);
 }
 
-/// Vectorized `out[i] += mod(c[i], p)` residue accumulation — the row
-/// kernel behind [`AccumulateEpilogue`] (the `k > 2^17` block path): the
-/// portable [`barrett_mod_row_acc_scalar`] run through [`dispatch`].
-pub fn barrett_mod_row_acc(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
+/// Vectorized `out[i] = (out[i] + mod(c[i], p)) mod p` — the row kernel
+/// behind [`AddModEpilogue`] (the later depth blocks of the `k > 2^17`
+/// path): the portable [`barrett_addmod_row_u8_scalar`] run through
+/// [`dispatch`].
+pub fn barrett_addmod_row_u8(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     assert!(out.len() >= c.len(), "output row too short");
-    dispatch(|| barrett_mod_row_acc_scalar(c, out, p, pinv))
+    dispatch(|| barrett_addmod_row_u8_scalar(c, out, p, pinv))
 }
 
 // ---------------------------------------------------------------------------
@@ -223,23 +229,20 @@ pub fn barrett_mod_row_acc(c: &[i32], out: &mut [i32], p: i32, pinv: u32) {
 
 /// A transformation fused into the GEMM call and applied to each completed
 /// `C` stripe while it is still cache-resident, folding Algorithm 1 line 7
-/// into line 6.
+/// into line 6. Every epilogue writes a `u8` residue plane.
 pub trait Epilogue: Sync {
-    /// Element type of the epilogue's output plane.
-    type Out: Send;
     /// Whether the epilogue does anything (lets [`NoEpilogue`] skip the
     /// output-plane plumbing entirely at compile time).
     const ACTIVE: bool;
     /// Transform the finished stripe `c` into `out` (same geometry:
     /// contiguous column-major columns of the same `m x n` plane).
-    fn apply(&self, c: &[i32], out: &mut [Self::Out]);
+    fn apply(&self, c: &[i32], out: &mut [u8]);
 }
 
 /// No fused epilogue: the GEMM just writes `C`.
 pub struct NoEpilogue;
 
 impl Epilogue for NoEpilogue {
-    type Out = u8;
     const ACTIVE: bool = false;
     #[inline]
     fn apply(&self, _c: &[i32], _out: &mut [u8]) {}
@@ -260,8 +263,8 @@ fn timed_epilogue<F: FnOnce()>(nanos: Option<&AtomicU64>, f: F) {
     }
 }
 
-/// Fused `U = mod(C, p)` reduction into a `u8` residue plane
-/// (the single-`k`-block pipeline path).
+/// Fused `U = mod(C, p)` reduction into a `u8` residue plane (a
+/// single-block product, or the first depth block of a `k`-blocked one).
 pub struct ReduceEpilogue<'t> {
     p: i32,
     pinv: u32,
@@ -282,7 +285,6 @@ impl<'t> ReduceEpilogue<'t> {
 }
 
 impl Epilogue for ReduceEpilogue<'_> {
-    type Out = u8;
     const ACTIVE: bool = true;
     #[inline]
     fn apply(&self, c: &[i32], out: &mut [u8]) {
@@ -292,34 +294,26 @@ impl Epilogue for ReduceEpilogue<'_> {
     }
 }
 
-/// Fused `acc += mod(C_blk, p)` residue accumulation into an i32 plane
-/// (the `k > K_BLOCK_MAX` pipeline path; the caller reduces `acc` once at
-/// the end).
-pub struct AccumulateEpilogue<'t> {
-    p: i32,
-    pinv: u32,
-    nanos: Option<&'t AtomicU64>,
-}
+/// Fused `U = (U + mod(C_blk, p)) mod p` into a `u8` residue plane that
+/// already holds residues in `[0, p)` (the later depth blocks of the
+/// `k > K_BLOCK_MAX` pipeline path).
+pub struct AddModEpilogue<'t>(ReduceEpilogue<'t>);
 
-impl<'t> AccumulateEpilogue<'t> {
-    /// Accumulate residues mod `p` with reciprocal `pinv`; see
+impl<'t> AddModEpilogue<'t> {
+    /// Add residues mod `p` with reciprocal `pinv`; see
     /// [`ReduceEpilogue::new`] for `nanos`.
     pub fn new(p: u64, pinv: u32, nanos: Option<&'t AtomicU64>) -> Self {
-        Self {
-            p: p as i32,
-            pinv,
-            nanos,
-        }
+        Self(ReduceEpilogue::new(p, pinv, nanos))
     }
 }
 
-impl Epilogue for AccumulateEpilogue<'_> {
-    type Out = i32;
+impl Epilogue for AddModEpilogue<'_> {
     const ACTIVE: bool = true;
     #[inline]
-    fn apply(&self, c: &[i32], out: &mut [i32]) {
-        timed_epilogue(self.nanos, || {
-            barrett_mod_row_acc(c, out, self.p, self.pinv);
+    fn apply(&self, c: &[i32], out: &mut [u8]) {
+        let r = &self.0;
+        timed_epilogue(r.nanos, || {
+            barrett_addmod_row_u8(c, out, r.p, r.pinv);
         });
     }
 }
@@ -1015,7 +1009,7 @@ fn stripe_compute<E: Epilogue>(
     bpack: &[i8],
     nc: usize,
     c: &mut [i32],
-    out: &mut [E::Out],
+    out: &mut [u8],
     epi: &E,
 ) {
     match isa {
@@ -1089,7 +1083,7 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     kp_stride: usize,
     depth_off: usize,
     c: &mut [i32],
-    out: &mut [E::Out],
+    out: &mut [u8],
     epi: &E,
     parallel: bool,
 ) {
@@ -1137,13 +1131,13 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
         (level == Isa::Amx).then(|| interleave_window(a_window, kp_stride, m_pad, kp_eff, stripes));
     let a_base = interleaved.as_deref().unwrap_or(a_window);
 
-    struct PrepackedJob<'a, E: Epilogue> {
+    struct PrepackedJob<'a> {
         j0: usize,
         nc: usize,
         c: &'a mut [i32],
-        out: &'a mut [E::Out],
+        out: &'a mut [u8],
     }
-    let mut jobs: Vec<PrepackedJob<'_, E>> = Vec::with_capacity(stripes);
+    let mut jobs: Vec<PrepackedJob<'_>> = Vec::with_capacity(stripes);
     let mut c_rest = c;
     let mut out_rest = out;
     for s in 0..stripes {
@@ -1168,7 +1162,7 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
         });
     }
 
-    let run = |job: PrepackedJob<'_, E>| {
+    let run = |job: PrepackedJob<'_>| {
         // The caller's level, pinned on whichever thread runs the stripe
         // (the epilogue's mod kernel reads it there too).
         let _cap = cap_scope(level);
@@ -1370,7 +1364,7 @@ mod tests {
         b: &[i8],
         ldb: usize,
         c: &mut [i32],
-        out: &mut [E::Out],
+        out: &mut [u8],
         epi: &E,
     ) {
         let apack = pack_full(a, lda, m, padded_a_rows(m), k);
@@ -1521,11 +1515,14 @@ mod tests {
         let a = pattern_mat(m, k, 9).to_row_major();
         let b = pattern_mat(k, n, 10);
         let mut c = vec![0i32; m * n];
-        let mut acc = vec![7i32; m * n]; // pre-existing residue sums
-        let epi = AccumulateEpilogue::new(p, pinv, None);
-        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut c, &mut acc, &epi);
-        for (i, (&s, &x)) in acc.iter().zip(&c).enumerate() {
-            assert_eq!(s as i64, 7 + (x as i64).rem_euclid(p as i64), "elem {i}");
+        // Residues left by earlier depth blocks, up to p - 1.
+        let prior: Vec<u8> = (0..m * n).map(|i| (i * 37 % p as usize) as u8).collect();
+        let mut u = prior.clone();
+        let epi = AddModEpilogue::new(p, pinv, None);
+        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut c, &mut u, &epi);
+        for (i, ((&s, &x), &u0)) in u.iter().zip(&c).zip(&prior).enumerate() {
+            let want = (u0 as i64 + x as i64).rem_euclid(p as i64);
+            assert_eq!(s as i64, want, "elem {i}");
         }
     }
 
@@ -1734,12 +1731,20 @@ mod tests {
                 barrett_mod_row_u8_scalar(&row, &mut want, p as i32, pinv);
                 assert_eq!(got, want, "u8 kernel={} p={p}", mod_kernel_name());
 
-                // Accumulate variant over a dirty accumulator.
-                let mut got_acc: Vec<i32> = (0..row.len() as i32).collect();
-                let mut want_acc = got_acc.clone();
-                barrett_mod_row_acc(&row, &mut got_acc, p as i32, pinv);
-                barrett_mod_row_acc_scalar(&row, &mut want_acc, p as i32, pinv);
-                assert_eq!(got_acc, want_acc, "acc kernel={} p={p}", mod_kernel_name());
+                // Add-mod variant over residues already in [0, p), the
+                // top one p - 1.
+                let mut got_add: Vec<u8> = (0..row.len())
+                    .map(|i| (p as usize - 1 - i % p as usize) as u8)
+                    .collect();
+                let mut want_add = got_add.clone();
+                barrett_addmod_row_u8(&row, &mut got_add, p as i32, pinv);
+                barrett_addmod_row_u8_scalar(&row, &mut want_add, p as i32, pinv);
+                assert_eq!(
+                    got_add,
+                    want_add,
+                    "add-mod kernel={} p={p}",
+                    mod_kernel_name()
+                );
             }
         }
     }

@@ -2,9 +2,9 @@
 
 use gemm_dense::Matrix;
 use gemm_engine::{
-    barrett_mod_row_acc, barrett_mod_row_acc_scalar, barrett_mod_row_u8, barrett_mod_row_u8_scalar,
-    for_each_level, int8_gemm_blocked, int8_gemm_naive, int8_gemm_rm_cm_scalar, lowfp_gemm,
-    quantize, Epilogue, Int8Workspace, ReduceEpilogue,
+    barrett_addmod_row_u8, barrett_addmod_row_u8_scalar, barrett_mod_row_u8,
+    barrett_mod_row_u8_scalar, for_each_level, int8_gemm_blocked, int8_gemm_naive,
+    int8_gemm_rm_cm_scalar, lowfp_gemm, quantize, Epilogue, Int8Workspace, ReduceEpilogue,
 };
 use gemm_lowfp::{BF16, F16};
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ fn gemm_packed<E: Epilogue>(
     b: &[i8],
     ldb: usize,
     c: &mut [i32],
-    out: &mut [E::Out],
+    out: &mut [u8],
     epi: &E,
     parallel: bool,
 ) {
@@ -53,6 +53,29 @@ fn gemm_packed<E: Epilogue>(
 fn arb_i8_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<i8>> {
     proptest::collection::vec(any::<i8>(), rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
+}
+
+/// The add-mod row kernel at its boundary, `u = r = p - 1` (the sum
+/// `2p - 2` takes the compare-subtract), at `p = 256` and at the pipeline's
+/// smallest modulus, 173, on every level and over row lengths that cover
+/// the SIMD body and the scalar tail: every lane is the canonical `p - 2`.
+#[test]
+fn addmod_rows_at_the_top_residue() {
+    for p in [256u64, 173] {
+        let pinv = ((1u64 << 32) / p - 1) as u32;
+        for len in [1usize, 15, 16, 17, 63, 64, 65] {
+            // -1 - p·t is p - 1 mod p.
+            let row: Vec<i32> = (0..len as i32).map(|i| -1 - p as i32 * (i % 5)).collect();
+            for_each_level("addmod_rows_at_the_top_residue", |level| {
+                let mut u = vec![(p - 1) as u8; len];
+                barrett_addmod_row_u8(&row, &mut u, p as i32, pinv);
+                assert!(
+                    u.iter().all(|&x| x as u64 == p - 2),
+                    "level {level:?}, p={p}, len={len}: {u:?}"
+                );
+            });
+        }
+    }
 }
 
 proptest! {
@@ -104,19 +127,21 @@ proptest! {
         let row: Vec<i32> = (0..len).map(|_| next()).collect();
         let mut want = vec![0u8; len];
         barrett_mod_row_u8_scalar(&row, &mut want, p as i32, pinv);
-        let mut want_acc: Vec<i32> = (0..len as i32).collect();
-        barrett_mod_row_acc_scalar(&row, &mut want_acc, p as i32, pinv);
+        // Residues a later depth block adds into: anything in [0, p).
+        let prior: Vec<u8> = (0..len).map(|i| ((seed ^ (i as u64 * 89)) % p) as u8).collect();
+        let mut want_add = prior.clone();
+        barrett_addmod_row_u8_scalar(&row, &mut want_add, p as i32, pinv);
         let mut mismatch = None;
         for_each_level("mod_rows_lane_exact_vs_scalar", |level| {
             let mut got = vec![0u8; len];
             barrett_mod_row_u8(&row, &mut got, p as i32, pinv);
-            let mut got_acc: Vec<i32> = (0..len as i32).collect();
-            barrett_mod_row_acc(&row, &mut got_acc, p as i32, pinv);
+            let mut got_add = prior.clone();
+            barrett_addmod_row_u8(&row, &mut got_add, p as i32, pinv);
             if got != want {
                 mismatch.get_or_insert(("u8", level));
             }
-            if got_acc != want_acc {
-                mismatch.get_or_insert(("acc", level));
+            if got_add != want_add {
+                mismatch.get_or_insert(("add-mod", level));
             }
         });
         prop_assert!(mismatch.is_none(), "(kernel, level) = {:?}, p={}", mismatch, p);
@@ -401,7 +426,7 @@ mod level_parity {
     use super::*;
     use gemm_engine::{
         int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
-        AccumulateEpilogue, PK,
+        AddModEpilogue, PK,
     };
 
     proptest! {
@@ -456,17 +481,19 @@ mod level_parity {
                     if c != want.as_slice() || !reduced {
                         failure.get_or_insert(("reduce", level, parallel));
                     }
-                    let mut acc = vec![7i32; m * n];
-                    let epi = AccumulateEpilogue::new(p, pinv, None);
+                    // Add into the residues just written, the first one
+                    // raised to p - 1.
+                    u[0] = (p - 1) as u8;
+                    let prior = u.clone();
+                    let epi = AddModEpilogue::new(p, pinv, None);
                     int8_gemm_prepacked_fused(
-                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut acc, &epi, parallel,
+                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut u, &epi, parallel,
                     );
-                    let accumulated = acc
-                        .iter()
-                        .zip(&c)
-                        .all(|(&r, &x)| r as i64 == 7 + (x as i64).rem_euclid(p as i64));
-                    if c != want.as_slice() || !accumulated {
-                        failure.get_or_insert(("accumulate", level, parallel));
+                    let added = u.iter().zip(&c).zip(&prior).all(|((&r, &x), &r0)| {
+                        r as i64 == (r0 as i64 + x as i64).rem_euclid(p as i64)
+                    });
+                    if c != want.as_slice() || !added {
+                        failure.get_or_insert(("add-mod", level, parallel));
                     }
                 }
             });
