@@ -25,12 +25,17 @@ side per workload and prints, for the call's p50, the six phase times,
 the unattributed remainder and the pool tasks per operation, each side's
 median and the parent's interquartile range, to show where a gain comes
 from. A single traced run cannot resolve a phase change below ~20%.
+Below those rows it prints the same for the perfbench process's own
+resource usage (minor page faults, voluntary and involuntary context
+switches, peak RSS), which `os.wait4` reads for each run, so a phase
+time that moves between runs can be set next to what the process did.
 
     scripts/perf_ab.py --parent HEAD~1 --pairs 10 --seconds 12 \\
         --workloads serve_mixed,dgemm_rankk --ledger
 
 Builds and raw results go under target/perf_ab/ (one JSON line per run in
-results.jsonl). Needs only python3, git and cargo.
+results.jsonl, each with its `rusage`). Needs only python3, git and cargo,
+on Linux (`os.wait4`; `ru_maxrss` is in KiB there).
 """
 
 import argparse
@@ -39,6 +44,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ALIGN = "-C llvm-args=-align-all-functions=6 -C llvm-args=-align-all-nofallthru-blocks=6"
@@ -60,29 +66,42 @@ def build(src: Path, target: Path) -> Path:
 LEDGER = ["ozaki2.call_ms_p50", "ozaki2.scale_ms", "ozaki2.trunc_ms", "ozaki2.convert_ms",
           "ozaki2.gemm_ms", "ozaki2.mod_ms", "ozaki2.fold_ms", "ozaki2.unattributed_ms",
           "pool.tasks"]
+# The child's resource usage --ledger prints below LEDGER: (key, struct
+# rusage field, unit).
+RUSAGE = [("minflt", "ru_minflt", "count"), ("nvcsw", "ru_nvcsw", "count"),
+          ("nivcsw", "ru_nivcsw", "count"), ("maxrss", "ru_maxrss", "KiB")]
 # Traced runs per side per workload for --ledger.
 LEDGER_RUNS = 5
 
 
 def run(exe: Path, cwd: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    out = subprocess.run(
-        [str(exe), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=cwd, capture_output=True, text=True,
-    )
-    lines = out.stdout.strip().splitlines()
+    """One perfbench run: its result line, plus the child's own resource
+    usage as `os.wait4` reports it under "rusage"."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [str(exe), "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=cwd, stdout=out, stderr=err, text=True,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    lines = stdout.strip().splitlines()
     try:
         r = json.loads(lines[-1])
     except (IndexError, ValueError):
-        sys.exit(f"{exe} {workload}: exit {out.returncode}, no result line\n{out.stderr}")
+        sys.exit(f"{exe} {workload}: exit {code}, no result line\n{stderr}")
     # perfbench exits 1 after its result line when a check failed; the
     # result counts those, and each table prints the count. Any other
     # nonzero exit is a broken run.
-    if out.returncode != 0:
+    if code != 0:
         if not r.get("failed"):
-            sys.exit(f"{exe} {workload}: exit {out.returncode}\n{out.stderr}")
-        print(f"{exe} {workload}: exit {out.returncode}, {r['failed']} of "
+            sys.exit(f"{exe} {workload}: exit {code}\n{stderr}")
+        print(f"{exe} {workload}: exit {code}, {r['failed']} of "
               f"{r['attempted']} checks failed", file=sys.stderr)
+    r["rusage"] = {key: getattr(usage, field) for key, field, _ in RUSAGE}
     return r
 
 
@@ -189,13 +208,16 @@ def main():
                 attempted = sum(r["attempted"] for r in traced[side])
                 print(f"  {side:6} failed {failed} of {attempted} checks")
             print(f"  {'metric':24} {'parent':>12} {'parent IQR':>25} {'change':>12} {'delta':>8}")
-            for name in LEDGER:
-                p = [r["metrics"][name]["value"] for r in traced["parent"]]
-                c = [r["metrics"][name]["value"] for r in traced["change"]]
+            rows = [(name, lambda r, n=name: r["metrics"][n]["value"],
+                     traced["parent"][0]["metrics"][name]["unit"]) for name in LEDGER]
+            rows += [(f"rusage.{key}", lambda r, k=key: r["rusage"][k], unit)
+                     for key, _, unit in RUSAGE]
+            for name, value, unit in rows:
+                p = [value(r) for r in traced["parent"]]
+                c = [value(r) for r in traced["change"]]
                 pm, cm = statistics.median(p), statistics.median(c)
                 q1, q3 = quartiles(p)
                 delta = (cm - pm) / pm * 100 if pm else 0.0
-                unit = traced["parent"][0]["metrics"][name]["unit"]
                 print(f"  {name:24} {pm:12.6g} {q1:12.6g}..{q3:<12.6g} {cm:12.6g} "
                       f"{delta:+7.2f}%  {unit}")
 
