@@ -8,7 +8,8 @@
 //! absorbs the rest.
 //!
 //! The snapshot files are flat, machine-written JSON, so a dependency-free
-//! key scanner ([`json_number`]) is all the parsing the gate needs.
+//! key scanner ([`json_number`], [`json_string`]) is all the parsing the
+//! gate needs.
 
 /// Extract the first number following `"key":` in a JSON document.
 ///
@@ -33,48 +34,6 @@ pub fn json_string<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
     let pos = doc.find(&pat)? + pat.len();
     let rest = doc[pos..].trim_start().strip_prefix('"')?;
     rest.split('"').next()
-}
-
-/// Replace (or append) a top-level `"key": { ... }` section in a
-/// machine-written snapshot document, preserving the rest verbatim.
-///
-/// `section` is the replacement value starting at its `{` (the caller
-/// formats the body). Same minimal contract as [`json_number`]: the
-/// snapshots are generated by the bench binaries themselves, so braces
-/// never appear inside string values and a brace-depth scan is exact.
-/// Lets `loadgen` splice its `serving` section into the `BENCH_int8.json`
-/// that `bench_int8` wrote (and vice versa) without either binary
-/// clobbering the other's measurements.
-pub fn upsert_section(doc: &str, key: &str, section: &str) -> String {
-    let pat = format!("\"{key}\":");
-    if let Some(pos) = doc.find(&pat) {
-        let after = pos + pat.len();
-        let obj_rel = doc[after..].find('{').expect("section value is an object");
-        let start = after + obj_rel;
-        let mut depth = 0usize;
-        let mut end = start;
-        for (i, c) in doc[start..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = start + i;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(depth == 0, "unbalanced braces in snapshot");
-        format!("{}{}{}", &doc[..start], section, &doc[end + 1..])
-    } else {
-        let close = doc.rfind('}').expect("snapshot is a JSON object");
-        let head = doc[..close].trim_end();
-        // An empty document needs no separating comma.
-        let sep = if head.ends_with('{') { "\n" } else { ",\n" };
-        format!("{head}{sep}  \"{key}\": {section}\n}}\n")
-    }
 }
 
 /// One gated metric: the fresh measurement vs its baseline value.
@@ -152,38 +111,6 @@ mod tests {
         assert_eq!(json_string(doc, "kernel"), Some("scalar"));
         assert_eq!(json_string(doc, "missing"), None);
         assert_eq!(json_string(doc, "shape"), None); // non-string value
-    }
-
-    #[test]
-    fn upsert_replaces_an_existing_section_in_place() {
-        let doc = "{\n  \"blocked_gops\": 117.3,\n  \"serving\": {\n    \"nested\": { \"a\": 1 },\n    \"serving_p99_ms\": 9.0\n  },\n  \"pipeline\": { \"end_to_end_ms\": 45.6 }\n}\n";
-        let out = upsert_section(doc, "serving", "{\n    \"serving_p99_ms\": 2.5\n  }");
-        assert_eq!(json_number(&out, "serving_p99_ms"), Some(2.5));
-        assert!(!out.contains("nested"), "old section body fully replaced");
-        // Everything around the section survives verbatim.
-        assert_eq!(json_number(&out, "blocked_gops"), Some(117.3));
-        assert_eq!(json_number(&out, "end_to_end_ms"), Some(45.6));
-    }
-
-    #[test]
-    fn upsert_appends_a_missing_section_with_separator() {
-        let doc = "{\n  \"blocked_gops\": 117.3\n}\n";
-        let out = upsert_section(doc, "serving", "{\n    \"serving_p99_ms\": 2.5\n  }");
-        assert_eq!(json_number(&out, "blocked_gops"), Some(117.3));
-        assert_eq!(json_number(&out, "serving_p99_ms"), Some(2.5));
-        assert!(out.contains("117.3,\n"), "comma separates the new section");
-        // Upsert into an empty document needs no comma.
-        let fresh = upsert_section("{\n}\n", "serving", "{ \"x\": 1 }");
-        assert_eq!(json_number(&fresh, "x"), Some(1.0));
-        assert!(!fresh.contains(','));
-    }
-
-    #[test]
-    fn upsert_is_idempotent() {
-        let section = "{\n    \"serving_gemms_per_s\": 1234.5\n  }";
-        let once = upsert_section("{\n  \"a\": 1\n}\n", "serving", section);
-        let twice = upsert_section(&once, "serving", section);
-        assert_eq!(once, twice);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The static metric catalog: every counter, gauge, and histogram the
 //! runtime layers record, with their Prometheus exposition names, plus
-//! the text renderer. One flat namespace (`ozaki_*`) so loadgen, the
-//! serving runtime's `metrics_text()`, and CI all read the same numbers.
+//! the text renderer. One flat namespace (`ozaki_*`) so the benchmark,
+//! the serving runtime's `metrics_text()`, and CI all read the same
+//! numbers.
 //!
 //! See `docs/OBSERVABILITY.md` for the operator-facing catalog with
 //! label semantics and the span hierarchy.

@@ -11,6 +11,11 @@
 //! and the server-wide coalescing outcome are printed.
 //!
 //! Run: `cargo run --release --example serving`
+//!
+//! With `OZAKI_OBS=1` the run also records a trace of every span and
+//! writes it to `serving-trace.json` for Perfetto or `chrome://tracing`
+//! (`docs/OBSERVABILITY.md`); `OZAKI_METRICS_FILE=<path>` makes the server
+//! dump its Prometheus metrics there.
 
 use gemmul8::prelude::*;
 use std::sync::Arc;
@@ -20,6 +25,7 @@ fn main() {
     let nmod = 15usize; // DGEMM-level accuracy, the paper's §5.1 setting
     println!("== many-tenant serving (gemm_serve) ==\n");
 
+    let session = gemm_obs::enabled().then(gemm_obs::ObsSession::begin);
     let server = Server::builder(nmod, Mode::Fast)
         .coalesce_window(Duration::from_micros(500))
         .max_batch(32)
@@ -112,4 +118,15 @@ fn main() {
         server.runtime().cache().hits()
     );
     server.shutdown();
+
+    if let Some(session) = session {
+        session
+            .export_chrome_trace_to("serving-trace.json")
+            .expect("write serving-trace.json");
+        println!(
+            "wrote serving-trace.json ({} spans, {} dropped)",
+            session.events().len(),
+            session.dropped()
+        );
+    }
 }
