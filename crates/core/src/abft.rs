@@ -480,8 +480,9 @@ fn verify_plane(
 // ---------------------------------------------------------------------------
 
 /// The executor's scratch, owned by [`crate::Workspace`]: the residue
-/// planes, the INT32 product, and the ABFT side-channel buffers. Every buffer grows to the high-water mark of the
-/// calls it has served and is then reused.
+/// planes, the INT32 product, and the ABFT side-channel buffers. Every
+/// buffer grows to the high-water mark of the calls it has served and is
+/// then reused.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// The `N` UINT8 residue planes `U_s` (plane-major, each `m × n`

@@ -74,8 +74,8 @@
 //! [`barrett_addmod_row_u8`], are portable loops run through
 //! [`crate::isa::dispatch`]; only the reducing kernel keeps a hand-written
 //! AVX-512 arm, which measured faster than LLVM's vectorization of the
-//! loop. That arm, the tile kernels and the
-//! AMX arm are the only hand-written SIMD code in the workspace.
+//! loop. That arm, the tile kernels and the AMX arm are the only
+//! hand-written SIMD code in the workspace.
 //!
 //! # Workspace
 //!
@@ -152,6 +152,7 @@ pub fn barrett_mod_row_u8_scalar(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
 #[inline(always)]
 pub fn barrett_addmod_row_u8_scalar(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
     for (d, &x) in out.iter_mut().zip(c) {
+        debug_assert!((*d as i32) < p, "u={} not a residue mod {p}", *d);
         let s = *d as i32 + barrett_mod_u8(x, p, pinv) as i32;
         *d = if s >= p { s - p } else { s } as u8;
     }
