@@ -11,7 +11,7 @@
 //! exactly the >2x advantage the paper reports for Scheme II.
 
 use gemm_dense::{MatF64, MatMulF64, Matrix};
-use gemm_engine::{int8_gemm_blocked, Int8Workspace};
+use gemm_engine::{int8_gemm_prepacked_fused, pack_panels, padded_depth, NoEpilogue, OperandSide};
 use rayon::prelude::*;
 
 /// Bits per significand slice (7 magnitude bits fit INT8 with sign).
@@ -67,16 +67,29 @@ impl OzImmu {
         let (a_slices, shift_a) = slice_rows(a, s);
         let (b_slices, shift_b) = slice_cols(b, s);
 
+        // Each slice is packed once, into the engine's panels for its side.
+        let kp = padded_depth(k);
+        let pack = |side: OperandSide, slices: &[Vec<i8>], shape| {
+            let (vecs, vecs_pad, _) = side.panel_dims(shape);
+            let mut panels = vec![Vec::new(); slices.len()];
+            for (p, sl) in panels.iter_mut().zip(slices) {
+                pack_panels(p, side, sl, k, vecs, vecs_pad, k, kp);
+            }
+            panels
+        };
+        let a_panels = pack(OperandSide::A, &a_slices, (m, k));
+        let b_panels = pack(OperandSide::B, &b_slices, (k, n));
+
         // Accumulate 2^(-7(st+tt+2)) * A_st * B_tt for st + tt <= S - 1,
         // most-significant pairs last so the f64 additions favour accuracy.
         let mut c32 = vec![0i32; m * n];
-        let mut ws = Int8Workspace::new();
         let mut pairs: Vec<(usize, usize)> = (0..s)
             .flat_map(|st| (0..s - st).map(move |tt| (st, tt)))
             .collect();
         pairs.sort_by_key(|&(st, tt)| std::cmp::Reverse(st + tt));
         for (st, tt) in pairs {
-            int8_gemm_blocked(m, n, k, &a_slices[st], &b_slices[tt], &mut c32, &mut ws);
+            let (ap, bp) = (&a_panels[st], &b_panels[tt]);
+            int8_gemm_prepacked_fused(m, n, k, ap, bp, kp, 0, &mut c32, &mut [], &NoEpilogue, true);
             let scale_exp = -(SLICE_BITS * (st as i32 + tt as i32 + 2));
             let c_data = c.as_mut_slice();
             c_data

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gemm_engine::{
     int8_gemm_blocked, int8_gemm_prepacked_fused, int8_gemm_rm_cm_scalar, pack_panels,
-    padded_a_rows, padded_b_cols, padded_depth, Int8Workspace, NoEpilogue,
+    padded_a_rows, padded_b_cols, padded_depth, Int8Workspace, NoEpilogue, OperandSide,
 };
 
 fn pattern_vec(len: usize, salt: usize) -> Vec<i8> {
@@ -26,9 +26,9 @@ fn blocked_1t(
     c: &mut [i32],
     packs: &mut (Vec<i8>, Vec<i8>),
 ) {
-    let kp = padded_depth(k);
-    pack_panels(&mut packs.0, a, k, m, padded_a_rows(m), k, kp);
-    pack_panels(&mut packs.1, b, k, n, padded_b_cols(n), k, kp);
+    let (kp, mp, np) = (padded_depth(k), padded_a_rows(m), padded_b_cols(n));
+    pack_panels(&mut packs.0, OperandSide::A, a, k, m, mp, k, kp);
+    pack_panels(&mut packs.1, OperandSide::B, b, k, n, np, k, kp);
     int8_gemm_prepacked_fused(
         m,
         n,

@@ -96,9 +96,10 @@ fn main() {
     // blocked-1T: pack both operands, then one serial engine call.
     let kp = padded_depth(n);
     let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+    let (mp, np) = (padded_a_rows(n), padded_b_cols(n));
     let t_seq = time_best(reps, || {
-        pack_panels(&mut apack, &a, n, n, padded_a_rows(n), n, kp);
-        pack_panels(&mut bpack, &b, n, n, padded_b_cols(n), n, kp);
+        pack_panels(&mut apack, OperandSide::A, &a, n, n, mp, n, kp);
+        pack_panels(&mut bpack, OperandSide::B, &b, n, n, np, n, kp);
         int8_gemm_prepacked_fused(
             n,
             n,

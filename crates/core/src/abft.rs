@@ -58,8 +58,8 @@ use crate::consts::Constants;
 use crate::pipeline::{grow, PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    cap_scope, dispatch, int8_gemm_prepacked_fused, padded_depth, AddModEpilogue, Epilogue, Isa,
-    ReduceEpilogue, PV,
+    a_panel_index, cap_scope, dispatch, int8_gemm_prepacked_fused, padded_depth, AddModEpilogue,
+    Epilogue, Isa, ReduceEpilogue, PV,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,13 +250,15 @@ impl PanelsRef<'_> {
         &panels[plane_range(s, vecs, kp)]
     }
 
-    /// Whether plane `s` still sums to the checksum vector `chk` captured
-    /// from it. A flip of bits 0–6 of one panel byte moves one depth sum
-    /// by a nonzero amount below every modulus, so it always shows here.
-    /// Fixed panels are never injected into, so they are always intact.
+    /// Whether `plane`, this side's `vecs` vectors `k`-contiguous (an A
+    /// plane's row-major copy), still sums to the checksum vector `chk`
+    /// captured from it. A flip of bits 0–6 of one panel byte moves one
+    /// depth sum by a nonzero amount below every modulus, so it always
+    /// shows here. Fixed panels are never injected into, so they are always
+    /// intact.
     fn plane_intact(
         &self,
-        s: usize,
+        plane: &[i8],
         vecs: usize,
         kp: usize,
         p: u64,
@@ -264,7 +266,7 @@ impl PanelsRef<'_> {
         scratch: &mut [i32],
     ) -> bool {
         matches!(self, PanelsRef::Fixed(_))
-            || checksum_sums(self.plane(s, vecs, kp), vecs, kp, p, scratch)
+            || checksum_sums(plane, vecs, kp, p, scratch)
                 .iter()
                 .zip(chk)
                 .all(|(&r, &c)| r == (c as i32).rem_euclid(p as i32))
@@ -295,6 +297,19 @@ impl PanelsRef<'_> {
 fn plane_range(s: usize, vecs: usize, kp: usize) -> Range<usize> {
     let len = vecs.div_ceil(PV) * PV * kp;
     s * len..(s + 1) * len
+}
+
+/// The `vecs` rows of A-panel plane `a`, copied a dword at a time into
+/// `rows` with row `v` at `v * kp`: the `k`-contiguous form the checksum
+/// sweeps read, as B planes already are.
+fn row_major<'r>(a: &[i8], vecs: usize, kp: usize, rows: &'r mut [i8]) -> &'r [i8] {
+    for (v, row) in rows[..vecs * kp].chunks_exact_mut(kp).enumerate() {
+        for (h, word) in row.chunks_exact_mut(4).enumerate() {
+            let at = a_panel_index(v, 4 * h, kp);
+            word.copy_from_slice(&a[at..at + 4]);
+        }
+    }
+    &rows[..vecs * kp]
 }
 
 // ---------------------------------------------------------------------------
@@ -498,6 +513,9 @@ pub(crate) struct Scratch {
     uchk: Vec<u8>,
     /// i32 accumulator for checksum-vector construction (`kp` entries).
     chk_sum: Vec<i32>,
+    /// Row-major copy of one plane's A panels (`m * kp`), which the
+    /// checksum sweeps read.
+    a_rows: Vec<i8>,
     /// Row-sum scratch of the verification sweep (`m` u32).
     vsum: Vec<u32>,
 }
@@ -514,6 +532,7 @@ impl Scratch {
             grow(&mut self.chk_b8, nmod * kp);
             grow(&mut self.uchk, nmod * (m + n));
             grow(&mut self.chk_sum, kp);
+            grow(&mut self.a_rows, m * kp);
             grow(&mut self.vsum, m);
         }
     }
@@ -523,6 +542,7 @@ impl Scratch {
         self.u.capacity()
             + self.chk_a8.capacity()
             + self.chk_b8.capacity()
+            + self.a_rows.capacity()
             + self.uchk.capacity()
             + 4 * (self.c32.capacity() + self.chk_sum.capacity() + self.vsum.capacity())
     }
@@ -535,6 +555,7 @@ impl Scratch {
         self.chk_b8.fill(0);
         self.uchk.fill(0);
         self.chk_sum.fill(0);
+        self.a_rows.fill(0);
         self.vsum.fill(0);
     }
 }
@@ -660,15 +681,16 @@ impl Executor<'_> {
     /// [`FaultReport::checksum_gemms`].
     fn capture(&mut self, s: usize) {
         let (m, n, kp, p) = (self.m, self.n, self.kp, self.consts.p[s]);
-        let (a, b) = (self.a.plane(s, m, kp), self.b.plane(s, n, kp));
         let sc = &mut *self.scratch;
+        let a_rows = row_major(self.a.plane(s, m, kp), m, kp, &mut sc.a_rows);
+        let b = self.b.plane(s, n, kp);
         let chk_a = &mut sc.chk_a8[s * kp..(s + 1) * kp];
         let chk_b = &mut sc.chk_b8[s * kp..(s + 1) * kp];
         build_checksum_plane(b, n, kp, p, chk_b, &mut sc.chk_sum);
-        build_checksum_plane(a, m, kp, p, chk_a, &mut sc.chk_sum);
+        build_checksum_plane(a_rows, m, kp, p, chk_a, &mut sc.chk_sum);
         let (rows, cols) = sc.uchk[s * (m + n)..(s + 1) * (m + n)].split_at_mut(m);
-        for (i, r) in rows.iter_mut().enumerate() {
-            *r = dot_mod(&a[i * kp..(i + 1) * kp], chk_b, p);
+        for (r, a_row) in rows.iter_mut().zip(a_rows.chunks_exact(kp)) {
+            *r = dot_mod(a_row, chk_b, p);
         }
         for (j, c) in cols.iter_mut().enumerate() {
             *c = dot_mod(chk_a, &b[j * kp..(j + 1) * kp], p);
@@ -692,11 +714,17 @@ impl Executor<'_> {
         let (kp, p) = (self.kp, self.consts.p[s]);
         let sc = &mut *self.scratch;
         let chk = s * kp..(s + 1) * kp;
-        self.a
-            .plane_intact(s, self.m, kp, p, &sc.chk_a8[chk.clone()], &mut sc.chk_sum)
-            && self
-                .b
-                .plane_intact(s, self.n, kp, p, &sc.chk_b8[chk], &mut sc.chk_sum)
+        let (m, n) = (self.m, self.n);
+        let a_rows = row_major(self.a.plane(s, m, kp), m, kp, &mut sc.a_rows);
+        (self.a).plane_intact(a_rows, m, kp, p, &sc.chk_a8[chk.clone()], &mut sc.chk_sum)
+            && (self.b).plane_intact(
+                self.b.plane(s, n, kp),
+                n,
+                kp,
+                p,
+                &sc.chk_b8[chk],
+                &mut sc.chk_sum,
+            )
     }
 
     /// Heavy recovery: repack the repackable sides from their source

@@ -32,9 +32,10 @@
 //! exponent and truncated into a cache-resident staging tile
 //! ([`crate::scale::strunc_row`], f32 widened exactly in the kernel),
 //! reduced against *all* `N` moduli while L1-resident, and the i8
-//! residues are written straight into the engine's one `i8` panel format
-//! ([`gemm_engine::pack_panels`]) — the same bytes the AMX tiles and the
-//! SIMD kernels read, so nothing widens or repacks them. The integer
+//! residues are written straight into the engine's panels for the side
+//! ([`gemm_engine::pack_panels`]; the A side scatters each reduced row
+//! through [`gemm_engine::scatter_a_row`]) — the same bytes the AMX tiles
+//! and the SIMD kernels read, so nothing repacks them. The integer
 //! matrices `A'`/`B'` and the plane-major i8 buffers of the unfused
 //! pipeline — and the engine's own packing sweep — disappear entirely;
 //! [`residue_planes`] stays as the unfused reference.
@@ -51,10 +52,10 @@
 
 use crate::consts::Constants;
 use crate::element::Element;
-use crate::prepared::OperandSide;
+use crate::prepared::{vectors_contiguous, OperandSide};
 use crate::scale::{pow2_split, strunc_gather, strunc_row};
 use gemm_dense::MatView;
-use gemm_engine::{dispatch, dispatch_name, padded_depth};
+use gemm_engine::{dispatch, dispatch_name, padded_depth, scatter_a_row, PV};
 use gemm_obs::TimeShare;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -68,9 +69,15 @@ pub const N1_F32: usize = 5;
 /// Second threshold for `b = 32`.
 pub const N2_F32: usize = 11;
 
-/// Depth block of the fused convert: `2048` f64s (16 KiB) stay L1-resident
-/// while all `N` moduli reduce them.
+/// Depth block of the fused convert on the B side: `2048` f64s (16 KiB)
+/// of one vector stay L1-resident while all `N` moduli reduce them.
 pub const CONVERT_DEPTH_BLOCK: usize = 2048;
+
+/// Depth block of the fused convert on the A side: the 8 KiB strip span of
+/// the one panel a 16-row run is reduced into stays L1-resident while the
+/// run's `512` f64s per row (64 KiB) stream from L2. 256 and 1024 read no
+/// faster on a 1024² f64 A (2-vCPU x86-64).
+const A_DEPTH_BLOCK: usize = 512;
 
 /// Gathered vectors truncated together: reading a source row's 8
 /// consecutive entries at once took f32 256x256x8192's gathered trunc
@@ -197,20 +204,24 @@ struct ConvertJob<'a> {
 /// too) run the dispatched [`strunc_row`] straight over the source. The
 /// others are gathered 8 consecutive vectors at a time, each source row's
 /// entries of the group read together, with the same per-lane scale and
-/// trunc. Each [`CONVERT_DEPTH_BLOCK`]-deep run of a vector is truncated
-/// into a staging row and reduced against all `N` moduli while that row
-/// is L1-resident, so the operand streams from DRAM once; the integer
+/// trunc. Each depth run of 16 vectors is truncated into a staging tile
+/// and reduced against all `N` moduli while the run and the panel span it
+/// lands in are cache-resident, so the operand streams from DRAM once; the
+/// integer
 /// matrices `A'`, `B'` of the unfused pipeline never exist. The
 /// conversion thresholds are the precision's (`b = 64` for f64, `b = 32`
 /// for f32).
 ///
 /// For each modulus `s`, the residues are written to the panel set
 /// `panels[s * vecs_pad * kp ..][.. vecs_pad * kp]` in the INT8 engine's
-/// packed i8 layout ([`gemm_engine::pack_panels`]): vector `v` at `v * kp`,
-/// depth zero-padded from `k` to `kp = padded_depth(k)`, vector count
-/// zero-padded to `vecs_pad`. Bytes past the `N` panel sets are untouched.
+/// panels for `side` ([`gemm_engine::pack_panels`]): column `v` of `B` at
+/// `v * kp`, element `(v, h)` of `A` at
+/// [`gemm_engine::a_panel_index`]`(v, h, kp)`, depth zero-padded from `k`
+/// to `kp = padded_depth(k)`, vector count zero-padded to `vecs_pad`.
+/// Bytes past the `N` panel sets are untouched.
 ///
-/// The sweep is split over the vectors for rayon when `parallel` is set.
+/// The sweep is split over whole 16-vector strips for rayon when
+/// `parallel` is set.
 /// The output is bit-identical for every kernel level, thread count and
 /// split, and to the unfused chain `pack_panels(residue_planes(scale_trunc_*))`:
 /// workers own disjoint vector ranges and the row kernels are lane-exact
@@ -245,9 +256,10 @@ pub fn trunc_convert_pack_panels<T: Element>(
         return;
     }
     let src = Source {
+        side,
         data: view.data(),
         ld: view.ld(),
-        contiguous: side.vectors_contiguous(view.layout()),
+        contiguous: vectors_contiguous(side, view.layout()),
         exps,
         vecs,
         k,
@@ -264,8 +276,9 @@ pub fn trunc_convert_pack_panels<T: Element>(
     } else {
         1
     };
-    let tasks = (workers * 4).clamp(1, vecs_pad);
-    let vb = vecs_pad.div_ceil(tasks);
+    // Jobs own whole PV-vector strips: an A strip interleaves its rows.
+    let tasks = (workers * 4).clamp(1, vecs_pad / PV);
+    let vb = vecs_pad.div_ceil(tasks).next_multiple_of(PV);
 
     let mut plane_rests: Vec<&mut [i8]> = out.chunks_mut(vecs_pad * kp).collect();
     let mut jobs: Vec<ConvertJob<'_>> = Vec::with_capacity(tasks);
@@ -294,6 +307,7 @@ pub fn trunc_convert_pack_panels<T: Element>(
 
 /// The operand and constants every job of one sweep reads.
 struct Source<'a, T> {
+    side: OperandSide,
     data: &'a [T],
     ld: usize,
     /// Vector `v` element `h` at `data[v * ld + h]`; otherwise at
@@ -309,10 +323,18 @@ struct Source<'a, T> {
 }
 
 impl<T: Element> Source<'_, T> {
-    /// Convert one job's vector range across all moduli (cache-blocked
-    /// depth).
+    /// Convert one job's vectors across all moduli, one 16-vector strip at
+    /// a time, one depth run of the strip at a time: the run is truncated
+    /// into a staging tile, then reduced. A B vector's run
+    /// ([`CONVERT_DEPTH_BLOCK`] deep) is reduced against every modulus
+    /// while it is L1-resident, straight into its panel rows. An A strip's
+    /// run ([`A_DEPTH_BLOCK`] deep) is reduced modulus by modulus, each row
+    /// through an L1 staging row scattered into the panel a dword at a
+    /// time, so the strip span being written stays L1-resident while its 16
+    /// rows land. The final run pads each vector with zeros to `kp`.
     fn convert_job(&self, job: ConvertJob<'_>) {
         let Source {
+            side,
             data,
             ld,
             contiguous,
@@ -320,78 +342,69 @@ impl<T: Element> Source<'_, T> {
             vecs,
             k,
             kp,
-            consts,
+            consts: c,
             steps,
             timing,
         } = *self;
         let ConvertJob { v0, nv, mut planes } = job;
         let job_t0 = timing.map(|_| Instant::now());
         let mut trunc_ns = 0u64;
-        // Scale+trunc staging rows, one per vector of a group: each row
-        // stays L1-resident while all N moduli reduce it, so each operand
-        // tile streams from DRAM exactly once. Rows are no longer than
-        // the depth, so a shallow product zeroes no unused tile.
+        let nmod = planes.len();
+        let (a_side, block) = match side {
+            OperandSide::A => (true, A_DEPTH_BLOCK),
+            OperandSide::B => (false, CONVERT_DEPTH_BLOCK),
+        };
+        let depth = block.min(kp);
+        let mut tile = vec![0.0f64; PV * depth];
+        let mut stage = vec![0i8; depth];
+        let mut scales = [(1.0f64, 1.0f64); PV];
         let group = if contiguous { 1 } else { GATHER_GROUP };
-        let depth = CONVERT_DEPTH_BLOCK.min(k);
-        let mut tile = vec![0.0f64; group * depth];
-        let mut scales = [(1.0f64, 1.0f64); GATHER_GROUP];
-        let mut vl = 0;
-        while vl < nv {
-            let v = v0 + vl;
-            if v >= vecs {
-                // Padding vector: all-zero in every panel.
-                for plane in planes.iter_mut() {
-                    plane[vl * kp..(vl + 1) * kp].fill(0);
-                }
-                vl += 1;
-                continue;
-            }
-            let g = group.min(vecs - v).min(nv - vl);
-            for (sc, &e) in scales.iter_mut().zip(&exps[v..v + g]) {
+        for sl in (0..nv).step_by(PV) {
+            let rows = vecs.saturating_sub(v0 + sl).min(PV);
+            for (sc, &e) in scales.iter_mut().zip(&exps[v0 + sl..v0 + sl + rows]) {
                 *sc = pow2_split(e);
             }
-            let mut off = 0;
-            while off < k {
+            for off in (0..k).step_by(depth) {
                 let len = depth.min(k - off);
+                let span = if off + len == k { kp - off } else { len };
                 let t0 = timing.map(|_| Instant::now());
-                if contiguous {
-                    let (s1, s2) = scales[0];
-                    strunc_row(&data[v * ld + off..v * ld + off + len], &mut tile, s1, s2);
-                } else {
-                    strunc_gather(
-                        &data[off * ld + v..],
-                        ld,
-                        &scales[..g],
-                        len,
-                        &mut tile,
-                        depth,
-                    );
+                for r in (0..rows).step_by(group) {
+                    let (v, row) = (v0 + sl + r, &mut tile[r * depth..]);
+                    if contiguous {
+                        let (s1, s2) = scales[r];
+                        strunc_row(&data[v * ld + off..v * ld + off + len], row, s1, s2);
+                    } else {
+                        let sc = &scales[r..r + group.min(rows - r)];
+                        strunc_gather(&data[off * ld + v..], ld, sc, len, row, depth);
+                    }
                 }
                 if let Some(t0) = t0 {
                     trunc_ns += t0.elapsed().as_nanos() as u64;
                 }
-                for (i, xs) in tile.chunks_exact(depth).take(g).enumerate() {
-                    let base = (vl + i) * kp + off;
-                    for (s, plane) in planes.iter_mut().enumerate() {
-                        rmod_row(
-                            &xs[..len],
-                            &mut plane[base..base + len],
-                            consts.p_f64[s],
-                            consts.p_f32[s],
-                            consts.p_inv_f64[s],
-                            consts.p_inv_f32[s],
-                            steps,
-                        );
+                for i in 0..nmod * PV {
+                    let (s, r) = if a_side {
+                        (i / PV, i % PV)
+                    } else {
+                        (i % nmod, i / nmod)
+                    };
+                    let (plane, v) = (&mut *planes[s], sl + r);
+                    let dst = match side {
+                        OperandSide::A => &mut stage[..span],
+                        OperandSide::B => &mut plane[v * kp + off..][..span],
+                    };
+                    if r < rows {
+                        let (p, p32) = (c.p_f64[s], c.p_f32[s]);
+                        let xs = &tile[r * depth..r * depth + len];
+                        rmod_row(xs, dst, p, p32, c.p_inv_f64[s], c.p_inv_f32[s], steps);
+                        dst[len..].fill(0);
+                    } else {
+                        dst.fill(0);
+                    }
+                    if a_side {
+                        scatter_a_row(plane, kp, v, off, &stage[..span]);
                     }
                 }
-                off += len;
             }
-            for plane in planes.iter_mut() {
-                for i in vl..vl + g {
-                    plane[i * kp + k..(i + 1) * kp].fill(0);
-                }
-            }
-            vl += g;
         }
         if let (Some(t), Some(t0)) = (timing, job_t0) {
             let job_ns = t0.elapsed().as_nanos() as u64;
@@ -671,6 +684,7 @@ mod tests {
     /// The unfused oracle of the sweep: `pack_panels(residue_planes(ints))`
     /// for integer-valued vectors `ints` (vector `v` at `v * k`).
     fn oracle_panels(
+        side: OperandSide,
         ints: &[f64],
         vecs: usize,
         vecs_pad: usize,
@@ -684,7 +698,7 @@ mod tests {
         let mut want = Vec::with_capacity(c.n * vecs_pad * kp);
         for plane in planes8.chunks_exact(vecs * k) {
             let mut pack = Vec::new();
-            gemm_engine::pack_panels(&mut pack, plane, k, vecs, vecs_pad, k, kp);
+            gemm_engine::pack_panels(&mut pack, side, plane, k, vecs, vecs_pad, k, kp);
             want.extend_from_slice(&pack);
         }
         want
@@ -719,7 +733,7 @@ mod tests {
             let src: Vec<f64> = (0..vecs * k)
                 .map(|i| ((i as f64 * 97.0 + 13.0) * 1009.0 - 50_000.0).trunc())
                 .collect();
-            let want = oracle_panels(&src, vecs, padded_a_rows(vecs), k, c, true);
+            let want = oracle_panels(OperandSide::A, &src, vecs, padded_a_rows(vecs), k, c, true);
             let view = MatView::row_major(&src, vecs, k);
             for parallel in [false, true] {
                 let got = sweep(&view, OperandSide::A, &vec![0; vecs], c, parallel, None);
@@ -750,7 +764,7 @@ mod tests {
             OperandSide::A => scale_trunc_a_rowmajor(&wide, &exps, &mut ints),
             OperandSide::B => scale_trunc_b_colmajor(&wide, &exps, &mut ints),
         }
-        let want = oracle_panels(&ints, vecs, vecs_pad, k, c, T::IS_F64);
+        let want = oracle_panels(side, &ints, vecs, vecs_pad, k, c, T::IS_F64);
         for_each_view(mat, |name, view| {
             for parallel in [false, true] {
                 let timing = TimeShare::new();

@@ -32,40 +32,19 @@ use crate::element::Element;
 use crate::facade::{check_n, fast_line1, front_end};
 use crate::pipeline::{EmulationError, Mode, Ozaki2, PhaseTimes};
 use gemm_dense::{Layout, MatView, Matrix};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth};
+use gemm_engine::padded_depth;
 use std::time::Instant;
 
-/// Which side of the product an operand was prepared for. The sides pack
-/// differently (`A` is transpose-gathered into row panels, `B` into column
-/// panels), so a preparation is only valid on its own side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OperandSide {
-    /// Left operand (`m x k`, row panels, per-row scales).
-    A,
-    /// Right operand (`k x n`, column panels, per-column scales).
-    B,
-}
+pub use gemm_engine::OperandSide;
 
-impl OperandSide {
-    /// Panel geometry of an operand of logical `shape` on this side:
-    /// `(vecs, vecs_pad, k)` — the packed vector count (rows of `A`,
-    /// columns of `B`), its engine padding, and the inner dimension.
-    pub(crate) fn panel_dims(self, (rows, cols): (usize, usize)) -> (usize, usize, usize) {
-        match self {
-            OperandSide::A => (rows, padded_a_rows(rows), cols),
-            OperandSide::B => (cols, padded_b_cols(cols), rows),
-        }
-    }
-
-    /// Whether this side's vectors (rows of `A`, columns of `B`) are
-    /// contiguous runs in a view of `layout`; otherwise element `h` of
-    /// consecutive vectors sits side by side (the strided gather).
-    pub(crate) fn vectors_contiguous(self, layout: Layout) -> bool {
-        matches!(
-            (self, layout),
-            (OperandSide::A, Layout::RowMajor) | (OperandSide::B, Layout::ColMajor)
-        )
-    }
+/// Whether `side`'s vectors (rows of `A`, columns of `B`) are contiguous
+/// runs in a view of `layout`; otherwise element `h` of consecutive
+/// vectors sits side by side (the strided gather).
+pub(crate) fn vectors_contiguous(side: OperandSide, layout: Layout) -> bool {
+    matches!(
+        (side, layout),
+        (OperandSide::A, Layout::RowMajor) | (OperandSide::B, Layout::ColMajor)
+    )
 }
 
 /// A cached Algorithm-1 front end (lines 1–5) for one operand: scale
@@ -316,6 +295,35 @@ mod tests {
                 let got = prepared_product(&emu, &pa, &pb).unwrap();
                 assert_eq!(got, emu.dgemm(&a, &b), "m={m} n={n} k={k} N={nmod}");
             }
+        }
+    }
+
+    #[test]
+    fn scalar_prepared_operands_are_valid_at_every_level() {
+        // The panel format is fixed, not chosen per level: operands
+        // prepared on the scalar kernels multiply at every level exactly as
+        // two views do there, and as their own level would.
+        for (m, n, k) in [(17usize, 23usize, 70usize), (40, 33, 129)] {
+            let a = phi_matrix_f64(m, k, 0.7, 5, 0);
+            let b = phi_matrix_f64(k, n, 0.7, 5, 1);
+            let emu = Ozaki2::new(13, Mode::Fast);
+            let (pa, pb) = {
+                let _scalar = gemm_engine::cap_scope(gemm_engine::Isa::Scalar);
+                let pa = emu.prepare(OperandSide::A, &a).unwrap();
+                (pa, emu.prepare(OperandSide::B, &b).unwrap())
+            };
+            gemm_engine::for_each_level(
+                "scalar_prepared_operands_are_valid_at_every_level",
+                |level| {
+                    let want = emu.dgemm(&a, &b);
+                    let got = prepared_product(&emu, &pa, &pb).unwrap();
+                    assert_eq!(got, want, "{level:?} m={m} n={n} k={k}");
+                    let mut mixed = MatF64::zeros(m, n);
+                    emu.gemm_into(GemmArgs::new(&a, &pb), mixed.view_mut())
+                        .unwrap();
+                    assert_eq!(mixed, want, "{level:?} view A, prepared B");
+                },
+            );
         }
     }
 

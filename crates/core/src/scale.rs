@@ -24,11 +24,11 @@
 
 use crate::consts::Constants;
 use crate::element::Element;
-use crate::prepared::OperandSide;
+use crate::prepared::{vectors_contiguous, OperandSide};
 use gemm_dense::{MatF64, MatView};
 use gemm_engine::{
-    dispatch, dispatch_name, int8_gemm_prepacked_fused, padded_a_rows, padded_b_cols, padded_depth,
-    Kernel, NoEpilogue,
+    a_panel_index, dispatch, dispatch_name, int8_gemm_prepacked_fused, padded_a_rows,
+    padded_b_cols, padded_depth, Kernel, NoEpilogue,
 };
 use gemm_exact::roundup;
 use rayon::prelude::*;
@@ -212,7 +212,7 @@ pub fn fast_scale_view<T: Element>(
     if vecs == 0 || k == 0 {
         return (exps, true);
     }
-    let contiguous = side.vectors_contiguous(v.layout());
+    let contiguous = vectors_contiguous(side, v.layout());
     let block = line1_block(contiguous);
     // Two chunks per worker, each a whole number of blocks.
     let workers = if parallel {
@@ -465,7 +465,7 @@ fn vector_maxima<T: Element>(v: &MatView<'_, T>, side: OperandSide) -> Vec<f64> 
             data: v.data(),
             ld: v.ld(),
             k,
-            contiguous: side.vectors_contiguous(v.layout()),
+            contiguous: vectors_contiguous(side, v.layout()),
             out: &mut maxima,
         });
     }
@@ -531,7 +531,8 @@ pub fn accurate_scale_view<T: Element>(
     let nu_prime = prime(b, OperandSide::B);
 
     // Ā = ⌈μ' |A|⌉, B̄ = ⌈|B| ν'⌉ — 6-bit magnitudes (≤ 64), INT8-safe —
-    // as zero-padded panels: row i of Ā and column j of B̄ at stride kp.
+    // as zero-padded panels: Ā in the A-panel format, column j of B̄ at
+    // stride kp.
     let magnitude = |x: T, e: i32| {
         let v = scale_by_pow2(x.to_f64().abs(), e).ceil();
         debug_assert!(v <= 64.0);
@@ -541,7 +542,7 @@ pub fn accurate_scale_view<T: Element>(
     let mut a_bar = vec![0i8; padded_a_rows(m) * kp];
     for h in 0..k {
         for (i, &e) in mu_prime.iter().enumerate() {
-            a_bar[i * kp + h] = magnitude(a.get(i, h), e);
+            a_bar[a_panel_index(i, h, kp)] = magnitude(a.get(i, h), e);
         }
     }
     let mut b_bar = vec![0i8; padded_b_cols(n) * kp];

@@ -21,6 +21,7 @@ use proptest::prelude::*;
 /// `pack_panels(residue_planes(ints))` for integer-valued vectors `ints`
 /// (vector `v` at `v * k`).
 fn oracle_panels(
+    side: OperandSide,
     ints: &[f64],
     vecs: usize,
     vecs_pad: usize,
@@ -34,7 +35,7 @@ fn oracle_panels(
     let mut want = Vec::with_capacity(c.n * vecs_pad * kp);
     for plane in planes8.chunks_exact(vecs * k) {
         let mut pack = Vec::new();
-        gemm_engine::pack_panels(&mut pack, plane, k, vecs, vecs_pad, k, kp);
+        gemm_engine::pack_panels(&mut pack, side, plane, k, vecs, vecs_pad, k, kp);
         want.extend_from_slice(&pack);
     }
     want
@@ -85,7 +86,7 @@ fn check_sweep<T: Element>(
         OperandSide::A => scale_trunc_a_rowmajor(&wide, &exps, &mut ints),
         OperandSide::B => scale_trunc_b_colmajor(&wide, &exps, &mut ints),
     }
-    let want = oracle_panels(&ints, vecs, vecs_pad, k, c, T::IS_F64);
+    let want = oracle_panels(side, &ints, vecs, vecs_pad, k, c, T::IS_F64);
     for layout in [Layout::ColMajor, Layout::RowMajor] {
         let (major, minor) = match layout {
             Layout::ColMajor => (cols, rows),
@@ -443,7 +444,7 @@ proptest! {
             (((s >> 16) as f64) - 2f64.powi(47)) % bound
         };
         let src: Vec<f64> = (0..vecs * k).map(|_| next().trunc()).collect();
-        let want = oracle_panels(&src, vecs, gemm_engine::padded_a_rows(vecs), k, c, b64);
+        let want = oracle_panels(OperandSide::A, &src, vecs, gemm_engine::padded_a_rows(vecs), k, c, b64);
         let view = MatView::row_major(&src, vecs, k);
         for parallel in [false, true] {
             let got = sweep(&view, OperandSide::A, &vec![0; vecs], c, parallel);
@@ -477,8 +478,8 @@ proptest! {
         let mut u_fused = vec![0u8; m * n];
         let kp = gemm_engine::padded_depth(k);
         let (mut apack, mut bpack) = (Vec::new(), Vec::new());
-        gemm_engine::pack_panels(&mut apack, &a, k, m, gemm_engine::padded_a_rows(m), k, kp);
-        gemm_engine::pack_panels(&mut bpack, &b, k, n, gemm_engine::padded_b_cols(n), k, kp);
+        gemm_engine::pack_panels(&mut apack, OperandSide::A, &a, k, m, gemm_engine::padded_a_rows(m), k, kp);
+        gemm_engine::pack_panels(&mut bpack, OperandSide::B, &b, k, n, gemm_engine::padded_b_cols(n), k, kp);
         let epi = gemm_engine::ReduceEpilogue::new(p, pinv, None);
         gemm_engine::int8_gemm_prepacked_fused(
             m, n, k, &apack, &bpack, kp, 0, &mut c32, &mut u_fused, &epi, true,

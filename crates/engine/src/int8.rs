@@ -17,42 +17,48 @@
 //!
 //! # Kernel structure
 //!
-//! 1. **Panels.** The engine multiplies `i8` panels: row `i` of the
-//!    A-pack is the `i`-th row of `A`, depth padded with zeros to a
-//!    multiple of [`PK`] (64, one tile row of bytes), rows padded to a
-//!    multiple of [`PV`] (16, one tile's height); the B-pack holds columns
-//!    the same way. [`int8_gemm_prepacked_fused`], the one engine entry,
-//!    multiplies a [`PK`]-aligned depth window of caller-built panels —
-//!    that window is how `k`-blocked callers reuse one panel set across
-//!    blocks. Producers that can emit this layout themselves (the `ozaki2`
-//!    fused convert phase and its accurate-mode estimate) never hold an
+//! 1. **Panels.** The engine multiplies `i8` panels, depth padded with
+//!    zeros to a multiple of [`PK`] (64, one tile row of bytes) and vector
+//!    counts to a multiple of [`PV`] (16, one tile's height). The B-pack
+//!    holds column `j` of `B` at `j * kp`, `k` contiguous. The A-pack has
+//!    one format, defined by [`a_panel_index`]: 16-row strips of 1 KiB
+//!    blocks, one per 64-byte depth chunk, each block the
+//!    quad-interleaved tile `tdpbssd` reads (dword `q` of row `r` at
+//!    `q * 64 + r * 4`). It is fixed, not chosen per level, so panels
+//!    built at one level multiply at every other. [`int8_gemm_prepacked_fused`],
+//!    the one engine entry, multiplies a [`PK`]-aligned depth window of
+//!    caller-built panels — that window is how `k`-blocked callers reuse
+//!    one panel set across blocks. Producers that can emit the panels
+//!    themselves (the `ozaki2` fused convert phase and its accurate-mode
+//!    estimate, through [`scatter_a_row`] on the A side) never hold an
 //!    intermediate i8 plane; others pack with [`pack_panels`] (row-major
 //!    `A`, column-major `B`, any leading dimension).
 //! 2. **Microkernel.** The kernel is selected by [`crate::isa::engine_isa`]
 //!    (the one probe, [`crate::isa()`], under the thread's
 //!    [`crate::isa::cap_scope`]), read once per call on the calling thread:
-//!    * **AMX** (`tdpbssd`, i8·i8 → i32). `tdpbssd` wants its second
-//!      source quad-interleaved, so the call first interleaves the A
-//!      window once (a vectorized 16×16 dword transpose per 16-row ×
-//!      64-byte block) into a grow-only per-thread buffer that every
-//!      stripe reads. B tiles load straight from the panels at stride
-//!      `kp`. The kernel computes `Cᵀ` tiles (16 B columns × 16 A rows), so
-//!      each tile row is one contiguous column segment of the column-major
-//!      `C`. It keeps a 2×2 grid of `C` tiles in tile registers over the
-//!      whole depth, with a 1-wide loop for edges that are a multiple of 16
-//!      but not of 32. Each stripe loads the tile configuration on entry and
-//!      releases the tiles on exit, so pool threads carry no tile state.
-//!    * **AVX-512 VNNI / AVX-512 BW / AVX2 / scalar**: an [`MR`]`x`[`NR`]
-//!      register tile of `C` as `MR * NR` SIMD dot products sharing operand
-//!      loads, one vector accumulator per `C` element. Panel bytes are
-//!      sign-extended to i16 on load; products of i8 values fit in 15 bits,
-//!      so the pairwise i16 multiply-add (`vpmaddwd` / `vpdpwssd`) is exact.
-//!      The portable scalar kernel is also the parity-test reference.
+//!    * **AMX** (`tdpbssd`, i8·i8 → i32). A and B tiles load straight from
+//!      the panels: A blocks at stride 64, B at stride `kp`. The kernel
+//!      computes `Cᵀ` tiles (16 B columns × 16 A rows), so each tile row
+//!      is one contiguous column segment of the column-major `C`. It keeps
+//!      a 2×2 grid of `C` tiles in tile registers over the whole depth,
+//!      with a 1-wide loop for edges that are a multiple of 16 but not of
+//!      32. Each stripe loads the tile configuration on entry and releases
+//!      the tiles on exit, so pool threads carry no tile state.
+//!    * **AVX-512 VNNI / AVX-512 BW / AVX2 / scalar**: a 16-row ([`MR`])
+//!      by [`NR`]-column tile of `C`. Per depth dword, the strip's block
+//!      row (that dword of all 16 rows) is sign-extended to i16 and
+//!      multiplied with each column's dword, widened once per tile and
+//!      broadcast; products of i8 values fit in 15 bits, so the pairwise
+//!      i16 multiply-add (`vpdpwssd` / `vpmaddwd`) is exact, and adjacent
+//!      lane pairs are summed once at the end. The VNNI and AVX-512 BW
+//!      arms share one body generic over the multiply-add; AVX2 is its
+//!      256-bit twin. The portable scalar tile, reading A through
+//!      [`a_panel_index`], is also the parity-test reference.
 //! 3. **Cache blocking** (SIMD arms). Per stripe the tile sweep runs `ic`
 //!    ([`MC`] rows, keeps the active A block L2-resident) over `pc` ([`KC`]
-//!    depth, keeps one A-panel + one B-panel L1-resident) over the
-//!    `jt`/`it` tile grid, accumulating partial tiles into `C` (wrapping
-//!    adds commute, so the split over `pc` is exact).
+//!    depth, keeps one A strip and the tile's widened B columns
+//!    L1-resident) over the `jt`/`it` tile grid, accumulating partial tiles
+//!    into `C` (wrapping adds commute, so the split over `pc` is exact).
 //! 4. **Column stripes.** One driver, [`int8_gemm_prepacked_fused`],
 //!    splits the `N` dimension into stripes of whole [`PV`]-column panels
 //!    (two per pool worker) and runs one rayon task per stripe over shared
@@ -81,33 +87,35 @@
 //!
 //! [`int8_gemm_blocked`]'s packing buffers live in an [`Int8Workspace`],
 //! which grows on first use and is reused across calls — repeated GEMMs of
-//! one shape (the slice products of one Scheme-I product, LU panel
-//! updates, …) allocate nothing in steady state.
+//! one shape (benchmark loops over one contiguous operand pair) allocate
+//! nothing in steady state.
 
 use crate::isa::{cap_scope, dispatch, dispatch_name, engine_isa, isa, Isa};
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Register-tile rows of the SIMD kernels (independent accumulator
-/// chains per column).
-pub const MR: usize = 4;
-/// Register-tile columns of the SIMD kernels.
-pub const NR: usize = 4;
+/// Register-tile rows of the tile kernels: one 16-row A-panel strip.
+pub const MR: usize = PV;
+/// Register-tile columns of the AVX-512 and scalar tiles.
+pub const NR: usize = 8;
+/// Register-tile columns of the AVX2 tile, whose 16 ymm registers hold
+/// four accumulators per column.
+const NR_AVX2: usize = 2;
 /// Depth padding granularity: one AMX tile row of bytes.
 pub const PK: usize = 64;
 /// Vector-count padding granularity of the packed panels (rows of A,
-/// columns of B): one AMX tile's height. Also the column granularity of
-/// the engine's stripes, so a stripe always starts on a whole panel.
+/// columns of B): one AMX tile's height, and one A-panel strip. Also the
+/// column granularity of the engine's stripes, so a stripe always starts
+/// on a whole panel.
 pub const PV: usize = 16;
-/// Depth (`k`) blocking of the SIMD kernels: one `MR x KC` A-panel plus
-/// one `NR x KC` B-panel is 8 KiB of i8, comfortably L1-resident.
+/// Depth (`k`) blocking of the SIMD kernels: one 16-row strip of the A
+/// window (16 KiB) plus the widened B columns stay L1-resident.
 pub const KC: usize = 1024;
 /// Row blocking of the SIMD kernels: the active `MC x KC` A block
-/// (128 KiB) stays L2-resident while the stripe's B-panels stream past it.
-pub const MC: usize = 128;
+/// (256 KiB) stays L2-resident while the stripe's B columns stream past it.
+pub const MC: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Barrett reduction primitive (shared with the modular-reduction epilogues)
@@ -323,8 +331,9 @@ impl Epilogue for AddModEpilogue<'_> {
 // Workspace
 // ---------------------------------------------------------------------------
 
-/// Reusable packing buffers for the blocked kernel. Grows on demand, never
-/// shrinks; repeated calls with one shape allocate nothing.
+/// Reusable packing buffers of [`int8_gemm_blocked`], the contiguous
+/// i8-input entry that benchmarks and parity tests call. Grows on demand,
+/// never shrinks; repeated calls with one shape allocate nothing.
 #[derive(Default)]
 pub struct Int8Workspace {
     apack: Vec<i8>,
@@ -343,16 +352,73 @@ impl Int8Workspace {
     }
 }
 
-thread_local! {
-    /// The AMX arm's interleaved copy of the A window: grow-only, and lent
-    /// to one call at a time (a nested call on this thread finds it empty
-    /// and allocates its own).
-    static AMX_A: Cell<Vec<i8>> = const { Cell::new(Vec::new()) };
-}
-
 // ---------------------------------------------------------------------------
 // Packing
 // ---------------------------------------------------------------------------
+
+/// Which side of the product a panel set packs. The sides have different
+/// panel formats (see [`pack_panels`]), so a panel set is only valid on
+/// its own side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum OperandSide {
+    /// Left operand (`m x k`): row panels in the A-panel format of
+    /// [`a_panel_index`], per-row scales.
+    A,
+    /// Right operand (`k x n`): `k`-contiguous column panels, per-column
+    /// scales.
+    B,
+}
+
+impl OperandSide {
+    /// Panel geometry of an operand of logical `shape` on this side:
+    /// `(vecs, vecs_pad, k)` — the packed vector count (rows of `A`,
+    /// columns of `B`), its engine padding, and the inner dimension.
+    pub fn panel_dims(self, (rows, cols): (usize, usize)) -> (usize, usize, usize) {
+        match self {
+            OperandSide::A => (rows, padded_a_rows(rows), cols),
+            OperandSide::B => (cols, padded_b_cols(cols), rows),
+        }
+    }
+}
+
+/// Bytes of one A-panel block: a 16-row strip ([`PV`]) by one 64-byte
+/// depth chunk ([`PK`]), exactly one AMX tile.
+const BLOCK: usize = PV * PK;
+
+/// Index of element (row `v`, depth `h`) in A panels of padded depth `kp`:
+/// the one definition of the A-panel format.
+///
+/// Rows come in 16-row strips, `PV * kp` bytes each. A strip is a run of
+/// 1 KiB blocks (16 × 64 bytes, one AMX tile), one per 64-byte depth
+/// chunk, and inside a block
+/// dword `q` of row `r` (depth bytes `4q..4q + 4` of the chunk) sits at
+/// `q * 64 + r * 4`. That is the quad-interleaved layout `tdpbssd` reads
+/// for its second source, so the AMX arm loads A tiles straight from the
+/// panels; row `q` of a block is also 16 rows' worth of one depth dword,
+/// which the SIMD arms multiply against one broadcast B dword.
+#[inline(always)]
+pub const fn a_panel_index(v: usize, h: usize, kp: usize) -> usize {
+    (v / PV) * PV * kp + (h / PK) * BLOCK + (h % PK / 4) * PK + (v % PV) * 4 + h % 4
+}
+
+/// Write `row`, the depth run `[h0, h0 + row.len())` of A row `v`, into A
+/// panels of padded depth `kp` (`h0` a multiple of [`PK`], `row.len()` of
+/// 4): the scatter every A-panel writer shares. Each 64-byte run of the
+/// row becomes one dword column of a block: its dword `q` lands in block
+/// row `q`, at the row's lane.
+#[inline]
+pub fn scatter_a_row(panels: &mut [i8], kp: usize, v: usize, h0: usize, row: &[i8]) {
+    debug_assert!(h0.is_multiple_of(PK) && row.len().is_multiple_of(4));
+    let strip_row = v / PV * PV;
+    let lane = a_panel_index(v, 0, kp) - a_panel_index(strip_row, 0, kp);
+    for (c, run) in row.chunks(PK).enumerate() {
+        let block = a_panel_index(strip_row, h0 + c * PK, kp);
+        let rows = panels[block..block + BLOCK].chunks_exact_mut(PK);
+        for (dst, word) in rows.zip(run.chunks_exact(4)) {
+            dst[lane..lane + 4].copy_from_slice(word);
+        }
+    }
+}
 
 /// Depth (`k`) of a packed panel, padded to a multiple of [`PK`].
 pub const fn padded_depth(k: usize) -> usize {
@@ -370,17 +436,20 @@ pub const fn padded_b_cols(n: usize) -> usize {
 }
 
 /// Pack `vecs` i8 k-vectors (rows of `A` / columns of `B`, vector `v`
-/// starting at `v * ld`) into the engine's `i8` panel layout: vector `v`
-/// occupies `pack[v * kp..(v + 1) * kp]`, depth zero-padded from `k` to
-/// `kp` (= [`padded_depth`]`(k)`), vector count zero-padded to `vecs_pad`
-/// (= [`padded_a_rows`] / [`padded_b_cols`]).
+/// starting at `v * ld`) into the engine's panels for `side`, depth
+/// zero-padded from `k` to `kp` (= [`padded_depth`]`(k)`), vector count
+/// zero-padded to `vecs_pad` (= [`padded_a_rows`] / [`padded_b_cols`]).
+/// Side B puts vector `v` at `pack[v * kp..(v + 1) * kp]`; side A puts
+/// element `(v, h)` at [`a_panel_index`]`(v, h, kp)`.
 ///
-/// This is the exact layout [`int8_gemm_prepacked_fused`] consumes, and the
-/// layout the fused convert phase of the `ozaki2` pipeline emits directly
-/// from f64 data — exposed so producers and tests can build panels without
-/// going through an intermediate i8 plane.
+/// These are the panels [`int8_gemm_prepacked_fused`] consumes, and the
+/// ones the fused convert phase of the `ozaki2` pipeline writes directly
+/// from f64 data — exposed so producers and tests can build panels
+/// without going through an intermediate i8 plane.
+#[allow(clippy::too_many_arguments)]
 pub fn pack_panels(
     pack: &mut Vec<i8>,
+    side: OperandSide,
     src: &[i8],
     ld: usize,
     vecs: usize,
@@ -392,26 +461,36 @@ pub fn pack_panels(
     if pack.len() < needed {
         pack.resize(needed, 0);
     }
-    pack_into(&mut pack[..needed], src, ld, vecs, vecs_pad, k, kp);
+    pack_into(&mut pack[..needed], side, src, ld, vecs, k, kp);
 }
 
-/// [`pack_panels`] into a slice already sized for `vecs_pad` vectors.
+/// [`pack_panels`] into a slice already sized for its padded vectors
+/// (whole strips on side A).
 fn pack_into(
     pack: &mut [i8],
+    side: OperandSide,
     src: &[i8],
     ld: usize,
     vecs: usize,
-    vecs_pad: usize,
     k: usize,
     kp: usize,
 ) {
-    for v in 0..vecs_pad {
-        let dst = &mut pack[v * kp..(v + 1) * kp];
-        if v < vecs {
-            dst[..k].copy_from_slice(&src[v * ld..v * ld + k]);
-            dst[k..].fill(0);
+    // Side A stages each row zero-padded to `kp`, then scatters it.
+    let mut row = vec![0i8; if side == OperandSide::A { kp } else { 0 }];
+    for v in 0..pack.len().checked_div(kp).unwrap_or(0) {
+        let vec = if v < vecs {
+            &src[v * ld..v * ld + k]
         } else {
-            dst.fill(0);
+            &[]
+        };
+        let dst = match side {
+            OperandSide::A => &mut row[..],
+            OperandSide::B => &mut pack[v * kp..(v + 1) * kp],
+        };
+        dst[..vec.len()].copy_from_slice(vec);
+        dst[vec.len()..].fill(0);
+        if side == OperandSide::A {
+            scatter_a_row(pack, kp, v, 0, &row);
         }
     }
 }
@@ -431,18 +510,22 @@ pub fn microkernel_name() -> &'static str {
     }
 }
 
-/// Portable tile kernel: `out[c][r] = sum_p a[r*lda + p] * b[c*ldb + p]`
-/// over `kc` (wrapping) — the tile is **column-major** so the driver can
-/// copy whole columns into `C` contiguously. Also the reference
-/// implementation the SIMD paths are tested against.
-fn tile_scalar(kc: usize, lda: usize, ldb: usize, a: &[i8], b: &[i8], out: &mut [[i32; MR]; NR]) {
+/// Portable tile kernel: `out[c][r] = sum_h A[r][h] * B[c][h]` over `kc`
+/// (wrapping), A read from one strip of A panels (`a`, blocks at
+/// [`a_panel_index`]) and B from `N` widened columns (`bw`, column `c` at
+/// `c * kc`). The tile is **column-major** so the driver can copy whole
+/// columns into `C` contiguously. Also the reference the SIMD tiles are
+/// tested against.
+fn tile_scalar<const N: usize>(kc: usize, a: &[i8], bw: &[i16], out: &mut [[i32; MR]; N]) {
     for (c, ocol) in out.iter_mut().enumerate() {
-        let bcol = &b[c * ldb..c * ldb + kc];
+        let bcol = &bw[c * kc..(c + 1) * kc];
         for (r, o) in ocol.iter_mut().enumerate() {
-            let arow = &a[r * lda..r * lda + kc];
             let mut acc = 0i32;
-            for (&x, &y) in arow.iter().zip(bcol) {
-                acc = acc.wrapping_add(x as i32 * y as i32);
+            for (h, word) in bcol.chunks_exact(4).enumerate() {
+                let at = a_panel_index(r, 4 * h, kc);
+                for (&x, &y) in a[at..at + 4].iter().zip(word) {
+                    acc = acc.wrapping_add(x as i32 * y as i32);
+                }
             }
             *o = acc;
         }
@@ -451,165 +534,142 @@ fn tile_scalar(kc: usize, lda: usize, ldb: usize, a: &[i8], b: &[i8], out: &mut 
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2 / AVX-512 tile kernels over i8 panels. Each load sign-extends
-    //! its bytes to i16; the `vpmaddwd`-family ops then give each i32 lane
-    //! `a[2l]*b[2l] + a[2l+1]*b[2l+1]`, exact for i8 operands
-    //! (|product sum| <= 2^15), with wrapping i32 lane accumulation —
-    //! bit-compatible with the scalar kernel.
+    //! AVX-512 / AVX2 tile kernels: one 16-row A strip against `N` B
+    //! columns. Row `d` of the strip's blocks holds depth dword `d` of all
+    //! 16 rows (64 bytes); it is sign-extended to i16 and multiplied by
+    //! each column's depth dword, widened to 4 i16 and broadcast. The
+    //! `vpmaddwd`-family ops then give i32 lane `2r + t` of row group `r`
+    //! the pair `a[2t]·b[2t] + a[2t+1]·b[2t+1]`, exact for i8 operands
+    //! (|pair sum| <= 2^15), with wrapping i32 lane accumulation; adjacent
+    //! lanes are summed once at the end — bit-compatible with the scalar
+    //! tile.
 
-    use super::{MR, NR, PK};
+    use super::{a_panel_index, MR, NR, NR_AVX2};
     use std::arch::x86_64::*;
 
-    /// i8 depth elements consumed per 512-bit step (widened to 32 i16).
-    const L512: usize = 32;
-
-    /// Reduce four 16-lane accumulators to their four dot products in
-    /// one xmm: halve each zmm, then a 3-`hadd` network. The same
-    /// wrapping-i32 adds as four `reduce_add` calls, in a different
-    /// (immaterial — wrapping addition commutes) order, at a fraction of
-    /// the instruction count; grouped per output *column*, the xmm is a
-    /// ready-to-store column segment of `C`. This is what keeps short-`k`
-    /// microtiles — the batched small-GEMM regime — from being dominated
-    /// by horizontal-reduction overhead.
+    /// The pairwise i16 multiply-add of the 512-bit arms, `acc` plus each
+    /// i32 lane's two i16 products: `vpdpwssd` when `VNNI`, `vpmaddwd` +
+    /// `vpaddd` otherwise.
     ///
     /// # Safety
-    /// AVX-512F required (implies the AVX2 `hadd` used here).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn reduce_quad(accs: &[__m512i; MR]) -> __m128i {
-        let halve = |v: __m512i| -> __m256i {
-            _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v))
-        };
-        let h01 = _mm256_hadd_epi32(halve(accs[0]), halve(accs[1]));
-        let h23 = _mm256_hadd_epi32(halve(accs[2]), halve(accs[3]));
-        let q = _mm256_hadd_epi32(h01, h23);
-        // q lanes: [s0,s1,s2,s3] of the low halves | high halves.
-        _mm_add_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q))
+    /// AVX-512BW, and AVX-512 VNNI when `VNNI`, must be available.
+    #[inline(always)]
+    unsafe fn madd<const VNNI: bool>(acc: __m512i, a: __m512i, b: __m512i) -> __m512i {
+        if VNNI {
+            dpwssd(acc, a, b)
+        } else {
+            _mm512_add_epi32(acc, _mm512_madd_epi16(a, b))
+        }
     }
 
-    /// 32 i8 at `p`, sign-extended to 32 i16 lanes.
+    /// `vpdpwssd` in assembly: LLVM's machine combiner otherwise splits
+    /// most of the tile's `_mm512_dpwssd_epi32` back into `vpmaddwd` +
+    /// `vpaddd`, one more uop per multiply-add on the ports the tile is
+    /// bound by.
     ///
     /// # Safety
-    /// AVX-512BW required; `p` valid for 32 bytes.
+    /// AVX-512 VNNI must be available.
     #[inline]
-    #[target_feature(enable = "avx512bw")]
-    unsafe fn load_widen(p: *const i8) -> __m512i {
-        _mm512_cvtepi8_epi16(_mm256_loadu_si256(p as *const __m256i))
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX-512BW + AVX-512VNNI are available, `kc` is a
-    /// multiple of [`PK`], and `a`/`b` cover `(MR-1)*lda + kc` /
-    /// `(NR-1)*ldb + kc` elements.
     #[target_feature(enable = "avx512bw,avx512vnni")]
+    unsafe fn dpwssd(mut acc: __m512i, a: __m512i, b: __m512i) -> __m512i {
+        std::arch::asm!(
+            "vpdpwssd {acc}, {a}, {b}",
+            acc = inout(zmm_reg) acc,
+            a = in(zmm_reg) a,
+            b = in(zmm_reg) b,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+        acc
+    }
+
+    /// The 512-bit tile body over `kc` depth (a multiple of 4): each
+    /// strip row is two zmm of i16 (rows 0–7 and 8–15), so `C` column `c`
+    /// accumulates in `acc[0][c]`, `acc[1][c]`.
+    ///
+    /// # Safety
+    /// The features [`madd`] needs; `a` covers `kc / 4` strip rows and `bw`
+    /// `N * kc` elements.
+    #[inline(always)]
     #[allow(clippy::needless_range_loop)]
-    pub unsafe fn tile_vnni(
+    unsafe fn tile512<const VNNI: bool, const N: usize>(
         kc: usize,
-        lda: usize,
-        ldb: usize,
         a: &[i8],
-        b: &[i8],
-        out: &mut [[i32; MR]; NR],
+        bw: &[i16],
+        out: &mut [[i32; MR]; N],
     ) {
-        debug_assert!(kc.is_multiple_of(PK));
-        debug_assert!(a.len() >= (MR - 1) * lda + kc && b.len() >= (NR - 1) * ldb + kc);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = [[_mm512_setzero_si512(); NR]; MR];
-        for s in 0..kc / L512 {
-            let off = s * L512;
-            let mut av = [_mm512_setzero_si512(); MR];
-            for (r, v) in av.iter_mut().enumerate() {
-                *v = load_widen(ap.add(r * lda + off));
-            }
-            for c in 0..NR {
-                let bv = load_widen(bp.add(c * ldb + off));
-                for r in 0..MR {
-                    acc[r][c] = _mm512_dpwssd_epi32(acc[r][c], av[r], bv);
-                }
+        debug_assert!(a.len() >= a_panel_index(0, kc, kc) && bw.len() >= N * kc);
+        let (ap, bp) = (a.as_ptr(), bw.as_ptr());
+        let mut acc = [[_mm512_setzero_si512(); N]; 2];
+        for d in 0..kc / 4 {
+            let row = ap.add(a_panel_index(0, 4 * d, kc));
+            let lo = _mm512_cvtepi8_epi16(_mm256_loadu_si256(row.cast()));
+            let hi = _mm512_cvtepi8_epi16(_mm256_loadu_si256(row.add(32).cast()));
+            for c in 0..N {
+                let b = _mm512_set1_epi64(bp.add(c * kc + 4 * d).cast::<i64>().read_unaligned());
+                acc[0][c] = madd::<VNNI>(acc[0][c], lo, b);
+                acc[1][c] = madd::<VNNI>(acc[1][c], hi, b);
             }
         }
+        // Row r's two lanes are 2r and 2r + 1 of its half: gather the even
+        // and the odd lanes of both halves in row order, then add.
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
         for (c, ocol) in out.iter_mut().enumerate() {
-            let col = [acc[0][c], acc[1][c], acc[2][c], acc[3][c]];
-            _mm_storeu_si128(ocol.as_mut_ptr() as *mut __m128i, reduce_quad(&col));
+            let (l, h) = (acc[0][c], acc[1][c]);
+            let sum = _mm512_add_epi32(
+                _mm512_permutex2var_epi32(l, even, h),
+                _mm512_permutex2var_epi32(l, odd, h),
+            );
+            _mm512_storeu_si512(ocol.as_mut_ptr().cast(), sum);
         }
     }
 
     /// # Safety
-    /// As [`tile_vnni`], but only AVX-512BW is required.
+    /// AVX-512BW and AVX-512 VNNI must be available; extents as
+    /// [`tile512`].
+    #[target_feature(enable = "avx512bw,avx512vnni")]
+    pub unsafe fn tile_vnni(kc: usize, a: &[i8], bw: &[i16], out: &mut [[i32; MR]; NR]) {
+        tile512::<true, NR>(kc, a, bw, out)
+    }
+
+    /// # Safety
+    /// AVX-512BW must be available; extents as [`tile512`].
     #[target_feature(enable = "avx512bw")]
-    #[allow(clippy::needless_range_loop)]
-    pub unsafe fn tile_avx512(
-        kc: usize,
-        lda: usize,
-        ldb: usize,
-        a: &[i8],
-        b: &[i8],
-        out: &mut [[i32; MR]; NR],
-    ) {
-        debug_assert!(kc.is_multiple_of(PK));
-        debug_assert!(a.len() >= (MR - 1) * lda + kc && b.len() >= (NR - 1) * ldb + kc);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = [[_mm512_setzero_si512(); NR]; MR];
-        for s in 0..kc / L512 {
-            let off = s * L512;
-            let mut av = [_mm512_setzero_si512(); MR];
-            for (r, v) in av.iter_mut().enumerate() {
-                *v = load_widen(ap.add(r * lda + off));
-            }
-            for c in 0..NR {
-                let bv = load_widen(bp.add(c * ldb + off));
-                for r in 0..MR {
-                    acc[r][c] = _mm512_add_epi32(acc[r][c], _mm512_madd_epi16(av[r], bv));
-                }
-            }
-        }
-        for (c, ocol) in out.iter_mut().enumerate() {
-            let col = [acc[0][c], acc[1][c], acc[2][c], acc[3][c]];
-            _mm_storeu_si128(ocol.as_mut_ptr() as *mut __m128i, reduce_quad(&col));
-        }
+    pub unsafe fn tile_avx512(kc: usize, a: &[i8], bw: &[i16], out: &mut [[i32; MR]; NR]) {
+        tile512::<false, NR>(kc, a, bw, out)
     }
 
+    /// The 256-bit twin of [`tile512`]: each strip row is four ymm of i16
+    /// (rows 0–3, 4–7, 8–11, 12–15), multiplied with `vpmaddwd` + `vpaddd`.
+    ///
     /// # Safety
-    /// As [`tile_vnni`], but only AVX2 is required.
+    /// AVX2 must be available; extents as [`tile512`].
     #[target_feature(enable = "avx2")]
     #[allow(clippy::needless_range_loop)]
-    pub unsafe fn tile_avx2(
-        kc: usize,
-        lda: usize,
-        ldb: usize,
-        a: &[i8],
-        b: &[i8],
-        out: &mut [[i32; MR]; NR],
-    ) {
-        const L: usize = 16; // i8 depth elements per 256-bit step
-        debug_assert!(kc.is_multiple_of(L));
-        debug_assert!(a.len() >= (MR - 1) * lda + kc && b.len() >= (NR - 1) * ldb + kc);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let load_widen = |p: *const i8| _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i));
-        let mut acc = [[_mm256_setzero_si256(); NR]; MR];
-        for s in 0..kc / L {
-            let off = s * L;
-            let mut av = [_mm256_setzero_si256(); MR];
-            for (r, v) in av.iter_mut().enumerate() {
-                *v = load_widen(ap.add(r * lda + off));
+    pub unsafe fn tile_avx2(kc: usize, a: &[i8], bw: &[i16], out: &mut [[i32; MR]; NR_AVX2]) {
+        debug_assert!(a.len() >= a_panel_index(0, kc, kc) && bw.len() >= NR_AVX2 * kc);
+        let (ap, bp) = (a.as_ptr(), bw.as_ptr());
+        let mut acc = [[_mm256_setzero_si256(); NR_AVX2]; 4];
+        for d in 0..kc / 4 {
+            let row = ap.add(a_panel_index(0, 4 * d, kc));
+            let mut av = [_mm256_setzero_si256(); 4];
+            for (g, v) in av.iter_mut().enumerate() {
+                *v = _mm256_cvtepi8_epi16(_mm_loadu_si128(row.add(16 * g).cast()));
             }
-            for c in 0..NR {
-                let bv = load_widen(bp.add(c * ldb + off));
-                for r in 0..MR {
-                    acc[r][c] = _mm256_add_epi32(acc[r][c], _mm256_madd_epi16(av[r], bv));
+            for c in 0..NR_AVX2 {
+                let b = _mm256_set1_epi64x(bp.add(c * kc + 4 * d).cast::<i64>().read_unaligned());
+                for g in 0..4 {
+                    acc[g][c] = _mm256_add_epi32(acc[g][c], _mm256_madd_epi16(av[g], b));
                 }
             }
         }
+        // hadd of two row groups yields rows [0, 1, 4, 5 | 2, 3, 6, 7] of
+        // the pair; the qword permute puts them in order.
         for (c, ocol) in out.iter_mut().enumerate() {
-            for (r, o) in ocol.iter_mut().enumerate() {
-                let v = acc[r][c];
-                let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-                let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
-                let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-                *o = _mm_cvtsi128_si32(s);
+            for (g, dst) in ocol.chunks_exact_mut(8).enumerate() {
+                let h = _mm256_hadd_epi32(acc[2 * g][c], acc[2 * g + 1][c]);
+                let rows = _mm256_permute4x64_epi64::<0b11_01_10_00>(h);
+                _mm256_storeu_si256(dst.as_mut_ptr().cast(), rows);
             }
         }
     }
@@ -625,17 +685,14 @@ mod amx {
     //! `dst[r][c] += Σ_{q<16} Σ_{t<4} src1[r][4q+t] · src2[q][4c+t]`, with
     //! wrapping i32 adds. `src1` rows are B panel columns loaded straight
     //! from the panels (K contiguous); `src2` must hold, in row `q`, the
-    //! four bytes `4q..4q+4` of each of 16 A rows — the quad-interleaved
-    //! layout [`interleave_a`] builds. So `dst` is a `Cᵀ` tile: row `r` is
+    //! four bytes `4q..4q+4` of each of 16 A rows — which is one block of
+    //! the A-panel format ([`super::a_panel_index`]), so A tiles load
+    //! straight from the panels too. `dst` is a `Cᵀ` tile: row `r` is
     //! column `j0 + r` of `C` over rows `i0..i0 + 16`, one contiguous run
     //! of the column-major plane.
 
-    use super::{PK, PV};
+    use super::{a_panel_index, PK, PV};
     use std::arch::asm;
-    use std::arch::x86_64::*;
-
-    /// Bytes of one interleaved A block (16 rows × 64 depth bytes).
-    pub const BLOCK: usize = PV * PK;
 
     /// `ldtilecfg` operand: palette 1, all eight tiles 16 rows × 64 bytes.
     #[repr(C, align(64))]
@@ -732,92 +789,23 @@ mod amx {
         }};
     }
 
-    /// Interleave the `rows` (a multiple of 16) A-panel rows at `a` (row
-    /// stride `lda`, `kp` bytes each, `kp` a multiple of [`PK`]) into
-    /// `out`: the block of row strip `s` and depth chunk `ch` sits at
-    /// `(s * kp / PK + ch) * BLOCK` and is that 16-row × 64-byte block
-    /// transposed as a 16×16 matrix of dwords.
-    ///
-    /// # Safety
-    /// AVX-512F required.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn interleave_a(a: &[i8], lda: usize, rows: usize, kp: usize, out: &mut [i8]) {
-        assert!(rows.is_multiple_of(PV) && kp.is_multiple_of(PK));
-        assert!(
-            rows == 0 || a.len() >= (rows - 1) * lda + kp,
-            "A window mismatch"
-        );
-        assert!(out.len() >= rows * kp, "interleave buffer mismatch");
-        let nch = kp / PK;
-        for s in 0..rows / PV {
-            for ch in 0..nch {
-                let src = a.as_ptr().add(s * PV * lda + ch * PK);
-                let mut r = [_mm512_setzero_si512(); PV];
-                for (i, v) in r.iter_mut().enumerate() {
-                    *v = _mm512_loadu_si512(src.add(i * lda).cast());
-                }
-                let t = transpose16(r);
-                let dst = out.as_mut_ptr().add((s * nch + ch) * BLOCK);
-                for (q, v) in t.iter().enumerate() {
-                    _mm512_storeu_si512(dst.add(q * PK).cast(), *v);
-                }
-            }
-        }
-    }
-
-    /// Transpose a 16×16 matrix of dwords held one row per register.
-    ///
-    /// # Safety
-    /// AVX-512F required.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn transpose16(r: [__m512i; 16]) -> [__m512i; 16] {
-        // 4×4 transposes inside every 128-bit lane: afterwards u[4g + x]
-        // lane l holds rows 4g..4g+4 of column 4l + x.
-        let mut t = [_mm512_setzero_si512(); 16];
-        for p in 0..8 {
-            t[2 * p] = _mm512_unpacklo_epi32(r[2 * p], r[2 * p + 1]);
-            t[2 * p + 1] = _mm512_unpackhi_epi32(r[2 * p], r[2 * p + 1]);
-        }
-        let mut u = [_mm512_setzero_si512(); 16];
-        for g in 0..4 {
-            u[4 * g] = _mm512_unpacklo_epi64(t[4 * g], t[4 * g + 2]);
-            u[4 * g + 1] = _mm512_unpackhi_epi64(t[4 * g], t[4 * g + 2]);
-            u[4 * g + 2] = _mm512_unpacklo_epi64(t[4 * g + 1], t[4 * g + 3]);
-            u[4 * g + 3] = _mm512_unpackhi_epi64(t[4 * g + 1], t[4 * g + 3]);
-        }
-        // Gather lane l of u[x], u[4 + x], u[8 + x], u[12 + x] into row
-        // 4l + x.
-        let mut out = [_mm512_setzero_si512(); 16];
-        for x in 0..4 {
-            let lo01 = _mm512_shuffle_i32x4::<0x88>(u[x], u[4 + x]);
-            let hi01 = _mm512_shuffle_i32x4::<0xdd>(u[x], u[4 + x]);
-            let lo23 = _mm512_shuffle_i32x4::<0x88>(u[8 + x], u[12 + x]);
-            let hi23 = _mm512_shuffle_i32x4::<0xdd>(u[8 + x], u[12 + x]);
-            out[x] = _mm512_shuffle_i32x4::<0x88>(lo01, lo23);
-            out[8 + x] = _mm512_shuffle_i32x4::<0xdd>(lo01, lo23);
-            out[4 + x] = _mm512_shuffle_i32x4::<0x88>(hi01, hi23);
-            out[12 + x] = _mm512_shuffle_i32x4::<0xdd>(hi01, hi23);
-        }
-        out
-    }
-
     /// A `JW × IW` grid (each 1 or 2) of 16×16 `Cᵀ` tiles, accumulated in
     /// tile registers over all `nch` depth chunks and stored into `c`:
     /// B columns `j..j + 16·JW` of the stripe (panel rows at `b + j·ldb`),
-    /// A rows `i..i + 16·IW` (interleaved strips at `ai + (i/16)·nch·BLOCK`).
+    /// A rows `i..i + 16·IW` (A-panel strips of depth stride `lda`).
     /// Tiles: `tmm0..3` accumulate `C`, `tmm4/5` hold B, `tmm6/7` hold A.
     ///
     /// # Safety
-    /// Inside a [`TileScope`]; the panel and interleave extents are those
-    /// [`stripe`] checks.
+    /// Inside a [`TileScope`]; the panel extents are those [`stripe`]
+    /// checks.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn block<const JW: usize, const IW: usize>(
         nch: usize,
+        lda: usize,
         ldb: usize,
+        a: &[i8],
         b: &[i8],
-        ai: &[i8],
         c: &mut [i32],
         m: usize,
         nc: usize,
@@ -825,8 +813,8 @@ mod amx {
         i: usize,
     ) {
         let bp = b[j * ldb..].as_ptr();
-        let ap = ai[i / PV * nch * BLOCK..].as_ptr();
-        let strip = nch * BLOCK;
+        let ap = a[a_panel_index(i, 0, lda)..].as_ptr();
+        let strip = a_panel_index(PV, 0, lda);
         asm!("tilezero tmm0", options(nostack, nomem, preserves_flags));
         if IW == 2 {
             asm!("tilezero tmm1", options(nostack, nomem, preserves_flags));
@@ -839,10 +827,11 @@ mod amx {
         }
         for ch in 0..nch {
             tileload!("4", bp.add(ch * PK), ldb);
-            tileload!("6", ap.add(ch * BLOCK), PK);
+            let chunk = a_panel_index(0, ch * PK, lda);
+            tileload!("6", ap.add(chunk), PK);
             dp!("0", "4", "6");
             if IW == 2 {
-                tileload!("7", ap.add(strip + ch * BLOCK), PK);
+                tileload!("7", ap.add(strip + chunk), PK);
                 dp!("1", "4", "7");
             }
             if JW == 2 {
@@ -866,26 +855,31 @@ mod amx {
     }
 
     /// One stripe on the tile unit: `c = A · B` over `nc` stripe columns,
-    /// `b` the stripe's B panels (column `j` at `j * ldb`, offset to the
-    /// depth window) and `ai` the call's [`interleave_a`] copy of the A
-    /// window, `kp` bytes deep. Each B column pair is swept over all A row
-    /// pairs, so it is loaded from cache while the A strips stream past.
+    /// `a` the A panels (depth stride `lda`) and `b` the stripe's B panels
+    /// (column `j` at `j * ldb`), both offset to a depth window `kp` bytes
+    /// deep. Each B column pair is swept over all A row pairs, so it is
+    /// loaded from cache while the A strips stream past.
     ///
     /// # Safety
     /// The CPU and OS must support AMX for this process
     /// ([`crate::Isa::Amx`] was probed).
+    #[allow(clippy::too_many_arguments)]
     pub unsafe fn stripe(
         m: usize,
         kp: usize,
+        lda: usize,
+        a: &[i8],
         ldb: usize,
-        ai: &[i8],
         b: &[i8],
         nc: usize,
         c: &mut [i32],
     ) {
         let (mp, np) = (m.div_ceil(PV), nc.div_ceil(PV));
         assert!(kp.is_multiple_of(PK) && kp > 0);
-        assert!(ai.len() >= mp * PV * kp, "interleave buffer mismatch");
+        assert!(
+            a.len() >= a_panel_index(mp * PV - PV, kp, lda),
+            "A panel buffer mismatch"
+        );
         assert!(
             b.len() >= (np * PV - 1) * ldb + kp,
             "B panel buffer mismatch"
@@ -898,40 +892,13 @@ mod amx {
             for ip in (0..mp).step_by(2) {
                 let (i, iw2) = (ip * PV, ip + 1 < mp);
                 match (jw2, iw2) {
-                    (true, true) => block::<2, 2>(nch, ldb, b, ai, c, m, nc, j, i),
-                    (true, false) => block::<2, 1>(nch, ldb, b, ai, c, m, nc, j, i),
-                    (false, true) => block::<1, 2>(nch, ldb, b, ai, c, m, nc, j, i),
-                    (false, false) => block::<1, 1>(nch, ldb, b, ai, c, m, nc, j, i),
+                    (true, true) => block::<2, 2>(nch, lda, ldb, a, b, c, m, nc, j, i),
+                    (true, false) => block::<2, 1>(nch, lda, ldb, a, b, c, m, nc, j, i),
+                    (false, true) => block::<1, 2>(nch, lda, ldb, a, b, c, m, nc, j, i),
+                    (false, false) => block::<1, 1>(nch, lda, ldb, a, b, c, m, nc, j, i),
                 }
             }
         }
-    }
-}
-
-/// Run the selected SIMD tile kernel on `kc` depth (a multiple of [`PK`];
-/// packing guarantees this).
-#[inline]
-fn run_tile(
-    isa: Isa,
-    kc: usize,
-    lda: usize,
-    ldb: usize,
-    a: &[i8],
-    b: &[i8],
-    out: &mut [[i32; MR]; NR],
-) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: variant selected only after runtime feature detection;
-        // slice lengths are established by the packed-panel layout.
-        Isa::Avx512Vnni | Isa::Amx => unsafe { x86::tile_vnni(kc, lda, ldb, a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Isa::Avx512 => unsafe { x86::tile_avx512(kc, lda, ldb, a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Isa::Avx2 => unsafe { x86::tile_avx2(kc, lda, ldb, a, b, out) },
-        _ => tile_scalar(kc, lda, ldb, a, b, out),
     }
 }
 
@@ -939,47 +906,54 @@ fn run_tile(
 // Driver
 // ---------------------------------------------------------------------------
 
-/// The cache-blocked SIMD tile sweep over one column stripe of packed
-/// panels: `apack` and `bpack` are panel bases already offset to the depth
-/// window (row `i` of A at `i * lda`, stripe-local column `j` of B at
-/// `j * ldb`), with `kp_eff` (a multiple of [`PK`]) depth elements to
-/// consume.
+/// `bw[c * kc + h] = b[c * ldb + h]` for the `bw.len() / kc` B columns of
+/// one tile, widened to i16 once so every strip the tile sweep runs
+/// against them broadcasts its B dwords with a plain load.
+#[inline(always)]
+fn widen_cols(b: &[i8], ldb: usize, kc: usize, bw: &mut [i16]) {
+    for (c, dst) in bw.chunks_exact_mut(kc).enumerate() {
+        for (d, &x) in dst.iter_mut().zip(&b[c * ldb..c * ldb + kc]) {
+            *d = x as i16;
+        }
+    }
+}
+
+/// The cache-blocked SIMD tile sweep over one column stripe: `a` is the A
+/// panels and `b` the stripe's B panels (column `j` at `j * kp`), both of
+/// depth stride `kp` and offset to the depth window, with `kp_eff` (a
+/// multiple of [`PK`]) depth elements to consume. `tile` multiplies one
+/// 16-row strip by `N` widened B columns.
 #[allow(clippy::too_many_arguments)]
-fn simd_sweep(
-    isa: Isa,
+fn simd_sweep<const N: usize>(
+    tile: impl Fn(usize, &[i8], &[i16], &mut [[i32; MR]; N]),
     m: usize,
     kp_eff: usize,
-    lda: usize,
-    ldb: usize,
-    apack: &[i8],
-    bpack: &[i8],
+    kp: usize,
+    a: &[i8],
+    b: &[i8],
     nc: usize,
     c: &mut [i32],
 ) {
-    let mut tile = [[0i32; MR]; NR];
+    let mut out = [[0i32; MR]; N];
+    let mut bw = vec![0i16; N * KC.min(kp_eff)];
     for ic in (0..m).step_by(MC) {
         let ilim = (ic + MC).min(m);
-        let mut pc = 0;
-        while pc < kp_eff {
+        for pc in (0..kp_eff).step_by(KC) {
             let kc = KC.min(kp_eff - pc);
+            let bw = &mut bw[..N * kc];
             // The first depth chunk assigns C outright (every element of
             // the stripe belongs to some tile), later chunks accumulate —
             // which saves the separate zero-fill sweep over C.
             let first = pc == 0;
-            for jt in (0..nc).step_by(NR) {
-                let cols = NR.min(nc - jt);
+            for jt in (0..nc).step_by(N) {
+                // Padded panel columns past `nc` are zeros: N divides PV,
+                // so the tile's columns never leave the stripe's panels.
+                dispatch(|| widen_cols(&b[jt * kp + pc..], kp, kc, bw));
+                let cols = N.min(nc - jt);
                 for it in (ic..ilim).step_by(MR) {
                     let rows = MR.min(m - it);
-                    run_tile(
-                        isa,
-                        kc,
-                        lda,
-                        ldb,
-                        &apack[it * lda + pc..],
-                        &bpack[jt * ldb + pc..],
-                        &mut tile,
-                    );
-                    for (cc, tcol) in tile.iter().enumerate().take(cols) {
+                    tile(kc, &a[a_panel_index(it, pc, kp)..], bw, &mut out);
+                    for (cc, tcol) in out.iter().enumerate().take(cols) {
                         let col = &mut c[(jt + cc) * m + it..(jt + cc) * m + it + rows];
                         if first {
                             col.copy_from_slice(&tcol[..rows]);
@@ -991,34 +965,48 @@ fn simd_sweep(
                     }
                 }
             }
-            pc += kc;
         }
     }
 }
 
 /// One column stripe at level `isa`, followed by the fused epilogue on the
-/// still-resident stripe. `a` is the A panel base offset to the depth
-/// window, or for [`Isa::Amx`] the call's interleaved copy of that window.
+/// still-resident stripe. `a` and `b` are the panels offset to the depth
+/// window, as [`simd_sweep`] takes them.
 #[allow(clippy::too_many_arguments)]
 fn stripe_compute<E: Epilogue>(
     isa: Isa,
     m: usize,
     kp_eff: usize,
-    lda: usize,
-    ldb: usize,
+    kp: usize,
     a: &[i8],
-    bpack: &[i8],
+    b: &[i8],
     nc: usize,
     c: &mut [i32],
     out: &mut [u8],
     epi: &E,
 ) {
+    macro_rules! sweep {
+        ($tile:expr) => {
+            simd_sweep($tile, m, kp_eff, kp, a, b, nc, c)
+        };
+    }
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Isa::Amx is reported only after the CPUID, XCR0 and
         // arch_prctl checks in `isa`; `amx::stripe` checks the extents.
-        Isa::Amx => unsafe { amx::stripe(m, kp_eff, ldb, a, bpack, nc, c) },
-        _ => simd_sweep(isa, m, kp_eff, lda, ldb, a, bpack, nc, c),
+        Isa::Amx => unsafe { amx::stripe(m, kp_eff, kp, a, kp, b, nc, c) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: each SIMD variant is selected only after runtime feature
+        // detection; the caller's panel geometry covers every strip and
+        // every column of a tile the sweep hands the kernel.
+        Isa::Avx512Vnni => sweep!(|kc, a, bw, o| unsafe { x86::tile_vnni(kc, a, bw, o) }),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Isa::Avx512 => sweep!(|kc, a, bw, o| unsafe { x86::tile_avx512(kc, a, bw, o) }),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Isa::Avx2 => sweep!(|kc, a, bw, o| unsafe { x86::tile_avx2(kc, a, bw, o) }),
+        _ => sweep!(tile_scalar::<NR>),
     }
     // Fault-injection seam: the completed INT32 stripe, before the fused
     // epilogue consumes it (no-op unless the injector is armed).
@@ -1068,8 +1056,8 @@ fn stripe_count(n_panels: usize) -> usize {
 /// The level is [`engine_isa`], read once here and carried into every
 /// stripe (with the thread's cap), so a [`cap_scope`] on the caller pins
 /// parallel stripes too. No packing happens here, so no workspace is
-/// needed; the AMX arm's interleaved A copy lives in a grow-only
-/// per-thread buffer, so steady-state calls allocate nothing.
+/// needed: every arm, AMX included, reads the panels as they are, and the
+/// call's only pool region is its stripes.
 ///
 /// # Panics
 /// If `depth_off` is not a multiple of [`PK`], a window over-runs
@@ -1125,12 +1113,7 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
 
     let level = engine_isa();
-    let a_window = &apack[depth_off..];
-    // The AMX arm reads A quad-interleaved: one copy per call, shared by
-    // every stripe.
-    let interleaved =
-        (level == Isa::Amx).then(|| interleave_window(a_window, kp_stride, m_pad, kp_eff, stripes));
-    let a_base = interleaved.as_deref().unwrap_or(a_window);
+    let a_window = &apack[a_panel_index(0, depth_off, kp_stride)..];
 
     struct PrepackedJob<'a> {
         j0: usize,
@@ -1172,8 +1155,7 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
             m,
             kp_eff,
             kp_stride,
-            kp_stride,
-            a_base,
+            a_window,
             &bpack[job.j0 * kp_stride + depth_off..],
             job.nc,
             job.c,
@@ -1186,35 +1168,6 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     } else {
         jobs.into_par_iter().for_each(run);
     }
-    if let Some(buf) = interleaved {
-        AMX_A.set(buf);
-    }
-}
-
-/// The AMX arm's copy of the A window (`rows` panel rows at stride `lda`,
-/// `kp` bytes deep), interleaved into the grow-only per-thread buffer,
-/// which the caller hands back when the call is done. The copy is split
-/// by 16-row strips over `tasks` pool tasks: it streams the whole window
-/// once, so it is bandwidth-bound and scales with the workers.
-fn interleave_window(a: &[i8], lda: usize, rows: usize, kp: usize, tasks: usize) -> Vec<i8> {
-    let mut buf = AMX_A.take();
-    if buf.len() < rows * kp {
-        buf.resize(rows * kp, 0);
-    }
-    let strips_per_task = (rows / PV).div_ceil(tasks.max(1));
-    buf[..rows * kp]
-        .par_chunks_mut((strips_per_task * PV * kp).max(1))
-        .enumerate()
-        .for_each(|(t, dst)| {
-            let r0 = t * strips_per_task * PV;
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: called only at Isa::Amx, which implies AVX-512F; the
-            // extents are checked inside.
-            unsafe {
-                amx::interleave_a(&a[r0 * lda..], lda, dst.len() / kp, kp, dst)
-            };
-        });
-    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -1225,10 +1178,11 @@ fn interleave_window(a: &[i8], lda: usize, rows: usize, kp: usize, tasks: usize)
 /// `A` row-major `m x k`, `B` column-major `k x n`, `C` column-major
 /// `m x n`, fully overwritten.
 ///
-/// Packs both operands into `ws` (A serially, B in as many column chunks
-/// as the sweep has stripes, one task each, so packing scales with the
-/// workers like the sweep does) and runs [`int8_gemm_prepacked_fused`]
-/// over the panels in parallel, with no epilogue.
+/// Packs both operands into `ws`, each in as many chunks of whole
+/// [`PV`]-vector panels as the sweep has stripes, one pool task each, so
+/// packing scales with the workers like the sweep does, and runs
+/// [`int8_gemm_prepacked_fused`] over the panels in parallel, with no
+/// epilogue.
 ///
 /// # Panics
 /// If any buffer length disagrees with the shape.
@@ -1244,22 +1198,23 @@ pub fn int8_gemm_blocked(
     assert_eq!(a_rm.len(), m * k, "A buffer mismatch");
     assert_eq!(b_cm.len(), k * n, "B buffer mismatch");
     let kp = padded_depth(k);
-    pack_panels(&mut ws.apack, a_rm, k, m, padded_a_rows(m), k, kp);
-
-    let n_pad = padded_b_cols(n);
-    if ws.bpack.len() < n_pad * kp {
-        ws.bpack.resize(n_pad * kp, 0);
-    }
-    let n_panels = n_pad / PV;
-    let stripe_cols = n_panels.div_ceil(stripe_count(n_panels)) * PV;
-    ws.bpack[..n_pad * kp]
-        .par_chunks_mut((stripe_cols * kp).max(1))
-        .enumerate()
-        .for_each(|(s, dst)| {
-            let j0 = s * stripe_cols;
-            let nc = stripe_cols.min(n_pad - j0);
-            pack_into(dst, &b_cm[j0 * k..], k, nc.min(n - j0), nc, k, kp);
-        });
+    let tasks = stripe_count(padded_b_cols(n) / PV);
+    let pack = |buf: &mut Vec<i8>, side, src: &[i8], vecs: usize, vecs_pad: usize| {
+        if buf.len() < vecs_pad * kp {
+            buf.resize(vecs_pad * kp, 0);
+        }
+        let chunk = (vecs_pad / PV).div_ceil(tasks) * PV;
+        buf[..vecs_pad * kp]
+            .par_chunks_mut((chunk * kp).max(1))
+            .enumerate()
+            .for_each(|(t, dst)| {
+                let v0 = t * chunk;
+                let src = &src[(v0 * k).min(src.len())..];
+                pack_into(dst, side, src, k, vecs.saturating_sub(v0), k, kp);
+            });
+    };
+    pack(&mut ws.apack, OperandSide::A, a_rm, m, padded_a_rows(m));
+    pack(&mut ws.bpack, OperandSide::B, b_cm, n, padded_b_cols(n));
 
     int8_gemm_prepacked_fused(
         m,
@@ -1345,10 +1300,17 @@ mod tests {
     }
 
     /// Pack a full operand set into prepacked panels (test helper).
-    fn pack_full(src: &[i8], ld: usize, vecs: usize, vecs_pad: usize, k: usize) -> Vec<i8> {
+    fn pack_full(
+        side: OperandSide,
+        src: &[i8],
+        ld: usize,
+        vecs: usize,
+        vecs_pad: usize,
+        k: usize,
+    ) -> Vec<i8> {
         let kp = padded_depth(k);
         let mut pack = Vec::new();
-        pack_panels(&mut pack, src, ld, vecs, vecs_pad, k, kp);
+        pack_panels(&mut pack, side, src, ld, vecs, vecs_pad, k, kp);
         pack
     }
 
@@ -1368,8 +1330,8 @@ mod tests {
         out: &mut [u8],
         epi: &E,
     ) {
-        let apack = pack_full(a, lda, m, padded_a_rows(m), k);
-        let bpack = pack_full(b, ldb, n, padded_b_cols(n), k);
+        let apack = pack_full(OperandSide::A, a, lda, m, padded_a_rows(m), k);
+        let bpack = pack_full(OperandSide::B, b, ldb, n, padded_b_cols(n), k);
         let kp = padded_depth(k);
         int8_gemm_prepacked_fused(m, n, k, &apack, &bpack, kp, 0, c, out, epi, true);
     }
@@ -1394,49 +1356,57 @@ mod tests {
 
     #[test]
     fn simd_tile_matches_scalar_tile() {
-        // Drive run_tile directly over padded panels for every kernel the
-        // host supports.
+        // Drive each SIMD tile the host supports directly over one A strip
+        // and widened B columns, against the scalar tile.
         let kc = 2 * PK;
-        let lda = kc + PK;
-        let a8: Vec<i8> = (0..MR * lda)
+        let a8: Vec<i8> = (0..PV * kc)
             .map(|i| (((i * 37 + 5) % 256) as i16 - 128) as i8)
             .collect();
-        let b8: Vec<i8> = (0..NR * lda)
-            .map(|i| (((i * 61 + 9) % 256) as i16 - 128) as i8)
+        let bw: Vec<i16> = (0..NR * kc)
+            .map(|i| ((i * 61 + 9) % 256) as i16 - 128)
             .collect();
-        let mut want = [[0i32; NR]; MR];
-        tile_scalar(kc, lda, lda, &a8, &b8, &mut want);
-        let mut got = [[0i32; NR]; MR];
-        run_tile(isa(), kc, lda, lda, &a8, &b8, &mut got);
-        assert_eq!(got, want, "kernel={}", microkernel_name());
+        let mut want = [[0i32; MR]; NR];
+        tile_scalar(kc, &a8, &bw, &mut want);
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut got = [[0i32; MR]; NR];
+            if isa() >= Isa::Avx512Vnni {
+                // SAFETY: VNNI probed; the extents are one strip and NR columns.
+                unsafe { x86::tile_vnni(kc, &a8, &bw, &mut got) };
+                assert_eq!(got, want, "avx512-vnni");
+            }
+            if isa() >= Isa::Avx512 {
+                // SAFETY: as above, AVX-512BW probed.
+                unsafe { x86::tile_avx512(kc, &a8, &bw, &mut got) };
+                assert_eq!(got, want, "avx512-bw");
+            }
+            if isa() >= Isa::Avx2 {
+                let mut got2 = [[0i32; MR]; NR_AVX2];
+                // SAFETY: as above, AVX2 probed.
+                unsafe { x86::tile_avx2(kc, &a8, &bw, &mut got2) };
+                assert_eq!(got2[..], want[..NR_AVX2], "avx2");
+            }
+        }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn amx_interleave_is_a_dword_transpose() {
-        if isa() < Isa::Amx {
-            eprintln!("SKIPPED amx_interleave_is_a_dword_transpose: no AMX on this host");
-            return;
-        }
-        // Two 16-row strips, three depth chunks, at a row stride wider
-        // than the window.
-        let (rows, kp, lda) = (2 * PV, 3 * PK, 4 * PK);
-        let a: Vec<i8> = (0..rows * lda).map(|i| (i * 131 % 251) as i8).collect();
-        let mut out = vec![0i8; rows * kp];
-        // SAFETY: Isa::Amx implies AVX-512F.
-        unsafe { amx::interleave_a(&a, lda, rows, kp, &mut out) };
-        let nch = kp / PK;
-        for s in 0..rows / PV {
-            for ch in 0..nch {
-                let blk = &out[(s * nch + ch) * amx::BLOCK..][..amx::BLOCK];
-                for q in 0..PK / 4 {
-                    for i in 0..PV {
-                        for t in 0..4 {
-                            let want = a[(s * PV + i) * lda + ch * PK + 4 * q + t];
-                            assert_eq!(blk[q * PK + 4 * i + t], want, "s={s} ch={ch} q={q} i={i}");
-                        }
-                    }
-                }
+    fn a_side_pack_follows_the_panel_index() {
+        // Ragged rows and depth, a row stride wider than the depth, and a
+        // dirty buffer: every element lands at its index and every padding
+        // row and depth byte is zero.
+        let (m, k, ld) = (PV + 5, 2 * PK + 13, 2 * PK + 20);
+        let (m_pad, kp) = (padded_a_rows(m), padded_depth(k));
+        let src: Vec<i8> = (0..m * ld).map(|i| (i * 131 % 251) as i8 | 1).collect();
+        let mut pack = vec![0x55i8; m_pad * kp];
+        pack_panels(&mut pack, OperandSide::A, &src, ld, m, m_pad, k, kp);
+        let mut seen = vec![false; m_pad * kp];
+        for v in 0..m_pad {
+            for h in 0..kp {
+                let at = a_panel_index(v, h, kp);
+                assert!(!seen[at], "v={v} h={h} collides");
+                seen[at] = true;
+                let want = if v < m && h < k { src[v * ld + h] } else { 0 };
+                assert_eq!(pack[at], want, "v={v} h={h}");
             }
         }
     }
@@ -1539,8 +1509,8 @@ mod tests {
             let a = pattern_mat(m, k, 11).to_row_major();
             let b = pattern_mat(k, n, 12);
             let kp = padded_depth(k);
-            let apack = pack_full(&a, k, m, padded_a_rows(m), k);
-            let bpack = pack_full(b.as_slice(), k, n, padded_b_cols(n), k);
+            let apack = pack_full(OperandSide::A, &a, k, m, padded_a_rows(m), k);
+            let bpack = pack_full(OperandSide::B, b.as_slice(), k, n, padded_b_cols(n), k);
             let mut want = vec![0i32; m * n];
             let mut ws = Int8Workspace::new();
             int8_gemm_blocked(m, n, k, &a, b.as_slice(), &mut want, &mut ws);
@@ -1573,8 +1543,15 @@ mod tests {
         let a = pattern_mat(m, k_full, 13).to_row_major();
         let b = pattern_mat(k_full, n, 14);
         let kp = padded_depth(k_full);
-        let apack = pack_full(&a, k_full, m, padded_a_rows(m), k_full);
-        let bpack = pack_full(b.as_slice(), k_full, n, padded_b_cols(n), k_full);
+        let apack = pack_full(OperandSide::A, &a, k_full, m, padded_a_rows(m), k_full);
+        let bpack = pack_full(
+            OperandSide::B,
+            b.as_slice(),
+            k_full,
+            n,
+            padded_b_cols(n),
+            k_full,
+        );
         let mut want = vec![0i32; m * n];
         {
             let a_blk: Vec<i8> = (0..m)

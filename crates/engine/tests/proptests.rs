@@ -42,11 +42,30 @@ fn gemm_packed<E: Epilogue>(
 ) {
     use gemm_engine::{
         int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
+        OperandSide,
     };
     let kp = padded_depth(k);
     let (mut apack, mut bpack) = (Vec::new(), Vec::new());
-    pack_panels(&mut apack, a, lda, m, padded_a_rows(m), k, kp);
-    pack_panels(&mut bpack, b, ldb, n, padded_b_cols(n), k, kp);
+    pack_panels(
+        &mut apack,
+        OperandSide::A,
+        a,
+        lda,
+        m,
+        padded_a_rows(m),
+        k,
+        kp,
+    );
+    pack_panels(
+        &mut bpack,
+        OperandSide::B,
+        b,
+        ldb,
+        n,
+        padded_b_cols(n),
+        k,
+        kp,
+    );
     int8_gemm_prepacked_fused(m, n, k, &apack, &bpack, kp, 0, c, out, epi, parallel);
 }
 
@@ -323,6 +342,7 @@ mod backend_oracle {
     use super::*;
     use gemm_engine::{
         int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
+        OperandSide,
     };
 
     /// `⌊2^32 / p⌋ - 1`, the Barrett reciprocal the fused epilogue consumes.
@@ -367,8 +387,8 @@ mod backend_oracle {
             .collect();
         let mut apack = Vec::new();
         let mut bpack = Vec::new();
-        pack_panels(&mut apack, &a_rm, k, m, m_pad, k, kp);
-        pack_panels(&mut bpack, &b_cm, k, n, n_pad, k, kp);
+        pack_panels(&mut apack, OperandSide::A, &a_rm, k, m, m_pad, k, kp);
+        pack_panels(&mut bpack, OperandSide::B, &b_cm, k, n, n_pad, k, kp);
         let mut c32 = vec![0i32; m * n];
         let mut u = vec![0u8; m * n];
         let epi = ReduceEpilogue::new(p, pinv(p), None);
@@ -426,7 +446,7 @@ mod level_parity {
     use super::*;
     use gemm_engine::{
         int8_gemm_prepacked_fused, pack_panels, padded_a_rows, padded_b_cols, padded_depth,
-        AddModEpilogue, PK,
+        AddModEpilogue, OperandSide, PK,
     };
 
     proptest! {
@@ -462,8 +482,8 @@ mod level_parity {
             let want = int8_gemm_naive(&a, &b);
             let kp = padded_depth(k_full);
             let (mut apack, mut bpack) = (Vec::new(), Vec::new());
-            pack_panels(&mut apack, &a_rm, k_full, m, padded_a_rows(m), k_full, kp);
-            pack_panels(&mut bpack, &b_cm, k_full, n, padded_b_cols(n), k_full, kp);
+            pack_panels(&mut apack, OperandSide::A, &a_rm, k_full, m, padded_a_rows(m), k_full, kp);
+            pack_panels(&mut bpack, OperandSide::B, &b_cm, k_full, n, padded_b_cols(n), k_full, kp);
             let pinv = ((1u64 << 32) / p - 1) as u32;
             let mut failure = None;
             for_each_level("every_isa_level_matches_naive", |level| {
