@@ -58,8 +58,8 @@ use crate::consts::Constants;
 use crate::pipeline::{grow, PhaseTimes, K_BLOCK_MAX};
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{
-    a_panel_index, cap_scope, dispatch, int8_gemm_prepacked_fused, padded_depth, AddModEpilogue,
-    Epilogue, Isa, ReduceEpilogue, PV,
+    b_panel_index, cap_scope, dispatch, int8_gemm_prepacked_fused, padded_a_rows, padded_depth,
+    transpose_block, AddModEpilogue, Epilogue, Isa, Kernel, ReduceEpilogue, PK, PV,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,8 +250,9 @@ impl PanelsRef<'_> {
         &panels[plane_range(s, vecs, kp)]
     }
 
-    /// Whether `plane`, this side's `vecs` vectors `k`-contiguous (an A
-    /// plane's row-major copy), still sums to the checksum vector `chk`
+    /// Whether `plane`, this side's `vecs` vectors in the B-panel format
+    /// (an A plane's [`as_b_format`] copy), still sums to the checksum
+    /// vector `chk`
     /// captured from it. A flip of bits 0–6 of one panel byte moves one
     /// depth sum by a nonzero amount below every modulus, so it always
     /// shows here. Fixed panels are never injected into, so they are always
@@ -299,17 +300,29 @@ fn plane_range(s: usize, vecs: usize, kp: usize) -> Range<usize> {
     s * len..(s + 1) * len
 }
 
-/// The `vecs` rows of A-panel plane `a`, copied a dword at a time into
-/// `rows` with row `v` at `v * kp`: the `k`-contiguous form the checksum
-/// sweeps read, as B planes already are.
-fn row_major<'r>(a: &[i8], vecs: usize, kp: usize, rows: &'r mut [i8]) -> &'r [i8] {
-    for (v, row) in rows[..vecs * kp].chunks_exact_mut(kp).enumerate() {
-        for (h, word) in row.chunks_exact_mut(4).enumerate() {
-            let at = a_panel_index(v, 4 * h, kp);
-            word.copy_from_slice(&a[at..at + 4]);
-        }
+/// A-panel plane `a` of `vecs` rows, copied into `out` in the B-panel
+/// format block by block ([`transpose_block`]): the one format the
+/// checksum sweeps read, as B planes already are.
+fn as_b_format<'o>(a: &[i8], vecs: usize, kp: usize, out: &'o mut [i8]) -> &'o [i8] {
+    let len = padded_a_rows(vecs) * kp;
+    for (src, dst) in a[..len]
+        .chunks_exact(PV * PK)
+        .zip(out[..len].chunks_exact_mut(PV * PK))
+    {
+        transpose_block(src, dst);
     }
-    &rows[..vecs * kp]
+    &out[..len]
+}
+
+/// Vector `v` of B-panel-format plane `plane`, its 64-byte runs copied
+/// into the `kp`-element `out` in depth order, for the flat dot products
+/// of the reference sums.
+fn vector<'o>(plane: &[i8], v: usize, kp: usize, out: &'o mut [i8]) -> &'o [i8] {
+    for (h, run) in (0..kp).step_by(PK).zip(out.chunks_exact_mut(PK)) {
+        let at = b_panel_index(v, h, kp);
+        run.copy_from_slice(&plane[at..at + PK]);
+    }
+    &out[..kp]
 }
 
 // ---------------------------------------------------------------------------
@@ -322,13 +335,33 @@ fn row_major<'r>(a: &[i8], vecs: usize, kp: usize, rows: &'r mut [i8]) -> &'r [i
 // `gemm_engine::dispatch`, so LLVM re-autovectorizes them at AVX2 /
 // AVX-512 width — bit-identical at every width (integer arithmetic only).
 
-/// Depth-wise accumulation of packed vectors `v0..v1` into `scratch`
-/// (the checksum-capture inner loop).
-#[inline(always)]
-fn accum_vecs(plane: &[i8], kp: usize, v0: usize, v1: usize, scratch: &mut [i32]) {
-    for v in v0..v1 {
-        for (acc, &x) in scratch.iter_mut().zip(&plane[v * kp..(v + 1) * kp]) {
-            *acc += x as i32;
+/// Depth-wise accumulation of B-panel vectors `vecs` (starting on a
+/// multiple of [`PV`]) into `scratch` (the checksum-capture inner loop),
+/// block by block: a block's vectors are 64-byte rows, each added to the
+/// same 64 sums. A [`Kernel`], so every level's copy contains it.
+struct AccumVecs<'a> {
+    plane: &'a [i8],
+    kp: usize,
+    vecs: Range<usize>,
+    scratch: &'a mut [i32],
+}
+
+impl Kernel for AccumVecs<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (plane, kp, vecs, scratch) = (self.plane, self.kp, self.vecs, self.scratch);
+        for s0 in vecs.clone().step_by(PV) {
+            let rows = PV.min(vecs.end - s0);
+            for (h, acc) in (0..kp).step_by(PK).zip(scratch.chunks_exact_mut(PK)) {
+                let at = b_panel_index(s0, h, kp);
+                for row in plane[at..at + rows * PK].chunks_exact(PK) {
+                    for (a, &x) in acc.iter_mut().zip(row) {
+                        *a += x as i32;
+                    }
+                }
+            }
         }
     }
 }
@@ -361,8 +394,8 @@ fn col_sweep(col: &[u8], rowsum: &mut [u32]) -> (u32, u8) {
 // Checksum construction and verification
 // ---------------------------------------------------------------------------
 
-/// Depth-wise sums of one plane's `vecs` packed vectors, reduced to
-/// `[0, p)`, in `scratch[..kp]`. Accumulation is i32 — `|x| ≤ 128` keeps
+/// Depth-wise sums of one B-panel-format plane's `vecs` vectors, reduced
+/// to `[0, p)`, in `scratch[..kp]`. Accumulation is i32 — `|x| ≤ 128` keeps
 /// `2^16` vectors overflow-free, and the running sums are reduced mod `p`
 /// after each chunk of that many — so the inner loop vectorizes at twice
 /// the width an i64 accumulator would allow.
@@ -379,7 +412,12 @@ fn checksum_sums<'s>(
     let mut v0 = 0usize;
     while v0 < vecs {
         let v1 = vecs.min(v0 + CHUNK);
-        dispatch(|| accum_vecs(plane, kp, v0, v1, scratch));
+        dispatch(AccumVecs {
+            plane,
+            kp,
+            vecs: v0..v1,
+            scratch,
+        });
         v0 = v1;
         for acc in scratch.iter_mut() {
             *acc = acc.rem_euclid(p as i32);
@@ -389,7 +427,7 @@ fn checksum_sums<'s>(
 }
 
 /// Build one plane's checksum vector: the [`checksum_sums`] of its `vecs`
-/// packed vectors as symmetric representatives (in `[-128, 127]`, the
+/// B-panel-format vectors as symmetric representatives (in `[-128, 127]`, the
 /// regular panels' i8 range) in the `kp`-element `out`.
 fn build_checksum_plane(
     plane: &[i8],
@@ -513,9 +551,12 @@ pub(crate) struct Scratch {
     uchk: Vec<u8>,
     /// i32 accumulator for checksum-vector construction (`kp` entries).
     chk_sum: Vec<i32>,
-    /// Row-major copy of one plane's A panels (`m * kp`), which the
-    /// checksum sweeps read.
-    a_rows: Vec<i8>,
+    /// One plane's A panels in the B-panel format (`padded_a_rows(m) *
+    /// kp`), which the checksum sweeps read.
+    a_copy: Vec<i8>,
+    /// One packed vector in depth order (`kp`), for the reference dot
+    /// products.
+    vec: Vec<i8>,
     /// Row-sum scratch of the verification sweep (`m` u32).
     vsum: Vec<u32>,
 }
@@ -532,7 +573,8 @@ impl Scratch {
             grow(&mut self.chk_b8, nmod * kp);
             grow(&mut self.uchk, nmod * (m + n));
             grow(&mut self.chk_sum, kp);
-            grow(&mut self.a_rows, m * kp);
+            grow(&mut self.a_copy, padded_a_rows(m) * kp);
+            grow(&mut self.vec, kp);
             grow(&mut self.vsum, m);
         }
     }
@@ -542,7 +584,8 @@ impl Scratch {
         self.u.capacity()
             + self.chk_a8.capacity()
             + self.chk_b8.capacity()
-            + self.a_rows.capacity()
+            + self.a_copy.capacity()
+            + self.vec.capacity()
             + self.uchk.capacity()
             + 4 * (self.c32.capacity() + self.chk_sum.capacity() + self.vsum.capacity())
     }
@@ -555,7 +598,8 @@ impl Scratch {
         self.chk_b8.fill(0);
         self.uchk.fill(0);
         self.chk_sum.fill(0);
-        self.a_rows.fill(0);
+        self.a_copy.fill(0);
+        self.vec.fill(0);
         self.vsum.fill(0);
     }
 }
@@ -682,18 +726,18 @@ impl Executor<'_> {
     fn capture(&mut self, s: usize) {
         let (m, n, kp, p) = (self.m, self.n, self.kp, self.consts.p[s]);
         let sc = &mut *self.scratch;
-        let a_rows = row_major(self.a.plane(s, m, kp), m, kp, &mut sc.a_rows);
+        let a = as_b_format(self.a.plane(s, m, kp), m, kp, &mut sc.a_copy);
         let b = self.b.plane(s, n, kp);
         let chk_a = &mut sc.chk_a8[s * kp..(s + 1) * kp];
         let chk_b = &mut sc.chk_b8[s * kp..(s + 1) * kp];
         build_checksum_plane(b, n, kp, p, chk_b, &mut sc.chk_sum);
-        build_checksum_plane(a_rows, m, kp, p, chk_a, &mut sc.chk_sum);
+        build_checksum_plane(a, m, kp, p, chk_a, &mut sc.chk_sum);
         let (rows, cols) = sc.uchk[s * (m + n)..(s + 1) * (m + n)].split_at_mut(m);
-        for (r, a_row) in rows.iter_mut().zip(a_rows.chunks_exact(kp)) {
-            *r = dot_mod(a_row, chk_b, p);
+        for (i, r) in rows.iter_mut().enumerate() {
+            *r = dot_mod(vector(a, i, kp, &mut sc.vec), chk_b, p);
         }
         for (j, c) in cols.iter_mut().enumerate() {
-            *c = dot_mod(chk_a, &b[j * kp..(j + 1) * kp], p);
+            *c = dot_mod(vector(b, j, kp, &mut sc.vec), chk_a, p);
         }
         self.report.checksum_gemms += 2;
     }
@@ -715,8 +759,8 @@ impl Executor<'_> {
         let sc = &mut *self.scratch;
         let chk = s * kp..(s + 1) * kp;
         let (m, n) = (self.m, self.n);
-        let a_rows = row_major(self.a.plane(s, m, kp), m, kp, &mut sc.a_rows);
-        (self.a).plane_intact(a_rows, m, kp, p, &sc.chk_a8[chk.clone()], &mut sc.chk_sum)
+        let a = as_b_format(self.a.plane(s, m, kp), m, kp, &mut sc.a_copy);
+        (self.a).plane_intact(a, m, kp, p, &sc.chk_a8[chk.clone()], &mut sc.chk_sum)
             && (self.b).plane_intact(
                 self.b.plane(s, n, kp),
                 n,
@@ -1046,10 +1090,10 @@ mod tests {
 
     #[test]
     fn checksum_plane_symmetric_representatives() {
-        // kp = 32, 3 vectors; the representative must stay within ±128
-        // and be congruent to the plain sum mod p.
-        let kp = 32usize;
-        let mut plane = vec![0i8; 4 * kp];
+        // kp = 128, 3 vectors of a B-panel strip; the representative must
+        // stay within ±128 and be congruent to the plain sum mod p.
+        let kp = 2 * PK;
+        let mut plane = vec![0i8; PV * kp];
         for (i, x) in plane.iter_mut().enumerate() {
             *x = ((i as i64 * 37 % 256) - 128) as i8;
         }
@@ -1059,7 +1103,7 @@ mod tests {
                 let mut scratch = vec![0i32; kp];
                 build_checksum_plane(&plane, 3, kp, p, &mut out, &mut scratch);
                 for h in 0..kp {
-                    let want: i64 = (0..3).map(|v| plane[v * kp + h] as i64).sum();
+                    let want: i64 = (0..3).map(|v| plane[b_panel_index(v, h, kp)] as i64).sum();
                     let got = out[h] as i64;
                     assert_eq!(
                         got.rem_euclid(p as i64),

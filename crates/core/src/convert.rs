@@ -27,15 +27,15 @@
 //! [`trunc_convert_pack_panels`] fuses Algorithm 1 lines 2–5 with the
 //! INT8 engine's operand packing. It reads the operand as line 1 does: a
 //! [`MatView`] of either precision and an [`OperandSide`]. Each operand
-//! tile is read from the *original* view (a strided gather where the
-//! side's vectors are not contiguous runs), scaled by its power-of-two
-//! exponent and truncated into a cache-resident staging tile
-//! ([`crate::scale::strunc_row`], f32 widened exactly in the kernel),
-//! reduced against *all* `N` moduli while L1-resident, and the i8
-//! residues are written straight into the engine's panels for the side
-//! ([`gemm_engine::pack_panels`]; the A side scatters each reduced row
-//! through [`gemm_engine::scatter_a_row`]) — the same bytes the AMX tiles
-//! and the SIMD kernels read, so nothing repacks them. The integer
+//! tile — one 16-vector strip's depth run — is read from the *original*
+//! view (a strided gather where the side's vectors are not contiguous
+//! runs), scaled by its power-of-two exponent and truncated straight into
+//! the panel order of the side (f32 widened exactly in the kernel), in a
+//! cache-resident f64 staging tile. Both panel formats keep a strip's
+//! depth run in one contiguous span, so each of the `N` moduli then
+//! reduces the whole tile with one row-kernel call that writes that span
+//! in order — the same bytes the AMX tiles and the SIMD kernels read
+//! ([`gemm_engine::pack_panels`]), so nothing repacks them. The integer
 //! matrices `A'`/`B'` and the plane-major i8 buffers of the unfused
 //! pipeline — and the engine's own packing sweep — disappear entirely;
 //! [`residue_planes`] stays as the unfused reference.
@@ -53,9 +53,9 @@
 use crate::consts::Constants;
 use crate::element::Element;
 use crate::prepared::{vectors_contiguous, OperandSide};
-use crate::scale::{pow2_split, strunc_gather, strunc_row};
+use crate::scale::{pow2_split, strunc_gather, strunc_runs};
 use gemm_dense::MatView;
-use gemm_engine::{dispatch, dispatch_name, padded_depth, scatter_a_row, PV};
+use gemm_engine::{dispatch, dispatch_name, padded_depth, PK, PV};
 use gemm_obs::TimeShare;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -69,15 +69,10 @@ pub const N1_F32: usize = 5;
 /// Second threshold for `b = 32`.
 pub const N2_F32: usize = 11;
 
-/// Depth block of the fused convert on the B side: `2048` f64s (16 KiB)
-/// of one vector stay L1-resident while all `N` moduli reduce them.
-pub const CONVERT_DEPTH_BLOCK: usize = 2048;
-
-/// Depth block of the fused convert on the A side: the 8 KiB strip span of
-/// the one panel a 16-row run is reduced into stays L1-resident while the
-/// run's `512` f64s per row (64 KiB) stream from L2. 256 and 1024 read no
-/// faster on a 1024² f64 A (2-vCPU x86-64).
-const A_DEPTH_BLOCK: usize = 512;
+/// Depth block of the fused convert: a strip's `16 × 512` f64 staging tile
+/// (64 KiB) stays L2-resident while each of the `N` moduli reduces it into
+/// one 8 KiB panel span.
+const DEPTH_BLOCK: usize = 512;
 
 /// Gathered vectors truncated together: reading a source row's 8
 /// consecutive entries at once took f32 256x256x8192's gathered trunc
@@ -199,31 +194,39 @@ struct ConvertJob<'a> {
 ///
 /// The view may have any layout, leading dimension or transpose, in f64
 /// or f32 (widened exactly inside the trunc kernels), and is never
-/// copied. Vectors that are contiguous runs in memory (rows of a
-/// row-major `A`, columns of a column-major `B`; the split line 1 makes
-/// too) run the dispatched [`strunc_row`] straight over the source. The
-/// others are gathered 8 consecutive vectors at a time, each source row's
-/// entries of the group read together, with the same per-lane scale and
-/// trunc. Each depth run of 16 vectors is truncated into a staging tile
-/// and reduced against all `N` moduli while the run and the panel span it
-/// lands in are cache-resident, so the operand streams from DRAM once; the
-/// integer
-/// matrices `A'`, `B'` of the unfused pipeline never exist. The
-/// conversion thresholds are the precision's (`b = 64` for f64, `b = 32`
-/// for f32).
+/// copied. The one inner loop, the same on both sides, takes one
+/// 16-vector strip's run of up to 512 depth entries at a time:
+///
+/// 1. truncate the run straight into panel order, in an f64 staging tile
+///    (the runs of each vector that its side's format keeps contiguous: a
+///    dword on side A, a 64-byte block row on side B). Vectors that are
+///    contiguous runs in memory (rows of a row-major `A`, columns of a
+///    column-major `B`; the split line 1 makes too) run the dispatched
+///    trunc kernel straight over the source; the others are gathered 8
+///    consecutive vectors at a time, each source row's entries of the
+///    group read together, with the same per-lane scale and trunc;
+/// 2. for each modulus, reduce the whole tile with one [`rmod_row`] call
+///    into the strip's panel span for the run, which is contiguous in
+///    both formats, so every span is written once, in order.
+///
+/// The operand streams from DRAM once; the integer matrices `A'`, `B'` of
+/// the unfused pipeline never exist. The conversion thresholds are the
+/// precision's (`b = 64` for f64, `b = 32` for f32).
 ///
 /// For each modulus `s`, the residues are written to the panel set
 /// `panels[s * vecs_pad * kp ..][.. vecs_pad * kp]` in the INT8 engine's
-/// panels for `side` ([`gemm_engine::pack_panels`]): column `v` of `B` at
-/// `v * kp`, element `(v, h)` of `A` at
-/// [`gemm_engine::a_panel_index`]`(v, h, kp)`, depth zero-padded from `k`
-/// to `kp = padded_depth(k)`, vector count zero-padded to `vecs_pad`.
-/// Bytes past the `N` panel sets are untouched.
+/// panels for `side` ([`gemm_engine::pack_panels`]): element `(v, h)` at
+/// [`OperandSide::panel_index`]`(v, h, kp)`
+/// ([`gemm_engine::a_panel_index`] or [`gemm_engine::b_panel_index`]),
+/// depth zero-padded from `k` to `kp = padded_depth(k)`, vector count
+/// zero-padded to `vecs_pad`. Bytes past the `N` panel sets are
+/// untouched.
 ///
 /// The sweep is split over whole 16-vector strips for rayon when
 /// `parallel` is set.
 /// The output is bit-identical for every kernel level, thread count and
-/// split, and to the unfused chain `pack_panels(residue_planes(scale_trunc_*))`:
+/// split, and to the unfused chain
+/// `pack_panels(residue_planes(scale_trunc_*))`:
 /// workers own disjoint vector ranges and the row kernels are lane-exact
 /// against [`crate::scale::strunc_row_scalar`] and [`rmod_row_scalar`].
 ///
@@ -276,7 +279,7 @@ pub fn trunc_convert_pack_panels<T: Element>(
     } else {
         1
     };
-    // Jobs own whole PV-vector strips: an A strip interleaves its rows.
+    // Jobs own whole PV-vector strips: a strip interleaves its vectors.
     let tasks = (workers * 4).clamp(1, vecs_pad / PV);
     let vb = vecs_pad.div_ceil(tasks).next_multiple_of(PV);
 
@@ -323,16 +326,25 @@ struct Source<'a, T> {
 }
 
 impl<T: Element> Source<'_, T> {
-    /// Convert one job's vectors across all moduli, one 16-vector strip at
-    /// a time, one depth run of the strip at a time: the run is truncated
-    /// into a staging tile, then reduced. A B vector's run
-    /// ([`CONVERT_DEPTH_BLOCK`] deep) is reduced against every modulus
-    /// while it is L1-resident, straight into its panel rows. An A strip's
-    /// run ([`A_DEPTH_BLOCK`] deep) is reduced modulus by modulus, each row
-    /// through an L1 staging row scattered into the panel a dword at a
-    /// time, so the strip span being written stays L1-resident while its 16
-    /// rows land. The final run pads each vector with zeros to `kp`.
+    /// Convert one job's vectors across all moduli, on the run of depth
+    /// bytes each vector keeps contiguous in its side's panel format: a
+    /// dword on side A, a 64-byte block row on side B.
     fn convert_job(&self, job: ConvertJob<'_>) {
+        match self.side {
+            OperandSide::A => self.convert_strips::<4>(job),
+            OperandSide::B => self.convert_strips::<PK>(job),
+        }
+    }
+
+    /// [`Self::convert_job`], one 16-vector strip at a time, one
+    /// [`DEPTH_BLOCK`]-deep run of the strip at a time: the run is scaled
+    /// and truncated straight into panel order (`RUN`-element runs of each
+    /// vector), in an f64 staging tile, and then, for each modulus, reduced
+    /// by one [`rmod_row`] call into the panel span the run occupies, which
+    /// is contiguous on either side. `rmod(0) = 0`, so zero-filling the
+    /// tile where the strip has fewer than 16 vectors or the run reaches
+    /// into the depth padding is all the padding takes.
+    fn convert_strips<const RUN: usize>(&self, job: ConvertJob<'_>) {
         let Source {
             side,
             data,
@@ -349,16 +361,12 @@ impl<T: Element> Source<'_, T> {
         let ConvertJob { v0, nv, mut planes } = job;
         let job_t0 = timing.map(|_| Instant::now());
         let mut trunc_ns = 0u64;
-        let nmod = planes.len();
-        let (a_side, block) = match side {
-            OperandSide::A => (true, A_DEPTH_BLOCK),
-            OperandSide::B => (false, CONVERT_DEPTH_BLOCK),
-        };
-        let depth = block.min(kp);
+        let depth = DEPTH_BLOCK.min(kp);
         let mut tile = vec![0.0f64; PV * depth];
-        let mut stage = vec![0i8; depth];
+        // Vector `r`, entry `h` of a run at `r * vstride + h / RUN * stride
+        // + h % RUN`, which is `side.panel_index(r, h, span)`.
+        let (vstride, stride) = (side.panel_index(1, 0, kp), side.panel_index(0, RUN, kp));
         let mut scales = [(1.0f64, 1.0f64); PV];
-        let group = if contiguous { 1 } else { GATHER_GROUP };
         for sl in (0..nv).step_by(PV) {
             let rows = vecs.saturating_sub(v0 + sl).min(PV);
             for (sc, &e) in scales.iter_mut().zip(&exps[v0 + sl..v0 + sl + rows]) {
@@ -367,42 +375,29 @@ impl<T: Element> Source<'_, T> {
             for off in (0..k).step_by(depth) {
                 let len = depth.min(k - off);
                 let span = if off + len == k { kp - off } else { len };
+                let tile = &mut tile[..PV * span];
                 let t0 = timing.map(|_| Instant::now());
-                for r in (0..rows).step_by(group) {
-                    let (v, row) = (v0 + sl + r, &mut tile[r * depth..]);
-                    if contiguous {
-                        let (s1, s2) = scales[r];
-                        strunc_row(&data[v * ld + off..v * ld + off + len], row, s1, s2);
-                    } else {
-                        let sc = &scales[r..r + group.min(rows - r)];
-                        strunc_gather(&data[off * ld + v..], ld, sc, len, row, depth);
+                if rows < PV || len < span {
+                    tile.fill(0.0);
+                }
+                if contiguous {
+                    let xs = &data[(v0 + sl) * ld + off..];
+                    strunc_runs::<RUN, T>(xs, ld, &scales[..rows], len, tile, vstride, stride);
+                } else {
+                    for r in (0..rows).step_by(GATHER_GROUP) {
+                        let sc = &scales[r..r + GATHER_GROUP.min(rows - r)];
+                        let (xs, dst) = (&data[off * ld + v0 + sl + r..], &mut tile[r * vstride..]);
+                        strunc_gather::<RUN, T>(xs, ld, sc, len, dst, vstride, stride);
                     }
                 }
                 if let Some(t0) = t0 {
                     trunc_ns += t0.elapsed().as_nanos() as u64;
                 }
-                for i in 0..nmod * PV {
-                    let (s, r) = if a_side {
-                        (i / PV, i % PV)
-                    } else {
-                        (i % nmod, i / nmod)
-                    };
-                    let (plane, v) = (&mut *planes[s], sl + r);
-                    let dst = match side {
-                        OperandSide::A => &mut stage[..span],
-                        OperandSide::B => &mut plane[v * kp + off..][..span],
-                    };
-                    if r < rows {
-                        let (p, p32) = (c.p_f64[s], c.p_f32[s]);
-                        let xs = &tile[r * depth..r * depth + len];
-                        rmod_row(xs, dst, p, p32, c.p_inv_f64[s], c.p_inv_f32[s], steps);
-                        dst[len..].fill(0);
-                    } else {
-                        dst.fill(0);
-                    }
-                    if a_side {
-                        scatter_a_row(plane, kp, v, off, &stage[..span]);
-                    }
+                let at = side.panel_index(sl, off, kp);
+                for (s, plane) in planes.iter_mut().enumerate() {
+                    let dst = &mut plane[at..at + PV * span];
+                    let (p, p32) = (c.p_f64[s], c.p_f32[s]);
+                    rmod_row(tile, dst, p, p32, c.p_inv_f64[s], c.p_inv_f32[s], steps);
                 }
             }
         }
@@ -825,7 +820,7 @@ mod tests {
             let panel = &out[s * vecs_pad * kp..(s + 1) * vecs_pad * kp];
             for v in 0..vecs_pad {
                 for h in 0..kp {
-                    let e = panel[v * kp + h];
+                    let e = panel[gemm_engine::b_panel_index(v, h, kp)];
                     if v >= vecs || h >= k {
                         assert_eq!(e, 0, "s={s} v={v} h={h} must be padding");
                     } else {

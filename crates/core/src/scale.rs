@@ -27,8 +27,8 @@ use crate::element::Element;
 use crate::prepared::{vectors_contiguous, OperandSide};
 use gemm_dense::{MatF64, MatView};
 use gemm_engine::{
-    a_panel_index, dispatch, dispatch_name, int8_gemm_prepacked_fused, padded_a_rows,
-    padded_b_cols, padded_depth, Kernel, NoEpilogue,
+    a_panel_index, b_panel_index, dispatch, dispatch_name, int8_gemm_prepacked_fused,
+    padded_a_rows, padded_b_cols, padded_depth, Kernel, NoEpilogue,
 };
 use gemm_exact::roundup;
 use rayon::prelude::*;
@@ -531,8 +531,7 @@ pub fn accurate_scale_view<T: Element>(
     let nu_prime = prime(b, OperandSide::B);
 
     // Ā = ⌈μ' |A|⌉, B̄ = ⌈|B| ν'⌉ — 6-bit magnitudes (≤ 64), INT8-safe —
-    // as zero-padded panels: Ā in the A-panel format, column j of B̄ at
-    // stride kp.
+    // as zero-padded panels in the A- and B-panel formats.
     let magnitude = |x: T, e: i32| {
         let v = scale_by_pow2(x.to_f64().abs(), e).ceil();
         debug_assert!(v <= 64.0);
@@ -547,8 +546,8 @@ pub fn accurate_scale_view<T: Element>(
     }
     let mut b_bar = vec![0i8; padded_b_cols(n) * kp];
     for (j, &e) in nu_prime.iter().enumerate() {
-        for (h, v) in b_bar[j * kp..j * kp + k].iter_mut().enumerate() {
-            *v = magnitude(b.get(h, j), e);
+        for h in 0..k {
+            b_bar[b_panel_index(j, h, kp)] = magnitude(b.get(h, j), e);
         }
     }
 
@@ -652,33 +651,112 @@ pub fn strunc_row<T: Element>(xs: &[T], dst: &mut [f64], s1: f64, s2: f64) {
     dispatch(|| strunc_row_scalar(xs, dst, s1, s2))
 }
 
-/// [`strunc_row`] over `scales.len()` gathered vectors at once: vector
-/// `i`, entry `h` is `xs[h * ld + i]`, scaled by `scales[i]` (a
-/// [`pow2_split`] pair) and truncated into `tile[i * row + h]` for
-/// `h < len` — the same per-lane operations, reading each source row's
-/// entries of the group together (the fused transpose gather of the
-/// trunc+convert sweep).
+/// [`strunc_row`] over `scales.len()` contiguous vectors, vector `i` at
+/// `xs[i * ld..]`, into panel order ([`PanelTrunc`]): each vector 64
+/// entries at a time, truncated at full vector width and then stored run
+/// by run.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn strunc_gather<T: Element>(
+pub(crate) fn strunc_runs<const RUN: usize, T: Element>(
     xs: &[T],
     ld: usize,
     scales: &[(f64, f64)],
     len: usize,
     tile: &mut [f64],
-    row: usize,
+    vstride: usize,
+    stride: usize,
 ) {
-    let g = scales.len();
-    assert!(
-        len <= row && tile.len() >= g * row,
-        "staging tile too small"
-    );
-    dispatch(|| {
-        for h in 0..len {
-            for ((&x, &(s1, s2)), i) in xs[h * ld..h * ld + g].iter().zip(scales).zip(0..) {
-                tile[i * row + h] = (x.to_f64() * s1 * s2).trunc();
+    dispatch(PanelTrunc::<RUN, false, T> {
+        xs,
+        ld,
+        scales,
+        len,
+        tile,
+        vstride,
+        stride,
+    })
+}
+
+/// [`strunc_runs`] over gathered vectors, vector `i`, entry `h` at
+/// `xs[h * ld + i]` — the same per-lane operations, reading each source
+/// row's entries of the group together (the fused transpose gather of the
+/// trunc+convert sweep). `RUN = 1`, `stride = 1` gives vector `i` the
+/// plain row at `i * vstride`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn strunc_gather<const RUN: usize, T: Element>(
+    xs: &[T],
+    ld: usize,
+    scales: &[(f64, f64)],
+    len: usize,
+    tile: &mut [f64],
+    vstride: usize,
+    stride: usize,
+) {
+    dispatch(PanelTrunc::<RUN, true, T> {
+        xs,
+        ld,
+        scales,
+        len,
+        tile,
+        vstride,
+        stride,
+    })
+}
+
+/// Scale+trunc of `scales.len()` vectors into panel order: entry `h` of
+/// vector `i` — `xs[h * ld + i]` if `GATHER`, else `xs[i * ld + h]` —
+/// scaled by `scales[i]` (a [`pow2_split`] pair) and truncated into
+/// `tile[i * vstride + h / RUN * stride + h % RUN]` for `h < len`. A
+/// [`Kernel`] so that every level's copy contains it (as a closure it is
+/// too large for LLVM to inline).
+struct PanelTrunc<'a, const RUN: usize, const GATHER: bool, T> {
+    xs: &'a [T],
+    ld: usize,
+    scales: &'a [(f64, f64)],
+    len: usize,
+    tile: &'a mut [f64],
+    vstride: usize,
+    stride: usize,
+}
+
+/// Entries of one vector [`strunc_runs`] truncates at once; a multiple of
+/// every run length it is used with.
+const RUN_PIECE: usize = 64;
+
+impl<const RUN: usize, const GATHER: bool, T: Element> Kernel for PanelTrunc<'_, RUN, GATHER, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (xs, scales, tile) = (self.xs, self.scales, self.tile);
+        let (ld, len, vstride, stride) = (self.ld, self.len, self.vstride, self.stride);
+        if GATHER {
+            for h in 0..len {
+                let at = h / RUN * stride + h % RUN;
+                let row = &xs[h * ld..h * ld + scales.len()];
+                for ((&x, &(s1, s2)), i) in row.iter().zip(scales).zip(0..) {
+                    tile[at + i * vstride] = (x.to_f64() * s1 * s2).trunc();
+                }
+            }
+            return;
+        }
+        for (i, &(s1, s2)) in scales.iter().enumerate() {
+            let (row, base) = (&xs[i * ld..i * ld + len], i * vstride);
+            let mut pieces = row.chunks_exact(RUN_PIECE);
+            for (c, piece) in (&mut pieces).enumerate() {
+                let v: [f64; RUN_PIECE] =
+                    std::array::from_fn(|e| (piece[e].to_f64() * s1 * s2).trunc());
+                for (r, run) in v.chunks_exact(RUN).enumerate() {
+                    tile[base + (c * RUN_PIECE / RUN + r) * stride..][..RUN].copy_from_slice(run);
+                }
+            }
+            let h0 = len - pieces.remainder().len();
+            for (h, &x) in (h0..).zip(pieces.remainder()) {
+                tile[base + h / RUN * stride + h % RUN] = (x.to_f64() * s1 * s2).trunc();
             }
         }
-    })
+    }
 }
 
 /// Depth tile of the standalone transposing trunc: 256 source cache lines
@@ -1078,8 +1156,8 @@ pub(crate) mod tests {
                     const ROW: usize = 301;
                     let mut tile32 = vec![0.0f64; g * ROW];
                     let mut tile64 = tile32.clone();
-                    strunc_gather(&xs, LD, &scales, len, &mut tile32, ROW);
-                    strunc_gather(&wide, LD, &scales, len, &mut tile64, ROW);
+                    strunc_gather::<1, _>(&xs, LD, &scales, len, &mut tile32, ROW, 1);
+                    strunc_gather::<1, _>(&wide, LD, &scales, len, &mut tile64, ROW, 1);
                     for (i, &(s1, s2)) in scales.iter().enumerate() {
                         let vector: Vec<f64> =
                             wide[i..].iter().step_by(LD).take(len).copied().collect();

@@ -19,25 +19,28 @@
 //!
 //! 1. **Panels.** The engine multiplies `i8` panels, depth padded with
 //!    zeros to a multiple of [`PK`] (64, one tile row of bytes) and vector
-//!    counts to a multiple of [`PV`] (16, one tile's height). The B-pack
-//!    holds column `j` of `B` at `j * kp`, `k` contiguous. The A-pack has
-//!    one format, defined by [`a_panel_index`]: 16-row strips of 1 KiB
-//!    blocks, one per 64-byte depth chunk, each block the
-//!    quad-interleaved tile `tdpbssd` reads (dword `q` of row `r` at
-//!    `q * 64 + r * 4`). It is fixed, not chosen per level, so panels
-//!    built at one level multiply at every other. [`int8_gemm_prepacked_fused`],
-//!    the one engine entry, multiplies a [`PK`]-aligned depth window of
-//!    caller-built panels — that window is how `k`-blocked callers reuse
-//!    one panel set across blocks. Producers that can emit the panels
-//!    themselves (the `ozaki2` fused convert phase and its accurate-mode
-//!    estimate, through [`scatter_a_row`] on the A side) never hold an
-//!    intermediate i8 plane; others pack with [`pack_panels`] (row-major
-//!    `A`, column-major `B`, any leading dimension).
+//!    counts to a multiple of [`PV`] (16, one tile's height). Both sides
+//!    come in 16-vector strips of 1 KiB blocks, one block per 64-byte
+//!    depth chunk, each block one AMX tile: on side B ([`b_panel_index`])
+//!    column `r` of the strip holds its 64 depth bytes at `r * 64`, the
+//!    tile `tdpbssd` reads as its first source; on side A
+//!    ([`a_panel_index`]) the block is that layout's dword transpose
+//!    (dword `q` of row `r` at `q * 64 + r * 4`), the quad-interleaved tile
+//!    it reads as its second. A strip's depth run is one contiguous span
+//!    on either side. The formats are fixed, not chosen per level, so
+//!    panels built at one level multiply at every other.
+//!    [`int8_gemm_prepacked_fused`], the one engine entry, multiplies a
+//!    [`PK`]-aligned depth window of caller-built panels — that window is
+//!    how `k`-blocked callers reuse one panel set across blocks. Producers
+//!    that can emit the panels themselves (the `ozaki2` fused convert
+//!    phase and its accurate-mode estimate) never hold an intermediate i8
+//!    plane; others pack with [`pack_panels`] (row-major `A`, column-major
+//!    `B`, any leading dimension), one whole block at a time.
 //! 2. **Microkernel.** The kernel is selected by [`crate::isa::engine_isa`]
 //!    (the one probe, [`crate::isa()`], under the thread's
 //!    [`crate::isa::cap_scope`]), read once per call on the calling thread:
 //!    * **AMX** (`tdpbssd`, i8·i8 → i32). A and B tiles load straight from
-//!      the panels: A blocks at stride 64, B at stride `kp`. The kernel
+//!      the panels, one block each at stride 64. The kernel
 //!      computes `Cᵀ` tiles (16 B columns × 16 A rows), so each tile row
 //!      is one contiguous column segment of the column-major `C`. It keeps
 //!      a 2×2 grid of `C` tiles in tile registers over the whole depth,
@@ -50,7 +53,8 @@
 //!      multiplied with each column's dword, widened once per tile and
 //!      broadcast; products of i8 values fit in 15 bits, so the pairwise
 //!      i16 multiply-add (`vpdpwssd` / `vpmaddwd`) is exact, and adjacent
-//!      lane pairs are summed once at the end. The VNNI and AVX-512 BW
+//!      lane pairs are summed once at the end; a column's dwords are read
+//!      from its 64-byte block rows. The VNNI and AVX-512 BW
 //!      arms share one body generic over the multiply-add; AVX2 is its
 //!      256-bit twin. The portable scalar tile, reading A through
 //!      [`a_panel_index`], is also the parity-test reference.
@@ -63,8 +67,8 @@
 //!    splits the `N` dimension into stripes of whole [`PV`]-column panels
 //!    (two per pool worker) and runs one rayon task per stripe over shared
 //!    read-only panels. [`int8_gemm_blocked`], the contiguous i8-input
-//!    entry, only packs (A serially, B in the same stripes in parallel) and
-//!    then calls that driver.
+//!    entry, only packs (both sides in chunks of whole strips, in
+//!    parallel) and then calls that driver.
 //!
 //! # Fused epilogue
 //!
@@ -364,8 +368,8 @@ pub enum OperandSide {
     /// Left operand (`m x k`): row panels in the A-panel format of
     /// [`a_panel_index`], per-row scales.
     A,
-    /// Right operand (`k x n`): `k`-contiguous column panels, per-column
-    /// scales.
+    /// Right operand (`k x n`): column panels in the B-panel format of
+    /// [`b_panel_index`], per-column scales.
     B,
 }
 
@@ -379,9 +383,22 @@ impl OperandSide {
             OperandSide::B => (cols, padded_b_cols(cols), rows),
         }
     }
+
+    /// Index of element (vector `v`, depth `h`) in this side's panels of
+    /// padded depth `kp`: [`a_panel_index`] or [`b_panel_index`]. Both
+    /// formats agree on where a strip's depth chunk starts: vector `v` and
+    /// depth `h` multiples of [`PV`] and [`PK`] give the same index on
+    /// either side.
+    #[inline(always)]
+    pub const fn panel_index(self, v: usize, h: usize, kp: usize) -> usize {
+        match self {
+            OperandSide::A => a_panel_index(v, h, kp),
+            OperandSide::B => b_panel_index(v, h, kp),
+        }
+    }
 }
 
-/// Bytes of one A-panel block: a 16-row strip ([`PV`]) by one 64-byte
+/// Bytes of one panel block: a 16-vector strip ([`PV`]) by one 64-byte
 /// depth chunk ([`PK`]), exactly one AMX tile.
 const BLOCK: usize = PV * PK;
 
@@ -395,27 +412,37 @@ const BLOCK: usize = PV * PK;
 /// `q * 64 + r * 4`. That is the quad-interleaved layout `tdpbssd` reads
 /// for its second source, so the AMX arm loads A tiles straight from the
 /// panels; row `q` of a block is also 16 rows' worth of one depth dword,
-/// which the SIMD arms multiply against one broadcast B dword.
+/// which the SIMD arms multiply against one broadcast B dword. An A block
+/// is the dword transpose of the B block ([`b_panel_index`]) of the same
+/// 16 vectors.
 #[inline(always)]
 pub const fn a_panel_index(v: usize, h: usize, kp: usize) -> usize {
     (v / PV) * PV * kp + (h / PK) * BLOCK + (h % PK / 4) * PK + (v % PV) * 4 + h % 4
 }
 
-/// Write `row`, the depth run `[h0, h0 + row.len())` of A row `v`, into A
-/// panels of padded depth `kp` (`h0` a multiple of [`PK`], `row.len()` of
-/// 4): the scatter every A-panel writer shares. Each 64-byte run of the
-/// row becomes one dword column of a block: its dword `q` lands in block
-/// row `q`, at the row's lane.
-#[inline]
-pub fn scatter_a_row(panels: &mut [i8], kp: usize, v: usize, h0: usize, row: &[i8]) {
-    debug_assert!(h0.is_multiple_of(PK) && row.len().is_multiple_of(4));
-    let strip_row = v / PV * PV;
-    let lane = a_panel_index(v, 0, kp) - a_panel_index(strip_row, 0, kp);
-    for (c, run) in row.chunks(PK).enumerate() {
-        let block = a_panel_index(strip_row, h0 + c * PK, kp);
-        let rows = panels[block..block + BLOCK].chunks_exact_mut(PK);
-        for (dst, word) in rows.zip(run.chunks_exact(4)) {
-            dst[lane..lane + 4].copy_from_slice(word);
+/// Index of element (column `v`, depth `h`) in B panels of padded depth
+/// `kp`: the one definition of the B-panel format.
+///
+/// The strips and blocks are the A format's ([`a_panel_index`]), but
+/// inside a block column `v % 16` holds its 64 depth bytes contiguously at
+/// `(v % 16) * 64`: the row layout of `tdpbssd`'s first source, so every
+/// B tile loads at a 64-byte stride, and one 64-byte run per column and
+/// depth chunk for the SIMD arms to widen.
+#[inline(always)]
+pub const fn b_panel_index(v: usize, h: usize, kp: usize) -> usize {
+    (v / PV) * PV * kp + (h / PK) * BLOCK + (v % PV) * PK + h % PK
+}
+
+/// Convert one 1 KiB block between the B-panel and the A-panel format:
+/// the 16 × 16 dword transpose that moves element `(r, h)` from
+/// [`b_panel_index`]`(r, h, PK)` to [`a_panel_index`]`(r, h, PK)`. It is
+/// its own inverse, so it converts either way.
+pub fn transpose_block(src: &[i8], dst: &mut [i8]) {
+    let (src, dst) = (&src[..BLOCK], &mut dst[..BLOCK]);
+    for r in 0..PV {
+        for h in (0..PK).step_by(4) {
+            let (s, d) = (b_panel_index(r, h, PK), a_panel_index(r, h, PK));
+            dst[d..d + 4].copy_from_slice(&src[s..s + 4]);
         }
     }
 }
@@ -439,8 +466,7 @@ pub const fn padded_b_cols(n: usize) -> usize {
 /// starting at `v * ld`) into the engine's panels for `side`, depth
 /// zero-padded from `k` to `kp` (= [`padded_depth`]`(k)`), vector count
 /// zero-padded to `vecs_pad` (= [`padded_a_rows`] / [`padded_b_cols`]).
-/// Side B puts vector `v` at `pack[v * kp..(v + 1) * kp]`; side A puts
-/// element `(v, h)` at [`a_panel_index`]`(v, h, kp)`.
+/// Element `(v, h)` lands at [`OperandSide::panel_index`]`(v, h, kp)`.
 ///
 /// These are the panels [`int8_gemm_prepacked_fused`] consumes, and the
 /// ones the fused convert phase of the `ozaki2` pipeline writes directly
@@ -464,8 +490,11 @@ pub fn pack_panels(
     pack_into(&mut pack[..needed], side, src, ld, vecs, k, kp);
 }
 
-/// [`pack_panels`] into a slice already sized for its padded vectors
-/// (whole strips on side A).
+/// [`pack_panels`] into a slice of whole strips, one 1 KiB block at a
+/// time: the block's 16 vectors × 64 depth bytes are read from the source
+/// and the block is written once. The rows are read as a B block (vector
+/// `r` at `r * 64`), straight into place on side B and into an L1 tile on
+/// side A, which [`transpose_block`] then writes.
 fn pack_into(
     pack: &mut [i8],
     side: OperandSide,
@@ -475,22 +504,25 @@ fn pack_into(
     k: usize,
     kp: usize,
 ) {
-    // Side A stages each row zero-padded to `kp`, then scatters it.
-    let mut row = vec![0i8; if side == OperandSide::A { kp } else { 0 }];
-    for v in 0..pack.len().checked_div(kp).unwrap_or(0) {
-        let vec = if v < vecs {
-            &src[v * ld..v * ld + k]
-        } else {
-            &[]
-        };
-        let dst = match side {
-            OperandSide::A => &mut row[..],
-            OperandSide::B => &mut pack[v * kp..(v + 1) * kp],
-        };
-        dst[..vec.len()].copy_from_slice(vec);
-        dst[vec.len()..].fill(0);
-        if side == OperandSide::A {
-            scatter_a_row(pack, kp, v, 0, &row);
+    let mut tile = [0i8; BLOCK];
+    for (s, strip) in pack.chunks_exact_mut(PV * kp).enumerate() {
+        for (h0, block) in (0..kp).step_by(PK).zip(strip.chunks_exact_mut(BLOCK)) {
+            let len = PK.min(k.saturating_sub(h0));
+            let rows = match side {
+                OperandSide::A => &mut tile[..],
+                OperandSide::B => &mut *block,
+            };
+            for (r, row) in rows.chunks_exact_mut(PK).enumerate() {
+                let v = s * PV + r;
+                let n = if v < vecs { len } else { 0 };
+                if n > 0 {
+                    row[..n].copy_from_slice(&src[v * ld + h0..][..n]);
+                }
+                row[n..].fill(0);
+            }
+            if side == OperandSide::A {
+                transpose_block(&tile, block);
+            }
         }
     }
 }
@@ -683,15 +715,16 @@ mod amx {
     //!
     //! `tdpbssd dst, src1, src2` computes, for each 16×16 i32 `dst`,
     //! `dst[r][c] += Σ_{q<16} Σ_{t<4} src1[r][4q+t] · src2[q][4c+t]`, with
-    //! wrapping i32 adds. `src1` rows are B panel columns loaded straight
-    //! from the panels (K contiguous); `src2` must hold, in row `q`, the
-    //! four bytes `4q..4q+4` of each of 16 A rows — which is one block of
-    //! the A-panel format ([`super::a_panel_index`]), so A tiles load
-    //! straight from the panels too. `dst` is a `Cᵀ` tile: row `r` is
+    //! wrapping i32 adds. `src1` row `r` holds 64 depth bytes of B column
+    //! `r`, which is one block of the B-panel format
+    //! ([`super::b_panel_index`]); `src2` must hold, in row `q`, the four
+    //! bytes `4q..4q+4` of each of 16 A rows — which is one block of the
+    //! A-panel format ([`super::a_panel_index`]). Both tiles load straight
+    //! from the panels at a 64-byte stride. `dst` is a `Cᵀ` tile: row `r` is
     //! column `j0 + r` of `C` over rows `i0..i0 + 16`, one contiguous run
     //! of the column-major plane.
 
-    use super::{a_panel_index, PK, PV};
+    use super::{a_panel_index, b_panel_index, PK, PV};
     use std::arch::asm;
 
     /// `ldtilecfg` operand: palette 1, all eight tiles 16 rows × 64 bytes.
@@ -791,8 +824,10 @@ mod amx {
 
     /// A `JW × IW` grid (each 1 or 2) of 16×16 `Cᵀ` tiles, accumulated in
     /// tile registers over all `nch` depth chunks and stored into `c`:
-    /// B columns `j..j + 16·JW` of the stripe (panel rows at `b + j·ldb`),
-    /// A rows `i..i + 16·IW` (A-panel strips of depth stride `lda`).
+    /// B columns `j..j + 16·JW` of the stripe (B-panel strips of depth
+    /// stride `ldb`), A rows `i..i + 16·IW` (A-panel strips of depth stride
+    /// `lda`). Depth chunk `ch` of either strip is one block at
+    /// `ch · PV · PK`.
     /// Tiles: `tmm0..3` accumulate `C`, `tmm4/5` hold B, `tmm6/7` hold A.
     ///
     /// # Safety
@@ -812,9 +847,9 @@ mod amx {
         j: usize,
         i: usize,
     ) {
-        let bp = b[j * ldb..].as_ptr();
+        let bp = b[b_panel_index(j, 0, ldb)..].as_ptr();
         let ap = a[a_panel_index(i, 0, lda)..].as_ptr();
-        let strip = a_panel_index(PV, 0, lda);
+        let (a_strip, b_strip) = (a_panel_index(PV, 0, lda), b_panel_index(PV, 0, ldb));
         asm!("tilezero tmm0", options(nostack, nomem, preserves_flags));
         if IW == 2 {
             asm!("tilezero tmm1", options(nostack, nomem, preserves_flags));
@@ -826,16 +861,17 @@ mod amx {
             }
         }
         for ch in 0..nch {
-            tileload!("4", bp.add(ch * PK), ldb);
+            // A depth chunk starts at the same offset in either format.
             let chunk = a_panel_index(0, ch * PK, lda);
+            tileload!("4", bp.add(chunk), PK);
             tileload!("6", ap.add(chunk), PK);
             dp!("0", "4", "6");
             if IW == 2 {
-                tileload!("7", ap.add(strip + chunk), PK);
+                tileload!("7", ap.add(a_strip + chunk), PK);
                 dp!("1", "4", "7");
             }
             if JW == 2 {
-                tileload!("5", bp.add(PV * ldb + ch * PK), ldb);
+                tileload!("5", bp.add(b_strip + chunk), PK);
                 dp!("2", "5", "6");
                 if IW == 2 {
                     dp!("3", "5", "7");
@@ -856,7 +892,7 @@ mod amx {
 
     /// One stripe on the tile unit: `c = A · B` over `nc` stripe columns,
     /// `a` the A panels (depth stride `lda`) and `b` the stripe's B panels
-    /// (column `j` at `j * ldb`), both offset to a depth window `kp` bytes
+    /// (depth stride `ldb`), both offset to a depth window `kp` bytes
     /// deep. Each B column pair is swept over all A row pairs, so it is
     /// loaded from cache while the A strips stream past.
     ///
@@ -881,7 +917,7 @@ mod amx {
             "A panel buffer mismatch"
         );
         assert!(
-            b.len() >= (np * PV - 1) * ldb + kp,
+            b.len() >= b_panel_index(np * PV - PV, kp, ldb),
             "B panel buffer mismatch"
         );
         assert_eq!(c.len(), m * nc, "C buffer mismatch");
@@ -906,23 +942,44 @@ mod amx {
 // Driver
 // ---------------------------------------------------------------------------
 
-/// `bw[c * kc + h] = b[c * ldb + h]` for the `bw.len() / kc` B columns of
-/// one tile, widened to i16 once so every strip the tile sweep runs
-/// against them broadcasts its B dwords with a plain load.
-#[inline(always)]
-fn widen_cols(b: &[i8], ldb: usize, kc: usize, bw: &mut [i16]) {
-    for (c, dst) in bw.chunks_exact_mut(kc).enumerate() {
-        for (d, &x) in dst.iter_mut().zip(&b[c * ldb..c * ldb + kc]) {
-            *d = x as i16;
+/// `bw[c * kc + h]` = element `(jt + c, pc + h)` of the B panels `b`
+/// (depth stride `kp`) for the `bw.len() / kc` B columns of one tile: one
+/// 64-byte run per column and depth chunk, widened to i16 once so every
+/// strip the tile sweep runs against them broadcasts its B dwords with a
+/// plain load. A [`crate::Kernel`], so every level's copy contains it.
+struct WidenCols<'a> {
+    b: &'a [i8],
+    kp: usize,
+    jt: usize,
+    pc: usize,
+    kc: usize,
+    bw: &'a mut [i16],
+}
+
+impl crate::Kernel for WidenCols<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let (b, kc, bw) = (self.b, self.kc, self.bw);
+        for (c, dst) in bw.chunks_exact_mut(kc).enumerate() {
+            for (h, run) in (0..kc).step_by(PK).zip(dst.chunks_exact_mut(PK)) {
+                let at = b_panel_index(self.jt + c, self.pc + h, self.kp);
+                let src = &b[at..at + PK];
+                // Built as an array: LLVM unrolls a 64-step loop here
+                // into scalar sign-extensions instead of vectorizing it.
+                let wide: [i16; PK] = std::array::from_fn(|i| src[i] as i16);
+                run.copy_from_slice(&wide);
+            }
         }
     }
 }
 
 /// The cache-blocked SIMD tile sweep over one column stripe: `a` is the A
-/// panels and `b` the stripe's B panels (column `j` at `j * kp`), both of
-/// depth stride `kp` and offset to the depth window, with `kp_eff` (a
-/// multiple of [`PK`]) depth elements to consume. `tile` multiplies one
-/// 16-row strip by `N` widened B columns.
+/// panels and `b` the stripe's B panels, both of depth stride `kp` and
+/// offset to the depth window, with `kp_eff` (a multiple of [`PK`]) depth
+/// elements to consume. `tile` multiplies one 16-row strip by `N` widened
+/// B columns.
 #[allow(clippy::too_many_arguments)]
 fn simd_sweep<const N: usize>(
     tile: impl Fn(usize, &[i8], &[i16], &mut [[i32; MR]; N]),
@@ -948,7 +1005,14 @@ fn simd_sweep<const N: usize>(
             for jt in (0..nc).step_by(N) {
                 // Padded panel columns past `nc` are zeros: N divides PV,
                 // so the tile's columns never leave the stripe's panels.
-                dispatch(|| widen_cols(&b[jt * kp + pc..], kp, kc, bw));
+                dispatch(WidenCols {
+                    b,
+                    kp,
+                    jt,
+                    pc,
+                    kc,
+                    bw: &mut *bw,
+                });
                 let cols = N.min(nc - jt);
                 for it in (ic..ilim).step_by(MR) {
                     let rows = MR.min(m - it);
@@ -1156,7 +1220,7 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
             kp_eff,
             kp_stride,
             a_window,
-            &bpack[job.j0 * kp_stride + depth_off..],
+            &bpack[b_panel_index(job.j0, depth_off, kp_stride)..],
             job.nc,
             job.c,
             job.out,
@@ -1409,6 +1473,71 @@ mod tests {
                 assert_eq!(pack[at], want, "v={v} h={h}");
             }
         }
+    }
+
+    #[test]
+    fn b_side_pack_follows_the_panel_index() {
+        // Ragged columns and depth, a column stride wider than the depth,
+        // and a dirty buffer: every element lands at its index and every
+        // padding column and depth byte is zero.
+        let (n, k, ld) = (2 * PV + 7, 3 * PK + 29, 3 * PK + 40);
+        let (n_pad, kp) = (padded_b_cols(n), padded_depth(k));
+        let src: Vec<i8> = (0..n * ld).map(|i| (i * 137 % 251) as i8 | 1).collect();
+        let mut pack = vec![0x55i8; n_pad * kp];
+        pack_panels(&mut pack, OperandSide::B, &src, ld, n, n_pad, k, kp);
+        let mut seen = vec![false; n_pad * kp];
+        for v in 0..n_pad {
+            for h in 0..kp {
+                let at = b_panel_index(v, h, kp);
+                assert!(!seen[at], "v={v} h={h} collides");
+                seen[at] = true;
+                let want = if v < n && h < k { src[v * ld + h] } else { 0 };
+                assert_eq!(pack[at], want, "v={v} h={h}");
+            }
+        }
+    }
+
+    #[test]
+    fn depth_window_at_every_level_matches_naive() {
+        // A PK-aligned window past the first depth chunk, over several A
+        // strips and B strips with ragged edges, at every level: the B
+        // window starts at `depth_off * PV` into each strip.
+        let (m, n, k_full) = (2 * PV + 3, 3 * PV + 5, 5 * PK + 9);
+        let (depth_off, k) = (2 * PK, 3 * PK + 9);
+        let a = pattern_mat(m, k_full, 15).to_row_major();
+        let b = pattern_mat(k_full, n, 16);
+        let kp = padded_depth(k_full);
+        let apack = pack_full(OperandSide::A, &a, k_full, m, padded_a_rows(m), k_full);
+        let bpack = pack_full(
+            OperandSide::B,
+            b.as_slice(),
+            k_full,
+            n,
+            padded_b_cols(n),
+            k_full,
+        );
+        let a_win = Matrix::from_fn(m, k, |i, h| a[i * k_full + depth_off + h]);
+        let b_win = Matrix::from_fn(k, n, |h, j| b[(depth_off + h, j)]);
+        let want = int8_gemm_naive(&a_win, &b_win);
+        crate::for_each_level("depth_window_at_every_level_matches_naive", |level| {
+            for parallel in [false, true] {
+                let mut got = vec![0i32; m * n];
+                int8_gemm_prepacked_fused(
+                    m,
+                    n,
+                    k,
+                    &apack,
+                    &bpack,
+                    kp,
+                    depth_off,
+                    &mut got,
+                    &mut [],
+                    &NoEpilogue,
+                    parallel,
+                );
+                assert_eq!(got, want.as_slice(), "{level:?} parallel={parallel}");
+            }
+        });
     }
 
     #[test]

@@ -25,11 +25,12 @@ pub mod isa;
 pub mod tensor;
 
 pub use int8::{
-    a_panel_index, barrett_addmod_row_u8, barrett_addmod_row_u8_scalar, barrett_mod_row_u8,
-    barrett_mod_row_u8_scalar, barrett_mod_u8, int8_gemm_blocked, int8_gemm_naive,
-    int8_gemm_prepacked_fused, int8_gemm_rm_cm_scalar, microkernel_name, mod_kernel_name,
-    pack_panels, padded_a_rows, padded_b_cols, padded_depth, scatter_a_row, AddModEpilogue,
-    Epilogue, Int8Workspace, NoEpilogue, OperandSide, ReduceEpilogue, MR, NR, PK, PV,
+    a_panel_index, b_panel_index, barrett_addmod_row_u8, barrett_addmod_row_u8_scalar,
+    barrett_mod_row_u8, barrett_mod_row_u8_scalar, barrett_mod_u8, int8_gemm_blocked,
+    int8_gemm_naive, int8_gemm_prepacked_fused, int8_gemm_rm_cm_scalar, microkernel_name,
+    mod_kernel_name, pack_panels, padded_a_rows, padded_b_cols, padded_depth, transpose_block,
+    AddModEpilogue, Epilogue, Int8Workspace, NoEpilogue, OperandSide, ReduceEpilogue, MR, NR, PK,
+    PV,
 };
 pub use isa::{cap_scope, dispatch, dispatch_name, engine_isa, for_each_level, isa, Isa, Kernel};
 pub use tensor::{dequantize, lowfp_gemm, quantize};
