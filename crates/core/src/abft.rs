@@ -532,17 +532,17 @@ fn verify_plane(
 // The lines-6–7 executor
 // ---------------------------------------------------------------------------
 
-/// The executor's scratch, owned by [`crate::Workspace`]: the residue
-/// planes, the INT32 product, and the ABFT side-channel buffers. Every
-/// buffer grows to the high-water mark of the calls it has served and is
-/// then reused.
+/// The executor's scratch, owned by [`crate::Workspace`]: the `N·mn`
+/// residue planes and, under an active [`FaultPolicy`], the ABFT
+/// side-channel buffers. There is no INT32 product here: the engine
+/// reduces each column group of it in its own per-worker group buffer.
+/// Every buffer grows to the high-water mark of the calls it has served
+/// and is then reused.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// The `N` UINT8 residue planes `U_s` (plane-major, each `m × n`
     /// column-major) that lines 8–12 fold.
     pub(crate) u: Vec<u8>,
-    /// The INT32 product of one plane or column window.
-    c32: Vec<i32>,
     /// Checksum vectors of `A` and `B` (`N` planes of `kp` i8 each).
     chk_a8: Vec<i8>,
     chk_b8: Vec<i8>,
@@ -566,7 +566,6 @@ impl Scratch {
     /// [`FaultPolicy::Off`] no side-channel buffer is allocated.
     fn reserve(&mut self, m: usize, n: usize, k: usize, nmod: usize, policy: FaultPolicy) {
         grow(&mut self.u, nmod * m * n);
-        grow(&mut self.c32, m * n);
         if policy.is_active() {
             let kp = padded_depth(k);
             grow(&mut self.chk_a8, nmod * kp);
@@ -587,13 +586,12 @@ impl Scratch {
             + self.a_copy.capacity()
             + self.vec.capacity()
             + self.uchk.capacity()
-            + 4 * (self.c32.capacity() + self.chk_sum.capacity() + self.vsum.capacity())
+            + 4 * (self.chk_sum.capacity() + self.vsum.capacity())
     }
 
     /// Zero every buffer in place (capacity kept).
     pub(crate) fn scrub(&mut self) {
         self.u.fill(0);
-        self.c32.fill(0);
         self.chk_a8.fill(0);
         self.chk_b8.fill(0);
         self.uchk.fill(0);
@@ -685,7 +683,6 @@ impl Executor<'_> {
             parallel,
         };
         run.blocks(
-            &mut self.scratch.c32[..m * width],
             &mut self.scratch.u[plane + cols.start * m..plane + cols.end * m],
             &mut |t0: Instant| {
                 if let Some(ph) = phases.as_deref_mut() {
@@ -856,7 +853,7 @@ impl Product<'_> {
     /// `u` holds the canonical residue of the whole product after every
     /// block. `charge` times each call. With the accurate-mode estimate in
     /// [`crate::scale`], one of the crate's two engine call sites.
-    fn blocks(&self, c32: &mut [i32], u: &mut [u8], charge: &mut impl FnMut(Instant)) -> usize {
+    fn blocks(&self, u: &mut [u8], charge: &mut impl FnMut(Instant)) -> usize {
         let (p, pinv, nanos) = (self.p, self.pinv, self.nanos);
         let mut calls = 0usize;
         let mut h0 = 0usize;
@@ -864,9 +861,9 @@ impl Product<'_> {
             let kb = K_BLOCK_MAX.min(self.k - h0);
             let t0 = Instant::now();
             if h0 == 0 {
-                self.call(kb, h0, c32, u, &ReduceEpilogue::new(p, pinv, nanos));
+                self.call(kb, h0, u, &ReduceEpilogue::new(p, pinv, nanos));
             } else {
-                self.call(kb, h0, c32, u, &AddModEpilogue::new(p, pinv, nanos));
+                self.call(kb, h0, u, &AddModEpilogue::new(p, pinv, nanos));
             }
             charge(t0);
             calls += 1;
@@ -876,7 +873,7 @@ impl Product<'_> {
     }
 
     /// One engine call over the depth window `[h0, h0 + kb)`.
-    fn call<E: Epilogue>(&self, kb: usize, h0: usize, c32: &mut [i32], u: &mut [u8], epi: &E) {
+    fn call<E: Epilogue>(&self, kb: usize, h0: usize, u: &mut [u8], epi: &E) {
         int8_gemm_prepacked_fused(
             self.m,
             self.width,
@@ -885,7 +882,7 @@ impl Product<'_> {
             self.b,
             self.kp,
             h0,
-            c32,
+            &mut [],
             u,
             epi,
             self.parallel,

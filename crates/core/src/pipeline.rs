@@ -267,17 +267,20 @@ pub struct EmulationReport {
 
 /// Reusable scratch for the whole Algorithm-1 pipeline: the packed residue
 /// panels the fused trunc+convert phase emits, the f64 fold staging, and
-/// the lines-6–7 executor's own scratch (the UINT8 residue planes, the
-/// INT32 product, the block-residue accumulator and, under an active
-/// [`FaultPolicy`], the ABFT side-channel buffers), which the executor in
-/// [`crate::abft`] sizes itself.
+/// the lines-6–7 executor's own scratch (the UINT8 residue planes and,
+/// under an active [`FaultPolicy`], the ABFT side-channel buffers), which
+/// the executor in [`crate::abft`] sizes itself.
 ///
-/// A single emulated GEMM needs ~`(3N + 4)·mn` bytes of scratch for a
-/// square product (`2N·mk` packed i8 panels, `N·mn` residue planes,
-/// `4·mn` INT32; `k > 2^17` adds a `4·mn` block-residue accumulator); the
-/// integer matrices `A'`, `B'` of the unfused pipeline no longer exist —
-/// the truncation happens inside the convert sweep's cache-resident
-/// staging tiles. The workspace grows to the high-water mark of the shapes
+/// A single emulated GEMM of a square product needs `2N·mk` bytes of
+/// packed i8 panels and `N·mn` bytes of residue planes (`N·(mk + kn) +
+/// N·mn` in general, the panels padded to whole panels). The INT32
+/// product is never stored whole: each engine worker reduces it one
+/// column group at a time in its own grow-only group buffer (at most
+/// 256 KiB, or 32 columns past `m = 2048`), which lives with the worker,
+/// not here. The integer matrices
+/// `A'`, `B'` of the unfused pipeline no longer exist either — the
+/// truncation happens inside the convert sweep's cache-resident staging
+/// tiles. The workspace grows to the high-water mark of the shapes
 /// it has seen and is then reused, so iterative consumers (LU panel
 /// updates, purification sweeps, the `N` residue-panel sets of every call)
 /// allocate nothing per call.
@@ -522,6 +525,45 @@ mod tests {
         let c = Ozaki2::new(8, Mode::Fast).sgemm(&a, &b);
         let err = max_relative_error(&c.map(|x| x as f64), &exact);
         assert!(err < 1e-6, "err={err:e}");
+    }
+
+    #[test]
+    fn workspace_bytes_pin_the_footprint() {
+        // Fast mode, ABFT off, a contiguous f64 output: the workspace is
+        // the 2N packed panel sets (padded to PV vectors and PK depth) and
+        // the N residue planes, nothing else. The engine's group buffers
+        // belong to its workers, not to the workspace.
+        let (m, n, k, nmod) = (40usize, 24, 100, 15);
+        let a = phi_matrix_f64(m, k, 0.5, 2, 0);
+        let b = phi_matrix_f64(k, n, 0.5, 2, 1);
+        let mut ws = Workspace::new();
+        Ozaki2::new(nmod, Mode::Fast)
+            .with_fault_policy(FaultPolicy::Off)
+            .gemm(GemmArgs::new(&a, &b).workspace(&mut ws))
+            .unwrap();
+        let (m_pad, n_pad, kp) = (48, 32, 128);
+        assert_eq!(ws.bytes(), nmod * (m_pad * kp + n_pad * kp) + nmod * m * n);
+        assert_eq!(ws.bytes(), 168_000);
+    }
+
+    #[test]
+    fn phases_attribute_grouped_engine_time() {
+        // At 2048 rows every column group is 32 columns wide, so every
+        // stripe (two per worker) has at least four groups, the last one
+        // ragged: the engine and its fused reduction are both charged, and
+        // the phases fit inside the call.
+        let stripes = 2 * rayon::current_num_threads();
+        let (m, n, k) = (2048usize, stripes * 4 * 2 * gemm_engine::PV - 5, 64);
+        let a = phi_matrix_f64(m, k, 0.5, 4, 0);
+        let b = phi_matrix_f64(k, n, 0.5, 4, 1);
+        let emu = Ozaki2::new(8, Mode::Fast).with_fault_policy(FaultPolicy::Off);
+        let t0 = std::time::Instant::now();
+        let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
+        let wall = t0.elapsed();
+        let ph = out.report.phases;
+        assert!(ph.int8_gemm > Duration::ZERO, "{ph:?}");
+        assert!(ph.mod_reduce > Duration::ZERO, "{ph:?}");
+        assert!(ph.total() <= wall, "{ph:?} vs {wall:?}");
     }
 
     #[test]

@@ -7,16 +7,25 @@
 //! [`crate::Workspace`] passed through [`crate::GemmArgs::workspace`]
 //! grows to its high-water mark on the first call and then stays flat,
 //! so with [`crate::Ozaki2::gemm_into`] the steady state allocates
-//! nothing. A single emulated GEMM needs ~`(3N + 4)·mn` bytes of scratch
-//! for a square product: the packed i8 residue panels, plus the lines-6–7
-//! executor's own scratch, which it sizes itself (residue planes, the
-//! INT32 product buffer, a block-residue accumulator when `k > 2^17`, and
-//! the ABFT buffers under an active fault policy).
+//! nothing. A single emulated GEMM needs `2N·mk` bytes of packed i8
+//! residue panels for a square product (`N·(mk + kn)` in general, padded
+//! to whole panels), plus the lines-6–7 executor's own scratch, which it
+//! sizes itself: the `N·mn` bytes of residue planes, and the ABFT buffers
+//! under an active fault policy. The INT32 product is never stored whole:
+//! each engine worker reduces it one column group at a time in its own
+//! grow-only group buffer (at most 256 KiB, or 32 columns past
+//! `m = 2048`).
 
 /// Estimated arithmetic intensity of the emulated product's engine phase:
 /// INT8 multiply-add operations per byte of memory traffic (packed i8
-/// panels streamed per GEMM, INT32 product and UINT8 residue planes
-/// written, the folded f64 output).
+/// panels streamed per GEMM, UINT8 residue planes written, the folded f64
+/// output), plus 4 bytes per residue for an INT32 product write.
+///
+/// The engine no longer writes the INT32 product to memory (each column
+/// group is reduced while in L2), so that last term is not traffic: it is
+/// a fixed weight of the classifier. It stays because the batched
+/// scheduler's and serving admission's crossover (`INTENSITY_CROSSOVER`
+/// in `gemm_batch`) was set against this formula.
 ///
 /// High intensity means one product saturates the engine's compute with
 /// intra-GEMM stripe parallelism; low intensity means a single item is
@@ -33,7 +42,7 @@ pub fn arithmetic_intensity(m: usize, n: usize, k: usize, n_moduli: usize) -> f6
     let (mf, nf, kf) = (m as f64, n as f64, k as f64);
     let ops = 2.0 * nmod * mf * nf * kf;
     let bytes = nmod * (mf * kf + kf * nf) // i8 panels, read once per GEMM
-        + nmod * (4.0 + 1.0) * mf * nf // c32 write + u8 residue plane
+        + nmod * (4.0 + 1.0) * mf * nf // classifier weight + u8 residue plane
         + 8.0 * mf * nf; // folded f64 output
     ops / bytes
 }
@@ -89,8 +98,8 @@ mod tests {
         run(&mut ws);
         let after_first = ws.bytes();
         // At least the dominant buffers must be resident: the packed i8
-        // panel sets (one per modulus, padded), U planes (u8) and C32.
-        let floor = nmod * (m * k + k * n) + nmod * m * n + 4 * m * n;
+        // panel sets (one per modulus, padded) and the U planes (u8).
+        let floor = nmod * (m * k + k * n) + nmod * m * n;
         assert!(
             after_first >= floor,
             "workspace too small: {after_first} < {floor}"

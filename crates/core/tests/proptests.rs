@@ -480,9 +480,13 @@ proptest! {
         let (mut apack, mut bpack) = (Vec::new(), Vec::new());
         gemm_engine::pack_panels(&mut apack, OperandSide::A, &a, k, m, gemm_engine::padded_a_rows(m), k, kp);
         gemm_engine::pack_panels(&mut bpack, OperandSide::B, &b, k, n, gemm_engine::padded_b_cols(n), k, kp);
+        // The i32 product from a NoEpilogue call: the fused call stores none.
+        gemm_engine::int8_gemm_prepacked_fused(
+            m, n, k, &apack, &bpack, kp, 0, &mut c32, &mut [], &gemm_engine::NoEpilogue, true,
+        );
         let epi = gemm_engine::ReduceEpilogue::new(p, pinv, None);
         gemm_engine::int8_gemm_prepacked_fused(
-            m, n, k, &apack, &bpack, kp, 0, &mut c32, &mut u_fused, &epi, true,
+            m, n, k, &apack, &bpack, kp, 0, &mut [], &mut u_fused, &epi, true,
         );
         let mut u_separate = vec![0u8; m * n];
         gemm_engine::barrett_mod_row_u8_scalar(&c32, &mut u_separate, p as i32, pinv);

@@ -49,8 +49,9 @@ pub enum FaultSite {
     PanelA,
     /// Packed i8 residue panels of operand `B`.
     PanelB,
-    /// The INT32 accumulator stripe of a GEMM, after the tile sweep and
-    /// before the fused mod-reduce epilogue.
+    /// The INT32 accumulator of a GEMM stripe, in the column group that
+    /// holds the drawn element, after the tile sweep and before the fused
+    /// mod-reduce epilogue.
     Acc,
     /// A UINT8 residue plane, after the GEMM + reduction produced it.
     Residue,
@@ -292,22 +293,19 @@ pub fn corrupt_panel(site: FaultSite, panel: &mut [i8]) -> bool {
     }
 }
 
-/// Hook: maybe flip one low-byte bit of one INT32 accumulator element
-/// (called by the engine on each completed stripe before the fused
-/// epilogue). Returns whether a fault was injected.
-pub fn corrupt_acc(c: &mut [i32]) -> bool {
-    if !enabled() || c.is_empty() {
-        return false;
+/// Hook: maybe draw a flip of one low-byte bit of one element of an INT32
+/// accumulator stripe of `len` elements. The engine draws once per stripe
+/// and the column group that holds element `index` xors `mask` into it
+/// before its epilogue, so every element of the stripe is reachable.
+/// Returns `Some((index, mask))` when a fault is injected.
+pub fn acc_flip(len: usize) -> Option<(usize, i32)> {
+    if !enabled() || len == 0 {
+        return None;
     }
-    match should_fire(FaultSite::Acc) {
-        Some(draw) => {
-            let idx = (draw % c.len() as u64) as usize;
-            c[idx] ^= 1 << (next_draw() % 8);
-            INJECTED.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        None => false,
-    }
+    let draw = should_fire(FaultSite::Acc)?;
+    let idx = (draw % len as u64) as usize;
+    INJECTED.fetch_add(1, Ordering::Relaxed);
+    Some((idx, 1 << (next_draw() % 8)))
 }
 
 /// Hook: maybe flip one bit of one UINT8 residue-plane element. Returns
@@ -385,15 +383,17 @@ mod tests {
 
         // Suppression blocks an armed fault until the guard drops.
         arm_once(FaultSite::Acc);
-        let mut acc = vec![0i32; 32];
         {
             let _g = suppress();
-            assert!(!corrupt_acc(&mut acc));
+            assert!(acc_flip(32).is_none());
             assert!(armed_pending(), "suppressed hook must not consume");
         }
-        assert!(corrupt_acc(&mut acc));
-        let delta: i32 = acc.iter().sum();
-        assert!(delta.abs() < 256 && delta != 0, "low-byte flip: {delta}");
+        let (idx, mask) = acc_flip(32).expect("armed");
+        assert!(idx < 32, "index inside the stripe: {idx}");
+        assert!(
+            mask.count_ones() == 1 && mask < 256,
+            "low-byte flip: {mask}"
+        );
 
         // Residue flips touch exactly one element.
         arm_once(FaultSite::Residue);

@@ -45,8 +45,9 @@
 //!      is one contiguous column segment of the column-major `C`. It keeps
 //!      a 2×2 grid of `C` tiles in tile registers over the whole depth,
 //!      with a 1-wide loop for edges that are a multiple of 16 but not of
-//!      32. Each stripe loads the tile configuration on entry and releases
-//!      the tiles on exit, so pool threads carry no tile state.
+//!      32. Each stripe loads the tile configuration once on entry, runs
+//!      all its column groups inside it, and releases the tiles on exit,
+//!      so pool threads carry no tile state.
 //!    * **AVX-512 VNNI / AVX-512 BW / AVX2 / scalar**: a 16-row ([`MR`])
 //!      by [`NR`]-column tile of `C`. Per depth dword, the strip's block
 //!      row (that dword of all 16 rows) is sign-extended to i16 and
@@ -58,11 +59,18 @@
 //!      arms share one body generic over the multiply-add; AVX2 is its
 //!      256-bit twin. The portable scalar tile, reading A through
 //!      [`a_panel_index`], is also the parity-test reference.
-//! 3. **Cache blocking** (SIMD arms). Per stripe the tile sweep runs `ic`
-//!    ([`MC`] rows, keeps the active A block L2-resident) over `pc` ([`KC`]
-//!    depth, keeps one A strip and the tile's widened B columns
-//!    L1-resident) over the `jt`/`it` tile grid, accumulating partial tiles
-//!    into `C` (wrapping adds commute, so the split over `pc` is exact).
+//! 3. **Cache blocking.** Under an active epilogue every arm walks a
+//!    stripe in column groups, each computed over all `m` rows and the
+//!    whole depth window before the next starts, so a group of `C` is
+//!    final, and L2-resident, when its last tile lands. A group is as many
+//!    B column pairs (32 columns, the AMX arm's column-pair step) as fit
+//!    256 KiB of i32, at least one: 32 columns at `m = 2048`, the whole
+//!    stripe at small `m`. Without an epilogue the stripe is one group.
+//!    The SIMD arms run, per group, `ic` ([`MC`] rows, keeps the active A
+//!    block L2-resident) over `pc` ([`KC`] depth, keeps one A strip and
+//!    the tile's widened B columns L1-resident) over the `jt`/`it` tile
+//!    grid, accumulating partial tiles into the group (wrapping adds
+//!    commute, so the split over `pc` is exact).
 //! 4. **Column stripes.** One driver, [`int8_gemm_prepacked_fused`],
 //!    splits the `N` dimension into stripes of whole [`PV`]-column panels
 //!    (two per pool worker) and runs one rayon task per stripe over shared
@@ -73,10 +81,16 @@
 //! # Fused epilogue
 //!
 //! Ozaki Scheme II immediately reduces every INT32 product plane mod a
-//! small prime (Algorithm 1 line 7). Doing that as a second pass over a
-//! plane that has left the cache re-streams it from DRAM, so the engine
-//! accepts an [`Epilogue`] applied to each completed `C` stripe while it is
-//! still cache-resident. Every epilogue writes `u8` residues:
+//! small prime (Algorithm 1 line 7). Storing the plane and reducing it in
+//! a second pass streams `4·m·n` bytes out to DRAM and back, so the engine
+//! accepts an [`Epilogue`] applied to each finished column group while it
+//! is still L2-resident. With an active epilogue the group is computed
+//! into a grow-only per-worker buffer (at most 256 KiB, or `4·32·m` bytes
+//! past `m = 2048`; a column stride that is a multiple of 4 KiB is padded
+//! by one cache line, so a tile store's 16 rows do not share one L1 set)
+//! and the `m × n` INT32 product is never stored; the caller's `C` stays
+//! empty. The epilogue's time is taken per group by the driver and summed
+//! per stripe ([`Epilogue::nanos`]). Every epilogue writes `u8` residues:
 //! [`ReduceEpilogue`] overwrites the plane with `C mod p`, and
 //! [`AddModEpilogue`] adds `C mod p` into residues already there, mod `p`
 //! (the later depth blocks of the `k`-blocked path). [`NoEpilogue`]
@@ -97,6 +111,7 @@
 use crate::isa::{cap_scope, dispatch, dispatch_name, engine_isa, isa, Isa};
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -240,16 +255,25 @@ pub fn barrett_addmod_row_u8(c: &[i32], out: &mut [u8], p: i32, pinv: u32) {
 // Epilogues
 // ---------------------------------------------------------------------------
 
-/// A transformation fused into the GEMM call and applied to each completed
-/// `C` stripe while it is still cache-resident, folding Algorithm 1 line 7
-/// into line 6. Every epilogue writes a `u8` residue plane.
+/// A transformation fused into the GEMM call and applied to each finished
+/// column group of `C` while it is still L2-resident, folding Algorithm 1
+/// line 7 into line 6. Every epilogue writes a `u8` residue plane.
 pub trait Epilogue: Sync {
-    /// Whether the epilogue does anything (lets [`NoEpilogue`] skip the
-    /// output-plane plumbing entirely at compile time).
+    /// Whether the epilogue does anything. An active epilogue is all the
+    /// call writes: the engine computes each group into a per-worker
+    /// buffer and never writes `C`. [`NoEpilogue`] writes `C` and skips
+    /// the output plane entirely at compile time.
     const ACTIVE: bool;
-    /// Transform the finished stripe `c` into `out` (same geometry:
-    /// contiguous column-major columns of the same `m x n` plane).
+    /// Transform the finished group `c` into `out` (same geometry:
+    /// contiguous column-major columns of the same `m`-row plane).
     fn apply(&self, c: &[i32], out: &mut [u8]);
+    /// Where the driver records the call's epilogue time, in nanoseconds:
+    /// each stripe sums its groups' times and the slowest stripe's sum is
+    /// kept (`fetch_max`), since stripes run concurrently. `None` leaves
+    /// the epilogue untimed.
+    fn nanos(&self) -> Option<&AtomicU64> {
+        None
+    }
 }
 
 /// No fused epilogue: the GEMM just writes `C`.
@@ -259,21 +283,6 @@ impl Epilogue for NoEpilogue {
     const ACTIVE: bool = false;
     #[inline]
     fn apply(&self, _c: &[i32], _out: &mut [u8]) {}
-}
-
-/// Run `f`, recording its elapsed nanoseconds into `nanos` (max across
-/// callers: stripe epilogues run concurrently, so the wall-clock cost of
-/// the fused reduction is the slowest worker's, not the sum).
-#[inline]
-fn timed_epilogue<F: FnOnce()>(nanos: Option<&AtomicU64>, f: F) {
-    match nanos {
-        Some(acc) => {
-            let t0 = Instant::now();
-            f();
-            acc.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        None => f(),
-    }
 }
 
 /// Fused `U = mod(C, p)` reduction into a `u8` residue plane (a
@@ -286,8 +295,8 @@ pub struct ReduceEpilogue<'t> {
 
 impl<'t> ReduceEpilogue<'t> {
     /// Reduce mod `p` with reciprocal `pinv`; if `nanos` is given, the
-    /// maximum per-stripe epilogue time is recorded there (nanoseconds) —
-    /// stripes run concurrently, so that is the wall-clock contribution.
+    /// slowest stripe's epilogue time is recorded there (see
+    /// [`Epilogue::nanos`]).
     pub fn new(p: u64, pinv: u32, nanos: Option<&'t AtomicU64>) -> Self {
         Self {
             p: p as i32,
@@ -301,9 +310,10 @@ impl Epilogue for ReduceEpilogue<'_> {
     const ACTIVE: bool = true;
     #[inline]
     fn apply(&self, c: &[i32], out: &mut [u8]) {
-        timed_epilogue(self.nanos, || {
-            barrett_mod_row_u8(c, out, self.p, self.pinv);
-        });
+        barrett_mod_row_u8(c, out, self.p, self.pinv);
+    }
+    fn nanos(&self) -> Option<&AtomicU64> {
+        self.nanos
     }
 }
 
@@ -324,10 +334,10 @@ impl Epilogue for AddModEpilogue<'_> {
     const ACTIVE: bool = true;
     #[inline]
     fn apply(&self, c: &[i32], out: &mut [u8]) {
-        let r = &self.0;
-        timed_epilogue(r.nanos, || {
-            barrett_addmod_row_u8(c, out, r.p, r.pinv);
-        });
+        barrett_addmod_row_u8(c, out, self.0.p, self.0.pinv);
+    }
+    fn nanos(&self) -> Option<&AtomicU64> {
+        self.0.nanos
     }
 }
 
@@ -745,14 +755,15 @@ mod amx {
 
     /// The tile state of one stripe: configured on creation, released on
     /// drop (also when a panic unwinds the stripe), so a pool thread holds
-    /// no 8 KiB tile state between stripes.
-    struct TileScope(());
+    /// no 8 KiB tile state between stripes. Every group of the stripe runs
+    /// inside the one scope.
+    pub(super) struct TileScope(());
 
     impl TileScope {
         /// # Safety
         /// The CPU and OS must support AMX for this process
         /// ([`crate::Isa::Amx`] was probed).
-        unsafe fn enter() -> Self {
+        pub(super) unsafe fn enter() -> Self {
             asm!(
                 "ldtilecfg [{cfg}]",
                 cfg = in(reg) &CONFIG as *const TileConfig,
@@ -793,17 +804,19 @@ mod amx {
     }
 
     /// Store `C` tile register `tmm$t` (rows `j..j+16` of `Cᵀ`, columns
-    /// `i..i+16`) into the column-major `m x nc` stripe `c`: directly when
-    /// the whole tile is inside the stripe, through a stack tile otherwise.
+    /// `i..i+16`) into the column-major `m x nc` group `c` of column
+    /// stride `ldc`: directly when the whole tile is inside the group,
+    /// through a stack tile otherwise.
     macro_rules! store {
-        ($t:literal, $c:expr, $m:expr, $nc:expr, $j:expr, $i:expr) => {{
-            let (c, m, nc, j, i): (&mut [i32], usize, usize, usize, usize) = ($c, $m, $nc, $j, $i);
+        ($t:literal, $c:expr, $m:expr, $ldc:expr, $nc:expr, $j:expr, $i:expr) => {{
+            let (c, m, ldc, nc, j, i): (&mut [i32], usize, usize, usize, usize, usize) =
+                ($c, $m, $ldc, $nc, $j, $i);
             debug_assert!(j < nc && i < m);
             if j + PV <= nc && i + PV <= m {
                 asm!(
                     concat!("tilestored [{p} + {s}*1], tmm", $t),
-                    p = in(reg) c[j * m + i..].as_mut_ptr(),
-                    s = in(reg) 4 * m,
+                    p = in(reg) c[j * ldc + i..].as_mut_ptr(),
+                    s = in(reg) 4 * ldc,
                     options(nostack, preserves_flags),
                 );
             } else {
@@ -816,7 +829,7 @@ mod amx {
                 );
                 let cnt = PV.min(m - i);
                 for (r, row) in buf.chunks_exact(PV).take(nc - j).enumerate() {
-                    c[(j + r) * m + i..][..cnt].copy_from_slice(&row[..cnt]);
+                    c[(j + r) * ldc + i..][..cnt].copy_from_slice(&row[..cnt]);
                 }
             }
         }};
@@ -824,14 +837,14 @@ mod amx {
 
     /// A `JW × IW` grid (each 1 or 2) of 16×16 `Cᵀ` tiles, accumulated in
     /// tile registers over all `nch` depth chunks and stored into `c`:
-    /// B columns `j..j + 16·JW` of the stripe (B-panel strips of depth
+    /// B columns `j..j + 16·JW` of the group (B-panel strips of depth
     /// stride `ldb`), A rows `i..i + 16·IW` (A-panel strips of depth stride
     /// `lda`). Depth chunk `ch` of either strip is one block at
     /// `ch · PV · PK`.
     /// Tiles: `tmm0..3` accumulate `C`, `tmm4/5` hold B, `tmm6/7` hold A.
     ///
     /// # Safety
-    /// Inside a [`TileScope`]; the panel extents are those [`stripe`]
+    /// Inside a [`TileScope`]; the panel extents are those [`group`]
     /// checks.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -843,6 +856,7 @@ mod amx {
         b: &[i8],
         c: &mut [i32],
         m: usize,
+        ldc: usize,
         nc: usize,
         j: usize,
         i: usize,
@@ -878,29 +892,29 @@ mod amx {
                 }
             }
         }
-        store!("0", c, m, nc, j, i);
+        store!("0", c, m, ldc, nc, j, i);
         if IW == 2 {
-            store!("1", c, m, nc, j, i + PV);
+            store!("1", c, m, ldc, nc, j, i + PV);
         }
         if JW == 2 {
-            store!("2", c, m, nc, j + PV, i);
+            store!("2", c, m, ldc, nc, j + PV, i);
             if IW == 2 {
-                store!("3", c, m, nc, j + PV, i + PV);
+                store!("3", c, m, ldc, nc, j + PV, i + PV);
             }
         }
     }
 
-    /// One stripe on the tile unit: `c = A · B` over `nc` stripe columns,
-    /// `a` the A panels (depth stride `lda`) and `b` the stripe's B panels
-    /// (depth stride `ldb`), both offset to a depth window `kp` bytes
-    /// deep. Each B column pair is swept over all A row pairs, so it is
-    /// loaded from cache while the A strips stream past.
+    /// One column group on the tile unit: `c = A · B` over `nc` columns
+    /// of stride `ldc`, `a` the A panels (depth stride `lda`) and `b` the
+    /// group's B panels (depth stride `ldb`), both offset to a depth window
+    /// `kp` bytes deep.
+    /// Each B column pair is swept over all A row pairs, so it is loaded
+    /// from cache while the A strips stream past.
     ///
     /// # Safety
-    /// The CPU and OS must support AMX for this process
-    /// ([`crate::Isa::Amx`] was probed).
+    /// Inside a [`TileScope`].
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn stripe(
+    pub unsafe fn group(
         m: usize,
         kp: usize,
         lda: usize,
@@ -909,6 +923,7 @@ mod amx {
         b: &[i8],
         nc: usize,
         c: &mut [i32],
+        ldc: usize,
     ) {
         let (mp, np) = (m.div_ceil(PV), nc.div_ceil(PV));
         assert!(kp.is_multiple_of(PK) && kp > 0);
@@ -920,18 +935,20 @@ mod amx {
             b.len() >= b_panel_index(np * PV - PV, kp, ldb),
             "B panel buffer mismatch"
         );
-        assert_eq!(c.len(), m * nc, "C buffer mismatch");
+        assert!(
+            ldc >= m && c.len() >= ldc * (nc - 1) + m,
+            "C buffer mismatch"
+        );
         let nch = kp / PK;
-        let _tiles = TileScope::enter();
         for jp in (0..np).step_by(2) {
             let (j, jw2) = (jp * PV, jp + 1 < np);
             for ip in (0..mp).step_by(2) {
                 let (i, iw2) = (ip * PV, ip + 1 < mp);
                 match (jw2, iw2) {
-                    (true, true) => block::<2, 2>(nch, lda, ldb, a, b, c, m, nc, j, i),
-                    (true, false) => block::<2, 1>(nch, lda, ldb, a, b, c, m, nc, j, i),
-                    (false, true) => block::<1, 2>(nch, lda, ldb, a, b, c, m, nc, j, i),
-                    (false, false) => block::<1, 1>(nch, lda, ldb, a, b, c, m, nc, j, i),
+                    (true, true) => block::<2, 2>(nch, lda, ldb, a, b, c, m, ldc, nc, j, i),
+                    (true, false) => block::<2, 1>(nch, lda, ldb, a, b, c, m, ldc, nc, j, i),
+                    (false, true) => block::<1, 2>(nch, lda, ldb, a, b, c, m, ldc, nc, j, i),
+                    (false, false) => block::<1, 1>(nch, lda, ldb, a, b, c, m, ldc, nc, j, i),
                 }
             }
         }
@@ -975,11 +992,12 @@ impl crate::Kernel for WidenCols<'_> {
     }
 }
 
-/// The cache-blocked SIMD tile sweep over one column stripe: `a` is the A
-/// panels and `b` the stripe's B panels, both of depth stride `kp` and
+/// The cache-blocked SIMD tile sweep over one column group: `a` is the A
+/// panels and `b` the group's B panels, both of depth stride `kp` and
 /// offset to the depth window, with `kp_eff` (a multiple of [`PK`]) depth
-/// elements to consume. `tile` multiplies one 16-row strip by `N` widened
-/// B columns.
+/// elements to consume, into `c` of column stride `ldc`. `tile`
+/// multiplies one 16-row strip by `N` widened B columns, staged in `bw`
+/// (at least `N * KC.min(kp_eff)` long).
 #[allow(clippy::too_many_arguments)]
 fn simd_sweep<const N: usize>(
     tile: impl Fn(usize, &[i8], &[i16], &mut [[i32; MR]; N]),
@@ -990,21 +1008,22 @@ fn simd_sweep<const N: usize>(
     b: &[i8],
     nc: usize,
     c: &mut [i32],
+    ldc: usize,
+    bw: &mut [i16],
 ) {
     let mut out = [[0i32; MR]; N];
-    let mut bw = vec![0i16; N * KC.min(kp_eff)];
     for ic in (0..m).step_by(MC) {
         let ilim = (ic + MC).min(m);
         for pc in (0..kp_eff).step_by(KC) {
             let kc = KC.min(kp_eff - pc);
             let bw = &mut bw[..N * kc];
             // The first depth chunk assigns C outright (every element of
-            // the stripe belongs to some tile), later chunks accumulate —
+            // the group belongs to some tile), later chunks accumulate —
             // which saves the separate zero-fill sweep over C.
             let first = pc == 0;
             for jt in (0..nc).step_by(N) {
                 // Padded panel columns past `nc` are zeros: N divides PV,
-                // so the tile's columns never leave the stripe's panels.
+                // so the tile's columns never leave the group's panels.
                 dispatch(WidenCols {
                     b,
                     kp,
@@ -1018,7 +1037,7 @@ fn simd_sweep<const N: usize>(
                     let rows = MR.min(m - it);
                     tile(kc, &a[a_panel_index(it, pc, kp)..], bw, &mut out);
                     for (cc, tcol) in out.iter().enumerate().take(cols) {
-                        let col = &mut c[(jt + cc) * m + it..(jt + cc) * m + it + rows];
+                        let col = &mut c[(jt + cc) * ldc + it..][..rows];
                         if first {
                             col.copy_from_slice(&tcol[..rows]);
                         } else {
@@ -1033,11 +1052,44 @@ fn simd_sweep<const N: usize>(
     }
 }
 
-/// One column stripe at level `isa`, followed by the fused epilogue on the
-/// still-resident stripe. `a` and `b` are the panels offset to the depth
-/// window, as [`simd_sweep`] takes them.
+/// Column granularity of an active-epilogue group: the AMX arm's B
+/// column pair.
+const GROUP: usize = 2 * PV;
+/// L2 budget of one column group's i32 product.
+const GROUP_BYTES: usize = 256 << 10;
+
+/// Columns of an active-epilogue group over `m > 0` rows: as many whole
+/// [`GROUP`]s as fit [`GROUP_BYTES`], at least one (32 columns at
+/// `m = 2048`). Wider groups at small `m` keep the SIMD sweep's A blocks
+/// reused across more columns and give the epilogue longer runs, while
+/// the group still reaches the epilogue from L2.
+fn group_width(m: usize) -> usize {
+    (GROUP_BYTES / (4 * m)).max(GROUP) / GROUP * GROUP
+}
+
+/// Column stride of a group buffer over `m` rows: `m`, unless the columns
+/// would start a multiple of 4 KiB apart. Then the 16 rows of every AMX
+/// tile store (and of every SIMD tile's column writes) fall into one L1
+/// set, so each column is padded by one cache line.
+fn group_ld(m: usize) -> usize {
+    if (4 * m).is_multiple_of(4096) {
+        m + PV
+    } else {
+        m
+    }
+}
+
+thread_local! {
+    /// This worker's grow-only i32 buffer for one column group of an
+    /// active-epilogue call: the only INT32 product the engine stores.
+    static GROUP_BUF: Cell<Vec<i32>> = const { Cell::new(Vec::new()) };
+}
+
+/// One column group at level `isa` into `c` (`m × nc`, column stride
+/// `ldc`); `bw` is the SIMD arms' widening scratch. `a` and `b` are the
+/// panels offset to the depth window, as [`simd_sweep`] takes them.
 #[allow(clippy::too_many_arguments)]
-fn stripe_compute<E: Epilogue>(
+fn group_compute(
     isa: Isa,
     m: usize,
     kp_eff: usize,
@@ -1046,19 +1098,26 @@ fn stripe_compute<E: Epilogue>(
     b: &[i8],
     nc: usize,
     c: &mut [i32],
-    out: &mut [u8],
-    epi: &E,
+    ldc: usize,
+    bw: &mut [i16],
 ) {
     macro_rules! sweep {
         ($tile:expr) => {
-            simd_sweep($tile, m, kp_eff, kp, a, b, nc, c)
+            simd_sweep($tile, m, kp_eff, kp, a, b, nc, c, ldc, bw)
         };
+    }
+    if kp_eff == 0 {
+        for col in c.chunks_mut(ldc) {
+            col[..m].fill(0);
+        }
+        return;
     }
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Isa::Amx is reported only after the CPUID, XCR0 and
-        // arch_prctl checks in `isa`; `amx::stripe` checks the extents.
-        Isa::Amx => unsafe { amx::stripe(m, kp_eff, kp, a, kp, b, nc, c) },
+        // SAFETY: the stripe entered a TileScope for Isa::Amx, which is
+        // reported only after the CPUID, XCR0 and arch_prctl checks in
+        // `isa`; `amx::group` checks the extents.
+        Isa::Amx => unsafe { amx::group(m, kp_eff, kp, a, kp, b, nc, c, ldc) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: each SIMD variant is selected only after runtime feature
         // detection; the caller's panel geometry covers every strip and
@@ -1072,11 +1131,82 @@ fn stripe_compute<E: Epilogue>(
         Isa::Avx2 => sweep!(|kc, a, bw, o| unsafe { x86::tile_avx2(kc, a, bw, o) }),
         _ => sweep!(tile_scalar::<NR>),
     }
-    // Fault-injection seam: the completed INT32 stripe, before the fused
-    // epilogue consumes it (no-op unless the injector is armed).
-    crate::faultinject::corrupt_acc(c);
+}
+
+/// One column stripe at level `isa`, in column groups. Each finished
+/// group passes the accumulator fault seam and then, with an active
+/// epilogue, is reduced into `out` while it is L2-resident: groups of
+/// [`group_width`] columns are computed into this worker's [`GROUP_BUF`]
+/// and `c` is not written (it is empty). Without one, the stripe is one
+/// group computed straight into `c`. `a` and `b` are the panels offset to
+/// the depth window, as [`simd_sweep`] takes them.
+#[allow(clippy::too_many_arguments)]
+fn stripe_compute<E: Epilogue>(
+    isa: Isa,
+    m: usize,
+    kp_eff: usize,
+    kp: usize,
+    a: &[i8],
+    b: &[i8],
+    nc: usize,
+    c: &mut [i32],
+    out: &mut [u8],
+    epi: &E,
+) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: Isa::Amx is reported only after the CPUID, XCR0 and
+    // arch_prctl checks in `isa`.
+    let _tiles = (isa == Isa::Amx).then(|| unsafe { amx::TileScope::enter() });
+    let mut bw = match isa {
+        Isa::Amx => Vec::new(),
+        _ => vec![0i16; NR * KC.min(kp_eff)],
+    };
+    let (mut buf, width, ldc) = if E::ACTIVE {
+        (GROUP_BUF.take(), group_width(m), group_ld(m))
+    } else {
+        (Vec::new(), nc, m)
+    };
+    if E::ACTIVE && buf.len() < ldc * width.min(nc) {
+        buf.resize(ldc * width.min(nc), 0);
+    }
+    // Fault-injection seam: one draw per stripe (no-op unless the injector
+    // is armed), applied by the group that holds the drawn element.
+    let flip = crate::faultinject::acc_flip(m * nc);
+    let timer = epi.nanos();
+    let mut spent = 0u64;
+    for j in (0..nc).step_by(width) {
+        let cols = j * m..(j + width).min(nc) * m;
+        let gw = cols.len() / m;
+        let dst = if E::ACTIVE {
+            &mut buf[..ldc * gw]
+        } else {
+            &mut c[cols.clone()]
+        };
+        let bg = &b[b_panel_index(j, 0, kp)..];
+        group_compute(isa, m, kp_eff, kp, a, bg, gw, dst, ldc, &mut bw);
+        if let Some((at, mask)) = flip.filter(|(at, _)| cols.contains(at)) {
+            let at = at - cols.start;
+            dst[at / m * ldc + at % m] ^= mask;
+        }
+        if E::ACTIVE {
+            let t0 = timer.map(|_| Instant::now());
+            if ldc == m {
+                epi.apply(dst, &mut out[cols]);
+            } else {
+                for (col, o) in dst.chunks(ldc).zip(out[cols].chunks_exact_mut(m)) {
+                    epi.apply(&col[..m], o);
+                }
+            }
+            if let Some(t0) = t0 {
+                spent += t0.elapsed().as_nanos() as u64;
+            }
+        }
+    }
+    if let Some(acc) = timer {
+        acc.fetch_max(spent, Ordering::Relaxed);
+    }
     if E::ACTIVE {
-        epi.apply(c, out);
+        GROUP_BUF.set(buf);
     }
 }
 
@@ -1103,12 +1233,14 @@ fn stripe_count(n_panels: usize) -> usize {
 /// [`padded_b_cols`]`(n)` column panels in the [`pack_panels`] layout
 /// with full padded depth `kp_stride`; the call multiplies the depth window
 /// `[depth_off, depth_off + k)` (so a `k`-blocked caller passes the same
-/// panels with advancing `depth_off`). `C` is column-major `m x n`,
-/// contiguous, fully overwritten. If `E::ACTIVE`, `out` must be an
-/// `m x n` plane (same layout as `C`) and receives `epi` applied to every
-/// element; otherwise pass an empty slice. `parallel = false` forces a
-/// single-threaded sweep (microkernel benchmarking, nested-parallel
-/// contexts).
+/// panels with advancing `depth_off`). Without an epilogue, `C` is
+/// column-major `m x n`, contiguous, fully overwritten, and `out` is
+/// ignored (pass an empty slice). If `E::ACTIVE`, `out` must be an
+/// `m x n` plane (the same layout) and receives `epi` applied to every
+/// element of the product, one L2-sized column group at a time, and
+/// `C` must be empty: the product is never stored whole. `parallel =
+/// false` forces a single-threaded sweep (microkernel benchmarking,
+/// nested-parallel contexts).
 ///
 /// The kernel consumes the window rounded up to [`PK`], so the tail
 /// `[depth_off + k, depth_off + `[`padded_depth`]`(k))` must read zeros:
@@ -1155,20 +1287,15 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
         bpack.len() >= padded_b_cols(n) * kp_stride,
         "B panel buffer mismatch"
     );
-    assert_eq!(c.len(), m * n, "C buffer mismatch");
     if E::ACTIVE {
+        assert!(c.is_empty(), "C is not written under an active epilogue");
         assert_eq!(out.len(), m * n, "epilogue plane mismatch");
+    } else {
+        assert_eq!(c.len(), m * n, "C buffer mismatch");
     }
     gemm_obs::catalog::ENGINE_INT8_CALLS.inc();
     gemm_obs::catalog::ENGINE_INT8_MACS.add((m as u64) * (n as u64) * (k as u64));
     if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(0);
-        if E::ACTIVE {
-            epi.apply(c, out);
-        }
         return;
     }
     // Stripe boundaries never change per-element accumulation order, so
@@ -1193,15 +1320,11 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
         let p1 = (s + 1) * n_panels / stripes;
         let j0 = p0 * PV;
         let nc = n.min(p1 * PV) - j0;
-        let (c_stripe, rest) = c_rest.split_at_mut(m * nc);
+        // The active side's buffer splits; the other is empty.
+        let (c_stripe, rest) = c_rest.split_at_mut(c_rest.len().min(m * nc));
         c_rest = rest;
-        let out_stripe = if E::ACTIVE {
-            let (o, rest) = out_rest.split_at_mut(m * nc);
-            out_rest = rest;
-            o
-        } else {
-            &mut []
-        };
+        let (out_stripe, rest) = out_rest.split_at_mut(out_rest.len().min(m * nc));
+        out_rest = rest;
         jobs.push(PrepackedJob {
             j0,
             nc,
@@ -1541,6 +1664,90 @@ mod tests {
     }
 
     #[test]
+    fn group_edges_match_naive_at_every_level() {
+        // Widths on both sides of every GROUP edge, heights across the
+        // AMX row pairs and the SIMD MC blocks, depths of one and of two
+        // KC chunks: with each epilogue, sequential and striped, at every
+        // level. The last height is the smallest whose groups are one
+        // GROUP wide, so every width past 32 spans two or three groups.
+        let narrow = GROUP_BYTES / (4 * GROUP) + 3;
+        assert_eq!(group_width(narrow), GROUP);
+        assert_eq!(group_width(2 * MC + 3), 3 * GROUP);
+        let p = 251u64;
+        let pinv = ((1u64 << 32) / p - 1) as u32;
+        let residue = |x: i32| (x as i64).rem_euclid(p as i64) as u8;
+        for k in [PK, KC + PK] {
+            for m in [1, 15, 17, 40, 2 * MC + 3, narrow] {
+                for n in [1, 17, 31, 32, 33, 95] {
+                    let (a_mat, b) = (pattern_mat(m, k, 17), pattern_mat(k, n, 18));
+                    let want = int8_gemm_naive(&a_mat, &b);
+                    let a = a_mat.to_row_major();
+                    let apack = pack_full(OperandSide::A, &a, k, m, padded_a_rows(m), k);
+                    let bpack = pack_full(OperandSide::B, b.as_slice(), k, n, padded_b_cols(n), k);
+                    let prior: Vec<u8> = (0..m * n).map(|i| (i * 37 % p as usize) as u8).collect();
+                    let kp = padded_depth(k);
+                    crate::for_each_level("group_edges_match_naive_at_every_level", |level| {
+                        for parallel in [false, true] {
+                            let what = format!("{m}x{n}x{k} {level:?} parallel={parallel}");
+                            let mut c = vec![0i32; m * n];
+                            int8_gemm_prepacked_fused(
+                                m,
+                                n,
+                                k,
+                                &apack,
+                                &bpack,
+                                kp,
+                                0,
+                                &mut c,
+                                &mut [],
+                                &NoEpilogue,
+                                parallel,
+                            );
+                            assert_eq!(c, want.as_slice(), "none {what}");
+                            let mut u = vec![0u8; m * n];
+                            let epi = ReduceEpilogue::new(p, pinv, None);
+                            int8_gemm_prepacked_fused(
+                                m,
+                                n,
+                                k,
+                                &apack,
+                                &bpack,
+                                kp,
+                                0,
+                                &mut [],
+                                &mut u,
+                                &epi,
+                                parallel,
+                            );
+                            let reduced: Vec<u8> = want.iter().map(|&x| residue(x)).collect();
+                            assert_eq!(u, reduced, "reduce {what}");
+                            let mut u = prior.clone();
+                            let epi = AddModEpilogue::new(p, pinv, None);
+                            int8_gemm_prepacked_fused(
+                                m,
+                                n,
+                                k,
+                                &apack,
+                                &bpack,
+                                kp,
+                                0,
+                                &mut [],
+                                &mut u,
+                                &epi,
+                                parallel,
+                            );
+                            let added: Vec<u8> = (reduced.iter().zip(&prior))
+                                .map(|(&r, &u0)| ((r as u32 + u0 as u32) % p as u32) as u8)
+                                .collect();
+                            assert_eq!(u, added, "add-mod {what}");
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
     fn blocked_matches_scalar_seed_kernel() {
         let (m, k, n) = (23usize, 301, 19);
         let a = pattern_mat(m, k, 5).to_row_major();
@@ -1598,10 +1805,23 @@ mod tests {
         let pinv = ((1u64 << 32) / p - 1) as u32;
         let a = pattern_mat(m, k, 7).to_row_major();
         let b = pattern_mat(k, n, 8);
+        // The i32 product from a NoEpilogue call: the fused one keeps none.
         let mut c = vec![0i32; m * n];
+        gemm_strided(
+            m,
+            n,
+            k,
+            &a,
+            k,
+            b.as_slice(),
+            k,
+            &mut c,
+            &mut [],
+            &NoEpilogue,
+        );
         let mut u_fused = vec![0u8; m * n];
         let epi = ReduceEpilogue::new(p, pinv, None);
-        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut c, &mut u_fused, &epi);
+        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut [], &mut u_fused, &epi);
         for (i, (&u, &x)) in u_fused.iter().zip(&c).enumerate() {
             assert_eq!(u as i64, (x as i64).rem_euclid(p as i64), "elem {i}");
         }
@@ -1615,11 +1835,23 @@ mod tests {
         let a = pattern_mat(m, k, 9).to_row_major();
         let b = pattern_mat(k, n, 10);
         let mut c = vec![0i32; m * n];
+        gemm_strided(
+            m,
+            n,
+            k,
+            &a,
+            k,
+            b.as_slice(),
+            k,
+            &mut c,
+            &mut [],
+            &NoEpilogue,
+        );
         // Residues left by earlier depth blocks, up to p - 1.
         let prior: Vec<u8> = (0..m * n).map(|i| (i * 37 % p as usize) as u8).collect();
         let mut u = prior.clone();
         let epi = AddModEpilogue::new(p, pinv, None);
-        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut c, &mut u, &epi);
+        gemm_strided(m, n, k, &a, k, b.as_slice(), k, &mut [], &mut u, &epi);
         for (i, ((&s, &x), &u0)) in u.iter().zip(&c).zip(&prior).enumerate() {
             let want = (u0 as i64 + x as i64).rem_euclid(p as i64);
             assert_eq!(s as i64, want, "elem {i}");
@@ -1698,12 +1930,35 @@ mod tests {
         let p = 251u64;
         let pinv = ((1u64 << 32) / p - 1) as u32;
         let mut got = vec![0i32; m * n];
+        int8_gemm_prepacked_fused(
+            m,
+            n,
+            kb,
+            &apack,
+            &bpack,
+            kp,
+            h0,
+            &mut got,
+            &mut [],
+            &NoEpilogue,
+            true,
+        );
+        assert_eq!(got, want);
         let mut u = vec![0u8; m * n];
         let epi = ReduceEpilogue::new(p, pinv, None);
         int8_gemm_prepacked_fused(
-            m, n, kb, &apack, &bpack, kp, h0, &mut got, &mut u, &epi, true,
+            m,
+            n,
+            kb,
+            &apack,
+            &bpack,
+            kp,
+            h0,
+            &mut [],
+            &mut u,
+            &epi,
+            true,
         );
-        assert_eq!(got, want);
         for (i, (&r, &x)) in u.iter().zip(&want).enumerate() {
             assert_eq!(r as i64, (x as i64).rem_euclid(p as i64), "elem {i}");
         }

@@ -4,7 +4,8 @@ use gemm_dense::Matrix;
 use gemm_engine::{
     barrett_addmod_row_u8, barrett_addmod_row_u8_scalar, barrett_mod_row_u8,
     barrett_mod_row_u8_scalar, for_each_level, int8_gemm_blocked, int8_gemm_naive,
-    int8_gemm_rm_cm_scalar, lowfp_gemm, quantize, Epilogue, Int8Workspace, ReduceEpilogue,
+    int8_gemm_rm_cm_scalar, lowfp_gemm, quantize, Epilogue, Int8Workspace, NoEpilogue,
+    ReduceEpilogue,
 };
 use gemm_lowfp::{BF16, F16};
 use proptest::prelude::*;
@@ -231,10 +232,13 @@ proptest! {
         let b: Vec<i8> = (0..k * n).map(|_| next()).collect();
         let mut c_plain = vec![0i32; m * n];
         int8_gemm_blocked(m, n, k, &a, &b, &mut c_plain, &mut Int8Workspace::new());
+        // The i32 product of the packed path comes from a NoEpilogue call:
+        // the fused call stores none.
         let mut c_fused = vec![0i32; m * n];
+        gemm_packed((m, n, k), &a, k, &b, k, &mut c_fused, &mut [], &NoEpilogue, true);
         let mut u = vec![0u8; m * n];
         let epi = ReduceEpilogue::new(p, pinv, None);
-        gemm_packed((m, n, k), &a, k, &b, k, &mut c_fused, &mut u, &epi, true);
+        gemm_packed((m, n, k), &a, k, &b, k, &mut [], &mut u, &epi, true);
         prop_assert_eq!(&c_fused, &c_plain);
         for (i, (&r, &x)) in u.iter().zip(&c_plain).enumerate() {
             prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64), "elem {} p {}", i, p);
@@ -268,9 +272,10 @@ proptest! {
         let want = int8_gemm_naive(&a, &b);
         for parallel in [false, true] {
             let mut c = vec![0i32; m * n];
+            gemm_packed((m, n, k), &a_buf, lda, &b_buf, ldb, &mut c, &mut [], &NoEpilogue, parallel);
             let mut u = vec![0u8; m * n];
             let epi = ReduceEpilogue::new(p, pinv, None);
-            gemm_packed((m, n, k), &a_buf, lda, &b_buf, ldb, &mut c, &mut u, &epi, parallel);
+            gemm_packed((m, n, k), &a_buf, lda, &b_buf, ldb, &mut [], &mut u, &epi, parallel);
             prop_assert_eq!(&c[..], want.as_slice(), "parallel={}", parallel);
             for (&r, &x) in u.iter().zip(&c) {
                 prop_assert_eq!(r as i64, (x as i64).rem_euclid(p as i64));
@@ -389,11 +394,20 @@ mod backend_oracle {
         let mut bpack = Vec::new();
         pack_panels(&mut apack, OperandSide::A, &a_rm, k, m, m_pad, k, kp);
         pack_panels(&mut bpack, OperandSide::B, &b_cm, k, n, n_pad, k, kp);
-        let mut c32 = vec![0i32; m * n];
         let mut u = vec![0u8; m * n];
         let epi = ReduceEpilogue::new(p, pinv(p), None);
         int8_gemm_prepacked_fused(
-            m, n, k, &apack, &bpack, kp, 0, &mut c32, &mut u, &epi, parallel,
+            m,
+            n,
+            k,
+            &apack,
+            &bpack,
+            kp,
+            0,
+            &mut [],
+            &mut u,
+            &epi,
+            parallel,
         );
         u
     }
@@ -488,11 +502,17 @@ mod level_parity {
             let mut failure = None;
             for_each_level("every_isa_level_matches_naive", |level| {
                 for parallel in [false, true] {
+                    // The i32 product from a NoEpilogue call: the fused
+                    // calls store none.
                     let mut c = vec![0i32; m * n];
+                    int8_gemm_prepacked_fused(
+                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut [], &NoEpilogue,
+                        parallel,
+                    );
                     let mut u = vec![0u8; m * n];
                     let epi = ReduceEpilogue::new(p, pinv, None);
                     int8_gemm_prepacked_fused(
-                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut u, &epi, parallel,
+                        m, n, k, &apack, &bpack, kp, depth_off, &mut [], &mut u, &epi, parallel,
                     );
                     let reduced = u
                         .iter()
@@ -507,7 +527,7 @@ mod level_parity {
                     let prior = u.clone();
                     let epi = AddModEpilogue::new(p, pinv, None);
                     int8_gemm_prepacked_fused(
-                        m, n, k, &apack, &bpack, kp, depth_off, &mut c, &mut u, &epi, parallel,
+                        m, n, k, &apack, &bpack, kp, depth_off, &mut [], &mut u, &epi, parallel,
                     );
                     let added = u.iter().zip(&c).zip(&prior).all(|((&r, &x), &r0)| {
                         r as i64 == (r0 as i64 + x as i64).rem_euclid(p as i64)

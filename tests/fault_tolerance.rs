@@ -359,6 +359,57 @@ fn recovery_ladder_events_counters_and_bits() {
     }
 }
 
+/// The accumulator seam over a stripe of several column groups: the
+/// engine draws one flip per stripe and the group holding the drawn
+/// element applies it before its epilogue, so a flip in any group is one
+/// residue-class fault that one stripe re-run over its `PV`-aligned
+/// window mends. `m = 2048` makes every group one column pair (32
+/// columns), and the width gives every stripe at least three groups, the
+/// last of `n` ragged.
+#[test]
+fn acc_flip_in_any_column_group_is_mended_by_one_stripe_retry() {
+    use gemm_engine::PV;
+    let _g = injector_lock();
+    let stripes = 2 * rayon::current_num_threads();
+    let (m, n, k, nmod) = (
+        2048usize,
+        stripes * 3 * 2 * PV + 2 * PV - 5,
+        64usize,
+        8usize,
+    );
+    assert_ne!(n % (2 * PV), 0, "the last group must be ragged");
+    let a = phi_matrix_f64(m, k, 0.5, 23, 0);
+    let b = phi_matrix_f64(k, n, 0.5, 23, 1);
+    let off = Ozaki2::new(nmod, Mode::Fast)
+        .with_fault_policy(FaultPolicy::Off)
+        .gemm(GemmArgs::new(&a, &b))
+        .unwrap()
+        .c;
+    let emu =
+        Ozaki2::new(nmod, Mode::Fast).with_fault_policy(FaultPolicy::Retry { max_retries: 1 });
+    for _ in 0..3 {
+        faultinject::arm_once(FaultSite::Acc);
+        let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
+        faultinject::disarm();
+        let rep = out.report.fault.expect("active policy must report");
+        assert_eq!(out.c, off, "{rep:?}");
+        if faultinject::enabled() {
+            // Environment-rate faults join the armed one: only the bits
+            // are pinned.
+            continue;
+        }
+        let actions: Vec<_> = rep.events.iter().map(|e| e.action).collect();
+        assert_eq!(actions, [RecoveryAction::StripeRetry], "{rep:?}");
+        let (c0, c1) = rep.events[0].columns.expect("a stripe has columns");
+        assert!(c0 % PV == 0 && c1 == (c0 + PV).min(n) - 1, "{rep:?}");
+        assert_eq!(
+            (rep.detected, rep.retries, rep.unrecovered),
+            (1, 1, 0),
+            "{rep:?}"
+        );
+    }
+}
+
 const POLICIES: [FaultPolicy; 3] = [
     FaultPolicy::Retry { max_retries: 2 },
     FaultPolicy::RetryThenScalar { max_retries: 2 },
