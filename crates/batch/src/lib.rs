@@ -215,14 +215,8 @@ impl BatchedOzaki2 {
         };
         let pa = side(a, OperandSide::A)?;
         let pb = side(b, OperandSide::B)?;
-        let schedule = Schedule::choose_with(
-            m,
-            n,
-            k,
-            self.emu.n_moduli(),
-            count,
-            rayon::current_num_threads(),
-        );
+        let schedule =
+            Schedule::choose_with(m, n, k, self.emu.n_moduli(), rayon::current_num_threads());
         let mut errs: Vec<Option<EmulationError>> = (0..count).map(|_| None).collect();
         let jobs = outs
             .iter_mut()
@@ -304,14 +298,7 @@ impl BatchedOzaki2 {
             .map(|(((a, b), (pa, pb)), (out, err))| Job {
                 a: operand(pa, a.view()),
                 b: operand(pb, b.view()),
-                schedule: Schedule::choose_with(
-                    a.rows(),
-                    b.cols(),
-                    a.cols(),
-                    nmod,
-                    items.len(),
-                    workers,
-                ),
+                schedule: Schedule::choose_with(a.rows(), b.cols(), a.cols(), nmod, workers),
                 out,
                 err,
             })
@@ -353,7 +340,8 @@ impl BatchedOzaki2 {
 
     /// The round runner both entries share: `IntraItem` jobs first,
     /// striped one at a time; then the `InterItem` jobs fan out one item
-    /// per worker. An empty class is skipped. Each job records its own
+    /// per worker, or run on the caller when there is one, which opens no
+    /// pool region. An empty class is skipped. Each job records its own
     /// error.
     fn run_round<T: Element>(&self, jobs: Vec<Job<'_, T>>) {
         let _span = gemm_obs::span("batch_round", "batch");
@@ -367,7 +355,11 @@ impl BatchedOzaki2 {
         }
         if !inter.is_empty() {
             gemm_obs::catalog::BATCH_ITEMS_INTER.add(inter.len() as u64);
-            inter.into_par_iter().for_each(run);
+            if inter.len() == 1 {
+                inter.into_iter().for_each(run);
+            } else {
+                inter.into_par_iter().for_each(run);
+            }
         }
     }
 

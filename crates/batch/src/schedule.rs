@@ -14,7 +14,11 @@
 //! traffic): intensity grows linearly with the problem scale, so it is a
 //! clean one-number proxy for "does one item have enough arithmetic to
 //! feed every core". Items below [`INTENSITY_CROSSOVER`] run inter-item,
-//! the rest intra-item. Either schedule produces **bit-identical** results
+//! the rest intra-item, however many items the call has: a lone small
+//! item runs sequentially on the caller, since a stripe split of it costs
+//! more in pool regions than it saves (at `W = 2` a lone `64³` call took
+//! 0.17–0.23 ms striped against 0.10–0.13 ms sequential; striping pays
+//! from about `128³`). Either schedule produces **bit-identical** results
 //! — stripe splits never change the accumulation order of any output
 //! element, and workers own disjoint items — so the choice is purely a
 //! throughput knob.
@@ -38,19 +42,11 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// Choose the schedule for `item_count` products of shape
-    /// `m x k · k x n` at `n_moduli`, given `workers` available threads.
-    pub fn choose_with(
-        m: usize,
-        n: usize,
-        k: usize,
-        n_moduli: usize,
-        item_count: usize,
-        workers: usize,
-    ) -> Schedule {
-        if item_count < 2 || workers < 2 {
-            // Nothing to spread (or no one to spread it over): stripe
-            // within the single item / run plainly on the single worker.
+    /// Choose the schedule for products of shape `m x k · k x n` at
+    /// `n_moduli`, given `workers` available threads.
+    pub fn choose_with(m: usize, n: usize, k: usize, n_moduli: usize, workers: usize) -> Schedule {
+        if workers < 2 {
+            // No one to spread over: run plainly on the single worker.
             return Schedule::IntraItem;
         }
         if arithmetic_intensity(m, n, k, n_moduli) < INTENSITY_CROSSOVER {
@@ -76,30 +72,29 @@ mod tests {
         // The two shapes the batched benchmark records sit on opposite
         // sides of the crossover.
         assert_eq!(
-            Schedule::choose_with(64, 64, 64, 15, 256, 8),
+            Schedule::choose_with(64, 64, 64, 15, 8),
             Schedule::InterItem
         );
         assert_eq!(
-            Schedule::choose_with(256, 256, 256, 15, 16, 8),
+            Schedule::choose_with(256, 256, 256, 15, 8),
             Schedule::IntraItem
         );
     }
 
     #[test]
     fn degenerate_batches_run_intra() {
+        // A lone item is scheduled by its intensity like any other: a
+        // small one runs sequentially, a large one striped.
         assert_eq!(
-            Schedule::choose_with(64, 64, 64, 15, 1, 8),
-            Schedule::IntraItem
+            Schedule::choose_with(64, 64, 64, 15, 8),
+            Schedule::InterItem
         );
         assert_eq!(
-            Schedule::choose_with(64, 64, 64, 15, 64, 1),
+            Schedule::choose_with(64, 64, 64, 15, 1),
             Schedule::IntraItem
         );
         // Empty shapes have zero intensity → inter (and no work anyway).
-        assert_eq!(
-            Schedule::choose_with(0, 64, 64, 15, 4, 8),
-            Schedule::InterItem
-        );
+        assert_eq!(Schedule::choose_with(0, 64, 64, 15, 8), Schedule::InterItem);
     }
 
     #[test]

@@ -7,19 +7,31 @@
 //! integers `|a'| ≤ 2^{P'_budget}`, and the larger the first-step residual):
 //! `(N1, N2) = (13, 19)` for `b = 64` and `(5, 11)` for `b = 32`.
 //!
-//! Two deliberate deviations (documented in `docs/ARCHITECTURE.md`):
+//! Three deliberate deviations (documented in `docs/ARCHITECTURE.md`):
 //!
-//! * when three steps are required (`N ≥ N2`) the second step runs in f64
-//!   before the narrowing to f32. For `N ∈ {19, 20}` the exact first-step
-//!   residual can reach ~2^25, which does not round-trip through f32;
-//!   keeping one more step in f64 preserves exactness of the residue.
-//!   Below `N2` the kernel is literally the paper's.
+//! * an f32 operand whose truncated entries stay below `2^46`
+//!   ([`rmod_chain`]; `N ≤ 11`) is reduced entirely in f32
+//!   ([`rmod32_to_i8`]): `trunc(2^e·a)` of an f32 `a` is itself an f32, so
+//!   its staging tile is f32 and every step runs at 16 lanes per 512-bit
+//!   vector instead of an f64 first step at 8. Above that bound the
+//!   staging tile is f64, as for an f64 operand, and the f64-first chain
+//!   runs.
+//! * when three steps of the f64-first chain are required (`N ≥ N2`) the
+//!   second step runs in f64 before the narrowing to f32. For
+//!   `N ∈ {19, 20}` the exact first-step residual can reach ~2^25, which
+//!   does not round-trip through f32; keeping one more step in f64
+//!   preserves exactness of the residue. Below `N2` the f64-first chain is
+//!   literally the paper's.
 //! * `round` is round-to-nearest **ties-to-even** (`roundscale` /
 //!   `round_ties_even`), not ties-away. Any nearest rounding keeps the
 //!   residual bound `|y| ≤ p/2 + ε`, and RNE is the mode the vector units
 //!   implement natively — using it everywhere is what lets the vectorized
 //!   copies of the row kernel stay bit-identical to the portable loop,
 //!   lane for lane.
+//!
+//! Every chain ends on the symmetric residue in `[-p/2, p/2]`, which is
+//! unique up to the `±128` wrap of `p = 256`, so the chains give the same
+//! bits wherever each is exact.
 //!
 //! # The fused trunc+convert phase
 //!
@@ -30,8 +42,10 @@
 //! tile — one 16-vector strip's depth run — is read from the *original*
 //! view (a strided gather where the side's vectors are not contiguous
 //! runs), scaled by its power-of-two exponent and truncated straight into
-//! the panel order of the side (f32 widened exactly in the kernel), in a
-//! cache-resident f64 staging tile. Both panel formats keep a strip's
+//! the panel order of the side, in a cache-resident staging tile of the
+//! `rmod` chain's precision (f32 for an f32 operand up to `N = 11`: the
+//! product is taken in f64 and narrowed exactly). Both panel formats keep
+//! a strip's
 //! depth run in one contiguous span, so each of the `N` moduli then
 //! reduces the whole tile with one row-kernel call that writes that span
 //! in order — the same bytes the AMX tiles and the SIMD kernels read
@@ -41,7 +55,8 @@
 //! [`residue_planes`] stays as the unfused reference.
 //!
 //! The inner scale+trunc and `rmod` row kernels are each one portable
-//! loop ([`rmod_row_scalar`], [`crate::scale::strunc_row_scalar`]) run
+//! loop ([`rmod_row_scalar`], [`rmod32_row_scalar`],
+//! [`crate::scale::strunc_row_scalar`]) run
 //! through [`gemm_engine::dispatch`], which compiles it for AVX-512,
 //! AVX2+FMA and the baseline target and picks the level
 //! [`gemm_engine::engine_isa()`] reports (forced to scalar by
@@ -53,7 +68,7 @@
 use crate::consts::Constants;
 use crate::element::Element;
 use crate::prepared::{vectors_contiguous, OperandSide};
-use crate::scale::{pow2_split, strunc_gather, strunc_runs};
+use crate::scale::{pow2_split, strunc_gather, strunc_runs, ACCURATE_EXCESS_BITS, GATHER_GROUP};
 use gemm_dense::MatView;
 use gemm_engine::{dispatch, dispatch_name, padded_depth, PK, PV};
 use gemm_obs::TimeShare;
@@ -69,18 +84,14 @@ pub const N1_F32: usize = 5;
 /// Second threshold for `b = 32`.
 pub const N2_F32: usize = 11;
 
-/// Depth block of the fused convert: a strip's `16 × 512` f64 staging tile
-/// (64 KiB) stays L2-resident while each of the `N` moduli reduces it into
-/// one 8 KiB panel span.
+/// Depth block of the fused convert: a strip's `16 × 512` staging tile
+/// (32 KiB and L1-resident in f32, 64 KiB and L2-resident in f64) stays
+/// cached while each of the `N` moduli reduces it into one 8 KiB panel
+/// span.
 const DEPTH_BLOCK: usize = 512;
 
-/// Gathered vectors truncated together: reading a source row's 8
-/// consecutive entries at once took f32 256x256x8192's gathered trunc
-/// from ~5.5 to ~4.7 ms against one strided pass per vector (2-vCPU
-/// x86-64); 16 read no faster.
-const GATHER_GROUP: usize = 8;
-
-/// Number of reduction steps for a given N and input width.
+/// Steps of the f64-first chain ([`rmod_to_i8`]) for a given N and input
+/// width.
 #[inline]
 pub fn steps_for(n: usize, b64: bool) -> u8 {
     let (n1, n2) = if b64 {
@@ -119,6 +130,29 @@ pub fn rmod_to_i8(x: f64, p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8)
     wrap_to_i8(y)
 }
 
+/// `rmod(x, p)` for an integer-valued f32 `x` by `steps` f32 FMA steps
+/// `t = rne(y·p_inv)`, `y ← fma(t, -p, y)`, wrapped into INT8 like
+/// [`rmod_to_i8`].
+///
+/// Exact, and the same residue as [`rmod_to_i8`], for `|x| < 2^44` with two
+/// steps and `|x| < 2^46` with three. With `u = 2^-24` the quotient
+/// `y·p_inv` carries a relative error below `2u(1 + u)` (the rounding of
+/// `1/p`, then of the product), so a step leaves `|y'| < p/2 + 2^-23·|y|`
+/// (to a factor `1 + 2^-25`). From `|x| < 2^46` the first step's `y` is an
+/// integer below `2^24`, which f32 holds, so its FMA is exact; and a step
+/// fed an integer `|y| < 2^22` lands in `[-p/2, p/2]`, its excess over
+/// `p/2` staying under `1/2`. The first step's output is that small from
+/// `|x| < 2^44`, the second's from `|x| < 2^46`.
+#[inline(always)]
+pub fn rmod32_to_i8(x: f32, p32: f32, pinv32: f32, steps: u8) -> i8 {
+    let mut y = x;
+    for _ in 0..steps {
+        let t = (y * pinv32).round_ties_even();
+        y = t.mul_add(-p32, y);
+    }
+    wrap_to_i8(y)
+}
+
 /// `(y as i32) as u8 as i8` for an integral `|y| ≤ 2^22`: the wrap of
 /// `+128` to `-128` the paper relies on (Rust's float `as` saturates, so
 /// `y as i8` would not wrap). Adding `1.5·2^23` lands in `[2^23, 2^24]`,
@@ -128,6 +162,51 @@ pub fn rmod_to_i8(x: f64, p: f64, p32: f32, pinv64: f64, pinv32: f32, steps: u8)
 #[inline(always)]
 fn wrap_to_i8(y: f32) -> i8 {
     ((y + 12_582_912.0f32).to_bits() as u8) as i8
+}
+
+/// Truncated entries below `2^44` take two [`rmod32_to_i8`] steps.
+const F32_TWO_STEP_EXP: f64 = 44.0;
+/// Truncated entries below `2^46` take three.
+const F32_THREE_STEP_EXP: f64 = 46.0;
+
+/// How a staging tile is reduced: the [`rmod_row`] or [`rmod32_row`]
+/// chain, with its step count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RmodChain {
+    /// An f64 first step and `steps − 1` correction steps
+    /// ([`rmod_to_i8`]) over an f64 tile (an f32 operand's entries
+    /// widened exactly by the trunc kernels).
+    F64 {
+        /// Steps in all (`1..=3`, [`steps_for`]).
+        steps: u8,
+    },
+    /// `steps` f32 steps ([`rmod32_to_i8`]) over an f32-exact tile.
+    F32 {
+        /// Steps in all (2 or 3).
+        steps: u8,
+    },
+}
+
+/// The chain that reduces an operand of input width `b = 64` (`b64`) or
+/// `b = 32` exactly under `consts`.
+///
+/// An f32 operand takes the all-f32 chain when `2^E` bounds its truncated
+/// entries below [`rmod32_to_i8`]'s limits, with `E` the larger per-side
+/// budget ([`Constants::p_accu`]) plus the accurate-mode excess
+/// [`ACCURATE_EXCESS_BITS`]: two steps for `N ≤ 10`, three for `N = 11`.
+/// Above that, and always for f64, the f64-first chain with
+/// [`steps_for`].
+pub fn rmod_chain(consts: &Constants, b64: bool) -> RmodChain {
+    let e = consts.p_fast.max(consts.p_accu) + ACCURATE_EXCESS_BITS;
+    if b64 || e > F32_THREE_STEP_EXP {
+        RmodChain::F64 {
+            steps: steps_for(consts.n, b64),
+        }
+    } else {
+        RmodChain::F32 {
+            steps: if e <= F32_TWO_STEP_EXP { 2 } else { 3 },
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -174,6 +253,51 @@ pub fn rmod_row(xs: &[f64], dst: &mut [i8], p: f64, p32: f32, pinv64: f64, pinv3
     }
 }
 
+/// Portable all-f32 `rmod` row kernel: `dst[i] = rmod32_to_i8(xs[i])` for
+/// integer-valued f32s, `steps` clamped to `2..=3`. The one body of
+/// [`rmod32_row`], and the oracle it is property-tested against.
+#[inline(always)]
+pub fn rmod32_row_scalar(xs: &[f32], dst: &mut [i8], p32: f32, pinv32: f32, steps: u8) {
+    let steps = steps.clamp(2, 3);
+    for (d, &x) in dst.iter_mut().zip(xs) {
+        *d = rmod32_to_i8(x, p32, pinv32, steps);
+    }
+}
+
+/// Vectorized all-f32 `rmod` over a row of integer-valued f32s, 16 lanes
+/// per 512-bit vector: [`rmod32_row_scalar`] run through [`dispatch`], so
+/// it is bit-identical to it at every level.
+#[inline]
+pub fn rmod32_row(xs: &[f32], dst: &mut [i8], p32: f32, pinv32: f32, steps: u8) {
+    assert!(dst.len() >= xs.len(), "destination row too short");
+    match steps {
+        0..=2 => dispatch(|| rmod32_row_scalar(xs, dst, p32, pinv32, 2)),
+        _ => dispatch(|| rmod32_row_scalar(xs, dst, p32, pinv32, 3)),
+    }
+}
+
+/// The element of a staging tile: the precision its [`RmodChain`] runs
+/// in.
+trait Stage: Element {
+    /// Reduce `tile` against modulus `s` of `c` into `dst`.
+    fn rmod(tile: &[Self], dst: &mut [i8], c: &Constants, s: usize, steps: u8);
+}
+
+impl Stage for f64 {
+    #[inline]
+    fn rmod(tile: &[f64], dst: &mut [i8], c: &Constants, s: usize, steps: u8) {
+        let (p32, pinv32) = (c.p_f32[s], c.p_inv_f32[s]);
+        rmod_row(tile, dst, c.p_f64[s], p32, c.p_inv_f64[s], pinv32, steps);
+    }
+}
+
+impl Stage for f32 {
+    #[inline]
+    fn rmod(tile: &[f32], dst: &mut [i8], c: &Constants, s: usize, steps: u8) {
+        rmod32_row(tile, dst, c.p_f32[s], c.p_inv_f32[s], steps);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fused trunc+convert -> packed-panel emission
 // ---------------------------------------------------------------------------
@@ -193,25 +317,29 @@ struct ConvertJob<'a> {
 /// against every modulus of `consts` and packed.
 ///
 /// The view may have any layout, leading dimension or transpose, in f64
-/// or f32 (widened exactly inside the trunc kernels), and is never
-/// copied. The one inner loop, the same on both sides, takes one
-/// 16-vector strip's run of up to 512 depth entries at a time:
+/// or f32, and is never copied. The one inner loop, the same on both
+/// sides, takes one 16-vector strip's run of up to 512 depth entries at a
+/// time:
 ///
-/// 1. truncate the run straight into panel order, in an f64 staging tile
-///    (the runs of each vector that its side's format keeps contiguous: a
-///    dword on side A, a 64-byte block row on side B). Vectors that are
+/// 1. truncate the run straight into panel order, in a staging tile of
+///    the chain's precision (the runs of each vector that its side's
+///    format keeps contiguous: a dword on side A, a 64-byte block row on
+///    side B; an f32 entry's `trunc(2^e·a)` is taken in f64 and, up to
+///    `N = 11`, stored as the f32 it is). Vectors that are
 ///    contiguous runs in memory (rows of a row-major `A`, columns of a
 ///    column-major `B`; the split line 1 makes too) run the dispatched
 ///    trunc kernel straight over the source; the others are gathered 8
 ///    consecutive vectors at a time, each source row's entries of the
 ///    group read together, with the same per-lane scale and trunc;
-/// 2. for each modulus, reduce the whole tile with one [`rmod_row`] call
-///    into the strip's panel span for the run, which is contiguous in
-///    both formats, so every span is written once, in order.
+/// 2. for each modulus, reduce the whole tile with one [`rmod_row`] or
+///    [`rmod32_row`] call into the strip's panel span for the run, which
+///    is contiguous in both formats, so every span is written once, in
+///    order.
 ///
 /// The operand streams from DRAM once; the integer matrices `A'`, `B'` of
-/// the unfused pipeline never exist. The conversion thresholds are the
-/// precision's (`b = 64` for f64, `b = 32` for f32).
+/// the unfused pipeline never exist. The chain is [`rmod_chain`] of the
+/// precision (`b = 64` for f64, `b = 32` for f32): an f32 tile is reduced
+/// in f32 up to `N = 11`.
 ///
 /// For each modulus `s`, the residues are written to the panel set
 /// `panels[s * vecs_pad * kp ..][.. vecs_pad * kp]` in the INT8 engine's
@@ -228,7 +356,8 @@ struct ConvertJob<'a> {
 /// split, and to the unfused chain
 /// `pack_panels(residue_planes(scale_trunc_*))`:
 /// workers own disjoint vector ranges and the row kernels are lane-exact
-/// against [`crate::scale::strunc_row_scalar`] and [`rmod_row_scalar`].
+/// against [`crate::scale::strunc_row_scalar`], [`rmod_row_scalar`] and
+/// [`rmod32_row_scalar`].
 ///
 /// `timing`, when given, accumulates per-job trunc vs total CPU
 /// nanoseconds for phase attribution (a [`TimeShare`] from `gemm_obs`:
@@ -268,7 +397,7 @@ pub fn trunc_convert_pack_panels<T: Element>(
         k,
         kp,
         consts,
-        steps: steps_for(consts.n, T::IS_F64),
+        chain: rmod_chain(consts, T::IS_F64),
         timing,
     };
 
@@ -321,30 +450,38 @@ struct Source<'a, T> {
     k: usize,
     kp: usize,
     consts: &'a Constants,
-    steps: u8,
+    chain: RmodChain,
     timing: Option<&'a TimeShare>,
 }
 
 impl<T: Element> Source<'_, T> {
     /// Convert one job's vectors across all moduli, on the run of depth
-    /// bytes each vector keeps contiguous in its side's panel format: a
-    /// dword on side A, a 64-byte block row on side B.
+    /// bytes each vector keeps contiguous in its side's panel format (a
+    /// dword on side A, a 64-byte block row on side B), in a staging tile
+    /// of the chain's precision.
     fn convert_job(&self, job: ConvertJob<'_>) {
-        match self.side {
-            OperandSide::A => self.convert_strips::<4>(job),
-            OperandSide::B => self.convert_strips::<PK>(job),
+        match (self.side, self.chain) {
+            (OperandSide::A, RmodChain::F64 { steps }) => self.convert_strips::<4, f64>(job, steps),
+            (OperandSide::A, RmodChain::F32 { steps }) => self.convert_strips::<4, f32>(job, steps),
+            (OperandSide::B, RmodChain::F64 { steps }) => {
+                self.convert_strips::<PK, f64>(job, steps)
+            }
+            (OperandSide::B, RmodChain::F32 { steps }) => {
+                self.convert_strips::<PK, f32>(job, steps)
+            }
         }
     }
 
     /// [`Self::convert_job`], one 16-vector strip at a time, one
     /// [`DEPTH_BLOCK`]-deep run of the strip at a time: the run is scaled
     /// and truncated straight into panel order (`RUN`-element runs of each
-    /// vector), in an f64 staging tile, and then, for each modulus, reduced
-    /// by one [`rmod_row`] call into the panel span the run occupies, which
+    /// vector), in a staging tile of `S`, and then, for each modulus,
+    /// reduced by one `steps`-step `S` row-kernel call into the panel span
+    /// the run occupies, which
     /// is contiguous on either side. `rmod(0) = 0`, so zero-filling the
     /// tile where the strip has fewer than 16 vectors or the run reaches
     /// into the depth padding is all the padding takes.
-    fn convert_strips<const RUN: usize>(&self, job: ConvertJob<'_>) {
+    fn convert_strips<const RUN: usize, S: Stage>(&self, job: ConvertJob<'_>, steps: u8) {
         let Source {
             side,
             data,
@@ -355,14 +492,14 @@ impl<T: Element> Source<'_, T> {
             k,
             kp,
             consts: c,
-            steps,
             timing,
+            ..
         } = *self;
         let ConvertJob { v0, nv, mut planes } = job;
         let job_t0 = timing.map(|_| Instant::now());
         let mut trunc_ns = 0u64;
         let depth = DEPTH_BLOCK.min(kp);
-        let mut tile = vec![0.0f64; PV * depth];
+        let mut tile = vec![S::ZERO; PV * depth];
         // Vector `r`, entry `h` of a run at `r * vstride + h / RUN * stride
         // + h % RUN`, which is `side.panel_index(r, h, span)`.
         let (vstride, stride) = (side.panel_index(1, 0, kp), side.panel_index(0, RUN, kp));
@@ -378,16 +515,16 @@ impl<T: Element> Source<'_, T> {
                 let tile = &mut tile[..PV * span];
                 let t0 = timing.map(|_| Instant::now());
                 if rows < PV || len < span {
-                    tile.fill(0.0);
+                    tile.fill(S::ZERO);
                 }
                 if contiguous {
                     let xs = &data[(v0 + sl) * ld + off..];
-                    strunc_runs::<RUN, T>(xs, ld, &scales[..rows], len, tile, vstride, stride);
+                    strunc_runs::<RUN, T, S>(xs, ld, &scales[..rows], len, tile, vstride, stride);
                 } else {
                     for r in (0..rows).step_by(GATHER_GROUP) {
                         let sc = &scales[r..r + GATHER_GROUP.min(rows - r)];
                         let (xs, dst) = (&data[off * ld + v0 + sl + r..], &mut tile[r * vstride..]);
-                        strunc_gather::<RUN, T>(xs, ld, sc, len, dst, vstride, stride);
+                        strunc_gather::<RUN, T, S>(xs, ld, sc, len, dst, vstride, stride);
                     }
                 }
                 if let Some(t0) = t0 {
@@ -396,8 +533,7 @@ impl<T: Element> Source<'_, T> {
                 let at = side.panel_index(sl, off, kp);
                 for (s, plane) in planes.iter_mut().enumerate() {
                     let dst = &mut plane[at..at + PV * span];
-                    let (p, p32) = (c.p_f64[s], c.p_f32[s]);
-                    rmod_row(tile, dst, p, p32, c.p_inv_f64[s], c.p_inv_f32[s], steps);
+                    S::rmod(tile, dst, c, s, steps);
                 }
             }
         }
@@ -585,6 +721,60 @@ mod tests {
     }
 
     #[test]
+    fn f32_chain_runs_up_to_n_11() {
+        // Derived from the budgets, not listed: two f32 steps while
+        // p_accu + ACCURATE_EXCESS_BITS stays below 44 (N <= 10), three
+        // below 46 (N = 11), the f64-first chain past it and for f64.
+        for n in 2..=crate::moduli::N_MAX_SGEMM {
+            let c = constants(n);
+            let want = match n {
+                ..=10 => RmodChain::F32 { steps: 2 },
+                11 => RmodChain::F32 { steps: 3 },
+                _ => RmodChain::F64 {
+                    steps: steps_for(n, false),
+                },
+            };
+            assert_eq!(rmod_chain(c, false), want, "N={n}");
+            let f64_steps = steps_for(n, true);
+            assert_eq!(
+                rmod_chain(c, true),
+                RmodChain::F64 { steps: f64_steps },
+                "N={n}"
+            );
+        }
+        let e11 = constants(11).p_accu + ACCURATE_EXCESS_BITS;
+        let e12 = constants(12).p_fast;
+        assert!(e11 < F32_THREE_STEP_EXP && e12 > F32_THREE_STEP_EXP);
+    }
+
+    #[test]
+    fn two_f32_steps_break_past_their_bound() {
+        // |x| ~ 2^46.4, p = 255: two steps leave y = 128 = (p + 1) / 2,
+        // which the INT8 wrap turns into -128, not even congruent to x;
+        // a third step lands on the symmetric residue.
+        let c = constants(2);
+        let x = 90_509_397_721_088.0f64;
+        assert_eq!((x as f32) as f64, x);
+        let (p32, pinv32) = (c.p_f32[1], c.p_inv_f32[1]);
+        assert_eq!(c.p[1], 255);
+        assert_eq!(rmod_reference(x, 255), -127);
+        assert_eq!(rmod32_to_i8(x as f32, p32, pinv32, 2), -128);
+        assert_eq!(rmod32_to_i8(x as f32, p32, pinv32, 3), -127);
+    }
+
+    #[test]
+    fn f32_chain_wraps_plus_half_p_for_256() {
+        let c = constants(2);
+        for steps in [2, 3] {
+            for x in [-128.0f32, 128.0, -384.0, 2f32.powi(30) + 128.0] {
+                let got = rmod32_to_i8(x, 256.0, c.p_inv_f32[0], steps);
+                assert_eq!(got, -128, "x={x} steps={steps}");
+                assert_eq!(got, rmod_reference(x as f64, 256), "x={x}");
+            }
+        }
+    }
+
+    #[test]
     fn residue_planes_layout() {
         let c = constants(3);
         let src = [100.0f64, -100.0, 300.0, -300.0];
@@ -668,6 +858,38 @@ mod tests {
     }
 
     #[test]
+    fn dispatched_rmod32_row_bit_identical_to_scalar_and_reference() {
+        // The all-f32 kernel, at each N its chain serves, over f32-exact
+        // integers up to the chain's bound: every level gives the portable
+        // loop's bits, and those are the exact symmetric residues.
+        gemm_engine::for_each_level("dispatched_rmod32_row_bit_identical_to_scalar", |level| {
+            for nmod in [2usize, 8, 10, 11] {
+                let c = constants(nmod);
+                let RmodChain::F32 { steps } = rmod_chain(c, false) else {
+                    panic!("N={nmod} runs the f32 chain");
+                };
+                let bound = 2f64.powf(c.p_accu + ACCURATE_EXCESS_BITS);
+                for row in parity_rows() {
+                    let row: Vec<f32> = row.iter().map(|&x| ((x % bound) as f32).trunc()).collect();
+                    for s in 0..nmod {
+                        let (p32, pinv32) = (c.p_f32[s], c.p_inv_f32[s]);
+                        let mut got = vec![0i8; row.len()];
+                        let mut want = vec![0i8; row.len()];
+                        rmod32_row(&row, &mut got, p32, pinv32, steps);
+                        rmod32_row_scalar(&row, &mut want, p32, pinv32, steps);
+                        assert_eq!(got, want, "{level:?} N={nmod} s={s} steps={steps}");
+                        let exact: Vec<i8> = row
+                            .iter()
+                            .map(|&x| rmod_reference(x as f64, c.p[s]))
+                            .collect();
+                        assert_eq!(want, exact, "N={nmod} s={s}");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
     fn wrap_to_i8_matches_the_wrapping_cast() {
         // Every integral f32 in [-2^22, 2^22], not just the residue range.
         for y in -(1i32 << 22)..=(1 << 22) {
@@ -737,6 +959,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fused_f32_panels_match_reference_planes() {
+        // f32 integers up to the chain's bound under zero exponents (which
+        // truncation leaves unchanged), at N on either side of the all-f32
+        // chain's edges: the sweep over every view (contiguous and
+        // gathered) on both sides, at every kernel level, on one thread
+        // and split, == the f64-first residue_planes + pack_panels,
+        // bitwise.
+        use crate::scale::tests::for_each_view;
+        for nmod in [8usize, 11, 12, 18] {
+            let c = constants(nmod);
+            let e_max = (c.p_accu + ACCURATE_EXCESS_BITS).min(60.0);
+            for (vecs, k) in [(3usize, 5usize), (17, 600)] {
+                // Vector v, entry h at v * k + h: ±(24-bit mantissa)·2^e.
+                let ints: Vec<f64> = (0..vecs * k)
+                    .map(|i| {
+                        let e = (i * 7919 % 1000) as f64 / 1000.0 * e_max;
+                        let m = (1 << 23) + i.wrapping_mul(2_654_435_761) % (1 << 23);
+                        let x = (m as f64 * 2f64.powi(e as i32 - 24)).trunc();
+                        if i % 3 == 1 {
+                            -x
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                assert!(ints.iter().all(|&x| (x as f32) as f64 == x), "f32-exact");
+                for side in [OperandSide::A, OperandSide::B] {
+                    let (rows, cols) = match side {
+                        OperandSide::A => (vecs, k),
+                        OperandSide::B => (k, vecs),
+                    };
+                    let mat = Matrix::from_fn(rows, cols, |r, c| match side {
+                        OperandSide::A => ints[r * k + c] as f32,
+                        OperandSide::B => ints[c * k + r] as f32,
+                    });
+                    let (_, vecs_pad, _) = side.panel_dims((rows, cols));
+                    let want = oracle_panels(side, &ints, vecs, vecs_pad, k, c, false);
+                    gemm_engine::for_each_level(
+                        "fused_f32_panels_match_reference_planes",
+                        |level| {
+                            for_each_view(&mat, |name, view| {
+                                for parallel in [false, true] {
+                                    let got = sweep(&view, side, &vec![0; vecs], c, parallel, None);
+                                    let what =
+                                        format!("{level:?} N={nmod} {side:?} {name} {vecs}x{k}");
+                                    assert_eq!(got, want, "{what} parallel={parallel}");
+                                }
+                            });
+                        },
+                    );
+                }
+            }
+        }
+    }
+
     /// The sweep over every view of the logical operand `mat` of `side`
     /// (both layouts, padded leading dimensions, a `.t()`), on one thread
     /// and split, against the oracle chain over its exactly widened
@@ -780,7 +1058,7 @@ mod tests {
         // Every side, layout and precision, with vector counts that split
         // into several jobs and depths past one staging tile.
         use gemm_dense::workload::phi_matrix_f64;
-        for nmod in [8usize, 13] {
+        for nmod in [8usize, 11, 12, 13, 18] {
             let c = constants(nmod);
             for (vecs, k) in [
                 (1usize, 1usize),
@@ -796,7 +1074,9 @@ mod tests {
                     };
                     let mat = phi_matrix_f64(rows, cols, 1.0, 3 + vecs as u64, 0);
                     let what = format!("N={nmod} {vecs}x{k}");
-                    check_sweep(&mat, side, c, &format!("f64 {what}"));
+                    if [8, 13].contains(&nmod) {
+                        check_sweep(&mat, side, c, &format!("f64 {what}"));
+                    }
                     check_sweep(&mat.map(|x| x as f32), side, c, &format!("f32 {what}"));
                 }
             }

@@ -4,8 +4,10 @@
 //! supported precisions run the *same* f64 pipeline: f32 operands are
 //! widened **exactly** inside the kernels that read them (line 1's
 //! kernels and the fused trunc+convert sweep, all generic over
-//! [`Element`] — no widened copy of the operand ever exists) and the fold
-//! output is narrowed once at the end. [`Element`] captures the handful
+//! [`Element`] — no widened copy of the operand ever exists; an f32
+//! operand's truncated entries are f32 again, and up to `N = 11` they are
+//! reduced in f32, see [`crate::convert::rmod_chain`]) and the fold output
+//! is narrowed once at the end. [`Element`] captures the handful
 //! of precision-specific facts — the conversion-threshold flag
 //! `b = 64/32`, the supported moduli range, and the exact widen/narrow
 //! hops — and is sealed to `f64` and `f32`: the set of precisions is a

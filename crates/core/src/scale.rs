@@ -20,7 +20,9 @@
 //! f32 sources alike. The fused trunc+convert sweep
 //! ([`crate::convert::trunc_convert_pack_panels`]) runs it straight over
 //! an operand's contiguous vectors, and its gathering twin over groups of
-//! gathered ones.
+//! gathered ones, storing each truncated entry in the staging tile's
+//! precision (f32 only for an f32 operand, where it is exact: the product
+//! keeps `a`'s significant bits).
 
 use crate::consts::Constants;
 use crate::element::Element;
@@ -502,6 +504,18 @@ impl<T: Element> Kernel for Maxima<'_, T> {
     }
 }
 
+/// Bits by which an accurate-mode truncated entry can exceed `2^budget`.
+///
+/// [`accurate_scale_view`] gives row `i` of `A` the exponent
+/// `μ'_i + ⌊budget − 0.51·log2 cm_i⌋`, with `cm_i` the row maximum of
+/// `Ā·B̄`. An entry `a_ih` whose row `h` of `B` is nonzero has some
+/// `b̄_hj ≥ 1`, so `cm_i ≥ ā_ih` and `|trunc(2^{e_i} a_ih)| ≤
+/// ā_ih^{0.49}·2^budget ≤ 64^{0.49}·2^budget`; the same holds for an
+/// entry `b_hj` of `B` whose column `h` of `A` is nonzero. (An entry that
+/// meets only zeros can be larger, but its products are all zero,
+/// whatever residue it takes.) Fast mode stays below `2^budget`.
+pub const ACCURATE_EXCESS_BITS: f64 = 0.49 * 6.0;
+
 /// Accurate-mode scale exponents for both operands (§4.2), over borrowed
 /// strided operand views (f64 or exactly widened f32).
 ///
@@ -654,19 +668,19 @@ pub fn strunc_row<T: Element>(xs: &[T], dst: &mut [f64], s1: f64, s2: f64) {
 /// [`strunc_row`] over `scales.len()` contiguous vectors, vector `i` at
 /// `xs[i * ld..]`, into panel order ([`PanelTrunc`]): each vector 64
 /// entries at a time, truncated at full vector width and then stored run
-/// by run.
+/// by run, as `S`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn strunc_runs<const RUN: usize, T: Element>(
+pub(crate) fn strunc_runs<const RUN: usize, T: Element, S: Element>(
     xs: &[T],
     ld: usize,
     scales: &[(f64, f64)],
     len: usize,
-    tile: &mut [f64],
+    tile: &mut [S],
     vstride: usize,
     stride: usize,
 ) {
-    dispatch(PanelTrunc::<RUN, false, T> {
+    dispatch(PanelTrunc::<RUN, false, T, S> {
         xs,
         ld,
         scales,
@@ -684,16 +698,16 @@ pub(crate) fn strunc_runs<const RUN: usize, T: Element>(
 /// plain row at `i * vstride`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn strunc_gather<const RUN: usize, T: Element>(
+pub(crate) fn strunc_gather<const RUN: usize, T: Element, S: Element>(
     xs: &[T],
     ld: usize,
     scales: &[(f64, f64)],
     len: usize,
-    tile: &mut [f64],
+    tile: &mut [S],
     vstride: usize,
     stride: usize,
 ) {
-    dispatch(PanelTrunc::<RUN, true, T> {
+    dispatch(PanelTrunc::<RUN, true, T, S> {
         xs,
         ld,
         scales,
@@ -707,15 +721,17 @@ pub(crate) fn strunc_gather<const RUN: usize, T: Element>(
 /// Scale+trunc of `scales.len()` vectors into panel order: entry `h` of
 /// vector `i` — `xs[h * ld + i]` if `GATHER`, else `xs[i * ld + h]` —
 /// scaled by `scales[i]` (a [`pow2_split`] pair) and truncated into
-/// `tile[i * vstride + h / RUN * stride + h % RUN]` for `h < len`. A
-/// [`Kernel`] so that every level's copy contains it (as a closure it is
-/// too large for LLVM to inline).
-struct PanelTrunc<'a, const RUN: usize, const GATHER: bool, T> {
+/// `tile[i * vstride + h / RUN * stride + h % RUN]` for `h < len`, as `S`.
+/// The product is taken in f64; an f32 source's `trunc(2^e·a)` keeps at
+/// most the 24 significant bits of `a`, so storing it as f32 is exact (an
+/// f64 source goes to an f64 tile). A [`Kernel`] so that every level's
+/// copy contains it (as a closure it is too large for LLVM to inline).
+struct PanelTrunc<'a, const RUN: usize, const GATHER: bool, T, S> {
     xs: &'a [T],
     ld: usize,
     scales: &'a [(f64, f64)],
     len: usize,
-    tile: &'a mut [f64],
+    tile: &'a mut [S],
     vstride: usize,
     stride: usize,
 }
@@ -724,36 +740,73 @@ struct PanelTrunc<'a, const RUN: usize, const GATHER: bool, T> {
 /// every run length it is used with.
 const RUN_PIECE: usize = 64;
 
-impl<const RUN: usize, const GATHER: bool, T: Element> Kernel for PanelTrunc<'_, RUN, GATHER, T> {
+/// Gathered vectors truncated together: reading a source row's 8
+/// consecutive entries at once took f32 256x256x8192's gathered trunc
+/// from ~5.5 to ~4.7 ms against one strided pass per vector (2-vCPU
+/// x86-64); 16 read no faster. [`strunc_gather`] runs a full group four
+/// depth entries at a time, one full-width truncation per source row and
+/// one 4-entry store per vector, which took the same trunc on one thread
+/// from 3.3–4.1 ms (one scalar lane per entry, f64 tile) to 1.6–1.9 ms
+/// (f32 tile).
+pub(crate) const GATHER_GROUP: usize = 8;
+
+impl<const RUN: usize, const GATHER: bool, T: Element, S: Element> Kernel
+    for PanelTrunc<'_, RUN, GATHER, T, S>
+{
     type Out = ();
 
     #[inline(always)]
     fn run(self) {
         let (xs, scales, tile) = (self.xs, self.scales, self.tile);
         let (ld, len, vstride, stride) = (self.ld, self.len, self.vstride, self.stride);
+        let strunc = |x: T, (s1, s2): (f64, f64)| S::from_f64((x.to_f64() * s1 * s2).trunc());
         if GATHER {
-            for h in 0..len {
+            let mut h0 = 0;
+            // A full group, four depth entries of all its vectors at a
+            // time: truncated source row by source row at full width, then
+            // stored vector by vector, each vector's four entries one
+            // contiguous piece of its run.
+            let pieces = RUN.is_multiple_of(4) || stride == RUN;
+            if let (Ok(sc), true) = (<&[(f64, f64); GATHER_GROUP]>::try_from(scales), pieces) {
+                let mut blk = [[S::ZERO; GATHER_GROUP]; 4];
+                while h0 + 4 <= len {
+                    for (j, out) in blk.iter_mut().enumerate() {
+                        let row = &xs[(h0 + j) * ld..][..GATHER_GROUP];
+                        for ((o, &x), &s) in out.iter_mut().zip(row).zip(sc) {
+                            *o = strunc(x, s);
+                        }
+                    }
+                    let at = h0 / RUN * stride + h0 % RUN;
+                    for i in 0..GATHER_GROUP {
+                        let piece = &mut tile[at + i * vstride..][..4];
+                        for (j, d) in piece.iter_mut().enumerate() {
+                            *d = blk[j][i];
+                        }
+                    }
+                    h0 += 4;
+                }
+            }
+            for h in h0..len {
                 let at = h / RUN * stride + h % RUN;
                 let row = &xs[h * ld..h * ld + scales.len()];
-                for ((&x, &(s1, s2)), i) in row.iter().zip(scales).zip(0..) {
-                    tile[at + i * vstride] = (x.to_f64() * s1 * s2).trunc();
+                for ((&x, &sc), i) in row.iter().zip(scales).zip(0..) {
+                    tile[at + i * vstride] = strunc(x, sc);
                 }
             }
             return;
         }
-        for (i, &(s1, s2)) in scales.iter().enumerate() {
+        for (i, &sc) in scales.iter().enumerate() {
             let (row, base) = (&xs[i * ld..i * ld + len], i * vstride);
             let mut pieces = row.chunks_exact(RUN_PIECE);
             for (c, piece) in (&mut pieces).enumerate() {
-                let v: [f64; RUN_PIECE] =
-                    std::array::from_fn(|e| (piece[e].to_f64() * s1 * s2).trunc());
+                let v: [S; RUN_PIECE] = std::array::from_fn(|e| strunc(piece[e], sc));
                 for (r, run) in v.chunks_exact(RUN).enumerate() {
                     tile[base + (c * RUN_PIECE / RUN + r) * stride..][..RUN].copy_from_slice(run);
                 }
             }
             let h0 = len - pieces.remainder().len();
             for (h, &x) in (h0..).zip(pieces.remainder()) {
-                tile[base + h / RUN * stride + h % RUN] = (x.to_f64() * s1 * s2).trunc();
+                tile[base + h / RUN * stride + h % RUN] = strunc(x, sc);
             }
         }
     }
@@ -1138,10 +1191,11 @@ pub(crate) mod tests {
 
     #[test]
     fn strunc_f32_and_gathered_match_widened_scalar() {
-        // The f32 kernel widens exactly, and the gathered kernel reads
-        // vector i's entry h at h * ld + i for a group of vectors: both
-        // equal the scalar kernel over the widened, gathered f64 vector,
-        // bit for bit, at every level.
+        // The f32 kernel widens exactly and stores the f32 it truncates
+        // to, and the gathered kernel reads vector i's entry h at
+        // h * ld + i for a group of vectors: both equal the scalar kernel
+        // over the widened, gathered f64 vector, bit for bit, at every
+        // level.
         const LD: usize = 11;
         let xs: Vec<f32> = (0..LD * 300)
             .map(|i| (i as f32) * 0.7331 - 1091.0)
@@ -1154,10 +1208,10 @@ pub(crate) mod tests {
                 let scales: Vec<(f64, f64)> = exps[..g].iter().map(|&e| pow2_split(e)).collect();
                 for len in [1usize, 7, 300] {
                     const ROW: usize = 301;
-                    let mut tile32 = vec![0.0f64; g * ROW];
-                    let mut tile64 = tile32.clone();
-                    strunc_gather::<1, _>(&xs, LD, &scales, len, &mut tile32, ROW, 1);
-                    strunc_gather::<1, _>(&wide, LD, &scales, len, &mut tile64, ROW, 1);
+                    let mut tile32 = vec![0.0f32; g * ROW];
+                    let mut tile64 = vec![0.0f64; g * ROW];
+                    strunc_gather::<1, _, _>(&xs, LD, &scales, len, &mut tile32, ROW, 1);
+                    strunc_gather::<1, _, _>(&wide, LD, &scales, len, &mut tile64, ROW, 1);
                     for (i, &(s1, s2)) in scales.iter().enumerate() {
                         let vector: Vec<f64> =
                             wide[i..].iter().step_by(LD).take(len).copied().collect();
@@ -1165,7 +1219,9 @@ pub(crate) mod tests {
                         strunc_row_scalar(&vector, &mut want, s1, s2);
                         let row = i * ROW..i * ROW + len;
                         let what = format!("{level:?} g={g} len={len} vector {i}");
-                        assert_eq!(bits(&tile32[row.clone()]), bits(&want), "f32 {what}");
+                        let wide32: Vec<f64> =
+                            tile32[row.clone()].iter().map(|&x| x.into()).collect();
+                        assert_eq!(bits(&wide32), bits(&want), "f32 {what}");
                         assert_eq!(bits(&tile64[row]), bits(&want), "f64 {what}");
                     }
                 }
@@ -1239,6 +1295,23 @@ pub(crate) mod tests {
                 assert_eq!(got, want32, "f32 B {name} {m}x{k}x{n}");
             });
         }
+    }
+
+    #[test]
+    fn accurate_entries_stay_within_the_excess() {
+        // a_00 meets B only through a tiny but nonzero b_00, so the
+        // estimate Ā·B̄ cannot shrink its exponent: its truncated value
+        // passes 2^budget, by less than ACCURATE_EXCESS_BITS.
+        let budget = constants(11).p_accu;
+        let a = MatF64::from_vec(1, 2, vec![1.49, 0.0]);
+        let b = MatF64::from_vec(2, 1, vec![2f64.powi(-20), 1.0]);
+        let (ea, _) = accurate_scale_view(&a.view(), &b.view(), budget, false);
+        let top = scale_by_pow2(1.49, ea[0]).trunc().log2();
+        assert!(top > budget + 2.0, "{top} vs budget {budget}");
+        assert!(
+            top < budget + ACCURATE_EXCESS_BITS,
+            "{top} vs budget {budget}"
+        );
     }
 
     #[test]

@@ -7,12 +7,13 @@ use ozaki2::accumulate::{fold_planes, fold_span, fold_span_scalar, FoldPrecision
 use ozaki2::consts::constants;
 use ozaki2::consts::Constants;
 use ozaki2::convert::{
-    residue_planes, rmod_reference, rmod_row, rmod_row_scalar, rmod_to_i8, steps_for,
-    trunc_convert_pack_panels,
+    residue_planes, rmod32_row, rmod_chain, rmod_reference, rmod_row, rmod_row_scalar, rmod_to_i8,
+    steps_for, trunc_convert_pack_panels, RmodChain,
 };
 use ozaki2::scale::{
     condition3_holds, fast_scale_cols, fast_scale_rows, pow2_split, scale_by_pow2,
     scale_trunc_a_rowmajor, scale_trunc_b_colmajor, strunc_row, strunc_row_scalar,
+    ACCURATE_EXCESS_BITS,
 };
 use ozaki2::{Element, Mode, OperandSide, Ozaki2, TimeShare, N_MAX_SGEMM};
 use proptest::prelude::*;
@@ -184,6 +185,81 @@ proptest! {
             want,
             "x={} p={}", x, c.p[pidx]
         );
+    }
+
+    #[test]
+    fn f32_operand_chain_gives_exact_residues(
+        nmod in 2usize..=N_MAX_SGEMM,
+        accurate in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // The chain an f32 operand is reduced with (all-f32 up to N = 11,
+        // f64-first past it) over f32-exact integers up to the mode's
+        // bound (fast: 2^p_fast; accurate: 2^(p_accu + the excess)),
+        // every modulus, every kernel level: the exact symmetric residue,
+        // bit for bit. Rows mix magnitudes across the whole range, values
+        // just under the bound, odd multiples of p/2 and ±128 (those below
+        // the bound).
+        let c = constants(nmod);
+        let e_max = if accurate { c.p_accu + ACCURATE_EXCESS_BITS } else { c.p_fast };
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 16
+        };
+        let sign = |r: u64, x: f64| if r.is_multiple_of(2) { x } else { -x };
+        // A 24-bit mantissa times 2^e below 2^e_max: an f32-exact integer.
+        let draw = |r: u64, e: i32| {
+            let m = ((1u64 << 23) + (r >> 1) % (1 << 23)) as f64;
+            sign(r, (m * 2f64.powi(e - 24)).trunc())
+        };
+        let top = e_max.floor() as i32;
+        let base: Vec<f64> = (0..96)
+            .map(|i| match i % 4 {
+                0 => draw(next(), (next() % (top as u64 + 1)) as i32),
+                1 => draw(next(), top),
+                2 => sign(next(), 128.0 * ((next() % 1024) * 2 + 1) as f64),
+                _ => sign(next(), (next() % 4096) as f64),
+            })
+            .collect();
+        let chain = rmod_chain(c, false);
+        for p_idx in 0..nmod {
+            let p = c.p[p_idx];
+            let half_p: Vec<f64> = (0..8)
+                .map(|_| sign(next(), (p / 2) as f64 * ((next() % 4096) * 2 + 1) as f64))
+                .chain([128.0, -128.0])
+                .collect();
+            let bound = 2f64.powf(e_max);
+            let row: Vec<f64> = base.iter().chain(&half_p).copied().filter(|x| x.abs() < bound).collect();
+            for &x in &row {
+                prop_assert!((x as f32) as f64 == x, "x={} is not f32-exact", x);
+            }
+            let want: Vec<i8> = row.iter().map(|&x| rmod_reference(x, p)).collect();
+            let (p32, pinv32) = (c.p_f32[p_idx], c.p_inv_f32[p_idx]);
+            let mut mismatch = None;
+            for_each_level("f32_operand_chain_gives_exact_residues", |level| {
+                let mut got = vec![0i8; row.len()];
+                match chain {
+                    RmodChain::F32 { steps } => {
+                        let row32: Vec<f32> = row.iter().map(|&x| x as f32).collect();
+                        rmod32_row(&row32, &mut got, p32, pinv32, steps);
+                    }
+                    RmodChain::F64 { steps } => {
+                        let (p64, pinv64) = (c.p_f64[p_idx], c.p_inv_f64[p_idx]);
+                        rmod_row(&row, &mut got, p64, p32, pinv64, pinv32, steps);
+                    }
+                }
+                if got != want && mismatch.is_none() {
+                    let lane = (0..row.len()).find(|&i| got[i] != want[i]).unwrap_or(0);
+                    mismatch = Some((level, row[lane], got[lane], want[lane]));
+                }
+            });
+            prop_assert!(
+                mismatch.is_none(),
+                "N={} accurate={} {:?} p={}: (level, x, got, want) = {:?}",
+                nmod, accurate, chain, p, mismatch
+            );
+        }
     }
 
     #[test]
